@@ -81,6 +81,47 @@ impl Shape {
     }
 }
 
+/// The command line of the `fig*` binaries: `[--quick] [--json]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FigArgs {
+    /// `--quick`: the reduced workload (a no-op for `fig7`, which runs none).
+    pub quick: bool,
+    /// `--json`: machine-readable output.
+    pub json: bool,
+}
+
+impl FigArgs {
+    /// Parses the arguments after the program name of the binary `bin`.
+    ///
+    /// Any argument other than `--quick` and `--json` is an error carrying a
+    /// usage line, so a typo such as `--quikc` never silently runs the full
+    /// paper shape.
+    pub fn parse<I: IntoIterator<Item = String>>(bin: &str, args: I) -> Result<Self, String> {
+        let mut parsed = FigArgs::default();
+        for arg in args {
+            match arg.as_str() {
+                "--quick" => parsed.quick = true,
+                "--json" => parsed.json = true,
+                other => {
+                    return Err(format!(
+                        "{bin}: unknown argument `{other}`\nusage: {bin} [--quick] [--json]"
+                    ))
+                }
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// [`Self::parse`] over the process arguments; on an error, prints it to
+    /// stderr and exits with status 2.
+    pub fn from_env(bin: &str) -> Self {
+        Self::parse(bin, std::env::args().skip(1)).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
+    }
+}
+
 fn workload_for(congestion: Congestion, shape: Shape) -> Workload {
     generate_workload(
         &WorkloadConfig::paper_default(congestion)

@@ -21,7 +21,7 @@
 //! The *policy* (which application gets which slot, and when) is pluggable — see
 //! [`crate::policy`].
 //!
-//! # Batched event drain: one scheduling pass per simulation instant
+//! # Batched event drain: at most one scheduling pass per simulation instant
 //!
 //! Discrete-event workloads cluster: a PR completion, the item completions it
 //! unblocks and a batch arrival frequently share one timestamp.  Rerunning the
@@ -32,8 +32,8 @@
 //! * [`SharingSimulator::step_batch`] drains **every** event carrying the
 //!   current timestamp ([`EventQueue::pop_batch`] plus a re-drain loop for
 //!   events the batch itself schedules at the same instant), then runs exactly
-//!   one `flush` — one policy pass followed by a launch sweep over the
-//!   applications the batch touched.
+//!   one `flush` — a policy pass (unless it could not act, see below) followed
+//!   by a launch sweep over the applications the batch touched.
 //! * [`SharingSimulator::step`] (the per-event control) applies one event but
 //!   *defers* its flush while more events remain at the same timestamp, so it
 //!   converges on the identical pass-per-instant schedule.
@@ -45,6 +45,23 @@
 //! *targeted*: applying an event records the applications it touched, the
 //! flush sweeps only those, and debug builds cross-check with
 //! `debug_assert_no_launchable` that no other application could have launched.
+//!
+//! # Idle scheduling passes are skipped
+//!
+//! Most instants cannot change slot ownership: every slot is occupied and no
+//! preemption is due.  The flush therefore calls [`Policy::schedule`] only
+//! when a pass *can* act — some free slot is grantable to an active
+//! application, or [`SharingSimulator::preemption_victim`] finds a slot the
+//! shared quantum preemption would release (or no application is active while
+//! a slot is free, so policies prune finished applications at the end of a
+//! run).  The skip is exact because policies act on the engine only through
+//! [`SharingSimulator::grant_slot`] and
+//! [`crate::policy::preempt_for_starving_apps`]; see the `policy` module docs
+//! for the contract.  The launch sweep runs at every instant regardless.
+//! Debug builds assert on every skipped pass that no slot was grantable and no
+//! preemption victim existed, and the `behaviour_lock` test pins the outputs
+//! of every scheduler and run mode to digests recorded from the always-pass
+//! engine.
 //!
 //! # Structure-of-arrays state and multi-word slot masks
 //!
@@ -110,7 +127,7 @@ use crate::config::SystemConfig;
 use crate::dswitch::{dswitch_value, DswitchInputs, DswitchSample, SwitchLoop};
 use crate::metrics::{AppRecord, RunReport};
 use crate::migration::{migration_overhead, MigrationRecord};
-use crate::policy::Policy;
+use crate::policy::{Policy, PREEMPTION_QUANTUM};
 
 use mask::MaskQuery;
 use soa::{AppTable, SlotColumns};
@@ -656,6 +673,50 @@ impl SharingSimulator {
         MaskQuery::and(&self.index.loaded_idle, &self.index.kind[kind_bit(kind)]).iter()
     }
 
+    /// The slot quantum-based preemption would release right now, if any —
+    /// the single scan behind both [`crate::policy::preempt_for_starving_apps`]
+    /// and the engine's idle-pass test, so the two cannot drift apart.
+    ///
+    /// The victim is a loaded, idle Little slot whose unit has processed at
+    /// least `quantum` items since it was loaded, owned by the application
+    /// holding the most slots (at least two; ties go to the lowest slot).  It
+    /// is returned only while some application is *starving*: it has unplaced
+    /// work, holds no slot, and no free Little slot is grantable to it.
+    ///
+    /// Runs on the incremental indexes (loaded-idle and grantable bitmasks,
+    /// occupancy counters) without allocating.
+    pub fn preemption_victim(&self, quantum: u32) -> Option<usize> {
+        let mut victim: Option<(usize, u32)> = None;
+        for idx in self.loaded_idle_slots(SlotKind::Little) {
+            let SlotState::Loaded {
+                app,
+                unit,
+                busy: false,
+            } = self.slots[idx].state
+            else {
+                continue;
+            };
+            let runtime = self.apps.expect(app);
+            if runtime.units[unit].items_since_load < quantum {
+                continue;
+            }
+            let held = runtime.in_use_big + runtime.in_use_little;
+            if held < 2 {
+                continue;
+            }
+            if victim.is_none_or(|(_, best)| held > best) {
+                victim = Some((idx, held));
+            }
+        }
+        let (slot, _) = victim?;
+        let starving = self.active.iter().any(|&app| {
+            self.unplaced_units(app) > 0
+                && self.slots_in_use_by(app) == (0, 0)
+                && !self.has_grantable_slot(app, Some(SlotKind::Little))
+        });
+        starving.then_some(slot)
+    }
+
     /// Number of (Big, Little) slots currently occupied by `app` (loading or
     /// loaded) — an O(1) counter read.
     pub fn slots_in_use_by(&self, app: AppId) -> (u32, u32) {
@@ -1091,7 +1152,9 @@ impl SharingSimulator {
     /// The scheduling pass and launch sweep run once per simulation *instant*:
     /// they are deferred while further events share the current timestamp, so
     /// stepping event by event produces byte-identical results to the batched
-    /// [`Self::step_batch`] loop (which is what [`Self::run`] uses).  Tests can
+    /// [`Self::step_batch`] loop (which is what [`Self::run`] uses).  The pass
+    /// is skipped at instants where it could neither grant nor preempt a slot
+    /// (see [`Self::preemption_victim`] and the module docs).  Tests can
     /// interleave calls with [`Self::verify_indexes`] to check the incremental
     /// indexes after every event.
     ///
@@ -1126,9 +1189,9 @@ impl SharingSimulator {
     }
 
     /// Processes *every* event of the next pending simulation instant as one
-    /// batch — state transitions first, then a single scheduling pass and
-    /// launch sweep — and returns `true`, or returns `false` when the event
-    /// queue is empty.
+    /// batch — state transitions first, then at most one scheduling pass (none
+    /// when it could not act) and a launch sweep — and returns `true`, or
+    /// returns `false` when the event queue is empty.
     ///
     /// This is the engine's hot loop: under bursty arrivals and synchronized
     /// PR/item completions it replaces one policy pass per event with one per
@@ -1249,8 +1312,22 @@ impl SharingSimulator {
     /// One scheduling pass of `policy` followed by a launch sweep over every
     /// application touched since the previous pass.  Runs once per simulation
     /// instant, from both execution paths.
+    ///
+    /// The pass itself is skipped when [`Self::pass_can_act`] says no policy
+    /// could change anything: the shipped policies change engine state only
+    /// through [`Self::grant_slot`], which needs a grantable slot, and through
+    /// [`crate::policy::preempt_for_starving_apps`], whose release needs a
+    /// [`Self::preemption_victim`].  Everything else a pass does is policy
+    /// bookkeeping the next pass redoes from scratch (see the `policy` module
+    /// docs), so the skip leaves every report byte-identical.  The launch
+    /// sweep always runs.
     fn flush_pass(&mut self, policy: &mut dyn Policy) {
-        policy.schedule(self);
+        if self.pass_can_act() {
+            policy.schedule(self);
+        } else {
+            #[cfg(debug_assertions)]
+            self.debug_assert_idle_pass();
+        }
         let touched = std::mem::take(&mut self.touched_scratch);
         for &app_id in &touched {
             self.launch_sweep_app(app_id);
@@ -1259,6 +1336,51 @@ impl SharingSimulator {
         self.touched_scratch.clear();
         #[cfg(debug_assertions)]
         self.debug_assert_no_launchable();
+    }
+
+    /// Whether a scheduling pass could grant or release a slot right now.
+    ///
+    /// `false` only when no free slot is grantable to any active application
+    /// and the shared preemption finds no victim.  With no active application
+    /// the pass still runs while a slot is free, so a policy prunes its
+    /// bookkeeping of finished applications at the end of every run.  The
+    /// common idle case — every slot occupied — costs one mask-word scan plus
+    /// the loaded-idle Little scan.
+    fn pass_can_act(&self) -> bool {
+        let slot_grantable = if self.index.free.is_empty() {
+            false
+        } else if self.active.is_empty()
+            || MaskQuery::and(&self.index.free, &self.index.enabled).any()
+        {
+            true
+        } else {
+            // Only slots of disabled boards are free (the inactive cluster
+            // board, a failed board): they are grantable only to applications
+            // draining onto their home board.
+            self.active
+                .iter()
+                .any(|&app| self.has_grantable_slot(app, None))
+        };
+        slot_grantable || self.preemption_victim(PREEMPTION_QUANTUM).is_some()
+    }
+
+    /// Debug cross-check of a skipped pass: no slot is grantable to any
+    /// active application and the shared preemption has no victim, so the
+    /// policy could not have changed anything.
+    #[cfg(debug_assertions)]
+    fn debug_assert_idle_pass(&self) {
+        for &app in &self.active {
+            assert_eq!(
+                self.first_grantable_slot(app, None),
+                None,
+                "skipped a pass while a slot was grantable to {app}"
+            );
+        }
+        assert_eq!(
+            self.preemption_victim(PREEMPTION_QUANTUM),
+            None,
+            "skipped a pass while the shared preemption had a victim"
+        );
     }
 
     /// Debug cross-check of the targeted launch sweep: after a scheduling
@@ -2277,6 +2399,86 @@ mod tests {
         assert!(
             saw_high_slot,
             "no slot beyond the first mask word was ever occupied"
+        );
+    }
+
+    /// Counts the passes the engine actually runs.
+    struct CountingPolicy<P> {
+        inner: P,
+        passes: u64,
+    }
+
+    impl<P: Policy> Policy for CountingPolicy<P> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn schedule(&mut self, sim: &mut SharingSimulator) {
+            self.passes += 1;
+            self.inner.schedule(sim);
+        }
+    }
+
+    fn crowded_arrivals(n: u32) -> Vec<AppArrival> {
+        let kinds = [
+            BenchmarkApp::ImageCompression,
+            BenchmarkApp::AlexNet,
+            BenchmarkApp::OpticalFlow,
+            BenchmarkApp::LeNet,
+            BenchmarkApp::Rendering3D,
+        ];
+        (0..n)
+            .map(|i| {
+                AppArrival::new(
+                    AppId(i),
+                    kinds[i as usize % kinds.len()].suite_index(),
+                    6 + i % 9,
+                    SimTime::from_millis(u64::from(i) * 150),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_instants_skip_the_scheduling_pass() {
+        let mut sim = SharingSimulator::new(
+            SystemConfig::single_board(BoardSpec::zcu216_big_little()),
+            BenchmarkApp::suite(),
+            &crowded_arrivals(16),
+        );
+        let mut policy = CountingPolicy {
+            inner: VersaSlotPolicy::new(),
+            passes: 0,
+        };
+        let report = sim.run(&mut policy);
+        assert_eq!(report.completed(), 16);
+        assert!(policy.passes > 0);
+        assert!(
+            policy.passes < report.events_processed,
+            "{} passes for {} events: no instant was skipped",
+            policy.passes,
+            report.events_processed
+        );
+    }
+
+    /// A policy reused for a second run behaves like a fresh one: the pass at
+    /// the last completion of a run (no active application, a free slot) is
+    /// never skipped, so VersaSlot prunes every binding before the next run.
+    #[test]
+    fn a_reused_policy_matches_a_fresh_one() {
+        let config = SystemConfig::single_board(BoardSpec::zcu216_big_little());
+        let first = crowded_arrivals(12);
+        let second: Vec<AppArrival> = crowded_arrivals(14).into_iter().rev().take(10).collect();
+        let run = |policy: &mut VersaSlotPolicy, arrivals: &[AppArrival]| {
+            let mut sim = SharingSimulator::new(config.clone(), BenchmarkApp::suite(), arrivals);
+            sim.run(policy)
+        };
+        let mut reused = VersaSlotPolicy::new();
+        run(&mut reused, &first);
+        assert!(reused.allocation_state().allocations.is_empty());
+        assert_eq!(
+            run(&mut reused, &second),
+            run(&mut VersaSlotPolicy::new(), &second)
         );
     }
 

@@ -16,11 +16,35 @@
 //! and the whole-FPGA temporal-multiplexing baseline lives in [`crate::baseline`]
 //! because it does not share slots at all.
 //!
+//! # The engine contract: when a pass runs
+//!
+//! The engine calls [`Policy::schedule`] at most once per simulation instant,
+//! and skips the call when the pass could not act: no free slot is grantable
+//! to any active application and [`SharingSimulator::preemption_victim`] (with
+//! [`PREEMPTION_QUANTUM`]) finds nothing.  That skip is exact for a policy
+//! that
+//!
+//! * changes engine state only through [`SharingSimulator::grant_slot`] and
+//!   [`preempt_for_starving_apps`] with a quantum of at least
+//!   [`PREEMPTION_QUANTUM`] (never [`SharingSimulator::release_slot`]
+//!   directly), and
+//! * keeps no state a no-op pass would change that the next pass does not
+//!   rebuild.  Round-robin moves its cursor only on a grant; FCFS and
+//!   Nimblock keep no state across passes; VersaSlot's no-op pass would only
+//!   register arrivals, re-sort its waiting list (a total order) and prune
+//!   finished applications — all redone by the next pass before they are
+//!   read — and then Algorithm 1 returns at Lines 2-3 (no free slot).
+//!
+//! A pass with free slots but no placeable work is *not* skipped: VersaSlot's
+//! redistribution (Lines 14-18) still raises allocations there without
+//! granting, which later passes observe.
+//!
 //! # Hot-path discipline
 //!
-//! A scheduling pass runs after *every* simulation event, so the policies avoid
-//! heap allocation in steady state: slot probes go through the engine's O(1)
-//! indexed API ([`SharingSimulator::first_grantable_slot`],
+//! A scheduling pass runs at every simulation instant where a slot can change
+//! hands, so the policies avoid heap allocation in steady state: slot probes
+//! go through the engine's O(1) indexed API
+//! ([`SharingSimulator::first_grantable_slot`],
 //! [`SharingSimulator::has_grantable_slot`],
 //! [`SharingSimulator::grantable_slots`]) instead of materialising candidate
 //! vectors, and each policy keeps reusable scratch buffers for the application
@@ -38,9 +62,12 @@ use crate::engine::SharingSimulator;
 
 /// A slot-granting scheduling policy.
 ///
-/// The simulator calls [`Policy::schedule`] once per simulation instant (after
-/// every batch of same-timestamp events); the policy reacts by granting free
-/// slots to applications via [`SharingSimulator::grant_slot`].
+/// The simulator calls [`Policy::schedule`] at most once per simulation instant
+/// (after every batch of same-timestamp events), and only when a slot can
+/// change hands — see the module docs for the contract that makes skipping the
+/// other instants exact.  The policy reacts by granting free slots to
+/// applications via [`SharingSimulator::grant_slot`] and by preempting through
+/// [`preempt_for_starving_apps`].
 pub trait Policy {
     /// Stable identifier used in reports (e.g. `"nimblock"`).
     fn name(&self) -> &'static str;
@@ -161,51 +188,14 @@ pub const PREEMPTION_QUANTUM: u32 = 6;
 /// call to avoid thrashing; the caller's normal granting pass then hands the freed
 /// slot to the starving application.
 ///
-/// Both the starvation check and the victim scan run on the engine's incremental
-/// indexes (occupancy counters, grantable and loaded-idle bitmasks), so the pass
-/// performs no allocation.
+/// The search is [`SharingSimulator::preemption_victim`], the same scan the
+/// engine uses to decide that a pass can be skipped; a `quantum` of at least
+/// [`PREEMPTION_QUANTUM`] keeps that skip exact.
 ///
 /// Returns `true` if a slot was preempted.
 pub fn preempt_for_starving_apps(sim: &mut SharingSimulator, quantum: u32) -> bool {
-    let starving = sim.active_apps().iter().any(|&app| {
-        sim.unplaced_units(app) > 0
-            && sim.slots_in_use_by(app) == (0, 0)
-            && !sim.has_grantable_slot(app, Some(SlotKind::Little))
-    });
-    if !starving {
-        return false;
-    }
-
-    // Pick the victim: a loaded, idle Little slot whose unit has exhausted its
-    // quantum, owned by the application holding the most slots (at least two).
-    let mut victim: Option<(usize, u32)> = None;
-    for idx in sim.loaded_idle_slots(SlotKind::Little) {
-        let crate::engine::SlotState::Loaded {
-            app,
-            unit,
-            busy: false,
-        } = sim.slots()[idx].state
-        else {
-            continue;
-        };
-        let runtime = sim.app(app);
-        if runtime.units[unit].items_since_load < quantum {
-            continue;
-        }
-        let (big, little) = sim.slots_in_use_by(app);
-        let held = big + little;
-        if held < 2 {
-            continue;
-        }
-        if victim.is_none_or(|(_, best)| held > best) {
-            victim = Some((idx, held));
-        }
-    }
-
-    match victim {
-        Some((slot, _)) => sim.release_slot(slot),
-        None => false,
-    }
+    sim.preemption_victim(quantum)
+        .is_some_and(|slot| sim.release_slot(slot))
 }
 
 #[cfg(test)]
