@@ -1,8 +1,8 @@
 //! Hot-path benchmark: one stress-congestion sequence through the sharing
-//! simulator — once through the batched same-timestamp drain, once through the
-//! per-event control — plus the service-mode steady state and the sharded
-//! fleet engine (standard and small-epoch barrier-stress variants), tracking
-//! simulated events per wall-clock second for all of them.
+//! simulator (plain, and with an empty fault schedule attached), plus the
+//! service-mode steady state and the sharded fleet engine (standard and
+//! small-epoch barrier-stress variants), tracking simulated events per
+//! wall-clock second for all of them.
 //!
 //! Besides printing Criterion-style samples, the bench writes
 //! `BENCH_hotpath.json` at the repository root so successive PRs can follow
@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use versaslot_bench::{
     bench_baseline_path, fault_noop_hot_path_run, fleet_small_epoch_throughput,
-    fleet_steady_state_throughput, hot_path_run, hot_path_workload, per_event_hot_path_run,
+    fleet_steady_state_throughput, hot_path_run, hot_path_workload,
     service_steady_state_throughput, write_bench_baseline, BenchBaseline,
 };
 
@@ -19,17 +19,10 @@ fn bench_hot_path(c: &mut Criterion) {
     let workload = hot_path_workload();
     let stats = hot_path_run(&workload);
     eprintln!(
-        "\nbatch hot path: {} simulated events in {:.1} ms — {:.0} events/s",
+        "\nhot path: {} simulated events in {:.1} ms — {:.0} events/s",
         stats.simulated_events,
         stats.wall_seconds * 1e3,
         stats.events_per_sec
-    );
-    let per_event = per_event_hot_path_run(&workload);
-    eprintln!(
-        "per-event control: {} simulated events in {:.1} ms — {:.0} events/s",
-        per_event.simulated_events,
-        per_event.wall_seconds * 1e3,
-        per_event.events_per_sec
     );
     let service = service_steady_state_throughput();
     eprintln!(
@@ -61,7 +54,6 @@ fn bench_hot_path(c: &mut Criterion) {
     );
     if let Err(err) = write_bench_baseline(&BenchBaseline::new(
         &stats,
-        &per_event,
         &service,
         &fleet,
         &fleet_small_epoch,
@@ -72,12 +64,9 @@ fn bench_hot_path(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("hot_path");
     group.sample_size(10);
-    group.bench_function("batch_hot_path", |b| {
+    group.bench_function("hot_path", |b| {
         // The workload is pre-generated: only the simulation run is timed.
         b.iter(|| hot_path_run(&workload).simulated_events);
-    });
-    group.bench_function("per_event_control", |b| {
-        b.iter(|| per_event_hot_path_run(&workload).simulated_events);
     });
     group.bench_function("service_steady_state", |b| {
         b.iter(|| service_steady_state_throughput().simulated_events);

@@ -1,12 +1,11 @@
 //! CI gate for the scheduler hot path, the service steady state and the
 //! sharded fleet engine: rerun the throughput measurements and fail when
-//! `events_per_sec` (the batched drain), `per_event_events_per_sec` (the
-//! one-event-at-a-time control), `service_events_per_sec`,
+//! `events_per_sec` (the hot path), `service_events_per_sec`,
 //! `fleet_events_per_sec`, `fleet_small_epoch_events_per_sec` (the pooled
 //! barrier-stress run with 100x shorter epochs) or
 //! `fault_noop_events_per_sec` regresses more than 15% against the committed
 //! `BENCH_hotpath.json`.  Additionally gates `fault_overhead_pct`: an empty
-//! fault schedule must not cost the batched hot path more than 5% events/s.
+//! fault schedule must not cost the hot path more than 5% events/s.
 //!
 //! ```text
 //! cargo run -p versaslot-bench --release --bin bench_compare           # gate
@@ -22,7 +21,7 @@ use std::process::ExitCode;
 
 use versaslot_bench::{
     bench_baseline_path, fault_noop_hot_path_run, fleet_small_epoch_throughput,
-    fleet_steady_state_throughput, hot_path_run, hot_path_workload, per_event_hot_path_run,
+    fleet_steady_state_throughput, hot_path_run, hot_path_workload,
     service_steady_state_throughput, write_bench_baseline, BenchBaseline, HotPathStats,
 };
 
@@ -35,7 +34,7 @@ const TOLERANCE: f64 = 0.15;
 const RUNS: usize = 5;
 
 /// Largest tolerated throughput cost of an **empty** fault schedule relative
-/// to the plain batched hot path, in percent.  The fault plane's dormant
+/// to the plain hot path, in percent.  The fault plane's dormant
 /// bookkeeping (generation tags, acceptance checks, the hashed PR outcome
 /// draw) must stay effectively free.
 const FAULT_OVERHEAD_PCT: f64 = 5.0;
@@ -110,8 +109,7 @@ fn main() -> ExitCode {
     let update = std::env::args().any(|arg| arg == "--update");
 
     let workload = hot_path_workload();
-    let hot_path = best_of("batch hot path", || hot_path_run(&workload));
-    let per_event = best_of("per-event control", || per_event_hot_path_run(&workload));
+    let hot_path = best_of("hot path", || hot_path_run(&workload));
     let service = best_of("service steady state", service_steady_state_throughput);
     let fleet = best_of("fleet steady state", fleet_steady_state_throughput);
     let fleet_small_epoch = best_of("fleet small-epoch (pooled barriers)", || {
@@ -145,8 +143,6 @@ fn main() -> ExitCode {
     let verdict = match std::fs::read_to_string(path) {
         Ok(json) => {
             let hot_ok = gate_metric(&json, "events_per_sec", hot_path.events_per_sec);
-            let per_event_ok =
-                gate_metric(&json, "per_event_events_per_sec", per_event.events_per_sec);
             let service_ok = gate_metric(&json, "service_events_per_sec", service.events_per_sec);
             let fleet_ok = gate_metric(&json, "fleet_events_per_sec", fleet.events_per_sec);
             let fleet_small_epoch_ok = gate_metric(
@@ -160,7 +156,6 @@ fn main() -> ExitCode {
                 fault_noop.events_per_sec,
             );
             if hot_ok
-                && per_event_ok
                 && service_ok
                 && fleet_ok
                 && fleet_small_epoch_ok
@@ -185,7 +180,6 @@ fn main() -> ExitCode {
     if update {
         match write_bench_baseline(&BenchBaseline::new(
             &hot_path,
-            &per_event,
             &service,
             &fleet,
             &fleet_small_epoch,

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use versaslot_core::fleet::{run_fleet, FleetConfig, FleetEngine};
+use versaslot_core::fleet::{run_fleet, FleetConfig};
 use versaslot_core::metrics::{
     pooled_mean_response_ms, pooled_percentile_ms, relative_reduction, relative_tail, RunReport,
 };
@@ -655,8 +655,8 @@ pub struct HotPathStats {
 /// Runs one stress-congestion sequence through the VersaSlot Big.Little system on
 /// a single thread and reports simulated events per wall-clock second.
 ///
-/// Single-threaded on purpose: the number measures the batched scheduling loop
-/// (the indexed engine queries plus the policy), not the harness fan-out.
+/// Single-threaded on purpose: the number measures the scheduling loop (the
+/// indexed engine queries plus the policy), not the harness fan-out.
 pub fn hot_path_throughput() -> HotPathStats {
     hot_path_run(&hot_path_workload())
 }
@@ -673,8 +673,9 @@ pub fn hot_path_workload() -> Workload {
 /// system on a single thread and reports simulated events per wall-clock
 /// second.
 ///
-/// Drives [`SharingSimulator::run`], the batched same-timestamp drain — the
-/// headline `events_per_sec` in `BENCH_hotpath.json` tracks this loop.
+/// Drives [`SharingSimulator::run`] — one scheduling pass per simulation
+/// instant; the headline `events_per_sec` in `BENCH_hotpath.json` tracks this
+/// loop.
 ///
 /// [`SharingSimulator::run`]: versaslot_core::engine::SharingSimulator::run
 pub fn hot_path_run(workload: &Workload) -> HotPathStats {
@@ -692,38 +693,8 @@ pub fn hot_path_run(workload: &Workload) -> HotPathStats {
     }
 }
 
-/// The per-event control measurement: the same stress sequence as
-/// [`hot_path_run`] driven through
-/// [`SharingSimulator::run_per_event`](versaslot_core::engine::SharingSimulator::run_per_event)
-/// one event at a time.
-///
-/// Tracked as `per_event_events_per_sec` so the baseline records how much of
-/// the hot-path throughput comes from the batched drain itself; the
-/// determinism tests guarantee both paths produce byte-identical reports.
-pub fn per_event_hot_path_run(workload: &Workload) -> HotPathStats {
-    use versaslot_core::config::SystemConfig;
-    use versaslot_core::engine::SharingSimulator;
-
-    let kind = SchedulerKind::VersaSlotBigLittle;
-    let mut policy = kind.policy().expect("versaslot is not the baseline");
-    let config = SystemConfig::single_board(kind.board());
-    let mut sim = SharingSimulator::new(
-        config,
-        workload.suite.clone(),
-        &workload.sequences[0].arrivals,
-    );
-    let start = Instant::now();
-    let report = sim.run_per_event(policy.as_mut());
-    let wall_seconds = start.elapsed().as_secs_f64();
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
 /// The fault-plane overhead control: the same stress sequence as
-/// [`hot_path_run`], batched drain, but with an **empty** fault schedule
+/// [`hot_path_run`], but with an **empty** fault schedule
 /// attached (a default [`FaultProfile`] injects nothing).
 ///
 /// With the schedule empty the engine takes the fault branches — generation
@@ -848,9 +819,8 @@ pub const FLEET_SMALL_EPOCH_WORKERS: usize = 4;
 /// The barrier-rate stress configuration: the same fleet as
 /// [`fleet_bench_config`] but with epochs two orders of magnitude shorter
 /// (2 s instead of 500 s), i.e. 5 000 epoch barriers over the same simulated
-/// horizon.  At this rate per-epoch fixed costs — thread spawn/join on the
-/// scoped path, the park/unpark rendezvous on the pooled path — dominate the
-/// gap between implementations, which is exactly what the gated
+/// horizon.  At this rate the pooled path's per-epoch park/unpark rendezvous
+/// dominates, which is exactly what the gated
 /// `fleet_small_epoch_events_per_sec` metric is meant to expose.
 pub fn fleet_small_epoch_config() -> FleetConfig {
     fleet_bench_config().with_epoch(SimDuration::from_secs(2))
@@ -859,9 +829,8 @@ pub fn fleet_small_epoch_config() -> FleetConfig {
 /// Runs the small-epoch fleet ([`fleet_small_epoch_config`]) on the
 /// persistent shard-pinned worker pool at [`FLEET_SMALL_EPOCH_WORKERS`]
 /// workers and reports aggregate simulated events per wall-clock second —
-/// the sixth metric tracked in `BENCH_hotpath.json`.  Each of the 5 000
-/// epochs costs one atomic-countdown rendezvous instead of a full thread
-/// spawn/join cycle.
+/// a metric tracked in `BENCH_hotpath.json`.  Each of the 5 000 epochs costs
+/// one atomic-countdown rendezvous.
 pub fn fleet_small_epoch_throughput() -> HotPathStats {
     let config = fleet_small_epoch_config();
     let start = Instant::now();
@@ -878,45 +847,18 @@ pub fn fleet_small_epoch_throughput() -> HotPathStats {
     }
 }
 
-/// The scoped-thread control for [`fleet_small_epoch_throughput`]: the same
-/// configuration and worker count driven epoch by epoch through
-/// [`FleetEngine::advance_epoch`], which pays a scoped spawn/join cycle per
-/// barrier.  Not committed to the baseline — the acceptance check compares
-/// the pooled metric against this on the same container.
-pub fn fleet_small_epoch_scoped_throughput() -> HotPathStats {
-    let config = fleet_small_epoch_config();
-    let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-    let start = Instant::now();
-    while engine.advance_epoch(Parallelism::Threads(FLEET_SMALL_EPOCH_WORKERS)) {}
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let report = engine.report();
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-/// The committed benchmark baseline: the batch hot path, its per-event
-/// control, the service-mode steady state, and the sharded fleet steady
-/// state (plus its small-epoch barrier-stress variant), tracked together in
+/// The committed benchmark baseline: the hot path, the service-mode steady
+/// state, the sharded fleet steady state (plus its small-epoch barrier-stress
+/// variant) and the empty-fault-schedule control, tracked together in
 /// `BENCH_hotpath.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BenchBaseline {
-    /// Simulated events of the batch hot-path run.
+    /// Simulated events of the hot-path run.
     pub simulated_events: u64,
-    /// Wall-clock time of the batch hot-path run, in seconds.
+    /// Wall-clock time of the hot-path run, in seconds.
     pub wall_seconds: f64,
-    /// Batch hot-path throughput (the original gated metric, now measured on
-    /// the batched drain).
+    /// Hot-path throughput (the original gated metric).
     pub events_per_sec: f64,
-    /// Simulated events of the per-event control run (identical to
-    /// `simulated_events` by the determinism contract).
-    pub per_event_simulated_events: u64,
-    /// Wall-clock time of the per-event control run, in seconds.
-    pub per_event_wall_seconds: f64,
-    /// Per-event control throughput (gated alongside `events_per_sec`).
-    pub per_event_events_per_sec: f64,
     /// Simulated events of the service steady-state run.
     pub service_simulated_events: u64,
     /// Wall-clock time of the service steady-state run, in seconds.
@@ -949,10 +891,9 @@ pub struct BenchBaseline {
 }
 
 impl BenchBaseline {
-    /// Combines the six throughput measurements into the committed format.
+    /// Combines the five throughput measurements into the committed format.
     pub fn new(
         hot_path: &HotPathStats,
-        per_event: &HotPathStats,
         service: &HotPathStats,
         fleet: &HotPathStats,
         fleet_small_epoch: &HotPathStats,
@@ -962,9 +903,6 @@ impl BenchBaseline {
             simulated_events: hot_path.simulated_events,
             wall_seconds: hot_path.wall_seconds,
             events_per_sec: hot_path.events_per_sec,
-            per_event_simulated_events: per_event.simulated_events,
-            per_event_wall_seconds: per_event.wall_seconds,
-            per_event_events_per_sec: per_event.events_per_sec,
             service_simulated_events: service.simulated_events,
             service_wall_seconds: service.wall_seconds,
             service_events_per_sec: service.events_per_sec,
@@ -1209,17 +1147,6 @@ mod tests {
         );
     }
 
-    /// The per-event control drives the same workload through the same system,
-    /// so by the batched-drain determinism contract it must process exactly the
-    /// same number of simulated events as the batched measurement.
-    #[test]
-    fn per_event_control_simulates_the_same_event_stream() {
-        let workload = hot_path_workload();
-        let batched = hot_path_run(&workload);
-        let per_event = per_event_hot_path_run(&workload);
-        assert_eq!(batched.simulated_events, per_event.simulated_events);
-    }
-
     /// The fleet bench configuration is valid and, because the run stops on a
     /// fixed simulated horizon, its event count is byte-identical across runs
     /// and parallelism modes — only wall-clock varies in the gated metric.
@@ -1239,11 +1166,11 @@ mod tests {
         assert_eq!(sequential, run(Parallelism::Threads(2)));
     }
 
-    /// The small-epoch barrier-stress measurement and its scoped control run
-    /// the exact same simulation: both must match a sequential run byte for
-    /// byte, so their events/s gap is pure barrier overhead.
+    /// The small-epoch barrier-stress measurement runs the exact same
+    /// simulation as a sequential run, byte for byte, so its events/s gap to
+    /// the fleet steady state is pure barrier overhead.
     #[test]
-    fn small_epoch_pooled_and_scoped_paths_are_byte_identical() {
+    fn small_epoch_pooled_and_sequential_paths_are_byte_identical() {
         // A shortened horizon keeps the debug-mode test quick while still
         // crossing many barriers (125 epochs).
         let config = fleet_small_epoch_config().with_horizon(SimDuration::from_secs(250));
@@ -1254,16 +1181,9 @@ mod tests {
             kind,
             config,
         );
-        let mut scoped = FleetEngine::new(kind, config);
-        while scoped.advance_epoch(Parallelism::Threads(FLEET_SMALL_EPOCH_WORKERS)) {}
-        let reference = serde_json::to_string(&sequential).expect("serialises");
         assert_eq!(
-            reference,
+            serde_json::to_string(&sequential).expect("serialises"),
             serde_json::to_string(&pooled).expect("serialises")
-        );
-        assert_eq!(
-            reference,
-            serde_json::to_string(&scoped.report()).expect("serialises")
         );
     }
 }

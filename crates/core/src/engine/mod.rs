@@ -21,30 +21,22 @@
 //! The *policy* (which application gets which slot, and when) is pluggable — see
 //! [`crate::policy`].
 //!
-//! # Batched event drain: at most one scheduling pass per simulation instant
+//! # At most one scheduling pass per simulation instant
 //!
 //! Discrete-event workloads cluster: a PR completion, the item completions it
 //! unblocks and a batch arrival frequently share one timestamp.  Rerunning the
 //! policy after every individual event would schedule against half-applied
 //! state and burn most of the hot path re-sorting unchanged queues, so the
 //! engine separates *applying* events from *reacting* to them:
-//!
-//! * [`SharingSimulator::step_batch`] drains **every** event carrying the
-//!   current timestamp ([`EventQueue::pop_batch`] plus a re-drain loop for
-//!   events the batch itself schedules at the same instant), then runs exactly
-//!   one `flush` — a policy pass (unless it could not act, see below) followed
-//!   by a launch sweep over the applications the batch touched.
-//! * [`SharingSimulator::step`] (the per-event control) applies one event but
-//!   *defers* its flush while more events remain at the same timestamp, so it
-//!   converges on the identical pass-per-instant schedule.
-//!
-//! [`SharingSimulator::run`] (batched) and [`SharingSimulator::run_per_event`]
-//! therefore produce **byte-identical** reports and traces — the runner's
-//! determinism tests serialise both and compare the strings — while the
-//! batched drain does strictly less policy work.  The launch sweep is
-//! *targeted*: applying an event records the applications it touched, the
-//! flush sweeps only those, and debug builds cross-check with
-//! `debug_assert_no_launchable` that no other application could have launched.
+//! [`SharingSimulator::step`] applies one event but *defers* its `flush` — a
+//! policy pass (unless it could not act, see below) followed by a launch
+//! sweep — while more events remain at the same timestamp, including events
+//! the instant itself schedules (e.g. a zero-overhead switch).
+//! [`SharingSimulator::run`] is just `step` until the queue drains.  The
+//! launch sweep is *targeted*: applying an event records the applications it
+//! touched, the flush sweeps only those, and debug builds cross-check with
+//! `debug_assert_no_launchable` that no other application could have
+//! launched.
 //!
 //! # Idle scheduling passes are skipped
 //!
@@ -100,7 +92,7 @@
 //!   [`SharingSimulator::event_queue_grow_events`] stays `0`;
 //! * [`Trace::log`] takes a `Copy` [`TraceDetail`] payload and bumps a
 //!   fixed-array counter, so a counting-only trace never formats or allocates;
-//! * the batch drain, the touched-application set and the policies reuse
+//! * the touched-application set and the policies reuse
 //!   scratch buffers that reach their high-water mark during warm-up; every
 //!   policy reports reallocations via `Policy::scratch_allocs`, and the
 //!   allocation-audit test asserts the count stays flat after the first run.
@@ -278,8 +270,6 @@ pub struct SharingSimulator {
     /// Fault-injection state; `None` disables the fault plane entirely.
     fault: Option<Box<FaultState>>,
 
-    /// Reusable buffer for the batched event drain (no steady-state allocation).
-    batch_scratch: Vec<Event>,
     /// Applications whose units progressed since the last scheduling pass —
     /// the only candidates for the launch sweep (no steady-state allocation).
     touched_scratch: Vec<AppId>,
@@ -421,7 +411,6 @@ impl SharingSimulator {
             dswitch_trace: Vec::new(),
             migrations: Vec::new(),
             fault,
-            batch_scratch: Vec::new(),
             touched_scratch: Vec::new(),
         }
     }
@@ -1150,13 +1139,11 @@ impl SharingSimulator {
     /// when the event queue is empty.
     ///
     /// The scheduling pass and launch sweep run once per simulation *instant*:
-    /// they are deferred while further events share the current timestamp, so
-    /// stepping event by event produces byte-identical results to the batched
-    /// [`Self::step_batch`] loop (which is what [`Self::run`] uses).  The pass
-    /// is skipped at instants where it could neither grant nor preempt a slot
-    /// (see [`Self::preemption_victim`] and the module docs).  Tests can
-    /// interleave calls with [`Self::verify_indexes`] to check the incremental
-    /// indexes after every event.
+    /// they are deferred while further events share the current timestamp.
+    /// The pass is skipped at instants where it could neither grant nor
+    /// preempt a slot (see [`Self::preemption_victim`] and the module docs).
+    /// Tests can interleave calls with [`Self::verify_indexes`] to check the
+    /// incremental indexes after every event.
     ///
     /// # Panics
     ///
@@ -1188,83 +1175,15 @@ impl SharingSimulator {
         true
     }
 
-    /// Processes *every* event of the next pending simulation instant as one
-    /// batch — state transitions first, then at most one scheduling pass (none
-    /// when it could not act) and a launch sweep — and returns `true`, or
-    /// returns `false` when the event queue is empty.
-    ///
-    /// This is the engine's hot loop: under bursty arrivals and synchronized
-    /// PR/item completions it replaces one policy pass per event with one per
-    /// instant.  The result is byte-identical to driving [`Self::step`] event
-    /// by event, which defers its pass the same way (asserted by the
-    /// determinism tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event bound is exceeded.
-    pub fn step_batch(&mut self, policy: &mut dyn Policy) -> bool {
-        let mut batch = std::mem::take(&mut self.batch_scratch);
-        batch.clear();
-        let Some(time) = self.events.pop_batch(&mut batch) else {
-            self.batch_scratch = batch;
-            return false;
-        };
-        debug_assert!(time >= self.now, "event time went backwards");
-        self.now = time;
-        loop {
-            for &event in &batch {
-                self.apply_event(event);
-                self.events_processed += 1;
-            }
-            assert!(
-                self.events_processed < MAX_EVENTS,
-                "simulation exceeded {MAX_EVENTS} events — livelock in policy `{}`?",
-                policy.name()
-            );
-            batch.clear();
-            // Handlers may schedule follow-up events for this same instant
-            // (e.g. a zero-overhead switch); keep draining so the scheduling
-            // pass runs once per instant, exactly like the per-event path.
-            if self.events.drain_at(time, &mut batch) == 0 {
-                break;
-            }
-        }
-        self.batch_scratch = batch;
-        self.flush_pass(policy);
-        #[cfg(debug_assertions)]
-        self.verify_indexes();
-        debug_assert_eq!(
-            self.events.grow_events(),
-            0,
-            "the pre-sized event queue should never grow ({} events pending)",
-            self.events.len()
-        );
-        true
-    }
-
-    /// Runs the simulation to completion under `policy` (batched hot loop) and
-    /// returns the report.
+    /// Runs the simulation to completion under `policy` and returns the
+    /// report.
     ///
     /// # Panics
     ///
     /// Panics if the policy starves an application (the event queue drains while
     /// unfinished applications remain) or the event bound is exceeded.
     pub fn run(&mut self, policy: &mut dyn Policy) -> RunReport {
-        while self.step_batch(policy) {}
-        self.finish_run(policy)
-    }
-
-    /// Runs the simulation to completion one event at a time.
-    ///
-    /// Produces a report byte-identical to [`Self::run`] — the determinism
-    /// tests and the `bench_compare` baseline drive this path to prove the
-    /// batched loop changes throughput, not behaviour.
-    pub fn run_per_event(&mut self, policy: &mut dyn Policy) -> RunReport {
         while self.step(policy) {}
-        self.finish_run(policy)
-    }
-
-    fn finish_run(&mut self, policy: &mut dyn Policy) -> RunReport {
         assert!(
             self.active.is_empty() && self.apps.len() == self.pending_arrivals.len(),
             "policy `{}` left applications unfinished: {:?}",
@@ -1311,7 +1230,7 @@ impl SharingSimulator {
 
     /// One scheduling pass of `policy` followed by a launch sweep over every
     /// application touched since the previous pass.  Runs once per simulation
-    /// instant, from both execution paths.
+    /// instant.
     ///
     /// The pass itself is skipped when [`Self::pass_can_act`] says no policy
     /// could change anything: the shipped policies change engine state only
@@ -2386,7 +2305,7 @@ mod tests {
         let mut policy = VersaSlotPolicy::new();
         let mut steps = 0u32;
         let mut saw_high_slot = false;
-        while sim.step_batch(&mut policy) {
+        while sim.step(&mut policy) {
             steps += 1;
             if steps.is_multiple_of(64) {
                 sim.verify_indexes();

@@ -28,11 +28,10 @@ use versaslot_workload::arrival::ArrivalProcess;
 use versaslot_workload::benchmarks::BenchmarkApp;
 
 use crate::config::SystemConfig;
-use crate::par::{parallel_map, Parallelism, WorkerPool};
+use crate::par::{parallel_map, Parallelism};
 use crate::runner::SchedulerKind;
 use crate::service::{
-    run_service_matrix, run_service_matrix_on, service_matrix, ServiceCell, ServiceConfig,
-    ServiceReport, ServiceRunner,
+    run_service_matrix, service_matrix, ServiceCell, ServiceConfig, ServiceReport, ServiceRunner,
 };
 
 /// A named fault scenario of a robustness grid.
@@ -209,65 +208,24 @@ pub fn run_robustness_matrix(
 ) -> RobustnessReport {
     let cells = service_matrix(schedulers, processes, loads);
     let baselines = run_service_matrix(parallelism, &cells, base);
-    let jobs = faulty_jobs(&cells, scenarios);
-    let base_cfg = *base;
-    let faulty = parallel_map(parallelism, &jobs, move |(cell, profile)| {
-        run_service_cell_with_faults(cell, *profile, &base_cfg)
-    });
-    assemble_robustness(&cells, scenarios, baselines, faulty)
-}
-
-/// [`run_robustness_matrix`] on a persistent [`WorkerPool`]: baselines and
-/// faulty runs both ride [`WorkerPool::map`], so repeated grids reuse the
-/// spawned-once workers while keeping the exact same cell order — and
-/// therefore byte-identical reports.
-pub fn run_robustness_matrix_on(
-    pool: &WorkerPool,
-    schedulers: &[SchedulerKind],
-    processes: &[ArrivalProcess],
-    loads: &[f64],
-    scenarios: &[FaultScenario],
-    base: &ServiceConfig,
-) -> RobustnessReport {
-    let cells = service_matrix(schedulers, processes, loads);
-    let baselines = run_service_matrix_on(pool, &cells, base);
-    let jobs = faulty_jobs(&cells, scenarios);
-    let base_cfg = *base;
-    let faulty = pool.map(jobs, move |(cell, profile)| {
-        run_service_cell_with_faults(&cell, profile, &base_cfg)
-    });
-    assemble_robustness(&cells, scenarios, baselines, faulty)
-}
-
-/// The (cell × scenario) job list, scenario-innermost — the order
-/// [`assemble_robustness`] indexes back into.
-fn faulty_jobs(
-    cells: &[ServiceCell],
-    scenarios: &[FaultScenario],
-) -> Vec<(ServiceCell, FaultProfile)> {
-    cells
+    // One faulty run per (cell × scenario), scenario-innermost.
+    let jobs: Vec<(ServiceCell, FaultProfile)> = cells
         .iter()
         .flat_map(|cell| scenarios.iter().map(|s| (*cell, s.profile)))
-        .collect()
-}
-
-/// Folds baseline and faulty runs into the scored grid; shared by the scoped
-/// and pooled execution paths so their reports agree structurally by
-/// construction.
-fn assemble_robustness(
-    cells: &[ServiceCell],
-    scenarios: &[FaultScenario],
-    baselines: Vec<ServiceReport>,
-    faulty: Vec<(ServiceReport, FaultStats)>,
-) -> RobustnessReport {
-    let mut out = Vec::with_capacity(faulty.len());
-    for (cell_idx, cell) in cells.iter().enumerate() {
-        for (scenario_idx, scenario) in scenarios.iter().enumerate() {
-            let (report, stats) = faulty[cell_idx * scenarios.len() + scenario_idx].clone();
+        .collect();
+    let base_cfg = *base;
+    let mut faulty = parallel_map(parallelism, &jobs, move |(cell, profile)| {
+        run_service_cell_with_faults(cell, *profile, &base_cfg)
+    })
+    .into_iter();
+    let mut out = Vec::with_capacity(jobs.len());
+    for (cell, baseline) in cells.iter().zip(&baselines) {
+        for scenario in scenarios {
+            let (report, stats) = faulty.next().expect("one faulty run per job");
             out.push(RobustnessCell::build(
                 cell,
                 scenario,
-                baselines[cell_idx].clone(),
+                baseline.clone(),
                 report,
                 stats,
             ));
@@ -374,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn faulty_runs_are_deterministic_batch_vs_per_event_and_allocation_free() {
+    fn faulty_runs_replay_byte_identically_and_allocation_free() {
         let profile = storm_profile().with_pr_failures(0.25);
         let config = SystemConfig::single_board(SchedulerKind::VersaSlotBigLittle.board())
             .with_faults(profile)
@@ -382,31 +340,31 @@ mod tests {
         let arrivals = finite_arrivals(24);
         let suite = BenchmarkApp::suite();
 
-        let mut batched = SharingSimulator::new(config.clone(), suite.clone(), &arrivals);
+        let mut first = SharingSimulator::new(config.clone(), suite.clone(), &arrivals);
         let mut policy = SchedulerKind::VersaSlotBigLittle.policy().unwrap();
-        let batched_report = batched.run(policy.as_mut());
+        let first_report = first.run(policy.as_mut());
 
-        let mut per_event = SharingSimulator::new(config, suite, &arrivals);
+        let mut replay = SharingSimulator::new(config, suite, &arrivals);
         let mut policy2 = SchedulerKind::VersaSlotBigLittle.policy().unwrap();
-        let per_event_report = per_event.run_per_event(policy2.as_mut());
+        let replay_report = replay.run(policy2.as_mut());
 
         assert_eq!(
-            serde_json::to_string(&batched_report).unwrap(),
-            serde_json::to_string(&per_event_report).unwrap(),
-            "fault injection must preserve batch/per-event byte identity"
+            serde_json::to_string(&first_report).unwrap(),
+            serde_json::to_string(&replay_report).unwrap(),
+            "a fault seed must replay to the same report bytes"
         );
         assert_eq!(
-            serde_json::to_string(batched.trace()).unwrap(),
-            serde_json::to_string(per_event.trace()).unwrap(),
+            serde_json::to_string(first.trace()).unwrap(),
+            serde_json::to_string(replay.trace()).unwrap(),
         );
-        assert_eq!(batched.fault_stats(), per_event.fault_stats());
+        assert_eq!(first.fault_stats(), replay.fault_stats());
         assert!(
-            batched.fault_stats().pr_failures > 0,
+            first.fault_stats().pr_failures > 0,
             "a 25% failure rate must hit at least one PR"
         );
         // The allocation-free spine holds with fault events in the queue.
-        assert_eq!(batched.event_queue_grow_events(), 0);
-        assert_eq!(per_event.event_queue_grow_events(), 0);
+        assert_eq!(first.event_queue_grow_events(), 0);
+        assert_eq!(replay.event_queue_grow_events(), 0);
     }
 
     /// A dense backlog (large batches, near-simultaneous arrivals) keeps the
@@ -530,14 +488,6 @@ mod tests {
         let reference = serde_json::to_string(&sequential).unwrap();
         assert_eq!(reference, serde_json::to_string(&threaded).unwrap());
         assert_eq!(reference, serde_json::to_string(&auto).unwrap());
-        let pool = WorkerPool::new(2);
-        let pooled =
-            run_robustness_matrix_on(&pool, &schedulers, &processes, &loads, &scenarios, &base);
-        assert_eq!(
-            reference,
-            serde_json::to_string(&pooled).unwrap(),
-            "the pool-backed grid diverged"
-        );
         let rerun = run_robustness_matrix(
             Parallelism::Auto,
             &schedulers,
@@ -563,10 +513,9 @@ mod tests {
 
     proptest! {
         /// The same fault seed yields the same fault schedule — and therefore
-        /// byte-identical runs — no matter whether the engine batches whole
-        /// instants or steps event by event.
+        /// byte-identical runs.
         #[test]
-        fn fault_seed_determinism_is_stepping_independent(seed in 0u64..1_000_000u64) {
+        fn fault_seed_replays_byte_identically(seed in 0u64..1_000_000u64) {
             let profile = FaultProfile::new(seed)
                 .with_pr_failures(0.3)
                 .with_board_failures(
@@ -578,19 +527,19 @@ mod tests {
             let arrivals = finite_arrivals(10);
             let suite = BenchmarkApp::suite();
 
-            let mut batched = SharingSimulator::new(config.clone(), suite.clone(), &arrivals);
+            let mut first = SharingSimulator::new(config.clone(), suite.clone(), &arrivals);
             let mut policy = SchedulerKind::VersaSlotBigLittle.policy().unwrap();
-            let batched_report = batched.run(policy.as_mut());
+            let first_report = first.run(policy.as_mut());
 
-            let mut per_event = SharingSimulator::new(config, suite, &arrivals);
+            let mut replay = SharingSimulator::new(config, suite, &arrivals);
             let mut policy2 = SchedulerKind::VersaSlotBigLittle.policy().unwrap();
-            let per_event_report = per_event.run_per_event(policy2.as_mut());
+            let replay_report = replay.run(policy2.as_mut());
 
             prop_assert_eq!(
-                serde_json::to_string(&batched_report).unwrap(),
-                serde_json::to_string(&per_event_report).unwrap()
+                serde_json::to_string(&first_report).unwrap(),
+                serde_json::to_string(&replay_report).unwrap()
             );
-            prop_assert_eq!(batched.fault_stats(), per_event.fault_stats());
+            prop_assert_eq!(first.fault_stats(), replay.fault_stats());
         }
     }
 }

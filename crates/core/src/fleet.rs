@@ -35,9 +35,9 @@
 //!   preallocated, double-buffered [`ShardMailbox`]es — arrival batches in,
 //!   one atomic completion counter out, no locks on the event hot path and no
 //!   per-epoch allocation after the high-water mark.
-//!   [`FleetEngine::advance_epoch`] keeps the scoped
-//!   [`parallel_map_owned`] fan-out as the reference implementation the
-//!   pooled path is property-tested against.
+//!   [`FleetEngine::advance_epoch`] under `Parallelism::Sequential` runs
+//!   every shard in place on the calling thread — the reference
+//!   implementation the pooled path is property-tested against.
 //! * **Mergeable metrics.**  [`FleetEngine::report`] folds the per-shard
 //!   accumulators with [`Welford::merge`] (exact moments) and
 //!   [`LogHistogram::merge`] (tail quantiles) into one fleet-wide
@@ -81,7 +81,7 @@ use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ArrivalDriver, ArrivalProcess, Placement, ShardRouter};
 
 use crate::config::SystemConfig;
-use crate::par::{parallel_map_owned, Parallelism, WorkerPool};
+use crate::par::{Parallelism, WorkerPool};
 use crate::policy::Policy;
 use crate::runner::SchedulerKind;
 use crate::service::{ServiceConfig, ServiceReport, ServiceRunner, StopCondition};
@@ -303,7 +303,7 @@ impl ShardState {
     /// Runs this shard's slice of one epoch: a `run_to_barrier` segment, or —
     /// on the final epoch — the plain drive to the horizon stop plus the
     /// window flush, so a segmented run is byte-identical to an unsegmented
-    /// one.  Shared verbatim by the scoped and pooled execution paths.
+    /// one.  Shared verbatim by the sequential and pooled execution paths.
     fn run_epoch(&mut self, barrier: SimTime, is_final: bool) {
         let ShardState {
             runner,
@@ -767,18 +767,24 @@ impl FleetEngine {
         )
     }
 
-    /// Runs one epoch on **scoped** threads: delivers due cross-shard messages
-    /// and newly routed arrivals, executes every shard up to the next barrier
-    /// via [`parallel_map_owned`], then exchanges barrier snapshots.  Returns
-    /// `false` once the horizon has been reached (further calls are no-ops).
+    /// Runs one epoch: delivers due cross-shard messages and newly routed
+    /// arrivals, executes every shard up to the next barrier, then exchanges
+    /// barrier snapshots.  Returns `false` once the horizon has been reached
+    /// (further calls are no-ops).
     ///
-    /// This is the reference implementation of an epoch — it pays a thread
-    /// spawn/join cycle per call; [`FleetEngine::run`] executes whole runs on
-    /// a persistent [`WorkerPool`] instead and is property-tested
-    /// byte-identical against this path.
+    /// Under [`Parallelism::Sequential`] the shards run in place on the
+    /// calling thread — the reference implementation of an epoch, which the
+    /// pooled path is property-tested byte-identical against.  With more than
+    /// one worker the epoch is a one-epoch session on a fresh [`WorkerPool`]
+    /// (see [`FleetEngine::run_epochs_on`]); whole runs should use
+    /// [`FleetEngine::run`] instead, which spawns the pool once.
     pub fn advance_epoch(&mut self, parallelism: Parallelism) -> bool {
         if self.finished {
             return false;
+        }
+        let workers = parallelism.workers(self.shards.len());
+        if workers > 1 {
+            return self.run_epochs_on(&WorkerPool::new(workers), 1);
         }
         let (barrier, is_final) = self.next_barrier();
 
@@ -789,14 +795,9 @@ impl FleetEngine {
             }
         }
 
-        // Fan the shards out: each epoch segment is run_to_barrier; the final
-        // epoch is a plain drive to the Horizon stop plus the window flush, so
-        // a shard's segmented run is byte-identical to an unsegmented one.
-        let shard_states = std::mem::take(&mut self.shards);
-        self.shards = parallel_map_owned(parallelism, shard_states, |mut shard| {
+        for shard in &mut self.shards {
             shard.run_epoch(barrier, is_final);
-            shard
-        });
+        }
 
         // Barrier snapshot exchange: completion counters flow back to the
         // router for the next epoch's least-loaded / spillover decisions.
@@ -811,10 +812,10 @@ impl FleetEngine {
 
     /// Runs the fleet to its horizon.  With more than one worker's worth of
     /// parallelism this builds a persistent [`WorkerPool`] sized **once** by
-    /// [`Parallelism::pool_workers`] and drives it via
+    /// [`Parallelism::workers`] and drives it via
     /// [`FleetEngine::run_on`]; otherwise it loops the sequential path.
     pub fn run(&mut self, parallelism: Parallelism) {
-        let workers = parallelism.pool_workers(self.shards.len());
+        let workers = parallelism.workers(self.shards.len());
         if workers <= 1 {
             while self.advance_epoch(Parallelism::Sequential) {}
         } else {
@@ -893,7 +894,7 @@ impl FleetEngine {
                 "a fleet worker panicked while running its shards"
             );
             // Barrier snapshot exchange, in shard-index order — identical to
-            // the scoped path's fold.
+            // the sequential path's fold.
             for (index, mailbox) in session.mail.iter().enumerate() {
                 self.router
                     .record_completions(index, mailbox.completions.load(Ordering::Acquire));
@@ -930,7 +931,7 @@ impl FleetEngine {
     /// delivery batches in `self.due` in (time, id) order.  Deliveries whose
     /// time lands past the barrier stay in flight (`deferred`) until their
     /// epoch comes.  Touches no shard state, so it runs no matter who owns
-    /// the shards — scoped threads, pinned pool workers, or the caller.
+    /// the shards — pinned pool workers or the caller.
     fn route_epoch(&mut self, barrier: SimTime) {
         let Self {
             config,
@@ -1280,7 +1281,7 @@ mod tests {
 
     #[test]
     fn pooled_fleet_run_is_consistent_and_allocation_free() {
-        // The pooled path must uphold the same invariants the scoped path
+        // The pooled path must uphold the same invariants the sequential path
         // does: admission accounting balances and no shard's event queue ever
         // grows, even with heavy spillover traffic through the mailboxes.
         let config = fleet_config().with_spillover(2, SimDuration::from_secs(10));
@@ -1327,11 +1328,11 @@ mod tests {
     }
 
     proptest! {
-        /// The pooled epoch-barrier protocol is byte-identical to the scoped
-        /// reference implementation across shard counts (including more
-        /// shards than workers), epoch lengths and fault seeds.
+        /// The pooled epoch-barrier protocol is byte-identical to the
+        /// sequential reference implementation across shard counts (including
+        /// more shards than workers), epoch lengths and fault seeds.
         #[test]
-        fn pooled_fleet_matches_scoped_fleet(
+        fn pooled_fleet_matches_sequential_fleet(
             shards in prop::sample::select(vec![1usize, 2, 7]),
             epoch_secs in prop::sample::select(vec![25u64, 40, 60]),
             fault_seed in 0u64..1_000,
@@ -1347,16 +1348,16 @@ mod tests {
                 .with_faults(profile)
                 .with_seed(fault_seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
             let kind = SchedulerKind::VersaSlotBigLittle;
-            let mut scoped = FleetEngine::new(kind, config);
-            while scoped.advance_epoch(Parallelism::Threads(2)) {}
+            let mut sequential = FleetEngine::new(kind, config);
+            while sequential.advance_epoch(Parallelism::Sequential) {}
             let pool = WorkerPool::new(2);
             let mut pooled = FleetEngine::new(kind, config);
             pooled.run_on(&pool);
             prop_assert_eq!(
-                serde_json::to_string(&scoped.report()).unwrap(),
+                serde_json::to_string(&sequential.report()).unwrap(),
                 serde_json::to_string(&pooled.report()).unwrap()
             );
-            prop_assert_eq!(scoped.fault_stats(), pooled.fault_stats());
+            prop_assert_eq!(sequential.fault_stats(), pooled.fault_stats());
         }
     }
 
@@ -1391,20 +1392,32 @@ mod tests {
         let config = fleet_config()
             .with_spillover(1, SimDuration::from_secs(20))
             .with_faults(profile);
-        let run = |parallelism| {
+        let run = |modes: &[Parallelism]| {
             let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-            while engine.advance_epoch(parallelism) {}
+            for mode in modes.iter().cycle() {
+                if !engine.advance_epoch(*mode) {
+                    break;
+                }
+            }
             engine
         };
-        let sequential = run(Parallelism::Sequential);
-        let threaded = run(Parallelism::Threads(3));
-        assert_eq!(
-            serde_json::to_string(&sequential.report()).unwrap(),
-            serde_json::to_string(&threaded.report()).unwrap(),
-            "fault injection broke fleet determinism"
-        );
+        let sequential = run(&[Parallelism::Sequential]);
+        let reference = serde_json::to_string(&sequential.report()).unwrap();
         let stats = sequential.fault_stats();
-        assert_eq!(stats, threaded.fault_stats());
+        // One-epoch pooled sessions, alone and alternating with in-place
+        // epochs, so shards are handed back between epochs.
+        for modes in [
+            &[Parallelism::Threads(3)][..],
+            &[Parallelism::Threads(3), Parallelism::Sequential],
+        ] {
+            let other = run(modes);
+            assert_eq!(
+                reference,
+                serde_json::to_string(&other.report()).unwrap(),
+                "fault injection broke fleet determinism under {modes:?}"
+            );
+            assert_eq!(stats, other.fault_stats(), "{modes:?}");
+        }
         assert!(
             stats.pr_failures > 0,
             "no PR failed on any shard: {stats:?}"

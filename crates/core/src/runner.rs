@@ -90,7 +90,7 @@ impl SchedulerKind {
     /// (exclusive temporal multiplexing bypasses the sharing engine).
     ///
     /// The box is `Send` so a policy can live inside fleet shard state that
-    /// migrates across the `parallel_map_owned` worker threads.
+    /// moves onto a pinned pool worker thread.
     pub fn policy(&self) -> Option<Box<dyn Policy + Send>> {
         match self {
             SchedulerKind::Baseline => None,
@@ -309,77 +309,6 @@ mod tests {
                 "{mode:?}"
             );
         }
-    }
-
-    /// The batched drain contract: [`SharingSimulator::run`] (same-timestamp
-    /// event batches) and [`SharingSimulator::run_per_event`] (one event at a
-    /// time) must produce byte-identical reports — both paths run exactly one
-    /// scheduling pass per simulation instant, so the only difference is how
-    /// the instant's events reach the handlers.
-    #[test]
-    fn batched_and_per_event_paths_are_byte_identical() {
-        for congestion in [Congestion::Standard, Congestion::Stress] {
-            let workload =
-                generate_workload(&WorkloadConfig::paper_default(congestion).with_shape(1, 14));
-            for kind in SchedulerKind::all() {
-                let Some(mut policy) = kind.policy() else {
-                    continue; // the baseline bypasses the sharing engine
-                };
-                let config = SystemConfig::single_board(kind.board());
-                let mut batched_sim = SharingSimulator::new(
-                    config.clone(),
-                    workload.suite.clone(),
-                    &workload.sequences[0].arrivals,
-                );
-                let batched = batched_sim.run(policy.as_mut());
-
-                let mut per_event_policy = kind.policy().expect("non-baseline policy");
-                let mut per_event_sim = SharingSimulator::new(
-                    config,
-                    workload.suite.clone(),
-                    &workload.sequences[0].arrivals,
-                );
-                let per_event = per_event_sim.run_per_event(per_event_policy.as_mut());
-
-                assert_eq!(
-                    serde_json::to_string(&batched).expect("reports serialise"),
-                    serde_json::to_string(&per_event).expect("reports serialise"),
-                    "{kind:?} under {congestion:?}"
-                );
-            }
-        }
-    }
-
-    /// Same byte-identity contract on the cross-board switching cluster, where
-    /// zero-overhead switches push same-instant events from inside a batch.
-    #[test]
-    fn batched_and_per_event_paths_match_on_the_switching_cluster() {
-        let workload = generate_workload(&WorkloadConfig::paper_switching().with_shape(1, 12));
-        let config = SystemConfig::switching_cluster(
-            BoardSpec::zcu216_only_little(),
-            BoardSpec::zcu216_big_little(),
-        )
-        .with_switching(SwitchingConfig::default());
-
-        let mut batched_sim = SharingSimulator::new(
-            config.clone(),
-            workload.suite.clone(),
-            &workload.sequences[0].arrivals,
-        );
-        let batched = batched_sim.run(&mut VersaSlotPolicy::new());
-
-        let mut per_event_sim = SharingSimulator::new(
-            config,
-            workload.suite.clone(),
-            &workload.sequences[0].arrivals,
-        );
-        let per_event = per_event_sim.run_per_event(&mut VersaSlotPolicy::new());
-
-        assert_eq!(
-            serde_json::to_string(&batched).expect("reports serialise"),
-            serde_json::to_string(&per_event).expect("reports serialise"),
-        );
-        assert!(!batched.dswitch_trace.is_empty());
     }
 
     /// Property-style check of the tentpole invariant: after every event, under

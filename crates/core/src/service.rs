@@ -27,9 +27,7 @@
 //! * [`run_service_matrix`] fans a (scheduler × process × load) matrix through
 //!   [`parallel_map`][crate::par::parallel_map] with input-order results, so
 //!   parallel service sweeps are byte-identical to sequential ones, same as the
-//!   figure jobs; [`run_service_matrix_on`] runs the same sweep on a
-//!   persistent [`WorkerPool`] so repeated sweeps stop paying per-call thread
-//!   spawn/join cycles.
+//!   figure jobs.
 //!
 //! # Example
 //!
@@ -64,7 +62,7 @@ use versaslot_workload::{AppArrival, ApplicationSpec, ArrivalDriver, ArrivalProc
 
 use crate::config::SystemConfig;
 use crate::engine::SharingSimulator;
-use crate::par::{parallel_map, Parallelism, WorkerPool};
+use crate::par::{parallel_map, Parallelism};
 use crate::policy::Policy;
 use crate::runner::SchedulerKind;
 
@@ -701,18 +699,6 @@ pub fn run_service_matrix(
     })
 }
 
-/// [`run_service_matrix`] on a persistent [`WorkerPool`]: same input-order
-/// determinism, but repeated sweeps reuse the pool's spawned-once workers
-/// instead of paying a thread spawn/join cycle per call.
-pub fn run_service_matrix_on(
-    pool: &WorkerPool,
-    cells: &[ServiceCell],
-    base: &ServiceConfig,
-) -> Vec<ServiceReport> {
-    let base = *base;
-    pool.map(cells.to_vec(), move |cell| run_service_cell(&cell, &base))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -895,27 +881,6 @@ mod tests {
         assert_eq!(cells[0].load, 0.5);
         assert_eq!(cells[5].scheduler, SchedulerKind::VersaSlotBigLittle);
         assert_eq!(cells[5].load, 2.0);
-    }
-
-    #[test]
-    fn pooled_matrix_matches_sequential_and_reuses_the_pool() {
-        let schedulers = [SchedulerKind::Nimblock, SchedulerKind::VersaSlotBigLittle];
-        let processes = [poisson()];
-        let loads = [0.5, 1.0];
-        let cells = service_matrix(&schedulers, &processes, &loads);
-        let base = ServiceConfig::new(poisson()).with_stop(StopCondition::Events(2_000));
-        let sequential = run_service_matrix(Parallelism::Sequential, &cells, &base);
-        let reference = serde_json::to_string(&sequential).unwrap();
-        let pool = WorkerPool::new(3);
-        // Two sweeps on the same pool: spawn-once workers, identical bytes.
-        for sweep in 0..2 {
-            let pooled = run_service_matrix_on(&pool, &cells, &base);
-            assert_eq!(
-                reference,
-                serde_json::to_string(&pooled).unwrap(),
-                "pooled sweep {sweep} diverged"
-            );
-        }
     }
 
     #[test]

@@ -165,35 +165,6 @@ impl<E> EventQueue<E> {
         Some((key.time, event))
     }
 
-    /// Removes *all* events scheduled for `time` and appends them to `out` in
-    /// FIFO order, returning how many were drained.
-    ///
-    /// Only the maximal leading run is drained: events later than `time` stay
-    /// pending, and the call drains nothing if the earliest pending event is
-    /// not at `time`.  Reuses `out`'s capacity; pops grow nothing besides the
-    /// free list (counted by [`Self::grow_events`] as usual).
-    pub fn drain_at(&mut self, time: SimTime, out: &mut Vec<E>) -> usize {
-        let mut drained = 0;
-        while self.heap.peek().is_some_and(|key| key.time == time) {
-            let (_, event) = self.pop().expect("peeked key is poppable");
-            out.push(event);
-            drained += 1;
-        }
-        drained
-    }
-
-    /// Removes the whole batch of events sharing the minimum pending timestamp,
-    /// appending them to `out` in FIFO order.
-    ///
-    /// Returns that timestamp, or `None` when the queue is empty (in which case
-    /// `out` is untouched).  This is the engine's batched drain: one call hands
-    /// the caller every event of the current simulation instant.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let time = self.peek_time()?;
-        self.drain_at(time, out);
-        Some(time)
-    }
-
     /// Returns the timestamp of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|key| key.time)
@@ -360,45 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_the_minimum_timestamp() {
-        let mut queue = EventQueue::new();
-        let t1 = SimTime::from_micros(10);
-        let t2 = SimTime::from_micros(20);
-        queue.push(t2, "late");
-        queue.push(t1, "a");
-        queue.push(t1, "b");
-        queue.push(t1, "c");
-
-        let mut batch = Vec::new();
-        assert_eq!(queue.pop_batch(&mut batch), Some(t1));
-        // FIFO within the shared timestamp.
-        assert_eq!(batch, vec!["a", "b", "c"]);
-        assert_eq!(queue.len(), 1);
-        assert_eq!(queue.peek_time(), Some(t2));
-
-        batch.clear();
-        assert_eq!(queue.pop_batch(&mut batch), Some(t2));
-        assert_eq!(batch, vec!["late"]);
-        assert_eq!(queue.pop_batch(&mut batch), None);
-        assert_eq!(batch, vec!["late"], "empty queue leaves `out` untouched");
-    }
-
-    #[test]
-    fn drain_at_is_a_no_op_off_the_minimum() {
-        let mut queue = EventQueue::new();
-        queue.push(SimTime::from_micros(5), 1u32);
-        let mut out = Vec::new();
-        // Later than every pending event: nothing may be skipped over.
-        assert_eq!(queue.drain_at(SimTime::from_micros(9), &mut out), 0);
-        // Earlier than every pending event: nothing is due yet.
-        assert_eq!(queue.drain_at(SimTime::from_micros(1), &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(queue.drain_at(SimTime::from_micros(5), &mut out), 1);
-        assert_eq!(out, vec![1]);
-        queue.assert_arena_invariants();
-    }
-
-    #[test]
     fn pre_sized_queue_never_grows() {
         // 8 pending events at most; cycle far more than 8 through the queue.
         let mut queue = EventQueue::with_capacity(8);
@@ -458,30 +390,6 @@ mod tests {
                 }
                 last = Some((time, idx));
             }
-        }
-
-        /// Draining batch-by-batch yields exactly the per-event pop sequence,
-        /// with every batch sharing one timestamp.
-        #[test]
-        fn prop_pop_batch_matches_per_event_pops(times in prop::collection::vec(0u64..40, 0..200)) {
-            let mut batched = EventQueue::new();
-            let mut per_event = EventQueue::new();
-            for (i, t) in times.iter().enumerate() {
-                batched.push(SimTime::from_micros(*t), i);
-                per_event.push(SimTime::from_micros(*t), i);
-            }
-
-            let mut batch = Vec::new();
-            while let Some(time) = batched.pop_batch(&mut batch) {
-                prop_assert!(!batch.is_empty());
-                for &event in &batch {
-                    prop_assert_eq!(per_event.pop(), Some((time, event)));
-                }
-                prop_assert_ne!(batched.peek_time(), Some(time));
-                batch.clear();
-                batched.assert_arena_invariants();
-            }
-            prop_assert!(per_event.pop().is_none());
         }
 
         /// len() always equals pushes minus pops.

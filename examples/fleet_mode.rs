@@ -99,7 +99,7 @@ fn main() {
     // One pool for all three runs — sized once from `Parallelism::Auto` for
     // the 4-shard fleets below, spawned before the first run and joined when
     // it drops at the end of `main`.
-    let pool = WorkerPool::for_parallelism(Parallelism::Auto, 4);
+    let pool = WorkerPool::new(Parallelism::Auto.workers(4));
     for (label, placement, spillover) in runs {
         print_fleet(label, &fleet(&pool, placement, spillover));
     }
