@@ -55,6 +55,39 @@
 //! of every scheduler and run mode to digests recorded from the always-pass
 //! engine.
 //!
+//! # O(1) per-event bookkeeping
+//!
+//! Nothing an event handler or a flush does walks every slot or every live
+//! application; state the engine already knows is kept incrementally:
+//!
+//! * **Utilization totals.** The integers behind the occupancy, LUT and FF
+//!   series (counted slots, their capacity, occupied slots, the resources of
+//!   loaded units) change only at slot-state transitions and board
+//!   enable/disable, each through one helper (`set_slot_state`,
+//!   `set_board_enabled`).  `refresh_utilization` turns them into the same
+//!   `TimeWeightedSeries::set` calls, at the same points, with the same
+//!   values, as the slot walk it replaces.
+//! * **Optimal slot counts.** [`SharingSimulator::optimal_slots`] serves each
+//!   application's ILP-optimal `(O_B, O_L)` from an app-table column filled
+//!   at arrival from a per-simulator memo keyed by (suite index, batch), so
+//!   the memo is bounded by suite size × batch-range width however long a
+//!   service run lasts.
+//! * **Retirement.** [`SharingSimulator::retire_completed`] folds the
+//!   applications recorded as they completed and returns at once when none
+//!   did.
+//! * **Launch sweep.** A touched application's ready units are found under
+//!   one borrow and launched in ascending unit order, and completion is read
+//!   from the unfinished-units column.
+//!
+//! [`SharingSimulator::verify_indexes`] (debug builds, after every event)
+//! recounts the utilization totals with the full slot walk, checks the
+//! completed list against the app table and each live application's
+//! `(O_B, O_L)` against the memo; each admission debug-checks its memo entry
+//! against a fresh ILP solve.  Unit tests drive board outages (eviction,
+//! quarantine, disable/enable) and cross-board switches through that
+//! recount, and run VersaSlot and Nimblock in service mode past 5,000
+//! retirements to bound the memo and the app table.
+//!
 //! # Structure-of-arrays state and multi-word slot masks
 //!
 //! The hot per-application fields live in `soa::AppTable` as parallel
@@ -92,8 +125,9 @@
 //!   [`SharingSimulator::event_queue_grow_events`] stays `0`;
 //! * [`Trace::log`] takes a `Copy` [`TraceDetail`] payload and bumps a
 //!   fixed-array counter, so a counting-only trace never formats or allocates;
-//! * the touched-application set and the policies reuse
-//!   scratch buffers that reach their high-water mark during warm-up; every
+//! * the touched-application set, the launch sweep's ready list and the
+//!   policies reuse scratch buffers that reach their high-water mark during
+//!   warm-up; every
 //!   policy reports reallocations via `Policy::scratch_allocs`, and the
 //!   allocation-audit test asserts the count stays flat after the first run.
 
@@ -108,6 +142,7 @@ use versaslot_fpga::bitstream::BitstreamKind;
 use versaslot_fpga::board::BoardId;
 use versaslot_fpga::cpu::{CoreAssignment, CpuCore};
 use versaslot_fpga::pcap::SerialServer;
+use versaslot_fpga::resources::ResourceVector;
 use versaslot_fpga::slot::{LayoutKind, SlotKind};
 use versaslot_sim::fault::{FaultSchedule, FaultStats};
 use versaslot_sim::{
@@ -117,6 +152,7 @@ use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
 use crate::config::SystemConfig;
 use crate::dswitch::{dswitch_value, DswitchInputs, DswitchSample, SwitchLoop};
+use crate::ilp::{optimal_big_slots, optimal_little_slots};
 use crate::metrics::{AppRecord, RunReport};
 use crate::migration::{migration_overhead, MigrationRecord};
 use crate::policy::{Policy, PREEMPTION_QUANTUM};
@@ -222,6 +258,47 @@ struct SlotIndex {
     board: Vec<SlotMask>,
 }
 
+/// The ILP-optimal `(O_B, O_L)` slot counts of `spec` at `batch` items.
+fn solve_optimal_slots(spec: &ApplicationSpec, batch: u32) -> (u32, u32) {
+    (optimal_big_slots(spec), optimal_little_slots(spec, batch))
+}
+
+/// Integer totals behind the utilization series.  A slot is *counted* while
+/// it is enabled or occupied; an occupied slot adds to `occupied`, and a
+/// loaded one adds its occupant's resources to `used_*`.  The simulator keeps
+/// one running total, updated at every slot-state and board-enable transition
+/// ([`SharingSimulator::set_slot_state`], [`SharingSimulator::set_board_enabled`]);
+/// a single slot's share is the same struct.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct UtilTotals {
+    counted: u32,
+    cap_lut: u64,
+    cap_ff: u64,
+    occupied: u32,
+    used_lut: u64,
+    used_ff: u64,
+}
+
+impl UtilTotals {
+    fn add(&mut self, share: UtilTotals) {
+        self.counted += share.counted;
+        self.cap_lut += share.cap_lut;
+        self.cap_ff += share.cap_ff;
+        self.occupied += share.occupied;
+        self.used_lut += share.used_lut;
+        self.used_ff += share.used_ff;
+    }
+
+    fn sub(&mut self, share: UtilTotals) {
+        self.counted -= share.counted;
+        self.cap_lut -= share.cap_lut;
+        self.cap_ff -= share.cap_ff;
+        self.occupied -= share.occupied;
+        self.used_lut -= share.used_lut;
+        self.used_ff -= share.used_ff;
+    }
+}
+
 /// Discrete-event simulator of fine-grained FPGA sharing on one or two boards.
 #[derive(Debug)]
 pub struct SharingSimulator {
@@ -258,6 +335,8 @@ pub struct SharingSimulator {
     retired_apps: u64,
     retired_pr_tasks: u64,
 
+    /// Running utilization totals (see [`UtilTotals`]).
+    util: UtilTotals,
     occupancy: TimeWeightedSeries,
     lut_util: TimeWeightedSeries,
     ff_util: TimeWeightedSeries,
@@ -270,9 +349,19 @@ pub struct SharingSimulator {
     /// Fault-injection state; `None` disables the fault plane entirely.
     fault: Option<Box<FaultState>>,
 
+    /// Memo of the ILP-optimal `(O_B, O_L)` slot counts per (suite index,
+    /// batch), read once per arrival into the app table's `optimal` column.
+    /// Bounded by the suite size times the batch-range width.
+    optimal_memo: BTreeMap<(usize, u32), (u32, u32)>,
+    /// Applications completed since the last [`Self::retire_completed`].
+    completed: Vec<AppId>,
+
     /// Applications whose units progressed since the last scheduling pass —
     /// the only candidates for the launch sweep (no steady-state allocation).
     touched_scratch: Vec<AppId>,
+    /// Ready `(unit, slot, item duration)` launches of one application,
+    /// gathered by the launch sweep (no steady-state allocation).
+    ready_scratch: Vec<(usize, usize, SimDuration)>,
 }
 
 impl SharingSimulator {
@@ -378,7 +467,7 @@ impl SharingSimulator {
             Trace::counting_only()
         };
 
-        SharingSimulator {
+        let mut sim = SharingSimulator {
             config,
             suite,
             pending_arrivals,
@@ -403,6 +492,7 @@ impl SharingSimulator {
             arrivals_admitted: 0,
             retired_apps: 0,
             retired_pr_tasks: 0,
+            util: UtilTotals::default(),
             occupancy: TimeWeightedSeries::new(SimTime::ZERO, 0.0),
             lut_util: TimeWeightedSeries::new(SimTime::ZERO, 0.0),
             ff_util: TimeWeightedSeries::new(SimTime::ZERO, 0.0),
@@ -411,8 +501,13 @@ impl SharingSimulator {
             dswitch_trace: Vec::new(),
             migrations: Vec::new(),
             fault,
+            optimal_memo: BTreeMap::new(),
+            completed: Vec::new(),
             touched_scratch: Vec::new(),
-        }
+            ready_scratch: Vec::new(),
+        };
+        sim.util = sim.recount_utilization();
+        sim
     }
 
     /// Creates a simulator for **service mode**: no arrivals are scheduled up
@@ -476,24 +571,26 @@ impl SharingSimulator {
     /// constant-size accumulators and the records are gone.  The D_switch
     /// inputs are compensated via retirement counters, so switching behaviour
     /// is identical with and without retirement.
+    ///
+    /// Completion-driven: the engine records each application as it completes,
+    /// so a call with no completion since the previous one returns at once,
+    /// and the others fold just the new completions, in identifier order.
     pub fn retire_completed<F: FnMut(&AppRuntime)>(&mut self, mut fold: F) -> usize {
-        let mut retired = 0;
-        loop {
-            let Some(id) = self
-                .apps
-                .iter()
-                .find(|app| app.state == AppState::Completed)
-                .map(|app| app.id)
-            else {
-                break;
-            };
+        if self.completed.is_empty() {
+            return 0;
+        }
+        let mut completed = std::mem::take(&mut self.completed);
+        completed.sort_unstable();
+        for &id in &completed {
             let app = self.apps.remove(id).expect("app present");
             self.pending_arrivals.remove(&id);
             self.retired_apps += 1;
             self.retired_pr_tasks += self.suite[app.app_index].task_count() as u64;
             fold(&app);
-            retired += 1;
         }
+        let retired = completed.len();
+        completed.clear();
+        self.completed = completed;
         retired
     }
 
@@ -573,6 +670,14 @@ impl SharingSimulator {
     /// O(1) column read of [`AppRuntime::unplaced_units`].
     pub fn unplaced_units(&self, app: AppId) -> u32 {
         self.apps.unplaced_units(app)
+    }
+
+    /// The ILP-optimal `(O_B, O_L)` slot counts of `app`
+    /// ([`optimal_big_slots`], [`optimal_little_slots`] at its batch size) —
+    /// an O(1) column read.  Each (suite index, batch) pair is solved once per
+    /// simulator, when the first such application arrives.
+    pub fn optimal_slots(&self, app: AppId) -> (u32, u32) {
+        self.apps.optimal_slots(app)
     }
 
     /// All slots (both boards), in construction order.
@@ -841,7 +946,14 @@ impl SharingSimulator {
         }
     }
 
-    fn index_board_enabled(&mut self, board_idx: usize, enabled: bool) {
+    /// Enables or disables every slot of `board_idx` for new grants, keeping
+    /// the enabled mask and the utilization totals in step.
+    fn set_board_enabled(&mut self, board_idx: usize, enabled: bool) {
+        for idx in 0..self.slots.len() {
+            if self.slot_cols.board(idx) == board_idx && self.slots[idx].enabled != enabled {
+                self.update_slot(idx, |slot| slot.enabled = enabled);
+            }
+        }
         let SlotIndex {
             enabled: enabled_mask,
             board,
@@ -854,10 +966,91 @@ impl SharingSimulator {
         }
     }
 
+    /// Moves `slot_idx` to `state`, keeping the utilization totals in step.
+    /// Every change of a slot's occupancy goes through here; flipping the
+    /// `busy` flag of a loaded slot leaves its share unchanged and is done in
+    /// place.
+    fn set_slot_state(&mut self, slot_idx: usize, state: SlotState) {
+        self.update_slot(slot_idx, |slot| slot.state = state);
+    }
+
+    /// Applies `change` to one slot, moving its share of the utilization
+    /// totals from the old slot to the new one.
+    fn update_slot(&mut self, slot_idx: usize, change: impl FnOnce(&mut SlotRuntime)) {
+        let before = self.slot_utilization(slot_idx);
+        change(&mut self.slots[slot_idx]);
+        let after = self.slot_utilization(slot_idx);
+        self.util.sub(before);
+        self.util.add(after);
+    }
+
+    /// One slot's share of the utilization totals.
+    fn slot_utilization(&self, slot_idx: usize) -> UtilTotals {
+        let slot = &self.slots[slot_idx];
+        if !slot.enabled && slot.is_free() {
+            return UtilTotals::default();
+        }
+        let mut share = UtilTotals {
+            counted: 1,
+            cap_lut: slot.descriptor.capacity.lut,
+            cap_ff: slot.descriptor.capacity.ff,
+            occupied: u32::from(!slot.is_free()),
+            ..UtilTotals::default()
+        };
+        if let SlotState::Loaded { app, unit, .. } = slot.state {
+            let resources = self.unit_resources(app, unit);
+            share.used_lut = resources.lut;
+            share.used_ff = resources.ff;
+        }
+        share
+    }
+
+    /// The fabric resources of `app`'s unit `unit` (a task's Little
+    /// implementation or a bundle's Big one).
+    fn unit_resources(&self, app: AppId, unit: usize) -> ResourceVector {
+        let runtime = self.apps.expect(app);
+        let spec = &self.suite[runtime.app_index];
+        match runtime.units[unit].unit {
+            ExecUnit::Task(i) => spec.tasks()[i as usize].little_impl(),
+            ExecUnit::Bundle(i) => spec.bundles()[i as usize].big_impl,
+        }
+    }
+
+    /// The utilization totals recounted by walking every slot — the
+    /// reference [`Self::verify_indexes`] checks the running totals against.
+    fn recount_utilization(&self) -> UtilTotals {
+        let mut totals = UtilTotals::default();
+        for slot in &self.slots {
+            if !slot.enabled && slot.is_free() {
+                continue;
+            }
+            totals.counted += 1;
+            totals.cap_lut += slot.descriptor.capacity.lut;
+            totals.cap_ff += slot.descriptor.capacity.ff;
+            match slot.state {
+                SlotState::Free => {}
+                SlotState::Reconfiguring { .. } => totals.occupied += 1,
+                SlotState::Loaded { app, unit, .. } => {
+                    totals.occupied += 1;
+                    let resources = self.unit_resources(app, unit);
+                    totals.used_lut += resources.lut;
+                    totals.used_ff += resources.ff;
+                }
+            }
+        }
+        totals
+    }
+
     /// Recomputes every incremental index naively from [`Self::slots`] and the
-    /// application table, panicking on any divergence.  Debug builds call this
-    /// after every event; the index-consistency property tests call it through
-    /// [`Self::step`].
+    /// application table, panicking on any divergence: the slot masks,
+    /// occupancy counters, hot columns and active set, the utilization totals
+    /// (by the full slot walk), the completed list, and each live
+    /// application's `(O_B, O_L)` column against the memo.  (The memo is
+    /// insert-only and each admission debug-checks its entry against a fresh
+    /// ILP solve, so the column equals a fresh solve too, without re-solving
+    /// every live application after every event.)  Debug builds call this
+    /// after every event; the index-consistency property tests call it
+    /// through [`Self::step`].
     ///
     /// # Panics
     ///
@@ -919,6 +1112,31 @@ impl SharingSimulator {
             .map(|a| a.id)
             .collect();
         assert_eq!(self.active, naive_active, "active-application set diverged");
+        assert_eq!(
+            self.util,
+            self.recount_utilization(),
+            "utilization totals diverged"
+        );
+        for app in self.apps.iter() {
+            assert_eq!(
+                Some(&self.optimal_slots(app.id)),
+                self.optimal_memo.get(&(app.app_index, app.batch)),
+                "optimal slot counts of {} diverged from the memo",
+                app.id
+            );
+        }
+        let naive_completed: Vec<AppId> = self
+            .apps
+            .iter()
+            .filter(|a| a.state == AppState::Completed)
+            .map(|a| a.id)
+            .collect();
+        let mut completed = self.completed.clone();
+        completed.sort_unstable();
+        assert_eq!(
+            completed, naive_completed,
+            "completed-application list diverged"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1057,10 +1275,13 @@ impl SharingSimulator {
         }
         self.apps.note_unit_placed(app_id);
 
-        self.slots[slot_idx].state = SlotState::Reconfiguring {
-            app: app_id,
-            unit: unit_idx,
-        };
+        self.set_slot_state(
+            slot_idx,
+            SlotState::Reconfiguring {
+                app: app_id,
+                unit: unit_idx,
+            },
+        );
         self.index_slot_granted(slot_idx, app_id, slot_kind);
         self.total_pr += 1;
         let gen = self.slot_event_gen(slot_idx);
@@ -1113,7 +1334,7 @@ impl SharingSimulator {
             _ => return false,
         };
         let slot_kind = self.slot_cols.kind(slot_idx);
-        self.slots[slot_idx].state = SlotState::Free;
+        self.set_slot_state(slot_idx, SlotState::Free);
         self.index_slot_freed(slot_idx, app_id, slot_kind);
         let app = self.apps.expect_mut(app_id);
         app.units[unit_idx].slot = None;
@@ -1355,7 +1576,16 @@ impl SharingSimulator {
                 suite_index: arrival.app_index as u32,
             },
         );
-        self.apps.insert(app);
+        let optimal = *self
+            .optimal_memo
+            .entry((arrival.app_index, arrival.batch_size))
+            .or_insert_with(|| solve_optimal_slots(spec, arrival.batch_size));
+        debug_assert_eq!(
+            optimal,
+            solve_optimal_slots(spec, arrival.batch_size),
+            "optimal-slot memo diverged from a fresh ILP solve"
+        );
+        self.apps.insert(app, optimal);
         self.index_app_arrived(id);
         self.arrivals_admitted += 1;
         self.candidate_queue_updated();
@@ -1400,7 +1630,7 @@ impl SharingSimulator {
             SlotState::Free => unreachable!("quarantined slots stay occupied until released"),
         };
         let kind = self.slot_cols.kind(slot_idx);
-        self.slots[slot_idx].state = SlotState::Free;
+        self.set_slot_state(slot_idx, SlotState::Free);
         self.index_slot_freed(slot_idx, app_id, kind);
         self.refresh_utilization();
     }
@@ -1420,11 +1650,14 @@ impl SharingSimulator {
         if let Some(fault) = self.fault.as_mut() {
             fault.pr_attempts[slot_idx] = 0;
         }
-        self.slots[slot_idx].state = SlotState::Loaded {
-            app,
-            unit,
-            busy: false,
-        };
+        self.set_slot_state(
+            slot_idx,
+            SlotState::Loaded {
+                app,
+                unit,
+                busy: false,
+            },
+        );
         self.index_slot_loaded_idle(slot_idx);
         self.trace.log(
             self.now,
@@ -1511,7 +1744,7 @@ impl SharingSimulator {
                 fault.pr_attempts[slot_idx] = 0;
             }
             let slot_kind = self.slot_cols.kind(slot_idx);
-            self.slots[slot_idx].state = SlotState::Free;
+            self.set_slot_state(slot_idx, SlotState::Free);
             self.index_slot_freed(slot_idx, app_id, slot_kind);
             self.apps.expect_mut(app_id).units[unit_idx].slot = None;
             self.apps.note_unit_unplaced(app_id);
@@ -1539,17 +1772,9 @@ impl SharingSimulator {
             fault.board_down[board] = true;
             fault.stats.board_failures += 1;
         }
-        let was_enabled = self
-            .slots
-            .iter()
-            .any(|slot| slot.board.0 as usize == board && slot.enabled);
+        let was_enabled = MaskQuery::and(&self.index.enabled, &self.index.board[board]).any();
         if was_enabled {
-            for slot in &mut self.slots {
-                if slot.board.0 as usize == board {
-                    slot.enabled = false;
-                }
-            }
-            self.index_board_enabled(board, false);
+            self.set_board_enabled(board, false);
         }
         let mut evicted = 0u32;
         for slot_idx in 0..self.slots.len() {
@@ -1584,7 +1809,7 @@ impl SharingSimulator {
                 fault.pr_attempts[slot_idx] = 0;
             } else {
                 let slot_kind = self.slot_cols.kind(slot_idx);
-                self.slots[slot_idx].state = SlotState::Free;
+                self.set_slot_state(slot_idx, SlotState::Free);
                 self.index_slot_freed(slot_idx, app_id, slot_kind);
                 let fault = self.fault.as_mut().expect("fault state present");
                 fault.pr_attempts[slot_idx] = 0;
@@ -1630,12 +1855,7 @@ impl SharingSimulator {
             fault.board_was_enabled[board]
         };
         if restore {
-            for slot in &mut self.slots {
-                if slot.board.0 as usize == board {
-                    slot.enabled = true;
-                }
-            }
-            self.index_board_enabled(board, true);
+            self.set_board_enabled(board, true);
         }
         self.trace.log(
             self.now,
@@ -1692,7 +1912,7 @@ impl SharingSimulator {
             other => panic!("item completion on a slot in state {other:?}"),
         };
 
-        let (unit_finished, app_finished, batch, per_item) = {
+        let (unit_finished, batch, per_item) = {
             let app = self.apps.expect_mut(app_id);
             app.units[unit_idx].items_done += 1;
             app.units[unit_idx].items_since_load += 1;
@@ -1700,14 +1920,10 @@ impl SharingSimulator {
             if unit_finished {
                 app.units[unit_idx].slot = None;
             }
-            (
-                unit_finished,
-                app.is_finished(),
-                app.batch,
-                app.units[unit_idx].per_item,
-            )
+            (unit_finished, app.batch, app.units[unit_idx].per_item)
         };
         self.apps.note_item_done(app_id, per_item, unit_finished);
+        let app_finished = self.apps.unfinished_units(app_id) == 0;
 
         self.trace.log(
             self.now,
@@ -1720,7 +1936,7 @@ impl SharingSimulator {
 
         if unit_finished {
             let slot_kind = self.slot_cols.kind(slot_idx);
-            self.slots[slot_idx].state = SlotState::Free;
+            self.set_slot_state(slot_idx, SlotState::Free);
             self.index_slot_freed(slot_idx, app_id, slot_kind);
             self.trace.log(
                 self.now,
@@ -1731,6 +1947,7 @@ impl SharingSimulator {
                 TraceDetail::BatchDone { items: batch },
             );
         } else {
+            // Busy → idle: the slot's utilization share is unchanged.
             self.slots[slot_idx].state = SlotState::Loaded {
                 app: app_id,
                 unit: unit_idx,
@@ -1744,6 +1961,7 @@ impl SharingSimulator {
             app.state = AppState::Completed;
             app.completion = Some(self.now);
             self.index_app_completed(app_id);
+            self.completed.push(app_id);
             self.trace.log(
                 self.now,
                 TraceKind::AppCompleted,
@@ -1759,12 +1977,7 @@ impl SharingSimulator {
     }
 
     fn handle_switch_complete(&mut self, board: usize) {
-        for slot in &mut self.slots {
-            if slot.board.0 as usize == board {
-                slot.enabled = true;
-            }
-        }
-        self.index_board_enabled(board, true);
+        self.set_board_enabled(board, true);
         self.active_board = board;
         self.pending_switch = false;
         self.trace.log(
@@ -1789,39 +2002,45 @@ impl SharingSimulator {
     /// [`Self::flush_pass`] sweeps just the touched set —
     /// [`Self::debug_assert_no_launchable`] cross-checks the claim in debug
     /// builds.
+    ///
+    /// The ready units are found under one borrow of the application: a launch
+    /// changes neither its unit's progress nor any other unit's slot, so no
+    /// launch makes another ready or unready.  They launch in ascending unit
+    /// order, which fixes the order the scheduler core runs them in and the
+    /// event queue receives their completions.
     fn launch_sweep_app(&mut self, app_id: AppId) {
-        let unit_count = match self.apps.get(app_id) {
-            Some(app) if app.state == AppState::Running => app.units.len(),
-            _ => return,
-        };
-        for unit_idx in 0..unit_count {
-            self.try_launch(app_id, unit_idx);
+        let mut ready = std::mem::take(&mut self.ready_scratch);
+        if let Some(app) = self
+            .apps
+            .get(app_id)
+            .filter(|app| app.state == AppState::Running)
+        {
+            let mut predecessor_done = u32::MAX;
+            for (unit_idx, unit) in app.units.iter().enumerate() {
+                let has_input = predecessor_done > unit.items_done;
+                predecessor_done = unit.items_done;
+                let Some(slot_idx) = unit.slot else { continue };
+                if has_input
+                    && unit.items_done < app.batch
+                    && matches!(
+                        self.slots[slot_idx].state,
+                        SlotState::Loaded { busy: false, .. }
+                    )
+                {
+                    ready.push((unit_idx, slot_idx, unit.next_item_duration()));
+                }
+            }
         }
+        for &(unit_idx, slot_idx, duration) in &ready {
+            self.launch(app_id, unit_idx, slot_idx, duration);
+        }
+        ready.clear();
+        self.ready_scratch = ready;
     }
 
-    fn try_launch(&mut self, app_id: AppId, unit_idx: usize) {
-        let (slot_idx, duration) = {
-            let app = self.apps.expect(app_id);
-            if app.state != AppState::Running {
-                return;
-            }
-            let unit = &app.units[unit_idx];
-            let Some(slot_idx) = unit.slot else {
-                return;
-            };
-            if unit.items_done >= app.batch {
-                return;
-            }
-            match self.slots[slot_idx].state {
-                SlotState::Loaded { busy: false, .. } => {}
-                _ => return,
-            }
-            if unit_idx > 0 && app.units[unit_idx - 1].items_done <= unit.items_done {
-                return;
-            }
-            (slot_idx, unit.next_item_duration())
-        };
-
+    /// Starts the next batch item of `app_id`'s unit `unit_idx` in its loaded,
+    /// idle slot `slot_idx`.
+    fn launch(&mut self, app_id: AppId, unit_idx: usize, slot_idx: usize, duration: SimDuration) {
         let board = self.slot_cols.board(slot_idx);
         let cores = &mut self.cores[board];
         let blocked =
@@ -1970,12 +2189,7 @@ impl SharingSimulator {
             );
         }
 
-        for slot in &mut self.slots {
-            if slot.board.0 as usize == self.active_board {
-                slot.enabled = false;
-            }
-        }
-        self.index_board_enabled(self.active_board, false);
+        self.set_board_enabled(self.active_board, false);
         self.pending_switch = true;
         self.switches += 1;
         self.events.push(
@@ -2019,43 +2233,22 @@ impl SharingSimulator {
     // Utilization accounting and reporting
     // ------------------------------------------------------------------
 
+    /// Records the current utilization in the time-weighted series, from the
+    /// running totals (O(1)).
     fn refresh_utilization(&mut self) {
-        let mut denom_slots = 0u32;
-        let mut cap_lut = 0u64;
-        let mut cap_ff = 0u64;
-        let mut occupied = 0u32;
-        let mut used_lut = 0u64;
-        let mut used_ff = 0u64;
-
-        for slot in &self.slots {
-            if !slot.enabled && slot.is_free() {
-                continue;
-            }
-            denom_slots += 1;
-            cap_lut += slot.descriptor.capacity.lut;
-            cap_ff += slot.descriptor.capacity.ff;
-            match slot.state {
-                SlotState::Free => {}
-                SlotState::Reconfiguring { .. } => occupied += 1,
-                SlotState::Loaded { app, unit, .. } => {
-                    occupied += 1;
-                    let runtime = self.apps.expect(app);
-                    let spec = &self.suite[runtime.app_index];
-                    let resources = match runtime.units[unit].unit {
-                        ExecUnit::Task(i) => spec.tasks()[i as usize].little_impl(),
-                        ExecUnit::Bundle(i) => spec.bundles()[i as usize].big_impl,
-                    };
-                    used_lut += resources.lut;
-                    used_ff += resources.ff;
-                }
-            }
-        }
-
-        if denom_slots == 0 {
+        let UtilTotals {
+            counted,
+            cap_lut,
+            cap_ff,
+            occupied,
+            used_lut,
+            used_ff,
+        } = self.util;
+        if counted == 0 {
             return;
         }
         self.occupancy
-            .set(self.now, occupied as f64 / denom_slots as f64);
+            .set(self.now, occupied as f64 / counted as f64);
         self.lut_util
             .set(self.now, used_lut as f64 / cap_lut.max(1) as f64);
         self.ff_util
@@ -2399,6 +2592,124 @@ mod tests {
             run(&mut reused, &second),
             run(&mut VersaSlotPolicy::new(), &second)
         );
+    }
+
+    /// Service mode must stay O(live applications): after thousands of
+    /// retirements the app table holds only live applications and the
+    /// optimal-slot memo at most one entry per (suite index, batch) pair.
+    #[test]
+    fn service_mode_keeps_optimal_slot_memo_and_app_table_bounded() {
+        use crate::policy::nimblock::NimblockPolicy;
+        use versaslot_workload::{ArrivalDriver, ArrivalProcess};
+
+        const BATCH_RANGE: (u32, u32) = (2, 5);
+        const RETIRED: usize = 5_000;
+        let suite = BenchmarkApp::suite();
+        let memo_bound = suite.len() * (BATCH_RANGE.1 - BATCH_RANGE.0 + 1) as usize;
+        let policies: [(Box<dyn Policy>, BoardSpec); 2] = [
+            (
+                Box::new(VersaSlotPolicy::new()),
+                BoardSpec::zcu216_big_little(),
+            ),
+            (
+                Box::new(NimblockPolicy::new()),
+                BoardSpec::zcu216_only_little().with_cores(CoreAssignment::SingleCore),
+            ),
+        ];
+        for (mut policy, board) in policies {
+            let mut driver = ArrivalDriver::new(
+                ArrivalProcess::Poisson { rate_per_sec: 1.0 },
+                suite.len(),
+                BATCH_RANGE,
+                11,
+            );
+            let mut sim =
+                SharingSimulator::for_service(SystemConfig::single_board(board), suite.clone(), 1);
+            let mut injected = 0u64;
+            let mut retired = 0;
+            while retired < RETIRED {
+                if injected == sim.arrivals_admitted() {
+                    sim.inject_arrival(driver.next_arrival());
+                    injected += 1;
+                }
+                assert!(sim.step(policy.as_mut()), "an arrival is always pending");
+                retired += sim.retire_completed(|app| {
+                    assert_eq!(app.state, AppState::Completed);
+                });
+                assert_eq!(
+                    sim.apps.len(),
+                    sim.active.len(),
+                    "{}: retired applications left in the app table",
+                    policy.name()
+                );
+            }
+            assert!(
+                sim.optimal_memo.len() <= memo_bound,
+                "{}: memo holds {} entries, bound {memo_bound}",
+                policy.name(),
+                sim.optimal_memo.len()
+            );
+            assert!(
+                sim.apps.len() < 100,
+                "{}: {} live applications — the run is backlogged",
+                policy.name(),
+                sim.apps.len()
+            );
+            sim.verify_indexes();
+        }
+    }
+
+    /// Board outages (eviction, quarantine, disable/enable) and cross-board
+    /// switches (disable the source, enable the target) driven through `step`
+    /// with the full index recount — running utilization totals included —
+    /// after every event, in release builds too.
+    #[test]
+    fn outages_and_switches_keep_utilization_totals_exact() {
+        use crate::config::SwitchingConfig;
+        use crate::dswitch::SwitchThresholds;
+        use versaslot_sim::fault::FaultProfile;
+        use versaslot_workload::{generate_workload, Congestion, WorkloadConfig};
+
+        let step_verified = |sim: &mut SharingSimulator| {
+            let mut policy = VersaSlotPolicy::new();
+            while sim.step(&mut policy) {
+                sim.verify_indexes();
+            }
+        };
+
+        let faults = FaultProfile::new(5)
+            .with_pr_failures(0.1)
+            .with_board_failures(SimDuration::from_secs(4), SimDuration::from_secs(1));
+        let mut faulted = SharingSimulator::new(
+            SystemConfig::single_board(BoardSpec::zcu216_big_little()).with_faults(faults),
+            BenchmarkApp::suite(),
+            &crowded_arrivals(30),
+        );
+        step_verified(&mut faulted);
+        let stats = faulted.fault_stats();
+        assert!(stats.board_failures > 0, "no board outage: {stats:?}");
+        assert!(stats.evictions > 0, "no eviction: {stats:?}");
+        assert!(stats.cancelled_events > 0, "no quarantined slot: {stats:?}");
+
+        let eager = SwitchingConfig {
+            thresholds: SwitchThresholds::new(0.03, 0.02),
+            ..SwitchingConfig::default()
+        };
+        let config = SystemConfig::switching_cluster(
+            BoardSpec::zcu216_only_little(),
+            BoardSpec::zcu216_big_little(),
+        )
+        .with_switching(eager);
+        let workload =
+            generate_workload(&WorkloadConfig::paper_default(Congestion::Stress).with_shape(2, 30));
+        let mut switches = 0;
+        for sequence in &workload.sequences {
+            let mut switching =
+                SharingSimulator::new(config.clone(), workload.suite.clone(), &sequence.arrivals);
+            step_verified(&mut switching);
+            switches += switching.migration_records().len();
+        }
+        assert!(switches >= 2, "only {switches} switches");
     }
 
     #[test]

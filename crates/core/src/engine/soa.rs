@@ -2,8 +2,8 @@
 //!
 //! [`AppTable`] is a dense slab of [`AppRuntime`]s with a free list (so service
 //! mode can retire completed apps without compacting) plus an id-ordered
-//! `BTreeMap` index.  All *ordered* traversals — report building, retirement
-//! scans, debug recounts — go through the index so their iteration order stays
+//! `BTreeMap` index.  All *ordered* traversals — report building, debug
+//! recounts — go through the index so their iteration order stays
 //! the application-id order the deterministic reports rely on; hot reads go
 //! through the slab and the parallel columns.
 //!
@@ -14,7 +14,9 @@
 //! * `remaining` — estimated remaining work, kept incrementally in sync with
 //!   [`AppRuntime::remaining_work`] (priority denominator),
 //! * `unfinished` / `unplaced` — unit counts backing the former
-//!   [`AppRuntime::unfinished_units`]/[`AppRuntime::unplaced_units`] scans.
+//!   [`AppRuntime::unfinished_units`]/[`AppRuntime::unplaced_units`] scans,
+//! * `optimal` — static ILP-optimal `(O_B, O_L)` slot counts, supplied at
+//!   insertion from the engine's per-(suite index, batch) memo.
 //!
 //! The scheduling pass reads these columns in O(1) per app instead of walking
 //! each app's unit vector; `verify_indexes` recounts them from the runtimes in
@@ -62,6 +64,8 @@ pub(crate) struct AppTable {
     /// Hot column: unfinished units without a slot, mirrors
     /// [`AppRuntime::unplaced_units`].
     unplaced: Vec<u32>,
+    /// Static column: ILP-optimal `(O_B, O_L)` slot counts.
+    optimal: Vec<(u32, u32)>,
 }
 
 impl AppTable {
@@ -70,12 +74,13 @@ impl AppTable {
         self.by_id.len()
     }
 
-    /// Inserts `runtime`, initialising its hot columns.
+    /// Inserts `runtime` with its ILP-optimal `(O_B, O_L)` slot counts,
+    /// initialising its hot columns.
     ///
     /// # Panics
     ///
     /// Panics if an application with the same id is already stored.
-    pub(crate) fn insert(&mut self, runtime: AppRuntime) {
+    pub(crate) fn insert(&mut self, runtime: AppRuntime, optimal: (u32, u32)) {
         let id = runtime.id;
         let row = match self.free.pop() {
             Some(row) => {
@@ -89,6 +94,7 @@ impl AppTable {
                 self.remaining.push(SimDuration::ZERO);
                 self.unfinished.push(0);
                 self.unplaced.push(0);
+                self.optimal.push((0, 0));
                 row
             }
         };
@@ -96,6 +102,7 @@ impl AppTable {
         assert!(prev.is_none(), "application {id:?} inserted twice");
         self.window_insert(id, row);
         self.rows[row as usize] = Some(runtime);
+        self.optimal[row as usize] = optimal;
         self.refresh_columns(id);
     }
 
@@ -201,6 +208,11 @@ impl AppTable {
     /// O(1) mirror of [`AppRuntime::unplaced_units`].
     pub(crate) fn unplaced_units(&self, id: AppId) -> u32 {
         self.unplaced[self.row_of(id)]
+    }
+
+    /// The ILP-optimal `(O_B, O_L)` slot counts of `id`.
+    pub(crate) fn optimal_slots(&self, id: AppId) -> (u32, u32) {
+        self.optimal[self.row_of(id)]
     }
 
     /// Column update for a placed unit (its `slot` went `None` → `Some`).
@@ -346,7 +358,7 @@ mod tests {
     fn rows_are_recycled_and_iteration_stays_id_ordered() {
         let mut table = AppTable::default();
         for id in [5u32, 1, 3] {
-            table.insert(runtime(id));
+            table.insert(runtime(id), (0, 0));
         }
         assert_eq!(
             table.iter().map(|a| a.id).collect::<Vec<_>>(),
@@ -356,7 +368,7 @@ mod tests {
         let removed = table.remove(AppId(3)).expect("app 3 is stored");
         assert_eq!(removed.id, AppId(3));
         let rows_before = table.rows.len();
-        table.insert(runtime(2));
+        table.insert(runtime(2), (0, 0));
         assert_eq!(table.rows.len(), rows_before, "vacant row was not reused");
         assert_eq!(
             table.iter().map(|a| a.id).collect::<Vec<_>>(),
@@ -371,7 +383,7 @@ mod tests {
     fn direct_map_window_slides_with_retirement() {
         let mut table = AppTable::default();
         for id in 0..8u32 {
-            table.insert(runtime(id));
+            table.insert(runtime(id), (0, 0));
         }
         for id in 0..6u32 {
             table.remove(AppId(id)).expect("app is stored");
@@ -379,7 +391,7 @@ mod tests {
         assert_eq!(table.base, 6, "window did not slide past retired ids");
         assert_eq!(table.window.len(), 2);
 
-        table.insert(runtime(100));
+        table.insert(runtime(100), (0, 0));
         table.verify_columns();
         assert_eq!(
             table.iter().map(|a| a.id).collect::<Vec<_>>(),
@@ -396,7 +408,7 @@ mod tests {
     #[test]
     fn columns_track_incremental_updates() {
         let mut table = AppTable::default();
-        table.insert(runtime(7));
+        table.insert(runtime(7), (0, 0));
         let id = AppId(7);
         let units = table.expect(id).units.len() as u32;
         assert_eq!(table.unfinished_units(id), units);
@@ -435,7 +447,7 @@ mod tests {
     #[should_panic(expected = "inserted twice")]
     fn double_insert_panics() {
         let mut table = AppTable::default();
-        table.insert(runtime(1));
-        table.insert(runtime(1));
+        table.insert(runtime(1), (0, 0));
+        table.insert(runtime(1), (0, 0));
     }
 }

@@ -48,7 +48,11 @@
 //! [`SharingSimulator::has_grantable_slot`],
 //! [`SharingSimulator::grantable_slots`]) instead of materialising candidate
 //! vectors, and each policy keeps reusable scratch buffers for the application
-//! lists it sorts.
+//! lists it sorts.  The ILP-optimal slot counts `(O_B, O_L)` that Nimblock
+//! and VersaSlot cap allocations with come from
+//! [`SharingSimulator::optimal_slots`], an O(1) column the engine fills once
+//! per arrival from a per-(suite index, batch) memo, so no policy keeps a
+//! per-application cache (which would grow without bound in service mode).
 
 pub mod fcfs;
 pub mod nimblock;

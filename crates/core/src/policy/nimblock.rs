@@ -14,18 +14,14 @@
 //! relative to their remaining work), each application is capped at its ILP-optimal
 //! slot count while others are waiting, and leftover slots are redistributed.
 
-use std::collections::BTreeMap;
-
 use versaslot_workload::AppId;
 
 use super::{sort_by_priority, unplaced_demand, Policy, ScratchMeter};
 use crate::engine::SharingSimulator;
-use crate::ilp::optimal_little_slots;
 
 /// Nimblock-style priority + optimal-slot-count policy (single-core comparator).
 #[derive(Debug, Clone, Default)]
 pub struct NimblockPolicy {
-    optimal_cache: BTreeMap<AppId, u32>,
     /// Reusable priority-sorted application list (no steady-state allocation).
     scratch: Vec<AppId>,
     /// Reusable (priority, id) pairs so each priority is computed once per pass.
@@ -37,16 +33,6 @@ impl NimblockPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
         NimblockPolicy::default()
-    }
-
-    fn optimal_slots(&mut self, sim: &SharingSimulator, app: AppId) -> u32 {
-        if let Some(cached) = self.optimal_cache.get(&app) {
-            return *cached;
-        }
-        let spec = sim.spec_of(app);
-        let value = optimal_little_slots(spec, sim.app(app).batch);
-        self.optimal_cache.insert(app, value);
-        value
     }
 }
 
@@ -80,7 +66,7 @@ impl Policy for NimblockPolicy {
         // fabric is contended.
         for i in 0..self.scratch.len() {
             let app = self.scratch[i];
-            let optimal = self.optimal_slots(sim, app);
+            let (_, optimal) = sim.optimal_slots(app);
             let (_, in_use) = sim.slots_in_use_by(app);
             let cap = if contended {
                 optimal.saturating_sub(in_use)

@@ -21,21 +21,17 @@
 //! On an `Only.Little` board there are simply no Big slots, so the same policy
 //! degenerates to the VersaSlot Only.Little configuration of the paper.
 
-use std::collections::BTreeMap;
-
 use versaslot_fpga::slot::SlotKind;
 use versaslot_workload::AppId;
 
 use super::{sort_by_priority, Policy, ScratchMeter};
 use crate::allocation::{allocate, AllocInputs, AllocationState, AppAllocInfo};
 use crate::engine::{AppState, SharingSimulator};
-use crate::ilp::{optimal_big_slots, optimal_little_slots};
 
 /// The VersaSlot slot-allocation and scheduling policy.
 #[derive(Debug, Clone, Default)]
 pub struct VersaSlotPolicy {
     state: AllocationState,
-    optimal_cache: BTreeMap<AppId, (u32, u32)>,
     /// Reusable Algorithm 1 input table (no steady-state allocation).
     info: AllocInputs,
     /// Reusable active-application list.
@@ -56,19 +52,6 @@ impl VersaSlotPolicy {
     /// Exposes the allocator state (used by tests).
     pub fn allocation_state(&self) -> &AllocationState {
         &self.state
-    }
-
-    fn optimal(&mut self, sim: &SharingSimulator, app: AppId) -> (u32, u32) {
-        if let Some(cached) = self.optimal_cache.get(&app) {
-            return *cached;
-        }
-        let spec = sim.spec_of(app);
-        let value = (
-            optimal_big_slots(spec),
-            optimal_little_slots(spec, sim.app(app).batch),
-        );
-        self.optimal_cache.insert(app, value);
-        value
     }
 }
 
@@ -113,7 +96,7 @@ impl Policy for VersaSlotPolicy {
         self.info.clear();
         for i in 0..self.active.len() {
             let app = self.active[i];
-            let (optimal_big, optimal_little) = self.optimal(sim, app);
+            let (optimal_big, optimal_little) = sim.optimal_slots(app);
             self.info.insert(
                 app,
                 AppAllocInfo {
