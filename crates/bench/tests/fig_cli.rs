@@ -1,5 +1,5 @@
 //! The figure binaries' command line: unknown flags are rejected before any
-//! simulation runs.
+//! simulation runs, and the `--json` output is locked by golden files.
 
 use std::process::Command;
 
@@ -27,6 +27,33 @@ fn fig_binaries_reject_a_typoed_flag_with_usage_and_status_2() {
             "{name}: {stderr}"
         );
         assert!(output.stdout.is_empty(), "{name} ran despite the bad flag");
+    }
+}
+
+/// Each figure binary's `--json` output (`--quick` for the simulated
+/// figures; Figure 7 has no workload) must match its committed file under
+/// `golden/` byte for byte.  Regenerate a file only for an intended change to
+/// the figure path, and say why in the same commit.
+#[test]
+fn fig_json_output_matches_the_golden_files() {
+    for (name, path) in FIG_BINARIES {
+        let args: &[&str] = if name == "fig7" {
+            &["--json"]
+        } else {
+            &["--quick", "--json"]
+        };
+        let output = Command::new(path)
+            .args(args)
+            .output()
+            .expect("figure binary runs");
+        assert!(output.status.success(), "{name} failed: {output:?}");
+        let golden = format!("{}/../../golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let expected = std::fs::read(&golden).expect("golden file exists");
+        assert!(
+            output.stdout == expected,
+            "{name} {} differs from {golden}",
+            args.join(" ")
+        );
     }
 }
 

@@ -7,9 +7,10 @@
 //! * **One spine per shard.**  Each shard owns a full [`ServiceRunner`] — its
 //!   own pre-sized [`SharingSimulator`][crate::engine::SharingSimulator]
 //!   (`grow_events() == 0` holds per shard), its own SoA application table and
-//!   slot masks, and its own constant-memory streaming accumulators (Welford +
-//!   P² + [`TumblingWindow`][versaslot_sim::TumblingWindow] + the mergeable
-//!   [`LogHistogram`]).  Shards share **no mutable state**.
+//!   slot masks, and its own constant-memory streaming accumulators
+//!   ([`StreamingSummary`]: Welford moments + a mergeable log-histogram, and a
+//!   [`TumblingWindow`][versaslot_sim::TumblingWindow]).  Shards share **no
+//!   mutable state**.
 //! * **Front-end admission.**  A [`ShardRouter`] assigns every generated
 //!   arrival to a shard with a seeded deterministic [`Placement`] policy
 //!   (hash or least-loaded-by-snapshot).  Spillover admission — the one
@@ -39,10 +40,11 @@
 //!   every shard in place on the calling thread — the reference
 //!   implementation the pooled path is property-tested against.
 //! * **Mergeable metrics.**  [`FleetEngine::report`] folds the per-shard
-//!   accumulators with [`Welford::merge`] (exact moments) and
-//!   [`LogHistogram::merge`] (tail quantiles) into one fleet-wide
-//!   [`Summary`] via [`merged_summary`], alongside the full per-shard
-//!   [`ServiceReport`]s and windowed timelines.
+//!   accumulators with [`StreamingSummary::merge`] (exact Welford moments,
+//!   bin-wise histogram tails) into one fleet-wide [`Summary`], alongside the
+//!   full per-shard [`ServiceReport`]s and windowed timelines.  Shard and
+//!   fleet summaries come from the same accumulator, so a 1-shard fleet
+//!   reports exactly its shard's summary.
 //!
 //! Two workload modes ([`FleetWorkload`]): `SharedStream` models one global
 //! arrival stream split by the admission layer (the production shape), and
@@ -74,9 +76,7 @@ use std::thread::Thread;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::fault::{FaultProfile, FaultSchedule, FaultStats};
-use versaslot_sim::{
-    merged_summary, LogHistogram, SimDuration, SimTime, Summary, Welford, WindowSummary,
-};
+use versaslot_sim::{SimDuration, SimTime, StreamingSummary, Summary, WindowSummary};
 use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ArrivalDriver, ArrivalProcess, Placement, ShardRouter};
 
@@ -257,9 +257,9 @@ impl FleetConfig {
     }
 
     /// The deterministic seed of shard `shard` (SplitMix64 mix of the fleet
-    /// seed and the shard index).  Drives the shard's timeline-reservoir
-    /// sampling and, under [`FleetWorkload::IndependentPerShard`], its whole
-    /// arrival stream.
+    /// seed and the shard index).  Reseeds the shard's fault profile and,
+    /// under [`FleetWorkload::IndependentPerShard`], drives its whole arrival
+    /// stream.
     pub fn shard_seed(&self, shard: usize) -> u64 {
         let mut x = self
             .seed
@@ -593,8 +593,9 @@ pub struct FleetReport {
     pub total_pr: u64,
     /// Blocked events, summed over shards.
     pub blocked_events: u64,
-    /// Fleet-wide response-time summary in milliseconds: exact moments from
-    /// the Welford merge, tail quantiles from the log-histogram merge.
+    /// Fleet-wide response-time summary in milliseconds: the merge of the
+    /// shards' [`StreamingSummary`] accumulators (exact moments, log-histogram
+    /// tail quantiles).
     pub overall: Option<Summary>,
     /// Per-shard reports, in shard order.
     pub shards: Vec<ShardReport>,
@@ -1010,11 +1011,9 @@ impl FleetEngine {
     }
 
     /// Folds the fleet into a [`FleetReport`]: sums the per-shard counters and
-    /// merges the per-shard accumulators (exact Welford moments + log-histogram
-    /// tails) into one fleet-wide summary.
+    /// merges the per-shard accumulators into one fleet-wide summary.
     pub fn report(&self) -> FleetReport {
-        let mut moments = Welford::new();
-        let mut tails = LogHistogram::new();
+        let mut overall = StreamingSummary::new();
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut events_processed = 0;
         let mut arrivals_admitted = 0;
@@ -1026,8 +1025,7 @@ impl FleetEngine {
         let mut undelivered = self.deferred.len() as u64;
         for shard in &self.shards {
             let service = shard.runner.service_report(&self.scheduler);
-            moments.merge(shard.runner.overall_stream().welford());
-            tails.merge(shard.runner.tail_histogram());
+            overall.merge(shard.runner.overall_stream());
             events_processed += service.events_processed;
             arrivals_admitted += service.arrivals_admitted;
             completions += service.completions;
@@ -1057,12 +1055,12 @@ impl FleetEngine {
             events_processed,
             arrivals_admitted,
             completions,
-            measured_completions: moments.count(),
+            measured_completions: overall.count(),
             warmup_completions,
             end_time,
             total_pr,
             blocked_events,
-            overall: merged_summary(&moments, &tails),
+            overall: overall.summary(),
             shards,
         }
     }
@@ -1215,34 +1213,42 @@ mod tests {
 
     #[test]
     fn independent_shards_match_standalone_service_runs() {
-        let config = FleetConfig::new(3, ArrivalProcess::Poisson { rate_per_sec: 0.5 })
-            .with_horizon(SimDuration::from_secs(400))
-            .with_epoch(SimDuration::from_secs(150)) // partial final epoch
-            .with_window(SimDuration::from_secs(120))
-            .with_workload(FleetWorkload::IndependentPerShard);
         let kind = SchedulerKind::VersaSlotBigLittle;
-        let fleet = run_fleet(Parallelism::Sequential, kind, config);
-        assert_eq!(fleet.arrivals_generated, 0, "shards self-generate");
-        for (shard, shard_report) in fleet.shards.iter().enumerate() {
-            // The same configuration, run unsegmented by a standalone runner.
-            let mut policy = kind.policy().expect("non-baseline");
-            let mut runner = ServiceRunner::new(
-                SystemConfig::single_board(kind.board()),
-                BenchmarkApp::suite(),
-                config.shard_service_config(shard),
-            );
-            let mut windows = Vec::new();
-            let mut standalone = runner.run_with(policy.as_mut(), &mut |w| windows.push(*w));
-            standalone.scheduler = kind.label().to_string();
-            assert_eq!(
-                serde_json::to_string(&shard_report.service).unwrap(),
-                serde_json::to_string(&standalone).unwrap(),
-                "shard {shard} diverged from its standalone run"
-            );
-            assert_eq!(
-                shard_report.windows, windows,
-                "shard {shard} windows diverged"
-            );
+        for shards in [3, 1] {
+            let config = FleetConfig::new(shards, ArrivalProcess::Poisson { rate_per_sec: 0.5 })
+                .with_horizon(SimDuration::from_secs(400))
+                .with_epoch(SimDuration::from_secs(150)) // partial final epoch
+                .with_window(SimDuration::from_secs(120))
+                .with_workload(FleetWorkload::IndependentPerShard);
+            let fleet = run_fleet(Parallelism::Sequential, kind, config);
+            assert_eq!(fleet.arrivals_generated, 0, "shards self-generate");
+            if shards == 1 {
+                // One accumulator end to end: the fleet summary of a single
+                // shard is that shard's own summary, tails included.
+                assert!(fleet.overall.is_some());
+                assert_eq!(fleet.overall, fleet.shards[0].service.overall);
+            }
+            for (shard, shard_report) in fleet.shards.iter().enumerate() {
+                // The same configuration, run unsegmented by a standalone runner.
+                let mut policy = kind.policy().expect("non-baseline");
+                let mut runner = ServiceRunner::new(
+                    SystemConfig::single_board(kind.board()),
+                    BenchmarkApp::suite(),
+                    config.shard_service_config(shard),
+                );
+                let mut windows = Vec::new();
+                let mut standalone = runner.run_with(policy.as_mut(), &mut |w| windows.push(*w));
+                standalone.scheduler = kind.label().to_string();
+                assert_eq!(
+                    serde_json::to_string(&shard_report.service).unwrap(),
+                    serde_json::to_string(&standalone).unwrap(),
+                    "shard {shard} diverged from its standalone run"
+                );
+                assert_eq!(
+                    shard_report.windows, windows,
+                    "shard {shard} windows diverged"
+                );
+            }
         }
     }
 

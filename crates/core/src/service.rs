@@ -14,11 +14,11 @@
 //!   (`grow_events() == 0` for the whole run);
 //! * completed applications are **retired** out of the runtime tables
 //!   ([`SharingSimulator::retire_completed`]) and folded into constant-memory
-//!   accumulators — a pooled [`StreamingSummary`] (Welford moments + P²
-//!   p50/p95/p99 sketches), one `StreamingSummary` per suite application, and
-//!   a [`TumblingWindow`] reservoir for windowed tail timelines.  Nothing per
-//!   event or per application is stored, so a 10M-event run uses the same
-//!   memory as a 10k-event run;
+//!   accumulators — a pooled [`StreamingSummary`] (Welford moments plus a
+//!   mergeable log-histogram for p50/p95/p99), one `StreamingSummary` per
+//!   suite application, and a [`TumblingWindow`] for windowed tail timelines.
+//!   Nothing per event or per application is stored, so a 10M-event run uses
+//!   the same memory as a 10k-event run;
 //! * a **warm-up cutoff** excludes applications that arrived before the warm-up
 //!   horizon from the measured statistics (they still execute and load the
 //!   fabric), the standard steady-state methodology;
@@ -55,7 +55,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{
-    LogHistogram, SimDuration, SimTime, StreamingSummary, Summary, TumblingWindow, WindowSummary,
+    SimDuration, SimTime, StreamingSummary, Summary, TumblingWindow, WindowSummary,
 };
 use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ApplicationSpec, ArrivalDriver, ArrivalProcess};
@@ -82,7 +82,11 @@ pub enum StopCondition {
     /// Stop once the pooled P99 estimate has converged: every `check_every`
     /// measured completions (after at least `min_completions`), compare the
     /// estimate with the previous checkpoint and stop when the relative change
-    /// drops below `tolerance`.  `max_events` bounds the run regardless.
+    /// is at most `tolerance`.  `max_events` bounds the run regardless.
+    ///
+    /// The estimate is a log-histogram bin midpoint, so it moves in steps of
+    /// roughly 3–6% (one bin, 1/16 of an octave): a `tolerance` below about
+    /// 3% means "the P99 stayed in the same bin at two consecutive checks".
     ConvergedP99 {
         /// Measured completions between convergence checkpoints.
         check_every: u64,
@@ -238,8 +242,8 @@ pub struct ServiceReport {
     pub total_pr: u64,
     /// Blocked events (PR contention + scheduler suspension).
     pub blocked_events: u64,
-    /// Pooled response-time summary in milliseconds (P² quantiles, exact
-    /// moments), `None` if nothing was measured.
+    /// Pooled response-time summary in milliseconds (exact moments,
+    /// log-histogram quantiles within 3.2%), `None` if nothing was measured.
     pub overall: Option<Summary>,
     /// Per-suite-application response statistics.
     pub per_app: Vec<AppServiceStats>,
@@ -281,10 +285,6 @@ pub struct ServiceRunner {
     config: ServiceConfig,
     injected: u64,
     overall: StreamingSummary,
-    /// Mergeable tail histogram over the same measured completions as
-    /// `overall` — fleet reports fold shard tails through
-    /// [`LogHistogram::merge`], which the P² sketches cannot do.
-    tail: LogHistogram,
     per_app: Vec<StreamingSummary>,
     completions: u64,
     warmup_completions: u64,
@@ -341,7 +341,7 @@ impl ServiceRunner {
     ) -> Self {
         let suite_names: Vec<String> = suite.iter().map(|spec| spec.name().to_string()).collect();
         let per_app = vec![StreamingSummary::new(); suite.len()];
-        let window = TumblingWindow::new(config.window, config.seed);
+        let window = TumblingWindow::new(config.window);
         let sim = SharingSimulator::for_service(system, suite, ARRIVAL_LOOKAHEAD);
         ServiceRunner {
             sim,
@@ -349,7 +349,6 @@ impl ServiceRunner {
             config,
             injected: 0,
             overall: StreamingSummary::new(),
-            tail: LogHistogram::new(),
             per_app,
             completions: 0,
             warmup_completions: 0,
@@ -380,15 +379,11 @@ impl ServiceRunner {
         self.completions
     }
 
-    /// The pooled streaming accumulator (exact moments + P² quantiles) over
-    /// the measured completions so far.
+    /// The pooled streaming accumulator over the measured completions so
+    /// far; fleet reports merge the shards' accumulators
+    /// ([`StreamingSummary::merge`]).
     pub fn overall_stream(&self) -> &StreamingSummary {
         &self.overall
-    }
-
-    /// The mergeable tail histogram over the measured completions so far.
-    pub fn tail_histogram(&self) -> &LogHistogram {
-        &self.tail
     }
 
     /// Routed arrivals queued but not yet injected (always `0` for a
@@ -469,7 +464,6 @@ impl ServiceRunner {
         let Self {
             sim,
             overall,
-            tail,
             per_app,
             completions,
             warmup_completions,
@@ -485,7 +479,6 @@ impl ServiceRunner {
             let completion = app.completion.expect("retired application completed");
             let response_ms = (completion - app.arrival).as_millis_f64();
             overall.record(response_ms);
-            tail.record(response_ms);
             per_app[app.app_index].record(response_ms);
             if let Some(finished) = window.record(completion, response_ms) {
                 on_window(&finished);
@@ -579,7 +572,7 @@ impl ServiceRunner {
                     return false;
                 }
                 *next_check = measured + check_every;
-                let Some(current) = self.overall.p99() else {
+                let Some(current) = self.overall.quantile(0.99) else {
                     return false;
                 };
                 let converged = match *last_p99 {

@@ -50,9 +50,8 @@ pub use fault::{FaultProfile, FaultSchedule, FaultStats};
 pub use rng::SimRng;
 pub use series::TimeWeightedSeries;
 pub use stats::{
-    merged_summary, percentile, sorted_percentile, LogHistogram, P2Quantile, StreamingSummary,
-    Summary, SummaryBuilder, TumblingWindow, Welford, WindowSummary, LOG_HIST_BINS,
-    WINDOW_RESERVOIR,
+    percentile, sorted_percentile, LogHistogram, StreamingSummary, Summary, SummaryBuilder,
+    TumblingWindow, Welford, WindowSummary, LOG_HIST_BINS,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceDetail, TraceEvent, TraceKind};

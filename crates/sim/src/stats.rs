@@ -10,12 +10,13 @@
 //!   fits in memory.
 //! * **Streaming**: constant-memory online accumulators for service mode, where
 //!   a run is open-ended and storing samples is impossible — a [`Welford`]
-//!   mean/variance accumulator, a [`P2Quantile`] sketch (the P² algorithm of
-//!   Jain & Chlamtac), the combined [`StreamingSummary`], and a
-//!   [`TumblingWindow`] reservoir that emits one [`WindowSummary`] per elapsed
-//!   time window.  All of them are `Copy` and perform **zero heap allocations**,
-//!   at construction or afterwards, so the engine's `grow_events() == 0`
-//!   allocation-free invariant extends to service-mode metrics.
+//!   mean/variance accumulator, a mergeable [`LogHistogram`] for tail
+//!   quantiles, the [`StreamingSummary`] that pairs them (every service,
+//!   shard and fleet summary folds through it), and a [`TumblingWindow`] that
+//!   emits one [`WindowSummary`] per elapsed time window.  All of them are
+//!   `Copy` and perform **zero heap allocations**, at construction or
+//!   afterwards, so the engine's `grow_events() == 0` allocation-free
+//!   invariant extends to service-mode metrics.
 
 use serde::{Deserialize, Serialize};
 
@@ -357,193 +358,38 @@ impl Welford {
     }
 }
 
-/// Online quantile sketch: the P² algorithm of Jain & Chlamtac (CACM 1985).
+/// Constant-memory replacement for [`SummaryBuilder`], and the one streaming
+/// accumulator service mode folds every response time through: a [`Welford`]
+/// accumulator for the exact count, mean, extremes and standard deviation,
+/// plus a [`LogHistogram`] for the P50/P95/P99 the paper reports.  Both halves
+/// merge exactly, so [`StreamingSummary::merge`] folds per-shard accumulators
+/// into a fleet-wide one, and the merge of two summaries equals the summary of
+/// the concatenated streams (up to floating-point rounding of the moments).
 ///
-/// Tracks one quantile of an unbounded stream with five markers (O(1) memory,
-/// no stored samples): the marker heights approximate the quantile by piecewise
-/// parabolic interpolation and the marker positions are nudged toward their
-/// desired ranks on every observation.  Until five observations have arrived
-/// the estimate is exact (nearest rank over the buffered prefix).
-///
-/// `Copy`, allocation-free — suitable for per-application accumulators in
-/// open-ended service runs.
-///
-/// # Example
-///
-/// ```
-/// use versaslot_sim::P2Quantile;
-///
-/// let mut p99 = P2Quantile::new(0.99);
-/// for i in 0..10_000 {
-///     p99.record(i as f64);
-/// }
-/// let estimate = p99.estimate().unwrap();
-/// assert!((estimate - 9_900.0).abs() / 9_900.0 < 0.02);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct P2Quantile {
-    q: f64,
-    count: u64,
-    /// Marker heights (estimated quantile values).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    rates: [f64; 5],
-}
-
-impl P2Quantile {
-    /// Creates a sketch for the `q`-quantile (0.0–1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn new(q: f64) -> Self {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        P2Quantile {
-            q,
-            count: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            rates: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-        }
-    }
-
-    /// The quantile this sketch tracks.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Records one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    pub fn record(&mut self, value: f64) {
-        assert!(!value.is_nan(), "cannot record NaN");
-        if self.count < 5 {
-            self.heights[self.count as usize] = value;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_unstable_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Cell k: heights[k] <= value < heights[k+1], extremes clamped.
-        let k = if value < self.heights[0] {
-            self.heights[0] = value;
-            0
-        } else if value >= self.heights[4] {
-            self.heights[4] = value;
-            3
-        } else {
-            let mut k = 0;
-            for i in 1..4 {
-                if value >= self.heights[i] {
-                    k = i;
-                }
-            }
-            k
-        };
-
-        for position in self.positions[k + 1..].iter_mut() {
-            *position += 1.0;
-        }
-        for (desired, rate) in self.desired.iter_mut().zip(self.rates) {
-            *desired += rate;
-        }
-
-        // Nudge the interior markers toward their desired positions.
-        for i in 1..4 {
-            let gap = self.desired[i] - self.positions[i];
-            if (gap >= 1.0 && self.positions[i + 1] - self.positions[i] > 1.0)
-                || (gap <= -1.0 && self.positions[i - 1] - self.positions[i] < -1.0)
-            {
-                let sign = gap.signum();
-                let parabolic = self.parabolic(i, sign);
-                self.heights[i] =
-                    if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                        parabolic
-                    } else {
-                        self.linear(i, sign)
-                    };
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height prediction for marker `i` moved by `sign`.
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let n = &self.positions;
-        let h = &self.heights;
-        h[i] + sign / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic prediction leaves the bracket.
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = if sign > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate, or `None` when empty.
-    ///
-    /// Exact (nearest rank) for fewer than five observations.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            let n = self.count as usize;
-            let mut prefix = self.heights;
-            prefix[..n].sort_unstable_by(f64::total_cmp);
-            return Some(prefix[nearest_rank_index(self.q, n)]);
-        }
-        Some(self.heights[2])
-    }
-}
-
-/// Constant-memory replacement for [`SummaryBuilder`]: a [`Welford`]
-/// accumulator plus P² sketches for the three percentiles the paper reports
-/// (P50/P95/P99).  `Copy`, allocation-free — one per application suite entry is
-/// all service mode ever holds.
+/// `Copy`, allocation-free, about 2 KiB — one pooled, one per suite
+/// application and one per open window is all a service run ever holds.
 ///
 /// # Example
 ///
 /// ```
 /// use versaslot_sim::StreamingSummary;
 ///
-/// let mut acc = StreamingSummary::new();
-/// for i in 1..=1_000 {
-///     acc.record(i as f64);
+/// let mut left = StreamingSummary::new();
+/// let mut right = StreamingSummary::new();
+/// for i in 1..=500 {
+///     left.record(i as f64);
+///     right.record((500 + i) as f64);
 /// }
-/// let summary = acc.summary().unwrap();
+/// left.merge(&right);
+/// let summary = left.summary().unwrap();
 /// assert_eq!(summary.count, 1_000);
-/// assert!((summary.p99 - 990.0).abs() / 990.0 < 0.02);
+/// assert!((summary.mean - 500.5).abs() < 1e-9);
+/// assert!((summary.p99 - 990.0).abs() / 990.0 < 0.032);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingSummary {
-    welford: Welford,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    moments: Welford,
+    tails: LogHistogram,
 }
 
 impl Default for StreamingSummary {
@@ -556,10 +402,8 @@ impl StreamingSummary {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         StreamingSummary {
-            welford: Welford::new(),
-            p50: P2Quantile::new(0.50),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+            moments: Welford::new(),
+            tails: LogHistogram::new(),
         }
     }
 
@@ -569,63 +413,55 @@ impl StreamingSummary {
     ///
     /// Panics if `value` is NaN.
     pub fn record(&mut self, value: f64) {
-        self.welford.record(value);
-        self.p50.record(value);
-        self.p95.record(value);
-        self.p99.record(value);
+        self.moments.record(value);
+        self.tails.record(value);
+    }
+
+    /// Merges another accumulator into this one (Welford merge of the moments,
+    /// bin-wise addition of the histograms).
+    pub fn merge(&mut self, other: &StreamingSummary) {
+        self.moments.merge(&other.moments);
+        self.tails.merge(&other.tails);
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.welford.count()
+        self.moments.count()
     }
 
     /// `true` when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.welford.is_empty()
+        self.moments.is_empty()
     }
 
-    /// The mean/variance accumulator.
-    pub fn welford(&self) -> &Welford {
-        &self.welford
+    /// Nearest-rank `q`-quantile estimate from the histogram (within half a
+    /// bin, ≤ 3.2%, of the exact value), or `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        self.tails.quantile(q)
     }
 
-    /// Current P50 estimate, or `None` when empty.
-    pub fn p50(&self) -> Option<f64> {
-        self.p50.estimate()
-    }
-
-    /// Current P95 estimate, or `None` when empty.
-    pub fn p95(&self) -> Option<f64> {
-        self.p95.estimate()
-    }
-
-    /// Current P99 estimate, or `None` when empty.
-    pub fn p99(&self) -> Option<f64> {
-        self.p99.estimate()
-    }
-
-    /// Snapshot as a [`Summary`] (quantiles are P² estimates, the moments are
-    /// exact), or `None` when empty.
+    /// Snapshot as a [`Summary`] (exact moments and extremes, histogram
+    /// quantiles), or `None` when empty.
     pub fn summary(&self) -> Option<Summary> {
         if self.is_empty() {
             return None;
         }
         Some(Summary {
             count: self.count() as usize,
-            mean: self.welford.mean().expect("non-empty"),
-            min: self.welford.min().expect("non-empty"),
-            max: self.welford.max().expect("non-empty"),
-            p50: self.p50().expect("non-empty"),
-            p95: self.p95().expect("non-empty"),
-            p99: self.p99().expect("non-empty"),
-            std_dev: self.welford.std_dev().expect("non-empty"),
+            mean: self.moments.mean().expect("non-empty"),
+            min: self.moments.min().expect("non-empty"),
+            max: self.moments.max().expect("non-empty"),
+            p50: self.quantile(0.50).expect("non-empty"),
+            p95: self.quantile(0.95).expect("non-empty"),
+            p99: self.quantile(0.99).expect("non-empty"),
+            std_dev: self.moments.std_dev().expect("non-empty"),
         })
     }
 }
-
-/// Number of samples the [`TumblingWindow`] reservoir keeps per window.
-pub const WINDOW_RESERVOIR: usize = 64;
 
 /// Summary of one completed time window of a [`TumblingWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -637,56 +473,46 @@ pub struct WindowSummary {
     pub start: SimTime,
     /// End of the window (exclusive).
     pub end: SimTime,
-    /// Observations recorded in the window (may exceed the reservoir size).
+    /// Observations recorded in the window.
     pub count: u64,
     /// Exact mean over all observations of the window.
     pub mean: f64,
     /// Exact maximum over all observations of the window.
     pub max: f64,
-    /// Median estimate from the window reservoir.
+    /// Median estimate from the window histogram.
     pub p50: f64,
-    /// P95 estimate from the window reservoir.
+    /// P95 estimate from the window histogram.
     pub p95: f64,
-    /// P99 estimate from the window reservoir.
+    /// P99 estimate from the window histogram.
     pub p99: f64,
 }
 
-/// A tumbling-window reservoir: observations are bucketed into fixed-width
-/// time windows; within the current window a deterministic reservoir sample
-/// (Algorithm R over a fixed [`WINDOW_RESERVOIR`]-slot array) feeds the
-/// percentile estimates while a [`Welford`] accumulator keeps the exact count,
-/// mean and max.  Crossing a window boundary emits the finished window as a
-/// [`WindowSummary`] and resets.
+/// Tumbling time windows over a stream: observations are bucketed into
+/// fixed-width time windows, each accumulated by its own
+/// [`StreamingSummary`].  Crossing a window boundary emits the finished
+/// window as a [`WindowSummary`] and resets.
 ///
-/// `Copy`, allocation-free: the reservoir is a fixed array and the internal
-/// randomness is a seeded xorshift counter, so windowed tail timelines cost
-/// O(1) memory over an unbounded run.
+/// `Copy`, allocation-free: windowed tail timelines cost O(1) memory over an
+/// unbounded run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TumblingWindow {
     width: SimDuration,
     window: u64,
-    seen: u64,
-    samples: [f64; WINDOW_RESERVOIR],
-    stats: Welford,
-    rng: u64,
+    current: StreamingSummary,
 }
 
 impl TumblingWindow {
-    /// Creates a reservoir with windows of `width`, seeded deterministically.
+    /// Creates an accumulator with windows of `width`.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero.
-    pub fn new(width: SimDuration, seed: u64) -> Self {
+    pub fn new(width: SimDuration) -> Self {
         assert!(!width.is_zero(), "window width must be positive");
         TumblingWindow {
             width,
             window: 0,
-            seen: 0,
-            samples: [0.0; WINDOW_RESERVOIR],
-            stats: Welford::new(),
-            // xorshift needs a non-zero state; mix the seed so 0 works too.
-            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            current: StreamingSummary::new(),
         }
     }
 
@@ -697,16 +523,7 @@ impl TumblingWindow {
 
     /// Observations recorded in the current (unfinished) window.
     pub fn pending(&self) -> u64 {
-        self.seen
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
+        self.current.count()
     }
 
     /// Records an observation at simulated time `time`.
@@ -720,53 +537,35 @@ impl TumblingWindow {
     /// boundary.
     pub fn record(&mut self, time: SimTime, value: f64) -> Option<WindowSummary> {
         let index = time.as_micros() / self.width.as_micros();
-        let finished = if self.seen > 0 && index != self.window {
+        let finished = if !self.current.is_empty() && index != self.window {
             assert!(index > self.window, "window time went backwards");
             self.flush()
         } else {
             None
         };
         self.window = index;
-        self.seen += 1;
-        self.stats.record(value);
-        let slots = WINDOW_RESERVOIR as u64;
-        if self.seen <= slots {
-            self.samples[(self.seen - 1) as usize] = value;
-        } else {
-            let j = self.next_rand() % self.seen;
-            if j < slots {
-                self.samples[j as usize] = value;
-            }
-        }
+        self.current.record(value);
         finished
     }
 
     /// Finishes the current window (if it has observations) and returns its
-    /// summary, resetting the reservoir.  Call once at the end of a run to
+    /// summary, resetting the accumulator.  Call once at the end of a run to
     /// emit the final partial window.
     pub fn flush(&mut self) -> Option<WindowSummary> {
-        if self.seen == 0 {
-            return None;
-        }
-        let filled = (self.seen as usize).min(WINDOW_RESERVOIR);
-        // Sort the reservoir prefix in place (it is reset below anyway).
-        self.samples[..filled].sort_unstable_by(f64::total_cmp);
-        let sorted = &self.samples[..filled];
+        let summary = self.current.summary()?;
+        self.current = StreamingSummary::new();
         let start = SimTime::from_micros(self.window * self.width.as_micros());
-        let summary = WindowSummary {
+        Some(WindowSummary {
             index: self.window,
             start,
             end: start + self.width,
-            count: self.seen,
-            mean: self.stats.mean().expect("non-empty window"),
-            max: self.stats.max().expect("non-empty window"),
-            p50: sorted_percentile(sorted, 0.50).expect("non-empty window"),
-            p95: sorted_percentile(sorted, 0.95).expect("non-empty window"),
-            p99: sorted_percentile(sorted, 0.99).expect("non-empty window"),
-        };
-        self.seen = 0;
-        self.stats = Welford::new();
-        Some(summary)
+            count: summary.count as u64,
+            mean: summary.mean,
+            max: summary.max,
+            p50: summary.p50,
+            p95: summary.p95,
+            p99: summary.p99,
+        })
     }
 }
 
@@ -785,6 +584,8 @@ const LOG_HIST_MIN_EXP: i32 = -4;
 /// Number of bins in a [`LogHistogram`].
 pub const LOG_HIST_BINS: usize = LOG_HIST_OCTAVES * LOG_HIST_SUBDIVISIONS;
 
+const BIN_OVERFLOW: &str = "LogHistogram bin holds more than u32::MAX observations";
+
 /// Exact power of two, built from IEEE-754 bits (no libm, bit-exact on every
 /// platform).
 fn pow2(exp: i32) -> f64 {
@@ -792,13 +593,16 @@ fn pow2(exp: i32) -> f64 {
     f64::from_bits(((1023 + exp) as u64) << 52)
 }
 
-/// A **mergeable** fixed-bin logarithmic histogram for tail quantiles.
+/// A **mergeable** fixed-bin logarithmic histogram for tail quantiles — the
+/// quantile half of [`StreamingSummary`].
 ///
-/// The P² sketches in [`StreamingSummary`] are constant-memory but *not*
-/// mergeable: two P² marker sets cannot be combined into the sketch of the
-/// pooled stream.  Fleet-scale runs need per-shard tail state that folds into
-/// a fleet-wide summary, so this histogram trades a fixed 4 KiB of bins for an
-/// exact, associative [`LogHistogram::merge`] (bin-wise addition).
+/// Fleet-scale runs need per-shard tail state that folds into a fleet-wide
+/// summary, so this histogram trades a fixed 2 KiB of bins for an exact,
+/// associative [`LogHistogram::merge`] (bin-wise addition).  Bins count in
+/// `u32` to keep that footprint small, since service mode holds one
+/// histogram per suite application, per window and per run: a single bin
+/// holds at most `u32::MAX` observations, and recording or merging past that
+/// panics rather than wrapping.
 ///
 /// Values are binned by order of magnitude: [`LOG_HIST_OCTAVES`] octaves
 /// starting at `2^-4`, each split into [`LOG_HIST_SUBDIVISIONS`] linear
@@ -833,7 +637,7 @@ pub struct LogHistogram {
     count: u64,
     min: f64,
     max: f64,
-    bins: [u64; LOG_HIST_BINS],
+    bins: [u32; LOG_HIST_BINS],
 }
 
 impl Default for LogHistogram {
@@ -884,13 +688,15 @@ impl LogHistogram {
     ///
     /// # Panics
     ///
-    /// Panics if `value` is NaN.
+    /// Panics if `value` is NaN or its bin already holds `u32::MAX`
+    /// observations.
     pub fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "cannot record NaN");
         self.count += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.bins[Self::index_of(value)] += 1;
+        let bin = &mut self.bins[Self::index_of(value)];
+        *bin = bin.checked_add(1).expect(BIN_OVERFLOW);
     }
 
     /// Merges another histogram into this one.
@@ -898,6 +704,10 @@ impl LogHistogram {
     /// Bin-wise addition — exact and associative: the merge of two histograms
     /// is bit-identical to the histogram of the concatenated streams, in any
     /// merge order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a merged bin would exceed `u32::MAX` observations.
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {
             return;
@@ -906,7 +716,7 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         for (bin, &add) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *bin += add;
+            *bin = bin.checked_add(add).expect(BIN_OVERFLOW);
         }
     }
 
@@ -947,7 +757,7 @@ impl LogHistogram {
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut cumulative = 0u64;
         for (idx, &n) in self.bins.iter().enumerate() {
-            cumulative += n;
+            cumulative += u64::from(n);
             if cumulative >= rank {
                 return Some(Self::midpoint(idx).clamp(self.min, self.max));
             }
@@ -955,33 +765,6 @@ impl LogHistogram {
         // Unreachable (bins sum to count), but stay total.
         Some(self.max)
     }
-}
-
-/// Folds merged fleet-wide accumulators into one [`Summary`]: exact moments
-/// and extremes from the [`Welford`] merge, tail quantiles from the
-/// [`LogHistogram`] merge.  Returns `None` when the accumulators are empty.
-///
-/// Both accumulators must cover the same observations (debug-asserted via the
-/// counts).
-pub fn merged_summary(moments: &Welford, tails: &LogHistogram) -> Option<Summary> {
-    if moments.is_empty() || tails.is_empty() {
-        return None;
-    }
-    debug_assert_eq!(
-        moments.count(),
-        tails.count(),
-        "moments and tails must cover the same sample"
-    );
-    Some(Summary {
-        count: moments.count() as usize,
-        mean: moments.mean().expect("non-empty"),
-        min: moments.min().expect("non-empty"),
-        max: moments.max().expect("non-empty"),
-        p50: tails.quantile(0.50).expect("non-empty"),
-        p95: tails.quantile(0.95).expect("non-empty"),
-        p99: tails.quantile(0.99).expect("non-empty"),
-        std_dev: moments.std_dev().expect("non-empty"),
-    })
 }
 
 #[cfg(test)]
@@ -1112,30 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn p2_is_exact_for_small_samples() {
-        let mut sketch = P2Quantile::new(0.5);
-        assert_eq!(sketch.estimate(), None);
-        for (i, v) in [9.0, 1.0, 5.0].iter().enumerate() {
-            sketch.record(*v);
-            assert_eq!(sketch.count(), i as u64 + 1);
-        }
-        // Exact nearest-rank median of {1, 5, 9}.
-        assert_eq!(sketch.estimate(), Some(5.0));
-    }
-
-    #[test]
-    fn p2_tracks_a_linear_ramp() {
-        let mut p50 = P2Quantile::new(0.5);
-        let mut p99 = P2Quantile::new(0.99);
-        for i in 1..=10_000 {
-            p50.record(i as f64);
-            p99.record(i as f64);
-        }
-        assert!((p50.estimate().unwrap() - 5_000.0).abs() / 5_000.0 < 0.02);
-        assert!((p99.estimate().unwrap() - 9_900.0).abs() / 9_900.0 < 0.02);
-    }
-
-    #[test]
     fn streaming_summary_snapshot_is_consistent() {
         let mut acc = StreamingSummary::new();
         assert!(acc.summary().is_none());
@@ -1153,7 +912,7 @@ mod tests {
 
     #[test]
     fn tumbling_window_emits_finished_windows_in_order() {
-        let mut window = TumblingWindow::new(SimDuration::from_millis(100), 7);
+        let mut window = TumblingWindow::new(SimDuration::from_millis(100));
         let mut emitted = Vec::new();
         for i in 0..1_000u64 {
             // One observation per millisecond: ten 100-observation windows.
@@ -1181,7 +940,7 @@ mod tests {
     #[test]
     fn tumbling_window_skips_empty_windows_and_is_deterministic() {
         let make = || {
-            let mut window = TumblingWindow::new(SimDuration::from_secs(1), 42);
+            let mut window = TumblingWindow::new(SimDuration::from_secs(1));
             let mut out = Vec::new();
             for i in 0..500u64 {
                 // Burst in window 0, silence, burst in window 7.
@@ -1195,7 +954,7 @@ mod tests {
         };
         let a = make();
         let b = make();
-        assert_eq!(a, b, "same seed, same windows");
+        assert_eq!(a, b, "same stream, same windows");
         assert_eq!(a.len(), 2);
         assert_eq!(a[0].index, 0);
         assert_eq!(a[1].index, 7);
@@ -1276,29 +1035,94 @@ mod tests {
     }
 
     #[test]
-    fn merged_summary_combines_moments_and_tails() {
-        let values: Vec<f64> = (1..=2_000).map(|i| i as f64).collect();
-        let mut moments = Welford::new();
-        let mut tails = LogHistogram::new();
-        for &v in &values {
-            moments.record(v);
-            tails.record(v);
+    #[should_panic(expected = "u32::MAX")]
+    fn log_histogram_bin_overflow_panics_instead_of_wrapping() {
+        let mut hist = LogHistogram::new();
+        hist.record(1.0);
+        // Doubling the one occupied bin reaches 2^32 after 32 merges.
+        for _ in 0..32 {
+            let copy = hist;
+            hist.merge(&copy);
         }
-        let merged = merged_summary(&moments, &tails).unwrap();
+    }
+
+    #[test]
+    fn streaming_summary_merge_combines_moments_and_tails() {
+        let values: Vec<f64> = (1..=2_000).map(|i| i as f64).collect();
+        let (left, right) = values.split_at(613);
+        let mut merged = StreamingSummary::new();
+        let mut other = StreamingSummary::new();
+        left.iter().for_each(|&v| merged.record(v));
+        right.iter().for_each(|&v| other.record(v));
+        merged.merge(&other);
+        let merged = merged.summary().unwrap();
         let exact = Summary::of(&values).unwrap();
         assert_eq!(merged.count, exact.count);
         assert!((merged.mean - exact.mean).abs() < 1e-9);
         assert_eq!(merged.min, exact.min);
         assert_eq!(merged.max, exact.max);
         assert!((merged.std_dev - exact.std_dev).abs() < 1e-6);
-        for (est, ex) in [
-            (merged.p50, exact.p50),
-            (merged.p95, exact.p95),
-            (merged.p99, exact.p99),
-        ] {
-            assert!((est - ex).abs() / ex < 0.04, "{est} vs {ex}");
+        for (q, estimate, exact, error) in quantile_errors(&merged, &values) {
+            assert!(error < HALF_BIN, "q{q}: {estimate} vs {exact}");
         }
-        assert!(merged_summary(&Welford::new(), &LogHistogram::new()).is_none());
+        let mut empty = StreamingSummary::new();
+        empty.merge(&StreamingSummary::new());
+        assert!(empty.summary().is_none());
+    }
+
+    #[test]
+    fn tumbling_window_tails_track_exact_window_quantiles() {
+        // Four one-second windows of 2,000 exponential observations each:
+        // every window's tails land within the histogram's half-bin bound of
+        // that window's exact quantiles.
+        const PER_WINDOW: usize = 2_000;
+        let values = sample(1, 7, 4 * PER_WINDOW);
+        let mut window = TumblingWindow::new(SimDuration::from_secs(1));
+        let mut emitted = Vec::new();
+        for (i, &v) in values.iter().enumerate() {
+            let time = SimTime::from_micros((i * 1_000_000 / PER_WINDOW) as u64);
+            emitted.extend(window.record(time, v));
+        }
+        emitted.extend(window.flush());
+        assert_eq!(emitted.len(), 4);
+        for (summary, chunk) in emitted.iter().zip(values.chunks(PER_WINDOW)) {
+            assert_eq!(summary.count, PER_WINDOW as u64);
+            for (q, estimate) in [
+                (0.50, summary.p50),
+                (0.95, summary.p95),
+                (0.99, summary.p99),
+            ] {
+                let exact = percentile(chunk, q).unwrap();
+                assert!(
+                    (estimate - exact).abs() / exact < HALF_BIN,
+                    "window {}: q{q} {estimate} vs exact {exact}",
+                    summary.index
+                );
+            }
+        }
+    }
+
+    /// The histogram's documented bound on the relative quantile error: half
+    /// a bin, 1/32 of an octave.
+    const HALF_BIN: f64 = 0.032;
+
+    /// `(q, estimate, exact, relative error)` of `summary`'s p50/p95/p99
+    /// against the exact nearest-rank quantiles of `values`.
+    fn quantile_errors(summary: &Summary, values: &[f64]) -> [(f64, f64, f64, f64); 3] {
+        [
+            (0.50, summary.p50),
+            (0.95, summary.p95),
+            (0.99, summary.p99),
+        ]
+        .map(|(q, estimate)| {
+            let exact = percentile(values, q).unwrap();
+            (
+                q,
+                estimate,
+                exact,
+                (estimate - exact).abs() / exact.abs().max(1e-12),
+            )
+        })
     }
 
     /// Deterministic sample from one of the three accuracy-test distributions.
@@ -1319,6 +1143,28 @@ mod tests {
                         } else {
                             60.0 + 60.0 * u
                         }
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Deterministic response-time stream shaped like service mode's: i.i.d.
+    /// exponential (mean 100), exponential whose scale ramps up tenfold over
+    /// the stream (a rising arrival rate), or a backlog that grows
+    /// monotonically with per-request service noise on top.
+    fn service_stream(kind: usize, seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = SimRng::seed_from(seed ^ 0x57_12EA);
+        let mut backlog = 0.0;
+        (0..n)
+            .map(|i| {
+                let exponential = -(1.0 - rng.gen_unit()).ln() * 100.0;
+                match kind {
+                    0 => exponential,
+                    1 => exponential * (1.0 + 9.0 * i as f64 / n as f64),
+                    _ => {
+                        backlog += exponential / 10.0;
+                        backlog + 100.0 * rng.gen_unit()
                     }
                 }
             })
@@ -1378,11 +1224,11 @@ mod tests {
         }
 
         /// Sharded-merge accuracy bound: split a sample across four shards,
-        /// record each shard into its own LogHistogram + Welford, merge, and
-        /// pin the merged quantiles within the histogram's half-bin error
-        /// bound (≤ 3.2%, asserted at 5%) of the exact *pooled* nearest-rank
-        /// quantiles.  The moments must match the two-pass pooled values
-        /// almost exactly — the Welford merge is not an approximation.
+        /// record each shard into its own StreamingSummary, merge, and pin the
+        /// merged quantiles within the histogram's half-bin error bound of the
+        /// exact *pooled* nearest-rank quantiles.  The moments must match the
+        /// two-pass pooled values almost exactly — the Welford merge is not an
+        /// approximation.
         #[test]
         fn prop_log_histogram_merged_quantiles_track_pooled(
             seed in 0u64..48,
@@ -1390,58 +1236,45 @@ mod tests {
         ) {
             const SHARDS: usize = 4;
             let values = sample(distribution, seed, 40_000);
-            let mut moments = Welford::new();
-            let mut tails = LogHistogram::new();
+            let mut pooled = StreamingSummary::new();
             for shard in 0..SHARDS {
-                let mut w = Welford::new();
-                let mut h = LogHistogram::new();
+                let mut acc = StreamingSummary::new();
                 for v in values.iter().skip(shard).step_by(SHARDS) {
-                    w.record(*v);
-                    h.record(*v);
+                    acc.record(*v);
                 }
-                moments.merge(&w);
-                tails.merge(&h);
+                pooled.merge(&acc);
             }
-            let merged = merged_summary(&moments, &tails).unwrap();
+            let merged = pooled.summary().unwrap();
             prop_assert_eq!(merged.count, values.len());
             let exact_mean = values.iter().sum::<f64>() / values.len() as f64;
             prop_assert!((merged.mean - exact_mean).abs() <= 1e-9 * exact_mean.abs().max(1.0));
-            for (q, estimate) in [(0.50, merged.p50), (0.95, merged.p95), (0.99, merged.p99)] {
-                let exact = percentile(&values, q).unwrap();
-                let error = (estimate - exact).abs() / exact.abs().max(1e-12);
+            for (q, estimate, exact, error) in quantile_errors(&merged, &values) {
                 prop_assert!(
-                    error < 0.05,
+                    error < HALF_BIN,
                     "distribution {} seed {}: q{} merged {} vs pooled exact {} ({:.3}% off)",
                     distribution, seed, q, estimate, exact, error * 100.0
                 );
             }
         }
 
-        /// P² accuracy bound over uniform, exponential and bimodal inputs: the
-        /// P50/P95/P99 sketches stay within 2% (relative) of the exact
-        /// nearest-rank quantiles.
+        /// Accuracy on the streams service mode produces, not just i.i.d.
+        /// draws: on i.i.d., ramped-rate and backlogged streams the
+        /// StreamingSummary p50/p95/p99 stay within the histogram's half-bin
+        /// bound of the exact nearest-rank quantiles.
         #[test]
-        fn prop_p2_tracks_exact_quantiles(seed in 0u64..48, distribution in 0usize..3) {
-            // Large enough that the *sample* quantile's own noise (which scales
-            // as 1/(f(x_q)·√n) and is worst for the exponential tail) is well
-            // under the 2% bound being asserted.
-            let values = sample(distribution, seed, 100_000);
-            let mut acc = StreamingSummary::new();
-            for &v in &values {
-                acc.record(v);
-            }
-            for (q, estimate) in [
-                (0.50, acc.p50().unwrap()),
-                (0.95, acc.p95().unwrap()),
-                (0.99, acc.p99().unwrap()),
-            ] {
-                let exact = percentile(&values, q).unwrap();
-                let error = (estimate - exact).abs() / exact.abs().max(1e-12);
-                prop_assert!(
-                    error < 0.02,
-                    "distribution {} seed {}: q{} estimate {} vs exact {} ({:.3}% off)",
-                    distribution, seed, q, estimate, exact, error * 100.0
-                );
+        fn prop_streaming_summary_tracks_non_stationary_streams(seed in 0u64..1_000) {
+            for kind in 0..3 {
+                let values = service_stream(kind, seed, 20_000);
+                let mut acc = StreamingSummary::new();
+                values.iter().for_each(|&v| acc.record(v));
+                let summary = acc.summary().unwrap();
+                for (q, estimate, exact, error) in quantile_errors(&summary, &values) {
+                    prop_assert!(
+                        error < HALF_BIN,
+                        "stream {} seed {}: q{} estimate {} vs exact {} ({:.3}% off)",
+                        kind, seed, q, estimate, exact, error * 100.0
+                    );
+                }
             }
         }
     }
