@@ -2,7 +2,7 @@
 //!
 //! The evaluation section of the paper contains four result figures; each has a
 //! function here that produces the same rows/series, plus a `fig*` binary that
-//! prints them and a Criterion benchmark that exercises a reduced-size version:
+//! prints them (`--quick` runs a reduced-size version):
 //!
 //! | Paper figure | Function | Binary |
 //! |---|---|---|
@@ -26,27 +26,22 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use versaslot_core::fleet::{run_fleet, FleetConfig};
 use versaslot_core::metrics::{
     pooled_mean_response_ms, pooled_percentile_ms, relative_reduction, relative_tail, RunReport,
 };
 use versaslot_core::par::{parallel_map, Parallelism};
 use versaslot_core::runner::{run_cluster_sequence, run_sequence, ClusterMode, SchedulerKind};
-use versaslot_core::service::{run_service_cell, ServiceCell, ServiceConfig, StopCondition};
 use versaslot_core::SwitchingConfig;
 use versaslot_fpga::board::BoardSpec;
-use versaslot_sim::fault::FaultProfile;
-use versaslot_sim::SimDuration;
 use versaslot_workload::benchmarks::BenchmarkApp;
-use versaslot_workload::{generate_workload, ArrivalProcess, Congestion, Workload, WorkloadConfig};
+use versaslot_workload::{generate_workload, Congestion, Workload, WorkloadConfig};
 
 /// Shape of the generated workloads: `(sequences, apps per sequence)`.
 ///
-/// The paper uses 10×20 for Figures 5/6 and 3×80 for Figure 8; the Criterion
-/// benches use smaller shapes so a full `cargo bench` stays quick.
+/// The paper uses 10×20 for Figures 5/6 and 3×80 for Figure 8; the `--quick`
+/// runs of the `fig*` binaries use [`Shape::quick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Shape {
     /// Number of random sequences.
@@ -72,7 +67,7 @@ impl Shape {
         }
     }
 
-    /// A reduced shape for quick runs (benchmarks, CI).
+    /// The reduced shape of `--quick` runs (locked by `golden/`).
     pub fn quick() -> Self {
         Shape {
             sequences: 2,
@@ -130,13 +125,7 @@ fn workload_for(congestion: Congestion, shape: Shape) -> Workload {
 }
 
 /// Runs every scheduler over the workload of one congestion condition, fanning
-/// the whole (scheduler × sequence) job matrix out across worker threads.
-pub fn run_matrix(congestion: Congestion, shape: Shape) -> BTreeMap<String, Vec<RunReport>> {
-    run_matrix_with(congestion, shape, Parallelism::Auto)
-}
-
-/// [`run_matrix`] with an explicit execution mode (the determinism tests compare
-/// the two paths).
+/// the whole (scheduler × sequence) job matrix out under `parallelism`.
 ///
 /// Every (scheduler, sequence) cell is an independent simulation, so all
 /// `6 × sequences` jobs go through one [`parallel_map`] call; the results are
@@ -162,7 +151,7 @@ pub fn run_matrix_with(
 /// congestion boundary), all `congestions × 6 × sequences` independent
 /// simulations form a single job list that scoped worker threads drain
 /// end-to-end.  Results are regrouped in input order, so the per-congestion
-/// matrices are byte-identical to separate [`run_matrix`] calls — and to a
+/// matrices are byte-identical to separate [`run_matrix_with`] calls — and to a
 /// [`Parallelism::Sequential`] run.
 fn run_congestion_matrices(
     congestions: &[Congestion],
@@ -636,304 +625,6 @@ pub fn format_figure8(fig: &Fig8) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Hot-path throughput
-// ---------------------------------------------------------------------------
-
-/// Wall-clock throughput of the scheduler hot path (see [`hot_path_throughput`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HotPathStats {
-    /// Total simulated events processed.
-    pub simulated_events: u64,
-    /// Wall-clock time of the run, in seconds.
-    pub wall_seconds: f64,
-    /// Simulated events per wall-clock second — the metric successive PRs track
-    /// in `BENCH_hotpath.json`.
-    pub events_per_sec: f64,
-}
-
-/// Runs one stress-congestion sequence through the VersaSlot Big.Little system on
-/// a single thread and reports simulated events per wall-clock second.
-///
-/// Single-threaded on purpose: the number measures the scheduling loop (the
-/// indexed engine queries plus the policy), not the harness fan-out.
-pub fn hot_path_throughput() -> HotPathStats {
-    hot_path_run(&hot_path_workload())
-}
-
-/// The one-sequence stress workload the hot-path numbers are measured on.
-///
-/// Generated once and reused by the Criterion bench so its timing loop covers
-/// only [`hot_path_run`], not workload generation.
-pub fn hot_path_workload() -> Workload {
-    generate_workload(&WorkloadConfig::paper_default(Congestion::Stress).with_shape(1, 60))
-}
-
-/// Runs the first sequence of `workload` through the VersaSlot Big.Little
-/// system on a single thread and reports simulated events per wall-clock
-/// second.
-///
-/// Drives [`SharingSimulator::run`] — one scheduling pass per simulation
-/// instant; the headline `events_per_sec` in `BENCH_hotpath.json` tracks this
-/// loop.
-///
-/// [`SharingSimulator::run`]: versaslot_core::engine::SharingSimulator::run
-pub fn hot_path_run(workload: &Workload) -> HotPathStats {
-    let start = Instant::now();
-    let report = run_sequence(
-        SchedulerKind::VersaSlotBigLittle,
-        workload,
-        &workload.sequences[0],
-    );
-    let wall_seconds = start.elapsed().as_secs_f64();
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-/// The fault-plane overhead control: the same stress sequence as
-/// [`hot_path_run`], but with an **empty** fault schedule
-/// attached (a default [`FaultProfile`] injects nothing).
-///
-/// With the schedule empty the engine takes the fault branches — generation
-/// tags on completion events, the per-slot acceptance check, the hashed PR
-/// outcome draw — without ever injecting a fault, so the gap between this and
-/// [`hot_path_run`] is the pure bookkeeping cost of the fault plane.
-/// `bench_compare` gates that gap (`fault_overhead_pct`) at 5%.
-pub fn fault_noop_hot_path_run(workload: &Workload) -> HotPathStats {
-    use versaslot_core::config::SystemConfig;
-    use versaslot_core::engine::SharingSimulator;
-
-    let kind = SchedulerKind::VersaSlotBigLittle;
-    let mut policy = kind.policy().expect("versaslot is not the baseline");
-    let config = SystemConfig::single_board(kind.board()).with_faults(FaultProfile::new(0));
-    let mut sim = SharingSimulator::new(
-        config,
-        workload.suite.clone(),
-        &workload.sequences[0].arrivals,
-    );
-    let start = Instant::now();
-    let report = sim.run(policy.as_mut());
-    let wall_seconds = start.elapsed().as_secs_f64();
-    debug_assert!(sim.fault_stats().is_zero(), "no-op profile injected faults");
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Service steady-state throughput
-// ---------------------------------------------------------------------------
-
-/// The service cell the steady-state numbers are measured on: the VersaSlot
-/// Big.Little system under stationary Poisson arrivals at 0.6 apps/s — just
-/// under the board's service capacity for the benchmark mix (~1 app/s), so the
-/// run is a loaded but stable steady state rather than a growing backlog.
-pub fn service_bench_cell() -> ServiceCell {
-    ServiceCell {
-        scheduler: SchedulerKind::VersaSlotBigLittle,
-        process: ArrivalProcess::Poisson { rate_per_sec: 0.6 },
-        load: 1.0,
-    }
-}
-
-/// The non-cell service parameters of the steady-state measurement.  The run
-/// stops on a fixed event count, so `simulated_events` is identical across
-/// runs and only wall-clock varies.
-pub fn service_bench_config() -> ServiceConfig {
-    ServiceConfig::new(service_bench_cell().process).with_stop(StopCondition::Events(300_000))
-}
-
-/// Runs the service-mode steady state ([`service_bench_cell`]) on a single
-/// thread and reports simulated events per wall-clock second — the second
-/// metric successive PRs track in `BENCH_hotpath.json`.
-///
-/// Where [`hot_path_throughput`] measures the per-event scheduling pass over a
-/// finite batch, this covers the streaming path: online arrival generation,
-/// the inject-one lookahead, app retirement and the constant-memory statistics
-/// fold.
-pub fn service_steady_state_throughput() -> HotPathStats {
-    let cell = service_bench_cell();
-    let config = service_bench_config();
-    let start = Instant::now();
-    let report = run_service_cell(&cell, &config);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet steady-state throughput
-// ---------------------------------------------------------------------------
-
-/// The fleet the scale-out numbers are measured on: four VersaSlot Big.Little
-/// shards fed by one shared Poisson stream at 2.4 apps/s fleet-wide — the same
-/// ~0.6 apps/s per shard as [`service_bench_cell`], so per-shard load matches
-/// the single-spine steady state and the aggregate events/s isolates the
-/// scale-out factor.  Hash placement, no spillover (the cheapest admission
-/// path), 500 s epochs over a fixed simulated horizon so `simulated_events` is
-/// identical across runs and only wall-clock varies.
-pub fn fleet_bench_config() -> FleetConfig {
-    FleetConfig::new(4, ArrivalProcess::Poisson { rate_per_sec: 2.4 })
-        .with_horizon(SimDuration::from_secs(10_000))
-        .with_epoch(SimDuration::from_secs(500))
-        .with_window(SimDuration::from_secs(1_000))
-}
-
-/// Runs the fleet steady state ([`fleet_bench_config`]) under
-/// [`Parallelism::Auto`] and reports **aggregate** simulated events per
-/// wall-clock second across all shards — the scale-out metric tracked in
-/// `BENCH_hotpath.json`.  On a multi-core host the shards run concurrently,
-/// so this exceeds [`service_steady_state_throughput`]'s single-spine rate;
-/// on one core it degrades to roughly the single-spine rate plus barrier
-/// overhead.
-pub fn fleet_steady_state_throughput() -> HotPathStats {
-    let config = fleet_bench_config();
-    let start = Instant::now();
-    let report = run_fleet(Parallelism::Auto, SchedulerKind::VersaSlotBigLittle, config);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Small-epoch fleet throughput (barrier-overhead stress)
-// ---------------------------------------------------------------------------
-
-/// Worker count of the small-epoch barrier measurements.  Forced (rather than
-/// `Auto`) so the multi-threaded epoch machinery is exercised even on a
-/// single-core CI container — the same device the determinism tests use to
-/// force the threaded path.  With 4 shards this spawns one worker per shard.
-pub const FLEET_SMALL_EPOCH_WORKERS: usize = 4;
-
-/// The barrier-rate stress configuration: the same fleet as
-/// [`fleet_bench_config`] but with epochs two orders of magnitude shorter
-/// (2 s instead of 500 s), i.e. 5 000 epoch barriers over the same simulated
-/// horizon.  At this rate the pooled path's per-epoch park/unpark rendezvous
-/// dominates, which is exactly what the gated
-/// `fleet_small_epoch_events_per_sec` metric is meant to expose.
-pub fn fleet_small_epoch_config() -> FleetConfig {
-    fleet_bench_config().with_epoch(SimDuration::from_secs(2))
-}
-
-/// Runs the small-epoch fleet ([`fleet_small_epoch_config`]) on the
-/// persistent shard-pinned worker pool at [`FLEET_SMALL_EPOCH_WORKERS`]
-/// workers and reports aggregate simulated events per wall-clock second —
-/// a metric tracked in `BENCH_hotpath.json`.  Each of the 5 000 epochs costs
-/// one atomic-countdown rendezvous.
-pub fn fleet_small_epoch_throughput() -> HotPathStats {
-    let config = fleet_small_epoch_config();
-    let start = Instant::now();
-    let report = run_fleet(
-        Parallelism::Threads(FLEET_SMALL_EPOCH_WORKERS),
-        SchedulerKind::VersaSlotBigLittle,
-        config,
-    );
-    let wall_seconds = start.elapsed().as_secs_f64();
-    HotPathStats {
-        simulated_events: report.events_processed,
-        wall_seconds,
-        events_per_sec: report.events_processed as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-/// The committed benchmark baseline: the hot path, the service-mode steady
-/// state, the sharded fleet steady state (plus its small-epoch barrier-stress
-/// variant) and the empty-fault-schedule control, tracked together in
-/// `BENCH_hotpath.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BenchBaseline {
-    /// Simulated events of the hot-path run.
-    pub simulated_events: u64,
-    /// Wall-clock time of the hot-path run, in seconds.
-    pub wall_seconds: f64,
-    /// Hot-path throughput (the original gated metric).
-    pub events_per_sec: f64,
-    /// Simulated events of the service steady-state run.
-    pub service_simulated_events: u64,
-    /// Wall-clock time of the service steady-state run, in seconds.
-    pub service_wall_seconds: f64,
-    /// Service steady-state throughput (gated alongside `events_per_sec`).
-    pub service_events_per_sec: f64,
-    /// Simulated events of the fleet steady-state run, summed over shards.
-    pub fleet_simulated_events: u64,
-    /// Wall-clock time of the fleet steady-state run, in seconds.
-    pub fleet_wall_seconds: f64,
-    /// Fleet aggregate throughput (gated alongside `events_per_sec`).
-    pub fleet_events_per_sec: f64,
-    /// Simulated events of the small-epoch (barrier-stress) fleet run, summed
-    /// over shards.
-    pub fleet_small_epoch_simulated_events: u64,
-    /// Wall-clock time of the small-epoch fleet run, in seconds.
-    pub fleet_small_epoch_wall_seconds: f64,
-    /// Small-epoch fleet throughput on the persistent worker pool (gated
-    /// alongside `events_per_sec`): 5 000 epoch barriers over the standard
-    /// fleet horizon, where per-epoch fixed costs dominate.
-    pub fleet_small_epoch_events_per_sec: f64,
-    /// Simulated events of the empty-fault-schedule control run (identical to
-    /// `simulated_events` by the strict-no-op contract).
-    pub fault_noop_simulated_events: u64,
-    /// Wall-clock time of the empty-fault-schedule control run, in seconds.
-    pub fault_noop_wall_seconds: f64,
-    /// Empty-fault-schedule throughput; `bench_compare` gates its gap to
-    /// `events_per_sec` (`fault_overhead_pct`) at 5%.
-    pub fault_noop_events_per_sec: f64,
-}
-
-impl BenchBaseline {
-    /// Combines the five throughput measurements into the committed format.
-    pub fn new(
-        hot_path: &HotPathStats,
-        service: &HotPathStats,
-        fleet: &HotPathStats,
-        fleet_small_epoch: &HotPathStats,
-        fault_noop: &HotPathStats,
-    ) -> Self {
-        BenchBaseline {
-            simulated_events: hot_path.simulated_events,
-            wall_seconds: hot_path.wall_seconds,
-            events_per_sec: hot_path.events_per_sec,
-            service_simulated_events: service.simulated_events,
-            service_wall_seconds: service.wall_seconds,
-            service_events_per_sec: service.events_per_sec,
-            fleet_simulated_events: fleet.simulated_events,
-            fleet_wall_seconds: fleet.wall_seconds,
-            fleet_events_per_sec: fleet.events_per_sec,
-            fleet_small_epoch_simulated_events: fleet_small_epoch.simulated_events,
-            fleet_small_epoch_wall_seconds: fleet_small_epoch.wall_seconds,
-            fleet_small_epoch_events_per_sec: fleet_small_epoch.events_per_sec,
-            fault_noop_simulated_events: fault_noop.simulated_events,
-            fault_noop_wall_seconds: fault_noop.wall_seconds,
-            fault_noop_events_per_sec: fault_noop.events_per_sec,
-        }
-    }
-}
-
-/// Path of the committed benchmark baseline at the repository root.
-///
-/// Shared by the `hot_path` Criterion bench (which refreshes the file) and the
-/// `bench_compare` CI gate (which reads it), so the two can never drift onto
-/// different files.
-pub fn bench_baseline_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json")
-}
-
-/// Writes `baseline` to [`bench_baseline_path`] in the committed format.
-pub fn write_bench_baseline(baseline: &BenchBaseline) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(baseline).expect("baseline serialises");
-    std::fs::write(bench_baseline_path(), format!("{json}\n"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1070,8 +761,12 @@ mod tests {
         );
     }
 
-    use versaslot_core::service::{run_service_matrix, service_matrix, ServiceReport};
+    use versaslot_core::service::{
+        run_service_matrix, service_matrix, ServiceCell, ServiceConfig, ServiceReport,
+        StopCondition,
+    };
     use versaslot_sim::SimDuration;
+    use versaslot_workload::ArrivalProcess;
 
     fn quick_service_cells() -> Vec<ServiceCell> {
         service_matrix(
@@ -1118,72 +813,6 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&first).expect("serialises"),
             serde_json::to_string(&second).expect("serialises")
-        );
-    }
-
-    /// The steady-state service bench must be a stable, deterministic run: the
-    /// fixed stop condition pins `simulated_events` so only wall-clock varies
-    /// between measurement runs.
-    #[test]
-    fn service_bench_configuration_is_valid_and_deterministic() {
-        service_bench_config().validate();
-        let base = service_bench_config().with_stop(StopCondition::Events(2_000));
-        let first = run_service_cell(&service_bench_cell(), &base);
-        let second = run_service_cell(&service_bench_cell(), &base);
-        assert_eq!(first.events_processed, second.events_processed);
-        assert_eq!(first.completions, second.completions);
-    }
-
-    #[test]
-    fn hot_path_throughput_reports_consistent_numbers() {
-        let stats = hot_path_throughput();
-        assert!(stats.simulated_events > 0);
-        assert!(stats.wall_seconds > 0.0);
-        assert!(stats.events_per_sec > 0.0);
-        // Two runs simulate the identical event stream (only wall-clock varies).
-        assert_eq!(
-            stats.simulated_events,
-            hot_path_throughput().simulated_events
-        );
-    }
-
-    /// The fleet bench configuration is valid and, because the run stops on a
-    /// fixed simulated horizon, its event count is byte-identical across runs
-    /// and parallelism modes — only wall-clock varies in the gated metric.
-    #[test]
-    fn fleet_bench_configuration_is_valid_and_deterministic() {
-        fleet_bench_config().validate();
-        // A shortened horizon keeps the debug-mode test quick.
-        let config = fleet_bench_config()
-            .with_horizon(SimDuration::from_secs(400))
-            .with_epoch(SimDuration::from_secs(100));
-        let run = |parallelism| {
-            let report = run_fleet(parallelism, SchedulerKind::VersaSlotBigLittle, config);
-            serde_json::to_string(&report).expect("report serializes")
-        };
-        let sequential = run(Parallelism::Sequential);
-        assert_eq!(sequential, run(Parallelism::Auto));
-        assert_eq!(sequential, run(Parallelism::Threads(2)));
-    }
-
-    /// The small-epoch barrier-stress measurement runs the exact same
-    /// simulation as a sequential run, byte for byte, so its events/s gap to
-    /// the fleet steady state is pure barrier overhead.
-    #[test]
-    fn small_epoch_pooled_and_sequential_paths_are_byte_identical() {
-        // A shortened horizon keeps the debug-mode test quick while still
-        // crossing many barriers (125 epochs).
-        let config = fleet_small_epoch_config().with_horizon(SimDuration::from_secs(250));
-        let kind = SchedulerKind::VersaSlotBigLittle;
-        let sequential = run_fleet(Parallelism::Sequential, kind, config);
-        let pooled = run_fleet(
-            Parallelism::Threads(FLEET_SMALL_EPOCH_WORKERS),
-            kind,
-            config,
-        );
-        assert_eq!(
-            serde_json::to_string(&sequential).expect("serialises"),
-            serde_json::to_string(&pooled).expect("serialises")
         );
     }
 }

@@ -52,7 +52,8 @@ pub struct SystemConfig {
     /// Record a full event trace (slower; used by tests and debugging).
     pub record_trace: bool,
     /// Deterministic fault injection; `None` disables the fault plane
-    /// entirely (the default for every existing run mode).
+    /// entirely (the default for every existing run mode), and so does a
+    /// profile that injects nothing (see [`Self::active_faults`]).
     pub faults: Option<FaultProfile>,
 }
 
@@ -99,6 +100,19 @@ impl SystemConfig {
     pub fn with_faults(mut self, faults: FaultProfile) -> Self {
         self.faults = Some(faults);
         self
+    }
+
+    /// The profile the simulator builds a fault plane for: the attached one,
+    /// validated, unless it injects nothing ([`FaultProfile::is_noop`]).  An
+    /// empty schedule therefore runs the fault-free code path itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the attached profile fails [`FaultProfile::validate`].
+    pub fn active_faults(&self) -> Option<FaultProfile> {
+        let profile = self.faults?;
+        profile.validate();
+        (!profile.is_noop()).then_some(profile)
     }
 }
 

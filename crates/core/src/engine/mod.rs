@@ -201,8 +201,8 @@ enum Event {
 }
 
 /// Runtime state of the fault plane; present only when
-/// [`SystemConfig::faults`] is set, so the fault-free hot path pays one
-/// `Option` check per event at most.
+/// [`SystemConfig::active_faults`] is `Some`, so the fault-free hot path (an
+/// empty schedule included) pays one `Option` check per event at most.
 #[derive(Debug)]
 struct FaultState {
     schedule: FaultSchedule,
@@ -429,7 +429,7 @@ impl SharingSimulator {
         let pr_paths = vec![SerialServer::new(); config.boards.len()];
         let slot_cols = SlotColumns::from_slots(&slots);
 
-        let fault = config.faults.map(|profile| {
+        let fault = config.active_faults().map(|profile| {
             assert!(
                 profile.board_mttf.is_none() || config.switching.is_none(),
                 "board failure injection and cross-board switching are mutually exclusive"
@@ -871,7 +871,11 @@ impl SharingSimulator {
     /// most one pending `BoardDown` *or* `BoardUp` timer — never both).
     fn queue_capacity_for(config: &SystemConfig, num_arrivals: usize, num_slots: usize) -> usize {
         let boards = config.boards.len();
-        let fault_events = if config.faults.is_some() { boards } else { 0 };
+        let fault_events = if config.active_faults().is_some() {
+            boards
+        } else {
+            0
+        };
         Self::event_queue_capacity(num_arrivals, num_slots, boards) + fault_events
     }
 
@@ -880,6 +884,12 @@ impl SharingSimulator {
     /// byte-identical to builds without the fault plane).
     pub fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
+    }
+
+    /// Whether the fault plane was built (see [`SystemConfig::active_faults`]).
+    #[cfg(test)]
+    pub(crate) fn has_fault_plane(&self) -> bool {
+        self.fault.is_some()
     }
 
     /// Whether `board` is currently failed by the fault plane.

@@ -329,6 +329,31 @@ mod tests {
             stats.is_zero(),
             "no-op profile injected something: {stats:?}"
         );
+        // Structurally, too: an empty schedule builds no fault plane, so the
+        // faulted run above took the fault-free code path itself.
+        let fault_plane = |faults: FaultProfile| {
+            let system = SystemConfig::single_board(cell.scheduler.board()).with_faults(faults);
+            ServiceRunner::new(system, BenchmarkApp::suite(), base)
+                .simulator()
+                .has_fault_plane()
+        };
+        assert!(
+            !fault_plane(FaultProfile::new(99)),
+            "an empty fault schedule built a fault plane"
+        );
+        assert!(fault_plane(storm_profile()));
+    }
+
+    /// A profile that injects nothing builds no fault plane, but an invalid
+    /// one is still rejected rather than run fault-free.
+    #[test]
+    #[should_panic(expected = "PR failure probability must be within [0, 1]")]
+    fn invalid_profile_that_injects_nothing_is_still_rejected() {
+        let faults = FaultProfile::new(3).with_pr_failures(-0.5);
+        assert!(faults.is_noop());
+        let config = SystemConfig::single_board(SchedulerKind::VersaSlotBigLittle.board())
+            .with_faults(faults);
+        SharingSimulator::new(config, BenchmarkApp::suite(), &[]);
     }
 
     #[test]

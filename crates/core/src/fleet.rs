@@ -619,7 +619,8 @@ pub struct FleetEngine {
     deferred: Vec<(usize, AppArrival)>,
     /// Fault schedule of the cross-shard forwarding fabric (one Aurora-style
     /// link, distinct seed stream): flaps stall spillover forwards on top of
-    /// [`FleetConfig::forward_latency`].  `None` when the fault plane is off.
+    /// [`FleetConfig::forward_latency`].  `None` when the fault plane is off
+    /// or its profile injects nothing.
     fabric: Option<FaultSchedule>,
     /// What the forwarding fabric injected so far.
     fabric_stats: FaultStats,
@@ -686,13 +687,17 @@ impl FleetEngine {
             config.spillover_threshold,
         );
         // The forwarding fabric draws from its own seed stream so adding a
-        // shard never perturbs the link-flap timeline.
-        let fabric = config.faults.map(|profile| {
-            FaultSchedule::new(
-                profile.with_seed(profile.seed ^ config.seed.rotate_left(17)),
-                1,
-            )
-        });
+        // shard never perturbs the link-flap timeline.  A profile that
+        // injects nothing builds no fabric, like the shards' engines.
+        let fabric = config
+            .faults
+            .filter(|profile| !profile.is_noop())
+            .map(|profile| {
+                FaultSchedule::new(
+                    profile.with_seed(profile.seed ^ config.seed.rotate_left(17)),
+                    1,
+                )
+            });
         FleetEngine {
             scheduler: kind.label().to_string(),
             config,
@@ -744,6 +749,16 @@ impl FleetEngine {
             stats.merge(&shard.runner.fault_stats());
         }
         stats
+    }
+
+    /// Whether any fault plane was built: the fabric's or a shard engine's.
+    #[cfg(test)]
+    fn has_fault_plane(&self) -> bool {
+        self.fabric.is_some()
+            || self
+                .shards
+                .iter()
+                .any(|shard| shard.runner.simulator().has_fault_plane())
     }
 
     /// Per-shard policy scratch high-water marks (see
@@ -1142,26 +1157,35 @@ mod tests {
 
     #[test]
     fn fleet_reports_are_byte_identical_across_parallelism_and_runs() {
-        let run = |parallelism| {
-            let report = run_fleet(
-                parallelism,
-                SchedulerKind::VersaSlotBigLittle,
-                fleet_config(),
-            );
-            serde_json::to_string(&report).expect("report serializes")
+        let run = |parallelism, config| {
+            let report = run_fleet(parallelism, SchedulerKind::VersaSlotBigLittle, config);
+            (
+                report.epochs,
+                serde_json::to_string(&report).expect("report serializes"),
+            )
         };
-        let sequential = run(Parallelism::Sequential);
-        assert_eq!(sequential, run(Parallelism::Threads(2)), "2 threads differ");
-        assert_eq!(sequential, run(Parallelism::Threads(4)), "4 threads differ");
-        assert_eq!(sequential, run(Parallelism::Auto), "auto differs");
-        assert_eq!(sequential, run(Parallelism::Sequential), "rerun differs");
+        // The standard fleet, and the same fleet with 3 s epochs: 134 epoch
+        // barriers for the pooled runs (one worker per shard at 4 threads).
+        for (config, epochs) in [
+            (fleet_config(), 5),
+            (fleet_config().with_epoch(SimDuration::from_secs(3)), 134),
+        ] {
+            let sequential = run(Parallelism::Sequential, config);
+            assert_eq!(sequential.0, epochs);
+            for (parallelism, mode) in [
+                (Parallelism::Threads(2), "2 threads"),
+                (Parallelism::Threads(4), "4 threads"),
+                (Parallelism::Auto, "auto"),
+                (Parallelism::Sequential, "a rerun"),
+            ] {
+                assert_eq!(run(parallelism, config), sequential, "{mode} differs");
+            }
+        }
         // The fleet seed is not ignored.
-        let other = run_fleet(
-            Parallelism::Sequential,
-            SchedulerKind::VersaSlotBigLittle,
-            fleet_config().with_seed(99),
+        assert_ne!(
+            run(Parallelism::Sequential, fleet_config()),
+            run(Parallelism::Sequential, fleet_config().with_seed(99))
         );
-        assert_ne!(sequential, serde_json::to_string(&other).unwrap());
     }
 
     #[test]
@@ -1385,6 +1409,16 @@ mod tests {
             "an empty fault schedule must not change a single fleet byte"
         );
         assert!(engine.fault_stats().is_zero());
+        // Structurally, too: no shard engine and no fabric built a fault plane.
+        assert!(
+            !engine.has_fault_plane(),
+            "an empty fault schedule built a fault plane"
+        );
+        let faulted = FleetEngine::new(
+            SchedulerKind::VersaSlotBigLittle,
+            fleet_config().with_faults(FaultProfile::new(5).with_pr_failures(0.05)),
+        );
+        assert!(faulted.has_fault_plane());
     }
 
     #[test]
