@@ -26,16 +26,15 @@
 //!   snapshots and execution order is restored by shard index, the fleet
 //!   output is **byte-identical** across
 //!   `Parallelism::{Sequential, Threads, Auto}` and from run to run.
-//! * **Persistent shard-pinned workers.**  [`FleetEngine::run`] (and
-//!   [`run_fleet`]) execute epochs on a spawn-once [`WorkerPool`]: each pool
-//!   worker *takes ownership* of its shards (worker `w` owns shards `w`,
-//!   `w + workers`, …) for the whole run, so a shard spine crosses threads
-//!   zero times instead of once per epoch and stays cache-warm.  The barrier
-//!   is a lightweight rendezvous ([`EpochSync`]: one `Release` generation
-//!   bump + park/unpark countdown) and all router↔shard traffic moves through
-//!   preallocated, double-buffered [`ShardMailbox`]es — arrival batches in,
-//!   one atomic completion counter out, no locks on the event hot path and no
-//!   per-epoch allocation after the high-water mark.
+//! * **Scoped shard sessions.**  [`FleetEngine::run_epochs_on`] (and so
+//!   [`FleetEngine::run`] and [`run_fleet`]) runs its epochs in one
+//!   [`std::thread::scope`]: worker `w` borrows the `w`-th contiguous chunk of
+//!   shards for every epoch of the call, so a shard spine never moves between
+//!   threads.  At each barrier the driver routes the epoch, sends every
+//!   spawned worker its chunk's arrival batches over a one-slot channel, runs
+//!   the first chunk itself, and receives the drained batches back with the
+//!   chunks' completion counters.  The same buffers shuttle back and forth, so
+//!   steady-state epochs allocate nothing.
 //!   [`FleetEngine::advance_epoch`] under `Parallelism::Sequential` runs
 //!   every shard in place on the calling thread — the reference
 //!   implementation the pooled path is property-tested against.
@@ -69,10 +68,7 @@
 //! assert!(report.completions > 0);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::Thread;
+use std::sync::mpsc::sync_channel;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::fault::{FaultProfile, FaultSchedule, FaultStats};
@@ -290,7 +286,7 @@ impl FleetConfig {
 ///
 /// Deliberately free of router-side bookkeeping: everything the admission
 /// layer counts lives in the driver-owned [`ShardAdmission`] table, so a
-/// pinned pool worker can own the `ShardState` for a whole run while the
+/// session worker can borrow the `ShardState` for a whole session while the
 /// driver keeps routing without touching it.
 struct ShardState {
     index: usize,
@@ -329,213 +325,40 @@ struct ShardAdmission {
     forwarded_in: u64,
 }
 
-/// Worker commands carried by an epoch generation.
-const CMD_RUN: u8 = 0;
-/// Final epoch: drive to the horizon stop and flush the windows.
-const CMD_FINAL: u8 = 1;
-/// End of session: hand the pinned shards back and exit.
-const CMD_SHUTDOWN: u8 = 2;
-
-/// Preallocated router↔shard exchange buffers of one shard in a pooled run.
-///
-/// The two `inbox` buffers are **double-buffered by epoch parity**: the
-/// driver fills buffer `g % 2` before publishing generation `g + 1`, the
-/// pinned worker drains exactly that buffer, and both sides keep the `Vec`s'
-/// high-water capacity (`clear`/`drain`, never drop) so steady-state epochs
-/// allocate nothing.  Strict barrier alternation means each `Mutex` is always
-/// uncontended — it exists to stay inside `forbid(unsafe_code)` and to keep
-/// the door open for routing epoch `N + 1` while the shards still run epoch
-/// `N`.  Completions flow the other way through one atomic, the only
-/// shard→router exchange a barrier needs.
-pub struct ShardMailbox {
-    inbox: [Mutex<Vec<AppArrival>>; 2],
-    completions: AtomicU64,
+/// What travels between the driver and one session worker each epoch: the
+/// chunk's arrival batches out, and the same batches back, drained, with the
+/// chunk's completion counters.  The same parcels shuttle back and forth for
+/// a whole session, so steady-state epochs allocate nothing.
+struct Parcel {
+    barrier: SimTime,
+    is_final: bool,
+    batches: Vec<Vec<AppArrival>>,
+    completions: Vec<u64>,
 }
 
-impl ShardMailbox {
-    fn new() -> Self {
-        ShardMailbox {
-            inbox: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
-            completions: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The epoch-barrier rendezvous of a pooled fleet run.
-///
-/// The driver publishes a generation by storing the barrier time, command and
-/// countdown (`Relaxed`) and then bumping `epoch` with a `Release` increment
-/// — the single publication point every worker pairs with an `Acquire` load.
-/// Workers run their shards, store completions (`Release`), count down
-/// `remaining` (`AcqRel`) and unpark the driver; the driver parks until the
-/// countdown hits zero.  Two parks per epoch replace K thread spawns + joins.
-pub struct EpochSync {
-    /// Generation counter; incrementing it publishes the fields below.
-    epoch: AtomicU64,
-    /// Barrier simulated time (µs) of the published epoch.
-    barrier_micros: AtomicU64,
-    /// [`CMD_RUN`] / [`CMD_FINAL`] / [`CMD_SHUTDOWN`].
-    command: AtomicU8,
-    /// Workers yet to acknowledge the published generation.
-    remaining: AtomicUsize,
-    /// Set when a worker's epoch body panicked; the driver re-panics.
-    poisoned: AtomicBool,
-    /// The driver thread to unpark on acknowledgement.
-    driver: Thread,
-}
-
-/// Shared state of one pooled fleet run: the shard hand-off cells, the
-/// mailboxes and the barrier.
-struct FleetSession {
-    /// Shard hand-off cells, indexed by shard.  Workers take their pinned
-    /// shards at session start and put them back at shutdown; in between a
-    /// cell is `None` and only its owner touches the shard.
-    cells: Vec<Mutex<Option<ShardState>>>,
-    mail: Vec<ShardMailbox>,
-    sync: EpochSync,
-    /// Per-worker thread handles, registered by each worker before its first
-    /// wait so the driver can unpark it.
-    worker_threads: Vec<Mutex<Option<Thread>>>,
-    workers: usize,
-}
-
-impl FleetSession {
-    fn new(shards: Vec<ShardState>, workers: usize, driver: Thread) -> Self {
-        let count = shards.len();
-        FleetSession {
-            cells: shards.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-            mail: (0..count).map(|_| ShardMailbox::new()).collect(),
-            sync: EpochSync {
-                epoch: AtomicU64::new(0),
-                barrier_micros: AtomicU64::new(0),
-                command: AtomicU8::new(CMD_RUN),
-                remaining: AtomicUsize::new(0),
-                poisoned: AtomicBool::new(false),
-                driver,
-            },
-            worker_threads: (0..workers).map(|_| Mutex::new(None)).collect(),
-            workers,
+impl Parcel {
+    /// An empty parcel for a chunk of `shards` shards.
+    fn new(shards: usize) -> Self {
+        Parcel {
+            barrier: SimTime::ZERO,
+            is_final: false,
+            batches: vec![Vec::new(); shards],
+            completions: vec![0; shards],
         }
     }
 
-    /// Publishes the next generation to every worker (driver side).
-    fn publish(&self, command: u8, barrier_micros: u64) {
-        self.sync.command.store(command, Ordering::Relaxed);
-        self.sync
-            .barrier_micros
-            .store(barrier_micros, Ordering::Relaxed);
-        self.sync.remaining.store(self.workers, Ordering::Relaxed);
-        self.sync.epoch.fetch_add(1, Ordering::Release);
-        for slot in &self.worker_threads {
-            if let Some(worker) = slot.lock().expect("worker registry poisoned").as_ref() {
-                worker.unpark();
-            }
+    /// Runs `chunk`'s slice of the epoch: admits each shard's batch, runs it
+    /// to the barrier and records its completion counter.
+    fn run(&mut self, chunk: &mut [ShardState]) {
+        for ((shard, batch), done) in chunk
+            .iter_mut()
+            .zip(&mut self.batches)
+            .zip(&mut self.completions)
+        {
+            shard.runner.enqueue_arrivals(batch.drain(..));
+            shard.run_epoch(self.barrier, self.is_final);
+            *done = shard.runner.completions();
         }
-    }
-
-    /// Parks the driver until every worker acknowledged the generation.
-    fn wait_barrier(&self) {
-        while self.sync.remaining.load(Ordering::Acquire) != 0 {
-            std::thread::park();
-        }
-    }
-
-    /// Acknowledges the current generation (worker side).
-    fn ack(&self) {
-        self.sync.remaining.fetch_sub(1, Ordering::AcqRel);
-        self.sync.driver.unpark();
-    }
-
-    /// The body a pool worker runs for the whole session: take the pinned
-    /// shards, rendezvous once per epoch, hand the shards back at shutdown.
-    fn worker_session(self: &Arc<Self>, worker: usize) {
-        *self.worker_threads[worker]
-            .lock()
-            .expect("worker registry poisoned") = Some(std::thread::current());
-        // Pinned ownership: worker `w` owns shards `w`, `w + workers`, … for
-        // the whole run.  The shards move across threads exactly once (here)
-        // instead of once per epoch.
-        let mut shards: Vec<ShardState> = (worker..self.cells.len())
-            .step_by(self.workers)
-            .map(|index| {
-                self.cells[index]
-                    .lock()
-                    .expect("shard cell poisoned")
-                    .take()
-                    .expect("each shard cell is claimed by exactly one worker")
-            })
-            .collect();
-        let mut seen = 0u64;
-        loop {
-            let generation = loop {
-                let generation = self.sync.epoch.load(Ordering::Acquire);
-                if generation != seen {
-                    break generation;
-                }
-                std::thread::park();
-            };
-            seen = generation;
-            let command = self.sync.command.load(Ordering::Relaxed);
-            if command == CMD_SHUTDOWN {
-                for shard in shards.drain(..) {
-                    let index = shard.index;
-                    *self.cells[index].lock().expect("shard cell poisoned") = Some(shard);
-                }
-                self.ack();
-                return;
-            }
-            let barrier = SimTime::from_micros(self.sync.barrier_micros.load(Ordering::Relaxed));
-            let phase = ((generation - 1) % 2) as usize;
-            // A panicking shard must not leave the driver parked forever: the
-            // worker still acknowledges the barrier and the driver re-panics
-            // on the poisoned flag, after which the session guard shuts the
-            // pool workers down cleanly.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                for shard in shards.iter_mut() {
-                    let mailbox = &self.mail[shard.index];
-                    {
-                        let mut inbox = mailbox.inbox[phase].lock().expect("inbox poisoned");
-                        shard.runner.enqueue_arrivals(inbox.drain(..));
-                    }
-                    shard.run_epoch(barrier, command == CMD_FINAL);
-                    mailbox
-                        .completions
-                        .store(shard.runner.completions(), Ordering::Release);
-                }
-            }));
-            if outcome.is_err() {
-                self.sync.poisoned.store(true, Ordering::Release);
-            }
-            self.ack();
-        }
-    }
-}
-
-/// Shuts the session down on every exit path — including the driver unwinding
-/// on a poisoned barrier — so pool workers never stay parked in a dead
-/// session and always hand their shards back before the pool joins them.
-struct SessionGuard<'a> {
-    session: &'a Arc<FleetSession>,
-    active: bool,
-}
-
-impl SessionGuard<'_> {
-    fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if self.active {
-            self.active = false;
-            self.session.publish(CMD_SHUTDOWN, 0);
-            self.session.wait_barrier();
-        }
-    }
-}
-
-impl Drop for SessionGuard<'_> {
-    fn drop(&mut self) {
-        self.shutdown_inner();
     }
 }
 
@@ -625,8 +448,9 @@ pub struct FleetEngine {
     /// What the forwarding fabric injected so far.
     fabric_stats: FaultStats,
     /// Per-shard arrival batches of the epoch being routed.  Reused across
-    /// epochs with high-water retention (cleared by `drain`, never dropped),
-    /// so steady-state routing allocates nothing; see
+    /// epochs with high-water retention (cleared by `drain`, never dropped;
+    /// a session swaps them with its parcels' drained buffers), so
+    /// steady-state routing allocates nothing; see
     /// [`FleetEngine::arrival_scratch_capacities`].
     due: Vec<Vec<AppArrival>>,
     /// Driver-side admission counters, indexed by shard.
@@ -791,9 +615,9 @@ impl FleetEngine {
     /// Under [`Parallelism::Sequential`] the shards run in place on the
     /// calling thread — the reference implementation of an epoch, which the
     /// pooled path is property-tested byte-identical against.  With more than
-    /// one worker the epoch is a one-epoch session on a fresh [`WorkerPool`]
-    /// (see [`FleetEngine::run_epochs_on`]); whole runs should use
-    /// [`FleetEngine::run`] instead, which spawns the pool once.
+    /// one worker the epoch is a one-epoch session (see
+    /// [`FleetEngine::run_epochs_on`]); whole runs should use
+    /// [`FleetEngine::run`] instead, which spawns the workers once.
     pub fn advance_epoch(&mut self, parallelism: Parallelism) -> bool {
         if self.finished {
             return false;
@@ -826,38 +650,28 @@ impl FleetEngine {
         !self.finished
     }
 
-    /// Runs the fleet to its horizon.  With more than one worker's worth of
-    /// parallelism this builds a persistent [`WorkerPool`] sized **once** by
-    /// [`Parallelism::workers`] and drives it via
-    /// [`FleetEngine::run_on`]; otherwise it loops the sequential path.
+    /// Runs the fleet to its horizon in one session of
+    /// [`Parallelism::workers`] workers (see [`FleetEngine::run_epochs_on`]).
     pub fn run(&mut self, parallelism: Parallelism) {
         let workers = parallelism.workers(self.shards.len());
-        if workers <= 1 {
-            while self.advance_epoch(Parallelism::Sequential) {}
-        } else {
-            let pool = WorkerPool::new(workers);
-            self.run_on(&pool);
-        }
+        self.run_epochs_on(&WorkerPool::new(workers), u64::MAX);
     }
 
-    /// Runs the fleet to its horizon on an existing persistent pool (one
-    /// session of shard-pinned workers; see [`FleetEngine::run_epochs_on`]).
-    pub fn run_on(&mut self, pool: &WorkerPool) {
-        self.run_epochs_on(pool, u64::MAX);
-    }
-
-    /// Runs up to `max_epochs` epochs on a persistent pool and returns `true`
-    /// while the horizon has not been reached.
+    /// Runs up to `max_epochs` epochs on `pool.workers()` workers and returns
+    /// `true` while the horizon has not been reached.
     ///
-    /// One call is one **session**: the shards move into per-shard hand-off
-    /// cells, each participating worker takes pinned ownership of shards
-    /// `w, w + workers, …` for every epoch of the call, and the driver
-    /// rendezvouses with them through [`EpochSync`] and the double-buffered
-    /// [`ShardMailbox`]es.  At the end of the call (any exit path, including
-    /// an unwinding driver) the session shuts down and the workers hand every
-    /// shard back, so the engine can be resumed — on a pool, or sequentially —
-    /// and the pool can be dropped mid-run and still joins cleanly.  With at
-    /// most one participating worker the sequential path runs inline.
+    /// One call is one **session**, a [`std::thread::scope`]: worker `w`
+    /// borrows the `w`-th contiguous chunk of shards for every epoch of the
+    /// call, and worker 0 is the calling thread.  Each epoch the driver routes
+    /// the arrivals, sends every other worker its chunk's batches over a
+    /// one-slot channel, runs its own chunk, and folds the completion counters
+    /// in shard-index order, exactly as the sequential path does.  The shards
+    /// are back in the engine when the call returns, so a run resumes — in a
+    /// new session, or sequentially — byte-identically.  A shard that panics
+    /// fails the call: on a spawned worker the driver panics with "a fleet
+    /// worker panicked while running its shards", and the scope joins the
+    /// other workers before the panic leaves this call.  With at most one
+    /// worker the sequential path runs inline.
     pub fn run_epochs_on(&mut self, pool: &WorkerPool, max_epochs: u64) -> bool {
         if self.finished {
             return false;
@@ -872,65 +686,73 @@ impl FleetEngine {
             return !self.finished;
         }
 
-        let session = Arc::new(FleetSession::new(
-            std::mem::take(&mut self.shards),
-            workers,
-            std::thread::current(),
-        ));
-        for worker in 0..workers {
-            let session = Arc::clone(&session);
-            pool.submit(worker, move |index| session.worker_session(index));
-        }
-        let guard = SessionGuard {
-            session: &session,
-            active: true,
-        };
-
-        let mut phase = 0usize;
-        for _ in 0..max_epochs {
-            if self.finished {
-                break;
+        let mut shards = std::mem::take(&mut self.shards);
+        std::thread::scope(|scope| {
+            let chunk_len = shards.len().div_ceil(workers);
+            let mut chunks = shards.chunks_mut(chunk_len);
+            let own = chunks.next().expect("a fleet has at least one shard");
+            let mut parcels = vec![Parcel::new(own.len())];
+            let mut links = Vec::with_capacity(workers - 1);
+            for chunk in chunks {
+                let (orders, inbox) = sync_channel::<Parcel>(1);
+                let (outbox, replies) = sync_channel::<Parcel>(1);
+                parcels.push(Parcel::new(chunk.len()));
+                links.push((orders, replies));
+                scope.spawn(move || {
+                    for mut parcel in inbox {
+                        parcel.run(chunk);
+                        if outbox.send(parcel).is_err() {
+                            break;
+                        }
+                    }
+                });
             }
-            let (barrier, is_final) = self.next_barrier();
-            if self.driver.is_some() {
-                self.route_epoch(barrier);
-                for (mailbox, batch) in session.mail.iter().zip(self.due.iter_mut()) {
-                    let mut inbox = mailbox.inbox[phase].lock().expect("inbox poisoned");
-                    inbox.clear();
-                    inbox.extend(batch.drain(..));
+
+            for _ in 0..max_epochs {
+                if self.finished {
+                    break;
                 }
+                let (barrier, is_final) = self.next_barrier();
+                if self.driver.is_some() {
+                    self.route_epoch(barrier);
+                }
+                // A swap hands the routed batches to the parcel and leaves the
+                // parcel's drained buffers for the next epoch's routing.
+                let mut due = self.due.iter_mut();
+                for parcel in &mut parcels {
+                    parcel.barrier = barrier;
+                    parcel.is_final = is_final;
+                    for (batch, routed) in parcel.batches.iter_mut().zip(due.by_ref()) {
+                        std::mem::swap(batch, routed);
+                    }
+                }
+                for ((orders, _), parcel) in links.iter().zip(parcels.drain(1..)) {
+                    orders
+                        .send(parcel)
+                        .expect("a fleet worker panicked while running its shards");
+                }
+                // The driver works the first chunk itself while the others
+                // run: a session then spawns one thread fewer, and on a host
+                // with as many cores as workers no thread waits for a core.
+                parcels[0].run(own);
+                for (_, replies) in &links {
+                    parcels.push(
+                        replies
+                            .recv()
+                            .expect("a fleet worker panicked while running its shards"),
+                    );
+                }
+                // Barrier snapshot exchange, in shard-index order — identical
+                // to the sequential path's fold.
+                let completions = parcels.iter().flat_map(|parcel| &parcel.completions);
+                for (index, &done) in completions.enumerate() {
+                    self.router.record_completions(index, done);
+                }
+                self.epochs_run += 1;
+                self.finished = is_final;
             }
-            session.publish(
-                if is_final { CMD_FINAL } else { CMD_RUN },
-                barrier.as_micros(),
-            );
-            session.wait_barrier();
-            assert!(
-                !session.sync.poisoned.load(Ordering::Acquire),
-                "a fleet worker panicked while running its shards"
-            );
-            // Barrier snapshot exchange, in shard-index order — identical to
-            // the sequential path's fold.
-            for (index, mailbox) in session.mail.iter().enumerate() {
-                self.router
-                    .record_completions(index, mailbox.completions.load(Ordering::Acquire));
-            }
-            phase ^= 1;
-            self.epochs_run += 1;
-            self.finished = is_final;
-        }
-
-        guard.shutdown();
-        self.shards = session
-            .cells
-            .iter()
-            .map(|cell| {
-                cell.lock()
-                    .expect("shard cell poisoned")
-                    .take()
-                    .expect("every worker hands its shards back at shutdown")
-            })
-            .collect();
+        });
+        self.shards = shards;
         !self.finished
     }
 
@@ -947,7 +769,7 @@ impl FleetEngine {
     /// delivery batches in `self.due` in (time, id) order.  Deliveries whose
     /// time lands past the barrier stay in flight (`deferred`) until their
     /// epoch comes.  Touches no shard state, so it runs no matter who owns
-    /// the shards — pinned pool workers or the caller.
+    /// the shards — session workers or the caller.
     fn route_epoch(&mut self, barrier: SimTime) {
         let Self {
             config,
@@ -1082,9 +904,8 @@ impl FleetEngine {
 }
 
 /// Runs a whole fleet to its horizon and returns the report.  Convenience
-/// wrapper: create the engine, run it — on a persistent shard-pinned
-/// [`WorkerPool`] when `parallelism` allows more than one worker — and fold
-/// the report.
+/// wrapper: create the engine, run it in one session of
+/// [`Parallelism::workers`] workers, and fold the report.
 pub fn run_fleet(
     parallelism: Parallelism,
     kind: SchedulerKind,
@@ -1313,11 +1134,10 @@ mod tests {
     fn pooled_fleet_run_is_consistent_and_allocation_free() {
         // The pooled path must uphold the same invariants the sequential path
         // does: admission accounting balances and no shard's event queue ever
-        // grows, even with heavy spillover traffic through the mailboxes.
+        // grows, even with heavy spillover traffic through the parcels.
         let config = fleet_config().with_spillover(2, SimDuration::from_secs(10));
-        let pool = WorkerPool::new(4);
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-        engine.run_on(&pool);
+        engine.run(Parallelism::Threads(4));
         assert!(engine.is_finished());
         let report = engine.report();
         assert!(report.completions > 0);
@@ -1331,10 +1151,10 @@ mod tests {
 
     #[test]
     fn pooled_run_interrupted_mid_run_resumes_byte_identically() {
-        // A partial pooled session must hand every shard back, let its pool
-        // be dropped mid-run (workers join cleanly), and leave the engine in
-        // a state that resumes — pooled or sequentially — to the exact bytes
-        // of an uninterrupted sequential run.
+        // A partial pooled session must hand every shard back and leave the
+        // engine in a state that resumes — in a session of another size, or
+        // sequentially — to the exact bytes of an uninterrupted sequential
+        // run.
         let kind = SchedulerKind::VersaSlotBigLittle;
         let reference = {
             let mut engine = FleetEngine::new(kind, fleet_config());
@@ -1342,15 +1162,9 @@ mod tests {
             serde_json::to_string(&engine.report()).unwrap()
         };
         let mut engine = FleetEngine::new(kind, fleet_config());
-        {
-            let pool = WorkerPool::new(3);
-            assert!(engine.run_epochs_on(&pool, 2));
-            assert_eq!(engine.epochs_run(), 2);
-            // The pool drops here, mid-run: the test hanging would mean a
-            // worker stayed parked in the dead session.
-        }
-        let pool = WorkerPool::new(2);
-        assert!(engine.run_epochs_on(&pool, 1));
+        assert!(engine.run_epochs_on(&WorkerPool::new(3), 2));
+        assert_eq!(engine.epochs_run(), 2);
+        assert!(engine.run_epochs_on(&WorkerPool::new(2), 1));
         assert_eq!(engine.epochs_run(), 3);
         engine.run(Parallelism::Sequential);
         assert!(engine.is_finished());
@@ -1380,9 +1194,8 @@ mod tests {
             let kind = SchedulerKind::VersaSlotBigLittle;
             let mut sequential = FleetEngine::new(kind, config);
             while sequential.advance_epoch(Parallelism::Sequential) {}
-            let pool = WorkerPool::new(2);
             let mut pooled = FleetEngine::new(kind, config);
-            pooled.run_on(&pool);
+            pooled.run(Parallelism::Threads(2));
             prop_assert_eq!(
                 serde_json::to_string(&sequential.report()).unwrap(),
                 serde_json::to_string(&pooled.report()).unwrap()
@@ -1467,6 +1280,29 @@ mod tests {
         assert!(!stats.flap_stall.is_zero());
         // The allocation-free invariant survives fault events on every shard.
         assert_eq!(sequential.shard_grow_events(), vec![0; 4]);
+    }
+
+    /// Panics on its first scheduling pass.
+    struct PanickingPolicy;
+
+    impl Policy for PanickingPolicy {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn schedule(&mut self, _sim: &mut crate::engine::SharingSimulator) {
+            panic!("shard policy exploded");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a fleet worker panicked")]
+    fn a_panicking_shard_fails_the_pooled_run_instead_of_hanging() {
+        // On 2 workers the calling thread runs shards 0 and 1, and a spawned
+        // worker runs shards 2 and 3.
+        let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, fleet_config());
+        engine.shards[3].policy = Box::new(PanickingPolicy);
+        engine.run(Parallelism::Threads(2));
     }
 
     #[test]

@@ -68,8 +68,7 @@ pub use fleet::{run_fleet, FleetConfig, FleetEngine, FleetReport, FleetWorkload,
 pub use metrics::{AppRecord, RunReport};
 pub use par::{parallel_map, Parallelism, WorkerPool};
 pub use runner::{
-    run_cluster_sequence, run_cluster_workload, run_sequence, run_workload, run_workload_with,
-    ClusterMode, SchedulerKind,
+    run_cluster_sequence, run_sequence, run_workload, run_workload_with, ClusterMode, SchedulerKind,
 };
 pub use service::{
     run_service_cell, run_service_matrix, service_matrix, AppServiceStats, ServiceCell,

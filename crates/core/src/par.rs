@@ -1,46 +1,27 @@
-//! Deterministic parallel execution: scoped fan-out and the persistent
-//! [`WorkerPool`].
+//! Deterministic parallel execution on one substrate: scoped threads.
 //!
-//! Two execution substrates live here, one per job shape, sharing one
-//! determinism contract (any parallel run is byte-identical to a sequential
-//! one):
+//! Every parallel job runs on threads spawned with [`std::thread::scope`] for
+//! the duration of one call and joined before it returns.  Workers borrow
+//! their inputs, so nothing needs a `'static` bound, an `Arc` or a poison
+//! flag, and a worker's panic reaches the caller when the scope joins.  One
+//! determinism contract holds throughout: any parallel run is byte-identical
+//! to a sequential one.
 //!
-//! * **Scoped fan-out** — [`parallel_map`] spawns scoped worker threads for
-//!   the duration of one job list, joins them before returning and collects
-//!   results in **input order**.  Right for sweeps, whose every job is a whole
-//!   simulation: it borrows its inputs, so it needs no `'static` bounds, no
-//!   `Arc` and no poison flags.
-//! * **The persistent pool** — [`WorkerPool`] spawns its workers **once** and
-//!   keeps them alive until the pool is dropped.  Work arrives over per-worker
-//!   channels; between jobs the workers block on their channel, costing
-//!   nothing.  The fleet engine pins one long-lived worker to each group of
-//!   shards for a whole run (see `core::fleet`), where a per-epoch spawn/join
-//!   cycle would dominate the barrier.
+//! * **Per sweep** — [`parallel_map`] claims jobs with an atomic cursor, so
+//!   long and short jobs balance, and returns the results in **input order**.
+//!   A sweep job is a whole simulation.
+//! * **Per fleet session** — each `FleetEngine::run_epochs_on` call (see
+//!   `core::fleet`) is one scope: worker `w` borrows the `w`-th contiguous
+//!   chunk of shards for every epoch of the call, with the calling thread as
+//!   worker 0, and the driver trades arrival batches for completion counters
+//!   with the spawned workers over one-slot channels at each barrier.
 //!
-//! # Pool lifecycle
-//!
-//! 1. **Spawn-once.**  [`WorkerPool::new`] spawns `workers` OS threads.
-//!    Callers size the pool with [`Parallelism::workers`] — for
-//!    [`Parallelism::Auto`] that is `min(jobs, available cores)` computed
-//!    **once** at construction, never re-derived per epoch.
-//! 2. **Sessions.**  [`WorkerPool::submit`] hands a worker a long-running job
-//!    (the fleet engine submits one *session* per worker that owns its pinned
-//!    shards across every epoch).  Rendezvous inside a session is the
-//!    caller's protocol — the fleet uses an atomic epoch counter plus
-//!    [`std::thread::park`]/`unpark` and double-buffered mailboxes, so its
-//!    barrier costs two parks per epoch instead of K thread spawns.
-//! 3. **Shutdown.**  Dropping the pool closes every channel; workers drain
-//!    what they hold and exit, and the drop joins them.  A panicking job never
-//!    kills its worker (the pool catches it and the submitting side observes
-//!    the failure through the job's own completion accounting), so the pool
-//!    always joins cleanly — including when a fleet run panics mid-epoch.
+//! [`Parallelism::workers`] sizes both, once per call.  [`WorkerPool`] is no
+//! more than a worker count for `run_epochs_on`; it holds no threads.
 
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 /// How a job list is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,8 +47,9 @@ impl Parallelism {
             Parallelism::Auto => std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
                 .unwrap_or(1)
-                .min(jobs),
-            Parallelism::Threads(n) => n.max(1).min(jobs),
+                .min(jobs)
+                .max(1),
+            Parallelism::Threads(n) => n.min(jobs).max(1),
         }
     }
 }
@@ -119,83 +101,32 @@ where
     results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// A job queued onto a pool worker.
-type Job = Box<dyn FnOnce(usize) + Send + 'static>;
-
-/// A pool of persistent worker threads (see the [module docs](self) for the
-/// lifecycle).
+/// The worker count of a fleet session (`FleetEngine::run_epochs_on`).
 ///
-/// Workers are spawned once at construction and live until the pool is
-/// dropped; between jobs they block on their submission channel.  Jobs are
-/// addressed to a **specific** worker ([`WorkerPool::submit`]) so callers can
-/// pin long-lived state — the fleet engine pins each shard's spine to one
-/// worker for a whole run, moving it across threads zero times instead of
-/// once per epoch.
+/// A plain count: constructing one spawns no thread, since each session spawns
+/// its own scoped workers.  It remains as the benchmark's sizing handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
-    senders: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
+    workers: usize,
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `workers` persistent threads (at least one).
+    /// A count of `workers` (at least one).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for index in 0..workers {
-            let (tx, rx) = channel::<Job>();
-            let handle = std::thread::Builder::new()
-                .name(format!("versaslot-pool-{index}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // A panicking job must not take the worker down with
-                        // it: the submitting side observes the failure through
-                        // the job's own completion accounting, and the worker
-                        // lives on for the next job.
-                        let _ = catch_unwind(AssertUnwindSafe(|| job(index)));
-                    }
-                })
-                .expect("spawning a pool worker thread");
-            senders.push(tx);
-            handles.push(handle);
+        WorkerPool {
+            workers: workers.max(1),
         }
-        WorkerPool { senders, handles }
     }
 
-    /// Number of persistent workers.
+    /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Queues `job` onto worker `worker` (jobs on one worker run in
-    /// submission order).  The job receives the worker's index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker >= self.workers()`.
-    pub fn submit(&self, worker: usize, job: impl FnOnce(usize) + Send + 'static) {
-        self.senders[worker]
-            .send(Box::new(job))
-            .expect("pool workers outlive the pool handle");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channels lets each worker drain what it holds and exit;
-        // joining ignores worker panics (job panics were already caught, and a
-        // double panic during unwind would abort).
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.workers
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn results_are_in_input_order() {
@@ -251,53 +182,22 @@ mod tests {
         assert_eq!(Parallelism::Threads(4).workers(8), 4);
         assert_eq!(Parallelism::Threads(4).workers(2), 2, "capped by jobs");
         assert_eq!(Parallelism::Threads(0).workers(8), 1, "at least one");
+        assert_eq!(
+            Parallelism::Threads(4).workers(0),
+            1,
+            "at least one, even with no jobs"
+        );
+        assert_eq!(
+            Parallelism::Auto.workers(0),
+            1,
+            "at least one, even with no jobs"
+        );
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         assert_eq!(Parallelism::Auto.workers(usize::MAX), cores);
         assert_eq!(
             WorkerPool::new(Parallelism::Threads(5).workers(3)).workers(),
             3
         );
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_job_and_joins_cleanly() {
-        let pool = WorkerPool::new(2);
-        pool.submit(0, |_| panic!("job exploded"));
-        // The worker survived: a job queued behind the panic still runs...
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit(0, move |index| tx.send(index * 10 + 7).unwrap());
-        assert_eq!(rx.recv().unwrap(), 7);
-        // ...and dropping the pool joins without hanging (the test finishing
-        // is the assertion).
-        drop(pool);
-    }
-
-    #[test]
-    fn pinned_submissions_run_on_their_worker_in_order() {
-        let pool = WorkerPool::new(3);
-        let log: Arc<Mutex<Vec<(usize, u32)>>> = Arc::new(Mutex::new(Vec::new()));
-        let done = Arc::new(AtomicUsize::new(0));
-        for step in 0..4u32 {
-            for worker in 0..pool.workers() {
-                let log = Arc::clone(&log);
-                let done = Arc::clone(&done);
-                pool.submit(worker, move |index| {
-                    log.lock().unwrap().push((index, step));
-                    done.fetch_add(1, Ordering::AcqRel);
-                });
-            }
-        }
-        while done.load(Ordering::Acquire) < 12 {
-            std::thread::yield_now();
-        }
-        let log = log.lock().unwrap();
-        for worker in 0..3 {
-            let steps: Vec<u32> = log
-                .iter()
-                .filter(|(index, _)| *index == worker)
-                .map(|(_, step)| *step)
-                .collect();
-            assert_eq!(steps, vec![0, 1, 2, 3], "worker {worker} ran out of order");
-        }
+        assert_eq!(WorkerPool::new(0).workers(), 1);
     }
 }

@@ -89,8 +89,8 @@ impl SchedulerKind {
     /// A fresh policy instance for this scheduler, or `None` for the Baseline
     /// (exclusive temporal multiplexing bypasses the sharing engine).
     ///
-    /// The box is `Send` so a policy can live inside fleet shard state that
-    /// moves onto a pinned pool worker thread.
+    /// The box is `Send` so a policy can live inside fleet shard state that a
+    /// session worker thread borrows.
     pub fn policy(&self) -> Option<Box<dyn Policy + Send>> {
         match self {
             SchedulerKind::Baseline => None,
@@ -203,32 +203,6 @@ pub fn run_cluster_sequence(
     report
 }
 
-/// Simulates every sequence of `workload` under one cluster running mode,
-/// fanning the independent sequences out across worker threads.
-///
-/// Reports come back in sequence order and are byte-identical to a sequential
-/// run (see [`crate::par::parallel_map`]).
-pub fn run_cluster_workload(
-    mode: ClusterMode,
-    workload: &Workload,
-    switching: SwitchingConfig,
-) -> Vec<RunReport> {
-    run_cluster_workload_with(mode, workload, switching, Parallelism::Auto)
-}
-
-/// [`run_cluster_workload`] with an explicit execution mode (the determinism
-/// tests compare the two paths).
-pub fn run_cluster_workload_with(
-    mode: ClusterMode,
-    workload: &Workload,
-    switching: SwitchingConfig,
-    parallelism: Parallelism,
-) -> Vec<RunReport> {
-    parallel_map(parallelism, &workload.sequences, |sequence| {
-        run_cluster_sequence(mode, workload, sequence, switching)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,40 +247,6 @@ mod tests {
                 serde_json::to_string(&sequential).expect("reports serialise"),
                 serde_json::to_string(&threaded).expect("reports serialise"),
                 "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_cluster_workload_is_deterministic_across_execution_modes() {
-        let workload = generate_workload(&WorkloadConfig::paper_switching().with_shape(2, 10));
-        for mode in ClusterMode::all() {
-            let sequential = run_cluster_workload_with(
-                mode,
-                &workload,
-                SwitchingConfig::default(),
-                Parallelism::Sequential,
-            );
-            let threaded = run_cluster_workload_with(
-                mode,
-                &workload,
-                SwitchingConfig::default(),
-                Parallelism::Threads(4),
-            );
-            assert_eq!(
-                serde_json::to_string(&sequential).expect("reports serialise"),
-                serde_json::to_string(&threaded).expect("reports serialise"),
-                "{mode:?}"
-            );
-            assert_eq!(
-                serde_json::to_string(&sequential).expect("reports serialise"),
-                serde_json::to_string(&run_cluster_workload(
-                    mode,
-                    &workload,
-                    SwitchingConfig::default()
-                ))
-                .expect("reports serialise"),
-                "{mode:?}"
             );
         }
     }

@@ -9,13 +9,13 @@
 //! cargo run --release --example fleet_mode
 //! ```
 
-use versaslot::core::fleet::{FleetConfig, FleetEngine, FleetReport};
-use versaslot::core::par::{Parallelism, WorkerPool};
+use versaslot::core::fleet::{run_fleet, FleetConfig, FleetReport};
+use versaslot::core::par::Parallelism;
 use versaslot::core::runner::SchedulerKind;
 use versaslot::sim::SimDuration;
 use versaslot::workload::{ArrivalProcess, Placement};
 
-fn fleet(pool: &WorkerPool, placement: Placement, spillover: bool) -> FleetReport {
+fn fleet(placement: Placement, spillover: bool) -> FleetReport {
     // Four shards sharing one 2.4 apps/s Poisson stream — about 0.6 apps/s
     // per shard, comfortably inside a Big.Little board's capacity but bursty
     // enough that backlog-aware placement has something to smooth out.
@@ -32,12 +32,9 @@ fn fleet(pool: &WorkerPool, placement: Placement, spillover: bool) -> FleetRepor
         // the burst.
         config = config.with_spillover(4, SimDuration::from_millis(50));
     }
-    // All three comparison runs share one persistent pool: the workers are
-    // spawned once for the whole example, and within each run every shard
-    // stays pinned to its worker across all epoch barriers.
-    let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-    engine.run_on(pool);
-    engine.report()
+    // Within each run every shard stays on one worker across all epoch
+    // barriers; the report is byte-identical to a sequential run.
+    run_fleet(Parallelism::Auto, SchedulerKind::VersaSlotBigLittle, config)
 }
 
 fn print_fleet(label: &str, report: &FleetReport) {
@@ -96,12 +93,8 @@ fn main() {
         ("hash + spillover", Placement::Hash, true),
         ("least-loaded", Placement::LeastLoaded, false),
     ];
-    // One pool for all three runs — sized once from `Parallelism::Auto` for
-    // the 4-shard fleets below, spawned before the first run and joined when
-    // it drops at the end of `main`.
-    let pool = WorkerPool::new(Parallelism::Auto.workers(4));
     for (label, placement, spillover) in runs {
-        print_fleet(label, &fleet(&pool, placement, spillover));
+        print_fleet(label, &fleet(placement, spillover));
     }
     println!(
         "The fleet-wide percentiles come from merging each shard's log-histogram\n\
