@@ -214,7 +214,7 @@ pub fn figure5(shape: Shape) -> Vec<Fig5Row> {
 ///
 /// All four congestion conditions are folded into one global
 /// (congestion × scheduler × sequence) job list and fanned out through a single
-/// [`parallel_map`] call — see [`run_congestion_matrices`].
+/// [`parallel_map`] call — see `run_congestion_matrices`.
 pub fn figure5_with(shape: Shape, parallelism: Parallelism) -> Vec<Fig5Row> {
     let congestions = Congestion::all();
     let matrices = run_congestion_matrices(&congestions, shape, parallelism);

@@ -1,15 +1,15 @@
 //! Multi-word slot bitmasks and the non-allocating combined-mask iterator.
 //!
 //! [`SlotMask`] replaces the engine's former raw `u64` masks: one bit per slot,
-//! stored as a fixed number of 64-bit words.  The first [`INLINE_WORDS`] words
-//! live inline in the struct (so runs of up to 128 slots never follow a heap
-//! pointer); larger fleets spill the remaining words into a `Vec` that is
+//! stored as a fixed number of 64-bit words.  The first two (`INLINE_WORDS`)
+//! words live inline in the struct (so runs of up to 128 slots never follow a
+//! heap pointer); larger fleets spill the remaining words into a `Vec` that is
 //! allocated once at construction and never resized.  All masks of one
 //! simulator share the same word count, so word-wise set operations
 //! (union/subtract) and comparisons are straight loops over `u64`s.
 //!
 //! Policy-facing queries (`grantable_slots`, `loaded_idle_slots`, slot counts)
-//! never materialise a combined mask: [`MaskQuery`] lazily evaluates
+//! never materialise a combined mask: a `MaskQuery` lazily evaluates
 //! `base & (and | or_into_and) & kind` one word at a time, and
 //! [`SlotIndexIter`] walks the set bits of that expression with
 //! trailing-zeros/clear-lowest-bit scans — zero allocation, zero temporary

@@ -120,8 +120,8 @@
 //!
 //! * the [`EventQueue`] is pre-sized at construction with
 //!   [`SharingSimulator::event_queue_capacity`] (arrivals + slots + boards, the
-//!   tight bound on concurrently pending events), so its key heap and payload
-//!   arena never grow — [`SharingSimulator::step`] debug-asserts
+//!   tight bound on concurrently pending events), so its heap never grows —
+//!   [`SharingSimulator::step`] debug-asserts
 //!   [`SharingSimulator::event_queue_grow_events`] stays `0`;
 //! * [`Trace::log`] takes a `Copy` [`TraceDetail`] payload and bumps a
 //!   fixed-array counter, so a counting-only trace never formats or allocates;
@@ -222,7 +222,7 @@ struct FaultState {
     /// still in the queue.  The occupant is detached immediately, but the slot
     /// itself is only returned to the free pool when that stale event drains —
     /// this keeps the queue at one pending event per slot, which is what the
-    /// pre-sized arena reserves.
+    /// pre-sized queue reserves.
     slot_quarantined: Vec<bool>,
 }
 
@@ -630,14 +630,6 @@ impl SharingSimulator {
         &self.active
     }
 
-    /// Identifiers of applications that have arrived and are not yet completed,
-    /// in arrival (identifier) order.
-    ///
-    /// Allocating convenience wrapper around [`Self::active_apps`].
-    pub fn active_app_ids(&self) -> Vec<AppId> {
-        self.active.clone()
-    }
-
     /// Runtime state of an application.
     ///
     /// # Panics
@@ -741,26 +733,6 @@ impl SharingSimulator {
         self.grantable_query(app, kind).any()
     }
 
-    /// Appends the indices of slots grantable to `app` to `scratch` (ascending,
-    /// caller-owned buffer; no allocation once the buffer has grown).
-    pub fn grantable_slots_into(
-        &self,
-        app: AppId,
-        kind: Option<SlotKind>,
-        scratch: &mut Vec<usize>,
-    ) {
-        scratch.extend(self.grantable_slots(app, kind));
-    }
-
-    /// Indices of slots that could be granted to `app` right now.
-    ///
-    /// Allocating convenience wrapper around [`Self::grantable_slots`], kept for
-    /// tests and external callers; the policies use the iterator /
-    /// [`Self::first_grantable_slot`] forms.
-    pub fn grantable_slot_indices(&self, app: AppId, kind: Option<SlotKind>) -> Vec<usize> {
-        self.grantable_slots(app, kind).collect()
-    }
-
     /// Iterates the indices of loaded, idle slots of `kind` (the preemption
     /// candidates) in ascending order, without allocating.
     pub fn loaded_idle_slots(&self, kind: SlotKind) -> SlotIndexIter<'_> {
@@ -828,11 +800,6 @@ impl SharingSimulator {
         self.config.boards[self.active_board].layout.kind()
     }
 
-    /// D_switch samples recorded so far (empty unless switching is configured).
-    pub fn dswitch_samples(&self) -> &[DswitchSample] {
-        &self.dswitch_trace
-    }
-
     /// Cross-board migrations performed so far.
     pub fn migration_records(&self) -> &[MigrationRecord] {
         &self.migrations
@@ -854,7 +821,7 @@ impl SharingSimulator {
     }
 
     /// Upper bound on the number of *concurrently pending* events of a run, used
-    /// to pre-size the [`EventQueue`] arena so the steady state never allocates.
+    /// to pre-size the [`EventQueue`] so the steady state never allocates.
     ///
     /// All arrival events are scheduled up front (`num_arrivals`); beyond those,
     /// every slot has at most one in-flight completion (`PrComplete` while
@@ -1620,7 +1587,7 @@ impl SharingSimulator {
     /// Consumes the stale completion of a slot evicted by a board failure and
     /// returns the slot to the free pool.  The release is deferred to this
     /// point (rather than eviction time) so each slot keeps at most one event
-    /// in flight — the bound the pre-sized arena reserves.
+    /// in flight — the bound the pre-sized queue reserves.
     fn release_quarantined(&mut self, slot_idx: usize) {
         {
             let fault = self
@@ -2402,7 +2369,7 @@ mod tests {
                         })
                         .map(|(i, _)| i)
                         .collect();
-                    assert_eq!(sim.grantable_slot_indices(app, kind), naive);
+                    assert_eq!(sim.grantable_slots(app, kind).collect::<Vec<_>>(), naive);
                     assert_eq!(sim.first_grantable_slot(app, kind), naive.first().copied());
                     assert_eq!(sim.has_grantable_slot(app, kind), !naive.is_empty());
                 }
@@ -2720,27 +2687,5 @@ mod tests {
             switches += switching.migration_records().len();
         }
         assert!(switches >= 2, "only {switches} switches");
-    }
-
-    #[test]
-    fn grantable_scratch_variant_matches_allocating_variant() {
-        let config = SystemConfig::single_board(BoardSpec::zcu216_only_little());
-        let mut sim = SharingSimulator::new(
-            config,
-            BenchmarkApp::suite(),
-            &single_arrival(BenchmarkApp::LeNet, 4),
-        );
-        let mut policy = VersaSlotPolicy::new();
-        let mut scratch = Vec::new();
-        while sim.step(&mut policy) {
-            for &app in sim.active_apps() {
-                scratch.clear();
-                sim.grantable_slots_into(app, Some(SlotKind::Little), &mut scratch);
-                assert_eq!(
-                    scratch,
-                    sim.grantable_slot_indices(app, Some(SlotKind::Little))
-                );
-            }
-        }
     }
 }

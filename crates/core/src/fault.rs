@@ -25,13 +25,11 @@
 use serde::{Deserialize, Serialize};
 use versaslot_sim::fault::{FaultProfile, FaultStats};
 use versaslot_workload::arrival::ArrivalProcess;
-use versaslot_workload::benchmarks::BenchmarkApp;
 
-use crate::config::SystemConfig;
 use crate::par::{parallel_map, Parallelism};
 use crate::runner::SchedulerKind;
 use crate::service::{
-    run_service_matrix, service_matrix, ServiceCell, ServiceConfig, ServiceReport, ServiceRunner,
+    run_cell, run_service_matrix, service_matrix, ServiceCell, ServiceConfig, ServiceReport,
 };
 
 /// A named fault scenario of a robustness grid.
@@ -175,21 +173,7 @@ pub fn run_service_cell_with_faults(
     faults: FaultProfile,
     base: &ServiceConfig,
 ) -> (ServiceReport, FaultStats) {
-    let mut policy = cell
-        .scheduler
-        .policy()
-        .expect("the Baseline comparator is not supported in fault mode");
-    let config = ServiceConfig {
-        process: cell.process,
-        load: cell.load,
-        ..*base
-    };
-    let system = SystemConfig::single_board(cell.scheduler.board()).with_faults(faults);
-    let mut runner = ServiceRunner::new(system, BenchmarkApp::suite(), config);
-    let mut report = runner.run(policy.as_mut());
-    report.scheduler = cell.scheduler.label().to_string();
-    let stats = runner.fault_stats();
-    (report, stats)
+    run_cell(cell, base, Some(faults))
 }
 
 /// Runs the full (scheduler × process × load × scenario) robustness grid.
@@ -274,10 +258,12 @@ pub fn format_robustness(report: &RobustnessReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
     use crate::engine::SharingSimulator;
-    use crate::service::{run_service_cell, StopCondition};
+    use crate::service::{run_service_cell, ServiceRunner, StopCondition};
     use proptest::prelude::*;
     use versaslot_sim::{SimDuration, SimTime};
+    use versaslot_workload::benchmarks::BenchmarkApp;
     use versaslot_workload::{AppArrival, AppId};
 
     fn poisson() -> ArrivalProcess {

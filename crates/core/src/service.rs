@@ -25,7 +25,7 @@
 //! * a [`StopCondition`] ends the run on an event budget, a simulated-time
 //!   horizon, or converged P99 estimates;
 //! * [`run_service_matrix`] fans a (scheduler × process × load) matrix through
-//!   [`parallel_map`][crate::par::parallel_map] with input-order results, so
+//!   [`crate::par::parallel_map`] with input-order results, so
 //!   parallel service sweeps are byte-identical to sequential ones, same as the
 //!   figure jobs.
 //!
@@ -55,7 +55,8 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{
-    SimDuration, SimTime, StreamingSummary, Summary, TumblingWindow, WindowSummary,
+    FaultProfile, FaultStats, SimDuration, SimTime, StreamingSummary, Summary, TumblingWindow,
+    WindowSummary,
 };
 use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ApplicationSpec, ArrivalDriver, ArrivalProcess};
@@ -69,7 +70,7 @@ use crate::runner::SchedulerKind;
 /// Pending injected arrivals the service runner keeps in the event queue.  The
 /// loop injects the next arrival only once the previous one has been admitted,
 /// so one slot of queue capacity is enough — that is what keeps the pre-sized
-/// event arena valid for an unbounded arrival stream.
+/// event queue valid for an unbounded arrival stream.
 const ARRIVAL_LOOKAHEAD: usize = 1;
 
 /// When to end an open-ended service run.
@@ -365,7 +366,7 @@ impl ServiceRunner {
     /// Counters of the engine's fault plane (all-zero when the system config
     /// carries no fault profile).  Kept out of [`ServiceReport`] so fault-free
     /// reports stay byte-identical to builds without the fault plane.
-    pub fn fault_stats(&self) -> versaslot_sim::fault::FaultStats {
+    pub fn fault_stats(&self) -> FaultStats {
         self.sim.fault_stats()
     }
 
@@ -660,6 +661,18 @@ pub fn service_matrix(
 /// Panics for [`SchedulerKind::Baseline`]: exclusive temporal multiplexing
 /// bypasses the sharing engine and has no service-mode equivalent.
 pub fn run_service_cell(cell: &ServiceCell, base: &ServiceConfig) -> ServiceReport {
+    run_cell(cell, base, None).0
+}
+
+/// The body of [`run_service_cell`] and
+/// [`crate::fault::run_service_cell_with_faults`]: runs `cell` on a single
+/// board with `faults` attached (`None` builds a fault-free board) and returns
+/// the report together with what the fault plane injected.
+pub(crate) fn run_cell(
+    cell: &ServiceCell,
+    base: &ServiceConfig,
+    faults: Option<FaultProfile>,
+) -> (ServiceReport, FaultStats) {
     let mut policy = cell
         .scheduler
         .policy()
@@ -669,14 +682,14 @@ pub fn run_service_cell(cell: &ServiceCell, base: &ServiceConfig) -> ServiceRepo
         load: cell.load,
         ..*base
     };
-    let mut runner = ServiceRunner::new(
-        SystemConfig::single_board(cell.scheduler.board()),
-        BenchmarkApp::suite(),
-        config,
-    );
+    let system = SystemConfig {
+        faults,
+        ..SystemConfig::single_board(cell.scheduler.board())
+    };
+    let mut runner = ServiceRunner::new(system, BenchmarkApp::suite(), config);
     let mut report = runner.run(policy.as_mut());
     report.scheduler = cell.scheduler.label().to_string();
-    report
+    (report, runner.fault_stats())
 }
 
 /// Runs a service matrix through the deterministic parallel fan-out: results

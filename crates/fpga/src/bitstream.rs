@@ -14,16 +14,6 @@ use versaslot_sim::SimDuration;
 
 use crate::slot::SlotKind;
 
-/// Identifier of a pre-generated bitstream in the catalogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct BitstreamId(pub u64);
-
-impl fmt::Display for BitstreamId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bit-{}", self.0)
-    }
-}
-
 /// What a bitstream programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BitstreamKind {
@@ -56,17 +46,6 @@ impl fmt::Display for BitstreamKind {
     }
 }
 
-/// A pre-generated (partial or full) bitstream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bitstream {
-    /// Catalogue identifier.
-    pub id: BitstreamId,
-    /// Whether this targets a Little slot, a Big slot, or the full fabric.
-    pub kind: BitstreamKind,
-    /// Size in bytes — the quantity that determines SD read and PCAP load latency.
-    pub size_bytes: u64,
-}
-
 /// Default bitstream sizes used by the ZCU216 presets (see DESIGN.md §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BitstreamSizes {
@@ -95,15 +74,6 @@ impl BitstreamSizes {
             BitstreamKind::LittlePartial => self.little_partial,
             BitstreamKind::BigPartial => self.big_partial,
             BitstreamKind::Full => self.full,
-        }
-    }
-
-    /// Builds a [`Bitstream`] of the given kind with these sizes.
-    pub fn bitstream(&self, id: BitstreamId, kind: BitstreamKind) -> Bitstream {
-        Bitstream {
-            id,
-            kind,
-            size_bytes: self.size_of(kind),
         }
     }
 }
@@ -189,9 +159,7 @@ mod tests {
         assert!(sizes.little_partial < sizes.big_partial);
         assert!(sizes.big_partial < sizes.full);
         assert_eq!(sizes.size_of(BitstreamKind::Full), sizes.full);
-        let bs = sizes.bitstream(BitstreamId(3), BitstreamKind::BigPartial);
-        assert_eq!(bs.size_bytes, sizes.big_partial);
-        assert_eq!(bs.id, BitstreamId(3));
+        assert_eq!(sizes.size_of(BitstreamKind::BigPartial), sizes.big_partial);
     }
 
     #[test]
@@ -205,7 +173,6 @@ mod tests {
 
     #[test]
     fn display_impls() {
-        assert_eq!(BitstreamId(4).to_string(), "bit-4");
         assert_eq!(BitstreamKind::Full.to_string(), "full");
         assert_eq!(BitstreamKind::LittlePartial.to_string(), "little-partial");
     }

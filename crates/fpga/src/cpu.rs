@@ -44,10 +44,10 @@ impl fmt::Display for CoreAssignment {
 
 /// Busy-window model of one PS core.
 ///
-/// Work items occupy the core back to back, exactly like a [`SerialServer`]
-/// (`crate::pcap::SerialServer`), but the core additionally distinguishes *blocked*
-/// time (suspended by the PCAP) so the simulation can count how often task launches
-/// were delayed.
+/// Work items occupy the core back to back, exactly like a
+/// [`SerialServer`](crate::pcap::SerialServer), but the core additionally
+/// distinguishes *blocked* time (suspended by the PCAP) so the simulation can
+/// count how often task launches were delayed.
 ///
 /// # Example
 ///

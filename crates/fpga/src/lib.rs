@@ -17,7 +17,8 @@
 //! * [`cpu`] — the PS-side ARM cores and the single-core/dual-core hypervisor split.
 //! * [`interconnect`] — AXI/DMA data movement between PS memory and slots.
 //! * [`aurora`] — the cross-board GT link used by live migration.
-//! * [`board`] — a whole board (`zcu216` presets) and [`cluster`] — a set of boards.
+//! * [`board`] — a whole board (`zcu216` presets); the engine's multi-board
+//!   cluster is `versaslot-core`'s `SystemConfig::switching_cluster`.
 //!
 //! # Example
 //!
@@ -40,7 +41,6 @@
 pub mod aurora;
 pub mod bitstream;
 pub mod board;
-pub mod cluster;
 pub mod cpu;
 pub mod interconnect;
 pub mod pcap;
@@ -48,9 +48,8 @@ pub mod resources;
 pub mod slot;
 
 pub use aurora::AuroraLink;
-pub use bitstream::{Bitstream, BitstreamId, BitstreamKind, SdCard};
+pub use bitstream::{BitstreamKind, SdCard};
 pub use board::{BoardId, BoardSpec};
-pub use cluster::ClusterSpec;
 pub use cpu::CoreAssignment;
 pub use interconnect::DmaModel;
 pub use pcap::{PcapModel, SerialServer};

@@ -1,4 +1,4 @@
-//! Time-ordered event queue backed by a slab arena.
+//! Time-ordered event queue.
 //!
 //! The simulation advances by repeatedly popping the earliest pending event.  The
 //! queue guarantees a *deterministic* order: events scheduled for the same instant
@@ -7,19 +7,13 @@
 //!
 //! # Allocation behaviour
 //!
-//! The queue is split into two pre-sizable structures so the steady state of a
-//! simulation run performs **zero heap allocations per event**:
-//!
-//! * a [`BinaryHeap`] of small `Copy` *keys* — `(SimTime, seq, u32 arena index)` —
-//!   that only orders events, and
-//! * a slab **arena** of event payloads, recycled through a free list: popping an
-//!   event returns its slot to the free list, and the next push reuses it.
-//!
-//! [`EventQueue::with_capacity`] pre-sizes the heap, the arena and the free list;
-//! once the pending-event count stays at or below that capacity, neither
-//! structure ever reallocates.  [`EventQueue::grow_events`] counts the
-//! operations that *did* have to grow a backing store, which lets callers (and
-//! the engine's debug assertions) verify a run stayed allocation-free.
+//! The queue is one [`BinaryHeap`] of `(SimTime, seq, event)` entries, ordered
+//! on `(time, seq)` alone.  [`EventQueue::with_capacity`] pre-sizes the heap;
+//! once the pending-event count stays at or below that capacity, a push or pop
+//! never reallocates, so the steady state of a simulation run performs **zero
+//! heap allocations per event**.  [`EventQueue::grow_events`] counts the pushes
+//! that *did* have to grow the heap, which lets callers (and the engine's debug
+//! assertions) verify a run stayed allocation-free.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,8 +23,7 @@ use crate::time::SimTime;
 /// A time-ordered queue of simulation events.
 ///
 /// Ties on the timestamp are broken by insertion order, which makes the simulation
-/// fully deterministic.  Payloads live in a free-list-recycling arena; the binary
-/// heap only orders lightweight keys (see the [module docs](self)).
+/// fully deterministic (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -47,42 +40,35 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Ordering keys; payloads are indexed into `arena` by `Key::slot`.
-    heap: BinaryHeap<Key>,
-    /// Slab of event payloads.  `Some` while the event is pending, `None` once
-    /// popped (the index then sits on `free`).
-    arena: Vec<Option<E>>,
-    /// Indices of vacant arena slots, reused LIFO by the next push.
-    free: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
+    /// Sequence number of the next push; also the total ever scheduled.
     next_seq: u64,
-    scheduled: u64,
     grow_events: u64,
 }
 
-/// Heap entry: everything needed to order an event, with the payload left in
-/// the arena so the heap's sift operations move 20 bytes instead of a payload.
-#[derive(Debug, Clone, Copy)]
-struct Key {
+/// A pending event, ordered only on `(time, seq)`.
+#[derive(Debug, Clone)]
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    event: E,
 }
 
-impl PartialEq for Key {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl Eq for Key {}
+impl<E> Eq for Entry<E> {}
 
-impl PartialOrd for Key {
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Key {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest time (and, within a
         // time, the lowest sequence number) surfaces first.
@@ -96,8 +82,8 @@ impl Ord for Key {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     ///
-    /// Equivalent to [`EventQueue::with_capacity`]`(0)`: the backing stores grow
-    /// on demand (and [`Self::grow_events`] counts every growth).  Long runs
+    /// Equivalent to [`EventQueue::with_capacity`]`(0)`: the heap grows on
+    /// demand (and [`Self::grow_events`] counts every growth).  Long runs
     /// should pre-size with `with_capacity`.
     pub fn new() -> Self {
         EventQueue::with_capacity(0)
@@ -107,15 +93,11 @@ impl<E> EventQueue<E> {
     /// events.
     ///
     /// As long as [`Self::len`] never exceeds `capacity`, no push or pop will
-    /// ever allocate — the heap, the arena and the free list are all sized up
-    /// front.
+    /// ever allocate.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
-            arena: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
             next_seq: 0,
-            scheduled: 0,
             grow_events: 0,
         }
     }
@@ -124,50 +106,22 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(
-                    self.arena[slot as usize].is_none(),
-                    "free list pointed at an occupied arena slot"
-                );
-                self.arena[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                if self.arena.len() == self.arena.capacity() {
-                    self.grow_events += 1;
-                }
-                let slot = u32::try_from(self.arena.len()).expect("arena indices fit in u32");
-                self.arena.push(Some(event));
-                slot
-            }
-        };
         if self.heap.len() == self.heap.capacity() {
             self.grow_events += 1;
         }
-        self.heap.push(Key { time, seq, slot });
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest pending event together with its timestamp.
     ///
-    /// Returns `None` when the queue is empty.  The event's arena slot goes back
-    /// on the free list for the next push to reuse.
+    /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let key = self.heap.pop()?;
-        let event = self.arena[key.slot as usize]
-            .take()
-            .expect("heap key pointed at a vacant arena slot");
-        if self.free.len() == self.free.capacity() {
-            self.grow_events += 1;
-        }
-        self.free.push(key.slot);
-        Some((key.time, event))
+        self.heap.pop().map(|entry| (entry.time, entry.event))
     }
 
     /// Returns the timestamp of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|key| key.time)
+        self.heap.peek().map(|entry| entry.time)
     }
 
     /// Returns the number of pending events.
@@ -182,16 +136,15 @@ impl<E> EventQueue<E> {
 
     /// Returns the total number of events ever scheduled on this queue.
     pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 
     /// Number of pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity().min(self.arena.capacity())
+        self.heap.capacity()
     }
 
-    /// Number of pushes/pops that had to grow a backing store (heap, arena or
-    /// free list).
+    /// Number of pushes that had to grow the heap.
     ///
     /// Stays `0` for the lifetime of a queue created with
     /// [`Self::with_capacity`] whose pending-event count never exceeded that
@@ -204,44 +157,6 @@ impl<E> EventQueue<E> {
     /// Removes all pending events.  Keeps the allocated capacity.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.arena.clear();
-        self.free.clear();
-    }
-
-    /// Checks the arena/free-list bookkeeping: every arena slot is referenced by
-    /// exactly one heap key or one free-list entry (no leaks, no double frees).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the invariant is violated.  Used by the property tests;
-    /// cheap enough (O(pending)) to call from other test suites too.
-    pub fn assert_arena_invariants(&self) {
-        assert_eq!(
-            self.heap.len() + self.free.len(),
-            self.arena.len(),
-            "arena slots leaked or double-freed"
-        );
-        let mut referenced = vec![false; self.arena.len()];
-        for key in self.heap.iter() {
-            let idx = key.slot as usize;
-            assert!(idx < self.arena.len(), "heap key out of arena bounds");
-            assert!(!referenced[idx], "arena slot referenced twice");
-            assert!(
-                self.arena[idx].is_some(),
-                "heap key points at a vacant slot"
-            );
-            referenced[idx] = true;
-        }
-        for &slot in &self.free {
-            let idx = slot as usize;
-            assert!(idx < self.arena.len(), "free-list entry out of bounds");
-            assert!(!referenced[idx], "arena slot double-freed");
-            assert!(
-                self.arena[idx].is_none(),
-                "free-list entry points at an occupied slot"
-            );
-            referenced[idx] = true;
-        }
     }
 }
 
@@ -344,7 +259,6 @@ mod tests {
         }
         assert_eq!(queue.grow_events(), 0);
         assert_eq!(queue.total_scheduled(), 400);
-        queue.assert_arena_invariants();
     }
 
     #[test]
@@ -355,19 +269,6 @@ mod tests {
             queue.grow_events() > 0,
             "growing from capacity 0 is counted"
         );
-    }
-
-    #[test]
-    fn arena_slots_are_recycled() {
-        let mut queue = EventQueue::with_capacity(2);
-        queue.push(SimTime::from_micros(1), "a");
-        queue.push(SimTime::from_micros(2), "b");
-        queue.pop();
-        // The slot vacated by "a" must be reused: the arena stays at 2 slots.
-        queue.push(SimTime::from_micros(3), "c");
-        assert_eq!(queue.arena.len(), 2);
-        assert_eq!(queue.grow_events(), 0);
-        queue.assert_arena_invariants();
     }
 
     proptest! {
@@ -409,10 +310,10 @@ mod tests {
         }
 
         /// Random push/pop interleavings: pops come out in (time, FIFO-within-time)
-        /// order relative to the *currently pending* set, and the arena free list
-        /// never leaks or double-frees a slot at any point.
+        /// order relative to the *currently pending* set, as a naive model queue
+        /// would deliver them.
         #[test]
-        fn prop_interleaved_ops_keep_arena_consistent(
+        fn prop_interleaved_ops_match_a_model_queue(
             ops in prop::collection::vec((prop::bool::ANY, 0u64..50), 0..400),
         ) {
             let mut queue = EventQueue::with_capacity(4);
@@ -444,7 +345,6 @@ mod tests {
                         }
                     }
                 }
-                queue.assert_arena_invariants();
                 prop_assert_eq!(queue.len(), pending.len());
             }
             // Drain: full order check against the sorted model.
@@ -453,7 +353,6 @@ mod tests {
                 let (time, event_seq) = queue.pop().expect("queue matches model size");
                 prop_assert_eq!(time, SimTime::from_micros(t));
                 prop_assert_eq!(event_seq, s);
-                queue.assert_arena_invariants();
             }
             prop_assert!(queue.is_empty());
         }
@@ -484,7 +383,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(queue.grow_events(), 0);
-            queue.assert_arena_invariants();
         }
     }
 }

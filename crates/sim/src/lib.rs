@@ -7,8 +7,8 @@
 //!
 //! * simulated time ([`SimTime`], [`SimDuration`]) with microsecond resolution,
 //! * a generic time-ordered [`EventQueue`] with deterministic FIFO tie-breaking,
-//!   backed by a free-list slab arena so a pre-sized queue never allocates in
-//!   steady state (see the [`event`] module docs),
+//!   one binary heap that, pre-sized, never allocates in steady state (see the
+//!   [`event`] module docs),
 //! * a seedable, reproducible random number generator ([`SimRng`]),
 //! * a deterministic, replayable fault schedule ([`fault`]) — PR failure
 //!   outcomes, board MTTF/MTTR timers, and link flap timelines,

@@ -604,8 +604,8 @@ fn pow2(exp: i32) -> f64 {
 /// holds at most `u32::MAX` observations, and recording or merging past that
 /// panics rather than wrapping.
 ///
-/// Values are binned by order of magnitude: [`LOG_HIST_OCTAVES`] octaves
-/// starting at `2^-4`, each split into [`LOG_HIST_SUBDIVISIONS`] linear
+/// Values are binned by order of magnitude: 32 octaves starting at `2^-4`,
+/// each split into 16 linear
 /// sub-bins taken straight from the top mantissa bits of the `f64` — no
 /// `log()` calls, so binning is cheap and bit-exact across platforms.  Within
 /// the tracked range `[2^-4, 2^28)` a bin spans 1/16 of an octave, which

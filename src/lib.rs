@@ -3,7 +3,7 @@
 //! Re-exports the public API of the four sub-crates so that examples and
 //! downstream users can depend on a single crate:
 //!
-//! * [`sim`] — discrete-event simulation kernel (arena-backed event queue and
+//! * [`sim`] — discrete-event simulation kernel (pre-sized event queue and
 //!   typed traces; steady-state simulation is allocation-free).
 //! * [`fpga`] — FPGA cluster hardware models (slots, PCAP, DMA, Aurora, boards).
 //! * [`workload`] — benchmark applications and workload generation.
