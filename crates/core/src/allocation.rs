@@ -118,11 +118,14 @@ impl AllocationState {
         AllocationState::default()
     }
 
-    /// Adds a newly arrived application to the waiting list.
-    pub fn add_waiting(&mut self, app: AppId) {
-        if !self.waiting.contains(&app) {
+    /// Adds a newly arrived application to the waiting list, returning
+    /// whether it was not there yet.
+    pub fn add_waiting(&mut self, app: AppId) -> bool {
+        let inserted = !self.waiting.contains(&app);
+        if inserted {
             self.waiting.push(app);
         }
+        inserted
     }
 
     /// Removes a completed application from all lists.
@@ -157,8 +160,9 @@ impl AllocationState {
 ///   as completed and dropped from the state.
 ///
 /// Updates `state.allocations` in place; callers read the result through
-/// [`AllocationState::allocation`].  The pass performs no allocation beyond
-/// occasional growth of the state's own vectors.
+/// [`AllocationState::allocation`].  Returns whether the pass changed the
+/// state: a prune, rebind, bind or redistribution raise.  The pass performs
+/// no allocation beyond occasional growth of the state's own vectors.
 pub fn allocate(
     state: &mut AllocationState,
     big_total: u32,
@@ -166,13 +170,18 @@ pub fn allocate(
     big_free: u32,
     little_free: u32,
     info: &AllocInputs,
-) {
+) -> bool {
     // Drop completed applications (absent from `info` or out of work).
     let live = |a: &AppId| info.get(*a).is_some_and(|i| i.unfinished_tasks > 0);
+    let entries = |s: &AllocationState| {
+        s.bound_big.len() + s.bound_little.len() + s.waiting.len() + s.allocations.len()
+    };
+    let before = entries(state);
     state.bound_big.retain(live);
     state.bound_little.retain(live);
     state.waiting.retain(live);
     state.allocations.retain(|a, _| live(a));
+    let mut changed = entries(state) != before;
 
     // Line 1: Big slots still available for binding new applications (slots already
     // promised to bound applications with remaining work are not available).
@@ -185,7 +194,7 @@ pub fn allocate(
 
     // Line 2-3: nothing to hand out.
     if big_avail == 0 && little_free == 0 {
-        return;
+        return changed;
     }
 
     // Lines 4-6: rebinding — unbind not-yet-started Little-bound apps when a Big
@@ -201,6 +210,7 @@ pub fn allocate(
                 state.bound_little.remove(i);
                 state.allocations.remove(&app);
                 state.waiting.insert(0, app);
+                changed = true;
             } else {
                 i += 1;
             }
@@ -238,6 +248,7 @@ pub fn allocate(
                 },
             );
             big_avail -= grant;
+            changed = true;
             continue;
         }
         if little_free > 0 && little_left > 0 {
@@ -257,6 +268,7 @@ pub fn allocate(
                 },
             );
             little_left -= grant;
+            changed = true;
             continue;
         }
         i += 1;
@@ -285,8 +297,10 @@ pub fn allocate(
                 },
             );
             little_left -= extra;
+            changed = true;
         }
     }
+    changed
 }
 
 #[cfg(test)]
@@ -427,9 +441,31 @@ mod tests {
         state.add_waiting(AppId(0));
         let mut apps = AllocInputs::new();
         apps.insert(AppId(0), info(true, 6, 3, false));
-        allocate(&mut state, 2, 4, 0, 0, &apps);
+        assert!(!allocate(&mut state, 2, 4, 0, 0, &apps));
         assert!(state.allocations.is_empty());
         assert_eq!(state.waiting, vec![AppId(0)]);
+    }
+
+    #[test]
+    fn allocate_reports_whether_it_changed_the_state() {
+        // A started application bound to 2 of 8 Little slots, 6 of them free.
+        let mut state = AllocationState::new();
+        assert!(state.add_waiting(AppId(0)));
+        assert!(!state.add_waiting(AppId(0)));
+        state.waiting.clear();
+        state.bound_little.push(AppId(0));
+        state
+            .allocations
+            .insert(AppId(0), Allocation { big: 0, little: 2 });
+        let mut apps = AllocInputs::new();
+        apps.insert(AppId(0), info(false, 6, 2, true));
+        // A lone redistribution raise (2 -> 6) is a change ...
+        assert!(allocate(&mut state, 0, 8, 0, 6, &apps));
+        assert_eq!(state.allocation(AppId(0)).little, 6);
+        // ... after which the same inputs are a fixed point ...
+        assert!(!allocate(&mut state, 0, 8, 0, 6, &apps));
+        // ... and a prune is a change again.
+        assert!(allocate(&mut state, 0, 8, 0, 6, &AllocInputs::new()));
     }
 
     #[test]

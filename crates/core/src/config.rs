@@ -111,7 +111,7 @@ impl SystemConfig {
     /// Panics if the attached profile fails [`FaultProfile::validate`].
     pub fn active_faults(&self) -> Option<FaultProfile> {
         let profile = self.faults?;
-        profile.validate();
+        profile.validate().unwrap_or_else(|err| panic!("{err}"));
         (!profile.is_noop()).then_some(profile)
     }
 }

@@ -29,7 +29,7 @@
 //! state and burn most of the hot path re-sorting unchanged queues, so the
 //! engine separates *applying* events from *reacting* to them:
 //! [`SharingSimulator::step`] applies one event but *defers* its `flush` — a
-//! policy pass (unless it could not act, see below) followed by a launch
+//! policy pass (unless it is settled, see below) followed by a launch
 //! sweep — while more events remain at the same timestamp, including events
 //! the instant itself schedules (e.g. a zero-overhead switch).
 //! [`SharingSimulator::run`] is just `step` until the queue drains.  The
@@ -38,21 +38,48 @@
 //! `debug_assert_no_launchable` that no other application could have
 //! launched.
 //!
-//! # Idle scheduling passes are skipped
+//! # Settled scheduling passes are skipped
 //!
-//! Most instants cannot change slot ownership: every slot is occupied and no
-//! preemption is due.  The flush therefore calls [`Policy::schedule`] only
-//! when a pass *can* act — some free slot is grantable to an active
-//! application, or [`SharingSimulator::preemption_victim`] finds a slot the
-//! shared quantum preemption would release (or no application is active while
-//! a slot is free, so policies prune finished applications at the end of a
-//! run).  The skip is exact because policies act on the engine only through
-//! [`SharingSimulator::grant_slot`] and
-//! [`crate::policy::preempt_for_starving_apps`]; see the `policy` module docs
-//! for the contract.  The launch sweep runs at every instant regardless.
-//! Debug builds assert on every skipped pass that no slot was grantable and no
-//! preemption victim existed, and the `behaviour_lock` test pins the outputs
-//! of every scheduler and run mode to digests recorded from the always-pass
+//! Most instants change no input of the policy: a batch item completes, its
+//! slot goes idle, and the pipeline launches the next one.  The simulator
+//! keeps one `pass_due` flag, which starts set and is set again by every
+//! change a policy can observe:
+//!
+//! * any slot-state or enabled-flag change — grant, release, PR completion
+//!   or abandonment, unit finish, eviction, quarantine release, board enable
+//!   or disable — all through one funnel, `update_slot`;
+//! * an admitted arrival and an application completion;
+//! * a board failure or repair, and a switch completion;
+//! * [`SharingSimulator::note_policy_state_changed`], which a policy calls
+//!   when its pass changed state a later pass reads.
+//!
+//! A non-final item completion (busy to idle, item counters, remaining
+//! work) sets nothing.  The flush calls [`Policy::schedule`] only when the
+//! pass is due and some free slot is grantable to an active application (or
+//! any slot is free and no application is active, so policies prune finished
+//! applications at the end of a run), or when
+//! [`SharingSimulator::preemption_victim`] finds a slot the shared quantum
+//! preemption would release.  It clears the flag just before the call.  The
+//! launch sweep runs at every instant regardless.
+//!
+//! A pass that leaves the flag clear granted, released and changed nothing,
+//! so it is a fixed point: the next pass sees the same slots, applications
+//! and policy state.  Time and item progress reach the policies only through
+//! the ageing-priority order, which cannot make a grant or binding feasible
+//! in a pass that granted nothing, and quantum crossings still reach them
+//! through the victim check.  The skip is exact because policies act on the
+//! engine only through [`SharingSimulator::grant_slot`] and
+//! [`crate::policy::preempt_for_starving_apps`], report their own state
+//! changes, and are exhaustive within one pass; see the `policy` module docs
+//! for the contract.  The flag belongs to the simulator, so it assumes the
+//! same policy on every [`SharingSimulator::step`].
+//!
+//! Debug builds check the skip on every instant.  A pass skipped as settled
+//! still runs and must leave the flag clear; a pass skipped for want of a
+//! grantable slot asserts that none is grantable and no preemption victim
+//! exists; and VersaSlot asserts that any change of its allocation state
+//! left the next pass due.  The `behaviour_lock` test pins the outputs of
+//! every scheduler and run mode to digests recorded from the always-pass
 //! engine.
 //!
 //! # O(1) per-event bookkeeping
@@ -362,6 +389,13 @@ pub struct SharingSimulator {
     /// Ready `(unit, slot, item duration)` launches of one application,
     /// gathered by the launch sweep (no steady-state allocation).
     ready_scratch: Vec<(usize, usize, SimDuration)>,
+    /// Whether a policy input changed since the last scheduling pass began
+    /// (see the module docs): a pass that leaves it clear reached a fixed
+    /// point, and the next one is skipped unless a preemption is due.
+    pass_due: bool,
+    /// Scheduling passes run so far.  Passes skipped as settled are not
+    /// counted, although debug builds run them as a check.
+    passes: u64,
 }
 
 impl SharingSimulator {
@@ -505,6 +539,8 @@ impl SharingSimulator {
             completed: Vec::new(),
             touched_scratch: Vec::new(),
             ready_scratch: Vec::new(),
+            pass_due: true,
+            passes: 0,
         };
         sim.util = sim.recount_utilization();
         sim
@@ -741,7 +777,7 @@ impl SharingSimulator {
 
     /// The slot quantum-based preemption would release right now, if any —
     /// the single scan behind both [`crate::policy::preempt_for_starving_apps`]
-    /// and the engine's idle-pass test, so the two cannot drift apart.
+    /// and the engine's pass gate, so the two cannot drift apart.
     ///
     /// The victim is a loaded, idle Little slot whose unit has processed at
     /// least `quantum` items since it was loaded, owned by the application
@@ -752,6 +788,12 @@ impl SharingSimulator {
     /// Runs on the incremental indexes (loaded-idle and grantable bitmasks,
     /// occupancy counters) without allocating.
     pub fn preemption_victim(&self, quantum: u32) -> Option<usize> {
+        // A free, enabled Little slot is grantable to every application, so
+        // none can be starving.
+        let little = &self.index.kind[kind_bit(SlotKind::Little)];
+        if MaskQuery::grantable(&self.index.free, &self.index.enabled, None, Some(little)).any() {
+            return None;
+        }
         let mut victim: Option<(usize, u32)> = None;
         for idx in self.loaded_idle_slots(SlotKind::Little) {
             let SlotState::Loaded {
@@ -953,7 +995,10 @@ impl SharingSimulator {
 
     /// Applies `change` to one slot, moving its share of the utilization
     /// totals from the old slot to the new one.
+    /// Every slot-state and enabled-flag change passes here, so this is also
+    /// where a slot change marks the next scheduling pass due.
     fn update_slot(&mut self, slot_idx: usize, change: impl FnOnce(&mut SlotRuntime)) {
+        self.pass_due = true;
         let before = self.slot_utilization(slot_idx);
         change(&mut self.slots[slot_idx]);
         let after = self.slot_utilization(slot_idx);
@@ -1329,6 +1374,21 @@ impl SharingSimulator {
         true
     }
 
+    /// Tells the engine that the running pass changed policy state a later
+    /// pass reads (a binding, an allocation, waiting-list membership), so
+    /// the next instant with a grantable slot runs a pass again.  Grants and
+    /// releases need no call: every slot change already marks a pass due.
+    pub fn note_policy_state_changed(&mut self) {
+        self.pass_due = true;
+    }
+
+    /// Whether the next instant with a grantable slot runs a scheduling pass
+    /// (read by the policies' debug checks).
+    #[cfg(debug_assertions)]
+    pub(crate) fn pass_due(&self) -> bool {
+        self.pass_due
+    }
+
     // ------------------------------------------------------------------
     // Simulation loop
     // ------------------------------------------------------------------
@@ -1338,8 +1398,10 @@ impl SharingSimulator {
     ///
     /// The scheduling pass and launch sweep run once per simulation *instant*:
     /// they are deferred while further events share the current timestamp.
-    /// The pass is skipped at instants where it could neither grant nor
-    /// preempt a slot (see [`Self::preemption_victim`] and the module docs).
+    /// The pass is skipped when it is settled — no policy input changed since
+    /// the last pass, or no slot is grantable — and no preemption is due (see
+    /// [`Self::preemption_victim`] and the module docs).  Whether a pass is
+    /// due is simulator state, so every call must pass the same policy.
     /// Tests can interleave calls with [`Self::verify_indexes`] to check the
     /// incremental indexes after every event.
     ///
@@ -1430,20 +1492,23 @@ impl SharingSimulator {
     /// application touched since the previous pass.  Runs once per simulation
     /// instant.
     ///
-    /// The pass itself is skipped when [`Self::pass_can_act`] says no policy
-    /// could change anything: the shipped policies change engine state only
-    /// through [`Self::grant_slot`], which needs a grantable slot, and through
-    /// [`crate::policy::preempt_for_starving_apps`], whose release needs a
-    /// [`Self::preemption_victim`].  Everything else a pass does is policy
-    /// bookkeeping the next pass redoes from scratch (see the `policy` module
-    /// docs), so the skip leaves every report byte-identical.  The launch
-    /// sweep always runs.
+    /// The pass runs only when it is due and some slot is grantable, or when
+    /// [`Self::preemption_victim`] finds a slot the shared preemption would
+    /// release; the due flag is cleared just before the call.  A pass is due
+    /// after any policy input changed (a slot change, an admission, a
+    /// completion, a board failure, repair or switch, or
+    /// [`Self::note_policy_state_changed`]), so a pass that leaves the flag
+    /// clear is a fixed point and the next one could change nothing (see the
+    /// module docs).  The launch sweep always runs.
     fn flush_pass(&mut self, policy: &mut dyn Policy) {
-        if self.pass_can_act() {
+        let due = self.pass_due && self.any_slot_grantable();
+        if due || self.preemption_victim(PREEMPTION_QUANTUM).is_some() {
+            self.pass_due = false;
+            self.passes += 1;
             policy.schedule(self);
         } else {
             #[cfg(debug_assertions)]
-            self.debug_assert_idle_pass();
+            self.debug_check_skipped_pass(policy);
         }
         let touched = std::mem::take(&mut self.touched_scratch);
         for &app_id in &touched {
@@ -1455,16 +1520,12 @@ impl SharingSimulator {
         self.debug_assert_no_launchable();
     }
 
-    /// Whether a scheduling pass could grant or release a slot right now.
-    ///
-    /// `false` only when no free slot is grantable to any active application
-    /// and the shared preemption finds no victim.  With no active application
-    /// the pass still runs while a slot is free, so a policy prunes its
+    /// Whether a free slot is grantable to some active application.  With no
+    /// active application any free slot counts, so a policy prunes its
     /// bookkeeping of finished applications at the end of every run.  The
-    /// common idle case — every slot occupied — costs one mask-word scan plus
-    /// the loaded-idle Little scan.
-    fn pass_can_act(&self) -> bool {
-        let slot_grantable = if self.index.free.is_empty() {
+    /// common case — every slot occupied — costs one mask-word scan.
+    fn any_slot_grantable(&self) -> bool {
+        if self.index.free.is_empty() {
             false
         } else if self.active.is_empty()
             || MaskQuery::and(&self.index.free, &self.index.enabled).any()
@@ -1477,13 +1538,31 @@ impl SharingSimulator {
             self.active
                 .iter()
                 .any(|&app| self.has_grantable_slot(app, None))
-        };
-        slot_grantable || self.preemption_victim(PREEMPTION_QUANTUM).is_some()
+        }
     }
 
-    /// Debug cross-check of a skipped pass: no slot is grantable to any
-    /// active application and the shared preemption has no victim, so the
-    /// policy could not have changed anything.
+    /// Debug cross-check of a skipped pass.  A pass skipped as settled (a
+    /// slot is grantable, but no input changed since the last pass) still
+    /// runs here and must leave the pass undue — it changed nothing.  A pass
+    /// skipped for want of a grantable slot goes to
+    /// [`Self::debug_assert_idle_pass`].
+    #[cfg(debug_assertions)]
+    fn debug_check_skipped_pass(&mut self, policy: &mut dyn Policy) {
+        if !self.any_slot_grantable() {
+            self.debug_assert_idle_pass();
+            return;
+        }
+        policy.schedule(self);
+        assert!(
+            !self.pass_due,
+            "a pass skipped as settled at {} changed state",
+            self.now
+        );
+    }
+
+    /// Debug cross-check of a pass skipped without a grantable slot: no slot
+    /// is grantable to any active application and the shared preemption has
+    /// no victim, so the policy could not have changed anything.
     #[cfg(debug_assertions)]
     fn debug_assert_idle_pass(&self) {
         for &app in &self.active {
@@ -1564,6 +1643,7 @@ impl SharingSimulator {
         );
         self.apps.insert(app, optimal);
         self.index_app_arrived(id);
+        self.pass_due = true;
         self.arrivals_admitted += 1;
         self.candidate_queue_updated();
         self.arm_board_timers();
@@ -1749,6 +1829,7 @@ impl SharingSimulator {
             fault.board_down[board] = true;
             fault.stats.board_failures += 1;
         }
+        self.pass_due = true;
         let was_enabled = MaskQuery::and(&self.index.enabled, &self.index.board[board]).any();
         if was_enabled {
             self.set_board_enabled(board, false);
@@ -1831,6 +1912,7 @@ impl SharingSimulator {
             fault.stats.board_repairs += 1;
             fault.board_was_enabled[board]
         };
+        self.pass_due = true;
         if restore {
             self.set_board_enabled(board, true);
         }
@@ -1939,6 +2021,7 @@ impl SharingSimulator {
             app.completion = Some(self.now);
             self.index_app_completed(app_id);
             self.completed.push(app_id);
+            self.pass_due = true;
             self.trace.log(
                 self.now,
                 TraceKind::AppCompleted,
@@ -1957,6 +2040,7 @@ impl SharingSimulator {
         self.set_board_enabled(board, true);
         self.active_board = board;
         self.pending_switch = false;
+        self.pass_due = true;
         self.trace.log(
             self.now,
             TraceKind::Note,
@@ -2491,23 +2575,6 @@ mod tests {
         );
     }
 
-    /// Counts the passes the engine actually runs.
-    struct CountingPolicy<P> {
-        inner: P,
-        passes: u64,
-    }
-
-    impl<P: Policy> Policy for CountingPolicy<P> {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-
-        fn schedule(&mut self, sim: &mut SharingSimulator) {
-            self.passes += 1;
-            self.inner.schedule(sim);
-        }
-    }
-
     fn crowded_arrivals(n: u32) -> Vec<AppArrival> {
         let kinds = [
             BenchmarkApp::ImageCompression,
@@ -2535,19 +2602,144 @@ mod tests {
             BenchmarkApp::suite(),
             &crowded_arrivals(16),
         );
-        let mut policy = CountingPolicy {
-            inner: VersaSlotPolicy::new(),
-            passes: 0,
-        };
-        let report = sim.run(&mut policy);
+        let report = sim.run(&mut VersaSlotPolicy::new());
         assert_eq!(report.completed(), 16);
-        assert!(policy.passes > 0);
+        let passes = sim.passes;
+        assert!(passes > 0);
         assert!(
-            policy.passes < report.events_processed,
-            "{} passes for {} events: no instant was skipped",
-            policy.passes,
+            passes * 3 < report.events_processed,
+            "{passes} passes for {} events: too few instants were skipped",
             report.events_processed
         );
+    }
+
+    /// A policy that never grants.  It records the instant of every pass the
+    /// engine runs (ignoring the debug builds' re-run of a pass skipped as
+    /// settled, which the engine does not count) and, with `note_first`,
+    /// reports a policy state change on its first pass.
+    struct Observer {
+        note_first: bool,
+        seen: u64,
+        calls: Vec<SimTime>,
+    }
+
+    impl Policy for Observer {
+        fn name(&self) -> &'static str {
+            "observer"
+        }
+
+        fn schedule(&mut self, sim: &mut SharingSimulator) {
+            if sim.passes == self.seen {
+                return;
+            }
+            self.seen = sim.passes;
+            if self.note_first && self.calls.is_empty() {
+                sim.note_policy_state_changed();
+            }
+            self.calls.push(sim.now());
+        }
+    }
+
+    /// Two LeNet applications (six tasks each) arrive at t = 0 on a board of
+    /// `slots` Little slots.  Between the two arrivals the test itself grants
+    /// the first one every slot it can use, so it runs its batch of 4 (under
+    /// the preemption quantum, so no preemption is ever due) while the
+    /// second waits.  Returns the observer's pass instants and the trace.
+    fn observe_two_lenets(slots: u32, note_first: bool) -> (Vec<SimTime>, Trace) {
+        let board = BoardSpec::zcu216_only_little().with_layout(
+            versaslot_fpga::slot::SlotLayout::with_counts(
+                0,
+                slots,
+                BoardSpec::zcu216_little_capacity(),
+            ),
+        );
+        let arrivals = [
+            AppArrival::new(
+                AppId(0),
+                BenchmarkApp::LeNet.suite_index(),
+                4,
+                SimTime::ZERO,
+            ),
+            AppArrival::new(
+                AppId(1),
+                BenchmarkApp::LeNet.suite_index(),
+                4,
+                SimTime::ZERO,
+            ),
+        ];
+        let mut sim = SharingSimulator::new(
+            SystemConfig::single_board(board).with_trace(),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+        let mut observer = Observer {
+            note_first,
+            seen: 0,
+            calls: Vec::new(),
+        };
+        assert!(sim.step(&mut observer));
+        assert!(observer.calls.is_empty(), "the pass waits for the instant");
+        while let Some(slot) = sim.first_grantable_slot(AppId(0), Some(SlotKind::Little)) {
+            if !sim.grant_slot(slot, AppId(0)) {
+                break;
+            }
+        }
+        while sim.step(&mut observer) {}
+        assert_eq!(sim.app(AppId(0)).state, AppState::Completed);
+        (observer.calls, sim.trace().clone())
+    }
+
+    /// A settled policy runs once after each change of its inputs — an
+    /// arrival, a PR completion, a unit or application finishing — and not
+    /// at the instants that only complete non-final batch items.
+    #[test]
+    fn a_settled_policy_runs_only_after_its_inputs_change() {
+        let (calls, trace) = observe_two_lenets(8, false);
+        let mut changed: Vec<SimTime> = trace
+            .events()
+            .iter()
+            .filter(|event| {
+                matches!(
+                    event.kind,
+                    TraceKind::AppArrived
+                        | TraceKind::PrCompleted
+                        | TraceKind::TaskCompleted
+                        | TraceKind::AppCompleted
+                )
+            })
+            .map(|event| event.time)
+            .collect();
+        changed.dedup();
+        let item_only = trace
+            .events_of(TraceKind::BatchCompleted)
+            .filter(|event| !changed.contains(&event.time))
+            .count();
+        assert!(item_only > 0, "no instant completed only non-final items");
+        assert_eq!(calls, changed);
+        // The t = 0 instant, six PR completions and six unit completions
+        // (the last also completes the application).
+        assert_eq!(calls.len(), 13);
+    }
+
+    /// A pass that reports a state change is followed by one more pass at
+    /// the next instant, even though no engine input changed, and then the
+    /// policy is settled again.  On a full board the first pass comes only
+    /// when the first unit finishes and frees its slot.
+    #[test]
+    fn a_noted_state_change_makes_the_next_pass_due() {
+        let (plain, trace) = observe_two_lenets(6, false);
+        let (noted, _) = observe_two_lenets(6, true);
+        let first = plain[0];
+        let next = trace
+            .events()
+            .iter()
+            .map(|event| event.time)
+            .find(|&time| time > first)
+            .expect("events follow the first pass");
+        assert!(!plain.contains(&next), "the next instant changed an input");
+        let mut expected = plain.clone();
+        expected.insert(1, next);
+        assert_eq!(noted, expected);
     }
 
     /// A policy reused for a second run behaves like a fresh one: the pass at

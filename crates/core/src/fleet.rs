@@ -72,7 +72,7 @@ use std::sync::mpsc::sync_channel;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::fault::{FaultProfile, FaultSchedule, FaultStats};
-use versaslot_sim::{SimDuration, SimTime, StreamingSummary, Summary, WindowSummary};
+use versaslot_sim::{ConfigError, SimDuration, SimTime, StreamingSummary, Summary, WindowSummary};
 use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ArrivalDriver, ArrivalProcess, Placement, ShardRouter};
 
@@ -224,23 +224,42 @@ impl FleetConfig {
         self
     }
 
-    /// Panics if the configuration is degenerate.
-    pub fn validate(&self) {
-        assert!(self.shards >= 1, "a fleet needs at least one shard");
-        assert!(!self.horizon.is_zero(), "horizon must be positive");
-        assert!(!self.epoch.is_zero(), "epoch must be positive");
+    /// Checks that the configuration is not degenerate, naming the first
+    /// offending parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::ensure(
+            self.shards >= 1,
+            "shards",
+            format_args!("a fleet needs at least one shard"),
+        )?;
+        ConfigError::ensure(
+            !self.horizon.is_zero(),
+            "horizon",
+            format_args!("horizon must be positive"),
+        )?;
+        ConfigError::ensure(
+            !self.epoch.is_zero(),
+            "epoch",
+            format_args!("epoch must be positive"),
+        )?;
         if let Some(threshold) = self.spillover_threshold {
-            assert!(threshold > 0, "spillover threshold must be positive");
-            assert!(
+            ConfigError::ensure(
+                threshold > 0,
+                "spillover_threshold",
+                format_args!("spillover threshold must be positive"),
+            )?;
+            ConfigError::ensure(
                 !self.forward_latency.is_zero(),
-                "spillover needs a positive forwarding latency"
-            );
+                "forward_latency",
+                format_args!("spillover needs a positive forwarding latency"),
+            )?;
         }
         // The per-shard service configuration re-validates process, load,
         // batch range and window.
-        self.shard_service_config(0).validate();
-        if let Some(faults) = &self.faults {
-            faults.validate();
+        self.shard_service_config(0).validate()?;
+        match &self.faults {
+            Some(faults) => faults.validate(),
+            None => Ok(()),
         }
     }
 
@@ -469,7 +488,7 @@ impl FleetEngine {
     /// Panics if the configuration fails [`FleetConfig::validate`], or for
     /// [`SchedulerKind::Baseline`] (no service-mode equivalent).
     pub fn new(kind: SchedulerKind, config: FleetConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|err| panic!("{err}"));
         let suite = BenchmarkApp::suite();
         let mut shards = Vec::with_capacity(config.shards);
         for index in 0..config.shards {
@@ -1309,6 +1328,20 @@ mod tests {
     #[should_panic(expected = "not supported in fleet mode")]
     fn baseline_fleets_are_rejected() {
         FleetEngine::new(SchedulerKind::Baseline, fleet_config());
+    }
+
+    #[test]
+    fn validate_names_the_offending_parameter() {
+        let process = ArrivalProcess::Poisson { rate_per_sec: 1.0 };
+        let err = FleetConfig::new(0, process).validate().unwrap_err();
+        assert_eq!(err.parameter(), "shards");
+        assert_eq!(err.to_string(), "a fleet needs at least one shard");
+        let err = fleet_config()
+            .with_faults(FaultProfile::new(0).with_pr_failures(2.0))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err.parameter(), "pr_fail_prob");
+        assert_eq!(fleet_config().validate(), Ok(()));
     }
 
     #[test]

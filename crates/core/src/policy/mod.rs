@@ -19,31 +19,38 @@
 //! # The engine contract: when a pass runs
 //!
 //! The engine calls [`Policy::schedule`] at most once per simulation instant,
-//! and skips the call when the pass could not act: no free slot is grantable
-//! to any active application and [`SharingSimulator::preemption_victim`] (with
-//! [`PREEMPTION_QUANTUM`]) finds nothing.  That skip is exact for a policy
-//! that
+//! and only when the pass is *due* and some free slot is grantable, or when
+//! [`SharingSimulator::preemption_victim`] (with [`PREEMPTION_QUANTUM`])
+//! finds a victim.  A pass is due after any change of the engine state a
+//! policy reads (see the `engine` module docs) or after the previous pass
+//! called [`SharingSimulator::note_policy_state_changed`].  Skipping the
+//! other instants is exact for a policy that
 //!
 //! * changes engine state only through [`SharingSimulator::grant_slot`] and
 //!   [`preempt_for_starving_apps`] with a quantum of at least
 //!   [`PREEMPTION_QUANTUM`] (never [`SharingSimulator::release_slot`]
-//!   directly), and
-//! * keeps no state a no-op pass would change that the next pass does not
-//!   rebuild.  Round-robin moves its cursor only on a grant; FCFS and
-//!   Nimblock keep no state across passes; VersaSlot's no-op pass would only
-//!   register arrivals, re-sort its waiting list (a total order) and prune
-//!   finished applications — all redone by the next pass before they are
-//!   read — and then Algorithm 1 returns at Lines 2-3 (no free slot).
+//!   directly);
+//! * calls [`SharingSimulator::note_policy_state_changed`] whenever its pass
+//!   changed state a later pass reads.  Grants and releases need no call.
+//!   VersaSlot reports changed bindings, allocations and waiting-list
+//!   membership; the waiting list's *order* is not state, because a total
+//!   order re-sorts it before every read.  FCFS and Nimblock keep no state
+//!   across passes, and round-robin moves its cursor only on a grant;
+//! * is exhaustive within one pass: it grants everything it would grant, so
+//!   a pass that changed nothing would change nothing if rerun later with
+//!   only time and item progress moved.  Those reach the shipped policies
+//!   only through the ageing-priority order, which decides who goes first,
+//!   not whether a grant or binding is feasible.
 //!
-//! A pass with free slots but no placeable work is *not* skipped: VersaSlot's
-//! redistribution (Lines 14-18) still raises allocations there without
-//! granting, which later passes observe.
+//! Debug builds rerun every pass skipped as settled and assert that it left
+//! the pass undue, and VersaSlot asserts after each pass that any change of
+//! its allocation state left the engine's next pass due.
 //!
 //! # Hot-path discipline
 //!
-//! A scheduling pass runs at every simulation instant where a slot can change
-//! hands, so the policies avoid heap allocation in steady state: slot probes
-//! go through the engine's O(1) indexed API
+//! A scheduling pass runs at every simulation instant where an input changed
+//! and a slot can change hands, so the policies avoid heap allocation in
+//! steady state: slot probes go through the engine's O(1) indexed API
 //! ([`SharingSimulator::first_grantable_slot`],
 //! [`SharingSimulator::has_grantable_slot`],
 //! [`SharingSimulator::grantable_slots`]) instead of materialising candidate
@@ -67,16 +74,21 @@ use crate::engine::SharingSimulator;
 /// A slot-granting scheduling policy.
 ///
 /// The simulator calls [`Policy::schedule`] at most once per simulation instant
-/// (after every batch of same-timestamp events), and only when a slot can
-/// change hands — see the module docs for the contract that makes skipping the
-/// other instants exact.  The policy reacts by granting free slots to
-/// applications via [`SharingSimulator::grant_slot`] and by preempting through
-/// [`preempt_for_starving_apps`].
+/// (after every batch of same-timestamp events), and only when the pass is due
+/// or a preemption is — see the module docs for the contract that makes
+/// skipping the other instants exact.  The policy acts only by granting free
+/// slots via [`SharingSimulator::grant_slot`] and by preempting through
+/// [`preempt_for_starving_apps`], reports its own state changes through
+/// [`SharingSimulator::note_policy_state_changed`], and must be exhaustive
+/// within one pass.
 pub trait Policy {
     /// Stable identifier used in reports (e.g. `"nimblock"`).
     fn name(&self) -> &'static str;
 
-    /// One scheduling pass over the current system state.
+    /// One scheduling pass over the current system state.  It must grant
+    /// everything it would grant right now, and call
+    /// [`SharingSimulator::note_policy_state_changed`] if it changed state a
+    /// later pass reads (see the module docs).
     fn schedule(&mut self, sim: &mut SharingSimulator);
 
     /// How many times this policy's reusable scratch buffers have grown, the
@@ -193,8 +205,8 @@ pub const PREEMPTION_QUANTUM: u32 = 6;
 /// slot to the starving application.
 ///
 /// The search is [`SharingSimulator::preemption_victim`], the same scan the
-/// engine uses to decide that a pass can be skipped; a `quantum` of at least
-/// [`PREEMPTION_QUANTUM`] keeps that skip exact.
+/// engine uses to run a pass that is not otherwise due; a `quantum` of at
+/// least [`PREEMPTION_QUANTUM`] keeps skipping the other passes exact.
 ///
 /// Returns `true` if a slot was preempted.
 pub fn preempt_for_starving_apps(sim: &mut SharingSimulator, quantum: u32) -> bool {

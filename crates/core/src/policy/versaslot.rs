@@ -18,6 +18,11 @@
 //! completions because the boards this policy is intended for run the dual-core
 //! hypervisor ([`versaslot_fpga::cpu::CoreAssignment::DualCore`]).
 //!
+//! A pass that changes the allocator state (a binding, an allocation, a new
+//! waiting application) reports it through
+//! [`SharingSimulator::note_policy_state_changed`], so the engine does not
+//! skip the next pass as settled; debug builds check every pass for it.
+//!
 //! On an `Only.Little` board there are simply no Big slots, so the same policy
 //! degenerates to the VersaSlot Only.Little configuration of the paper.
 
@@ -65,6 +70,8 @@ impl Policy for VersaSlotPolicy {
     }
 
     fn schedule(&mut self, sim: &mut SharingSimulator) {
+        #[cfg(debug_assertions)]
+        let before = self.state.clone();
         self.active.clear();
         self.active.extend_from_slice(sim.active_apps());
 
@@ -75,14 +82,19 @@ impl Policy for VersaSlotPolicy {
         // starving application.
         super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
 
-        // Register new arrivals with the allocator.
+        // Register new arrivals with the allocator.  `changed` tracks whether
+        // this pass changed the allocator state a later pass reads (the
+        // waiting list's order is not state: it is re-sorted before use).
+        // The bindings the grants below record need no flag: a grant marks
+        // the next pass due itself.
+        let mut changed = false;
         for i in 0..self.active.len() {
             let app = self.active[i];
             if sim.app(app).state == AppState::Waiting
                 && !self.state.is_bound_big(app)
                 && !self.state.is_bound_little(app)
             {
-                self.state.add_waiting(app);
+                changed |= self.state.add_waiting(app);
             }
         }
 
@@ -109,7 +121,7 @@ impl Policy for VersaSlotPolicy {
             );
         }
 
-        allocate(
+        changed |= allocate(
             &mut self.state,
             sim.enabled_slot_total(SlotKind::Big),
             sim.enabled_slot_total(SlotKind::Little),
@@ -192,6 +204,11 @@ impl Policy for VersaSlotPolicy {
                 );
             }
         }
+        if changed {
+            sim.note_policy_state_changed();
+        }
+        #[cfg(debug_assertions)]
+        debug_assert_change_noted(&before, &self.state, sim);
 
         self.meter.observe(
             self.active.capacity()
@@ -203,6 +220,30 @@ impl Policy for VersaSlotPolicy {
                 + self.state.bound_little.capacity(),
         );
     }
+}
+
+/// Debug check of the engine contract: a pass that changed the allocator
+/// state left the engine's next pass due.  The waiting list is compared as a
+/// set, because every pass re-sorts it before reading it.
+#[cfg(debug_assertions)]
+fn debug_assert_change_noted(
+    before: &AllocationState,
+    after: &AllocationState,
+    sim: &SharingSimulator,
+) {
+    let as_set = |state: &AllocationState| {
+        let mut waiting = state.waiting.clone();
+        waiting.sort_unstable();
+        AllocationState {
+            waiting,
+            ..state.clone()
+        }
+    };
+    assert!(
+        as_set(before) == as_set(after) || sim.pass_due(),
+        "VersaSlot changed its allocation state at {} without noting it",
+        sim.now()
+    );
 }
 
 #[cfg(test)]

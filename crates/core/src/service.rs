@@ -55,8 +55,8 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{
-    FaultProfile, FaultStats, SimDuration, SimTime, StreamingSummary, Summary, TumblingWindow,
-    WindowSummary,
+    ConfigError, FaultProfile, FaultStats, SimDuration, SimTime, StreamingSummary, Summary,
+    TumblingWindow, WindowSummary,
 };
 use versaslot_workload::benchmarks::BenchmarkApp;
 use versaslot_workload::{AppArrival, ApplicationSpec, ArrivalDriver, ArrivalProcess};
@@ -166,39 +166,51 @@ impl ServiceConfig {
         self
     }
 
-    /// Panics if the configuration is degenerate (invalid process, non-positive
-    /// load, empty batch range, zero window, or a zero/degenerate stop bound).
-    pub fn validate(&self) {
-        self.process.validate();
+    /// Checks that the configuration is not degenerate (invalid process,
+    /// non-positive load, empty batch range, zero window, or a
+    /// zero/degenerate stop bound), naming the first offending parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.process.validate()?;
         // Reject NaN/zero/negative/infinite loads explicitly: a degenerate
         // multiplier would otherwise silently produce an arrival process that
         // never fires (or fires pathologically fast).
-        assert!(
+        ConfigError::ensure(
             self.load.is_finite() && self.load > 0.0,
-            "load multiplier must be positive and finite, got {}",
-            self.load
-        );
+            "load",
+            format_args!(
+                "load multiplier must be positive and finite, got {}",
+                self.load
+            ),
+        )?;
         let (lo, hi) = self.batch_range;
-        assert!(lo >= 1 && lo <= hi, "invalid batch range {lo}..={hi}");
-        assert!(!self.window.is_zero(), "window width must be positive");
+        ConfigError::ensure(
+            lo >= 1 && lo <= hi,
+            "batch_range",
+            format_args!("invalid batch range {lo}..={hi}"),
+        )?;
+        ConfigError::ensure(
+            !self.window.is_zero(),
+            "window",
+            format_args!("window width must be positive"),
+        )?;
+        let stop =
+            |ok: bool, message: &str| ConfigError::ensure(ok, "stop", format_args!("{message}"));
         match self.stop {
-            StopCondition::Events(n) => assert!(n > 0, "event stop bound must be positive"),
-            StopCondition::Horizon(h) => {
-                assert!(!h.is_zero(), "horizon must be positive");
-            }
+            StopCondition::Events(n) => stop(n > 0, "event stop bound must be positive"),
+            StopCondition::Horizon(h) => stop(!h.is_zero(), "horizon must be positive"),
             StopCondition::ConvergedP99 {
                 check_every,
                 tolerance,
                 min_completions,
                 max_events,
             } => {
-                assert!(check_every > 0, "check_every must be positive");
-                assert!(
+                stop(check_every > 0, "check_every must be positive")?;
+                stop(
                     tolerance.is_finite() && tolerance > 0.0,
-                    "tolerance must be positive and finite"
-                );
-                assert!(min_completions > 0, "min_completions must be positive");
-                assert!(max_events > 0, "max_events must be positive");
+                    "tolerance must be positive and finite",
+                )?;
+                stop(min_completions > 0, "min_completions must be positive")?;
+                stop(max_events > 0, "max_events must be positive")
             }
         }
     }
@@ -302,7 +314,7 @@ impl ServiceRunner {
     /// Panics if the configuration fails [`ServiceConfig::validate`] or the
     /// suite is not the benchmark suite shape the names are derived from.
     pub fn new(system: SystemConfig, suite: Vec<ApplicationSpec>, config: ServiceConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|err| panic!("{err}"));
         let driver = ArrivalDriver::new(
             config.process.scaled(config.load),
             suite.len(),
@@ -325,7 +337,7 @@ impl ServiceRunner {
         suite: Vec<ApplicationSpec>,
         config: ServiceConfig,
     ) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|err| panic!("{err}"));
         Self::with_source(
             system,
             suite,
@@ -723,46 +735,63 @@ mod tests {
         )
     }
 
+    /// `config` fails validation on `parameter`; the runner then refuses it,
+    /// panicking with the error's text (which the caller's `should_panic`
+    /// checks).
+    fn assert_rejects(config: ServiceConfig, parameter: &str) {
+        let err = config.validate().unwrap_err();
+        // The failure message names no parameter: either name may be the
+        // caller's `should_panic` text.
+        assert!(
+            err.parameter() == parameter,
+            "validation blamed another parameter"
+        );
+        runner(config);
+    }
+
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_nan_load() {
-        ServiceConfig::new(poisson()).with_load(f64::NAN).validate();
+        assert_rejects(ServiceConfig::new(poisson()).with_load(f64::NAN), "load");
     }
 
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_negative_load() {
-        ServiceConfig::new(poisson()).with_load(-0.5).validate();
+        assert_rejects(ServiceConfig::new(poisson()).with_load(-0.5), "load");
     }
 
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_zero_load() {
-        ServiceConfig::new(poisson()).with_load(0.0).validate();
+        assert_rejects(ServiceConfig::new(poisson()).with_load(0.0), "load");
     }
 
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_infinite_load() {
-        ServiceConfig::new(poisson())
-            .with_load(f64::INFINITY)
-            .validate();
+        assert_rejects(
+            ServiceConfig::new(poisson()).with_load(f64::INFINITY),
+            "load",
+        );
     }
 
     #[test]
     #[should_panic(expected = "window width must be positive")]
     fn validate_rejects_zero_window() {
-        ServiceConfig::new(poisson())
-            .with_window(SimDuration::ZERO)
-            .validate();
+        assert_rejects(
+            ServiceConfig::new(poisson()).with_window(SimDuration::ZERO),
+            "window",
+        );
     }
 
     #[test]
     #[should_panic(expected = "event stop bound must be positive")]
     fn validate_rejects_zero_event_stop() {
-        ServiceConfig::new(poisson())
-            .with_stop(StopCondition::Events(0))
-            .validate();
+        assert_rejects(
+            ServiceConfig::new(poisson()).with_stop(StopCondition::Events(0)),
+            "stop",
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::ConfigError;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -53,7 +54,7 @@ const PR_OUTCOME_SALT: u64 = 0x9E6D_5EC7_FA17_0001;
 ///     .with_board_failures(SimDuration::from_secs(120), SimDuration::from_secs(10))
 ///     .with_link_flaps(0.01, SimDuration::from_millis(200));
 /// assert!(!storm.is_noop());
-/// storm.validate();
+/// assert!(storm.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultProfile {
@@ -142,38 +143,57 @@ impl FaultProfile {
         self.pr_fail_prob <= 0.0 && self.board_mttf.is_none() && self.link_flap_rate_per_sec <= 0.0
     }
 
-    /// Panics with a clear message when the profile is degenerate.
-    pub fn validate(&self) {
-        assert!(
+    /// Checks that the profile is not degenerate, naming the first offending
+    /// parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::ensure(
             self.pr_fail_prob.is_finite() && (0.0..=1.0).contains(&self.pr_fail_prob),
-            "PR failure probability must be within [0, 1], got {}",
-            self.pr_fail_prob
-        );
+            "pr_fail_prob",
+            format_args!(
+                "PR failure probability must be within [0, 1], got {}",
+                self.pr_fail_prob
+            ),
+        )?;
         if self.pr_fail_prob > 0.0 {
-            assert!(
+            ConfigError::ensure(
                 !self.pr_retry_backoff.is_zero(),
-                "PR retry backoff must be positive when PR failures are enabled"
-            );
-            assert!(
+                "pr_retry_backoff",
+                format_args!("PR retry backoff must be positive when PR failures are enabled"),
+            )?;
+            ConfigError::ensure(
                 self.pr_retry_backoff_cap >= self.pr_retry_backoff,
-                "PR retry backoff cap must be at least the base backoff"
-            );
+                "pr_retry_backoff_cap",
+                format_args!("PR retry backoff cap must be at least the base backoff"),
+            )?;
         }
         if let Some(mttf) = self.board_mttf {
-            assert!(!mttf.is_zero(), "board MTTF must be positive");
-            assert!(!self.board_mttr.is_zero(), "board MTTR must be positive");
+            ConfigError::ensure(
+                !mttf.is_zero(),
+                "board_mttf",
+                format_args!("board MTTF must be positive"),
+            )?;
+            ConfigError::ensure(
+                !self.board_mttr.is_zero(),
+                "board_mttr",
+                format_args!("board MTTR must be positive"),
+            )?;
         }
-        assert!(
+        ConfigError::ensure(
             self.link_flap_rate_per_sec.is_finite() && self.link_flap_rate_per_sec >= 0.0,
-            "link flap rate must be finite and non-negative, got {}",
-            self.link_flap_rate_per_sec
-        );
+            "link_flap_rate_per_sec",
+            format_args!(
+                "link flap rate must be finite and non-negative, got {}",
+                self.link_flap_rate_per_sec
+            ),
+        )?;
         if self.link_flap_rate_per_sec > 0.0 {
-            assert!(
+            ConfigError::ensure(
                 !self.link_flap_mean_duration.is_zero(),
-                "link flap mean duration must be positive when flaps are enabled"
-            );
+                "link_flap_mean_duration",
+                format_args!("link flap mean duration must be positive when flaps are enabled"),
+            )?;
         }
+        Ok(())
     }
 
     /// Compact human-readable label ("fault-free" for a no-op profile).
@@ -260,7 +280,7 @@ impl FaultSchedule {
     /// Builds the schedule for a system with `num_boards` boards (each board
     /// also owns one Aurora link timeline).
     pub fn new(profile: FaultProfile, num_boards: usize) -> Self {
-        profile.validate();
+        profile.validate().unwrap_or_else(|err| panic!("{err}"));
         let root = SimRng::seed_from(profile.seed);
         let board_rngs = (0..num_boards)
             .map(|i| root.derive(BOARD_STREAM + i as u64))
@@ -529,18 +549,36 @@ mod tests {
         assert!(label.contains("flaps=0.05/s"), "{label}");
     }
 
+    /// `profile` fails validation on `parameter`; the schedule then refuses
+    /// it, panicking with the error's text (which the caller's
+    /// `should_panic` checks).
+    fn assert_rejects(profile: FaultProfile, parameter: &str) {
+        let err = profile.validate().unwrap_err();
+        // The failure message names no parameter: either name may be the
+        // caller's `should_panic` text.
+        assert!(
+            err.parameter() == parameter,
+            "validation blamed another parameter"
+        );
+        FaultSchedule::new(profile, 1);
+    }
+
     #[test]
     #[should_panic(expected = "PR failure probability")]
     fn validate_rejects_nan_probability() {
-        FaultProfile::new(0).with_pr_failures(f64::NAN).validate();
+        assert_rejects(
+            FaultProfile::new(0).with_pr_failures(f64::NAN),
+            "pr_fail_prob",
+        );
     }
 
     #[test]
     #[should_panic(expected = "board MTTF must be positive")]
     fn validate_rejects_zero_mttf() {
-        FaultProfile::new(0)
-            .with_board_failures(SimDuration::ZERO, SimDuration::from_secs(1))
-            .validate();
+        assert_rejects(
+            FaultProfile::new(0).with_board_failures(SimDuration::ZERO, SimDuration::from_secs(1)),
+            "board_mttf",
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! * a seedable, reproducible random number generator ([`SimRng`]),
 //! * a deterministic, replayable fault schedule ([`fault`]) — PR failure
 //!   outcomes, board MTTF/MTTR timers, and link flap timelines,
+//! * the typed [`ConfigError`] that configuration validation returns,
 //! * summary statistics used by the experiment harnesses ([`stats`]),
 //! * time-weighted series for utilization accounting ([`series`]), and
 //! * a lightweight structured trace ([`trace`]) whose typed [`TraceDetail`]
@@ -37,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod error;
 pub mod event;
 pub mod fault;
 pub mod rng;
@@ -45,6 +47,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use error::ConfigError;
 pub use event::EventQueue;
 pub use fault::{FaultProfile, FaultSchedule, FaultStats};
 pub use rng::SimRng;

@@ -19,7 +19,7 @@
 //! [`ArrivalDriver`] with a fixed seed always produces the same stream.
 
 use serde::{Deserialize, Serialize};
-use versaslot_sim::{SimDuration, SimRng, SimTime};
+use versaslot_sim::{ConfigError, SimDuration, SimRng, SimTime};
 
 use crate::application::{AppArrival, AppId};
 
@@ -132,29 +132,37 @@ impl ArrivalProcess {
         scaled
     }
 
-    /// Panics if the process parameters are degenerate (non-positive or
-    /// non-finite rates, out-of-range amplitude, zero period, or a burst longer
-    /// than its period).
-    pub fn validate(&self) {
-        let positive = |rate: f64, what: &str| {
-            assert!(
+    /// Checks that the process parameters are not degenerate (non-positive
+    /// or non-finite rates, out-of-range amplitude, zero period, or a burst
+    /// longer than its period), naming the first offending parameter.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let positive = |rate: f64, parameter: &'static str, what: &str| {
+            ConfigError::ensure(
                 rate.is_finite() && rate > 0.0,
-                "{what} must be positive and finite, got {rate}"
-            );
+                parameter,
+                format_args!("{what} must be positive and finite, got {rate}"),
+            )
         };
         match *self {
-            ArrivalProcess::Poisson { rate_per_sec } => positive(rate_per_sec, "Poisson rate"),
+            ArrivalProcess::Poisson { rate_per_sec } => {
+                positive(rate_per_sec, "rate_per_sec", "Poisson rate")
+            }
             ArrivalProcess::Diurnal {
                 base_rate_per_sec,
                 amplitude,
                 period,
             } => {
-                positive(base_rate_per_sec, "diurnal base rate");
-                assert!(
+                positive(base_rate_per_sec, "base_rate_per_sec", "diurnal base rate")?;
+                ConfigError::ensure(
                     (0.0..1.0).contains(&amplitude),
-                    "diurnal amplitude must be in [0, 1), got {amplitude}"
-                );
-                assert!(!period.is_zero(), "diurnal period must be positive");
+                    "amplitude",
+                    format_args!("diurnal amplitude must be in [0, 1), got {amplitude}"),
+                )?;
+                ConfigError::ensure(
+                    !period.is_zero(),
+                    "period",
+                    format_args!("diurnal period must be positive"),
+                )
             }
             ArrivalProcess::Burst {
                 base_rate_per_sec,
@@ -162,14 +170,23 @@ impl ArrivalProcess {
                 period,
                 burst_len,
             } => {
-                positive(base_rate_per_sec, "burst base rate");
-                positive(burst_rate_per_sec, "burst peak rate");
-                assert!(!period.is_zero(), "burst period must be positive");
-                assert!(!burst_len.is_zero(), "burst length must be positive");
-                assert!(
+                positive(base_rate_per_sec, "base_rate_per_sec", "burst base rate")?;
+                positive(burst_rate_per_sec, "burst_rate_per_sec", "burst peak rate")?;
+                ConfigError::ensure(
+                    !period.is_zero(),
+                    "period",
+                    format_args!("burst period must be positive"),
+                )?;
+                ConfigError::ensure(
+                    !burst_len.is_zero(),
+                    "burst_len",
+                    format_args!("burst length must be positive"),
+                )?;
+                ConfigError::ensure(
                     burst_len <= period,
-                    "burst length {burst_len} exceeds period {period}"
-                );
+                    "burst_len",
+                    format_args!("burst length {burst_len} exceeds period {period}"),
+                )
             }
         }
     }
@@ -219,7 +236,7 @@ impl ArrivalDriver {
         batch_range: (u32, u32),
         seed: u64,
     ) -> Self {
-        process.validate();
+        process.validate().unwrap_or_else(|err| panic!("{err}"));
         assert!(suite_len > 0, "suite must not be empty");
         let (lo, hi) = batch_range;
         assert!(lo >= 1 && lo <= hi, "invalid batch range {lo}..={hi}");
@@ -393,7 +410,7 @@ mod tests {
     fn scaling_multiplies_rates_and_preserves_shape() {
         for process in processes() {
             let scaled = process.scaled(2.5);
-            scaled.validate();
+            assert_eq!(scaled.validate(), Ok(()));
             let t = SimTime::from_secs(13);
             assert!((scaled.rate_at(t) - 2.5 * process.rate_at(t)).abs() < 1e-9);
             assert!((scaled.max_rate_per_sec() - 2.5 * process.max_rate_per_sec()).abs() < 1e-9);
@@ -401,26 +418,40 @@ mod tests {
         }
     }
 
+    /// `process` fails validation on `parameter`; `ArrivalDriver::new` then
+    /// refuses it, panicking with the error's text (which the caller's
+    /// `should_panic` checks).
+    fn assert_rejects(process: ArrivalProcess, parameter: &str) {
+        let err = process.validate().unwrap_err();
+        // The failure message names no parameter: either name may be the
+        // caller's `should_panic` text.
+        assert!(
+            err.parameter() == parameter,
+            "validation blamed another parameter"
+        );
+        ArrivalDriver::new(process, 5, (5, 30), 1);
+    }
+
     #[test]
     #[should_panic(expected = "amplitude")]
     fn validate_rejects_full_amplitude() {
-        ArrivalProcess::Diurnal {
+        let process = ArrivalProcess::Diurnal {
             base_rate_per_sec: 1.0,
             amplitude: 1.0,
             period: SimDuration::from_secs(10),
-        }
-        .validate();
+        };
+        assert_rejects(process, "amplitude");
     }
 
     #[test]
     #[should_panic(expected = "exceeds period")]
     fn validate_rejects_overlong_burst() {
-        ArrivalProcess::Burst {
+        let process = ArrivalProcess::Burst {
             base_rate_per_sec: 1.0,
             burst_rate_per_sec: 2.0,
             period: SimDuration::from_secs(5),
             burst_len: SimDuration::from_secs(6),
-        }
-        .validate();
+        };
+        assert_rejects(process, "burst_len");
     }
 }

@@ -22,9 +22,9 @@ set -euo pipefail
 
 # workload        simulated-output digest  apps_per_s  peak_rss_mib
 readonly TABLE='
-service_diurnal   56589237d7154c56         55000       3.52
-fleet_faults      c9007809cce0225b         50000       3.75
-paper_sweep       18e44330f32b44b2         51500       5.38
+service_diurnal   56589237d7154c56         67000       3.52
+fleet_faults      c9007809cce0225b         63000       3.75
+paper_sweep       18e44330f32b44b2         60000       5.38
 '
 readonly RUNS=4
 readonly RUN_SECONDS=2
