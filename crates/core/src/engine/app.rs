@@ -1,4 +1,7 @@
-//! Runtime state of applications and their execution units.
+//! Runtime state of applications and their execution units, and the
+//! simulator's one application store.
+
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{SimDuration, SimTime};
@@ -77,6 +80,8 @@ pub struct AppRuntime {
     /// Current execution mode.
     pub mode: ExecMode,
     /// Execution units in pipeline order (tasks for Little mode, bundles for Big).
+    /// The simulator changes a unit's progress and slot only together with
+    /// the unit counters below, so outside code should treat it as read-only.
     pub units: Vec<UnitRuntime>,
     /// Whether any PR has been issued for this application (after which its mode
     /// can no longer change — the paper's binding rule).
@@ -95,6 +100,15 @@ pub struct AppRuntime {
     pub in_use_big: u32,
     /// Little slots currently occupied, maintained like `in_use_big`.
     pub in_use_little: u32,
+    /// Estimated remaining work, kept in step with `units` (see
+    /// [`Self::remaining_work`]).
+    remaining: SimDuration,
+    /// Units with items left (see [`Self::unfinished_units`]).
+    unfinished: u32,
+    /// Unfinished units without a slot (see [`Self::unplaced_units`]).
+    unplaced: u32,
+    /// ILP-optimal `(O_B, O_L)` slot counts, set at admission.
+    optimal: (u32, u32),
 }
 
 impl AppRuntime {
@@ -115,12 +129,16 @@ impl AppRuntime {
             completion: None,
             in_use_big: 0,
             in_use_little: 0,
+            remaining: SimDuration::ZERO,
+            unfinished: 0,
+            unplaced: 0,
+            optimal: (0, 0),
         };
         app.rebuild_units(spec, ExecMode::Little, dma_per_item);
         app
     }
 
-    /// Rebuilds the unit list for `mode`.
+    /// Rebuilds the unit list for `mode` and resets the unit counters.
     ///
     /// # Panics
     ///
@@ -176,27 +194,36 @@ impl AppRuntime {
             }
         };
         self.mode = mode;
+        let units = self.units.len() as u32;
+        self.unfinished = units;
+        self.unplaced = units;
+        self.remaining = self
+            .units
+            .iter()
+            .map(|u| u.per_item * u64::from(self.batch))
+            .sum();
     }
 
     /// Whether every unit has finished its batch.
     pub fn is_finished(&self) -> bool {
-        self.units.iter().all(|u| u.items_done >= self.batch)
+        self.unfinished == 0
     }
 
-    /// Number of units that still have items to process.
+    /// Number of units that still have items to process (O(1)).
     pub fn unfinished_units(&self) -> u32 {
-        self.units
-            .iter()
-            .filter(|u| u.items_done < self.batch)
-            .count() as u32
+        self.unfinished
     }
 
-    /// Number of unfinished units that are not placed in (or loading into) a slot.
+    /// Number of unfinished units that are not placed in (or loading into) a
+    /// slot (O(1)).
     pub fn unplaced_units(&self) -> u32 {
-        self.units
-            .iter()
-            .filter(|u| u.items_done < self.batch && u.slot.is_none())
-            .count() as u32
+        self.unplaced
+    }
+
+    /// The ILP-optimal `(O_B, O_L)` slot counts at this application's batch
+    /// size, set when the simulator admits it (`(0, 0)` before).
+    pub fn optimal_slots(&self) -> (u32, u32) {
+        self.optimal
     }
 
     /// Index of the next unfinished, unplaced unit in pipeline order, if any.
@@ -206,12 +233,42 @@ impl AppRuntime {
             .position(|u| u.items_done < self.batch && u.slot.is_none())
     }
 
-    /// Estimated remaining work (used by priority schedulers).
+    /// Estimated remaining work, the steady-state service time of every item
+    /// left (used by priority schedulers; O(1)).
     pub fn remaining_work(&self) -> SimDuration {
-        self.units
-            .iter()
-            .map(|u| u.per_item * (self.batch.saturating_sub(u.items_done)) as u64)
-            .sum()
+        self.remaining
+    }
+
+    /// Places unfinished, unplaced unit `unit` into slot `slot`.
+    pub(crate) fn place_unit(&mut self, unit: usize, slot: usize) {
+        let runtime = &mut self.units[unit];
+        debug_assert!(runtime.slot.is_none() && runtime.items_done < self.batch);
+        runtime.slot = Some(slot);
+        runtime.items_since_load = 0;
+        self.unplaced -= 1;
+    }
+
+    /// Takes unfinished unit `unit` out of its slot; it keeps its progress.
+    pub(crate) fn unplace_unit(&mut self, unit: usize) {
+        let runtime = &mut self.units[unit];
+        debug_assert!(runtime.slot.is_some() && runtime.items_done < self.batch);
+        runtime.slot = None;
+        self.unplaced += 1;
+    }
+
+    /// Records one completed item of unit `unit` and returns whether it was
+    /// the unit's last; a finished unit leaves its slot.
+    pub(crate) fn complete_item(&mut self, unit: usize) -> bool {
+        let runtime = &mut self.units[unit];
+        runtime.items_done += 1;
+        runtime.items_since_load += 1;
+        self.remaining -= runtime.per_item;
+        let finished = runtime.items_done >= self.batch;
+        if finished {
+            runtime.slot = None;
+            self.unfinished -= 1;
+        }
+        finished
     }
 
     /// The number of tasks this application contributes to `N_PR` in Eq. 1 (task
@@ -229,6 +286,99 @@ impl AppRuntime {
         spec.bundles()
             .get(index)
             .map(|b| plan_bundle(spec, b, self.batch, SimDuration::ZERO).mode)
+    }
+}
+
+/// The simulator's one application store: each live [`AppRuntime`] sits in a
+/// window indexed by `id - base`, so an identifier is its own index.
+///
+/// Removal slides `base` past leading vacant entries, so the window spans the
+/// live identifier range, not every identifier ever admitted.  That keeps the
+/// infinite-stream service mode constant-memory, and a fleet shard that sees
+/// every n-th identifier spans about n times its live applications.
+/// Iteration walks the window, so it is in ascending identifier order, the
+/// order the deterministic reports rely on.
+#[derive(Debug, Default)]
+pub(crate) struct AppStore {
+    window: VecDeque<Option<AppRuntime>>,
+    /// Identifier of `window[0]`.
+    base: u32,
+    /// Number of live applications.
+    len: usize,
+}
+
+impl AppStore {
+    /// Number of live applications.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Inserts `runtime` with its ILP-optimal `(O_B, O_L)` slot counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an application with the same id is already stored.
+    pub(crate) fn insert(&mut self, mut runtime: AppRuntime, optimal: (u32, u32)) {
+        let id = runtime.id.0;
+        if self.window.is_empty() {
+            self.base = id;
+        } else if id < self.base {
+            for _ in id..self.base {
+                self.window.push_front(None);
+            }
+            self.base = id;
+        }
+        let off = (id - self.base) as usize;
+        if off >= self.window.len() {
+            self.window.resize_with(off + 1, || None);
+        }
+        let entry = &mut self.window[off];
+        assert!(entry.is_none(), "application {} inserted twice", runtime.id);
+        runtime.optimal = optimal;
+        *entry = Some(runtime);
+        self.len += 1;
+    }
+
+    /// Removes and returns the application, or `None` if it is not stored.
+    pub(crate) fn remove(&mut self, id: AppId) -> Option<AppRuntime> {
+        let off = id.0.wrapping_sub(self.base) as usize;
+        let runtime = self.window.get_mut(off)?.take()?;
+        self.len -= 1;
+        while matches!(self.window.front(), Some(None)) {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        Some(runtime)
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, id: AppId) -> Option<&AppRuntime> {
+        let off = id.0.wrapping_sub(self.base) as usize;
+        self.window.get(off)?.as_ref()
+    }
+
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: AppId) -> Option<&mut AppRuntime> {
+        let off = id.0.wrapping_sub(self.base) as usize;
+        self.window.get_mut(off)?.as_mut()
+    }
+
+    /// The runtime of `id`; panics if absent.
+    #[inline]
+    pub(crate) fn expect(&self, id: AppId) -> &AppRuntime {
+        self.get(id)
+            .unwrap_or_else(|| panic!("unknown application {id}"))
+    }
+
+    #[inline]
+    pub(crate) fn expect_mut(&mut self, id: AppId) -> &mut AppRuntime {
+        self.get_mut(id)
+            .unwrap_or_else(|| panic!("unknown application {id}"))
+    }
+
+    /// Iterates live runtimes in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &AppRuntime> {
+        self.window.iter().flatten()
     }
 }
 
@@ -311,8 +461,128 @@ mod tests {
         let spec = BenchmarkApp::LeNet.spec();
         let mut app = AppRuntime::new(&arrival(10), &spec, SimDuration::ZERO);
         let before = app.remaining_work();
-        app.units[0].items_done = 5;
-        assert!(app.remaining_work() < before);
+        app.place_unit(0, 0);
+        for _ in 0..5 {
+            assert!(!app.complete_item(0));
+        }
+        assert_eq!(app.remaining_work(), before - app.units[0].per_item * 5);
         assert_eq!(app.pr_task_count(&spec), 6);
+    }
+
+    #[test]
+    fn counters_track_incremental_updates() {
+        let spec = BenchmarkApp::LeNet.spec();
+        let mut app = AppRuntime::new(&arrival(3), &spec, SimDuration::ZERO);
+        app.place_unit(0, 4);
+        app.place_unit(1, 5);
+        assert_eq!((app.unfinished_units(), app.unplaced_units()), (6, 4));
+        app.unplace_unit(1);
+        assert_eq!(app.unplaced_units(), 5);
+        assert_eq!(app.next_unit_to_place(), Some(1));
+
+        // The batch-completing item finishes the unit and frees its slot, but
+        // a finished unit is not unplaced.
+        assert!(!app.complete_item(0));
+        assert!(!app.complete_item(0));
+        assert!(app.complete_item(0));
+        assert_eq!(app.units[0].slot, None);
+        assert_eq!((app.unfinished_units(), app.unplaced_units()), (5, 5));
+        assert!(!app.is_finished());
+    }
+
+    fn runtime(id: u32) -> AppRuntime {
+        AppRuntime::new(
+            &AppArrival::new(
+                AppId(id),
+                BenchmarkApp::LeNet.suite_index(),
+                10,
+                SimTime::from_millis(u64::from(id)),
+            ),
+            &BenchmarkApp::LeNet.spec(),
+            SimDuration::ZERO,
+        )
+    }
+
+    fn ids(store: &AppStore) -> Vec<AppId> {
+        store.iter().map(|a| a.id).collect()
+    }
+
+    #[test]
+    fn iteration_stays_id_ordered() {
+        let mut store = AppStore::default();
+        for id in [5u32, 1, 3] {
+            store.insert(runtime(id), (id, 0));
+        }
+        assert_eq!(ids(&store), vec![AppId(1), AppId(3), AppId(5)]);
+        assert_eq!(store.expect(AppId(3)).optimal_slots(), (3, 0));
+
+        let removed = store.remove(AppId(3)).expect("app 3 is stored");
+        assert_eq!(removed.id, AppId(3));
+        store.insert(runtime(2), (0, 0));
+        assert_eq!(ids(&store), vec![AppId(1), AppId(2), AppId(5)]);
+        assert_eq!(store.len(), 3);
+    }
+
+    /// Service mode's constant-memory contract: the window must track the
+    /// live id span, not the total number of ids ever inserted.
+    #[test]
+    fn direct_map_window_slides_with_retirement() {
+        let mut store = AppStore::default();
+        for id in 0..8u32 {
+            store.insert(runtime(id), (0, 0));
+        }
+        for id in 0..6u32 {
+            store.remove(AppId(id)).expect("app is stored");
+        }
+        assert_eq!(store.base, 6, "window did not slide past retired ids");
+        assert_eq!(store.window.len(), 2);
+
+        store.insert(runtime(100), (0, 0));
+        assert_eq!(ids(&store), vec![AppId(6), AppId(7), AppId(100)]);
+
+        store.remove(AppId(6)).expect("app is stored");
+        store.remove(AppId(7)).expect("app is stored");
+        assert_eq!(store.base, 100, "window kept vacant leading entries");
+        assert_eq!(store.window.len(), 1);
+        assert_eq!(store.len(), 1);
+    }
+
+    /// A fleet shard sees every n-th id: its window spans the live ids and
+    /// the gaps between them, and slides as the oldest retire.
+    #[test]
+    fn store_window_spans_sparse_live_ids() {
+        let mut store = AppStore::default();
+        for id in (0..40u32).step_by(4) {
+            store.insert(runtime(id), (0, 0));
+        }
+        assert_eq!(store.window.len(), 37);
+        for id in (0..32u32).step_by(4) {
+            store.remove(AppId(id)).expect("app is stored");
+        }
+        assert_eq!((store.base, store.window.len()), (32, 5));
+        assert_eq!(ids(&store), vec![AppId(32), AppId(36)]);
+        assert!(store.get(AppId(34)).is_none());
+    }
+
+    #[test]
+    fn removing_an_unknown_id_returns_none() {
+        let mut store = AppStore::default();
+        assert!(store.remove(AppId(0)).is_none());
+        store.insert(runtime(4), (0, 0));
+        store.insert(runtime(6), (0, 0));
+        for id in [0, 3, 5, 7, 1000, u32::MAX] {
+            assert!(store.remove(AppId(id)).is_none(), "{id}");
+        }
+        assert!(store.remove(AppId(4)).is_some());
+        assert!(store.remove(AppId(4)).is_none(), "removed twice");
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "inserted twice")]
+    fn double_insert_panics() {
+        let mut store = AppStore::default();
+        store.insert(runtime(1), (0, 0));
+        store.insert(runtime(1), (0, 0));
     }
 }

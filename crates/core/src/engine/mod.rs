@@ -94,38 +94,43 @@
 //!   `set_board_enabled`).  `refresh_utilization` turns them into the same
 //!   `TimeWeightedSeries::set` calls, at the same points, with the same
 //!   values, as the slot walk it replaces.
-//! * **Optimal slot counts.** [`SharingSimulator::optimal_slots`] serves each
-//!   application's ILP-optimal `(O_B, O_L)` from an app-table column filled
-//!   at arrival from a per-simulator memo keyed by (suite index, batch), so
-//!   the memo is bounded by suite size × batch-range width however long a
-//!   service run lasts.
+//! * **Optimal slot counts.** [`AppRuntime::optimal_slots`] serves each
+//!   application's ILP-optimal `(O_B, O_L)`, set at admission from a
+//!   per-simulator memo keyed by (suite index, batch), so the memo is bounded
+//!   by suite size × batch-range width however long a service run lasts.
 //! * **Retirement.** [`SharingSimulator::retire_completed`] folds the
 //!   applications recorded as they completed and returns at once when none
 //!   did.
 //! * **Launch sweep.** A touched application's ready units are found under
 //!   one borrow and launched in ascending unit order, and completion is read
-//!   from the unfinished-units column.
+//!   from the application's unfinished-units counter.
 //!
 //! [`SharingSimulator::verify_indexes`] (debug builds, after every event)
 //! recounts the utilization totals with the full slot walk, checks the
-//! completed list against the app table and each live application's
+//! completed list against the application store and each live application's
 //! `(O_B, O_L)` against the memo; each admission debug-checks its memo entry
 //! against a fresh ILP solve.  Unit tests drive board outages (eviction,
 //! quarantine, disable/enable) and cross-board switches through that
 //! recount, and run VersaSlot and Nimblock in service mode past 5,000
-//! retirements to bound the memo and the app table.
+//! retirements to bound the memo and the store.
 //!
-//! # Structure-of-arrays state and multi-word slot masks
+//! # One application store
 //!
-//! The hot per-application fields live in `soa::AppTable` as parallel
-//! columns (arrival, remaining work, unfinished units, unplaced units) over a
-//! row slab, so a policy pass streams over dense arrays instead of chasing
-//! per-app structs.  Identifier-to-row lookup is a sliding-window direct map
-//! (a `VecDeque` offset by the lowest live identifier): O(1) per lookup, yet
-//! memory stays proportional to the live identifier span, which keeps the
-//! infinite-stream service mode constant-memory.  `AppRuntime` structs remain
-//! the views policies mutate; `verify_columns` recomputes every column naively
-//! and panics on divergence in debug builds.
+//! Each live [`AppRuntime`] is kept once, in a window indexed by
+//! `id - base` (a `VecDeque` of `Option<AppRuntime>`; `base` is the lowest
+//! live identifier and slides past vacant entries on retirement), so a lookup
+//! is one subtraction and memory stays proportional to the live identifier
+//! span, which keeps the infinite-stream service mode constant-memory.
+//! Iterating the window yields ascending identifiers, the order every report
+//! relies on.  What a policy pass reads per application is O(1): the
+//! remaining work, unfinished units and unplaced units are counters inside
+//! the runtime, set by [`AppRuntime::rebuild_units`] and moved by the engine
+//! in the same borrow as the unit change (grant, item completion, release,
+//! PR abandonment, board-failure eviction).  In debug builds
+//! [`SharingSimulator::verify_indexes`] recounts them from the unit vector
+//! after every event.
+//!
+//! # Multi-word slot masks
 //!
 //! Slot sets are [`mask::SlotMask`]es — two inline `u64` words spilling to a
 //! heap vector beyond 128 slots, lifting the ceiling to [`MAX_SLOTS`] (4096)
@@ -161,7 +166,6 @@
 pub mod app;
 pub mod mask;
 pub mod slot;
-pub(crate) mod soa;
 
 use std::collections::BTreeMap;
 
@@ -184,8 +188,8 @@ use crate::metrics::{AppRecord, RunReport};
 use crate::migration::{migration_overhead, MigrationRecord};
 use crate::policy::{Policy, PREEMPTION_QUANTUM};
 
+use app::AppStore;
 use mask::MaskQuery;
-use soa::{AppTable, SlotColumns};
 
 pub use app::{AppRuntime, AppState, ExecMode, UnitRuntime};
 pub use mask::{SlotIndexIter, SlotMask};
@@ -331,13 +335,12 @@ impl UtilTotals {
 pub struct SharingSimulator {
     config: SystemConfig,
     suite: Vec<ApplicationSpec>,
+    /// Arrivals scheduled but not yet admitted.
     pending_arrivals: BTreeMap<AppId, AppArrival>,
     now: SimTime,
     events: EventQueue<Event>,
-    apps: AppTable,
+    apps: AppStore,
     slots: Vec<SlotRuntime>,
-    /// Static per-slot hot columns (kind, board) in SoA layout.
-    slot_cols: SlotColumns,
     index: SlotIndex,
     /// Arrived, not-yet-completed applications, sorted by identifier.
     active: Vec<AppId>,
@@ -377,7 +380,7 @@ pub struct SharingSimulator {
     fault: Option<Box<FaultState>>,
 
     /// Memo of the ILP-optimal `(O_B, O_L)` slot counts per (suite index,
-    /// batch), read once per arrival into the app table's `optimal` column.
+    /// batch), read once per arrival into the admitted [`AppRuntime`].
     /// Bounded by the suite size times the batch-range width.
     optimal_memo: BTreeMap<(usize, u32), (u32, u32)>,
     /// Applications completed since the last [`Self::retire_completed`].
@@ -405,8 +408,8 @@ impl SharingSimulator {
     /// # Panics
     ///
     /// Panics if `config.boards` is empty, the boards have more than
-    /// [`MAX_SLOTS`] slots in total, or an arrival references an application
-    /// outside the suite.
+    /// [`MAX_SLOTS`] slots in total, an arrival references an application
+    /// outside the suite, or two arrivals share an identifier.
     pub fn new(config: SystemConfig, suite: Vec<ApplicationSpec>, arrivals: &[AppArrival]) -> Self {
         assert!(!config.boards.is_empty(), "at least one board is required");
         for arrival in arrivals {
@@ -461,7 +464,6 @@ impl SharingSimulator {
             });
         }
         let pr_paths = vec![SerialServer::new(); config.boards.len()];
-        let slot_cols = SlotColumns::from_slots(&slots);
 
         let fault = config.active_faults().map(|profile| {
             assert!(
@@ -487,8 +489,13 @@ impl SharingSimulator {
         ));
         let mut pending_arrivals = BTreeMap::new();
         for arrival in arrivals {
+            let previous = pending_arrivals.insert(arrival.id, *arrival);
+            assert!(
+                previous.is_none(),
+                "duplicate application id {}",
+                arrival.id
+            );
             events.push(arrival.arrival, Event::Arrival(arrival.id));
-            pending_arrivals.insert(arrival.id, *arrival);
         }
 
         let switch_loop = config
@@ -507,9 +514,8 @@ impl SharingSimulator {
             pending_arrivals,
             now: SimTime::ZERO,
             events,
-            apps: AppTable::default(),
+            apps: AppStore::default(),
             slots,
-            slot_cols,
             index,
             active: Vec::new(),
             cores,
@@ -591,7 +597,7 @@ impl SharingSimulator {
         );
         let previous = self.pending_arrivals.insert(arrival.id, arrival);
         assert!(
-            previous.is_none(),
+            previous.is_none() && self.apps.get(arrival.id).is_none(),
             "duplicate application id {}",
             arrival.id
         );
@@ -619,7 +625,6 @@ impl SharingSimulator {
         completed.sort_unstable();
         for &id in &completed {
             let app = self.apps.remove(id).expect("app present");
-            self.pending_arrivals.remove(&id);
             self.retired_apps += 1;
             self.retired_pr_tasks += self.suite[app.app_index].task_count() as u64;
             fold(&app);
@@ -678,34 +683,6 @@ impl SharingSimulator {
     /// The specification an application was instantiated from.
     pub fn spec_of(&self, id: AppId) -> &ApplicationSpec {
         &self.suite[self.apps.expect(id).app_index]
-    }
-
-    /// The priority inputs of an application — `(arrival, remaining work)` —
-    /// read from the SoA hot columns in O(1).
-    ///
-    /// `remaining work` mirrors [`AppRuntime::remaining_work`] but is
-    /// maintained incrementally, so priority schedulers avoid walking the unit
-    /// vector once per comparison.
-    pub fn priority_inputs(&self, app: AppId) -> (SimTime, SimDuration) {
-        self.apps.priority_inputs(app)
-    }
-
-    /// O(1) column read of [`AppRuntime::unfinished_units`].
-    pub fn unfinished_units(&self, app: AppId) -> u32 {
-        self.apps.unfinished_units(app)
-    }
-
-    /// O(1) column read of [`AppRuntime::unplaced_units`].
-    pub fn unplaced_units(&self, app: AppId) -> u32 {
-        self.apps.unplaced_units(app)
-    }
-
-    /// The ILP-optimal `(O_B, O_L)` slot counts of `app`
-    /// ([`optimal_big_slots`], [`optimal_little_slots`] at its batch size) —
-    /// an O(1) column read.  Each (suite index, batch) pair is solved once per
-    /// simulator, when the first such application arrives.
-    pub fn optimal_slots(&self, app: AppId) -> (u32, u32) {
-        self.apps.optimal_slots(app)
     }
 
     /// All slots (both boards), in construction order.
@@ -818,7 +795,7 @@ impl SharingSimulator {
         }
         let (slot, _) = victim?;
         let starving = self.active.iter().any(|&app| {
-            self.unplaced_units(app) > 0
+            self.apps.expect(app).unplaced_units() > 0
                 && self.slots_in_use_by(app) == (0, 0)
                 && !self.has_grantable_slot(app, Some(SlotKind::Little))
         });
@@ -969,7 +946,8 @@ impl SharingSimulator {
     /// the enabled mask and the utilization totals in step.
     fn set_board_enabled(&mut self, board_idx: usize, enabled: bool) {
         for idx in 0..self.slots.len() {
-            if self.slot_cols.board(idx) == board_idx && self.slots[idx].enabled != enabled {
+            let slot = &self.slots[idx];
+            if slot.board.0 as usize == board_idx && slot.enabled != enabled {
                 self.update_slot(idx, |slot| slot.enabled = enabled);
             }
         }
@@ -1064,15 +1042,16 @@ impl SharingSimulator {
     }
 
     /// Recomputes every incremental index naively from [`Self::slots`] and the
-    /// application table, panicking on any divergence: the slot masks,
-    /// occupancy counters, hot columns and active set, the utilization totals
-    /// (by the full slot walk), the completed list, and each live
-    /// application's `(O_B, O_L)` column against the memo.  (The memo is
-    /// insert-only and each admission debug-checks its entry against a fresh
-    /// ILP solve, so the column equals a fresh solve too, without re-solving
-    /// every live application after every event.)  Debug builds call this
-    /// after every event; the index-consistency property tests call it
-    /// through [`Self::step`].
+    /// application store, panicking on any divergence: the slot masks,
+    /// occupancy counters, each application's remaining work, unfinished and
+    /// unplaced units (by a scan of its unit vector), the store's placement
+    /// and count, the active set, the utilization totals (by the full slot
+    /// walk), the completed list, and each live application's `(O_B, O_L)`
+    /// against the memo.  (The memo is insert-only and each admission
+    /// debug-checks its entry against a fresh ILP solve, so the stored counts
+    /// equal a fresh solve too, without re-solving every live application
+    /// after every event.)  Debug builds call this after every event; the
+    /// index-consistency property tests call it through [`Self::step`].
     ///
     /// # Panics
     ///
@@ -1093,16 +1072,6 @@ impl SharingSimulator {
             if matches!(slot.state, SlotState::Loaded { busy: false, .. }) {
                 loaded_idle.insert(idx);
             }
-            assert_eq!(
-                self.slot_cols.kind(idx),
-                slot.descriptor.kind,
-                "slot kind column diverged"
-            );
-            assert_eq!(
-                self.slot_cols.board(idx),
-                slot.board.0 as usize,
-                "slot board column diverged"
-            );
             if let Some(app) = slot.occupant() {
                 let entry = in_use.entry(app).or_insert((0, 0));
                 match slot.descriptor.kind {
@@ -1118,6 +1087,12 @@ impl SharingSimulator {
             "loaded-idle mask diverged"
         );
         for app in self.apps.iter() {
+            assert_eq!(
+                self.apps.get(app.id).map(|a| a.id),
+                Some(app.id),
+                "application store misplaced {}",
+                app.id
+            );
             let (big, little) = in_use.get(&app.id).copied().unwrap_or((0, 0));
             assert_eq!(
                 (app.in_use_big, app.in_use_little),
@@ -1125,8 +1100,31 @@ impl SharingSimulator {
                 "occupancy counters of {} diverged",
                 app.id
             );
+            let unfinished = app.units.iter().filter(|u| u.items_done < app.batch);
+            let remaining: SimDuration = unfinished
+                .clone()
+                .map(|u| u.per_item * u64::from(app.batch - u.items_done))
+                .sum();
+            assert_eq!(
+                (
+                    app.remaining_work(),
+                    app.unfinished_units(),
+                    app.unplaced_units()
+                ),
+                (
+                    remaining,
+                    unfinished.clone().count() as u32,
+                    unfinished.filter(|u| u.slot.is_none()).count() as u32
+                ),
+                "unit counters of {} diverged",
+                app.id
+            );
         }
-        self.apps.verify_columns();
+        assert_eq!(
+            self.apps.iter().count(),
+            self.apps.len(),
+            "application store count diverged"
+        );
         let naive_active: Vec<AppId> = self
             .apps
             .iter()
@@ -1141,7 +1139,7 @@ impl SharingSimulator {
         );
         for app in self.apps.iter() {
             assert_eq!(
-                Some(&self.optimal_slots(app.id)),
+                Some(&app.optimal_slots()),
                 self.optimal_memo.get(&(app.app_index, app.batch)),
                 "optimal slot counts of {} diverged from the memo",
                 app.id
@@ -1198,14 +1196,11 @@ impl SharingSimulator {
 
         let dma = self.config.boards[slot_board].dma;
 
-        let (unit_idx, rebuilt) = {
-            // Borrow the suite and the application table simultaneously (disjoint
-            // fields) so no per-grant specification clone is needed.
+        let unit_idx = {
+            // Borrow the suite and the application store simultaneously
+            // (disjoint fields) so no per-grant specification clone is needed.
             let suite = &self.suite;
-            let app = match self.apps.get_mut(app_id) {
-                Some(app) => app,
-                None => panic!("unknown application {app_id}"),
-            };
+            let app = self.apps.expect_mut(app_id);
             let spec = &suite[app.app_index];
             if app.state == AppState::Completed {
                 return false;
@@ -1216,7 +1211,6 @@ impl SharingSimulator {
             if app.started && app.mode != target_mode {
                 return false;
             }
-            let mut rebuilt = false;
             if !app.started && app.mode != target_mode {
                 if target_mode == ExecMode::Big && !spec.can_bundle() {
                     return false;
@@ -1229,22 +1223,12 @@ impl SharingSimulator {
                         .unwrap_or(0),
                 );
                 app.rebuild_units(spec, target_mode, dma_per_item);
-                rebuilt = true;
             }
             match app.next_unit_to_place() {
-                Some(idx) => (idx, rebuilt),
-                None => {
-                    // A mode rebuild with no placeable unit cannot happen (a
-                    // rebuild implies an unstarted app whose units are all
-                    // unplaced), so the columns never see a half-applied grant.
-                    debug_assert!(!rebuilt);
-                    return false;
-                }
+                Some(idx) => idx,
+                None => return false,
             }
         };
-        if rebuilt {
-            self.apps.refresh_columns(app_id);
-        }
 
         // Model the PR as the paper describes it: the PR server reads the
         // pre-generated bitstream from the SD card into memory and then pushes it
@@ -1285,8 +1269,7 @@ impl SharingSimulator {
                     self.blocked_tasks += 1;
                 }
             }
-            app.units[unit_idx].slot = Some(slot_idx);
-            app.units[unit_idx].items_since_load = 0;
+            app.place_unit(unit_idx, slot_idx);
             app.state = AppState::Running;
             app.started = true;
             app.home_board.get_or_insert(slot_board);
@@ -1295,7 +1278,6 @@ impl SharingSimulator {
                 app.used_big = true;
             }
         }
-        self.apps.note_unit_placed(app_id);
 
         self.set_slot_state(
             slot_idx,
@@ -1355,13 +1337,11 @@ impl SharingSimulator {
             } => (app, unit),
             _ => return false,
         };
-        let slot_kind = self.slot_cols.kind(slot_idx);
+        let slot_kind = self.slots[slot_idx].descriptor.kind;
         self.set_slot_state(slot_idx, SlotState::Free);
         self.index_slot_freed(slot_idx, app_id, slot_kind);
-        let app = self.apps.expect_mut(app_id);
-        app.units[unit_idx].slot = None;
-        // A loaded slot always hosts an unfinished unit, so it is unplaced now.
-        self.apps.note_unit_unplaced(app_id);
+        // A loaded slot always hosts an unfinished unit.
+        self.apps.expect_mut(app_id).unplace_unit(unit_idx);
         self.trace.log(
             self.now,
             TraceKind::SlotPreempted,
@@ -1445,7 +1425,7 @@ impl SharingSimulator {
     pub fn run(&mut self, policy: &mut dyn Policy) -> RunReport {
         while self.step(policy) {}
         assert!(
-            self.active.is_empty() && self.apps.len() == self.pending_arrivals.len(),
+            self.active.is_empty() && self.pending_arrivals.is_empty(),
             "policy `{}` left applications unfinished: {:?}",
             policy.name(),
             self.active
@@ -1611,7 +1591,10 @@ impl SharingSimulator {
     }
 
     fn handle_arrival(&mut self, id: AppId) {
-        let arrival = self.pending_arrivals[&id];
+        let arrival = self
+            .pending_arrivals
+            .remove(&id)
+            .expect("admitted arrival was pending");
         let spec = &self.suite[arrival.app_index];
         let dma = self.config.boards[self.active_board].dma;
         let dma_per_item = dma.transfer_duration(
@@ -1686,7 +1669,7 @@ impl SharingSimulator {
             SlotState::Loaded { app, .. } => app,
             SlotState::Free => unreachable!("quarantined slots stay occupied until released"),
         };
-        let kind = self.slot_cols.kind(slot_idx);
+        let kind = self.slots[slot_idx].descriptor.kind;
         self.set_slot_state(slot_idx, SlotState::Free);
         self.index_slot_freed(slot_idx, app_id, kind);
         self.refresh_utilization();
@@ -1735,7 +1718,7 @@ impl SharingSimulator {
     /// the unit returns to the unplaced set for the policy to re-place.
     fn handle_pr_failed(&mut self, slot_idx: usize, app_id: AppId, unit_idx: usize) -> AppId {
         let now = self.now;
-        let slot_board = self.slot_cols.board(slot_idx);
+        let slot_board = self.slots[slot_idx].board.0 as usize;
         let (attempt, backoff, retry) = {
             let fault = self.fault.as_mut().expect("PR failure without fault state");
             fault.stats.pr_failures += 1;
@@ -1754,7 +1737,7 @@ impl SharingSimulator {
         );
         if retry {
             let board_cfg = &self.config.boards[slot_board];
-            let bitstream_kind = match self.slot_cols.kind(slot_idx) {
+            let bitstream_kind = match self.slots[slot_idx].descriptor.kind {
                 SlotKind::Big => BitstreamKind::BigPartial,
                 SlotKind::Little => BitstreamKind::LittlePartial,
             };
@@ -1800,11 +1783,10 @@ impl SharingSimulator {
                 fault.stats.evictions += 1;
                 fault.pr_attempts[slot_idx] = 0;
             }
-            let slot_kind = self.slot_cols.kind(slot_idx);
+            let slot_kind = self.slots[slot_idx].descriptor.kind;
             self.set_slot_state(slot_idx, SlotState::Free);
             self.index_slot_freed(slot_idx, app_id, slot_kind);
-            self.apps.expect_mut(app_id).units[unit_idx].slot = None;
-            self.apps.note_unit_unplaced(app_id);
+            self.apps.expect_mut(app_id).unplace_unit(unit_idx);
             self.refresh_utilization();
         }
         app_id
@@ -1836,7 +1818,7 @@ impl SharingSimulator {
         }
         let mut evicted = 0u32;
         for slot_idx in 0..self.slots.len() {
-            if self.slot_cols.board(slot_idx) != board {
+            if self.slots[slot_idx].board.0 as usize != board {
                 continue;
             }
             if self
@@ -1856,8 +1838,7 @@ impl SharingSimulator {
                 SlotState::Loaded { app, unit, busy } => (app, unit, busy),
                 SlotState::Free => continue,
             };
-            self.apps.expect_mut(app_id).units[unit_idx].slot = None;
-            self.apps.note_unit_unplaced(app_id);
+            self.apps.expect_mut(app_id).unplace_unit(unit_idx);
             if in_flight {
                 // Detach the occupant now, free the slot when its stale event
                 // drains (see `release_quarantined`).
@@ -1866,7 +1847,7 @@ impl SharingSimulator {
                 fault.slot_quarantined[slot_idx] = true;
                 fault.pr_attempts[slot_idx] = 0;
             } else {
-                let slot_kind = self.slot_cols.kind(slot_idx);
+                let slot_kind = self.slots[slot_idx].descriptor.kind;
                 self.set_slot_state(slot_idx, SlotState::Free);
                 self.index_slot_freed(slot_idx, app_id, slot_kind);
                 let fault = self.fault.as_mut().expect("fault state present");
@@ -1941,7 +1922,7 @@ impl SharingSimulator {
         if fault.schedule.profile().board_mttf.is_none() {
             return;
         }
-        if self.active.is_empty() && self.apps.len() >= self.pending_arrivals.len() {
+        if self.active.is_empty() && self.pending_arrivals.is_empty() {
             return;
         }
         let now = self.now;
@@ -1971,18 +1952,11 @@ impl SharingSimulator {
             other => panic!("item completion on a slot in state {other:?}"),
         };
 
-        let (unit_finished, batch, per_item) = {
+        let (unit_finished, app_finished, batch) = {
             let app = self.apps.expect_mut(app_id);
-            app.units[unit_idx].items_done += 1;
-            app.units[unit_idx].items_since_load += 1;
-            let unit_finished = app.units[unit_idx].items_done >= app.batch;
-            if unit_finished {
-                app.units[unit_idx].slot = None;
-            }
-            (unit_finished, app.batch, app.units[unit_idx].per_item)
+            let unit_finished = app.complete_item(unit_idx);
+            (unit_finished, app.is_finished(), app.batch)
         };
-        self.apps.note_item_done(app_id, per_item, unit_finished);
-        let app_finished = self.apps.unfinished_units(app_id) == 0;
 
         self.trace.log(
             self.now,
@@ -1994,7 +1968,7 @@ impl SharingSimulator {
         );
 
         if unit_finished {
-            let slot_kind = self.slot_cols.kind(slot_idx);
+            let slot_kind = self.slots[slot_idx].descriptor.kind;
             self.set_slot_state(slot_idx, SlotState::Free);
             self.index_slot_freed(slot_idx, app_id, slot_kind);
             self.trace.log(
@@ -2102,7 +2076,7 @@ impl SharingSimulator {
     /// Starts the next batch item of `app_id`'s unit `unit_idx` in its loaded,
     /// idle slot `slot_idx`.
     fn launch(&mut self, app_id: AppId, unit_idx: usize, slot_idx: usize, duration: SimDuration) {
-        let board = self.slot_cols.board(slot_idx);
+        let board = self.slots[slot_idx].board.0 as usize;
         let cores = &mut self.cores[board];
         let blocked =
             cores.sched.earliest_start(self.now) > self.now + self.config.blocked_threshold;
@@ -2317,10 +2291,11 @@ impl SharingSimulator {
     }
 
     fn build_report(&self, scheduler: &str) -> RunReport {
-        let mut apps: Vec<AppRecord> = self
-            .apps
-            .iter()
-            .map(|a| AppRecord {
+        // Sized exactly: the store's iterator gives no exact size hint, and
+        // sweeps hold many reports at once.
+        let mut apps = Vec::with_capacity(self.apps.len());
+        apps.extend(self.apps.iter().map(|a| {
+            AppRecord {
                 id: a.id,
                 app_index: a.app_index,
                 batch_size: a.batch,
@@ -2330,8 +2305,8 @@ impl SharingSimulator {
                     .expect("completed application has a completion time"),
                 pr_count: a.pr_count,
                 used_big_slot: a.used_big,
-            })
-            .collect();
+            }
+        }));
         apps.sort_by_key(|a| a.completion);
         let makespan = apps
             .iter()
@@ -2425,6 +2400,32 @@ mod tests {
         // The app cannot finish faster than its bottleneck stage times the batch.
         let lower_bound = spec.max_stage_time() * batch as u64;
         assert!(report.apps[0].response() >= lower_bound);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate application id")]
+    fn duplicate_arrival_ids_are_rejected() {
+        let mut arrivals = crowded_arrivals(4);
+        arrivals[2].id = AppId(3);
+        SharingSimulator::new(
+            SystemConfig::single_board(BoardSpec::zcu216_big_little()),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+    }
+
+    /// Sweeps hold many reports at once, so each report's application list
+    /// is allocated at its exact length.
+    #[test]
+    fn report_application_list_is_sized_exactly() {
+        let mut sim = SharingSimulator::new(
+            SystemConfig::single_board(BoardSpec::zcu216_big_little()),
+            BenchmarkApp::suite(),
+            &crowded_arrivals(13),
+        );
+        let report = sim.run(&mut VersaSlotPolicy::new());
+        assert_eq!(report.apps.len(), 13);
+        assert_eq!(report.apps.capacity(), report.apps.len());
     }
 
     #[test]
@@ -2764,7 +2765,7 @@ mod tests {
     }
 
     /// Service mode must stay O(live applications): after thousands of
-    /// retirements the app table holds only live applications and the
+    /// retirements the application store holds only live applications and the
     /// optimal-slot memo at most one entry per (suite index, batch) pair.
     #[test]
     fn service_mode_keeps_optimal_slot_memo_and_app_table_bounded() {
@@ -2808,7 +2809,7 @@ mod tests {
                 assert_eq!(
                     sim.apps.len(),
                     sim.active.len(),
-                    "{}: retired applications left in the app table",
+                    "{}: retired applications left in the application store",
                     policy.name()
                 );
             }

@@ -6,7 +6,7 @@
 //!
 //! * **One spine per shard.**  Each shard owns a full [`ServiceRunner`] — its
 //!   own pre-sized [`SharingSimulator`][crate::engine::SharingSimulator]
-//!   (`grow_events() == 0` holds per shard), its own SoA application table and
+//!   (`grow_events() == 0` holds per shard), its own application store and
 //!   slot masks, and its own constant-memory streaming accumulators
 //!   ([`StreamingSummary`]: Welford moments + a mergeable log-histogram, and a
 //!   [`TumblingWindow`][versaslot_sim::TumblingWindow]).  Shards share **no

@@ -9,7 +9,7 @@
 use versaslot_fpga::slot::SlotKind;
 use versaslot_workload::AppId;
 
-use super::{grant_little_slots, unplaced_demand, Policy, ScratchMeter};
+use super::{grant_little_slots, Policy, ScratchMeter};
 use crate::engine::SharingSimulator;
 
 /// First-come-first-served slot allocation (single-core comparator).
@@ -45,7 +45,7 @@ impl Policy for FcfsPolicy {
         let slot_total = sim.enabled_slot_total(SlotKind::Little).max(1);
         for i in 0..self.scratch.len() {
             let app = self.scratch[i];
-            let want = unplaced_demand(sim, app).min(slot_total);
+            let want = sim.app(app).unplaced_units().min(slot_total);
             if want == 0 {
                 continue;
             }

@@ -55,11 +55,14 @@
 //! [`SharingSimulator::has_grantable_slot`],
 //! [`SharingSimulator::grantable_slots`]) instead of materialising candidate
 //! vectors, and each policy keeps reusable scratch buffers for the application
-//! lists it sorts.  The ILP-optimal slot counts `(O_B, O_L)` that Nimblock
-//! and VersaSlot cap allocations with come from
-//! [`SharingSimulator::optimal_slots`], an O(1) column the engine fills once
-//! per arrival from a per-(suite index, batch) memo, so no policy keeps a
-//! per-application cache (which would grow without bound in service mode).
+//! lists it sorts.  Per-application inputs are O(1) reads of
+//! [`SharingSimulator::app`]: unplaced demand, unfinished units and remaining
+//! work are counters the engine keeps in step with every unit change, and the
+//! ILP-optimal slot counts `(O_B, O_L)` that Nimblock and VersaSlot cap
+//! allocations with ([`crate::engine::AppRuntime::optimal_slots`]) are set
+//! once per admission from a per-(suite index, batch) memo, so no policy
+//! keeps a per-application cache (which would grow without bound in service
+//! mode).
 
 pub mod fcfs;
 pub mod nimblock;
@@ -128,24 +131,15 @@ impl ScratchMeter {
     }
 }
 
-/// Number of unfinished, unplaced execution units of `app` — the natural "demand"
-/// of an application that wants one slot per remaining pipeline stage.
-///
-/// Served from the engine's SoA demand column in O(1), without touching the
-/// application row.
-pub fn unplaced_demand(sim: &SharingSimulator, app: AppId) -> u32 {
-    sim.unplaced_units(app)
-}
-
 /// Ageing priority shared by the priority-ordered policies: time waited divided
 /// by remaining work, so small or long-waiting applications rise to the front.
 ///
-/// Reads the arrival/remaining-work SoA columns ([`SharingSimulator::priority_inputs`])
-/// rather than walking the application's unit table.
+/// Reads the application's arrival and its O(1) remaining-work counter
+/// ([`crate::engine::AppRuntime::remaining_work`]).
 pub fn ageing_priority(sim: &SharingSimulator, app: AppId) -> f64 {
-    let (arrival, remaining) = sim.priority_inputs(app);
-    let waited = sim.now().saturating_since(arrival).as_millis_f64();
-    (waited + 1.0) / remaining.as_millis_f64().max(1.0)
+    let runtime = sim.app(app);
+    let waited = sim.now().saturating_since(runtime.arrival).as_millis_f64();
+    (waited + 1.0) / runtime.remaining_work().as_millis_f64().max(1.0)
 }
 
 /// Sorts `list` by descending [`ageing_priority`] (ties broken by ascending id),
@@ -241,7 +235,7 @@ mod tests {
             self.scratch.extend_from_slice(sim.active_apps());
             for i in 0..self.scratch.len() {
                 let app = self.scratch[i];
-                let want = unplaced_demand(sim, app);
+                let want = sim.app(app).unplaced_units();
                 grant_little_slots(sim, app, want);
             }
         }

@@ -16,7 +16,7 @@
 
 use versaslot_workload::AppId;
 
-use super::{sort_by_priority, unplaced_demand, Policy, ScratchMeter};
+use super::{sort_by_priority, Policy, ScratchMeter};
 use crate::engine::SharingSimulator;
 
 /// Nimblock-style priority + optimal-slot-count policy (single-core comparator).
@@ -55,7 +55,8 @@ impl Policy for NimblockPolicy {
         super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
 
         // Priority with ageing (see `ageing_priority`): each priority is computed
-        // once from the SoA columns, then the list is sorted on the cached keys.
+        // once from O(1) per-application counters, then the list is sorted on
+        // the cached keys.
         self.scratch.clear();
         self.scratch.extend_from_slice(sim.active_apps());
         sort_by_priority(sim, &mut self.keyed, &mut self.scratch);
@@ -66,14 +67,14 @@ impl Policy for NimblockPolicy {
         // fabric is contended.
         for i in 0..self.scratch.len() {
             let app = self.scratch[i];
-            let (_, optimal) = sim.optimal_slots(app);
+            let (_, optimal) = sim.app(app).optimal_slots();
             let (_, in_use) = sim.slots_in_use_by(app);
             let cap = if contended {
                 optimal.saturating_sub(in_use)
             } else {
                 u32::MAX
             };
-            let want = unplaced_demand(sim, app).min(cap);
+            let want = sim.app(app).unplaced_units().min(cap);
             super::grant_little_slots(sim, app, want);
         }
 
@@ -81,7 +82,7 @@ impl Policy for NimblockPolicy {
         // them (redistribution keeps slots from idling).
         for i in 0..self.scratch.len() {
             let app = self.scratch[i];
-            let want = unplaced_demand(sim, app);
+            let want = sim.app(app).unplaced_units();
             if want > 0 {
                 super::grant_little_slots(sim, app, want);
             }

@@ -9,7 +9,7 @@
 use versaslot_fpga::slot::SlotKind;
 use versaslot_workload::AppId;
 
-use super::{unplaced_demand, Policy, ScratchMeter};
+use super::{Policy, ScratchMeter};
 use crate::engine::SharingSimulator;
 
 /// Round-robin slot allocation (single-core comparator).
@@ -55,7 +55,7 @@ impl Policy for RoundRobinPolicy {
                 sim.active_apps()
                     .iter()
                     .copied()
-                    .filter(|a| unplaced_demand(sim, *a) > 0),
+                    .filter(|&a| sim.app(a).unplaced_units() > 0),
             );
             if self.needy.is_empty() {
                 break;

@@ -108,15 +108,16 @@ impl Policy for VersaSlotPolicy {
         self.info.clear();
         for i in 0..self.active.len() {
             let app = self.active[i];
-            let (optimal_big, optimal_little) = sim.optimal_slots(app);
+            let runtime = sim.app(app);
+            let (optimal_big, optimal_little) = runtime.optimal_slots();
             self.info.insert(
                 app,
                 AppAllocInfo {
                     can_bundle: sim.can_bundle(app),
-                    unfinished_tasks: sim.unfinished_units(app),
+                    unfinished_tasks: runtime.unfinished_units(),
                     optimal_little,
                     optimal_big,
-                    started: sim.app(app).started,
+                    started: runtime.started,
                 },
             );
         }
@@ -175,7 +176,7 @@ impl Policy for VersaSlotPolicy {
         self.candidates.clear();
         for i in 0..self.active.len() {
             let app = self.active[i];
-            if !self.state.is_bound_big(app) && sim.unplaced_units(app) > 0 {
+            if !self.state.is_bound_big(app) && sim.app(app).unplaced_units() > 0 {
                 self.candidates.push(app);
             }
         }
@@ -188,7 +189,7 @@ impl Policy for VersaSlotPolicy {
             if still_waiting && sim.can_bundle(app) && sim.free_slot_count(SlotKind::Big) > 0 {
                 continue;
             }
-            let want = sim.unplaced_units(app);
+            let want = sim.app(app).unplaced_units();
             let granted = super::grant_little_slots(sim, app, want);
             if granted > 0 && still_waiting {
                 // The application is now executing in Little slots: record the
