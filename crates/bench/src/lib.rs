@@ -124,23 +124,6 @@ fn workload_for(congestion: Congestion, shape: Shape) -> Workload {
     )
 }
 
-/// Runs every scheduler over the workload of one congestion condition, fanning
-/// the whole (scheduler × sequence) job matrix out under `parallelism`.
-///
-/// Every (scheduler, sequence) cell is an independent simulation, so all
-/// `6 × sequences` jobs go through one [`parallel_map`] call; the results are
-/// regrouped per scheduler in input order, making the output byte-identical
-/// between sequential and parallel runs.
-pub fn run_matrix_with(
-    congestion: Congestion,
-    shape: Shape,
-    parallelism: Parallelism,
-) -> BTreeMap<String, Vec<RunReport>> {
-    run_congestion_matrices(&[congestion], shape, parallelism)
-        .pop()
-        .expect("one matrix per congestion")
-}
-
 /// Runs the full (congestion × scheduler × sequence) job matrix of several
 /// congestion conditions through **one** [`parallel_map`] call, returning one
 /// per-scheduler report map per congestion, in the order given.
@@ -151,7 +134,7 @@ pub fn run_matrix_with(
 /// congestion boundary), all `congestions × 6 × sequences` independent
 /// simulations form a single job list that scoped worker threads drain
 /// end-to-end.  Results are regrouped in input order, so the per-congestion
-/// matrices are byte-identical to separate [`run_matrix_with`] calls — and to a
+/// matrices are byte-identical to one call per congestion — and to a
 /// [`Parallelism::Sequential`] run.
 fn run_congestion_matrices(
     congestions: &[Congestion],
@@ -215,7 +198,7 @@ pub fn figure5(shape: Shape) -> Vec<Fig5Row> {
 /// All four congestion conditions are folded into one global
 /// (congestion × scheduler × sequence) job list and fanned out through a single
 /// [`parallel_map`] call — see `run_congestion_matrices`.
-pub fn figure5_with(shape: Shape, parallelism: Parallelism) -> Vec<Fig5Row> {
+pub(crate) fn figure5_with(shape: Shape, parallelism: Parallelism) -> Vec<Fig5Row> {
     let congestions = Congestion::all();
     let matrices = run_congestion_matrices(&congestions, shape, parallelism);
     let mut rows = Vec::new();
@@ -288,7 +271,7 @@ pub fn figure6(shape: Shape) -> Vec<Fig6Row> {
 ///
 /// Like [`figure5_with`], the three congestion conditions share one global job
 /// list through a single [`parallel_map`] call.
-pub fn figure6_with(shape: Shape, parallelism: Parallelism) -> Vec<Fig6Row> {
+pub(crate) fn figure6_with(shape: Shape, parallelism: Parallelism) -> Vec<Fig6Row> {
     let congestions = [
         Congestion::Standard,
         Congestion::Stress,
@@ -528,9 +511,9 @@ pub fn figure8(shape: Shape) -> Fig8 {
 }
 
 /// [`figure8`] with an explicit execution mode (the determinism tests compare
-/// the two paths).  Like [`run_matrix_with`], the whole (mode × sequence) job
-/// matrix goes through one [`parallel_map`] call.
-pub fn figure8_with(shape: Shape, parallelism: Parallelism) -> Fig8 {
+/// the two paths).  Like [`run_congestion_matrices`], the whole (mode ×
+/// sequence) job matrix goes through one [`parallel_map`] call.
+pub(crate) fn figure8_with(shape: Shape, parallelism: Parallelism) -> Fig8 {
     let workload = generate_workload(
         &WorkloadConfig::paper_switching().with_shape(shape.sequences, shape.apps_per_sequence),
     );
@@ -628,6 +611,17 @@ pub fn format_figure8(fig: &Fig8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scheduler × sequence matrix of one congestion condition.
+    fn run_matrix_with(
+        congestion: Congestion,
+        shape: Shape,
+        parallelism: Parallelism,
+    ) -> BTreeMap<String, Vec<RunReport>> {
+        run_congestion_matrices(&[congestion], shape, parallelism)
+            .pop()
+            .expect("one matrix per congestion")
+    }
 
     #[test]
     fn figure5_quick_shape_has_all_cells() {

@@ -31,23 +31,18 @@ use versaslot_workload::AppId;
 /// VersaSlot policy so the per-event scheduling pass performs no allocation in
 /// steady state (a `BTreeMap` would churn nodes every pass).
 #[derive(Debug, Clone, Default)]
-pub struct AllocInputs {
+pub(crate) struct AllocInputs {
     entries: Vec<(AppId, AppAllocInfo)>,
 }
 
 impl AllocInputs {
-    /// Creates an empty input table.
-    pub fn new() -> Self {
-        AllocInputs::default()
-    }
-
     /// Clears the table, keeping its capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Inserts (or replaces) the info of `app`.
-    pub fn insert(&mut self, app: AppId, info: AppAllocInfo) {
+    pub(crate) fn insert(&mut self, app: AppId, info: AppAllocInfo) {
         match self.entries.binary_search_by_key(&app, |(id, _)| *id) {
             Ok(pos) => self.entries[pos].1 = info,
             Err(pos) => self.entries.insert(pos, (app, info)),
@@ -55,27 +50,22 @@ impl AllocInputs {
     }
 
     /// Looks up the info of `app`.
-    pub fn get(&self, app: AppId) -> Option<&AppAllocInfo> {
+    pub(crate) fn get(&self, app: AppId) -> Option<&AppAllocInfo> {
         self.entries
             .binary_search_by_key(&app, |(id, _)| *id)
             .ok()
             .map(|pos| &self.entries[pos].1)
     }
 
-    /// Whether `app` is present.
-    pub fn contains(&self, app: AppId) -> bool {
-        self.get(app).is_some()
-    }
-
     /// Capacity of the backing vector (scratch-allocation accounting).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.entries.capacity()
     }
 }
 
 /// Per-application inputs to Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AppAllocInfo {
+pub(crate) struct AppAllocInfo {
     /// Whether 3-in-1 bundle bitstreams exist for this application.
     pub can_bundle: bool,
     /// `N_T_Ai`: unfinished ready tasks of the application.
@@ -90,7 +80,7 @@ pub struct AppAllocInfo {
 
 /// `R_Ai`: the Big/Little slots allocated to one application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Allocation {
+pub(crate) struct Allocation {
     /// Number of Big slots the application may occupy.
     pub big: u32,
     /// Number of Little slots the application may occupy.
@@ -100,7 +90,7 @@ pub struct Allocation {
 /// The allocator's persistent state: which applications are bound where, and their
 /// current allocations.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AllocationState {
+pub(crate) struct AllocationState {
     /// `S_Big`: applications bound to Big slots, in binding order.
     pub bound_big: Vec<AppId>,
     /// `S_Little`: applications bound to Little slots, in binding order (front of
@@ -113,14 +103,9 @@ pub struct AllocationState {
 }
 
 impl AllocationState {
-    /// Creates an empty allocator state.
-    pub fn new() -> Self {
-        AllocationState::default()
-    }
-
     /// Adds a newly arrived application to the waiting list, returning
     /// whether it was not there yet.
-    pub fn add_waiting(&mut self, app: AppId) -> bool {
+    pub(crate) fn add_waiting(&mut self, app: AppId) -> bool {
         let inserted = !self.waiting.contains(&app);
         if inserted {
             self.waiting.push(app);
@@ -128,26 +113,18 @@ impl AllocationState {
         inserted
     }
 
-    /// Removes a completed application from all lists.
-    pub fn remove(&mut self, app: AppId) {
-        self.bound_big.retain(|a| *a != app);
-        self.bound_little.retain(|a| *a != app);
-        self.waiting.retain(|a| *a != app);
-        self.allocations.remove(&app);
-    }
-
     /// Returns the current allocation of `app` (zero if unbound).
-    pub fn allocation(&self, app: AppId) -> Allocation {
+    pub(crate) fn allocation(&self, app: AppId) -> Allocation {
         self.allocations.get(&app).copied().unwrap_or_default()
     }
 
     /// Returns `true` if `app` is bound to Big slots.
-    pub fn is_bound_big(&self, app: AppId) -> bool {
+    pub(crate) fn is_bound_big(&self, app: AppId) -> bool {
         self.bound_big.contains(&app)
     }
 
     /// Returns `true` if `app` is bound to Little slots.
-    pub fn is_bound_little(&self, app: AppId) -> bool {
+    pub(crate) fn is_bound_little(&self, app: AppId) -> bool {
         self.bound_little.contains(&app)
     }
 }
@@ -163,7 +140,7 @@ impl AllocationState {
 /// [`AllocationState::allocation`].  Returns whether the pass changed the
 /// state: a prune, rebind, bind or redistribution raise.  The pass performs
 /// no allocation beyond occasional growth of the state's own vectors.
-pub fn allocate(
+pub(crate) fn allocate(
     state: &mut AllocationState,
     big_total: u32,
     little_total: u32,
@@ -324,10 +301,10 @@ mod tests {
     #[test]
     fn bundleable_apps_prefer_big_slots() {
         let (bt, lt) = big_little_totals();
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
         state.add_waiting(AppId(1));
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(true, 6, 3, false));
         apps.insert(AppId(1), info(true, 3, 2, false));
 
@@ -342,8 +319,8 @@ mod tests {
     #[test]
     fn overflow_apps_fall_back_to_little_slots() {
         let (bt, lt) = big_little_totals();
-        let mut state = AllocationState::new();
-        let mut apps = AllocInputs::new();
+        let mut state = AllocationState::default();
+        let mut apps = AllocInputs::default();
         for i in 0..3 {
             state.add_waiting(AppId(i));
             apps.insert(AppId(i), info(true, 6, 3, false));
@@ -362,9 +339,9 @@ mod tests {
     fn redistribution_uses_leftover_little_slots() {
         // Only.Little board: 8 Little slots, one app wanting 3 optimally but having
         // 6 unfinished tasks — redistribution tops it up to 6.
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(true, 6, 3, false));
 
         allocate(&mut state, 0, 8, 0, 8, &apps);
@@ -373,10 +350,10 @@ mod tests {
 
     #[test]
     fn redistribution_prefers_front_of_queue() {
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
         state.add_waiting(AppId(1));
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(false, 6, 2, false));
         apps.insert(AppId(1), info(false, 6, 2, false));
 
@@ -390,13 +367,13 @@ mod tests {
     #[test]
     fn rebinding_moves_unstarted_little_apps_to_big() {
         let (bt, lt) = big_little_totals();
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         // App 0 was previously bound to Little slots but has not started.
         state.bound_little.push(AppId(0));
         state
             .allocations
             .insert(AppId(0), Allocation { big: 0, little: 3 });
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(true, 6, 3, false));
 
         allocate(&mut state, bt, lt, bt, lt, &apps);
@@ -408,12 +385,12 @@ mod tests {
     #[test]
     fn started_little_apps_are_not_rebound() {
         let (bt, lt) = big_little_totals();
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         state.bound_little.push(AppId(0));
         state
             .allocations
             .insert(AppId(0), Allocation { big: 0, little: 3 });
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(true, 6, 3, true));
 
         allocate(&mut state, bt, lt, bt, lt, &apps);
@@ -423,13 +400,13 @@ mod tests {
 
     #[test]
     fn completed_apps_are_pruned() {
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         state.bound_big.push(AppId(0));
         state
             .allocations
             .insert(AppId(0), Allocation { big: 1, little: 0 });
         // App 0 no longer appears in the info table (completed).
-        let apps = AllocInputs::new();
+        let apps = AllocInputs::default();
         allocate(&mut state, 2, 4, 2, 4, &apps);
         assert!(state.allocations.is_empty());
         assert!(state.bound_big.is_empty());
@@ -437,9 +414,9 @@ mod tests {
 
     #[test]
     fn no_free_slots_is_a_no_op() {
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(true, 6, 3, false));
         assert!(!allocate(&mut state, 2, 4, 0, 0, &apps));
         assert!(state.allocations.is_empty());
@@ -449,7 +426,7 @@ mod tests {
     #[test]
     fn allocate_reports_whether_it_changed_the_state() {
         // A started application bound to 2 of 8 Little slots, 6 of them free.
-        let mut state = AllocationState::new();
+        let mut state = AllocationState::default();
         assert!(state.add_waiting(AppId(0)));
         assert!(!state.add_waiting(AppId(0)));
         state.waiting.clear();
@@ -457,7 +434,7 @@ mod tests {
         state
             .allocations
             .insert(AppId(0), Allocation { big: 0, little: 2 });
-        let mut apps = AllocInputs::new();
+        let mut apps = AllocInputs::default();
         apps.insert(AppId(0), info(false, 6, 2, true));
         // A lone redistribution raise (2 -> 6) is a change ...
         assert!(allocate(&mut state, 0, 8, 0, 6, &apps));
@@ -465,14 +442,14 @@ mod tests {
         // ... after which the same inputs are a fixed point ...
         assert!(!allocate(&mut state, 0, 8, 0, 6, &apps));
         // ... and a prune is a change again.
-        assert!(allocate(&mut state, 0, 8, 0, 6, &AllocInputs::new()));
+        assert!(allocate(&mut state, 0, 8, 0, 6, &AllocInputs::default()));
     }
 
     #[test]
     fn allocation_never_exceeds_totals() {
         // Property-style check over a crowded system.
-        let mut state = AllocationState::new();
-        let mut apps = AllocInputs::new();
+        let mut state = AllocationState::default();
+        let mut apps = AllocInputs::default();
         for i in 0..10 {
             state.add_waiting(AppId(i));
             apps.insert(AppId(i), info(i % 2 == 0, 6, 3, false));

@@ -20,12 +20,16 @@ use versaslot_fpga::bitstream::BitstreamKind;
 use versaslot_fpga::board::BoardSpec;
 
 /// Name under which baseline runs appear in reports.
-pub const BASELINE_NAME: &str = "baseline-temporal";
+pub(crate) const BASELINE_NAME: &str = "baseline-temporal";
 
 /// Computes the time one application occupies the whole FPGA: full reconfiguration
 /// (cold SD read plus PCAP load of the full-fabric bitstream) followed by the
 /// pipelined batch execution with every task resident.
-pub fn baseline_service_time(board: &BoardSpec, spec: &ApplicationSpec, batch: u32) -> SimDuration {
+pub(crate) fn baseline_service_time(
+    board: &BoardSpec,
+    spec: &ApplicationSpec,
+    batch: u32,
+) -> SimDuration {
     let full = board.bitstream_sizes.size_of(BitstreamKind::Full);
     let reconfig = board.sd_card.read_duration(full) + board.pcap.load_duration(full);
     let stage_times: Vec<SimDuration> = spec
@@ -41,7 +45,7 @@ pub fn baseline_service_time(board: &BoardSpec, spec: &ApplicationSpec, batch: u
 /// # Panics
 ///
 /// Panics if an arrival references an application outside `suite`.
-pub fn run_baseline(
+pub(crate) fn run_baseline(
     board: &BoardSpec,
     suite: &[ApplicationSpec],
     arrivals: &[AppArrival],

@@ -7,13 +7,14 @@
 use serde::{Deserialize, Serialize};
 use versaslot_fpga::board::BoardSpec;
 use versaslot_sim::fault::FaultProfile;
-use versaslot_sim::SimDuration;
+use versaslot_sim::{ConfigError, SimDuration};
 
 use crate::dswitch::SwitchThresholds;
+use crate::engine::MAX_SLOTS;
 
 /// How often the D_switch metric is recomputed, in candidate-queue updates
 /// (the paper recalculates "after every *n* updates"; Figure 8 uses 4).
-pub const DEFAULT_DSWITCH_PERIOD: u32 = 4;
+pub(crate) const DEFAULT_DSWITCH_PERIOD: u32 = 4;
 
 /// Configuration of the cross-board switching controller.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,7 +54,7 @@ pub struct SystemConfig {
     pub record_trace: bool,
     /// Deterministic fault injection; `None` disables the fault plane
     /// entirely (the default for every existing run mode), and so does a
-    /// profile that injects nothing (see [`Self::active_faults`]).
+    /// profile that injects nothing (see `Self::active_faults`).
     pub faults: Option<FaultProfile>,
 }
 
@@ -102,17 +103,60 @@ impl SystemConfig {
         self
     }
 
-    /// The profile the simulator builds a fault plane for: the attached one,
-    /// validated, unless it injects nothing ([`FaultProfile::is_noop`]).  An
-    /// empty schedule therefore runs the fault-free code path itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attached profile fails [`FaultProfile::validate`].
-    pub fn active_faults(&self) -> Option<FaultProfile> {
-        let profile = self.faults?;
-        profile.validate().unwrap_or_else(|err| panic!("{err}"));
-        (!profile.is_noop()).then_some(profile)
+    /// Checks that the configuration is not degenerate, naming the first
+    /// offending parameter.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::ensure(
+            !self.boards.is_empty(),
+            "boards",
+            format_args!("at least one board is required"),
+        )?;
+        let total_slots: usize = self.boards.iter().map(|b| b.layout.slots().len()).sum();
+        ConfigError::ensure(
+            total_slots <= MAX_SLOTS,
+            "boards",
+            format_args!("at most {MAX_SLOTS} slots are supported per run, got {total_slots}"),
+        )?;
+        if let Some(switching) = &self.switching {
+            // A zero period would never recompute D_switch: no candidate count
+            // is a multiple of zero.
+            ConfigError::ensure(
+                switching.period > 0,
+                "period",
+                format_args!("the D_switch period must be positive"),
+            )?;
+            let SwitchThresholds { upper, lower } = switching.thresholds;
+            ConfigError::ensure(
+                0.0 < lower && lower < upper && upper < 1.0,
+                "thresholds",
+                format_args!(
+                    "thresholds must satisfy 0 < lower < upper < 1 (got lower={lower}, upper={upper})"
+                ),
+            )?;
+            ConfigError::ensure(
+                self.boards.len() >= 2,
+                "switching",
+                format_args!("cross-board switching needs at least two boards"),
+            )?;
+        }
+        if let Some(faults) = &self.faults {
+            faults.validate()?;
+            ConfigError::ensure(
+                faults.board_mttf.is_none() || self.switching.is_none(),
+                "board_mttf",
+                format_args!(
+                    "board failure injection and cross-board switching are mutually exclusive"
+                ),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The profile the simulator builds a fault plane for: the attached one
+    /// unless it injects nothing ([`FaultProfile::is_noop`]).  An empty
+    /// schedule therefore runs the fault-free code path itself.
+    pub(crate) fn active_faults(&self) -> Option<FaultProfile> {
+        self.faults.filter(|profile| !profile.is_noop())
     }
 }
 
@@ -139,6 +183,89 @@ mod tests {
         let switching = config.switching.expect("switching enabled");
         assert_eq!(switching.period, DEFAULT_DSWITCH_PERIOD);
         assert!(switching.thresholds.upper > switching.thresholds.lower);
+    }
+
+    fn cluster() -> SystemConfig {
+        SystemConfig::switching_cluster(
+            BoardSpec::zcu216_only_little(),
+            BoardSpec::zcu216_big_little(),
+        )
+    }
+
+    /// `config` fails validation on `parameter`.
+    fn assert_rejects(config: SystemConfig, parameter: &str) {
+        let err = config.validate().expect_err("degenerate config accepted");
+        assert_eq!(err.parameter(), parameter, "{err}");
+    }
+
+    #[test]
+    fn presets_validate() {
+        assert_eq!(cluster().validate(), Ok(()));
+        let single = SystemConfig::single_board(BoardSpec::zcu216_big_little());
+        assert_eq!(single.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_switching_period() {
+        let switching = SwitchingConfig {
+            period: 0,
+            ..SwitchingConfig::default()
+        };
+        assert_rejects(cluster().with_switching(switching), "period");
+    }
+
+    #[test]
+    fn validate_rejects_thresholds_outside_the_unit_interval() {
+        for (upper, lower) in [(0.1, 0.0), (0.1, 0.2), (1.0, 0.5), (0.05, 0.05)] {
+            let switching = SwitchingConfig {
+                thresholds: SwitchThresholds { upper, lower },
+                ..SwitchingConfig::default()
+            };
+            assert_rejects(cluster().with_switching(switching), "thresholds");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_switching_on_one_board() {
+        let config = SystemConfig::single_board(BoardSpec::zcu216_only_little())
+            .with_switching(SwitchingConfig::default());
+        assert_rejects(config, "switching");
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_board_list() {
+        let config = SystemConfig {
+            boards: Vec::new(),
+            ..SystemConfig::single_board(BoardSpec::zcu216_big_little())
+        };
+        assert_rejects(config, "boards");
+    }
+
+    #[test]
+    fn validate_rejects_more_than_max_slots() {
+        // 8 slots per board.
+        let boards = MAX_SLOTS / 8 + 1;
+        let config = SystemConfig {
+            boards: vec![BoardSpec::zcu216_only_little(); boards],
+            ..SystemConfig::single_board(BoardSpec::zcu216_only_little())
+        };
+        assert_rejects(config, "boards");
+    }
+
+    #[test]
+    fn validate_rejects_board_mttf_with_switching() {
+        let faults = FaultProfile::new(1)
+            .with_board_failures(SimDuration::from_secs(600), SimDuration::from_secs(60));
+        assert_rejects(cluster().with_faults(faults), "board_mttf");
+        let single = SystemConfig::single_board(BoardSpec::zcu216_big_little()).with_faults(faults);
+        assert_eq!(single.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_an_invalid_fault_profile() {
+        let faults = FaultProfile::new(1).with_pr_failures(1.5);
+        let config = SystemConfig::single_board(BoardSpec::zcu216_big_little()).with_faults(faults);
+        assert_rejects(config, "pr_fail_prob");
     }
 
     #[test]

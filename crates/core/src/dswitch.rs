@@ -52,7 +52,7 @@ impl SwitchThresholds {
     }
 
     /// Returns `true` if `value` lies inside the buffer zone between the thresholds.
-    pub fn in_buffer_zone(&self, value: f64) -> bool {
+    pub(crate) fn in_buffer_zone(&self, value: f64) -> bool {
         value > self.lower && value < self.upper
     }
 }
@@ -65,7 +65,7 @@ impl Default for SwitchThresholds {
 
 /// Inputs of one D_switch evaluation (the counters of Eq. 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct DswitchInputs {
+pub(crate) struct DswitchInputs {
     /// Tasks blocked by PR contention during the current observation period.
     pub blocked_tasks: u64,
     /// PR tasks of completed and running applications.
@@ -79,7 +79,7 @@ pub struct DswitchInputs {
 /// Evaluates Equation 1 and clamps the result into the open interval `(0, 1)` as
 /// the paper requires (degenerate inputs — no PR tasks or no candidates — evaluate
 /// to the lower bound).
-pub fn dswitch_value(inputs: DswitchInputs) -> f64 {
+pub(crate) fn dswitch_value(inputs: DswitchInputs) -> f64 {
     const EPSILON: f64 = 1e-6;
     if inputs.pr_tasks == 0 || inputs.candidate_batch == 0 {
         return EPSILON;
@@ -133,16 +133,6 @@ impl SwitchLoop {
             active: initial,
             last_value: thresholds.lower,
         }
-    }
-
-    /// The currently active layout.
-    pub fn active_layout(&self) -> LayoutKind {
-        self.active
-    }
-
-    /// The most recently observed D_switch value.
-    pub fn last_value(&self) -> f64 {
-        self.last_value
     }
 
     /// Feeds a new D_switch observation.  Returns `Some(target)` when a switch to
@@ -223,17 +213,17 @@ mod tests {
     #[test]
     fn schmitt_trigger_hysteresis() {
         let mut sw = SwitchLoop::new(SwitchThresholds::paper_default(), LayoutKind::OnlyLittle);
-        assert_eq!(sw.active_layout(), LayoutKind::OnlyLittle);
+        assert_eq!(sw.active, LayoutKind::OnlyLittle);
         // Rising but still below the upper threshold: no switch.
         assert_eq!(sw.observe(0.09), None);
         // Crossing the upper threshold switches up.
         assert_eq!(sw.observe(0.12), Some(LayoutKind::BigLittle));
         // Values in the buffer zone do not switch back (hysteresis).
         assert_eq!(sw.observe(0.05), None);
-        assert_eq!(sw.active_layout(), LayoutKind::BigLittle);
+        assert_eq!(sw.active, LayoutKind::BigLittle);
         // Falling through the lower threshold switches down.
         assert_eq!(sw.observe(0.01), Some(LayoutKind::OnlyLittle));
-        assert_eq!(sw.active_layout(), LayoutKind::OnlyLittle);
+        assert_eq!(sw.active, LayoutKind::OnlyLittle);
     }
 
     #[test]
@@ -278,15 +268,15 @@ mod tests {
             let thresholds = SwitchThresholds::paper_default();
             let mut sw = SwitchLoop::new(thresholds, LayoutKind::OnlyLittle);
             for v in values {
-                let before = sw.active_layout();
+                let before = sw.active;
                 let switched = sw.observe(v);
                 if thresholds.in_buffer_zone(v) {
                     prop_assert_eq!(switched, None);
-                    prop_assert_eq!(sw.active_layout(), before);
+                    prop_assert_eq!(sw.active, before);
                 }
                 if let Some(target) = switched {
                     prop_assert_ne!(target, before);
-                    prop_assert_eq!(sw.active_layout(), target);
+                    prop_assert_eq!(sw.active, target);
                 }
             }
         }

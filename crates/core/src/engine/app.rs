@@ -8,7 +8,7 @@ use versaslot_sim::{SimDuration, SimTime};
 use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
 use super::slot::ExecUnit;
-use crate::bundling::{plan_bundle, BundleMode};
+use crate::bundling::plan_bundle;
 
 /// Whether the application runs as individual tasks in Little slots or as 3-in-1
 /// bundles in a Big slot.
@@ -55,7 +55,7 @@ pub struct UnitRuntime {
 
 impl UnitRuntime {
     /// Service time of the next item to run.
-    pub fn next_item_duration(&self) -> SimDuration {
+    pub(crate) fn next_item_duration(&self) -> SimDuration {
         if self.items_done == 0 {
             self.first_item
         } else {
@@ -113,7 +113,11 @@ pub struct AppRuntime {
 
 impl AppRuntime {
     /// Creates the runtime for an arrival, starting in Little mode.
-    pub fn new(arrival: &AppArrival, spec: &ApplicationSpec, dma_per_item: SimDuration) -> Self {
+    pub(crate) fn new(
+        arrival: &AppArrival,
+        spec: &ApplicationSpec,
+        dma_per_item: SimDuration,
+    ) -> Self {
         let mut app = AppRuntime {
             id: arrival.id,
             app_index: arrival.app_index,
@@ -144,7 +148,7 @@ impl AppRuntime {
     ///
     /// Panics if called after the application has started executing, or if `Big`
     /// mode is requested for an application without bundles.
-    pub fn rebuild_units(
+    pub(crate) fn rebuild_units(
         &mut self,
         spec: &ApplicationSpec,
         mode: ExecMode,
@@ -205,29 +209,29 @@ impl AppRuntime {
     }
 
     /// Whether every unit has finished its batch.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.unfinished == 0
     }
 
     /// Number of units that still have items to process (O(1)).
-    pub fn unfinished_units(&self) -> u32 {
+    pub(crate) fn unfinished_units(&self) -> u32 {
         self.unfinished
     }
 
     /// Number of unfinished units that are not placed in (or loading into) a
     /// slot (O(1)).
-    pub fn unplaced_units(&self) -> u32 {
+    pub(crate) fn unplaced_units(&self) -> u32 {
         self.unplaced
     }
 
     /// The ILP-optimal `(O_B, O_L)` slot counts at this application's batch
     /// size, set when the simulator admits it (`(0, 0)` before).
-    pub fn optimal_slots(&self) -> (u32, u32) {
+    pub(crate) fn optimal_slots(&self) -> (u32, u32) {
         self.optimal
     }
 
     /// Index of the next unfinished, unplaced unit in pipeline order, if any.
-    pub fn next_unit_to_place(&self) -> Option<usize> {
+    pub(crate) fn next_unit_to_place(&self) -> Option<usize> {
         self.units
             .iter()
             .position(|u| u.items_done < self.batch && u.slot.is_none())
@@ -235,7 +239,7 @@ impl AppRuntime {
 
     /// Estimated remaining work, the steady-state service time of every item
     /// left (used by priority schedulers; O(1)).
-    pub fn remaining_work(&self) -> SimDuration {
+    pub(crate) fn remaining_work(&self) -> SimDuration {
         self.remaining
     }
 
@@ -269,23 +273,6 @@ impl AppRuntime {
             self.unfinished -= 1;
         }
         finished
-    }
-
-    /// The number of tasks this application contributes to `N_PR` in Eq. 1 (task
-    /// granularity, regardless of execution mode).
-    pub fn pr_task_count(&self, spec: &ApplicationSpec) -> u64 {
-        spec.task_count() as u64
-    }
-
-    /// The bundle mode selected for bundle `index`, if this application runs in
-    /// Big mode (used by reports and tests).
-    pub fn bundle_mode(&self, spec: &ApplicationSpec, index: usize) -> Option<BundleMode> {
-        if self.mode != ExecMode::Big {
-            return None;
-        }
-        spec.bundles()
-            .get(index)
-            .map(|b| plan_bundle(spec, b, self.batch, SimDuration::ZERO).mode)
     }
 }
 
@@ -425,7 +412,6 @@ mod tests {
         app.rebuild_units(&spec, ExecMode::Big, SimDuration::ZERO);
         assert_eq!(app.units.len(), spec.bundles().len());
         assert_eq!(app.mode, ExecMode::Big);
-        assert!(app.bundle_mode(&spec, 0).is_some());
     }
 
     #[test]
@@ -466,7 +452,6 @@ mod tests {
             assert!(!app.complete_item(0));
         }
         assert_eq!(app.remaining_work(), before - app.units[0].per_item * 5);
-        assert_eq!(app.pr_task_count(&spec), 6);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! masks, regardless of fleet size.
 
 /// Bits per mask word.
-pub const WORD_BITS: usize = 64;
+pub(crate) const WORD_BITS: usize = 64;
 
 /// Words stored inline before spilling to the heap (128 slots inline).
 const INLINE_WORDS: usize = 2;
@@ -46,7 +46,7 @@ pub struct SlotMask {
 
 impl SlotMask {
     /// An all-zero mask able to hold bits `0..bits`.
-    pub fn empty(bits: usize) -> Self {
+    pub(crate) fn empty(bits: usize) -> Self {
         let words = bits.div_ceil(WORD_BITS).max(1);
         SlotMask {
             inline: [0; INLINE_WORDS],
@@ -57,20 +57,20 @@ impl SlotMask {
 
     /// Number of 64-bit words backing this mask.
     #[inline]
-    pub fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         self.words as usize
     }
 
     /// Number of bit positions this mask can hold.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.word_count() * WORD_BITS
     }
 
     /// Returns word `w` (zero for padding bits past the capacity is an
     /// invariant: no mutator ever sets them).
     #[inline]
-    pub fn word(&self, w: usize) -> u64 {
+    pub(crate) fn word(&self, w: usize) -> u64 {
         if w < INLINE_WORDS {
             self.inline[w]
         } else {
@@ -89,7 +89,7 @@ impl SlotMask {
 
     /// Sets bit `idx`.
     #[inline]
-    pub fn insert(&mut self, idx: usize) {
+    pub(crate) fn insert(&mut self, idx: usize) {
         debug_assert!(idx < self.capacity(), "bit {idx} out of mask capacity");
         let (w, bit) = split(idx);
         *self.word_mut(w) |= bit;
@@ -97,40 +97,36 @@ impl SlotMask {
 
     /// Clears bit `idx`.
     #[inline]
-    pub fn remove(&mut self, idx: usize) {
+    pub(crate) fn remove(&mut self, idx: usize) {
         debug_assert!(idx < self.capacity(), "bit {idx} out of mask capacity");
         let (w, bit) = split(idx);
         *self.word_mut(w) &= !bit;
     }
 
     /// Returns whether bit `idx` is set.
-    #[inline]
-    pub fn contains(&self, idx: usize) -> bool {
+    #[cfg(test)]
+    fn contains(&self, idx: usize) -> bool {
         debug_assert!(idx < self.capacity(), "bit {idx} out of mask capacity");
         let (w, bit) = split(idx);
         self.word(w) & bit != 0
     }
 
-    /// Clears every bit.
-    pub fn clear(&mut self) {
-        self.inline = [0; INLINE_WORDS];
-        self.spill.fill(0);
-    }
-
     /// Number of set bits.
-    pub fn count(&self) -> usize {
+    #[cfg(test)]
+    fn count(&self) -> usize {
         (0..self.word_count())
             .map(|w| self.word(w).count_ones() as usize)
             .sum()
     }
 
     /// Returns `true` when no bit is set.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         (0..self.word_count()).all(|w| self.word(w) == 0)
     }
 
     /// Lowest set bit, if any.
-    pub fn first(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn first(&self) -> Option<usize> {
         (0..self.word_count()).find_map(|w| {
             let word = self.word(w);
             (word != 0).then(|| w * WORD_BITS + word.trailing_zeros() as usize)
@@ -138,7 +134,7 @@ impl SlotMask {
     }
 
     /// `self |= other`.  Both masks must share a word count.
-    pub fn union_with(&mut self, other: &SlotMask) {
+    pub(crate) fn union_with(&mut self, other: &SlotMask) {
         debug_assert_eq!(self.words, other.words, "mask widths diverged");
         for w in 0..self.word_count() {
             *self.word_mut(w) |= other.word(w);
@@ -146,7 +142,7 @@ impl SlotMask {
     }
 
     /// `self &= !other`.  Both masks must share a word count.
-    pub fn subtract(&mut self, other: &SlotMask) {
+    pub(crate) fn subtract(&mut self, other: &SlotMask) {
         debug_assert_eq!(self.words, other.words, "mask widths diverged");
         for w in 0..self.word_count() {
             *self.word_mut(w) &= !other.word(w);
@@ -154,7 +150,8 @@ impl SlotMask {
     }
 
     /// Iterates the set bit indices, ascending.
-    pub fn iter(&self) -> SlotIndexIter<'_> {
+    #[cfg(test)]
+    fn iter(&self) -> SlotIndexIter<'_> {
         MaskQuery::all(self).iter()
     }
 }
@@ -189,7 +186,8 @@ pub(crate) struct MaskQuery<'a> {
 
 impl<'a> MaskQuery<'a> {
     /// The identity query: just `base`.
-    pub(crate) fn all(base: &'a SlotMask) -> Self {
+    #[cfg(test)]
+    fn all(base: &'a SlotMask) -> Self {
         MaskQuery {
             base,
             and: None,
@@ -276,12 +274,10 @@ impl<'a> MaskQuery<'a> {
 }
 
 /// Non-allocating iterator over the set bits of a combined slot-mask query,
-/// ascending (see [`SharingSimulator::grantable_slots`]).
+/// ascending (see `MaskQuery::iter`).
 ///
 /// Borrows the index masks it combines; each word of the expression is
 /// evaluated once and scanned with trailing-zeros/clear-lowest-bit steps.
-///
-/// [`SharingSimulator::grantable_slots`]: super::SharingSimulator::grantable_slots
 #[derive(Debug, Clone, Copy)]
 pub struct SlotIndexIter<'a> {
     query: MaskQuery<'a>,

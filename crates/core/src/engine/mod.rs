@@ -50,7 +50,7 @@
 //!   or disable — all through one funnel, `update_slot`;
 //! * an admitted arrival and an application completion;
 //! * a board failure or repair, and a switch completion;
-//! * [`SharingSimulator::note_policy_state_changed`], which a policy calls
+//! * `SharingSimulator::note_policy_state_changed`, which a policy calls
 //!   when its pass changed state a later pass reads.
 //!
 //! A non-final item completion (busy to idle, item counters, remaining
@@ -58,7 +58,7 @@
 //! pass is due and some free slot is grantable to an active application (or
 //! any slot is free and no application is active, so policies prune finished
 //! applications at the end of a run), or when
-//! [`SharingSimulator::preemption_victim`] finds a slot the shared quantum
+//! `SharingSimulator::preemption_victim` finds a slot the shared quantum
 //! preemption would release.  It clears the flag just before the call.  The
 //! launch sweep runs at every instant regardless.
 //!
@@ -68,8 +68,8 @@
 //! the ageing-priority order, which cannot make a grant or binding feasible
 //! in a pass that granted nothing, and quantum crossings still reach them
 //! through the victim check.  The skip is exact because policies act on the
-//! engine only through [`SharingSimulator::grant_slot`] and
-//! [`crate::policy::preempt_for_starving_apps`], report their own state
+//! engine only through `SharingSimulator::grant_slot` and
+//! `crate::policy::preempt_for_starving_apps`, report their own state
 //! changes, and are exhaustive within one pass; see the `policy` module docs
 //! for the contract.  The flag belongs to the simulator, so it assumes the
 //! same policy on every [`SharingSimulator::step`].
@@ -94,7 +94,7 @@
 //!   `set_board_enabled`).  `refresh_utilization` turns them into the same
 //!   `TimeWeightedSeries::set` calls, at the same points, with the same
 //!   values, as the slot walk it replaces.
-//! * **Optimal slot counts.** [`AppRuntime::optimal_slots`] serves each
+//! * **Optimal slot counts.** `AppRuntime::optimal_slots` serves each
 //!   application's ILP-optimal `(O_B, O_L)`, set at admission from a
 //!   per-simulator memo keyed by (suite index, batch), so the memo is bounded
 //!   by suite size × batch-range width however long a service run lasts.
@@ -105,7 +105,7 @@
 //!   one borrow and launched in ascending unit order, and completion is read
 //!   from the application's unfinished-units counter.
 //!
-//! [`SharingSimulator::verify_indexes`] (debug builds, after every event)
+//! `SharingSimulator::verify_indexes` (debug builds, after every event)
 //! recounts the utilization totals with the full slot walk, checks the
 //! completed list against the application store and each live application's
 //! `(O_B, O_L)` against the memo; each admission debug-checks its memo entry
@@ -124,26 +124,26 @@
 //! Iterating the window yields ascending identifiers, the order every report
 //! relies on.  What a policy pass reads per application is O(1): the
 //! remaining work, unfinished units and unplaced units are counters inside
-//! the runtime, set by [`AppRuntime::rebuild_units`] and moved by the engine
+//! the runtime, set by `AppRuntime::rebuild_units` and moved by the engine
 //! in the same borrow as the unit change (grant, item completion, release,
 //! PR abandonment, board-failure eviction).  In debug builds
-//! [`SharingSimulator::verify_indexes`] recounts them from the unit vector
+//! `SharingSimulator::verify_indexes` recounts them from the unit vector
 //! after every event.
 //!
 //! # Multi-word slot masks
 //!
 //! Slot sets are [`mask::SlotMask`]es — two inline `u64` words spilling to a
-//! heap vector beyond 128 slots, lifting the ceiling to [`MAX_SLOTS`] (4096)
+//! heap vector beyond 128 slots, lifting the ceiling to `MAX_SLOTS` (4096)
 //! without allocating for ordinary boards.  The simulator maintains `free`,
 //! `enabled`, `loaded_idle`, static per-kind and static per-board masks
 //! incrementally at every slot transition (grant, release, PR completion, item
 //! completion, switch trigger/completion); every policy-facing query
 //! ([`SharingSimulator::free_slot_count`],
-//! [`SharingSimulator::first_grantable_slot`],
-//! [`SharingSimulator::grantable_slots`]) is popcounts and trailing-zeros over
-//! lazily-ANDed words, with a non-allocating iterator.
-//! [`SharingSimulator::verify_indexes`] recomputes all masks and counters from
-//! [`SharingSimulator::slots`] and panics on any divergence; debug builds run
+//! `SharingSimulator::first_grantable_slot`,
+//! `SharingSimulator::has_grantable_slot`) is popcounts and trailing-zeros
+//! over lazily-ANDed words.
+//! `SharingSimulator::verify_indexes` recomputes all masks and counters from
+//! the slot runtimes and panics on any divergence; debug builds run
 //! it after every event.
 //!
 //! # Allocation-free event spine
@@ -151,7 +151,7 @@
 //! Steady-state simulation performs **zero heap allocations per event**:
 //!
 //! * the [`EventQueue`] is pre-sized at construction with
-//!   [`SharingSimulator::event_queue_capacity`] (arrivals + slots + boards, the
+//!   `SharingSimulator::event_queue_capacity` (arrivals + slots + boards, the
 //!   tight bound on concurrently pending events), so its heap never grows —
 //!   [`SharingSimulator::step`] debug-asserts
 //!   [`SharingSimulator::event_queue_grow_events`] stays `0`;
@@ -202,7 +202,7 @@ const MAX_EVENTS: u64 = 50_000_000;
 /// Sanity bound on the number of slots per run.  The multi-word [`SlotMask`]s
 /// scale to any fleet size; this only guards against absurd configurations
 /// (the former `u64` masks capped this at 64).
-pub const MAX_SLOTS: usize = 4096;
+pub(crate) const MAX_SLOTS: usize = 4096;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -407,11 +407,11 @@ impl SharingSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `config.boards` is empty, the boards have more than
-    /// [`MAX_SLOTS`] slots in total, an arrival references an application
-    /// outside the suite, or two arrivals share an identifier.
+    /// Panics if the configuration fails `SystemConfig::validate`, an arrival
+    /// references an application outside the suite, or two arrivals share an
+    /// identifier.
     pub fn new(config: SystemConfig, suite: Vec<ApplicationSpec>, arrivals: &[AppArrival]) -> Self {
-        assert!(!config.boards.is_empty(), "at least one board is required");
+        config.validate().unwrap_or_else(|err| panic!("{err}"));
         for arrival in arrivals {
             assert!(
                 arrival.app_index < suite.len(),
@@ -426,10 +426,6 @@ impl SharingSimulator {
             .iter()
             .map(|board| board.layout.slots().len())
             .sum();
-        assert!(
-            total_slots <= MAX_SLOTS,
-            "at most {MAX_SLOTS} slots are supported per run"
-        );
 
         let mut slots = Vec::new();
         let mut cores = Vec::new();
@@ -466,10 +462,6 @@ impl SharingSimulator {
         let pr_paths = vec![SerialServer::new(); config.boards.len()];
 
         let fault = config.active_faults().map(|profile| {
-            assert!(
-                profile.board_mttf.is_none() || config.switching.is_none(),
-                "board failure injection and cross-board switching are mutually exclusive"
-            );
             Box::new(FaultState {
                 schedule: FaultSchedule::new(profile, config.boards.len()),
                 stats: FaultStats::default(),
@@ -681,17 +673,12 @@ impl SharingSimulator {
     }
 
     /// The specification an application was instantiated from.
-    pub fn spec_of(&self, id: AppId) -> &ApplicationSpec {
+    pub(crate) fn spec_of(&self, id: AppId) -> &ApplicationSpec {
         &self.suite[self.apps.expect(id).app_index]
     }
 
-    /// All slots (both boards), in construction order.
-    pub fn slots(&self) -> &[SlotRuntime] {
-        &self.slots
-    }
-
     /// Number of enabled slots of `kind` (the totals Algorithm 1 works with).
-    pub fn enabled_slot_total(&self, kind: SlotKind) -> u32 {
+    pub(crate) fn enabled_slot_total(&self, kind: SlotKind) -> u32 {
         MaskQuery::and(&self.index.enabled, &self.index.kind[kind_bit(kind)]).count() as u32
     }
 
@@ -729,26 +716,20 @@ impl SharingSimulator {
         )
     }
 
-    /// Iterates the indices of slots grantable to `app` in ascending order,
-    /// without allocating.
-    pub fn grantable_slots(&self, app: AppId, kind: Option<SlotKind>) -> SlotIndexIter<'_> {
-        self.grantable_query(app, kind).iter()
-    }
-
     /// The lowest-indexed slot grantable to `app`, if any — the slot the
     /// first-fit policies pick, via a word scan.
-    pub fn first_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> Option<usize> {
+    pub(crate) fn first_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> Option<usize> {
         self.grantable_query(app, kind).first()
     }
 
     /// Whether any slot is grantable to `app`, via a word scan.
-    pub fn has_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> bool {
+    pub(crate) fn has_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> bool {
         self.grantable_query(app, kind).any()
     }
 
     /// Iterates the indices of loaded, idle slots of `kind` (the preemption
     /// candidates) in ascending order, without allocating.
-    pub fn loaded_idle_slots(&self, kind: SlotKind) -> SlotIndexIter<'_> {
+    pub(crate) fn loaded_idle_slots(&self, kind: SlotKind) -> SlotIndexIter<'_> {
         MaskQuery::and(&self.index.loaded_idle, &self.index.kind[kind_bit(kind)]).iter()
     }
 
@@ -764,7 +745,7 @@ impl SharingSimulator {
     ///
     /// Runs on the incremental indexes (loaded-idle and grantable bitmasks,
     /// occupancy counters) without allocating.
-    pub fn preemption_victim(&self, quantum: u32) -> Option<usize> {
+    pub(crate) fn preemption_victim(&self, quantum: u32) -> Option<usize> {
         // A free, enabled Little slot is grantable to every application, so
         // none can be starving.
         let little = &self.index.kind[kind_bit(SlotKind::Little)];
@@ -804,24 +785,19 @@ impl SharingSimulator {
 
     /// Number of (Big, Little) slots currently occupied by `app` (loading or
     /// loaded) — an O(1) counter read.
-    pub fn slots_in_use_by(&self, app: AppId) -> (u32, u32) {
+    pub(crate) fn slots_in_use_by(&self, app: AppId) -> (u32, u32) {
         let runtime = self.apps.expect(app);
         (runtime.in_use_big, runtime.in_use_little)
     }
 
     /// Whether the application's specification has 3-in-1 bundles.
-    pub fn can_bundle(&self, app: AppId) -> bool {
+    pub(crate) fn can_bundle(&self, app: AppId) -> bool {
         self.spec_of(app).can_bundle()
     }
 
     /// The slot layout of the currently active board.
-    pub fn active_layout(&self) -> LayoutKind {
+    pub(crate) fn active_layout(&self) -> LayoutKind {
         self.config.boards[self.active_board].layout.kind()
-    }
-
-    /// Cross-board migrations performed so far.
-    pub fn migration_records(&self) -> &[MigrationRecord] {
-        &self.migrations
     }
 
     /// The event trace (counters always; bodies only when tracing was enabled).
@@ -834,11 +810,6 @@ impl SharingSimulator {
         self.events_processed
     }
 
-    /// Events currently pending in the queue.
-    pub fn events_pending(&self) -> usize {
-        self.events.len()
-    }
-
     /// Upper bound on the number of *concurrently pending* events of a run, used
     /// to pre-size the [`EventQueue`] so the steady state never allocates.
     ///
@@ -848,7 +819,11 @@ impl SharingSimulator {
     /// and every board at most one pending `SwitchComplete`.  This bound is much
     /// tighter than the apps × tasks worst case: pending events are limited by
     /// the hardware (slots), not by the backlog of work.
-    pub fn event_queue_capacity(num_arrivals: usize, num_slots: usize, num_boards: usize) -> usize {
+    pub(crate) fn event_queue_capacity(
+        num_arrivals: usize,
+        num_slots: usize,
+        num_boards: usize,
+    ) -> usize {
         num_arrivals + num_slots + num_boards
     }
 
@@ -868,7 +843,7 @@ impl SharingSimulator {
     /// Counters of the fault plane; all-zero when no fault profile is
     /// attached (kept out of [`RunReport`] so fault-free reports are
     /// byte-identical to builds without the fault plane).
-    pub fn fault_stats(&self) -> FaultStats {
+    pub(crate) fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
@@ -891,7 +866,7 @@ impl SharingSimulator {
     /// Number of event-queue operations that had to grow a backing store.
     ///
     /// Stays `0` for the whole run because [`Self::new`] pre-sizes the queue
-    /// with [`Self::event_queue_capacity`]; [`Self::step`] debug-asserts this
+    /// with `Self::event_queue_capacity`; [`Self::step`] debug-asserts this
     /// after every event and the steady-state allocation tests check it in
     /// release builds too.
     pub fn event_queue_grow_events(&self) -> u64 {
@@ -1056,7 +1031,8 @@ impl SharingSimulator {
     /// # Panics
     ///
     /// Panics when an incremental index disagrees with the naive recount.
-    pub fn verify_indexes(&self) {
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn verify_indexes(&self) {
         let bits = self.slots.len();
         let mut free = SlotMask::empty(bits);
         let mut enabled = SlotMask::empty(bits);
@@ -1171,7 +1147,7 @@ impl SharingSimulator {
     /// the slot is not free, the board is disabled for this application, the
     /// application already started in the other execution mode, it cannot bundle
     /// (for Big slots), or it has no unplaced unit left.
-    pub fn grant_slot(&mut self, slot_idx: usize, app_id: AppId) -> bool {
+    pub(crate) fn grant_slot(&mut self, slot_idx: usize, app_id: AppId) -> bool {
         let now = self.now;
         let (slot_kind, slot_board, slot_enabled, slot_free) = {
             let slot = &self.slots[slot_idx];
@@ -1328,7 +1304,7 @@ impl SharingSimulator {
     /// long-running applications from monopolising the fabric (VersaSlot applies it
     /// to Little slots only).  Returns `false` — without side effects — if the slot
     /// is not currently loaded and idle.
-    pub fn release_slot(&mut self, slot_idx: usize) -> bool {
+    pub(crate) fn release_slot(&mut self, slot_idx: usize) -> bool {
         let (app_id, unit_idx) = match self.slots[slot_idx].state {
             SlotState::Loaded {
                 app,
@@ -1358,7 +1334,7 @@ impl SharingSimulator {
     /// pass reads (a binding, an allocation, waiting-list membership), so
     /// the next instant with a grantable slot runs a pass again.  Grants and
     /// releases need no call: every slot change already marks a pass due.
-    pub fn note_policy_state_changed(&mut self) {
+    pub(crate) fn note_policy_state_changed(&mut self) {
         self.pass_due = true;
     }
 
@@ -1380,9 +1356,9 @@ impl SharingSimulator {
     /// they are deferred while further events share the current timestamp.
     /// The pass is skipped when it is settled — no policy input changed since
     /// the last pass, or no slot is grantable — and no preemption is due (see
-    /// [`Self::preemption_victim`] and the module docs).  Whether a pass is
+    /// `Self::preemption_victim` and the module docs).  Whether a pass is
     /// due is simulator state, so every call must pass the same policy.
-    /// Tests can interleave calls with [`Self::verify_indexes`] to check the
+    /// Tests can interleave calls with `Self::verify_indexes` to check the
     /// incremental indexes after every event.
     ///
     /// # Panics
@@ -2442,7 +2418,7 @@ mod tests {
             for &app in sim.active_apps() {
                 for kind in [None, Some(SlotKind::Big), Some(SlotKind::Little)] {
                     let naive: Vec<usize> = sim
-                        .slots()
+                        .slots
                         .iter()
                         .enumerate()
                         .filter(|(_, s)| s.is_free())
@@ -2454,7 +2430,10 @@ mod tests {
                         })
                         .map(|(i, _)| i)
                         .collect();
-                    assert_eq!(sim.grantable_slots(app, kind).collect::<Vec<_>>(), naive);
+                    assert_eq!(
+                        sim.grantable_query(app, kind).iter().collect::<Vec<_>>(),
+                        naive
+                    );
                     assert_eq!(sim.first_grantable_slot(app, kind), naive.first().copied());
                     assert_eq!(sim.has_grantable_slot(app, kind), !naive.is_empty());
                 }
@@ -2518,9 +2497,9 @@ mod tests {
         let mut policy = VersaSlotPolicy::new();
         loop {
             assert!(
-                sim.events_pending() <= bound,
+                sim.events.len() <= bound,
                 "{} pending events exceed the bound {bound}",
-                sim.events_pending()
+                sim.events.len()
             );
             if !sim.step(&mut policy) {
                 break;
@@ -2565,7 +2544,7 @@ mod tests {
             if steps.is_multiple_of(64) {
                 sim.verify_indexes();
             }
-            saw_high_slot |= sim.slots()[64..].iter().any(|s| !s.is_free());
+            saw_high_slot |= sim.slots[64..].iter().any(|s| !s.is_free());
         }
         sim.verify_indexes();
         let report = sim.build_report("wide-board");
@@ -2877,7 +2856,7 @@ mod tests {
             let mut switching =
                 SharingSimulator::new(config.clone(), workload.suite.clone(), &sequence.arrivals);
             step_verified(&mut switching);
-            switches += switching.migration_records().len();
+            switches += switching.migrations.len();
         }
         assert!(switches >= 2, "only {switches} switches");
     }

@@ -54,12 +54,13 @@ pub struct SlotRuntime {
 
 impl SlotRuntime {
     /// Returns `true` if the slot is free.
-    pub fn is_free(&self) -> bool {
+    pub(crate) fn is_free(&self) -> bool {
         matches!(self.state, SlotState::Free)
     }
 
     /// Returns the application currently occupying the slot, if any.
-    pub fn occupant(&self) -> Option<AppId> {
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn occupant(&self) -> Option<AppId> {
         match self.state {
             SlotState::Free => None,
             SlotState::Reconfiguring { app, .. } | SlotState::Loaded { app, .. } => Some(app),

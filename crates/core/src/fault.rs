@@ -16,7 +16,7 @@
 //! * **p99 inflation** — ratio of the faulty p99 response time to the
 //!   baseline p99;
 //! * **score** — goodput retained divided by p99 inflation, the single number
-//!   the per-grid [`RobustnessReport::rankings`] sort by.
+//!   the per-grid `RobustnessReport::rankings` sort by.
 //!
 //! Reports are byte-identical across [`Parallelism`] modes and run-to-run:
 //! the fault schedule is seeded, every run owns its own schedule, and results
@@ -110,7 +110,7 @@ impl RobustnessCell {
 
 /// A ranking of every scheduler within one (scenario × process × load) group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessRanking {
+pub(crate) struct RobustnessRanking {
     /// Fault scenario label.
     pub scenario: String,
     /// Arrival process shape.
@@ -132,7 +132,7 @@ impl RobustnessReport {
     /// Groups the cells by (scenario × process × load) in first-seen order
     /// and ranks the schedulers of each group by descending score,
     /// deterministically (score ties broken by scheduler name).
-    pub fn rankings(&self) -> Vec<RobustnessRanking> {
+    pub(crate) fn rankings(&self) -> Vec<RobustnessRanking> {
         let mut rankings: Vec<RobustnessRanking> = Vec::new();
         for cell in &self.cells {
             let entry = rankings.iter_mut().find(|r| {
@@ -168,7 +168,7 @@ impl RobustnessReport {
 ///
 /// Panics for [`SchedulerKind::Baseline`] (no service-mode equivalent) or an
 /// invalid fault profile.
-pub fn run_service_cell_with_faults(
+pub(crate) fn run_service_cell_with_faults(
     cell: &ServiceCell,
     faults: FaultProfile,
     base: &ServiceConfig,

@@ -91,7 +91,7 @@ pub enum FleetWorkload {
     #[default]
     SharedStream,
     /// Every shard generates its own arrival stream from its own seed
-    /// ([`FleetConfig::shard_seed`]); the admission layer is bypassed.  A
+    /// (`FleetConfig::shard_seed`); the admission layer is bypassed.  A
     /// K-shard fleet in this mode equals K standalone service runs — the
     /// equivalence tests rely on it.
     IndependentPerShard,
@@ -133,7 +133,7 @@ pub struct FleetConfig {
     pub workload: FleetWorkload,
     /// Deterministic fault injection; `None` disables the fault plane on
     /// every shard and on the forwarding fabric.  Each shard reseeds the
-    /// profile with its [`FleetConfig::shard_seed`] so shards fail
+    /// profile with its `FleetConfig::shard_seed` so shards fail
     /// independently; link flaps additionally stall spillover forwards.
     pub faults: Option<FaultProfile>,
 }
@@ -159,12 +159,6 @@ impl FleetConfig {
             workload: FleetWorkload::SharedStream,
             faults: None,
         }
-    }
-
-    /// Returns a copy with a different load multiplier.
-    pub fn with_load(mut self, load: f64) -> Self {
-        self.load = load;
-        self
     }
 
     /// Returns a copy with a different fleet seed.
@@ -211,12 +205,6 @@ impl FleetConfig {
         self
     }
 
-    /// Returns a copy with a different workload mode.
-    pub fn with_workload(mut self, workload: FleetWorkload) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// Returns a copy with a fault profile attached to every shard and to the
     /// forwarding fabric.
     pub fn with_faults(mut self, faults: FaultProfile) -> Self {
@@ -226,7 +214,7 @@ impl FleetConfig {
 
     /// Checks that the configuration is not degenerate, naming the first
     /// offending parameter.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::ensure(
             self.shards >= 1,
             "shards",
@@ -275,7 +263,7 @@ impl FleetConfig {
     /// seed and the shard index).  Reseeds the shard's fault profile and,
     /// under [`FleetWorkload::IndependentPerShard`], drives its whole arrival
     /// stream.
-    pub fn shard_seed(&self, shard: usize) -> u64 {
+    pub(crate) fn shard_seed(&self, shard: usize) -> u64 {
         let mut x = self
             .seed
             .wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -288,7 +276,7 @@ impl FleetConfig {
     /// with the shard's own seed and a [`StopCondition::Horizon`] stop at the
     /// fleet horizon.  Public so the standalone-equivalence tests can run the
     /// exact same configuration outside the fleet.
-    pub fn shard_service_config(&self, shard: usize) -> ServiceConfig {
+    pub(crate) fn shard_service_config(&self, shard: usize) -> ServiceConfig {
         ServiceConfig {
             process: self.process,
             load: self.load,
@@ -470,7 +458,7 @@ pub struct FleetEngine {
     /// epochs with high-water retention (cleared by `drain`, never dropped;
     /// a session swaps them with its parcels' drained buffers), so
     /// steady-state routing allocates nothing; see
-    /// [`FleetEngine::arrival_scratch_capacities`].
+    /// `FleetEngine::arrival_scratch_capacities`.
     due: Vec<Vec<AppArrival>>,
     /// Driver-side admission counters, indexed by shard.
     admission: Vec<ShardAdmission>,
@@ -485,7 +473,7 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`FleetConfig::validate`], or for
+    /// Panics if the configuration fails `FleetConfig::validate`, or for
     /// [`SchedulerKind::Baseline`] (no service-mode equivalent).
     pub fn new(kind: SchedulerKind, config: FleetConfig) -> Self {
         config.validate().unwrap_or_else(|err| panic!("{err}"));
@@ -559,21 +547,6 @@ impl FleetEngine {
         }
     }
 
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// Epoch barriers crossed so far.
-    pub fn epochs_run(&self) -> u64 {
-        self.epochs_run
-    }
-
-    /// `true` once the horizon epoch has run.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Per-shard event-queue growth counters — all must stay `0` for the
     /// allocation-free invariant to extend across the fleet.
     pub fn shard_grow_events(&self) -> Vec<u64> {
@@ -607,7 +580,8 @@ impl FleetEngine {
     /// Per-shard policy scratch high-water marks (see
     /// [`Policy::scratch_allocs`]) — stable values across steady-state epochs
     /// mean no policy allocates per pass on any shard.
-    pub fn shard_scratch_allocs(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn shard_scratch_allocs(&self) -> Vec<u64> {
         self.shards
             .iter()
             .map(|shard| shard.policy.scratch_allocs())
@@ -670,7 +644,7 @@ impl FleetEngine {
     }
 
     /// Runs the fleet to its horizon in one session of
-    /// [`Parallelism::workers`] workers (see [`FleetEngine::run_epochs_on`]).
+    /// `Parallelism::workers` workers (see [`FleetEngine::run_epochs_on`]).
     pub fn run(&mut self, parallelism: Parallelism) {
         let workers = parallelism.workers(self.shards.len());
         self.run_epochs_on(&WorkerPool::new(workers), u64::MAX);
@@ -779,7 +753,8 @@ impl FleetEngine {
     /// After warm-up these must be **stable**: routing retains the high-water
     /// capacity across epochs and never reallocates in steady state (the
     /// fleet-level analogue of [`crate::policy::ScratchMeter`]).
-    pub fn arrival_scratch_capacities(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn arrival_scratch_capacities(&self) -> Vec<usize> {
         self.due.iter().map(Vec::capacity).collect()
     }
 
@@ -924,7 +899,7 @@ impl FleetEngine {
 
 /// Runs a whole fleet to its horizon and returns the report.  Convenience
 /// wrapper: create the engine, run it in one session of
-/// [`Parallelism::workers`] workers, and fold the report.
+/// `Parallelism::workers` workers, and fold the report.
 pub fn run_fleet(
     parallelism: Parallelism,
     kind: SchedulerKind,
@@ -952,7 +927,7 @@ mod tests {
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, fleet_config());
         while engine.advance_epoch(Parallelism::Sequential) {}
         // 400 s of 90 s epochs: four full barriers plus the partial fifth.
-        assert_eq!(engine.epochs_run(), 5);
+        assert_eq!(engine.epochs_run, 5);
         let report = engine.report();
         assert_eq!(report.shard_count, 4);
         assert_eq!(report.epochs, 5);
@@ -1079,11 +1054,13 @@ mod tests {
     fn independent_shards_match_standalone_service_runs() {
         let kind = SchedulerKind::VersaSlotBigLittle;
         for shards in [3, 1] {
-            let config = FleetConfig::new(shards, ArrivalProcess::Poisson { rate_per_sec: 0.5 })
-                .with_horizon(SimDuration::from_secs(400))
-                .with_epoch(SimDuration::from_secs(150)) // partial final epoch
-                .with_window(SimDuration::from_secs(120))
-                .with_workload(FleetWorkload::IndependentPerShard);
+            let config = FleetConfig {
+                workload: FleetWorkload::IndependentPerShard,
+                ..FleetConfig::new(shards, ArrivalProcess::Poisson { rate_per_sec: 0.5 })
+                    .with_horizon(SimDuration::from_secs(400))
+                    .with_epoch(SimDuration::from_secs(150)) // partial final epoch
+                    .with_window(SimDuration::from_secs(120))
+            };
             let fleet = run_fleet(Parallelism::Sequential, kind, config);
             assert_eq!(fleet.arrivals_generated, 0, "shards self-generate");
             if shards == 1 {
@@ -1157,7 +1134,7 @@ mod tests {
         let config = fleet_config().with_spillover(2, SimDuration::from_secs(10));
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
         engine.run(Parallelism::Threads(4));
-        assert!(engine.is_finished());
+        assert!(engine.finished);
         let report = engine.report();
         assert!(report.completions > 0);
         assert!(report.forwarded > 0, "threshold 2 must forward something");
@@ -1182,11 +1159,11 @@ mod tests {
         };
         let mut engine = FleetEngine::new(kind, fleet_config());
         assert!(engine.run_epochs_on(&WorkerPool::new(3), 2));
-        assert_eq!(engine.epochs_run(), 2);
+        assert_eq!(engine.epochs_run, 2);
         assert!(engine.run_epochs_on(&WorkerPool::new(2), 1));
-        assert_eq!(engine.epochs_run(), 3);
+        assert_eq!(engine.epochs_run, 3);
         engine.run(Parallelism::Sequential);
-        assert!(engine.is_finished());
+        assert!(engine.finished);
         assert_eq!(reference, serde_json::to_string(&engine.report()).unwrap());
     }
 

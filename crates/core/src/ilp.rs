@@ -20,14 +20,14 @@ use versaslot_workload::ApplicationSpec;
 /// Tolerance used when picking the smallest "good enough" slot count: a count is
 /// accepted if its estimated makespan is within this factor of the best achievable
 /// makespan (one slot per task).
-pub const MAKESPAN_TOLERANCE: f64 = 1.15;
+pub(crate) const MAKESPAN_TOLERANCE: f64 = 1.15;
 
 /// Estimated pipelined makespan of running `stage_times` (one entry per slot,
 /// each the sum of its assigned tasks' per-item times) over `batch` items.
 ///
 /// The classic pipeline bound: fill time (sum of all stages for the first item)
 /// plus `(batch - 1)` times the slowest stage.
-pub fn pipeline_makespan(stage_times: &[SimDuration], batch: u32) -> SimDuration {
+pub(crate) fn pipeline_makespan(stage_times: &[SimDuration], batch: u32) -> SimDuration {
     if stage_times.is_empty() || batch == 0 {
         return SimDuration::ZERO;
     }
@@ -78,7 +78,7 @@ fn min_bottleneck_partition(task_times: &[SimDuration], groups: u32) -> SimDurat
 
 /// Estimated makespan of running `app` with `batch` items on `slots` Little slots,
 /// assuming the best contiguous assignment of tasks to slots.
-pub fn estimated_makespan(app: &ApplicationSpec, batch: u32, slots: u32) -> SimDuration {
+pub(crate) fn estimated_makespan(app: &ApplicationSpec, batch: u32, slots: u32) -> SimDuration {
     let task_times: Vec<SimDuration> = app.tasks().iter().map(|t| t.exec_per_item()).collect();
     if slots == 0 || task_times.is_empty() {
         return SimDuration::MAX;
@@ -93,7 +93,7 @@ pub fn estimated_makespan(app: &ApplicationSpec, batch: u32, slots: u32) -> SimD
 
 /// The ILP-style optimal number of Little slots `O_L` for `app` at `batch` items:
 /// the smallest slot count whose estimated makespan is within
-/// [`MAKESPAN_TOLERANCE`] of the one-slot-per-task makespan.
+/// `MAKESPAN_TOLERANCE` of the one-slot-per-task makespan.
 ///
 /// # Example
 ///
@@ -123,7 +123,7 @@ pub fn optimal_little_slots(app: &ApplicationSpec, batch: u32) -> u32 {
 /// The optimal number of Big slots `O_B` for a bundle-capable application: enough
 /// Big slots to pipeline consecutive 3-in-1 bundles (bounded by the two Big slots a
 /// `Big.Little` board offers), zero for applications without bundles.
-pub fn optimal_big_slots(app: &ApplicationSpec) -> u32 {
+pub(crate) fn optimal_big_slots(app: &ApplicationSpec) -> u32 {
     if app.can_bundle() {
         (app.bundles().len() as u32).min(2)
     } else {

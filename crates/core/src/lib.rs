@@ -58,19 +58,4 @@ pub mod policy;
 pub mod runner;
 pub mod service;
 
-pub use config::{SwitchingConfig, SystemConfig};
-pub use engine::SharingSimulator;
-pub use fault::{
-    format_robustness, run_robustness_matrix, run_service_cell_with_faults, FaultScenario,
-    RobustnessCell, RobustnessRanking, RobustnessReport,
-};
-pub use fleet::{run_fleet, FleetConfig, FleetEngine, FleetReport, FleetWorkload, ShardReport};
-pub use metrics::{AppRecord, RunReport};
-pub use par::{parallel_map, Parallelism, WorkerPool};
-pub use runner::{
-    run_cluster_sequence, run_sequence, run_workload, run_workload_with, ClusterMode, SchedulerKind,
-};
-pub use service::{
-    run_service_cell, run_service_matrix, service_matrix, AppServiceStats, ServiceCell,
-    ServiceConfig, ServiceReport, ServiceRunner, StopCondition,
-};
+pub use config::SwitchingConfig;

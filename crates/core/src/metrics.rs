@@ -78,7 +78,7 @@ impl RunReport {
     /// Response-time summary over all applications, in milliseconds.
     ///
     /// Returns `None` if the run completed no applications.
-    pub fn response_summary(&self) -> Option<Summary> {
+    pub(crate) fn response_summary(&self) -> Option<Summary> {
         let mut builder = SummaryBuilder::new();
         for app in &self.apps {
             builder.record(app.response().as_millis_f64());
@@ -95,28 +95,6 @@ impl RunReport {
         self.response_summary()
             .expect("run completed no applications")
             .mean
-    }
-
-    /// P95 response time in milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run completed no applications.
-    pub fn p95_response_ms(&self) -> f64 {
-        self.response_summary()
-            .expect("run completed no applications")
-            .p95
-    }
-
-    /// P99 response time in milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run completed no applications.
-    pub fn p99_response_ms(&self) -> f64 {
-        self.response_summary()
-            .expect("run completed no applications")
-            .p99
     }
 
     /// Number of applications completed.
@@ -237,8 +215,9 @@ mod tests {
         let report = report(&[100, 200, 300]);
         assert_eq!(report.completed(), 3);
         assert!((report.mean_response_ms() - 200.0).abs() < 1e-9);
-        assert!((report.p95_response_ms() - 300.0).abs() < 1e-9);
-        assert!((report.p99_response_ms() - 300.0).abs() < 1e-9);
+        let summary = report.response_summary().expect("three completions");
+        assert!((summary.p95 - 300.0).abs() < 1e-9);
+        assert!((summary.p99 - 300.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   worker 0, and the driver trades arrival batches for completion counters
 //!   with the spawned workers over one-slot channels at each barrier.
 //!
-//! [`Parallelism::workers`] sizes both, once per call.  [`WorkerPool`] is no
+//! `Parallelism::workers` sizes both, once per call.  [`WorkerPool`] is no
 //! more than a worker count for `run_epochs_on`; it holds no threads.
 
 use std::num::NonZeroUsize;
@@ -41,7 +41,7 @@ impl Parallelism {
     /// Number of worker threads for `jobs` parallel units (sweep jobs, fleet
     /// shards): `1` under [`Parallelism::Sequential`], otherwise the requested
     /// or available thread count capped by `jobs`, and at least one.
-    pub fn workers(self, jobs: usize) -> usize {
+    pub(crate) fn workers(self, jobs: usize) -> usize {
         match self {
             Parallelism::Sequential => 1,
             Parallelism::Auto => std::thread::available_parallelism()
@@ -119,7 +119,7 @@ impl WorkerPool {
     }
 
     /// Number of workers.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 }

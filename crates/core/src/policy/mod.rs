@@ -20,17 +20,17 @@
 //!
 //! The engine calls [`Policy::schedule`] at most once per simulation instant,
 //! and only when the pass is *due* and some free slot is grantable, or when
-//! [`SharingSimulator::preemption_victim`] (with [`PREEMPTION_QUANTUM`])
+//! `SharingSimulator::preemption_victim` (with `PREEMPTION_QUANTUM`)
 //! finds a victim.  A pass is due after any change of the engine state a
 //! policy reads (see the `engine` module docs) or after the previous pass
-//! called [`SharingSimulator::note_policy_state_changed`].  Skipping the
+//! called `SharingSimulator::note_policy_state_changed`.  Skipping the
 //! other instants is exact for a policy that
 //!
-//! * changes engine state only through [`SharingSimulator::grant_slot`] and
-//!   [`preempt_for_starving_apps`] with a quantum of at least
-//!   [`PREEMPTION_QUANTUM`] (never [`SharingSimulator::release_slot`]
+//! * changes engine state only through `SharingSimulator::grant_slot` and
+//!   `preempt_for_starving_apps` with a quantum of at least
+//!   `PREEMPTION_QUANTUM` (never `SharingSimulator::release_slot`
 //!   directly);
-//! * calls [`SharingSimulator::note_policy_state_changed`] whenever its pass
+//! * calls `SharingSimulator::note_policy_state_changed` whenever its pass
 //!   changed state a later pass reads.  Grants and releases need no call.
 //!   VersaSlot reports changed bindings, allocations and waiting-list
 //!   membership; the waiting list's *order* is not state, because a total
@@ -51,15 +51,14 @@
 //! A scheduling pass runs at every simulation instant where an input changed
 //! and a slot can change hands, so the policies avoid heap allocation in
 //! steady state: slot probes go through the engine's O(1) indexed API
-//! ([`SharingSimulator::first_grantable_slot`],
-//! [`SharingSimulator::has_grantable_slot`],
-//! [`SharingSimulator::grantable_slots`]) instead of materialising candidate
+//! (`SharingSimulator::first_grantable_slot`,
+//! `SharingSimulator::has_grantable_slot`) instead of materialising candidate
 //! vectors, and each policy keeps reusable scratch buffers for the application
 //! lists it sorts.  Per-application inputs are O(1) reads of
 //! [`SharingSimulator::app`]: unplaced demand, unfinished units and remaining
 //! work are counters the engine keeps in step with every unit change, and the
 //! ILP-optimal slot counts `(O_B, O_L)` that Nimblock and VersaSlot cap
-//! allocations with ([`crate::engine::AppRuntime::optimal_slots`]) are set
+//! allocations with (`crate::engine::AppRuntime::optimal_slots`) are set
 //! once per admission from a per-(suite index, batch) memo, so no policy
 //! keeps a per-application cache (which would grow without bound in service
 //! mode).
@@ -80,9 +79,9 @@ use crate::engine::SharingSimulator;
 /// (after every batch of same-timestamp events), and only when the pass is due
 /// or a preemption is — see the module docs for the contract that makes
 /// skipping the other instants exact.  The policy acts only by granting free
-/// slots via [`SharingSimulator::grant_slot`] and by preempting through
-/// [`preempt_for_starving_apps`], reports its own state changes through
-/// [`SharingSimulator::note_policy_state_changed`], and must be exhaustive
+/// slots via `SharingSimulator::grant_slot` and by preempting through
+/// `preempt_for_starving_apps`, reports its own state changes through
+/// `SharingSimulator::note_policy_state_changed`, and must be exhaustive
 /// within one pass.
 pub trait Policy {
     /// Stable identifier used in reports (e.g. `"nimblock"`).
@@ -90,7 +89,7 @@ pub trait Policy {
 
     /// One scheduling pass over the current system state.  It must grant
     /// everything it would grant right now, and call
-    /// [`SharingSimulator::note_policy_state_changed`] if it changed state a
+    /// `SharingSimulator::note_policy_state_changed` if it changed state a
     /// later pass reads (see the module docs).
     fn schedule(&mut self, sim: &mut SharingSimulator);
 
@@ -111,14 +110,14 @@ pub trait Policy {
 /// strict increase corresponds to at least one heap (re)allocation.  Mirrors the
 /// accounting style of `EventQueue::grow_events`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ScratchMeter {
+pub(crate) struct ScratchMeter {
     high_water: usize,
     allocs: u64,
 }
 
 impl ScratchMeter {
     /// Records the current total scratch capacity, counting growth events.
-    pub fn observe(&mut self, total_capacity: usize) {
+    pub(crate) fn observe(&mut self, total_capacity: usize) {
         if total_capacity > self.high_water {
             self.high_water = total_capacity;
             self.allocs += 1;
@@ -126,7 +125,7 @@ impl ScratchMeter {
     }
 
     /// Number of observed growth events so far.
-    pub fn allocs(&self) -> u64 {
+    pub(crate) fn allocs(&self) -> u64 {
         self.allocs
     }
 }
@@ -136,7 +135,7 @@ impl ScratchMeter {
 ///
 /// Reads the application's arrival and its O(1) remaining-work counter
 /// ([`crate::engine::AppRuntime::remaining_work`]).
-pub fn ageing_priority(sim: &SharingSimulator, app: AppId) -> f64 {
+pub(crate) fn ageing_priority(sim: &SharingSimulator, app: AppId) -> f64 {
     let runtime = sim.app(app);
     let waited = sim.now().saturating_since(runtime.arrival).as_millis_f64();
     (waited + 1.0) / runtime.remaining_work().as_millis_f64().max(1.0)
@@ -149,7 +148,7 @@ pub fn ageing_priority(sim: &SharingSimulator, app: AppId) -> f64 {
 /// priority recomputation — priorities are pure functions of pre-pass state — so
 /// the resulting permutation (and therefore every report) is unchanged; the
 /// difference is O(n) instead of O(n log n) priority evaluations.
-pub fn sort_by_priority(
+pub(crate) fn sort_by_priority(
     sim: &SharingSimulator,
     keyed: &mut Vec<(f64, AppId)>,
     list: &mut Vec<AppId>,
@@ -170,7 +169,7 @@ pub fn sort_by_priority(
 /// Shared helper used by the uniform-slot policies.  Each probe is an O(1)
 /// indexed lookup ([`SharingSimulator::first_grantable_slot`]); no candidate
 /// vector is built.
-pub fn grant_little_slots(sim: &mut SharingSimulator, app: AppId, want: u32) -> u32 {
+pub(crate) fn grant_little_slots(sim: &mut SharingSimulator, app: AppId, want: u32) -> u32 {
     let mut granted = 0;
     while granted < want {
         let Some(slot) = sim.first_grantable_slot(app, Some(SlotKind::Little)) else {
@@ -186,7 +185,7 @@ pub fn grant_little_slots(sim: &mut SharingSimulator, app: AppId, want: u32) -> 
 
 /// Default preemption quantum: a unit may be preempted once it has processed this
 /// many batch items since it was last loaded.
-pub const PREEMPTION_QUANTUM: u32 = 6;
+pub(crate) const PREEMPTION_QUANTUM: u32 = 6;
 
 /// Quantum-based preemption at task-item boundaries, shared by the preemptive
 /// policies (round-robin, Nimblock, and VersaSlot's Little slots).
@@ -203,7 +202,7 @@ pub const PREEMPTION_QUANTUM: u32 = 6;
 /// least [`PREEMPTION_QUANTUM`] keeps skipping the other passes exact.
 ///
 /// Returns `true` if a slot was preempted.
-pub fn preempt_for_starving_apps(sim: &mut SharingSimulator, quantum: u32) -> bool {
+pub(crate) fn preempt_for_starving_apps(sim: &mut SharingSimulator, quantum: u32) -> bool {
     sim.preemption_victim(quantum)
         .is_some_and(|slot| sim.release_slot(slot))
 }

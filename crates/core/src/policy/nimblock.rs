@@ -98,6 +98,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::engine::SharingSimulator;
+    use crate::metrics::RunReport;
     use crate::policy::fcfs::FcfsPolicy;
     use versaslot_fpga::board::BoardSpec;
     use versaslot_fpga::cpu::CoreAssignment;
@@ -162,18 +163,20 @@ mod tests {
         );
         let fcfs = fcfs_sim.run(&mut FcfsPolicy::new());
 
-        // On this small six-application workload the two are close (Nimblock pays
-        // extra preemption PRs on a single core); the paper's clear separation
-        // appears at the full Figure 5 workload size.  The invariant checked here
-        // is that priority scheduling is not meaningfully worse than head-of-line
-        // FCFS, and strictly better on tail latency.
+        // This checks only that priority scheduling stays within 15% of
+        // head-of-line FCFS, on both the mean and the P99 response time, on a
+        // small six-application workload where Nimblock pays extra preemption
+        // PRs on a single core.  It does not check that Nimblock beats FCFS:
+        // at the paper's Figure 5 workload shape it trails FCFS in most
+        // (seed, congestion) cells.
         assert!(
             nb.mean_response_ms() < fcfs.mean_response_ms() * 1.15,
             "nimblock {} ms should stay within 15% of fcfs {} ms",
             nb.mean_response_ms(),
             fcfs.mean_response_ms()
         );
-        assert!(nb.p99_response_ms() <= fcfs.p99_response_ms() * 1.15);
+        let p99 = |report: &RunReport| report.response_summary().expect("completions").p99;
+        assert!(p99(&nb) <= p99(&fcfs) * 1.15);
     }
 
     #[test]

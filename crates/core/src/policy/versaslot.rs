@@ -20,7 +20,7 @@
 //!
 //! A pass that changes the allocator state (a binding, an allocation, a new
 //! waiting application) reports it through
-//! [`SharingSimulator::note_policy_state_changed`], so the engine does not
+//! `SharingSimulator::note_policy_state_changed`, so the engine does not
 //! skip the next pass as settled; debug builds check every pass for it.
 //!
 //! On an `Only.Little` board there are simply no Big slots, so the same policy
@@ -55,7 +55,8 @@ impl VersaSlotPolicy {
     }
 
     /// Exposes the allocator state (used by tests).
-    pub fn allocation_state(&self) -> &AllocationState {
+    #[cfg(test)]
+    pub(crate) fn allocation_state(&self) -> &AllocationState {
         &self.state
     }
 }

@@ -10,7 +10,7 @@
 //! Every simulator these runners construct starts pre-sized:
 //! [`SharingSimulator::new`] derives an event-queue capacity from the arrival
 //! count and the board's slot count
-//! ([`SharingSimulator::event_queue_capacity`]), so a steady-state run never
+//! (`SharingSimulator::event_queue_capacity`), so a steady-state run never
 //! allocates on the event path — see `steady_state_runs_start_pre_sized` in
 //! this module's tests.
 
@@ -138,7 +138,7 @@ pub fn run_workload(kind: SchedulerKind, workload: &Workload) -> Vec<RunReport> 
 
 /// [`run_workload`] with an explicit execution mode (the determinism tests
 /// compare the two paths).
-pub fn run_workload_with(
+pub(crate) fn run_workload_with(
     kind: SchedulerKind,
     workload: &Workload,
     parallelism: Parallelism,

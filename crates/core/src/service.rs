@@ -136,12 +136,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Returns a copy with a different load multiplier.
-    pub fn with_load(mut self, load: f64) -> Self {
-        self.load = load;
-        self
-    }
-
     /// Returns a copy with a different arrival seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -169,7 +163,7 @@ impl ServiceConfig {
     /// Checks that the configuration is not degenerate (invalid process,
     /// non-positive load, empty batch range, zero window, or a
     /// zero/degenerate stop bound), naming the first offending parameter.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         self.process.validate()?;
         // Reject NaN/zero/negative/infinite loads explicitly: a degenerate
         // multiplier would otherwise silently produce an arrival process that
@@ -284,8 +278,8 @@ enum ArrivalSource {
 /// [`TumblingWindow`] accumulators, stop on the configured condition.
 ///
 /// Fleet shards reuse the same runner with two differences: arrivals come from
-/// [`ServiceRunner::enqueue_arrivals`] instead of an internal driver
-/// ([`ServiceRunner::new_routed`]), and execution is segmented into epochs by
+/// `ServiceRunner::enqueue_arrivals` instead of an internal driver
+/// (`ServiceRunner::new_routed`), and execution is segmented into epochs by
 /// [`ServiceRunner::run_to_barrier`].  Segmenting is transparent: a run split
 /// at any sequence of barriers processes the byte-identical event sequence as
 /// an unsegmented [`ServiceRunner::run_with`] with a
@@ -311,7 +305,7 @@ impl ServiceRunner {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ServiceConfig::validate`] or the
+    /// Panics if the configuration fails `ServiceConfig::validate` or the
     /// suite is not the benchmark suite shape the names are derived from.
     pub fn new(system: SystemConfig, suite: Vec<ApplicationSpec>, config: ServiceConfig) -> Self {
         config.validate().unwrap_or_else(|err| panic!("{err}"));
@@ -332,7 +326,7 @@ impl ServiceRunner {
     /// # Panics
     ///
     /// Panics if the configuration fails [`ServiceConfig::validate`].
-    pub fn new_routed(
+    pub(crate) fn new_routed(
         system: SystemConfig,
         suite: Vec<ApplicationSpec>,
         config: ServiceConfig,
@@ -382,26 +376,21 @@ impl ServiceRunner {
         self.sim.fault_stats()
     }
 
-    /// The runner's configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// Applications completed so far (measured or not).
-    pub fn completions(&self) -> u64 {
+    pub(crate) fn completions(&self) -> u64 {
         self.completions
     }
 
     /// The pooled streaming accumulator over the measured completions so
     /// far; fleet reports merge the shards' accumulators
     /// ([`StreamingSummary::merge`]).
-    pub fn overall_stream(&self) -> &StreamingSummary {
+    pub(crate) fn overall_stream(&self) -> &StreamingSummary {
         &self.overall
     }
 
     /// Routed arrivals queued but not yet injected (always `0` for a
     /// driver-backed runner).
-    pub fn pending_routed(&self) -> usize {
+    pub(crate) fn pending_routed(&self) -> usize {
         match &self.source {
             ArrivalSource::Driver(_) => 0,
             ArrivalSource::Routed(queue) => queue.len(),
@@ -416,7 +405,7 @@ impl ServiceRunner {
     /// # Panics
     ///
     /// Panics if this runner owns an arrival driver.
-    pub fn enqueue_arrivals<I: IntoIterator<Item = AppArrival>>(&mut self, arrivals: I) {
+    pub(crate) fn enqueue_arrivals<I: IntoIterator<Item = AppArrival>>(&mut self, arrivals: I) {
         let ArrivalSource::Routed(queue) = &mut self.source else {
             panic!("enqueue_arrivals on a driver-backed service runner");
         };
@@ -503,7 +492,11 @@ impl ServiceRunner {
     /// (or, in routed mode, the event queue runs dry).  Does **not** flush the
     /// final tumbling window or build a report — [`ServiceRunner::run_with`]
     /// and the fleet engine's final epoch do that.
-    pub fn drive(&mut self, policy: &mut dyn Policy, on_window: &mut dyn FnMut(&WindowSummary)) {
+    pub(crate) fn drive(
+        &mut self,
+        policy: &mut dyn Policy,
+        on_window: &mut dyn FnMut(&WindowSummary),
+    ) {
         let warmup_end = SimTime::ZERO + self.config.warmup;
         let mut last_p99: Option<f64> = None;
         let mut next_check = match self.config.stop {
@@ -531,7 +524,7 @@ impl ServiceRunner {
 
     /// Runs the inject → step → fold loop for all events **strictly before**
     /// `barrier`, ignoring the stop condition, and returns.  The fleet engine
-    /// calls this once per epoch; the final epoch uses [`ServiceRunner::drive`]
+    /// calls this once per epoch; the final epoch uses `ServiceRunner::drive`
     /// with a [`StopCondition::Horizon`] stop instead, so a segmented shard
     /// processes the byte-identical event sequence as an unsegmented run (an
     /// event at exactly the barrier belongs to the next epoch, and barriers
@@ -561,7 +554,7 @@ impl ServiceRunner {
     /// Flushes the final (partial) tumbling window into `on_window`.  Call
     /// once at the very end of a segmented run; [`ServiceRunner::run_with`]
     /// does it automatically.
-    pub fn flush_windows(&mut self, on_window: &mut dyn FnMut(&WindowSummary)) {
+    pub(crate) fn flush_windows(&mut self, on_window: &mut dyn FnMut(&WindowSummary)) {
         if let Some(finished) = self.window.flush() {
             on_window(&finished);
         }
@@ -602,7 +595,7 @@ impl ServiceRunner {
 
     /// Builds the report of the run so far under the given scheduler label.
     /// Idempotent — the fleet engine calls it after its final epoch.
-    pub fn service_report(&self, scheduler: &str) -> ServiceReport {
+    pub(crate) fn service_report(&self, scheduler: &str) -> ServiceReport {
         let per_app = self
             .per_app
             .iter()
@@ -672,7 +665,7 @@ pub fn service_matrix(
 ///
 /// Panics for [`SchedulerKind::Baseline`]: exclusive temporal multiplexing
 /// bypasses the sharing engine and has no service-mode equivalent.
-pub fn run_service_cell(cell: &ServiceCell, base: &ServiceConfig) -> ServiceReport {
+pub(crate) fn run_service_cell(cell: &ServiceCell, base: &ServiceConfig) -> ServiceReport {
     run_cell(cell, base, None).0
 }
 
@@ -735,6 +728,13 @@ mod tests {
         )
     }
 
+    fn with_load(load: f64) -> ServiceConfig {
+        ServiceConfig {
+            load,
+            ..ServiceConfig::new(poisson())
+        }
+    }
+
     /// `config` fails validation on `parameter`; the runner then refuses it,
     /// panicking with the error's text (which the caller's `should_panic`
     /// checks).
@@ -752,28 +752,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_nan_load() {
-        assert_rejects(ServiceConfig::new(poisson()).with_load(f64::NAN), "load");
+        assert_rejects(with_load(f64::NAN), "load");
     }
 
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_negative_load() {
-        assert_rejects(ServiceConfig::new(poisson()).with_load(-0.5), "load");
+        assert_rejects(with_load(-0.5), "load");
     }
 
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_zero_load() {
-        assert_rejects(ServiceConfig::new(poisson()).with_load(0.0), "load");
+        assert_rejects(with_load(0.0), "load");
     }
 
     #[test]
     #[should_panic(expected = "load multiplier must be positive and finite")]
     fn validate_rejects_infinite_load() {
-        assert_rejects(
-            ServiceConfig::new(poisson()).with_load(f64::INFINITY),
-            "load",
-        );
+        assert_rejects(with_load(f64::INFINITY), "load");
     }
 
     #[test]
@@ -848,6 +845,37 @@ mod tests {
         assert!(report.end_time >= SimTime::ZERO + horizon);
         // The run stops at the first event past the horizon, not far beyond.
         assert!(report.end_time < SimTime::ZERO + horizon + SimDuration::from_secs(60));
+    }
+
+    #[test]
+    fn barrier_segments_then_run_match_an_unsegmented_run() {
+        let config = ServiceConfig::new(poisson())
+            .with_warmup(SimDuration::from_secs(60))
+            .with_window(SimDuration::from_secs(120))
+            .with_stop(StopCondition::Horizon(SimDuration::from_secs(900)));
+
+        let mut whole_windows = Vec::new();
+        let whole =
+            runner(config).run_with(&mut VersaSlotPolicy::new(), &mut |w| whole_windows.push(*w));
+
+        // Segments that split a window, repeat a barrier and land past the
+        // warm-up, then `run` to the horizon.
+        let mut segmented = runner(config);
+        let mut policy = VersaSlotPolicy::new();
+        let mut segmented_windows = Vec::new();
+        for barrier in [45, 150, 150, 301, 700] {
+            segmented.run_to_barrier(&mut policy, SimTime::from_secs(barrier), &mut |w| {
+                segmented_windows.push(*w)
+            });
+        }
+        let resumed = segmented.run_with(&mut policy, &mut |w| segmented_windows.push(*w));
+
+        assert!(whole.measured_completions > 0);
+        assert_eq!(
+            serde_json::to_string(&whole).expect("serialises"),
+            serde_json::to_string(&resumed).expect("serialises")
+        );
+        assert_eq!(whole_windows, segmented_windows);
     }
 
     #[test]

@@ -33,10 +33,7 @@ pub struct AuroraLink {
 impl AuroraLink {
     /// A single zSFP+ lane at 10 Gb/s line rate ≈ 1.2 GB/s effective payload.
     pub fn zsfp_plus() -> Self {
-        AuroraLink {
-            bandwidth_bytes_per_sec: 1_200_000_000,
-            base_latency: SimDuration::from_micros(120),
-        }
+        AuroraLink::new(1_200_000_000, SimDuration::from_micros(120))
     }
 
     /// Creates a link model from explicit parameters.
@@ -44,7 +41,7 @@ impl AuroraLink {
     /// # Panics
     ///
     /// Panics if `bandwidth_bytes_per_sec` is zero.
-    pub fn new(bandwidth_bytes_per_sec: u64, base_latency: SimDuration) -> Self {
+    fn new(bandwidth_bytes_per_sec: u64, base_latency: SimDuration) -> Self {
         assert!(
             bandwidth_bytes_per_sec > 0,
             "link bandwidth must be positive"

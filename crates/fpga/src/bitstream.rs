@@ -12,8 +12,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use versaslot_sim::SimDuration;
 
-use crate::slot::SlotKind;
-
 /// What a bitstream programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BitstreamKind {
@@ -23,17 +21,6 @@ pub enum BitstreamKind {
     BigPartial,
     /// A full-fabric bitstream (used by the exclusive temporal-multiplexing baseline).
     Full,
-}
-
-impl BitstreamKind {
-    /// The slot kind this bitstream targets, if it is a partial bitstream.
-    pub fn slot_kind(&self) -> Option<SlotKind> {
-        match self {
-            BitstreamKind::LittlePartial => Some(SlotKind::Little),
-            BitstreamKind::BigPartial => Some(SlotKind::Big),
-            BitstreamKind::Full => None,
-        }
-    }
 }
 
 impl fmt::Display for BitstreamKind {
@@ -60,7 +47,7 @@ pub struct BitstreamSizes {
 impl BitstreamSizes {
     /// Sizes calibrated for a ZCU216-class device: ≈9 MB Little, ≈18 MB Big,
     /// ≈75 MB full fabric.
-    pub fn zcu216() -> Self {
+    pub(crate) fn zcu216() -> Self {
         BitstreamSizes {
             little_partial: 9_000_000,
             big_partial: 18_000_000,
@@ -142,16 +129,6 @@ impl Default for SdCard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bitstream_kind_maps_to_slot_kind() {
-        assert_eq!(
-            BitstreamKind::LittlePartial.slot_kind(),
-            Some(SlotKind::Little)
-        );
-        assert_eq!(BitstreamKind::BigPartial.slot_kind(), Some(SlotKind::Big));
-        assert_eq!(BitstreamKind::Full.slot_kind(), None);
-    }
 
     #[test]
     fn zcu216_sizes_are_ordered() {

@@ -16,7 +16,7 @@ use crate::cpu::CoreAssignment;
 use crate::interconnect::DmaModel;
 use crate::pcap::PcapModel;
 use crate::resources::ResourceVector;
-use crate::slot::{SlotKind, SlotLayout};
+use crate::slot::SlotLayout;
 
 /// Identifier of a board within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -102,24 +102,19 @@ impl BoardSpec {
         self.layout = layout;
         self
     }
-
-    /// Number of slots of a given kind (convenience passthrough).
-    pub fn slot_count(&self, kind: SlotKind) -> u32 {
-        self.layout.count_of(kind)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slot::LayoutKind;
+    use crate::slot::{LayoutKind, SlotKind};
 
     #[test]
     fn big_little_preset_matches_paper_configuration() {
         let board = BoardSpec::zcu216_big_little();
         assert_eq!(board.layout.kind(), LayoutKind::BigLittle);
-        assert_eq!(board.slot_count(SlotKind::Big), 2);
-        assert_eq!(board.slot_count(SlotKind::Little), 4);
+        assert_eq!(board.layout.count_of(SlotKind::Big), 2);
+        assert_eq!(board.layout.count_of(SlotKind::Little), 4);
         assert_eq!(board.cores, CoreAssignment::DualCore);
     }
 
@@ -127,8 +122,8 @@ mod tests {
     fn only_little_preset_has_eight_uniform_slots() {
         let board = BoardSpec::zcu216_only_little();
         assert_eq!(board.layout.kind(), LayoutKind::OnlyLittle);
-        assert_eq!(board.slot_count(SlotKind::Little), 8);
-        assert_eq!(board.slot_count(SlotKind::Big), 0);
+        assert_eq!(board.layout.count_of(SlotKind::Little), 8);
+        assert_eq!(board.layout.count_of(SlotKind::Big), 0);
         // Everything except the layout matches the Big.Little preset.
         assert_eq!(board.pcap, BoardSpec::zcu216_big_little().pcap);
     }
@@ -136,13 +131,13 @@ mod tests {
     #[test]
     fn builder_style_overrides() {
         let board = BoardSpec::zcu216_only_little().with_cores(CoreAssignment::SingleCore);
-        assert!(board.cores.pr_blocks_scheduler());
+        assert_eq!(board.cores, CoreAssignment::SingleCore);
         let custom = BoardSpec::zcu216_big_little().with_layout(SlotLayout::with_counts(
             1,
             6,
             BoardSpec::zcu216_little_capacity(),
         ));
-        assert_eq!(custom.layout.len(), 7);
+        assert_eq!(custom.layout.slots().len(), 7);
     }
 
     #[test]

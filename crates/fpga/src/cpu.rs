@@ -26,13 +26,6 @@ pub enum CoreAssignment {
     DualCore,
 }
 
-impl CoreAssignment {
-    /// Returns `true` if a PCAP load blocks the scheduling core.
-    pub fn pr_blocks_scheduler(&self) -> bool {
-        matches!(self, CoreAssignment::SingleCore)
-    }
-}
-
 impl fmt::Display for CoreAssignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -83,11 +76,6 @@ impl CpuCore {
         now.max_of(self.busy_until)
     }
 
-    /// Returns `true` if the core is occupied at `now`.
-    pub fn is_busy_at(&self, now: SimTime) -> bool {
-        self.busy_until > now
-    }
-
     /// Runs a work item of length `duration` starting no earlier than `now`;
     /// returns the time the work completes.
     pub fn run(&mut self, now: SimTime, duration: SimDuration) -> SimTime {
@@ -105,21 +93,6 @@ impl CpuCore {
         self.blocked_total += duration;
         self.busy_until
     }
-
-    /// Total time this core has spent suspended by the PCAP.
-    pub fn blocked_total(&self) -> SimDuration {
-        self.blocked_total
-    }
-
-    /// Number of (non-blocking) work items executed.
-    pub fn work_items(&self) -> u64 {
-        self.work_items
-    }
-
-    /// The instant the core becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
 }
 
 #[cfg(test)]
@@ -128,8 +101,6 @@ mod tests {
 
     #[test]
     fn assignment_blocking_semantics() {
-        assert!(CoreAssignment::SingleCore.pr_blocks_scheduler());
-        assert!(!CoreAssignment::DualCore.pr_blocks_scheduler());
         assert_eq!(CoreAssignment::SingleCore.to_string(), "single-core");
         assert_eq!(CoreAssignment::DualCore.to_string(), "dual-core");
     }
@@ -141,8 +112,8 @@ mod tests {
         let t2 = core.run(SimTime::ZERO, SimDuration::from_micros(50));
         assert_eq!(t1, SimTime::from_micros(100));
         assert_eq!(t2, SimTime::from_micros(150));
-        assert_eq!(core.work_items(), 2);
-        assert_eq!(core.blocked_total(), SimDuration::ZERO);
+        assert_eq!(core.work_items, 2);
+        assert_eq!(core.blocked_total, SimDuration::ZERO);
     }
 
     #[test]
@@ -150,10 +121,8 @@ mod tests {
         let mut core = CpuCore::new();
         core.block(SimTime::ZERO, SimDuration::from_millis(25));
         core.block(SimTime::from_millis(30), SimDuration::from_millis(10));
-        assert_eq!(core.blocked_total(), SimDuration::from_millis(35));
-        assert_eq!(core.busy_until(), SimTime::from_millis(40));
-        assert!(core.is_busy_at(SimTime::from_millis(35)));
-        assert!(!core.is_busy_at(SimTime::from_millis(40)));
+        assert_eq!(core.blocked_total, SimDuration::from_millis(35));
+        assert_eq!(core.busy_until, SimTime::from_millis(40));
     }
 
     #[test]

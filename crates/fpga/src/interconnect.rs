@@ -31,10 +31,7 @@ pub struct DmaModel {
 impl DmaModel {
     /// A high-performance (HP) AXI port on a Zynq UltraScale+ (≈ 2.4 GB/s effective).
     pub fn zynq_hp_port() -> Self {
-        DmaModel {
-            throughput_bytes_per_sec: 2_400_000_000,
-            setup_overhead: SimDuration::from_micros(30),
-        }
+        DmaModel::new(2_400_000_000, SimDuration::from_micros(30))
     }
 
     /// Creates a model from explicit parameters.
@@ -42,7 +39,7 @@ impl DmaModel {
     /// # Panics
     ///
     /// Panics if `throughput_bytes_per_sec` is zero.
-    pub fn new(throughput_bytes_per_sec: u64, setup_overhead: SimDuration) -> Self {
+    fn new(throughput_bytes_per_sec: u64, setup_overhead: SimDuration) -> Self {
         assert!(
             throughput_bytes_per_sec > 0,
             "DMA throughput must be positive"

@@ -48,10 +48,9 @@ pub mod resources;
 pub mod slot;
 
 pub use aurora::AuroraLink;
-pub use bitstream::{BitstreamKind, SdCard};
-pub use board::{BoardId, BoardSpec};
-pub use cpu::CoreAssignment;
+pub use bitstream::SdCard;
+pub use board::BoardSpec;
 pub use interconnect::DmaModel;
 pub use pcap::{PcapModel, SerialServer};
 pub use resources::ResourceVector;
-pub use slot::{SlotId, SlotKind, SlotLayout};
+pub use slot::SlotKind;

@@ -37,10 +37,7 @@ impl PcapModel {
     /// The default model calibrated for a Zynq UltraScale+ PCAP
     /// (≈ 360 MB/s sustained plus ≈ 400 µs fixed overhead).
     pub fn zynq_ultrascale() -> Self {
-        PcapModel {
-            throughput_bytes_per_sec: 360_000_000,
-            setup_overhead: SimDuration::from_micros(400),
-        }
+        PcapModel::new(360_000_000, SimDuration::from_micros(400))
     }
 
     /// Creates a model from explicit parameters.
@@ -48,7 +45,7 @@ impl PcapModel {
     /// # Panics
     ///
     /// Panics if `throughput_bytes_per_sec` is zero.
-    pub fn new(throughput_bytes_per_sec: u64, setup_overhead: SimDuration) -> Self {
+    fn new(throughput_bytes_per_sec: u64, setup_overhead: SimDuration) -> Self {
         assert!(
             throughput_bytes_per_sec > 0,
             "PCAP throughput must be positive"
@@ -132,26 +129,6 @@ impl SerialServer {
         self.completed += 1;
         ServiceWindow { start, finish }
     }
-
-    /// The earliest time a new request submitted at `now` would start service.
-    pub fn next_available(&self, now: SimTime) -> SimTime {
-        now.max_of(self.busy_until)
-    }
-
-    /// Returns `true` if a request submitted at `now` would have to wait.
-    pub fn is_busy_at(&self, now: SimTime) -> bool {
-        self.busy_until > now
-    }
-
-    /// Time the server stays busy past `now` (zero when idle).
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
-    }
-
-    /// Number of requests served so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +173,7 @@ mod tests {
         assert_eq!(b.finish, SimTime::from_millis(15));
         // c arrives after the backlog drained, so it starts immediately.
         assert_eq!(c.start, SimTime::from_millis(30));
-        assert_eq!(server.completed(), 3);
+        assert_eq!(server.completed, 3);
         assert_eq!(
             b.queueing_delay(SimTime::from_millis(2)),
             SimDuration::from_millis(8)
@@ -206,18 +183,22 @@ mod tests {
     #[test]
     fn availability_and_backlog() {
         let mut server = SerialServer::new();
-        assert!(!server.is_busy_at(SimTime::ZERO));
-        server.submit(SimTime::from_millis(1), SimDuration::from_millis(10));
-        assert!(server.is_busy_at(SimTime::from_millis(5)));
+        let first = server.submit(SimTime::from_millis(1), SimDuration::from_millis(10));
         assert_eq!(
-            server.next_available(SimTime::from_millis(5)),
-            SimTime::from_millis(11)
+            first.start,
+            SimTime::from_millis(1),
+            "an idle server starts at once"
         );
+        // Submitted at 5 ms, behind 6 ms of backlog.
+        let queued = server.submit(SimTime::from_millis(5), SimDuration::from_millis(1));
+        assert_eq!(queued.start, SimTime::from_millis(11));
         assert_eq!(
-            server.backlog(SimTime::from_millis(5)),
+            queued.queueing_delay(SimTime::from_millis(5)),
             SimDuration::from_millis(6)
         );
-        assert_eq!(server.backlog(SimTime::from_millis(20)), SimDuration::ZERO);
+        // The backlog has drained by 20 ms.
+        let drained = server.submit(SimTime::from_millis(20), SimDuration::from_millis(1));
+        assert_eq!(drained.start, SimTime::from_millis(20));
     }
 
     proptest! {

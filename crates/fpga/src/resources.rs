@@ -70,16 +70,6 @@ impl ResourceVector {
             && self.bram <= capacity.bram
     }
 
-    /// Component-wise saturating subtraction.
-    pub fn saturating_sub(&self, other: &ResourceVector) -> ResourceVector {
-        ResourceVector {
-            lut: self.lut.saturating_sub(other.lut),
-            ff: self.ff.saturating_sub(other.ff),
-            dsp: self.dsp.saturating_sub(other.dsp),
-            bram: self.bram.saturating_sub(other.bram),
-        }
-    }
-
     /// Per-class utilization of this footprint inside `capacity`.
     ///
     /// Classes with zero capacity report zero utilization (rather than dividing by
@@ -100,16 +90,6 @@ impl ResourceVector {
         }
     }
 
-    /// Returns the component-wise maximum of two vectors.
-    pub fn component_max(&self, other: &ResourceVector) -> ResourceVector {
-        ResourceVector {
-            lut: self.lut.max(other.lut),
-            ff: self.ff.max(other.ff),
-            dsp: self.dsp.max(other.dsp),
-            bram: self.bram.max(other.bram),
-        }
-    }
-
     /// Scales every component by `factor`, rounding to the nearest unit.
     ///
     /// # Panics
@@ -126,23 +106,6 @@ impl ResourceVector {
             dsp: (self.dsp as f64 * factor).round() as u64,
             bram: (self.bram as f64 * factor).round() as u64,
         }
-    }
-
-    /// Returns `true` if all components are zero.
-    pub fn is_zero(&self) -> bool {
-        *self == ResourceVector::ZERO
-    }
-}
-
-impl Utilization {
-    /// The larger of the LUT and FF utilization — the paper's headline metric pair.
-    pub fn dominant(&self) -> f64 {
-        self.lut.max(self.ff)
-    }
-
-    /// Mean over the LUT and FF classes (the two classes Figure 7 reports).
-    pub fn lut_ff_mean(&self) -> f64 {
-        (self.lut + self.ff) / 2.0
     }
 }
 
@@ -234,8 +197,6 @@ mod tests {
         assert_eq!(util.ff, 0.0);
         assert_eq!(util.dsp, 0.25);
         assert_eq!(util.bram, 0.0);
-        assert_eq!(util.dominant(), 0.5);
-        assert!((util.lut_ff_mean() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -245,8 +206,6 @@ mod tests {
         assert_eq!(a + b, ResourceVector::new(11, 22, 33, 44));
         assert_eq!(b - a, ResourceVector::new(9, 18, 27, 36));
         assert_eq!(a * 3, ResourceVector::new(3, 6, 9, 12));
-        assert_eq!(b.saturating_sub(&(b * 2)), ResourceVector::ZERO);
-        assert_eq!(a.component_max(&b), b);
         let total: ResourceVector = [a, b].into_iter().sum();
         assert_eq!(total, a + b);
     }
@@ -262,7 +221,6 @@ mod tests {
         let v = ResourceVector::new(100, 200, 5, 3);
         assert_eq!(v.scale(0.5), ResourceVector::new(50, 100, 3, 2));
         assert_eq!(v.scale(0.0), ResourceVector::ZERO);
-        assert!(v.scale(0.0).is_zero());
     }
 
     #[test]

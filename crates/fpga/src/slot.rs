@@ -111,7 +111,7 @@ impl SlotLayout {
     }
 
     /// Builds the `Only.Little` layout: 8 uniform Little slots.
-    pub fn only_little(little_capacity: ResourceVector) -> Self {
+    pub(crate) fn only_little(little_capacity: ResourceVector) -> Self {
         Self::custom_counts(LayoutKind::OnlyLittle, 0, 8, little_capacity)
     }
 
@@ -177,18 +177,6 @@ impl SlotLayout {
         &self.slots
     }
 
-    /// Returns the descriptor of a given slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not name a slot of this layout.
-    pub fn slot(&self, id: SlotId) -> &SlotDescriptor {
-        self.slots
-            .iter()
-            .find(|s| s.id == id)
-            .unwrap_or_else(|| panic!("{id} is not part of this layout"))
-    }
-
     /// Returns how many slots of `kind` the layout contains.
     pub fn count_of(&self, kind: SlotKind) -> u32 {
         self.slots.iter().filter(|s| s.kind == kind).count() as u32
@@ -202,28 +190,9 @@ impl SlotLayout {
         }
     }
 
-    /// Returns the identifiers of all slots of `kind`.
-    pub fn ids_of(&self, kind: SlotKind) -> Vec<SlotId> {
-        self.slots
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| s.id)
-            .collect()
-    }
-
     /// Total fabric resources offered by all slots together.
     pub fn total_capacity(&self) -> ResourceVector {
         self.slots.iter().map(|s| s.capacity).sum()
-    }
-
-    /// Total number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` if the layout has no slots (never true for constructed layouts).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -240,7 +209,7 @@ mod tests {
     fn big_little_layout_matches_paper() {
         let layout = SlotLayout::big_little(little_cap());
         assert_eq!(layout.kind(), LayoutKind::BigLittle);
-        assert_eq!(layout.len(), 6);
+        assert_eq!(layout.slots().len(), 6);
         assert_eq!(layout.count_of(SlotKind::Big), 2);
         assert_eq!(layout.count_of(SlotKind::Little), 4);
         // Big slots come first and have exactly double capacity.
@@ -253,9 +222,9 @@ mod tests {
     fn only_little_layout_matches_paper() {
         let layout = SlotLayout::only_little(little_cap());
         assert_eq!(layout.kind(), LayoutKind::OnlyLittle);
-        assert_eq!(layout.len(), 8);
+        assert_eq!(layout.slots().len(), 8);
         assert_eq!(layout.count_of(SlotKind::Big), 0);
-        assert_eq!(layout.ids_of(SlotKind::Little).len(), 8);
+        assert_eq!(layout.count_of(SlotKind::Little), 8);
     }
 
     #[test]
@@ -275,20 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_lookup_by_id() {
-        let layout = SlotLayout::big_little(little_cap());
-        let slot = layout.slot(SlotId(5));
-        assert_eq!(slot.kind, SlotKind::Little);
-        assert_eq!(slot.id, SlotId(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "not part of this layout")]
-    fn unknown_slot_panics() {
-        SlotLayout::only_little(little_cap()).slot(SlotId(99));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one slot")]
     fn empty_layout_panics() {
         SlotLayout::with_counts(0, 0, little_cap());
@@ -299,7 +254,6 @@ mod tests {
         let layout = SlotLayout::big_little(little_cap());
         // 2 big (2x) + 4 little = 8 little-equivalents.
         assert_eq!(layout.total_capacity(), little_cap() * 8);
-        assert!(!layout.is_empty());
     }
 
     #[test]

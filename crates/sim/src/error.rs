@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A degenerate configuration parameter, as reported by the `validate`
-/// methods of the fault, arrival, service and fleet configurations.
+/// methods of the fault, arrival, system, service and fleet configurations.
 ///
 /// It names the offending parameter and displays a human-readable message.
 ///

@@ -41,7 +41,7 @@ use crate::time::SimTime;
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence number of the next push; also the total ever scheduled.
+    /// Sequence number of the next push.
     next_seq: u64,
     grow_events: u64,
 }
@@ -134,16 +134,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Returns the total number of events ever scheduled on this queue.
-    pub fn total_scheduled(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Number of pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     /// Number of pushes that had to grow the heap.
     ///
     /// Stays `0` for the lifetime of a queue created with
@@ -152,11 +142,6 @@ impl<E> EventQueue<E> {
     /// asserts.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
-    }
-
-    /// Removes all pending events.  Keeps the allocated capacity.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -222,18 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_total_scheduled() {
-        let mut queue = EventQueue::new();
-        for i in 0..10u64 {
-            queue.push(SimTime::from_micros(i), i);
-        }
-        queue.pop();
-        queue.clear();
-        assert_eq!(queue.total_scheduled(), 10);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
     fn collect_from_iterator() {
         let queue: EventQueue<u32> = [
             (SimTime::from_micros(2), 2u32),
@@ -258,7 +231,6 @@ mod tests {
             }
         }
         assert_eq!(queue.grow_events(), 0);
-        assert_eq!(queue.total_scheduled(), 400);
     }
 
     #[test]

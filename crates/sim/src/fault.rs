@@ -195,24 +195,6 @@ impl FaultProfile {
         }
         Ok(())
     }
-
-    /// Compact human-readable label ("fault-free" for a no-op profile).
-    pub fn describe(&self) -> String {
-        if self.is_noop() {
-            return "fault-free".to_string();
-        }
-        let mut parts = Vec::new();
-        if self.pr_fail_prob > 0.0 {
-            parts.push(format!("pr={:.1}%", self.pr_fail_prob * 100.0));
-        }
-        if let Some(mttf) = self.board_mttf {
-            parts.push(format!("board mttf={mttf}/mttr={}", self.board_mttr));
-        }
-        if self.link_flap_rate_per_sec > 0.0 {
-            parts.push(format!("flaps={}/s", self.link_flap_rate_per_sec));
-        }
-        parts.join(" ")
-    }
 }
 
 /// Running counters of injected faults and their consequences.
@@ -538,15 +520,6 @@ mod tests {
             stalled > 0,
             "a 0.05/s flap process should hit 100 s of probes"
         );
-    }
-
-    #[test]
-    fn describe_labels_are_stable() {
-        assert_eq!(FaultProfile::new(0).describe(), "fault-free");
-        let label = storm().describe();
-        assert!(label.contains("pr=20.0%"), "{label}");
-        assert!(label.contains("mttf"), "{label}");
-        assert!(label.contains("flaps=0.05/s"), "{label}");
     }
 
     /// `profile` fails validation on `parameter`; the schedule then refuses

@@ -53,8 +53,8 @@ pub use fault::{FaultProfile, FaultSchedule, FaultStats};
 pub use rng::SimRng;
 pub use series::TimeWeightedSeries;
 pub use stats::{
-    percentile, sorted_percentile, LogHistogram, StreamingSummary, Summary, SummaryBuilder,
-    TumblingWindow, Welford, WindowSummary, LOG_HIST_BINS,
+    percentile, LogHistogram, StreamingSummary, Summary, SummaryBuilder, TumblingWindow, Welford,
+    WindowSummary,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceDetail, TraceEvent, TraceKind};
+pub use trace::{Trace, TraceDetail, TraceKind};

@@ -65,12 +65,6 @@ impl SimRng {
         self.inner.gen_range(0.0..1.0)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
-    }
-
     /// Samples a duration uniformly between `lo` and `hi` (inclusive bounds in
     /// microseconds).
     ///
@@ -83,26 +77,6 @@ impl SimRng {
             return lo;
         }
         SimDuration::from_micros(self.inner.gen_range(lo.as_micros()..=hi.as_micros()))
-    }
-
-    /// Picks an element of `items` uniformly at random.
-    ///
-    /// Returns `None` when `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let idx = self.inner.gen_range(0..items.len());
-            Some(&items[idx])
-        }
-    }
-
-    /// Shuffles `items` in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -166,28 +140,5 @@ mod tests {
             assert!(d >= lo && d <= hi, "{d} outside [{lo}, {hi}]");
         }
         assert_eq!(rng.gen_duration(lo, lo), lo);
-    }
-
-    #[test]
-    fn choose_and_shuffle_behave() {
-        let mut rng = SimRng::seed_from(5);
-        let empty: [u32; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-
-        let items = [1, 2, 3, 4];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-
-        let mut perm: Vec<u32> = (0..16).collect();
-        rng.shuffle(&mut perm);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn gen_bool_clamps_probability() {
-        let mut rng = SimRng::seed_from(11);
-        assert!(!rng.gen_bool(-0.5));
-        assert!(rng.gen_bool(1.5));
     }
 }

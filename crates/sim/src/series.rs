@@ -31,7 +31,6 @@ pub struct TimeWeightedSeries {
     current: f64,
     /// Integral of the value from `start` to `last_change`, in value·µs.
     accumulated: f64,
-    samples: usize,
 }
 
 impl TimeWeightedSeries {
@@ -42,7 +41,6 @@ impl TimeWeightedSeries {
             last_change: start,
             current: initial,
             accumulated: 0.0,
-            samples: 1,
         }
     }
 
@@ -63,27 +61,6 @@ impl TimeWeightedSeries {
         self.accumulated += self.current * span.as_micros() as f64;
         self.last_change = at;
         self.current = value;
-        self.samples += 1;
-    }
-
-    /// Adds `delta` to the current value at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`set`](Self::set).
-    pub fn add(&mut self, at: SimTime, delta: f64) {
-        let next = self.current + delta;
-        self.set(at, next);
-    }
-
-    /// Returns the current value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Returns the number of recorded changes (including the initial value).
-    pub fn samples(&self) -> usize {
-        self.samples
     }
 
     /// Returns the time-weighted mean of the value from the series start until
@@ -108,22 +85,6 @@ impl TimeWeightedSeries {
         let tail = (until - self.last_change).as_micros() as f64 * self.current;
         (self.accumulated + tail) / total.as_micros() as f64
     }
-
-    /// Returns the integral of the value from the series start until `until`, in
-    /// value·microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until` precedes the last recorded change.
-    pub fn integral(&self, until: SimTime) -> f64 {
-        assert!(
-            until >= self.last_change,
-            "observation end {until} precedes last change {}",
-            self.last_change
-        );
-        let tail = (until - self.last_change).as_micros() as f64 * self.current;
-        self.accumulated + tail
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +96,6 @@ mod tests {
     fn constant_series_mean_is_the_constant() {
         let series = TimeWeightedSeries::new(SimTime::ZERO, 0.75);
         assert_eq!(series.time_weighted_mean(SimTime::from_secs(10)), 0.75);
-        assert_eq!(series.current(), 0.75);
     }
 
     #[test]
@@ -149,19 +109,9 @@ mod tests {
         let mut series = TimeWeightedSeries::new(SimTime::ZERO, 0.0);
         series.set(SimTime::from_millis(10), 2.0);
         series.set(SimTime::from_millis(20), 1.0);
-        // integral = 0*10ms + 2*10ms + 1*10ms = 30 ms·value = 30_000 µs·value
-        assert!((series.integral(SimTime::from_millis(30)) - 30_000.0).abs() < 1e-9);
+        // integral = 0*10ms + 2*10ms + 1*10ms = 30 ms·value over a 30 ms window
         let mean = series.time_weighted_mean(SimTime::from_millis(30));
         assert!((mean - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_adjusts_relative_to_current() {
-        let mut series = TimeWeightedSeries::new(SimTime::ZERO, 1.0);
-        series.add(SimTime::from_millis(1), 0.5);
-        series.add(SimTime::from_millis(2), -1.0);
-        assert!((series.current() - 0.5).abs() < 1e-12);
-        assert_eq!(series.samples(), 3);
     }
 
     #[test]

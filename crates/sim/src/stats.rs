@@ -106,17 +106,6 @@ pub struct Summary {
     pub std_dev: f64,
 }
 
-impl Summary {
-    /// Summarizes a slice of observations; returns `None` for an empty slice.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        let mut builder = SummaryBuilder::new();
-        for &v in values {
-            builder.record(v);
-        }
-        builder.build()
-    }
-}
-
 /// Accumulates observations and produces a [`Summary`].
 ///
 /// [`SummaryBuilder::build`] sorts a scratch copy of the sample once and caches
@@ -164,25 +153,10 @@ impl SummaryBuilder {
     }
 
     /// Records every observation from an iterator.
-    pub fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+    pub(crate) fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
         for v in values {
             self.record(v);
         }
-    }
-
-    /// Returns the number of recorded observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns `true` if nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Returns a view of the recorded observations in insertion order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 
     /// Produces the summary, or `None` if nothing was recorded.
@@ -328,7 +302,7 @@ impl Welford {
     }
 
     /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -338,22 +312,22 @@ impl Welford {
     }
 
     /// Population variance, or `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         (self.count > 0).then(|| self.m2 / self.count as f64)
     }
 
     /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
+    pub(crate) fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }
 
     /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 }
@@ -430,7 +404,7 @@ impl StreamingSummary {
     }
 
     /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.moments.is_empty()
     }
 
@@ -516,16 +490,6 @@ impl TumblingWindow {
         }
     }
 
-    /// The window width.
-    pub fn width(&self) -> SimDuration {
-        self.width
-    }
-
-    /// Observations recorded in the current (unfinished) window.
-    pub fn pending(&self) -> u64 {
-        self.current.count()
-    }
-
     /// Records an observation at simulated time `time`.
     ///
     /// Returns the summary of the previous window when `time` crosses a window
@@ -582,7 +546,7 @@ const LOG_HIST_SUB_BITS: u32 = 4;
 const LOG_HIST_MIN_EXP: i32 = -4;
 
 /// Number of bins in a [`LogHistogram`].
-pub const LOG_HIST_BINS: usize = LOG_HIST_OCTAVES * LOG_HIST_SUBDIVISIONS;
+pub(crate) const LOG_HIST_BINS: usize = LOG_HIST_OCTAVES * LOG_HIST_SUBDIVISIONS;
 
 const BIN_OVERFLOW: &str = "LogHistogram bin holds more than u32::MAX observations";
 
@@ -720,26 +684,6 @@ impl LogHistogram {
         }
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Smallest observation (exact), or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (exact), or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Nearest-rank `q`-quantile estimate, or `None` when empty.
     ///
     /// Walks the cumulative bin counts to the nearest-rank bin and reports its
@@ -772,11 +716,16 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
     use proptest::prelude::*;
+    use rand::Rng;
+
+    fn summary_of(values: &[f64]) -> Option<Summary> {
+        values.iter().copied().collect::<SummaryBuilder>().build()
+    }
 
     #[test]
     fn summary_of_known_sample() {
         let values = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let summary = Summary::of(&values).unwrap();
+        let summary = summary_of(&values).unwrap();
         assert_eq!(summary.count, 5);
         assert!((summary.mean - 3.0).abs() < 1e-12);
         assert_eq!(summary.min, 1.0);
@@ -789,7 +738,7 @@ mod tests {
 
     #[test]
     fn empty_sample_has_no_summary() {
-        assert!(Summary::of(&[]).is_none());
+        assert!(summary_of(&[]).is_none());
         assert!(SummaryBuilder::new().build().is_none());
     }
 
@@ -832,9 +781,7 @@ mod tests {
     #[test]
     fn builder_collects_from_iterator() {
         let builder: SummaryBuilder = [1.0, 2.0, 3.0].into_iter().collect();
-        assert_eq!(builder.len(), 3);
-        assert!(!builder.is_empty());
-        assert_eq!(builder.values(), &[1.0, 2.0, 3.0]);
+        assert_eq!(builder.values, [1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -844,13 +791,13 @@ mod tests {
         let first = builder.build().unwrap();
         // Second build with no new observations reuses the sorted cache.
         assert_eq!(builder.build().unwrap(), first);
-        assert_eq!(builder.values(), &[5.0, 1.0, 3.0], "insertion order kept");
+        assert_eq!(builder.values, [5.0, 1.0, 3.0], "insertion order kept");
         // New observations invalidate the cache.
         builder.record(0.5);
         let second = builder.build().unwrap();
         assert_eq!(second.count, 4);
         assert_eq!(second.min, 0.5);
-        assert_eq!(second, Summary::of(builder.values()).unwrap());
+        assert_eq!(second, summary_of(&builder.values).unwrap());
     }
 
     #[test]
@@ -965,14 +912,12 @@ mod tests {
     #[test]
     fn log_histogram_empty_and_single_value() {
         let hist = LogHistogram::new();
-        assert!(hist.is_empty());
+        assert_eq!(hist.count, 0);
         assert_eq!(hist.quantile(0.99), None);
-        assert_eq!(hist.min(), None);
-        assert_eq!(hist.max(), None);
 
         let mut hist = LogHistogram::new();
         hist.record(42.0);
-        assert_eq!(hist.count(), 1);
+        assert_eq!(hist.count, 1);
         // A single value: every quantile clamps onto it exactly.
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(hist.quantile(q), Some(42.0));
@@ -989,7 +934,7 @@ mod tests {
         let p95 = hist.quantile(0.95).unwrap();
         let p99 = hist.quantile(0.99).unwrap();
         assert!(p50 <= p95 && p95 <= p99);
-        assert!(p99 <= hist.max().unwrap());
+        assert!(p99 <= hist.max);
         assert!((p50 - 5_000.0).abs() / 5_000.0 < 0.04);
         assert!((p95 - 9_500.0).abs() / 9_500.0 < 0.04);
         assert!((p99 - 9_900.0).abs() / 9_900.0 < 0.04);
@@ -1001,9 +946,9 @@ mod tests {
         hist.record(0.0); // below the first bin edge
         hist.record(1e-300); // subnormal-adjacent underflow
         hist.record(1e300); // far past the last bin
-        assert_eq!(hist.count(), 3);
-        assert_eq!(hist.min(), Some(0.0));
-        assert_eq!(hist.max(), Some(1e300));
+        assert_eq!(hist.count, 3);
+        assert_eq!(hist.min, 0.0);
+        assert_eq!(hist.max, 1e300);
         // Quantiles stay inside the exact observed range.
         for q in [0.0, 0.5, 1.0] {
             let v = hist.quantile(q).unwrap();
@@ -1056,7 +1001,7 @@ mod tests {
         right.iter().for_each(|&v| other.record(v));
         merged.merge(&other);
         let merged = merged.summary().unwrap();
-        let exact = Summary::of(&values).unwrap();
+        let exact = summary_of(&values).unwrap();
         assert_eq!(merged.count, exact.count);
         assert!((merged.mean - exact.mean).abs() < 1e-9);
         assert_eq!(merged.min, exact.min);
@@ -1175,7 +1120,7 @@ mod tests {
         /// The mean always lies between min and max, and percentiles are monotone.
         #[test]
         fn prop_summary_invariants(values in prop::collection::vec(0.0f64..1e6, 1..200)) {
-            let summary = Summary::of(&values).unwrap();
+            let summary = summary_of(&values).unwrap();
             prop_assert!(summary.min <= summary.mean + 1e-9);
             prop_assert!(summary.mean <= summary.max + 1e-9);
             prop_assert!(summary.p50 <= summary.p95);

@@ -48,9 +48,6 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The largest representable instant; useful as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Creates an instant from microseconds since simulation start.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)
@@ -72,7 +69,7 @@ impl SimTime {
     }
 
     /// Returns the instant as (fractional) milliseconds since simulation start.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -151,25 +148,6 @@ impl SimDuration {
     /// Returns `true` if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction of two durations.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies the duration by a floating point factor, rounding to the nearest
-    /// microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn scale(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be finite and non-negative, got {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
     /// Returns the larger of two durations.
@@ -339,14 +317,6 @@ mod tests {
         assert_eq!(d + d, SimDuration::from_millis(20));
         assert_eq!(d - SimDuration::from_millis(4), SimDuration::from_millis(6));
         assert!(d.max_of(SimDuration::from_millis(12)) == SimDuration::from_millis(12));
-    }
-
-    #[test]
-    fn scale_rounds_to_nearest_microsecond() {
-        let d = SimDuration::from_micros(1_000);
-        assert_eq!(d.scale(1.5), SimDuration::from_micros(1_500));
-        assert_eq!(d.scale(0.0004), SimDuration::from_micros(0));
-        assert_eq!(d.scale(0.0006), SimDuration::from_micros(1));
     }
 
     #[test]

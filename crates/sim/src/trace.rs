@@ -18,8 +18,7 @@
 //!
 //! A counting-only trace ([`Trace::counting_only`]) therefore never touches the
 //! heap, no matter how many events are logged.  Only a *recording* trace stores
-//! event bodies, growing its `Vec` (pre-sizable via
-//! [`Trace::recording_with_capacity`]).
+//! event bodies, growing its `Vec`.
 
 use std::fmt;
 
@@ -73,10 +72,11 @@ pub enum TraceKind {
 impl TraceKind {
     /// Number of trace-event categories (the size of the [`Trace`] counter
     /// array).
-    pub const COUNT: usize = 19;
+    pub(crate) const COUNT: usize = 19;
 
     /// All categories, in discriminant order.
-    pub const ALL: [TraceKind; TraceKind::COUNT] = [
+    #[cfg(test)]
+    const ALL: [TraceKind; TraceKind::COUNT] = [
         TraceKind::AppArrived,
         TraceKind::AppAllocated,
         TraceKind::AppCompleted,
@@ -99,7 +99,7 @@ impl TraceKind {
     ];
 
     /// The category's discriminant, used to index the counter array.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self as usize
     }
 }
@@ -219,7 +219,7 @@ pub enum TraceDetail {
 
 impl TraceDetail {
     /// Returns `true` when there is no detail payload.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         matches!(self, TraceDetail::None)
             || matches!(self, TraceDetail::PrRequest { queued: false })
     }
@@ -366,16 +366,6 @@ impl Trace {
         }
     }
 
-    /// Creates a recording trace pre-sized for `capacity` event bodies, so runs
-    /// that stay within the estimate don't reallocate the event buffer either.
-    pub fn recording_with_capacity(capacity: usize) -> Self {
-        Trace {
-            record_events: true,
-            events: Vec::with_capacity(capacity),
-            counts: [0; TraceKind::COUNT],
-        }
-    }
-
     /// Returns `true` if full event bodies are stored.
     pub fn is_recording(&self) -> bool {
         self.record_events
@@ -427,12 +417,6 @@ impl Trace {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Clears stored events and counters.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.counts = [0; TraceKind::COUNT];
-    }
 }
 
 #[cfg(test)]
@@ -483,22 +467,6 @@ mod tests {
         assert_eq!(events[0].kind, TraceKind::AppArrived);
         assert_eq!(events[1].kind, TraceKind::AppCompleted);
         assert_eq!(trace.events_of(TraceKind::AppArrived).count(), 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut trace = Trace::recording();
-        trace.log(
-            SimTime::ZERO,
-            TraceKind::Note,
-            None,
-            None,
-            None,
-            TraceDetail::None,
-        );
-        trace.clear();
-        assert_eq!(trace.total(), 0);
-        assert!(trace.events().is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use versaslot_fpga::ResourceVector;
 use versaslot_sim::{SimDuration, SimTime};
 
-use crate::task::{TaskId, TaskSpec};
+use crate::task::TaskSpec;
 
 /// Identifier of one application instance within a workload sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -45,11 +45,6 @@ impl BundleSpec {
     /// The task indices covered by this bundle.
     pub fn task_range(&self) -> std::ops::Range<u32> {
         self.first_task..self.first_task + self.task_count
-    }
-
-    /// Returns `true` if the bundle covers task `task`.
-    pub fn covers(&self, task: TaskId) -> bool {
-        self.task_range().contains(&task.0)
     }
 }
 
@@ -92,7 +87,7 @@ impl ApplicationSpec {
     /// # Panics
     ///
     /// Panics if any bundle references tasks outside the pipeline.
-    pub fn with_bundles(mut self, bundles: Vec<BundleSpec>) -> Self {
+    pub(crate) fn with_bundles(mut self, bundles: Vec<BundleSpec>) -> Self {
         for bundle in &bundles {
             assert!(
                 bundle.task_range().end as usize <= self.tasks.len(),
@@ -115,15 +110,6 @@ impl ApplicationSpec {
         &self.tasks
     }
 
-    /// The task at `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn task(&self, id: TaskId) -> &TaskSpec {
-        &self.tasks[id.0 as usize]
-    }
-
     /// Number of tasks in the pipeline.
     pub fn task_count(&self) -> u32 {
         self.tasks.len() as u32
@@ -134,21 +120,10 @@ impl ApplicationSpec {
         &self.bundles
     }
 
-    /// Returns the bundle that covers `task`, if any.
-    pub fn bundle_covering(&self, task: TaskId) -> Option<&BundleSpec> {
-        self.bundles.iter().find(|b| b.covers(task))
-    }
-
     /// Whether the application has 3-in-1 bundle bitstreams and can therefore be
     /// bound to a Big slot.
     pub fn can_bundle(&self) -> bool {
         !self.bundles.is_empty()
-    }
-
-    /// Sum of per-item execution times over the whole pipeline — the amount of slot
-    /// time one batch item consumes end to end.
-    pub fn work_per_item(&self) -> SimDuration {
-        self.tasks.iter().map(|t| t.exec_per_item()).sum()
     }
 
     /// The slowest pipeline stage, which bounds pipelined throughput.
@@ -209,11 +184,9 @@ mod tests {
     fn pipeline_aggregates() {
         let app = two_task_app();
         assert_eq!(app.task_count(), 2);
-        assert_eq!(app.work_per_item(), SimDuration::from_millis(40));
         assert_eq!(app.max_stage_time(), SimDuration::from_millis(30));
-        assert_eq!(app.task(TaskId(1)).name(), "b");
+        assert_eq!(app.tasks()[1].name(), "b");
         assert!(!app.can_bundle());
-        assert!(app.bundle_covering(TaskId(0)).is_none());
     }
 
     #[test]
@@ -234,10 +207,8 @@ mod tests {
             },
         ]);
         assert!(app.can_bundle());
-        assert_eq!(app.bundle_covering(TaskId(4)).unwrap().first_task, 3);
         assert_eq!(app.bundles()[0].task_range(), 0..3);
-        assert!(app.bundles()[0].covers(TaskId(2)));
-        assert!(!app.bundles()[0].covers(TaskId(3)));
+        assert_eq!(app.bundles()[1].task_range(), 3..6);
     }
 
     #[test]

@@ -55,17 +55,8 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// A short human-readable label for reports and tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArrivalProcess::Poisson { .. } => "poisson",
-            ArrivalProcess::Diurnal { .. } => "diurnal",
-            ArrivalProcess::Burst { .. } => "burst",
-        }
-    }
-
     /// The instantaneous arrival rate (per simulated second) at time `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
             ArrivalProcess::Diurnal {
@@ -93,7 +84,7 @@ impl ArrivalProcess {
     }
 
     /// The peak of the rate function — the thinning envelope.
-    pub fn max_rate_per_sec(&self) -> f64 {
+    pub(crate) fn max_rate_per_sec(&self) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
             ArrivalProcess::Diurnal {
@@ -250,16 +241,6 @@ impl ArrivalDriver {
         }
     }
 
-    /// The process this driver samples.
-    pub fn process(&self) -> ArrivalProcess {
-        self.process
-    }
-
-    /// The time of the most recently generated arrival.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
     /// Number of arrivals generated so far.
     pub fn generated(&self) -> u64 {
         self.next_id as u64
@@ -328,8 +309,8 @@ mod tests {
                     .take(50)
                     .collect::<Vec<_>>()
             };
-            assert_eq!(draw(7), draw(7), "{}: same seed differs", process.label());
-            assert_ne!(draw(7), draw(8), "{}: seed ignored", process.label());
+            assert_eq!(draw(7), draw(7), "{process:?}: same seed differs");
+            assert_ne!(draw(7), draw(8), "{process:?}: seed ignored");
         }
     }
 
@@ -341,17 +322,13 @@ mod tests {
             for i in 0..200u32 {
                 let arrival = driver.next_arrival();
                 assert_eq!(arrival.id, AppId(i));
-                assert!(
-                    arrival.arrival >= last,
-                    "{}: time reversed",
-                    process.label()
-                );
+                assert!(arrival.arrival >= last, "{process:?}: time reversed");
                 assert!(arrival.app_index < 5);
                 assert!((5..=30).contains(&arrival.batch_size));
                 last = arrival.arrival;
             }
             assert_eq!(driver.generated(), 200);
-            assert_eq!(driver.clock(), last);
+            assert_eq!(driver.clock, last);
         }
     }
 
@@ -414,7 +391,10 @@ mod tests {
             let t = SimTime::from_secs(13);
             assert!((scaled.rate_at(t) - 2.5 * process.rate_at(t)).abs() < 1e-9);
             assert!((scaled.max_rate_per_sec() - 2.5 * process.max_rate_per_sec()).abs() < 1e-9);
-            assert_eq!(scaled.label(), process.label());
+            assert_eq!(
+                std::mem::discriminant(&scaled),
+                std::mem::discriminant(&process)
+            );
         }
     }
 

@@ -114,13 +114,8 @@ fn task(name: &str, exec_ms: u64, lut_util: f64, ff_util: f64, data_kib: u64) ->
         (LITTLE.dsp as f64 * lut_util * 0.8).round() as u64,
         (LITTLE.bram as f64 * ff_util * 0.7).round() as u64,
     );
-    // HLS synthesis over-estimates in steps; the partitioner saw roughly 1.3–1.7x
-    // the final implementation (Figure 7 quotes 0.98 synthesis vs 0.57 implementation
-    // for the first IC task, a factor of ~1.7).
-    let synth = little_impl.scale(1.55).component_max(&little_impl);
     TaskSpec::new(name, SimDuration::from_millis(exec_ms))
         .with_little_impl(little_impl)
-        .with_synth_estimate(synth)
         .with_data_per_item(data_kib * 1024)
 }
 
@@ -247,7 +242,7 @@ mod tests {
         for app in BenchmarkApp::suite() {
             for task in app.tasks() {
                 assert!(
-                    task.fits_slot(&LITTLE),
+                    task.little_impl().fits_within(&LITTLE),
                     "{} / {} does not fit a Little slot",
                     app.name(),
                     task.name()
@@ -302,16 +297,6 @@ mod tests {
         assert!((utils[2] - 0.28).abs() < 0.01);
         let bundle_util = ic.bundles()[0].big_impl.utilization_of(&(LITTLE * 2)).lut;
         assert!((bundle_util - 0.60).abs() < 0.01);
-    }
-
-    #[test]
-    fn synthesis_estimates_exceed_implementation() {
-        for app in BenchmarkApp::suite() {
-            for task in app.tasks() {
-                assert!(task.synth_estimate().lut >= task.little_impl().lut);
-                assert!(task.synth_estimate().ff >= task.little_impl().ff);
-            }
-        }
     }
 
     #[test]

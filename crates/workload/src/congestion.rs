@@ -34,7 +34,7 @@ impl Congestion {
     }
 
     /// The inclusive range of inter-arrival intervals for this condition.
-    pub fn interval_range(&self) -> (SimDuration, SimDuration) {
+    pub(crate) fn interval_range(&self) -> (SimDuration, SimDuration) {
         match self {
             Congestion::Loose => (
                 SimDuration::from_millis(5_000),
@@ -50,7 +50,7 @@ impl Congestion {
     }
 
     /// Samples one inter-arrival interval.
-    pub fn sample_interval(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_interval(&self, rng: &mut SimRng) -> SimDuration {
         let (lo, hi) = self.interval_range();
         rng.gen_duration(lo, hi)
     }

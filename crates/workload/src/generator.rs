@@ -77,21 +77,6 @@ pub struct WorkloadSequence {
     pub arrivals: Vec<AppArrival>,
 }
 
-impl WorkloadSequence {
-    /// Total batch items summed over all arrivals.
-    pub fn total_batch_items(&self) -> u64 {
-        self.arrivals.iter().map(|a| a.batch_size as u64).sum()
-    }
-
-    /// The time of the last arrival.
-    pub fn last_arrival(&self) -> SimTime {
-        self.arrivals
-            .last()
-            .map(|a| a.arrival)
-            .unwrap_or(SimTime::ZERO)
-    }
-}
-
 /// A full workload: the benchmark suite plus the generated sequences.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Workload {
@@ -196,7 +181,10 @@ mod tests {
         let workload = generate_workload(&config);
         assert_eq!(workload.sequences.len(), 2);
         assert_eq!(workload.sequences[0].arrivals.len(), 5);
-        assert!(workload.sequences[0].total_batch_items() > 0);
+        assert!(workload.sequences[0]
+            .arrivals
+            .iter()
+            .all(|a| a.batch_size > 0));
     }
 
     proptest! {
@@ -215,7 +203,6 @@ mod tests {
                 prop_assert!(arrival.app_index < suite_len);
                 last = arrival.arrival;
             }
-            prop_assert_eq!(sequence.last_arrival(), last);
         }
 
         /// Inter-arrival gaps respect the congestion condition.

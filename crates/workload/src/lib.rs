@@ -46,5 +46,5 @@ pub use generator::{
     generate_sequence, generate_workload, Workload, WorkloadConfig, WorkloadSequence,
 };
 pub use partition::{partition_application, PartitionError};
-pub use routing::{hash_shard, split_arrivals, Placement, RouteDecision, ShardRouter};
-pub use task::{TaskId, TaskSpec};
+pub use routing::{Placement, ShardRouter};
+pub use task::TaskSpec;

@@ -19,10 +19,10 @@ use crate::application::{ApplicationSpec, BundleSpec};
 /// member tasks: bundling removes per-task AXI interface and control duplication,
 /// but adds shared-decoupler overhead, so the bundle footprint is slightly below
 /// the plain sum of the members.
-pub const DEFAULT_PACKING_EFFICIENCY: f64 = 0.95;
+pub(crate) const DEFAULT_PACKING_EFFICIENCY: f64 = 0.95;
 
 /// Fraction of a Big slot a derived bundle may occupy at most (routing margin).
-pub const MAX_BUNDLE_FILL: f64 = 0.97;
+pub(crate) const MAX_BUNDLE_FILL: f64 = 0.97;
 
 /// Errors produced by [`partition_application`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -124,7 +124,7 @@ pub fn partition_application(
 /// the Big slot are skipped, and only a prefix of complete triples is produced
 /// (an application can only be bound to a Big slot if every bundle exists, so a gap
 /// makes the remaining triples useless).
-pub fn derive_bundles(
+pub(crate) fn derive_bundles(
     spec: &ApplicationSpec,
     little_capacity: ResourceVector,
     packing_efficiency: f64,

@@ -33,16 +33,6 @@ pub enum Placement {
     LeastLoaded,
 }
 
-impl Placement {
-    /// Human-readable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Placement::Hash => "hash",
-            Placement::LeastLoaded => "least-loaded",
-        }
-    }
-}
-
 /// SplitMix64 finalizer — a strong, cheap 64-bit mix.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -53,7 +43,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// The seeded hash placement: mixes the seed and application id into a shard
 /// index.  Exposed so tests and tools can predict placements.
-pub fn hash_shard(seed: u64, id: AppId, shards: usize) -> usize {
+pub(crate) fn hash_shard(seed: u64, id: AppId, shards: usize) -> usize {
     debug_assert!(shards > 0);
     (splitmix64(seed ^ u64::from(id.0)) % shards as u64) as usize
 }
@@ -120,23 +110,13 @@ impl ShardRouter {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.assigned.len()
-    }
-
-    /// The placement policy.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// Arrivals assigned to `shard` so far.
-    pub fn assigned(&self, shard: usize) -> u64 {
-        self.assigned[shard]
     }
 
     /// Backlog snapshot of `shard`: arrivals assigned minus completions
     /// reported at the last barrier.
-    pub fn backlog(&self, shard: usize) -> u64 {
+    pub(crate) fn backlog(&self, shard: usize) -> u64 {
         self.assigned[shard].saturating_sub(self.completed[shard])
     }
 
@@ -146,7 +126,7 @@ impl ShardRouter {
     }
 
     /// The shard with the smallest backlog snapshot, lowest index on ties.
-    pub fn least_loaded(&self) -> usize {
+    pub(crate) fn least_loaded(&self) -> usize {
         (0..self.shard_count())
             .min_by_key(|&shard| (self.backlog(shard), shard))
             .expect("at least one shard")
@@ -189,23 +169,21 @@ impl ShardRouter {
     }
 }
 
-/// Splits a batch of arrivals into per-shard delivery lists, preserving the
-/// input (time) order within each shard.  Convenience wrapper over
-/// [`ShardRouter::route`] for tests and offline tooling; the fleet engine
-/// routes arrival-by-arrival so it can apply forwarding latency.
-pub fn split_arrivals(router: &mut ShardRouter, arrivals: &[AppArrival]) -> Vec<Vec<AppArrival>> {
-    let mut per_shard = vec![Vec::new(); router.shard_count()];
-    for arrival in arrivals {
-        let decision = router.route(arrival);
-        per_shard[decision.shard].push(*arrival);
-    }
-    per_shard
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use versaslot_sim::SimTime;
+
+    /// Splits a batch of arrivals into per-shard delivery lists, preserving
+    /// the input (time) order within each shard.
+    fn split_arrivals(router: &mut ShardRouter, arrivals: &[AppArrival]) -> Vec<Vec<AppArrival>> {
+        let mut per_shard = vec![Vec::new(); router.shard_count()];
+        for arrival in arrivals {
+            let decision = router.route(arrival);
+            per_shard[decision.shard].push(*arrival);
+        }
+        per_shard
+    }
 
     fn arrival(id: u32) -> AppArrival {
         AppArrival::new(

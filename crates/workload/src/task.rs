@@ -3,30 +3,11 @@
 //! A *task* is the basic execution unit of a slot: a portion of an application
 //! produced by the HLS partitioning flow, sized to fit a Little slot.  Each task is
 //! characterised by its per-batch-item execution latency, its implementation
-//! footprint in a Little slot, the (optimistic) synthesis estimate the partitioner
-//! worked from, and the amount of data staged per batch item.
-
-use std::fmt;
+//! footprint in a Little slot, and the amount of data staged per batch item.
 
 use serde::{Deserialize, Serialize};
 use versaslot_fpga::ResourceVector;
 use versaslot_sim::SimDuration;
-
-/// Index of a task within its application's pipeline (0-based, pipeline order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct TaskId(pub u32);
-
-impl fmt::Display for TaskId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "T{}", self.0 + 1)
-    }
-}
-
-impl From<u32> for TaskId {
-    fn from(value: u32) -> Self {
-        TaskId(value)
-    }
-}
 
 /// Static description of one task.
 ///
@@ -48,7 +29,6 @@ pub struct TaskSpec {
     name: String,
     exec_per_item: SimDuration,
     little_impl: ResourceVector,
-    synth_estimate: ResourceVector,
     data_per_item_bytes: u64,
 }
 
@@ -67,7 +47,6 @@ impl TaskSpec {
             name: name.into(),
             exec_per_item,
             little_impl: ResourceVector::ZERO,
-            synth_estimate: ResourceVector::ZERO,
             data_per_item_bytes: 0,
         }
     }
@@ -75,13 +54,6 @@ impl TaskSpec {
     /// Sets the post-implementation footprint of this task in a Little slot.
     pub fn with_little_impl(mut self, resources: ResourceVector) -> Self {
         self.little_impl = resources;
-        self
-    }
-
-    /// Sets the synthesis-time resource estimate (typically larger than the
-    /// implementation footprint — the effect Figure 7 of the paper discusses).
-    pub fn with_synth_estimate(mut self, resources: ResourceVector) -> Self {
-        self.synth_estimate = resources;
         self
     }
 
@@ -106,26 +78,9 @@ impl TaskSpec {
         self.little_impl
     }
 
-    /// Synthesis-time resource estimate.
-    ///
-    /// Falls back to the implementation footprint when no separate estimate was
-    /// recorded.
-    pub fn synth_estimate(&self) -> ResourceVector {
-        if self.synth_estimate.is_zero() {
-            self.little_impl
-        } else {
-            self.synth_estimate
-        }
-    }
-
     /// Per-batch-item data buffer size in bytes.
     pub fn data_per_item_bytes(&self) -> u64 {
         self.data_per_item_bytes
-    }
-
-    /// Returns `true` if the implementation fits within `slot_capacity`.
-    pub fn fits_slot(&self, slot_capacity: &ResourceVector) -> bool {
-        self.little_impl.fits_within(slot_capacity)
     }
 }
 
@@ -136,7 +91,6 @@ mod tests {
     fn sample() -> TaskSpec {
         TaskSpec::new("conv1", SimDuration::from_millis(40))
             .with_little_impl(ResourceVector::new(20_000, 30_000, 64, 32))
-            .with_synth_estimate(ResourceVector::new(30_000, 45_000, 64, 32))
             .with_data_per_item(64 * 1024)
     }
 
@@ -146,34 +100,12 @@ mod tests {
         assert_eq!(task.name(), "conv1");
         assert_eq!(task.exec_per_item(), SimDuration::from_millis(40));
         assert_eq!(task.little_impl().lut, 20_000);
-        assert_eq!(task.synth_estimate().lut, 30_000);
         assert_eq!(task.data_per_item_bytes(), 64 * 1024);
-    }
-
-    #[test]
-    fn synth_estimate_falls_back_to_impl() {
-        let task = TaskSpec::new("t", SimDuration::from_millis(1))
-            .with_little_impl(ResourceVector::new(5, 6, 7, 8));
-        assert_eq!(task.synth_estimate(), task.little_impl());
-    }
-
-    #[test]
-    fn fits_slot_checks_capacity() {
-        let task = sample();
-        assert!(task.fits_slot(&ResourceVector::new(40_000, 80_000, 160, 120)));
-        assert!(!task.fits_slot(&ResourceVector::new(10_000, 80_000, 160, 120)));
     }
 
     #[test]
     #[should_panic(expected = "positive execution time")]
     fn zero_exec_time_panics() {
         TaskSpec::new("bad", SimDuration::ZERO);
-    }
-
-    #[test]
-    fn task_id_display_is_one_based() {
-        assert_eq!(TaskId(0).to_string(), "T1");
-        assert_eq!(TaskId(2).to_string(), "T3");
-        assert_eq!(TaskId::from(4u32), TaskId(4));
     }
 }
