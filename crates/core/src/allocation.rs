@@ -18,43 +18,84 @@
 //!
 //! This module implements the algorithm as a pure function over a small state
 //! snapshot so it can be unit-tested independently of the simulator; the
-//! `versaslot` policy drives it every scheduling pass.
+//! `versaslot` policy drives it every scheduling pass.  Both per-application
+//! tables, the pass's inputs and the persistent allocations `R_Ai`, are
+//! `IdTable`s: id-sorted flat vectors that iterate in id order and reuse
+//! their capacity across passes.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 use versaslot_workload::AppId;
 
-/// The per-application input table of one [`allocate`] pass.
+/// A flat table keyed by application id: a vector of `(id, value)` pairs
+/// kept sorted by id, with binary-search lookup.
 ///
-/// A sorted vector with binary-search lookup, reused across passes by the
-/// VersaSlot policy so the per-event scheduling pass performs no allocation in
-/// steady state (a `BTreeMap` would churn nodes every pass).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AllocInputs {
-    entries: Vec<(AppId, AppAllocInfo)>,
+/// Iteration is in ascending id order, the order a `BTreeMap` would give.
+/// The VersaSlot policy reuses its tables across passes, and clearing or
+/// pruning a vector keeps its capacity, so the per-instant scheduling pass
+/// performs no allocation in steady state (a `BTreeMap` would allocate and
+/// free a node per insert and removal).  The tables hold the live
+/// applications only, so the insert's shift is over a handful of entries.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct IdTable<T> {
+    entries: Vec<(AppId, T)>,
 }
 
-impl AllocInputs {
+impl<T> Default for IdTable<T> {
+    fn default() -> Self {
+        IdTable {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<T> IdTable<T> {
     /// Clears the table, keeping its capacity.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
-    /// Inserts (or replaces) the info of `app`.
-    pub(crate) fn insert(&mut self, app: AppId, info: AppAllocInfo) {
+    /// Inserts the value of `app`, replacing any previous one.
+    pub(crate) fn insert(&mut self, app: AppId, value: T) {
         match self.entries.binary_search_by_key(&app, |(id, _)| *id) {
-            Ok(pos) => self.entries[pos].1 = info,
-            Err(pos) => self.entries.insert(pos, (app, info)),
+            Ok(pos) => self.entries[pos].1 = value,
+            Err(pos) => self.entries.insert(pos, (app, value)),
         }
     }
 
-    /// Looks up the info of `app`.
-    pub(crate) fn get(&self, app: AppId) -> Option<&AppAllocInfo> {
+    /// Looks up the value of `app`.
+    pub(crate) fn get(&self, app: AppId) -> Option<&T> {
         self.entries
             .binary_search_by_key(&app, |(id, _)| *id)
             .ok()
             .map(|pos| &self.entries[pos].1)
+    }
+
+    /// Removes the value of `app`, if any.
+    pub(crate) fn remove(&mut self, app: AppId) {
+        if let Ok(pos) = self.entries.binary_search_by_key(&app, |(id, _)| *id) {
+            self.entries.remove(pos);
+        }
+    }
+
+    /// Keeps only the entries whose id satisfies `keep`.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(AppId) -> bool) {
+        self.entries.retain(|(id, _)| keep(*id));
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the table is empty.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Iterates the entries in ascending id order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (AppId, &T)> {
+        self.entries.iter().map(|(id, value)| (*id, value))
     }
 
     /// Capacity of the backing vector (scratch-allocation accounting).
@@ -63,8 +104,12 @@ impl AllocInputs {
     }
 }
 
+/// The per-application input table of one [`allocate`] pass, rebuilt by the
+/// VersaSlot policy every pass.
+pub(crate) type AllocInputs = IdTable<AppAllocInfo>;
+
 /// Per-application inputs to Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AppAllocInfo {
     /// Whether 3-in-1 bundle bitstreams exist for this application.
     pub can_bundle: bool,
@@ -79,7 +124,7 @@ pub(crate) struct AppAllocInfo {
 }
 
 /// `R_Ai`: the Big/Little slots allocated to one application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Allocation {
     /// Number of Big slots the application may occupy.
     pub big: u32,
@@ -89,7 +134,7 @@ pub(crate) struct Allocation {
 
 /// The allocator's persistent state: which applications are bound where, and their
 /// current allocations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct AllocationState {
     /// `S_Big`: applications bound to Big slots, in binding order.
     pub bound_big: Vec<AppId>,
@@ -98,8 +143,8 @@ pub(crate) struct AllocationState {
     pub bound_little: Vec<AppId>,
     /// `C_wait`: applications waiting for an allocation, in arrival order.
     pub waiting: Vec<AppId>,
-    /// Current `R_Ai` for every bound application.
-    pub allocations: BTreeMap<AppId, Allocation>,
+    /// Current `R_Ai` for every bound application, in id order.
+    pub allocations: IdTable<Allocation>,
 }
 
 impl AllocationState {
@@ -115,7 +160,7 @@ impl AllocationState {
 
     /// Returns the current allocation of `app` (zero if unbound).
     pub(crate) fn allocation(&self, app: AppId) -> Allocation {
-        self.allocations.get(&app).copied().unwrap_or_default()
+        self.allocations.get(app).copied().unwrap_or_default()
     }
 
     /// Returns `true` if `app` is bound to Big slots.
@@ -157,7 +202,7 @@ pub(crate) fn allocate(
     state.bound_big.retain(live);
     state.bound_little.retain(live);
     state.waiting.retain(live);
-    state.allocations.retain(|a, _| live(a));
+    state.allocations.retain(|a| live(&a));
     let mut changed = entries(state) != before;
 
     // Line 1: Big slots still available for binding new applications (slots already
@@ -185,7 +230,7 @@ pub(crate) fn allocate(
             let app_info = info.get(app).expect("bound application has info");
             if !app_info.started && app_info.can_bundle {
                 state.bound_little.remove(i);
-                state.allocations.remove(&app);
+                state.allocations.remove(app);
                 state.waiting.insert(0, app);
                 changed = true;
             } else {
@@ -446,6 +491,35 @@ mod tests {
     }
 
     #[test]
+    fn flat_allocation_table_replaces_keeps_id_order_and_prunes() {
+        let mut table = IdTable::default();
+        for id in [5, 1, 9, 3] {
+            table.insert(AppId(id), Allocation { big: 0, little: id });
+        }
+        // An insert of a present id replaces its entry in place.
+        table.insert(AppId(9), Allocation { big: 1, little: 0 });
+        assert_eq!(table.len(), 4);
+        assert_eq!(table.get(AppId(9)), Some(&Allocation { big: 1, little: 0 }));
+        assert_eq!(table.get(AppId(2)), None);
+        let ids =
+            |table: &IdTable<Allocation>| table.iter().map(|(id, _)| id.0).collect::<Vec<_>>();
+        assert_eq!(ids(&table), vec![1, 3, 5, 9]);
+        // Pruning and removal keep the remaining entries in id order.
+        table.retain(|id| id.0 != 3);
+        table.remove(AppId(1));
+        table.remove(AppId(7));
+        assert_eq!(ids(&table), vec![5, 9]);
+        assert_eq!(table.get(AppId(5)), Some(&Allocation { big: 0, little: 5 }));
+        // The state's accessor reads through the table.
+        let state = AllocationState {
+            allocations: table,
+            ..AllocationState::default()
+        };
+        assert_eq!(state.allocation(AppId(9)), Allocation { big: 1, little: 0 });
+        assert_eq!(state.allocation(AppId(3)), Allocation::default());
+    }
+
+    #[test]
     fn allocation_never_exceeds_totals() {
         // Property-style check over a crowded system.
         let mut state = AllocationState::default();
@@ -455,8 +529,8 @@ mod tests {
             apps.insert(AppId(i), info(i % 2 == 0, 6, 3, false));
         }
         allocate(&mut state, 2, 4, 2, 4, &apps);
-        let total_big: u32 = state.allocations.values().map(|a| a.big).sum();
-        let total_little: u32 = state.allocations.values().map(|a| a.little).sum();
+        let total_big: u32 = state.allocations.iter().map(|(_, a)| a.big).sum();
+        let total_little: u32 = state.allocations.iter().map(|(_, a)| a.little).sum();
         assert!(total_big <= 2, "allocated {total_big} big slots out of 2");
         assert!(
             total_little <= 4,

@@ -8,7 +8,7 @@
 //! simulator share the same word count, so word-wise set operations
 //! (union/subtract) and comparisons are straight loops over `u64`s.
 //!
-//! Policy-facing queries (`grantable_slots`, `loaded_idle_slots`, slot counts)
+//! Policy-facing queries (grantable slots, preemption candidates, slot counts)
 //! never materialise a combined mask: a `MaskQuery` lazily evaluates
 //! `base & (and | or_into_and) & kind` one word at a time, and
 //! [`SlotIndexIter`] walks the set bits of that expression with
@@ -104,8 +104,8 @@ impl SlotMask {
     }
 
     /// Returns whether bit `idx` is set.
-    #[cfg(test)]
-    fn contains(&self, idx: usize) -> bool {
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn contains(&self, idx: usize) -> bool {
         debug_assert!(idx < self.capacity(), "bit {idx} out of mask capacity");
         let (w, bit) = split(idx);
         self.word(w) & bit != 0
@@ -150,8 +150,8 @@ impl SlotMask {
     }
 
     /// Iterates the set bit indices, ascending.
-    #[cfg(test)]
-    fn iter(&self) -> SlotIndexIter<'_> {
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn iter(&self) -> SlotIndexIter<'_> {
         MaskQuery::all(self).iter()
     }
 }
@@ -175,7 +175,7 @@ impl Eq for SlotMask {}
 /// | grantable slots        | `free`        | `enabled` | home board    | kind   |
 /// | free enabled slots     | `free`        | `enabled` | —             | kind   |
 /// | enabled slots of kind  | `enabled`     | kind      | —             | —      |
-/// | loaded-idle of kind    | `loaded_idle` | kind      | —             | —      |
+/// | preemption candidates  | `loaded_idle` | `ripe`    | —             | Little |
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MaskQuery<'a> {
     base: &'a SlotMask,
@@ -186,7 +186,7 @@ pub(crate) struct MaskQuery<'a> {
 
 impl<'a> MaskQuery<'a> {
     /// The identity query: just `base`.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     fn all(base: &'a SlotMask) -> Self {
         MaskQuery {
             base,
@@ -206,7 +206,8 @@ impl<'a> MaskQuery<'a> {
         }
     }
 
-    /// The grant visibility query: `base & (and | or_into_and?) & kind?`.
+    /// The general query `base & (and | or_into_and?) & kind?`, named for its
+    /// main use, the grant visibility query.
     pub(crate) fn grantable(
         base: &'a SlotMask,
         and: &'a SlotMask,

@@ -33,10 +33,10 @@
 //! sweep — while more events remain at the same timestamp, including events
 //! the instant itself schedules (e.g. a zero-overhead switch).
 //! [`SharingSimulator::run`] is just `step` until the queue drains.  The
-//! launch sweep is *targeted*: applying an event records the applications it
-//! touched, the flush sweeps only those, and debug builds cross-check with
-//! `debug_assert_no_launchable` that no other application could have
-//! launched.
+//! launch sweep is *targeted*: applying an event records the application
+//! and the units it touched, the flush sweeps only those, and debug builds
+//! cross-check with `debug_assert_no_launchable` that nothing else could
+//! have launched.
 //!
 //! # Settled scheduling passes are skipped
 //!
@@ -45,22 +45,29 @@
 //! keeps one `pass_due` flag, which starts set and is set again by every
 //! change a policy can observe:
 //!
-//! * any slot-state or enabled-flag change — grant, release, PR completion
-//!   or abandonment, unit finish, eviction, quarantine release, board enable
-//!   or disable — all through one funnel, `update_slot`;
+//! * a slot change that flips the slot's free or enabled bit — grant,
+//!   release, PR abandonment, unit finish, eviction, quarantine release,
+//!   board enable or disable — all through one funnel, `update_slot`;
 //! * an admitted arrival and an application completion;
 //! * a board failure or repair, and a switch completion;
 //! * `SharingSimulator::note_policy_state_changed`, which a policy calls
 //!   when its pass changed state a later pass reads.
 //!
 //! A non-final item completion (busy to idle, item counters, remaining
-//! work) sets nothing.  The flush calls [`Policy::schedule`] only when the
-//! pass is due and some free slot is grantable to an active application (or
-//! any slot is free and no application is active, so policies prune finished
-//! applications at the end of a run), or when
-//! `SharingSimulator::preemption_victim` finds a slot the shared quantum
-//! preemption would release.  It clears the flag just before the call.  The
-//! launch sweep runs at every instant regardless.
+//! work) sets nothing, and neither does a PR completion (reconfiguring to
+//! loaded), which flips neither bit.  A policy sees free slots, enabled
+//! slots and per-application occupancy counters, and a PR completion
+//! changes none of them: its only effect a policy can observe is a new
+//! loaded, idle slot, and policies read loaded and reconfiguring slots only
+//! through `SharingSimulator::preemption_victim` (see the `policy` module
+//! docs), which every flush that runs no pass evaluates.
+//!
+//! The flush calls [`Policy::schedule`] only when the pass is due and some
+//! free slot is grantable to an active application (or any slot is free and
+//! no application is active, so policies prune finished applications at the
+//! end of a run), or when `SharingSimulator::preemption_victim` finds a slot
+//! the shared quantum preemption would release.  It clears the flag just
+//! before the call.  The launch sweep runs at every instant regardless.
 //!
 //! A pass that leaves the flag clear granted, released and changed nothing,
 //! so it is a fixed point: the next pass sees the same slots, applications
@@ -101,15 +108,30 @@
 //! * **Retirement.** [`SharingSimulator::retire_completed`] folds the
 //!   applications recorded as they completed and returns at once when none
 //!   did.
-//! * **Launch sweep.** A touched application's ready units are found under
-//!   one borrow and launched in ascending unit order, and completion is read
-//!   from the application's unfinished-units counter.
+//! * **Launch sweep.** A completion of unit `u` changes the readiness inputs
+//!   of units `u` (its slot) and `u + 1` (its predecessor's progress) only.
+//!   The touched list keeps each application once, beside its *dirty unit
+//!   range*, widened to `u..=u + 1` by every completion of one of its units
+//!   at the instant.  The flush finds the ready units of that range under
+//!   one borrow and launches them in ascending unit order, so no unit
+//!   outside a dirty range is ever scanned; completion is read from the
+//!   application's unfinished-units counter.
+//! * **Preemption candidates.** The `ripe` slot mask holds the occupied
+//!   slots whose unit has completed at least `PREEMPTION_QUANTUM` items
+//!   since it was loaded: an item completion sets the bit when the unit
+//!   crosses the quantum, and freeing the slot clears it.
+//!   `SharingSimulator::preemption_victim`, which every flush evaluates,
+//!   walks `loaded_idle & ripe & Little` instead of every loaded-idle Little
+//!   slot, and reads each active application from the store once in its
+//!   starving scan.
 //!
 //! `SharingSimulator::verify_indexes` (debug builds, after every event)
-//! recounts the utilization totals with the full slot walk, checks the
-//! completed list against the application store and each live application's
-//! `(O_B, O_L)` against the memo; each admission debug-checks its memo entry
-//! against a fresh ILP solve.  Unit tests drive board outages (eviction,
+//! recounts the utilization totals with the full slot walk, checks that the
+//! ripe mask covers every loaded slot past the quantum and holds only
+//! occupied slots, that the touched list is empty once the instant is
+//! flushed, the completed list against the application store and each live
+//! application's `(O_B, O_L)` against the memo; each admission debug-checks
+//! its memo entry against a fresh ILP solve.  Unit tests drive board outages (eviction,
 //! quarantine, disable/enable) and cross-board switches through that
 //! recount, and run VersaSlot and Nimblock in service mode past 5,000
 //! retirements to bound the memo and the store.
@@ -137,7 +159,8 @@
 //! without allocating for ordinary boards.  The simulator maintains `free`,
 //! `enabled`, `loaded_idle`, static per-kind and static per-board masks
 //! incrementally at every slot transition (grant, release, PR completion, item
-//! completion, switch trigger/completion); every policy-facing query
+//! completion, switch trigger/completion), and the `ripe` mask at item
+//! completions and slot releases; every policy-facing query
 //! ([`SharingSimulator::free_slot_count`],
 //! `SharingSimulator::first_grantable_slot`,
 //! `SharingSimulator::has_grantable_slot`) is popcounts and trailing-zeros
@@ -157,7 +180,7 @@
 //!   [`SharingSimulator::event_queue_grow_events`] stays `0`;
 //! * [`Trace::log`] takes a `Copy` [`TraceDetail`] payload and bumps a
 //!   fixed-array counter, so a counting-only trace never formats or allocates;
-//! * the touched-application set, the launch sweep's ready list and the
+//! * the touched list, the launch sweep's ready list and the
 //!   policies reuse scratch buffers that reach their high-water mark during
 //!   warm-up; every
 //!   policy reports reallocations via `Policy::scratch_allocs`, and the
@@ -192,11 +215,12 @@ use app::AppStore;
 use mask::MaskQuery;
 
 pub use app::{AppRuntime, AppState, ExecMode, UnitRuntime};
-pub use mask::{SlotIndexIter, SlotMask};
+pub use mask::SlotMask;
 pub use slot::{ExecUnit, SlotRuntime, SlotState};
 
-/// Safety bound on the number of processed events (a run of the paper's largest
-/// workload needs well under a million).
+/// Livelock bound of a finite workload's [`SharingSimulator::run`] (a run of
+/// the paper's largest workload needs well under a million events).  Service
+/// and fleet runs step past it: their stop condition bounds them.
 const MAX_EVENTS: u64 = 50_000_000;
 
 /// Sanity bound on the number of slots per run.  The multi-word [`SlotMask`]s
@@ -283,6 +307,10 @@ struct SlotIndex {
     enabled: SlotMask,
     /// Slots in [`SlotState::Loaded`] with `busy == false`.
     loaded_idle: SlotMask,
+    /// Occupied slots whose unit has completed at least
+    /// [`PREEMPTION_QUANTUM`] items since it was loaded: set by item
+    /// completions, cleared when the slot is freed.
+    ripe: SlotMask,
     /// Static: slots of each [`SlotKind`] (indexed by [`kind_bit`]).
     kind: [SlotMask; 2],
     /// Static: slots of each board.
@@ -386,9 +414,10 @@ pub struct SharingSimulator {
     /// Applications completed since the last [`Self::retire_completed`].
     completed: Vec<AppId>,
 
-    /// Applications whose units progressed since the last scheduling pass —
-    /// the only candidates for the launch sweep (no steady-state allocation).
-    touched_scratch: Vec<AppId>,
+    /// Applications whose units progressed since the last scheduling pass,
+    /// each with its dirty unit range `lo..=hi` — the only candidates for
+    /// the launch sweep (no steady-state allocation).
+    touched_scratch: Vec<(AppId, usize, usize)>,
     /// Ready `(unit, slot, item duration)` launches of one application,
     /// gathered by the launch sweep (no steady-state allocation).
     ready_scratch: Vec<(usize, usize, SimDuration)>,
@@ -433,6 +462,7 @@ impl SharingSimulator {
             free: SlotMask::empty(total_slots),
             enabled: SlotMask::empty(total_slots),
             loaded_idle: SlotMask::empty(total_slots),
+            ripe: SlotMask::empty(total_slots),
             kind: [SlotMask::empty(total_slots), SlotMask::empty(total_slots)],
             board: vec![SlotMask::empty(total_slots); config.boards.len()],
         };
@@ -698,8 +728,7 @@ impl SharingSimulator {
     /// board (so pipelines in flight when a cross-board switch happens can
     /// drain).  Restricted to `kind` when given.  Evaluated lazily word by
     /// word — no combined mask is ever materialised.
-    fn grantable_query(&self, app: AppId, kind: Option<SlotKind>) -> MaskQuery<'_> {
-        let runtime = self.apps.expect(app);
+    fn grantable_query(&self, runtime: &AppRuntime, kind: Option<SlotKind>) -> MaskQuery<'_> {
         let home = runtime
             .started
             .then_some(runtime.home_board)
@@ -719,18 +748,12 @@ impl SharingSimulator {
     /// The lowest-indexed slot grantable to `app`, if any — the slot the
     /// first-fit policies pick, via a word scan.
     pub(crate) fn first_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> Option<usize> {
-        self.grantable_query(app, kind).first()
+        self.grantable_query(self.apps.expect(app), kind).first()
     }
 
     /// Whether any slot is grantable to `app`, via a word scan.
     pub(crate) fn has_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> bool {
-        self.grantable_query(app, kind).any()
-    }
-
-    /// Iterates the indices of loaded, idle slots of `kind` (the preemption
-    /// candidates) in ascending order, without allocating.
-    pub(crate) fn loaded_idle_slots(&self, kind: SlotKind) -> SlotIndexIter<'_> {
-        MaskQuery::and(&self.index.loaded_idle, &self.index.kind[kind_bit(kind)]).iter()
+        self.grantable_query(self.apps.expect(app), kind).any()
     }
 
     /// The slot quantum-based preemption would release right now, if any —
@@ -738,14 +761,16 @@ impl SharingSimulator {
     /// and the engine's pass gate, so the two cannot drift apart.
     ///
     /// The victim is a loaded, idle Little slot whose unit has processed at
-    /// least `quantum` items since it was loaded, owned by the application
-    /// holding the most slots (at least two; ties go to the lowest slot).  It
-    /// is returned only while some application is *starving*: it has unplaced
-    /// work, holds no slot, and no free Little slot is grantable to it.
+    /// least [`PREEMPTION_QUANTUM`] items since it was loaded, owned by the
+    /// application holding the most slots (at least two; ties go to the
+    /// lowest slot).  It is returned only while some application is
+    /// *starving*: it has unplaced work, holds no slot, and no free Little
+    /// slot is grantable to it.
     ///
-    /// Runs on the incremental indexes (loaded-idle and grantable bitmasks,
-    /// occupancy counters) without allocating.
-    pub(crate) fn preemption_victim(&self, quantum: u32) -> Option<usize> {
+    /// Runs on the incremental indexes (the loaded-idle, ripe and grantable
+    /// bitmasks, occupancy counters) without allocating: only slots in
+    /// `loaded_idle & ripe & Little` are examined.
+    pub(crate) fn preemption_victim(&self) -> Option<usize> {
         // A free, enabled Little slot is grantable to every application, so
         // none can be starving.
         let little = &self.index.kind[kind_bit(SlotKind::Little)];
@@ -753,7 +778,13 @@ impl SharingSimulator {
             return None;
         }
         let mut victim: Option<(usize, u32)> = None;
-        for idx in self.loaded_idle_slots(SlotKind::Little) {
+        let candidates = MaskQuery::grantable(
+            &self.index.loaded_idle,
+            &self.index.ripe,
+            None,
+            Some(little),
+        );
+        for idx in candidates.iter() {
             let SlotState::Loaded {
                 app,
                 unit,
@@ -763,7 +794,7 @@ impl SharingSimulator {
                 continue;
             };
             let runtime = self.apps.expect(app);
-            if runtime.units[unit].items_since_load < quantum {
+            if runtime.units[unit].items_since_load < PREEMPTION_QUANTUM {
                 continue;
             }
             let held = runtime.in_use_big + runtime.in_use_little;
@@ -776,9 +807,10 @@ impl SharingSimulator {
         }
         let (slot, _) = victim?;
         let starving = self.active.iter().any(|&app| {
-            self.apps.expect(app).unplaced_units() > 0
-                && self.slots_in_use_by(app) == (0, 0)
-                && !self.has_grantable_slot(app, Some(SlotKind::Little))
+            let runtime = self.apps.expect(app);
+            runtime.unplaced_units() > 0
+                && runtime.in_use_big + runtime.in_use_little == 0
+                && !self.grantable_query(runtime, Some(SlotKind::Little)).any()
         });
         starving.then_some(slot)
     }
@@ -889,6 +921,7 @@ impl SharingSimulator {
     fn index_slot_freed(&mut self, slot_idx: usize, app_id: AppId, slot_kind: SlotKind) {
         self.index.free.insert(slot_idx);
         self.index.loaded_idle.remove(slot_idx);
+        self.index.ripe.remove(slot_idx);
         let app = self.apps.expect_mut(app_id);
         match slot_kind {
             SlotKind::Big => app.in_use_big -= 1,
@@ -949,11 +982,15 @@ impl SharingSimulator {
     /// Applies `change` to one slot, moving its share of the utilization
     /// totals from the old slot to the new one.
     /// Every slot-state and enabled-flag change passes here, so this is also
-    /// where a slot change marks the next scheduling pass due.
+    /// where a slot change marks the next scheduling pass due: one that
+    /// flips the slot's free or enabled bit does.  A PR completion
+    /// (reconfiguring to loaded) flips neither; see the module docs.
     fn update_slot(&mut self, slot_idx: usize, change: impl FnOnce(&mut SlotRuntime)) {
-        self.pass_due = true;
+        let bits = |slot: &SlotRuntime| (slot.is_free(), slot.enabled);
+        let before_bits = bits(&self.slots[slot_idx]);
         let before = self.slot_utilization(slot_idx);
         change(&mut self.slots[slot_idx]);
+        self.pass_due |= bits(&self.slots[slot_idx]) != before_bits;
         let after = self.slot_utilization(slot_idx);
         self.util.sub(before);
         self.util.add(after);
@@ -1017,9 +1054,12 @@ impl SharingSimulator {
     }
 
     /// Recomputes every incremental index naively from [`Self::slots`] and the
-    /// application store, panicking on any divergence: the slot masks,
-    /// occupancy counters, each application's remaining work, unfinished and
-    /// unplaced units (by a scan of its unit vector), the store's placement
+    /// application store, panicking on any divergence: the slot masks (the
+    /// ripe mask must cover every loaded slot whose unit is past the
+    /// preemption quantum and hold only occupied slots), the touched list
+    /// (empty once the instant is flushed), occupancy counters, each
+    /// application's remaining work, unfinished and unplaced units (by a scan
+    /// of its unit vector), the store's placement
     /// and count, the active set, the utilization totals (by the full slot
     /// walk), the completed list, and each live application's `(O_B, O_L)`
     /// against the memo.  (The memo is insert-only and each admission
@@ -1062,6 +1102,29 @@ impl SharingSimulator {
             self.index.loaded_idle, loaded_idle,
             "loaded-idle mask diverged"
         );
+        for idx in self.index.ripe.iter() {
+            assert!(!self.slots[idx].is_free(), "ripe slot {idx} is free");
+        }
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let SlotState::Loaded { app, unit, .. } = slot.state else {
+                continue;
+            };
+            // A slot evicted by a board failure still shows its former
+            // occupant until its stale completion drains; skip it.
+            let unit = &self.apps.expect(app).units[unit];
+            if unit.slot == Some(idx) && unit.items_since_load >= PREEMPTION_QUANTUM {
+                assert!(
+                    self.index.ripe.contains(idx),
+                    "ripe mask misses loaded slot {idx}"
+                );
+            }
+        }
+        if self.events.peek_time() != Some(self.now) {
+            assert!(
+                self.touched_scratch.is_empty(),
+                "touched list not empty after a flush"
+            );
+        }
         for app in self.apps.iter() {
             assert_eq!(
                 self.apps.get(app.id).map(|a| a.id),
@@ -1361,9 +1424,9 @@ impl SharingSimulator {
     /// Tests can interleave calls with `Self::verify_indexes` to check the
     /// incremental indexes after every event.
     ///
-    /// # Panics
-    ///
-    /// Panics if the event bound is exceeded.
+    /// `step` sets no bound on the number of events: a service or fleet run
+    /// is bounded by its own stop condition, and [`Self::run`] bounds a
+    /// finite workload.
     pub fn step(&mut self, policy: &mut dyn Policy) -> bool {
         let Some((time, event)) = self.events.pop() else {
             return false;
@@ -1372,11 +1435,6 @@ impl SharingSimulator {
         self.now = time;
         self.apply_event(event);
         self.events_processed += 1;
-        assert!(
-            self.events_processed < MAX_EVENTS,
-            "simulation exceeded {MAX_EVENTS} events — livelock in policy `{}`?",
-            policy.name()
-        );
         if self.events.peek_time() != Some(self.now) {
             self.flush_pass(policy);
         }
@@ -1399,7 +1457,13 @@ impl SharingSimulator {
     /// Panics if the policy starves an application (the event queue drains while
     /// unfinished applications remain) or the event bound is exceeded.
     pub fn run(&mut self, policy: &mut dyn Policy) -> RunReport {
-        while self.step(policy) {}
+        while self.step(policy) {
+            assert!(
+                self.events_processed < MAX_EVENTS,
+                "simulation exceeded {MAX_EVENTS} events — livelock in policy `{}`?",
+                policy.name()
+            );
+        }
         assert!(
             self.active.is_empty() && self.pending_arrivals.is_empty(),
             "policy `{}` left applications unfinished: {:?}",
@@ -1412,6 +1476,10 @@ impl SharingSimulator {
     /// Applies one event's state transition and records which application's
     /// units progressed (the only launch-sweep candidates: launches depend
     /// solely on an app's own slot states and intra-pipeline progress).
+    ///
+    /// A completion of unit `u` changes the readiness inputs of `u` (its
+    /// slot) and `u + 1` (its predecessor's progress) only, so the touched
+    /// entry's dirty range widens to cover `u..=u + 1`.
     fn apply_event(&mut self, event: Event) {
         let touched = match event {
             Event::Arrival(id) => {
@@ -1437,16 +1505,20 @@ impl SharingSimulator {
                 None
             }
         };
-        if let Some(app) = touched {
-            if !self.touched_scratch.contains(&app) {
-                self.touched_scratch.push(app);
+        if let Some((app, unit)) = touched {
+            match self.touched_scratch.iter_mut().find(|(id, ..)| *id == app) {
+                Some((_, lo, hi)) => {
+                    *lo = (*lo).min(unit);
+                    *hi = (*hi).max(unit + 1);
+                }
+                None => self.touched_scratch.push((app, unit, unit + 1)),
             }
         }
     }
 
-    /// One scheduling pass of `policy` followed by a launch sweep over every
-    /// application touched since the previous pass.  Runs once per simulation
-    /// instant.
+    /// One scheduling pass of `policy` followed by a launch sweep over the
+    /// dirty unit range of every application touched since the previous
+    /// pass.  Runs once per simulation instant.
     ///
     /// The pass runs only when it is due and some slot is grantable, or when
     /// [`Self::preemption_victim`] finds a slot the shared preemption would
@@ -1458,7 +1530,7 @@ impl SharingSimulator {
     /// module docs).  The launch sweep always runs.
     fn flush_pass(&mut self, policy: &mut dyn Policy) {
         let due = self.pass_due && self.any_slot_grantable();
-        if due || self.preemption_victim(PREEMPTION_QUANTUM).is_some() {
+        if due || self.preemption_victim().is_some() {
             self.pass_due = false;
             self.passes += 1;
             policy.schedule(self);
@@ -1467,8 +1539,8 @@ impl SharingSimulator {
             self.debug_check_skipped_pass(policy);
         }
         let touched = std::mem::take(&mut self.touched_scratch);
-        for &app_id in &touched {
-            self.launch_sweep_app(app_id);
+        for &(app_id, lo, hi) in &touched {
+            self.launch_sweep_app(app_id, lo, hi);
         }
         self.touched_scratch = touched;
         self.touched_scratch.clear();
@@ -1529,7 +1601,7 @@ impl SharingSimulator {
             );
         }
         assert_eq!(
-            self.preemption_victim(PREEMPTION_QUANTUM),
+            self.preemption_victim(),
             None,
             "skipped a pass while the shared preemption had a victim"
         );
@@ -1537,7 +1609,7 @@ impl SharingSimulator {
 
     /// Debug cross-check of the targeted launch sweep: after a scheduling
     /// pass, no launchable item may remain anywhere — including in apps the
-    /// sweep skipped as untouched.
+    /// sweep skipped as untouched and units outside the dirty ranges.
     #[cfg(debug_assertions)]
     fn debug_assert_no_launchable(&self) {
         for app in self.apps.iter() {
@@ -1651,7 +1723,7 @@ impl SharingSimulator {
         self.refresh_utilization();
     }
 
-    fn handle_pr_complete(&mut self, slot_idx: usize) -> AppId {
+    fn handle_pr_complete(&mut self, slot_idx: usize) -> (AppId, usize) {
         let (app, unit) = match self.slots[slot_idx].state {
             SlotState::Reconfiguring { app, unit } => (app, unit),
             other => panic!("PR completion on a slot in state {other:?}"),
@@ -1684,7 +1756,7 @@ impl SharingSimulator {
             TraceDetail::None,
         );
         self.refresh_utilization();
-        app
+        (app, unit)
     }
 
     /// A PCAP bitstream load failed.  While retries remain the same bitstream
@@ -1692,7 +1764,12 @@ impl SharingSimulator {
     /// exponential backoff (occupying the issuing core again, exactly like a
     /// fresh load); once retries are exhausted the placement is abandoned and
     /// the unit returns to the unplaced set for the policy to re-place.
-    fn handle_pr_failed(&mut self, slot_idx: usize, app_id: AppId, unit_idx: usize) -> AppId {
+    fn handle_pr_failed(
+        &mut self,
+        slot_idx: usize,
+        app_id: AppId,
+        unit_idx: usize,
+    ) -> (AppId, usize) {
         let now = self.now;
         let slot_board = self.slots[slot_idx].board.0 as usize;
         let (attempt, backoff, retry) = {
@@ -1765,7 +1842,7 @@ impl SharingSimulator {
             self.apps.expect_mut(app_id).unplace_unit(unit_idx);
             self.refresh_utilization();
         }
-        app_id
+        (app_id, unit_idx)
     }
 
     /// The fault plane takes `board` offline: every occupant (reconfiguring or
@@ -1918,7 +1995,7 @@ impl SharingSimulator {
         }
     }
 
-    fn handle_item_complete(&mut self, slot_idx: usize) -> AppId {
+    fn handle_item_complete(&mut self, slot_idx: usize) -> (AppId, usize) {
         let (app_id, unit_idx) = match self.slots[slot_idx].state {
             SlotState::Loaded {
                 app,
@@ -1928,10 +2005,11 @@ impl SharingSimulator {
             other => panic!("item completion on a slot in state {other:?}"),
         };
 
-        let (unit_finished, app_finished, batch) = {
+        let (unit_finished, app_finished, batch, ripe) = {
             let app = self.apps.expect_mut(app_id);
             let unit_finished = app.complete_item(unit_idx);
-            (unit_finished, app.is_finished(), app.batch)
+            let ripe = app.units[unit_idx].items_since_load >= PREEMPTION_QUANTUM;
+            (unit_finished, app.is_finished(), app.batch, ripe)
         };
 
         self.trace.log(
@@ -1963,6 +2041,9 @@ impl SharingSimulator {
                 busy: false,
             };
             self.index_slot_loaded_idle(slot_idx);
+            if ripe {
+                self.index.ripe.insert(slot_idx);
+            }
         }
 
         if app_finished {
@@ -1983,7 +2064,7 @@ impl SharingSimulator {
             self.candidate_queue_updated();
         }
         self.refresh_utilization();
-        app_id
+        (app_id, unit_idx)
     }
 
     fn handle_switch_complete(&mut self, board: usize) {
@@ -2003,31 +2084,35 @@ impl SharingSimulator {
         );
     }
 
-    /// Launches every batch item of `app_id` that is ready: its unit is loaded
-    /// in an idle slot, the predecessor unit has produced the next item, and
-    /// the batch is not done.
+    /// Launches every batch item of `app_id`'s units `lo..=hi` that is ready:
+    /// its unit is loaded in an idle slot, the predecessor unit has produced
+    /// the next item, and the batch is not done.
     ///
-    /// Only applications whose own units progressed since the last pass can
-    /// have become launchable (grants produce `Reconfiguring` slots, releases
-    /// remove idle slots, and launches never cross application boundaries), so
-    /// [`Self::flush_pass`] sweeps just the touched set —
-    /// [`Self::debug_assert_no_launchable`] cross-checks the claim in debug
-    /// builds.
+    /// Only units whose own slot or predecessor progressed since the last
+    /// pass can have become launchable (grants produce `Reconfiguring` slots,
+    /// releases remove idle slots, and launches never cross application
+    /// boundaries), so [`Self::flush_pass`] sweeps just the dirty range of
+    /// each touched application — [`Self::debug_assert_no_launchable`]
+    /// cross-checks the claim in debug builds.
     ///
     /// The ready units are found under one borrow of the application: a launch
     /// changes neither its unit's progress nor any other unit's slot, so no
     /// launch makes another ready or unready.  They launch in ascending unit
     /// order, which fixes the order the scheduler core runs them in and the
     /// event queue receives their completions.
-    fn launch_sweep_app(&mut self, app_id: AppId) {
+    fn launch_sweep_app(&mut self, app_id: AppId, lo: usize, hi: usize) {
         let mut ready = std::mem::take(&mut self.ready_scratch);
         if let Some(app) = self
             .apps
             .get(app_id)
             .filter(|app| app.state == AppState::Running)
         {
-            let mut predecessor_done = u32::MAX;
-            for (unit_idx, unit) in app.units.iter().enumerate() {
+            let end = app.units.len().min(hi + 1);
+            let mut predecessor_done = match lo {
+                0 => u32::MAX,
+                _ => app.units[lo - 1].items_done,
+            };
+            for (unit_idx, unit) in app.units[..end].iter().enumerate().skip(lo) {
                 let has_input = predecessor_done > unit.items_done;
                 predecessor_done = unit.items_done;
                 let Some(slot_idx) = unit.slot else { continue };
@@ -2431,7 +2516,9 @@ mod tests {
                         .map(|(i, _)| i)
                         .collect();
                     assert_eq!(
-                        sim.grantable_query(app, kind).iter().collect::<Vec<_>>(),
+                        sim.grantable_query(sim.app(app), kind)
+                            .iter()
+                            .collect::<Vec<_>>(),
                         naive
                     );
                     assert_eq!(sim.first_grantable_slot(app, kind), naive.first().copied());
@@ -2670,8 +2757,8 @@ mod tests {
     }
 
     /// A settled policy runs once after each change of its inputs — an
-    /// arrival, a PR completion, a unit or application finishing — and not
-    /// at the instants that only complete non-final batch items.
+    /// arrival, a unit or application finishing — and not at the instants
+    /// that only complete PRs or non-final batch items.
     #[test]
     fn a_settled_policy_runs_only_after_its_inputs_change() {
         let (calls, trace) = observe_two_lenets(8, false);
@@ -2681,10 +2768,7 @@ mod tests {
             .filter(|event| {
                 matches!(
                     event.kind,
-                    TraceKind::AppArrived
-                        | TraceKind::PrCompleted
-                        | TraceKind::TaskCompleted
-                        | TraceKind::AppCompleted
+                    TraceKind::AppArrived | TraceKind::TaskCompleted | TraceKind::AppCompleted
                 )
             })
             .map(|event| event.time)
@@ -2696,9 +2780,97 @@ mod tests {
             .count();
         assert!(item_only > 0, "no instant completed only non-final items");
         assert_eq!(calls, changed);
-        // The t = 0 instant, six PR completions and six unit completions
-        // (the last also completes the application).
-        assert_eq!(calls.len(), 13);
+        // The t = 0 instant and six unit completions (the last also
+        // completes the application).
+        assert_eq!(calls.len(), 7);
+    }
+
+    /// The trace kinds of the events applied at each instant, in time order
+    /// (launches, grants and preemptions happen in the instant's flush).
+    fn applied_kinds_by_instant(trace: &Trace) -> Vec<(SimTime, Vec<TraceKind>)> {
+        let mut instants: Vec<(SimTime, Vec<TraceKind>)> = Vec::new();
+        for event in trace.events() {
+            if matches!(
+                event.kind,
+                TraceKind::BatchLaunched
+                    | TraceKind::PrRequested
+                    | TraceKind::TaskBlocked
+                    | TraceKind::SlotPreempted
+            ) {
+                continue;
+            }
+            match instants.last_mut() {
+                Some((time, kinds)) if *time == event.time => kinds.push(event.kind),
+                _ => instants.push((event.time, vec![event.kind])),
+            }
+        }
+        instants
+    }
+
+    /// A PR completion is not a policy input: an instant whose only event is
+    /// one runs no pass.  A quantum crossing still runs one through the
+    /// preemption gate, even though no input changed.
+    #[test]
+    fn pr_completions_run_no_pass_and_quantum_crossings_still_preempt() {
+        let (calls, trace) = observe_two_lenets(8, false);
+        let pr_only: Vec<SimTime> = applied_kinds_by_instant(&trace)
+            .into_iter()
+            .filter(|(_, kinds)| kinds.iter().all(|&kind| kind == TraceKind::PrCompleted))
+            .map(|(time, _)| time)
+            .collect();
+        assert!(!pr_only.is_empty(), "no instant completed only a PR");
+        assert!(
+            pr_only.iter().all(|time| !calls.contains(time)),
+            "a pass ran at an instant that only completed a PR"
+        );
+
+        // Two LeNets on four Little slots: the first holds every slot, so
+        // the second starves until a unit of the first crosses the quantum.
+        let board = BoardSpec::zcu216_only_little().with_layout(
+            versaslot_fpga::slot::SlotLayout::with_counts(
+                0,
+                4,
+                BoardSpec::zcu216_little_capacity(),
+            ),
+        );
+        let arrivals = [
+            AppArrival::new(
+                AppId(0),
+                BenchmarkApp::LeNet.suite_index(),
+                30,
+                SimTime::ZERO,
+            ),
+            AppArrival::new(
+                AppId(1),
+                BenchmarkApp::LeNet.suite_index(),
+                8,
+                SimTime::ZERO,
+            ),
+        ];
+        let mut sim = SharingSimulator::new(
+            SystemConfig::single_board(board).with_trace(),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+        let report = sim.run(&mut crate::policy::round_robin::RoundRobinPolicy::new());
+        assert_eq!(report.completed(), 2);
+        let preempted: Vec<SimTime> = sim
+            .trace()
+            .events_of(TraceKind::SlotPreempted)
+            .map(|event| event.time)
+            .collect();
+        assert!(!preempted.is_empty(), "no preemption");
+        let item_only = applied_kinds_by_instant(sim.trace())
+            .into_iter()
+            .filter(|(time, kinds)| {
+                preempted.contains(time)
+                    && kinds.iter().all(|&kind| kind == TraceKind::BatchCompleted)
+            })
+            .count();
+        assert!(
+            item_only > 0,
+            "no preemption at an instant that only completed non-final items"
+        );
     }
 
     /// A pass that reports a state change is followed by one more pass at

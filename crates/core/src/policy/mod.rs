@@ -20,16 +20,21 @@
 //!
 //! The engine calls [`Policy::schedule`] at most once per simulation instant,
 //! and only when the pass is *due* and some free slot is grantable, or when
-//! `SharingSimulator::preemption_victim` (with `PREEMPTION_QUANTUM`)
-//! finds a victim.  A pass is due after any change of the engine state a
-//! policy reads (see the `engine` module docs) or after the previous pass
-//! called `SharingSimulator::note_policy_state_changed`.  Skipping the
-//! other instants is exact for a policy that
+//! `SharingSimulator::preemption_victim` finds a victim.  A pass is due
+//! after any change of the engine state a policy reads (see the `engine`
+//! module docs) or after the previous pass called
+//! `SharingSimulator::note_policy_state_changed`.  Skipping the other
+//! instants is exact for a policy that
 //!
 //! * changes engine state only through `SharingSimulator::grant_slot` and
-//!   `preempt_for_starving_apps` with a quantum of at least
-//!   `PREEMPTION_QUANTUM` (never `SharingSimulator::release_slot`
+//!   `preempt_for_starving_apps` (never `SharingSimulator::release_slot`
 //!   directly);
+//! * reads the state of loaded or reconfiguring slots (which slots are
+//!   loaded, idle or busy, and how many items a loaded unit has run) only
+//!   through `SharingSimulator::preemption_victim`.  A PR completion, which
+//!   turns a reconfiguring slot into a loaded one, therefore does not make
+//!   a pass due: its only policy-visible effect is a new loaded-idle slot,
+//!   and every flush that runs no pass still asks `preemption_victim`;
 //! * calls `SharingSimulator::note_policy_state_changed` whenever its pass
 //!   changed state a later pass reads.  Grants and releases need no call.
 //!   VersaSlot reports changed bindings, allocations and waiting-list
@@ -193,17 +198,17 @@ pub(crate) const PREEMPTION_QUANTUM: u32 = 6;
 /// If some application is *starving* — it has unplaced work, holds no slot, and no
 /// free slot is grantable to it — one loaded, idle Little slot is taken away from
 /// an application that holds at least two slots and whose unit has processed at
-/// least `quantum` items since it was loaded.  At most one slot is released per
-/// call to avoid thrashing; the caller's normal granting pass then hands the freed
-/// slot to the starving application.
+/// least [`PREEMPTION_QUANTUM`] items since it was loaded.  At most one slot is
+/// released per call to avoid thrashing; the caller's normal granting pass then
+/// hands the freed slot to the starving application.
 ///
 /// The search is [`SharingSimulator::preemption_victim`], the same scan the
-/// engine uses to run a pass that is not otherwise due; a `quantum` of at
-/// least [`PREEMPTION_QUANTUM`] keeps skipping the other passes exact.
+/// engine uses to run a pass that is not otherwise due, so skipping the
+/// other passes stays exact.
 ///
 /// Returns `true` if a slot was preempted.
-pub(crate) fn preempt_for_starving_apps(sim: &mut SharingSimulator, quantum: u32) -> bool {
-    sim.preemption_victim(quantum)
+pub(crate) fn preempt_for_starving_apps(sim: &mut SharingSimulator) -> bool {
+    sim.preemption_victim()
         .is_some_and(|slot| sim.release_slot(slot))
 }
 

@@ -52,7 +52,7 @@ impl Policy for NimblockPolicy {
 
         // Nimblock preempts long-running applications so waiting applications are
         // not starved; preemption happens at item boundaries after a quantum.
-        super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
+        super::preempt_for_starving_apps(sim);
 
         // Priority with ageing (see `ageing_priority`): each priority is computed
         // once from O(1) per-application counters, then the list is sorted on

@@ -44,7 +44,7 @@ impl Policy for RoundRobinPolicy {
 
         // Round-robin time-slices the fabric: once a resident task has used up its
         // quantum and another application is starving, its slot rotates onwards.
-        super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
+        super::preempt_for_starving_apps(sim);
 
         // Keep handing out one slot per needy application, starting after the last
         // application served, until either slots or demand run out.  The active

@@ -81,7 +81,7 @@ impl Policy for VersaSlotPolicy {
         // tasks in the Big slot); the shared helper only ever preempts Little
         // slots, and the work-conserving pass below hands the freed slot to the
         // starving application.
-        super::preempt_for_starving_apps(sim, super::PREEMPTION_QUANTUM);
+        super::preempt_for_starving_apps(sim);
 
         // Register new arrivals with the allocator.  `changed` tracks whether
         // this pass changed the allocator state a later pass reads (the

@@ -975,4 +975,17 @@ mod tests {
         assert_eq!(service.simulator().event_queue_grow_events(), 0);
         assert!(report.measured_completions > 10_000);
     }
+
+    /// A valid service run may outlast the livelock bound of a finite run
+    /// (50M events, applied by `SharingSimulator::run` only): it runs to its
+    /// own stop condition.  Ignored by default (about 15 s in release builds);
+    /// run with `cargo test --release -p versaslot-core -- --ignored past_the`.
+    #[test]
+    #[ignore = "long: 50M-event service run (use --release)"]
+    fn service_runs_past_the_finite_run_event_bound() {
+        let config = ServiceConfig::new(ArrivalProcess::Poisson { rate_per_sec: 0.7 })
+            .with_stop(StopCondition::Events(50_000_100));
+        let report = runner(config).run(&mut VersaSlotPolicy::new());
+        assert!(report.events_processed >= 50_000_100);
+    }
 }

@@ -103,6 +103,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at `time`.
+    #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -115,11 +116,13 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest pending event together with its timestamp.
     ///
     /// Returns `None` when the queue is empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|entry| (entry.time, entry.event))
     }
 
     /// Returns the timestamp of the earliest pending event without removing it.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|entry| entry.time)
     }

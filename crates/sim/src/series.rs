@@ -50,6 +50,7 @@ impl TimeWeightedSeries {
     ///
     /// Panics if `at` precedes the previous change (time must move forward) or if
     /// `value` is NaN.
+    #[inline]
     pub fn set(&mut self, at: SimTime, value: f64) {
         assert!(
             at >= self.last_change,

@@ -189,6 +189,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -201,6 +202,7 @@ impl Sub<SimTime> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -227,6 +229,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -237,6 +240,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }

@@ -376,6 +376,7 @@ impl Trace {
     /// Bumps the kind's counter (an array write) and, only when recording is
     /// enabled, stores the event body.  `detail` is a `Copy` payload — nothing
     /// is formatted here.
+    #[inline]
     pub fn log(
         &mut self,
         time: SimTime,
