@@ -195,7 +195,8 @@ use std::collections::BTreeMap;
 use versaslot_fpga::bitstream::BitstreamKind;
 use versaslot_fpga::board::BoardId;
 use versaslot_fpga::cpu::{CoreAssignment, CpuCore};
-use versaslot_fpga::pcap::SerialServer;
+use versaslot_fpga::interconnect::DmaModel;
+use versaslot_fpga::pcap::{SerialServer, ServiceWindow};
 use versaslot_fpga::resources::ResourceVector;
 use versaslot_fpga::slot::{LayoutKind, SlotKind};
 use versaslot_sim::fault::{FaultSchedule, FaultStats};
@@ -315,6 +316,18 @@ struct SlotIndex {
     kind: [SlotMask; 2],
     /// Static: slots of each board.
     board: Vec<SlotMask>,
+}
+
+/// DMA time of `spec`'s largest per-item transfer on `dma`: what every unit
+/// of the application pays per item to move its data.
+fn largest_item_dma(dma: &DmaModel, spec: &ApplicationSpec) -> SimDuration {
+    dma.transfer_duration(
+        spec.tasks()
+            .iter()
+            .map(|t| t.data_per_item_bytes())
+            .max()
+            .unwrap_or(0),
+    )
 }
 
 /// The ILP-optimal `(O_B, O_L)` slot counts of `spec` at `batch` items.
@@ -1202,6 +1215,36 @@ impl SharingSimulator {
     // Policy-facing actions
     // ------------------------------------------------------------------
 
+    /// Issues one partial reconfiguration of `slot_idx` at `at`, modelled as
+    /// the paper describes it: the PR server reads the slot kind's
+    /// pre-generated bitstream from the SD card into memory and then pushes it
+    /// through the PCAP.  The board's PR path (SD read followed by the PCAP
+    /// load) serves one request at a time; concurrent requests queue behind it
+    /// (PR contention).  While the PCAP loads the bitstream it suspends the
+    /// issuing CPU: in single-core systems that is the scheduling core, so
+    /// batch launches stall for the load duration; in dual-core systems the
+    /// PR-server core absorbs it.  Returns the request's window on the PR path.
+    fn issue_pr(&mut self, slot_idx: usize, at: SimTime) -> ServiceWindow {
+        let slot = &self.slots[slot_idx];
+        let board = slot.board.0 as usize;
+        let board_cfg = &self.config.boards[board];
+        let bitstream_kind = match slot.descriptor.kind {
+            SlotKind::Big => BitstreamKind::BigPartial,
+            SlotKind::Little => BitstreamKind::LittlePartial,
+        };
+        let size = board_cfg.bitstream_sizes.size_of(bitstream_kind);
+        let pcap_load = board_cfg.pcap.load_duration(size);
+        let window =
+            self.pr_paths[board].submit(at, board_cfg.sd_card.read_duration(size) + pcap_load);
+        let cores = &mut self.cores[board];
+        let issuing_core = match cores.assignment {
+            CoreAssignment::SingleCore => &mut cores.sched,
+            CoreAssignment::DualCore => &mut cores.pr,
+        };
+        issuing_core.block(at, pcap_load);
+        window
+    }
+
     /// Grants `slot_idx` to `app`: the application's next unfinished, unplaced unit
     /// (task or bundle, depending on the slot kind) starts partial reconfiguration
     /// into the slot.
@@ -1233,7 +1276,7 @@ impl SharingSimulator {
             SlotKind::Little => ExecMode::Little,
         };
 
-        let dma = self.config.boards[slot_board].dma;
+        let dma = &self.config.boards[slot_board].dma;
 
         let unit_idx = {
             // Borrow the suite and the application store simultaneously
@@ -1254,14 +1297,7 @@ impl SharingSimulator {
                 if target_mode == ExecMode::Big && !spec.can_bundle() {
                     return false;
                 }
-                let dma_per_item = dma.transfer_duration(
-                    spec.tasks()
-                        .iter()
-                        .map(|t| t.data_per_item_bytes())
-                        .max()
-                        .unwrap_or(0),
-                );
-                app.rebuild_units(spec, target_mode, dma_per_item);
+                app.rebuild_units(spec, target_mode, largest_item_dma(dma, spec));
             }
             match app.next_unit_to_place() {
                 Some(idx) => idx,
@@ -1269,34 +1305,9 @@ impl SharingSimulator {
             }
         };
 
-        // Model the PR as the paper describes it: the PR server reads the
-        // pre-generated bitstream from the SD card into memory and then pushes it
-        // through the PCAP; the issuing core is occupied for the whole sequence
-        // (and, in single-core systems, scheduling is suspended for its duration).
-        let board_cfg = &self.config.boards[slot_board];
-        let bitstream_kind = match slot_kind {
-            SlotKind::Big => BitstreamKind::BigPartial,
-            SlotKind::Little => BitstreamKind::LittlePartial,
-        };
-        let size = board_cfg.bitstream_sizes.size_of(bitstream_kind);
-        let sd_read = board_cfg.sd_card.read_duration(size);
-        let pcap_load = board_cfg.pcap.load_duration(size);
-
-        // The PR path (SD read followed by the PCAP load) serves one request at a
-        // time per board; concurrent requests queue behind it (PR contention).
-        let window = self.pr_paths[slot_board].submit(now, sd_read + pcap_load);
+        let window = self.issue_pr(slot_idx, now);
         let queued = window.queueing_delay(now) > self.config.blocked_threshold;
         let finish = window.finish;
-
-        // While the PCAP loads the bitstream it suspends the issuing CPU.  In
-        // single-core systems that is the scheduling core, so batch launches stall
-        // for the load duration; in dual-core systems the PR-server core absorbs it.
-        let cores = &mut self.cores[slot_board];
-        let issuing_core = match cores.assignment {
-            CoreAssignment::SingleCore => &mut cores.sched,
-            CoreAssignment::DualCore => &mut cores.pr,
-        };
-        issuing_core.block(now, pcap_load);
 
         {
             let app = self.apps.expect_mut(app_id);
@@ -1644,14 +1655,7 @@ impl SharingSimulator {
             .remove(&id)
             .expect("admitted arrival was pending");
         let spec = &self.suite[arrival.app_index];
-        let dma = self.config.boards[self.active_board].dma;
-        let dma_per_item = dma.transfer_duration(
-            spec.tasks()
-                .iter()
-                .map(|t| t.data_per_item_bytes())
-                .max()
-                .unwrap_or(0),
-        );
+        let dma_per_item = largest_item_dma(&self.config.boards[self.active_board].dma, spec);
         let app = AppRuntime::new(&arrival, spec, dma_per_item);
         self.trace.log(
             self.now,
@@ -1771,7 +1775,6 @@ impl SharingSimulator {
         unit_idx: usize,
     ) -> (AppId, usize) {
         let now = self.now;
-        let slot_board = self.slots[slot_idx].board.0 as usize;
         let (attempt, backoff, retry) = {
             let fault = self.fault.as_mut().expect("PR failure without fault state");
             fault.stats.pr_failures += 1;
@@ -1789,21 +1792,7 @@ impl SharingSimulator {
             TraceDetail::PrFault { attempt },
         );
         if retry {
-            let board_cfg = &self.config.boards[slot_board];
-            let bitstream_kind = match self.slots[slot_idx].descriptor.kind {
-                SlotKind::Big => BitstreamKind::BigPartial,
-                SlotKind::Little => BitstreamKind::LittlePartial,
-            };
-            let size = board_cfg.bitstream_sizes.size_of(bitstream_kind);
-            let sd_read = board_cfg.sd_card.read_duration(size);
-            let pcap_load = board_cfg.pcap.load_duration(size);
-            let window = self.pr_paths[slot_board].submit(now + backoff, sd_read + pcap_load);
-            let cores = &mut self.cores[slot_board];
-            let issuing_core = match cores.assignment {
-                CoreAssignment::SingleCore => &mut cores.sched,
-                CoreAssignment::DualCore => &mut cores.pr,
-            };
-            issuing_core.block(now + backoff, pcap_load);
+            let window = self.issue_pr(slot_idx, now + backoff);
             let gen = {
                 let fault = self.fault.as_mut().expect("fault state present");
                 fault.pr_attempts[slot_idx] = attempt;

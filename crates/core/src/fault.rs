@@ -161,21 +161,6 @@ impl RobustnessReport {
     }
 }
 
-/// Runs one service cell with a fault profile attached and returns the report
-/// together with what the fault plane injected.
-///
-/// # Panics
-///
-/// Panics for [`SchedulerKind::Baseline`] (no service-mode equivalent) or an
-/// invalid fault profile.
-pub(crate) fn run_service_cell_with_faults(
-    cell: &ServiceCell,
-    faults: FaultProfile,
-    base: &ServiceConfig,
-) -> (ServiceReport, FaultStats) {
-    run_cell(cell, base, Some(faults))
-}
-
 /// Runs the full (scheduler × process × load × scenario) robustness grid.
 ///
 /// Baselines run once per (scheduler × process × load) cell and are shared by
@@ -199,7 +184,7 @@ pub fn run_robustness_matrix(
         .collect();
     let base_cfg = *base;
     let mut faulty = parallel_map(parallelism, &jobs, move |(cell, profile)| {
-        run_service_cell_with_faults(cell, *profile, &base_cfg)
+        run_cell(cell, &base_cfg, Some(*profile))
     })
     .into_iter();
     let mut out = Vec::with_capacity(jobs.len());
@@ -260,7 +245,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::engine::SharingSimulator;
-    use crate::service::{run_service_cell, ServiceRunner, StopCondition};
+    use crate::service::{ServiceRunner, StopCondition};
     use proptest::prelude::*;
     use versaslot_sim::{SimDuration, SimTime};
     use versaslot_workload::benchmarks::BenchmarkApp;
@@ -304,8 +289,8 @@ mod tests {
             load: 1.0,
         };
         let base = base_config();
-        let plain = run_service_cell(&cell, &base);
-        let (faulted, stats) = run_service_cell_with_faults(&cell, FaultProfile::new(99), &base);
+        let (plain, _) = run_cell(&cell, &base, None);
+        let (faulted, stats) = run_cell(&cell, &base, Some(FaultProfile::new(99)));
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&faulted).unwrap(),

@@ -45,12 +45,6 @@
 //!   fleet summaries come from the same accumulator, so a 1-shard fleet
 //!   reports exactly its shard's summary.
 //!
-//! Two workload modes ([`FleetWorkload`]): `SharedStream` models one global
-//! arrival stream split by the admission layer (the production shape), and
-//! `IndependentPerShard` gives every shard its own seeded stream — in that
-//! mode a K-shard fleet is provably equivalent to K standalone service runs,
-//! which the tests assert byte-for-byte.
-//!
 //! # Example
 //!
 //! ```
@@ -82,34 +76,19 @@ use crate::policy::Policy;
 use crate::runner::SchedulerKind;
 use crate::service::{ServiceConfig, ServiceReport, ServiceRunner, StopCondition};
 
-/// How fleet arrivals are generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FleetWorkload {
-    /// One fleet-wide arrival stream, split across shards by the admission
-    /// layer (hash / least-loaded placement, optional spillover).  The
-    /// production shape.
-    #[default]
-    SharedStream,
-    /// Every shard generates its own arrival stream from its own seed
-    /// (`FleetConfig::shard_seed`); the admission layer is bypassed.  A
-    /// K-shard fleet in this mode equals K standalone service runs — the
-    /// equivalence tests rely on it.
-    IndependentPerShard,
-}
-
 /// Parameters of one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Number of shards (each is a full board + simulator spine).
     pub shards: usize,
-    /// The arrival process.  `SharedStream`: the **fleet-wide** stream the
-    /// admission layer splits.  `IndependentPerShard`: the per-shard stream.
+    /// The **fleet-wide** arrival process the admission layer splits across
+    /// the shards.
     pub process: ArrivalProcess,
     /// Load multiplier applied to the process rates.
     pub load: f64,
     /// Inclusive batch-size range of generated applications.
     pub batch_range: (u32, u32),
-    /// Fleet seed: drives the shared arrival stream, the router hash and the
+    /// Fleet seed: drives the arrival stream, the router hash and the
     /// per-shard seeds.
     pub seed: u64,
     /// Per-shard warm-up cutoff (arrivals before it execute unmeasured).
@@ -129,8 +108,6 @@ pub struct FleetConfig {
     /// Latency charged to every spilled-over arrival (the cross-shard
     /// forwarding message takes this long to reach the new shard).
     pub forward_latency: SimDuration,
-    /// How arrivals are generated (see [`FleetWorkload`]).
-    pub workload: FleetWorkload,
     /// Deterministic fault injection; `None` disables the fault plane on
     /// every shard and on the forwarding fabric.  Each shard reseeds the
     /// profile with its `FleetConfig::shard_seed` so shards fail
@@ -156,7 +133,6 @@ impl FleetConfig {
             placement: Placement::Hash,
             spillover_threshold: None,
             forward_latency: SimDuration::from_millis(50),
-            workload: FleetWorkload::SharedStream,
             faults: None,
         }
     }
@@ -260,9 +236,7 @@ impl FleetConfig {
     }
 
     /// The deterministic seed of shard `shard` (SplitMix64 mix of the fleet
-    /// seed and the shard index).  Reseeds the shard's fault profile and,
-    /// under [`FleetWorkload::IndependentPerShard`], drives its whole arrival
-    /// stream.
+    /// seed and the shard index).  Reseeds the shard's fault profile.
     pub(crate) fn shard_seed(&self, shard: usize) -> u64 {
         let mut x = self
             .seed
@@ -274,8 +248,8 @@ impl FleetConfig {
 
     /// The [`ServiceConfig`] shard `shard` runs under: the fleet parameters
     /// with the shard's own seed and a [`StopCondition::Horizon`] stop at the
-    /// fleet horizon.  Public so the standalone-equivalence tests can run the
-    /// exact same configuration outside the fleet.
+    /// fleet horizon.  A shard's runner generates no arrivals, so the process,
+    /// load and seed only label its report.
     pub(crate) fn shard_service_config(&self, shard: usize) -> ServiceConfig {
         ServiceConfig {
             process: self.process,
@@ -303,8 +277,8 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Runs this shard's slice of one epoch: a `run_to_barrier` segment, or —
-    /// on the final epoch — the plain drive to the horizon stop plus the
+    /// Runs this shard's slice of one epoch: the runner's stepping loop up to
+    /// the barrier, or — on the final epoch — up to the horizon stop plus the
     /// window flush, so a segmented run is byte-identical to an unsegmented
     /// one.  Shared verbatim by the sequential and pooled execution paths.
     fn run_epoch(&mut self, barrier: SimTime, is_final: bool) {
@@ -314,11 +288,10 @@ impl ShardState {
             windows,
             ..
         } = self;
+        let on_window = &mut |w: &WindowSummary| windows.push(*w);
+        runner.run_until(policy.as_mut(), (!is_final).then_some(barrier), on_window);
         if is_final {
-            runner.drive(policy.as_mut(), &mut |w| windows.push(*w));
-            runner.flush_windows(&mut |w| windows.push(*w));
-        } else {
-            runner.run_to_barrier(policy.as_mut(), barrier, &mut |w| windows.push(*w));
+            runner.flush_windows(on_window);
         }
     }
 }
@@ -374,8 +347,7 @@ impl Parcel {
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
-    /// Arrivals the admission layer delivered to this shard
-    /// (always `0` under [`FleetWorkload::IndependentPerShard`]).
+    /// Arrivals the admission layer delivered to this shard.
     pub routed: u64,
     /// Arrivals that reached this shard via spillover forwarding.
     pub forwarded_in: u64,
@@ -393,14 +365,11 @@ pub struct FleetReport {
     pub scheduler: String,
     /// Admission placement policy.
     pub placement: Placement,
-    /// Workload mode.
-    pub workload: FleetWorkload,
     /// Number of shards.
     pub shard_count: usize,
     /// Epoch barriers crossed (including the final one).
     pub epochs: u64,
-    /// Arrivals generated by the shared stream (`0` under
-    /// [`FleetWorkload::IndependentPerShard`], where shards self-generate).
+    /// Arrivals generated by the fleet-wide stream.
     pub arrivals_generated: u64,
     /// Arrivals redirected by spillover forwarding.
     pub forwarded: u64,
@@ -438,9 +407,8 @@ pub struct FleetEngine {
     scheduler: String,
     shards: Vec<ShardState>,
     router: ShardRouter,
-    /// The shared front-end arrival stream (`None` under
-    /// [`FleetWorkload::IndependentPerShard`]).
-    driver: Option<ArrivalDriver>,
+    /// The fleet-wide front-end arrival stream.
+    driver: ArrivalDriver,
     /// First generated arrival at or past the last barrier, kept for the next
     /// epoch (the driver cannot be peeked without consuming).
     lookahead: Option<AppArrival>,
@@ -487,15 +455,11 @@ impl FleetEngine {
             if let Some(profile) = config.shard_fault_profile(index) {
                 system = system.with_faults(profile);
             }
-            let service_config = config.shard_service_config(index);
-            let runner = match config.workload {
-                FleetWorkload::SharedStream => {
-                    ServiceRunner::new_routed(system, suite.clone(), service_config)
-                }
-                FleetWorkload::IndependentPerShard => {
-                    ServiceRunner::new(system, suite.clone(), service_config)
-                }
-            };
+            let runner = ServiceRunner::new_routed(
+                system,
+                suite.clone(),
+                config.shard_service_config(index),
+            );
             shards.push(ShardState {
                 index,
                 runner,
@@ -503,14 +467,12 @@ impl FleetEngine {
                 windows: Vec::new(),
             });
         }
-        let driver = matches!(config.workload, FleetWorkload::SharedStream).then(|| {
-            ArrivalDriver::new(
-                config.process.scaled(config.load),
-                suite.len(),
-                config.batch_range,
-                config.seed,
-            )
-        });
+        let driver = ArrivalDriver::new(
+            config.process.scaled(config.load),
+            suite.len(),
+            config.batch_range,
+            config.seed,
+        );
         let router = ShardRouter::new(
             config.placement,
             config.shards,
@@ -621,14 +583,9 @@ impl FleetEngine {
         }
         let (barrier, is_final) = self.next_barrier();
 
-        if self.driver.is_some() {
-            self.route_epoch(barrier);
-            for (shard, batch) in self.shards.iter_mut().zip(self.due.iter_mut()) {
-                shard.runner.enqueue_arrivals(batch.drain(..));
-            }
-        }
-
-        for shard in &mut self.shards {
+        self.route_epoch(barrier);
+        for (shard, batch) in self.shards.iter_mut().zip(self.due.iter_mut()) {
+            shard.runner.enqueue_arrivals(batch.drain(..));
             shard.run_epoch(barrier, is_final);
         }
 
@@ -706,9 +663,7 @@ impl FleetEngine {
                     break;
                 }
                 let (barrier, is_final) = self.next_barrier();
-                if self.driver.is_some() {
-                    self.route_epoch(barrier);
-                }
+                self.route_epoch(barrier);
                 // A swap hands the routed batches to the parcel and leaves the
                 // parcel's drained buffers for the next epoch's routing.
                 let mut due = self.due.iter_mut();
@@ -758,7 +713,7 @@ impl FleetEngine {
         self.due.iter().map(Vec::capacity).collect()
     }
 
-    /// Pulls the shared stream up to `barrier`, routes every arrival, applies
+    /// Pulls the arrival stream up to `barrier`, routes every arrival, applies
     /// forwarding latency to spilled-over ones, and leaves the per-shard
     /// delivery batches in `self.due` in (time, id) order.  Deliveries whose
     /// time lands past the barrier stay in flight (`deferred`) until their
@@ -778,7 +733,6 @@ impl FleetEngine {
             arrivals_generated,
             ..
         } = self;
-        let driver = driver.as_mut().expect("shared-stream mode");
         debug_assert!(due.iter().all(Vec::is_empty), "stale arrival batches");
 
         // In-flight messages due this epoch.
@@ -877,7 +831,6 @@ impl FleetEngine {
         FleetReport {
             scheduler: self.scheduler.clone(),
             placement: self.config.placement,
-            workload: self.config.workload,
             shard_count: self.shards.len(),
             epochs: self.epochs_run,
             arrivals_generated: self.arrivals_generated,
@@ -924,50 +877,62 @@ mod tests {
 
     #[test]
     fn fleet_run_is_consistent_and_allocation_free() {
-        let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, fleet_config());
-        while engine.advance_epoch(Parallelism::Sequential) {}
-        // 400 s of 90 s epochs: four full barriers plus the partial fifth.
-        assert_eq!(engine.epochs_run, 5);
-        let report = engine.report();
-        assert_eq!(report.shard_count, 4);
-        assert_eq!(report.epochs, 5);
-        assert!(report.completions > 0, "no shard completed anything");
-        assert!(report.arrivals_generated > 0);
+        for shards in [4, 1] {
+            let config = FleetConfig {
+                shards,
+                ..fleet_config()
+            };
+            let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
+            while engine.advance_epoch(Parallelism::Sequential) {}
+            // 400 s of 90 s epochs: four full barriers plus the partial fifth.
+            assert_eq!(engine.epochs_run, 5);
+            let report = engine.report();
+            assert_eq!(report.shard_count, shards);
+            assert_eq!(report.epochs, 5);
+            assert!(report.completions > 0, "no shard completed anything");
+            assert!(report.arrivals_generated > 0);
 
-        // Admission accounting: every generated arrival was either delivered
-        // to a shard or is still in flight.
-        let routed_sum: u64 = report.shards.iter().map(|s| s.routed).sum();
-        assert_eq!(report.arrivals_generated, routed_sum + report.undelivered);
-        // Hash placement spreads a few hundred arrivals over every shard.
-        for shard in &report.shards {
-            assert!(shard.routed > 0, "shard {} got nothing", shard.shard);
-            assert!(shard.service.arrivals_admitted <= shard.routed);
+            // Admission accounting: every generated arrival was either delivered
+            // to a shard or is still in flight.
+            let routed_sum: u64 = report.shards.iter().map(|s| s.routed).sum();
+            assert_eq!(report.arrivals_generated, routed_sum + report.undelivered);
+            // Hash placement spreads a few hundred arrivals over every shard.
+            for shard in &report.shards {
+                assert!(shard.routed > 0, "shard {} got nothing", shard.shard);
+                assert!(shard.service.arrivals_admitted <= shard.routed);
+            }
+
+            // Fleet totals are the shard sums.
+            let events_sum: u64 = report
+                .shards
+                .iter()
+                .map(|s| s.service.events_processed)
+                .sum();
+            assert_eq!(report.events_processed, events_sum);
+            let completions_sum: u64 = report.shards.iter().map(|s| s.service.completions).sum();
+            assert_eq!(report.completions, completions_sum);
+            let measured_sum: u64 = report
+                .shards
+                .iter()
+                .map(|s| s.service.measured_completions)
+                .sum();
+            assert_eq!(report.measured_completions, measured_sum);
+
+            // The merged summary is sane.
+            let overall = report.overall.expect("measured completions exist");
+            assert_eq!(overall.count as u64, report.measured_completions);
+            assert!(overall.p50 <= overall.p95 && overall.p95 <= overall.p99);
+            assert!(overall.min <= overall.p50 && overall.p99 <= overall.max);
+
+            // Zero-allocation invariant holds on every shard.
+            assert_eq!(engine.shard_grow_events(), vec![0; shards]);
+
+            if shards == 1 {
+                // One accumulator end to end: the fleet summary of a single
+                // shard is that shard's own summary, tails included.
+                assert_eq!(report.overall, report.shards[0].service.overall);
+            }
         }
-
-        // Fleet totals are the shard sums.
-        let events_sum: u64 = report
-            .shards
-            .iter()
-            .map(|s| s.service.events_processed)
-            .sum();
-        assert_eq!(report.events_processed, events_sum);
-        let completions_sum: u64 = report.shards.iter().map(|s| s.service.completions).sum();
-        assert_eq!(report.completions, completions_sum);
-        let measured_sum: u64 = report
-            .shards
-            .iter()
-            .map(|s| s.service.measured_completions)
-            .sum();
-        assert_eq!(report.measured_completions, measured_sum);
-
-        // The merged summary is sane.
-        let overall = report.overall.expect("measured completions exist");
-        assert_eq!(overall.count as u64, report.measured_completions);
-        assert!(overall.p50 <= overall.p95 && overall.p95 <= overall.p99);
-        assert!(overall.min <= overall.p50 && overall.p99 <= overall.max);
-
-        // Zero-allocation invariant holds on every shard.
-        assert_eq!(engine.shard_grow_events(), vec![0; 4]);
     }
 
     #[test]
@@ -1048,49 +1013,6 @@ mod tests {
             serde_json::to_string(&report).unwrap(),
             serde_json::to_string(&again).unwrap()
         );
-    }
-
-    #[test]
-    fn independent_shards_match_standalone_service_runs() {
-        let kind = SchedulerKind::VersaSlotBigLittle;
-        for shards in [3, 1] {
-            let config = FleetConfig {
-                workload: FleetWorkload::IndependentPerShard,
-                ..FleetConfig::new(shards, ArrivalProcess::Poisson { rate_per_sec: 0.5 })
-                    .with_horizon(SimDuration::from_secs(400))
-                    .with_epoch(SimDuration::from_secs(150)) // partial final epoch
-                    .with_window(SimDuration::from_secs(120))
-            };
-            let fleet = run_fleet(Parallelism::Sequential, kind, config);
-            assert_eq!(fleet.arrivals_generated, 0, "shards self-generate");
-            if shards == 1 {
-                // One accumulator end to end: the fleet summary of a single
-                // shard is that shard's own summary, tails included.
-                assert!(fleet.overall.is_some());
-                assert_eq!(fleet.overall, fleet.shards[0].service.overall);
-            }
-            for (shard, shard_report) in fleet.shards.iter().enumerate() {
-                // The same configuration, run unsegmented by a standalone runner.
-                let mut policy = kind.policy().expect("non-baseline");
-                let mut runner = ServiceRunner::new(
-                    SystemConfig::single_board(kind.board()),
-                    BenchmarkApp::suite(),
-                    config.shard_service_config(shard),
-                );
-                let mut windows = Vec::new();
-                let mut standalone = runner.run_with(policy.as_mut(), &mut |w| windows.push(*w));
-                standalone.scheduler = kind.label().to_string();
-                assert_eq!(
-                    serde_json::to_string(&shard_report.service).unwrap(),
-                    serde_json::to_string(&standalone).unwrap(),
-                    "shard {shard} diverged from its standalone run"
-                );
-                assert_eq!(
-                    shard_report.windows, windows,
-                    "shard {shard} windows diverged"
-                );
-            }
-        }
     }
 
     #[test]

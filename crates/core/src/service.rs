@@ -22,8 +22,8 @@
 //! * a **warm-up cutoff** excludes applications that arrived before the warm-up
 //!   horizon from the measured statistics (they still execute and load the
 //!   fabric), the standard steady-state methodology;
-//! * a [`StopCondition`] ends the run on an event budget, a simulated-time
-//!   horizon, or converged P99 estimates;
+//! * a [`StopCondition`] ends the run on an event budget or a simulated-time
+//!   horizon;
 //! * [`run_service_matrix`] fans a (scheduler × process × load) matrix through
 //!   [`crate::par::parallel_map`] with input-order results, so
 //!   parallel service sweeps are byte-identical to sequential ones, same as the
@@ -80,24 +80,6 @@ pub enum StopCondition {
     Events(u64),
     /// Stop once simulated time reaches this horizon.
     Horizon(SimDuration),
-    /// Stop once the pooled P99 estimate has converged: every `check_every`
-    /// measured completions (after at least `min_completions`), compare the
-    /// estimate with the previous checkpoint and stop when the relative change
-    /// is at most `tolerance`.  `max_events` bounds the run regardless.
-    ///
-    /// The estimate is a log-histogram bin midpoint, so it moves in steps of
-    /// roughly 3–6% (one bin, 1/16 of an octave): a `tolerance` below about
-    /// 3% means "the P99 stayed in the same bin at two consecutive checks".
-    ConvergedP99 {
-        /// Measured completions between convergence checkpoints.
-        check_every: u64,
-        /// Relative-change threshold between successive P99 estimates.
-        tolerance: f64,
-        /// Minimum measured completions before the first checkpoint.
-        min_completions: u64,
-        /// Hard event-count bound in case the estimate never settles.
-        max_events: u64,
-    },
 }
 
 /// Parameters of one service run.
@@ -161,8 +143,8 @@ impl ServiceConfig {
     }
 
     /// Checks that the configuration is not degenerate (invalid process,
-    /// non-positive load, empty batch range, zero window, or a
-    /// zero/degenerate stop bound), naming the first offending parameter.
+    /// non-positive load, empty batch range, zero window, or a zero stop
+    /// bound), naming the first offending parameter.
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         self.process.validate()?;
         // Reject NaN/zero/negative/infinite loads explicitly: a degenerate
@@ -192,20 +174,6 @@ impl ServiceConfig {
         match self.stop {
             StopCondition::Events(n) => stop(n > 0, "event stop bound must be positive"),
             StopCondition::Horizon(h) => stop(!h.is_zero(), "horizon must be positive"),
-            StopCondition::ConvergedP99 {
-                check_every,
-                tolerance,
-                min_completions,
-                max_events,
-            } => {
-                stop(check_every > 0, "check_every must be positive")?;
-                stop(
-                    tolerance.is_finite() && tolerance > 0.0,
-                    "tolerance must be positive and finite",
-                )?;
-                stop(min_completions > 0, "min_completions must be positive")?;
-                stop(max_events > 0, "max_events must be positive")
-            }
         }
     }
 }
@@ -282,9 +250,10 @@ enum ArrivalSource {
 /// (`ServiceRunner::new_routed`), and execution is segmented into epochs by
 /// [`ServiceRunner::run_to_barrier`].  Segmenting is transparent: a run split
 /// at any sequence of barriers processes the byte-identical event sequence as
-/// an unsegmented [`ServiceRunner::run_with`] with a
-/// [`StopCondition::Horizon`] stop, because injection is a pure function of
-/// the simulator state and completions are folded after every step either way.
+/// an unsegmented [`ServiceRunner::run_with`], because both go through the one
+/// stepping loop (`ServiceRunner::run_until`), injection is a pure function of
+/// the simulator state, and completions are folded after every step either
+/// way.
 #[derive(Debug)]
 pub struct ServiceRunner {
     sim: SharingSimulator,
@@ -433,7 +402,7 @@ impl ServiceRunner {
         policy: &mut dyn Policy,
         on_window: &mut dyn FnMut(&WindowSummary),
     ) -> ServiceReport {
-        self.drive(policy, on_window);
+        self.run_until(policy, None, on_window);
         self.flush_windows(on_window);
         self.service_report(policy.name())
     }
@@ -488,67 +457,51 @@ impl ServiceRunner {
         });
     }
 
-    /// The main loop: inject → step → fold, until the stop condition holds
-    /// (or, in routed mode, the event queue runs dry).  Does **not** flush the
-    /// final tumbling window or build a report — [`ServiceRunner::run_with`]
-    /// and the fleet engine's final epoch do that.
-    pub(crate) fn drive(
+    /// The one stepping loop: until the stop condition holds, inject → peek
+    /// → step → fold.  With a `barrier` it returns before the first event at
+    /// or past it (an event at exactly the barrier belongs to the next
+    /// segment, and a barrier never splits a same-instant event group because
+    /// the whole group shares one timestamp); without one it runs until the
+    /// stop condition holds or, in routed mode, the event queue runs dry.
+    /// Does **not** flush the final tumbling window or build a report —
+    /// [`ServiceRunner::run_with`] and the fleet engine's final epoch do that.
+    pub(crate) fn run_until(
         &mut self,
         policy: &mut dyn Policy,
+        barrier: Option<SimTime>,
         on_window: &mut dyn FnMut(&WindowSummary),
     ) {
         let warmup_end = SimTime::ZERO + self.config.warmup;
-        let mut last_p99: Option<f64> = None;
-        let mut next_check = match self.config.stop {
-            StopCondition::ConvergedP99 {
-                min_completions, ..
-            } => min_completions,
-            _ => 0,
-        };
-        loop {
+        while !self.stop_reached() {
             self.inject_pending();
-            let stepped = self.sim.step(policy);
-            if !stepped {
+            let Some(next) = self.sim.next_event_time() else {
                 debug_assert!(
                     matches!(self.source, ArrivalSource::Routed(_)),
                     "an arrival is always pending in driver mode"
                 );
                 break;
-            }
-            self.fold_completions(warmup_end, on_window);
-            if self.stop_reached(&mut last_p99, &mut next_check) {
-                break;
-            }
-        }
-    }
-
-    /// Runs the inject → step → fold loop for all events **strictly before**
-    /// `barrier`, ignoring the stop condition, and returns.  The fleet engine
-    /// calls this once per epoch; the final epoch uses `ServiceRunner::drive`
-    /// with a [`StopCondition::Horizon`] stop instead, so a segmented shard
-    /// processes the byte-identical event sequence as an unsegmented run (an
-    /// event at exactly the barrier belongs to the next epoch, and barriers
-    /// never split a same-instant event group because the whole group shares
-    /// one timestamp).
-    pub fn run_to_barrier(
-        &mut self,
-        policy: &mut dyn Policy,
-        barrier: SimTime,
-        on_window: &mut dyn FnMut(&WindowSummary),
-    ) {
-        let warmup_end = SimTime::ZERO + self.config.warmup;
-        loop {
-            self.inject_pending();
-            let Some(next) = self.sim.next_event_time() else {
-                break;
             };
-            if next >= barrier {
+            if barrier.is_some_and(|barrier| next >= barrier) {
                 break;
             }
             let stepped = self.sim.step(policy);
             debug_assert!(stepped, "a pending event was peeked");
             self.fold_completions(warmup_end, on_window);
         }
+    }
+
+    /// Runs the stepping loop for the events **strictly before** `barrier`,
+    /// or until the stop condition holds, and returns.  The fleet engine runs
+    /// each non-final epoch this way; a run split at any sequence of barriers
+    /// and then finished with [`ServiceRunner::run_with`] processes the
+    /// byte-identical event sequence as an unsegmented run.
+    pub fn run_to_barrier(
+        &mut self,
+        policy: &mut dyn Policy,
+        barrier: SimTime,
+        on_window: &mut dyn FnMut(&WindowSummary),
+    ) {
+        self.run_until(policy, Some(barrier), on_window);
     }
 
     /// Flushes the final (partial) tumbling window into `on_window`.  Call
@@ -560,36 +513,10 @@ impl ServiceRunner {
         }
     }
 
-    fn stop_reached(&self, last_p99: &mut Option<f64>, next_check: &mut u64) -> bool {
+    fn stop_reached(&self) -> bool {
         match self.config.stop {
             StopCondition::Events(bound) => self.sim.events_processed() >= bound,
             StopCondition::Horizon(horizon) => self.sim.now() >= SimTime::ZERO + horizon,
-            StopCondition::ConvergedP99 {
-                check_every,
-                tolerance,
-                max_events,
-                ..
-            } => {
-                if self.sim.events_processed() >= max_events {
-                    return true;
-                }
-                let measured = self.overall.count();
-                if measured < *next_check {
-                    return false;
-                }
-                *next_check = measured + check_every;
-                let Some(current) = self.overall.quantile(0.99) else {
-                    return false;
-                };
-                let converged = match *last_p99 {
-                    Some(previous) => {
-                        (current - previous).abs() <= tolerance * previous.abs().max(1e-12)
-                    }
-                    None => false,
-                };
-                *last_p99 = Some(current);
-                converged
-            }
         }
     }
 
@@ -658,21 +585,17 @@ pub fn service_matrix(
     cells
 }
 
-/// Runs one service cell on the benchmark suite, with `base` providing the
-/// non-cell parameters (seed, warm-up, stop condition, window width).
+/// Runs one service cell on the benchmark suite on a single board with
+/// `faults` attached (`None` builds a fault-free board), with `base`
+/// providing the non-cell parameters (seed, warm-up, stop condition, window
+/// width), and returns the report together with what the fault plane
+/// injected.
 ///
 /// # Panics
 ///
 /// Panics for [`SchedulerKind::Baseline`]: exclusive temporal multiplexing
-/// bypasses the sharing engine and has no service-mode equivalent.
-pub(crate) fn run_service_cell(cell: &ServiceCell, base: &ServiceConfig) -> ServiceReport {
-    run_cell(cell, base, None).0
-}
-
-/// The body of [`run_service_cell`] and
-/// [`crate::fault::run_service_cell_with_faults`]: runs `cell` on a single
-/// board with `faults` attached (`None` builds a fault-free board) and returns
-/// the report together with what the fault plane injected.
+/// bypasses the sharing engine and has no service-mode equivalent.  Panics
+/// for an invalid fault profile.
 pub(crate) fn run_cell(
     cell: &ServiceCell,
     base: &ServiceConfig,
@@ -706,7 +629,7 @@ pub fn run_service_matrix(
 ) -> Vec<ServiceReport> {
     let base = *base;
     parallel_map(parallelism, cells, move |cell| {
-        run_service_cell(cell, &base)
+        run_cell(cell, &base, None).0
     })
 }
 
@@ -849,49 +772,49 @@ mod tests {
 
     #[test]
     fn barrier_segments_then_run_match_an_unsegmented_run() {
-        let config = ServiceConfig::new(poisson())
-            .with_warmup(SimDuration::from_secs(60))
-            .with_window(SimDuration::from_secs(120))
-            .with_stop(StopCondition::Horizon(SimDuration::from_secs(900)));
+        // A horizon past every barrier, and an event budget the segments
+        // reach: the segmented run must stop where the unsegmented one does.
+        for stop in [
+            StopCondition::Horizon(SimDuration::from_secs(900)),
+            StopCondition::Events(5_000),
+        ] {
+            let config = ServiceConfig::new(poisson())
+                .with_warmup(SimDuration::from_secs(60))
+                .with_window(SimDuration::from_secs(120))
+                .with_stop(stop);
 
-        let mut whole_windows = Vec::new();
-        let whole =
-            runner(config).run_with(&mut VersaSlotPolicy::new(), &mut |w| whole_windows.push(*w));
+            let mut whole_windows = Vec::new();
+            let whole = runner(config)
+                .run_with(&mut VersaSlotPolicy::new(), &mut |w| whole_windows.push(*w));
 
-        // Segments that split a window, repeat a barrier and land past the
-        // warm-up, then `run` to the horizon.
-        let mut segmented = runner(config);
-        let mut policy = VersaSlotPolicy::new();
-        let mut segmented_windows = Vec::new();
-        for barrier in [45, 150, 150, 301, 700] {
-            segmented.run_to_barrier(&mut policy, SimTime::from_secs(barrier), &mut |w| {
-                segmented_windows.push(*w)
-            });
+            // Segments that split a window, repeat a barrier and land past the
+            // warm-up, then `run` to the stop.
+            let mut segmented = runner(config);
+            let mut policy = VersaSlotPolicy::new();
+            let mut segmented_windows = Vec::new();
+            for barrier in [45, 150, 150, 301, 700] {
+                segmented.run_to_barrier(&mut policy, SimTime::from_secs(barrier), &mut |w| {
+                    segmented_windows.push(*w)
+                });
+            }
+            let resumed = segmented.run_with(&mut policy, &mut |w| segmented_windows.push(*w));
+
+            assert!(whole.measured_completions > 0, "{stop:?}");
+            assert_eq!(
+                serde_json::to_string(&whole).expect("serialises"),
+                serde_json::to_string(&resumed).expect("serialises"),
+                "{stop:?}"
+            );
+            assert_eq!(whole_windows, segmented_windows, "{stop:?}");
+
+            // Once the stop condition holds, a further segment runs nothing.
+            segmented.run_to_barrier(&mut policy, SimTime::from_secs(5_000), &mut |_| {});
+            assert_eq!(
+                segmented.simulator().events_processed(),
+                resumed.events_processed,
+                "{stop:?}"
+            );
         }
-        let resumed = segmented.run_with(&mut policy, &mut |w| segmented_windows.push(*w));
-
-        assert!(whole.measured_completions > 0);
-        assert_eq!(
-            serde_json::to_string(&whole).expect("serialises"),
-            serde_json::to_string(&resumed).expect("serialises")
-        );
-        assert_eq!(whole_windows, segmented_windows);
-    }
-
-    #[test]
-    fn converged_stop_settles_before_the_event_bound() {
-        let config = ServiceConfig::new(poisson()).with_stop(StopCondition::ConvergedP99 {
-            check_every: 50,
-            tolerance: 0.02,
-            min_completions: 100,
-            max_events: 2_000_000,
-        });
-        let report = runner(config).run(&mut VersaSlotPolicy::new());
-        assert!(
-            report.events_processed < 2_000_000,
-            "P99 should converge long before the event bound"
-        );
-        assert!(report.measured_completions >= 100);
     }
 
     #[test]
@@ -954,7 +877,7 @@ mod tests {
             process: poisson(),
             load: 1.0,
         };
-        run_service_cell(&cell, &ServiceConfig::new(poisson()));
+        run_cell(&cell, &ServiceConfig::new(poisson()), None);
     }
 
     /// The acceptance-criteria run: 10M events under sustained load with O(1)

@@ -23,7 +23,7 @@ set -euo pipefail
 # workload        simulated-output digest  apps_per_s  peak_rss_mib
 readonly TABLE='
 service_diurnal   56589237d7154c56         67000       3.52
-fleet_faults      c9007809cce0225b         63000       3.75
+fleet_faults      0dd74936b7734773         63000       3.75
 paper_sweep       18e44330f32b44b2         60000       5.38
 '
 readonly RUNS=4
