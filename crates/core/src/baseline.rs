@@ -51,9 +51,8 @@ pub(crate) fn run_baseline(
     arrivals: &[AppArrival],
 ) -> RunReport {
     let fabric = board.layout.total_capacity();
-    let mut lut_util = TimeWeightedSeries::new(SimTime::ZERO, 0.0);
-    let mut ff_util = TimeWeightedSeries::new(SimTime::ZERO, 0.0);
-    let mut occupancy = TimeWeightedSeries::new(SimTime::ZERO, 0.0);
+    // Occupancy, LUT and FF utilization, one lane each.
+    let mut utilization = TimeWeightedSeries::new(SimTime::ZERO, [0.0; 3]);
 
     let mut apps = Vec::with_capacity(arrivals.len());
     let mut fpga_free_at = SimTime::ZERO;
@@ -74,12 +73,15 @@ pub(crate) fn run_baseline(
         // resident; between apps the fabric is idle.
         let resident: versaslot_fpga::ResourceVector =
             spec.tasks().iter().map(|t| t.little_impl()).sum();
-        lut_util.set(start, resident.lut as f64 / fabric.lut.max(1) as f64);
-        ff_util.set(start, resident.ff as f64 / fabric.ff.max(1) as f64);
-        occupancy.set(start, 1.0);
-        lut_util.set(completion, 0.0);
-        ff_util.set(completion, 0.0);
-        occupancy.set(completion, 0.0);
+        utilization.set(
+            start,
+            [
+                1.0,
+                resident.lut as f64 / fabric.lut.max(1) as f64,
+                resident.ff as f64 / fabric.ff.max(1) as f64,
+            ],
+        );
+        utilization.set(completion, [0.0; 3]);
 
         apps.push(AppRecord {
             id: arrival.id,
@@ -93,6 +95,8 @@ pub(crate) fn run_baseline(
     }
 
     let makespan = fpga_free_at;
+    let [mean_slot_occupancy, mean_lut_utilization, mean_ff_utilization] =
+        utilization.time_weighted_mean(makespan);
     RunReport {
         scheduler: BASELINE_NAME.to_string(),
         total_pr: apps.len() as u64,
@@ -102,9 +106,9 @@ pub(crate) fn run_baseline(
         // The analytic baseline serves one request per application.
         events_processed: apps.len() as u64,
         makespan,
-        mean_slot_occupancy: occupancy.time_weighted_mean(makespan),
-        mean_lut_utilization: lut_util.time_weighted_mean(makespan),
-        mean_ff_utilization: ff_util.time_weighted_mean(makespan),
+        mean_slot_occupancy,
+        mean_lut_utilization,
+        mean_ff_utilization,
         dswitch_trace: Vec::new(),
         migrations: Vec::new(),
         apps,

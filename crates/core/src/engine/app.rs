@@ -224,6 +224,14 @@ impl AppRuntime {
         self.unplaced
     }
 
+    /// Whether the application has unplaced units and holds no slot — the
+    /// predicate the simulator's `idle_demand` counter counts (O(1)).  Only
+    /// such an application can starve, so while none exists no slot is
+    /// preempted.
+    pub(crate) fn has_idle_demand(&self) -> bool {
+        self.unplaced > 0 && self.in_use_big + self.in_use_little == 0
+    }
+
     /// The ILP-optimal `(O_B, O_L)` slot counts at this application's batch
     /// size, set when the simulator admits it (`(0, 0)` before).
     pub(crate) fn optimal_slots(&self) -> (u32, u32) {

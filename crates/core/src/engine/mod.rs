@@ -95,12 +95,26 @@
 //! application; state the engine already knows is kept incrementally:
 //!
 //! * **Utilization totals.** The integers behind the occupancy, LUT and FF
-//!   series (counted slots, their capacity, occupied slots, the resources of
+//!   ratios (counted slots, their capacity, occupied slots, the resources of
 //!   loaded units) change only at slot-state transitions and board
 //!   enable/disable, each through one helper (`set_slot_state`,
-//!   `set_board_enabled`).  `refresh_utilization` turns them into the same
-//!   `TimeWeightedSeries::set` calls, at the same points, with the same
-//!   values, as the slot walk it replaces.
+//!   `set_board_enabled`).  `refresh_utilization` turns them into one
+//!   `TimeWeightedSeries::set` of a three-lane series (occupancy, LUT, FF:
+//!   one time check and one span conversion per refresh), at the same
+//!   points, with the same values and the same per-lane float operations as
+//!   the slot walk it replaces.  It divides only when the totals changed
+//!   since the last refresh: a non-final item completion reuses the last
+//!   three ratios.
+//! * **Starvation gate.** `idle_demand` counts the stored applications that
+//!   have unplaced units and hold no slot.  Only such an application can
+//!   starve, so `SharingSimulator::preemption_victim`, which every flush
+//!   evaluates, returns at once while the counter is 0 (debug builds then
+//!   run the ungated scan and assert it finds no victim).  One before/after
+//!   helper (`track_idle_demand`) moves the counter wherever an
+//!   application's unplaced units or occupied slots change: placing and
+//!   unplacing a unit (grant, release, PR abandonment, board eviction),
+//!   rebuilding its units, the slot-occupancy counters
+//!   (`index_slot_granted`, `index_slot_freed`) and admission.
 //! * **Optimal slot counts.** `AppRuntime::optimal_slots` serves each
 //!   application's ILP-optimal `(O_B, O_L)`, set at admission from a
 //!   per-simulator memo keyed by (suite index, batch), so the memo is bounded
@@ -126,7 +140,8 @@
 //!   starving scan.
 //!
 //! `SharingSimulator::verify_indexes` (debug builds, after every event)
-//! recounts the utilization totals with the full slot walk, checks that the
+//! recounts the utilization totals with the full slot walk and the
+//! idle-demand counter from the application store, checks that the
 //! ripe mask covers every loaded slot past the quantum and holds only
 //! occupied slots, that the touched list is empty once the instant is
 //! flushed, the completed list against the application store and each live
@@ -173,11 +188,19 @@
 //!
 //! Steady-state simulation performs **zero heap allocations per event**:
 //!
-//! * the [`EventQueue`] is pre-sized at construction with
+//! * the [`EventQueue`] is one sorted run, pre-sized at construction with
 //!   `SharingSimulator::event_queue_capacity` (arrivals + slots + boards, the
-//!   tight bound on concurrently pending events), so its heap never grows —
+//!   tight bound on concurrently pending events), so it never grows —
 //!   [`SharingSimulator::step`] debug-asserts
-//!   [`SharingSimulator::event_queue_grow_events`] stays `0`;
+//!   [`SharingSimulator::event_queue_grow_events`] stays `0`.  A pop is
+//!   `Vec::pop`, and a push scans back past the pending events due at or
+//!   before it, which here are at most one completion per slot, one timer
+//!   per board and the arrivals due sooner; the arrivals of a finite run
+//!   are bulk-loaded with one stable sort, so tied arrivals are admitted in
+//!   input order;
+//! * the utilization series and the starvation gate cost O(1) per event
+//!   (see above): a non-final item completion divides nothing, and a flush
+//!   with no application waiting slotless skips the preemption scan;
 //! * [`Trace::log`] takes a `Copy` [`TraceDetail`] payload and bumps a
 //!   fixed-array counter, so a counting-only trace never formats or allocates;
 //! * the touched list, the launch sweep's ready list and the
@@ -371,6 +394,26 @@ impl UtilTotals {
     }
 }
 
+/// Applies `change` to `app` and moves `idle_demand` by the change of the
+/// application's [`AppRuntime::has_idle_demand`] predicate.  Every change of
+/// an application's unplaced units or occupied slots goes through here (or
+/// through [`SharingSimulator::update_app`], which calls it), so the counter
+/// always equals the number of stored applications the predicate holds for.
+fn track_idle_demand<R>(
+    idle_demand: &mut u32,
+    app: &mut AppRuntime,
+    change: impl FnOnce(&mut AppRuntime) -> R,
+) -> R {
+    let before = app.has_idle_demand();
+    let result = change(app);
+    match (before, app.has_idle_demand()) {
+        (false, true) => *idle_demand += 1,
+        (true, false) => *idle_demand -= 1,
+        _ => {}
+    }
+    result
+}
+
 /// Discrete-event simulator of fine-grained FPGA sharing on one or two boards.
 #[derive(Debug)]
 pub struct SharingSimulator {
@@ -385,6 +428,10 @@ pub struct SharingSimulator {
     index: SlotIndex,
     /// Arrived, not-yet-completed applications, sorted by identifier.
     active: Vec<AppId>,
+    /// Stored applications with unplaced units and no slot (see
+    /// [`AppRuntime::has_idle_demand`]): while it is 0 no application can
+    /// starve, so [`Self::preemption_victim`] returns at once.
+    idle_demand: u32,
     cores: Vec<BoardCores>,
     /// One serial PR path (SD read + PCAP load) per board.
     pr_paths: Vec<SerialServer>,
@@ -408,9 +455,11 @@ pub struct SharingSimulator {
 
     /// Running utilization totals (see [`UtilTotals`]).
     util: UtilTotals,
-    occupancy: TimeWeightedSeries,
-    lut_util: TimeWeightedSeries,
-    ff_util: TimeWeightedSeries,
+    /// The totals of the last recorded refresh and the occupancy, LUT and FF
+    /// ratios computed from them, reused while the totals stand still.
+    util_ratios: (UtilTotals, [f64; 3]),
+    /// Occupancy, LUT and FF utilization over time, one lane each.
+    utilization: TimeWeightedSeries<3>,
     trace: Trace,
 
     switch_loop: Option<SwitchLoop>,
@@ -530,8 +579,13 @@ impl SharingSimulator {
                 "duplicate application id {}",
                 arrival.id
             );
-            events.push(arrival.arrival, Event::Arrival(arrival.id));
         }
+        // One stable sort: tied arrivals are admitted in input order.
+        events.extend(
+            arrivals
+                .iter()
+                .map(|arrival| (arrival.arrival, Event::Arrival(arrival.id))),
+        );
 
         let switch_loop = config
             .switching
@@ -553,6 +607,7 @@ impl SharingSimulator {
             slots,
             index,
             active: Vec::new(),
+            idle_demand: 0,
             cores,
             pr_paths,
             active_board: 0,
@@ -568,9 +623,8 @@ impl SharingSimulator {
             retired_apps: 0,
             retired_pr_tasks: 0,
             util: UtilTotals::default(),
-            occupancy: TimeWeightedSeries::new(SimTime::ZERO, 0.0),
-            lut_util: TimeWeightedSeries::new(SimTime::ZERO, 0.0),
-            ff_util: TimeWeightedSeries::new(SimTime::ZERO, 0.0),
+            util_ratios: (UtilTotals::default(), [0.0; 3]),
+            utilization: TimeWeightedSeries::new(SimTime::ZERO, [0.0; 3]),
             trace,
             switch_loop,
             dswitch_trace: Vec::new(),
@@ -660,6 +714,7 @@ impl SharingSimulator {
         completed.sort_unstable();
         for &id in &completed {
             let app = self.apps.remove(id).expect("app present");
+            debug_assert!(!app.has_idle_demand(), "completed {id} has idle demand");
             self.retired_apps += 1;
             self.retired_pr_tasks += self.suite[app.app_index].task_count() as u64;
             fold(&app);
@@ -780,10 +835,28 @@ impl SharingSimulator {
     /// *starving*: it has unplaced work, holds no slot, and no free Little
     /// slot is grantable to it.
     ///
-    /// Runs on the incremental indexes (the loaded-idle, ripe and grantable
-    /// bitmasks, occupancy counters) without allocating: only slots in
-    /// `loaded_idle & ripe & Little` are examined.
+    /// A starving application has unplaced units and holds no slot, so while
+    /// the `idle_demand` counter is 0 none exists and this returns `None` at
+    /// once; debug builds then run the scan anyway and assert it finds no
+    /// victim.  Otherwise it runs on the incremental indexes (the
+    /// loaded-idle, ripe and grantable bitmasks, occupancy counters) without
+    /// allocating: only slots in `loaded_idle & ripe & Little` are examined.
     pub(crate) fn preemption_victim(&self) -> Option<usize> {
+        if self.idle_demand == 0 {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.preemption_victim_scan(),
+                None,
+                "the idle-demand gate hid a preemption victim at {}",
+                self.now
+            );
+            return None;
+        }
+        self.preemption_victim_scan()
+    }
+
+    /// The ungated search behind [`Self::preemption_victim`].
+    fn preemption_victim_scan(&self) -> Option<usize> {
         // A free, enabled Little slot is grantable to every application, so
         // none can be starving.
         let little = &self.index.kind[kind_bit(SlotKind::Little)];
@@ -922,24 +995,28 @@ impl SharingSimulator {
     // Index maintenance
     // ------------------------------------------------------------------
 
+    /// Applies `change` to application `id`, keeping `idle_demand` in step
+    /// (see [`track_idle_demand`]).
+    fn update_app<R>(&mut self, id: AppId, change: impl FnOnce(&mut AppRuntime) -> R) -> R {
+        track_idle_demand(&mut self.idle_demand, self.apps.expect_mut(id), change)
+    }
+
     fn index_slot_granted(&mut self, slot_idx: usize, app_id: AppId, slot_kind: SlotKind) {
         self.index.free.remove(slot_idx);
-        let app = self.apps.expect_mut(app_id);
-        match slot_kind {
+        self.update_app(app_id, |app| match slot_kind {
             SlotKind::Big => app.in_use_big += 1,
             SlotKind::Little => app.in_use_little += 1,
-        }
+        });
     }
 
     fn index_slot_freed(&mut self, slot_idx: usize, app_id: AppId, slot_kind: SlotKind) {
         self.index.free.insert(slot_idx);
         self.index.loaded_idle.remove(slot_idx);
         self.index.ripe.remove(slot_idx);
-        let app = self.apps.expect_mut(app_id);
-        match slot_kind {
+        self.update_app(app_id, |app| match slot_kind {
             SlotKind::Big => app.in_use_big -= 1,
             SlotKind::Little => app.in_use_little -= 1,
-        }
+        });
     }
 
     fn index_slot_loaded_idle(&mut self, slot_idx: usize) {
@@ -1185,6 +1262,11 @@ impl SharingSimulator {
             .collect();
         assert_eq!(self.active, naive_active, "active-application set diverged");
         assert_eq!(
+            self.idle_demand as usize,
+            self.apps.iter().filter(|a| a.has_idle_demand()).count(),
+            "idle-demand counter diverged"
+        );
+        assert_eq!(
             self.util,
             self.recount_utilization(),
             "utilization totals diverged"
@@ -1297,7 +1379,9 @@ impl SharingSimulator {
                 if target_mode == ExecMode::Big && !spec.can_bundle() {
                     return false;
                 }
-                app.rebuild_units(spec, target_mode, largest_item_dma(dma, spec));
+                track_idle_demand(&mut self.idle_demand, app, |app| {
+                    app.rebuild_units(spec, target_mode, largest_item_dma(dma, spec));
+                });
             }
             match app.next_unit_to_place() {
                 Some(idx) => idx,
@@ -1319,7 +1403,9 @@ impl SharingSimulator {
                     self.blocked_tasks += 1;
                 }
             }
-            app.place_unit(unit_idx, slot_idx);
+            track_idle_demand(&mut self.idle_demand, app, |app| {
+                app.place_unit(unit_idx, slot_idx);
+            });
             app.state = AppState::Running;
             app.started = true;
             app.home_board.get_or_insert(slot_board);
@@ -1391,7 +1477,7 @@ impl SharingSimulator {
         self.set_slot_state(slot_idx, SlotState::Free);
         self.index_slot_freed(slot_idx, app_id, slot_kind);
         // A loaded slot always hosts an unfinished unit.
-        self.apps.expect_mut(app_id).unplace_unit(unit_idx);
+        self.update_app(app_id, |app| app.unplace_unit(unit_idx));
         self.trace.log(
             self.now,
             TraceKind::SlotPreempted,
@@ -1676,6 +1762,7 @@ impl SharingSimulator {
             solve_optimal_slots(spec, arrival.batch_size),
             "optimal-slot memo diverged from a fresh ILP solve"
         );
+        self.idle_demand += u32::from(app.has_idle_demand());
         self.apps.insert(app, optimal);
         self.index_app_arrived(id);
         self.pass_due = true;
@@ -1828,7 +1915,7 @@ impl SharingSimulator {
             let slot_kind = self.slots[slot_idx].descriptor.kind;
             self.set_slot_state(slot_idx, SlotState::Free);
             self.index_slot_freed(slot_idx, app_id, slot_kind);
-            self.apps.expect_mut(app_id).unplace_unit(unit_idx);
+            self.update_app(app_id, |app| app.unplace_unit(unit_idx));
             self.refresh_utilization();
         }
         (app_id, unit_idx)
@@ -1880,7 +1967,7 @@ impl SharingSimulator {
                 SlotState::Loaded { app, unit, busy } => (app, unit, busy),
                 SlotState::Free => continue,
             };
-            self.apps.expect_mut(app_id).unplace_unit(unit_idx);
+            self.update_app(app_id, |app| app.unplace_unit(unit_idx));
             if in_flight {
                 // Detach the occupant now, free the slot when its stale event
                 // drains (see `release_quarantined`).
@@ -2319,7 +2406,10 @@ impl SharingSimulator {
     // ------------------------------------------------------------------
 
     /// Records the current utilization in the time-weighted series, from the
-    /// running totals (O(1)).
+    /// running totals (O(1)).  The ratios are recomputed only when the totals
+    /// changed since the last refresh (a non-final item completion changes
+    /// none), but the series is set every time, so it integrates the same
+    /// spans with the same float operations.
     fn refresh_utilization(&mut self) {
         let UtilTotals {
             counted,
@@ -2332,12 +2422,17 @@ impl SharingSimulator {
         if counted == 0 {
             return;
         }
-        self.occupancy
-            .set(self.now, occupied as f64 / counted as f64);
-        self.lut_util
-            .set(self.now, used_lut as f64 / cap_lut.max(1) as f64);
-        self.ff_util
-            .set(self.now, used_ff as f64 / cap_ff.max(1) as f64);
+        if self.util_ratios.0 != self.util {
+            self.util_ratios = (
+                self.util,
+                [
+                    occupied as f64 / counted as f64,
+                    used_lut as f64 / cap_lut.max(1) as f64,
+                    used_ff as f64 / cap_ff.max(1) as f64,
+                ],
+            );
+        }
+        self.utilization.set(self.now, self.util_ratios.1);
     }
 
     fn build_report(&self, scheduler: &str) -> RunReport {
@@ -2363,6 +2458,8 @@ impl SharingSimulator {
             .map(|a| a.completion)
             .max()
             .unwrap_or(SimTime::ZERO);
+        let [mean_slot_occupancy, mean_lut_utilization, mean_ff_utilization] =
+            self.utilization.time_weighted_mean(self.now);
 
         RunReport {
             scheduler: scheduler.to_string(),
@@ -2373,9 +2470,9 @@ impl SharingSimulator {
             switches: self.switches,
             events_processed: self.events_processed,
             makespan,
-            mean_slot_occupancy: self.occupancy.time_weighted_mean(self.now),
-            mean_lut_utilization: self.lut_util.time_weighted_mean(self.now),
-            mean_ff_utilization: self.ff_util.time_weighted_mean(self.now),
+            mean_slot_occupancy,
+            mean_lut_utilization,
+            mean_ff_utilization,
             dswitch_trace: self.dswitch_trace.clone(),
             migrations: self.migrations.clone(),
         }
@@ -2462,6 +2559,39 @@ mod tests {
             BenchmarkApp::suite(),
             &arrivals,
         );
+    }
+
+    /// The arrivals are bulk-loaded into the event queue with one stable
+    /// sort, so arrivals with the same time are admitted in input order,
+    /// whatever their identifiers.
+    #[test]
+    fn tied_arrivals_are_admitted_in_input_order() {
+        // 48 arrivals at five instants, identifiers scrambled.
+        let at = |ms| SimTime::from_millis(ms);
+        let input: Vec<(u32, u64)> = (0..48u32)
+            .map(|i| ((i * 29) % 48, u64::from((i * 7) % 5) * 40))
+            .collect();
+        let arrivals: Vec<AppArrival> = input
+            .iter()
+            .map(|&(id, ms)| {
+                AppArrival::new(AppId(id), BenchmarkApp::LeNet.suite_index(), 2, at(ms))
+            })
+            .collect();
+        let mut sim = SharingSimulator::new(
+            SystemConfig::single_board(BoardSpec::zcu216_big_little()).with_trace(),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+        sim.run(&mut VersaSlotPolicy::new());
+        let admitted: Vec<(SimTime, u32)> = sim
+            .trace()
+            .events_of(TraceKind::AppArrived)
+            .map(|event| (event.time, event.app.expect("arrival names its app")))
+            .collect();
+        let mut expected: Vec<(SimTime, u32)> =
+            input.iter().map(|&(id, ms)| (at(ms), id)).collect();
+        expected.sort_by_key(|&(time, _)| time);
+        assert_eq!(admitted, expected);
     }
 
     /// Sweeps hold many reports at once, so each report's application list
@@ -2967,6 +3097,71 @@ mod tests {
             );
             sim.verify_indexes();
         }
+    }
+
+    /// The idle-demand counter behind the preemption gate stays exact through
+    /// preemptions (a release, then a re-grant of the unit) and board
+    /// outages (eviction, PR give-up, quarantine release): `verify_indexes`
+    /// recounts it after every event, and debug builds also run the ungated
+    /// victim scan whenever the gate is closed.
+    #[test]
+    fn preemptions_and_outages_keep_the_idle_demand_counter_exact() {
+        use crate::policy::nimblock::NimblockPolicy;
+        use crate::policy::round_robin::RoundRobinPolicy;
+        use versaslot_sim::fault::FaultProfile;
+
+        let step_verified = |sim: &mut SharingSimulator, policy: &mut dyn Policy| {
+            sim.verify_indexes();
+            while sim.step(policy) {
+                sim.verify_indexes();
+            }
+            sim.trace().count(TraceKind::SlotPreempted)
+        };
+
+        // Two LeNets on four Little slots: the first holds every slot, so
+        // the second starves until a unit of the first is preempted.
+        let board = BoardSpec::zcu216_only_little().with_layout(
+            versaslot_fpga::slot::SlotLayout::with_counts(
+                0,
+                4,
+                BoardSpec::zcu216_little_capacity(),
+            ),
+        );
+        let arrivals = [(0, 30), (1, 8)].map(|(id, batch)| {
+            AppArrival::new(
+                AppId(id),
+                BenchmarkApp::LeNet.suite_index(),
+                batch,
+                SimTime::ZERO,
+            )
+        });
+        let mut starving = SharingSimulator::new(
+            SystemConfig::single_board(board),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+        let preempted = step_verified(&mut starving, &mut RoundRobinPolicy::new());
+        assert!(preempted > 0, "no preemption");
+        assert_eq!(starving.idle_demand, 0);
+
+        let faults = FaultProfile::new(3)
+            .with_pr_failures(0.3)
+            .with_pr_retry(0, SimDuration::from_millis(1), SimDuration::from_millis(4))
+            .with_board_failures(SimDuration::from_secs(3), SimDuration::from_secs(1));
+        let mut faulted = SharingSimulator::new(
+            SystemConfig::single_board(
+                BoardSpec::zcu216_only_little().with_cores(CoreAssignment::SingleCore),
+            )
+            .with_faults(faults),
+            BenchmarkApp::suite(),
+            &crowded_arrivals(30),
+        );
+        let preempted = step_verified(&mut faulted, &mut NimblockPolicy::new());
+        let stats = faulted.fault_stats();
+        assert!(stats.board_failures > 0, "no board outage: {stats:?}");
+        assert!(stats.pr_gave_up > 0, "no abandoned PR: {stats:?}");
+        assert!(stats.cancelled_events > 0, "no quarantined slot: {stats:?}");
+        assert!(preempted > 0, "no preemption under faults");
     }
 
     /// Board outages (eviction, quarantine, disable/enable) and cross-board

@@ -5,18 +5,35 @@
 //! are delivered in the order they were pushed (FIFO), so a given seed always
 //! produces the same trace — a property the experiment harnesses rely on.
 //!
+//! # A sorted run
+//!
+//! The queue is one `Vec<(SimTime, E)>` kept sorted by descending
+//! `(time, push order)`, so the earliest event is the last entry:
+//! [`EventQueue::pop`] is `Vec::pop` and [`EventQueue::peek_time`] reads the
+//! last entry.  [`EventQueue::push`] scans back from the end past every entry
+//! due at or before the new event's time and inserts there.  An entry pushed
+//! later therefore sits in front of (pops after) every entry with the same
+//! time, which is the FIFO rule without a sequence number: an entry is just
+//! its time and its event.
+//!
+//! A push costs one step and one moved entry per pending event due at or
+//! before it, so it is O(k) for k such events, however long the queue.
+//! That suits a simulator whose pending events are bounded by the
+//! hardware: in the sharing engine each slot has at most one completion in
+//! flight and each board at most one switch or fault timer, so a completion
+//! scans at most slots + boards entries plus the arrivals due sooner, and
+//! arrivals scheduled far ahead sit at the front, where no push reaches them.
+//! [`Extend`] and [`FromIterator`] bulk-load with one stable sort (O(n log n),
+//! keeping the tie order), which is how a simulator loads its arrivals.
+//!
 //! # Allocation behaviour
 //!
-//! The queue is one [`BinaryHeap`] of `(SimTime, seq, event)` entries, ordered
-//! on `(time, seq)` alone.  [`EventQueue::with_capacity`] pre-sizes the heap;
-//! once the pending-event count stays at or below that capacity, a push or pop
-//! never reallocates, so the steady state of a simulation run performs **zero
-//! heap allocations per event**.  [`EventQueue::grow_events`] counts the pushes
-//! that *did* have to grow the heap, which lets callers (and the engine's debug
-//! assertions) verify a run stayed allocation-free.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventQueue::with_capacity`] pre-sizes the vector; once the pending-event
+//! count stays at or below that capacity, a push or pop never reallocates, so
+//! the steady state of a simulation run performs **zero heap allocations per
+//! event**.  [`EventQueue::grow_events`] counts the pushes (and bulk loads)
+//! that *did* have to grow the vector, which lets callers (and the engine's
+//! debug assertions) verify a run stayed allocation-free.
 
 use crate::time::SimTime;
 
@@ -40,49 +57,16 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Sequence number of the next push.
-    next_seq: u64,
+    /// Pending events by descending `(time, push order)`: the next to pop is
+    /// the last entry.
+    run: Vec<(SimTime, E)>,
     grow_events: u64,
-}
-
-/// A pending event, ordered only on `(time, seq)`.
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest time (and, within a
-        // time, the lowest sequence number) surfaces first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     ///
-    /// Equivalent to [`EventQueue::with_capacity`]`(0)`: the heap grows on
+    /// Equivalent to [`EventQueue::with_capacity`]`(0)`: the queue grows on
     /// demand (and [`Self::grow_events`] counts every growth).  Long runs
     /// should pre-size with `with_capacity`.
     pub fn new() -> Self {
@@ -96,21 +80,26 @@ impl<E> EventQueue<E> {
     /// ever allocate.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
+            run: Vec::with_capacity(capacity),
             grow_events: 0,
         }
     }
 
-    /// Schedules `event` to fire at `time`.
+    /// Schedules `event` to fire at `time`, after every pending event due at
+    /// or before `time`.
+    ///
+    /// Costs one comparison and one moved entry per pending event due at or
+    /// before `time` (see the [module docs](self)).
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.heap.len() == self.heap.capacity() {
+        if self.run.len() == self.run.capacity() {
             self.grow_events += 1;
         }
-        self.heap.push(Entry { time, seq, event });
+        let mut at = self.run.len();
+        while at > 0 && self.run[at - 1].0 <= time {
+            at -= 1;
+        }
+        self.run.insert(at, (time, event));
     }
 
     /// Removes and returns the earliest pending event together with its timestamp.
@@ -118,26 +107,26 @@ impl<E> EventQueue<E> {
     /// Returns `None` when the queue is empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|entry| (entry.time, entry.event))
+        self.run.pop()
     }
 
     /// Returns the timestamp of the earliest pending event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|entry| entry.time)
+        self.run.last().map(|&(time, _)| time)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty()
     }
 
-    /// Number of pushes that had to grow the heap.
+    /// Number of pushes (and bulk loads) that had to grow the queue.
     ///
     /// Stays `0` for the lifetime of a queue created with
     /// [`Self::with_capacity`] whose pending-event count never exceeded that
@@ -154,11 +143,22 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// Bulk-loads events as if each were pushed in iteration order, with one
+/// stable sort instead of a scan per event, so loading n events is
+/// O(n log n) even when they arrive in time order.
 impl<E> Extend<(SimTime, E)> for EventQueue<E> {
     fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (time, event) in iter {
-            self.push(time, event);
+        let capacity = self.run.capacity();
+        // Ascending (time, push order), the new events after the pending
+        // ones: a stable sort on time alone then keeps every tie in push
+        // order, and reversing restores the descending run.
+        self.run.reverse();
+        self.run.extend(iter);
+        if self.run.capacity() != capacity {
+            self.grow_events += 1;
         }
+        self.run.sort_by_key(|&(time, _)| time);
+        self.run.reverse();
     }
 }
 
@@ -358,6 +358,55 @@ mod tests {
                 }
             }
             prop_assert_eq!(queue.grow_events(), 0);
+        }
+
+        /// A bulk load (ties included) onto a queue that already holds
+        /// events, then interleaved pushes and pops: every pop matches the
+        /// naive model's minimum by (time, push order).
+        #[test]
+        fn prop_bulk_load_then_interleaved_ops_match_a_model_queue(
+            first in prop::collection::vec(0u64..20, 0..20),
+            bulk in prop::collection::vec(0u64..20, 0..200),
+            ops in prop::collection::vec((prop::bool::ANY, 0u64..40), 0..300),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut pending: Vec<(u64, u64)> = Vec::new();
+            let mut seq = 0u64;
+            for &t in &first {
+                queue.push(SimTime::from_micros(t), seq);
+                pending.push((t, seq));
+                seq += 1;
+            }
+            queue.extend(bulk.iter().map(|&t| {
+                pending.push((t, seq));
+                seq += 1;
+                (SimTime::from_micros(t), seq - 1)
+            }));
+            prop_assert_eq!(queue.len(), pending.len());
+            for &(push, t) in &ops {
+                if push {
+                    queue.push(SimTime::from_micros(t), seq);
+                    pending.push((t, seq));
+                    seq += 1;
+                } else {
+                    let expected = pending
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &key)| key)
+                        .map(|(i, _)| i)
+                        .map(|i| pending.remove(i))
+                        .map(|(t, s)| (SimTime::from_micros(t), s));
+                    prop_assert_eq!(queue.pop(), expected);
+                }
+                prop_assert_eq!(queue.peek_time(), pending.iter().min().map(|&(t, _)| SimTime::from_micros(t)));
+            }
+            pending.sort_unstable();
+            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| queue.pop()).collect();
+            let model: Vec<(SimTime, u64)> = pending
+                .into_iter()
+                .map(|(t, s)| (SimTime::from_micros(t), s))
+                .collect();
+            prop_assert_eq!(drained, model);
         }
     }
 }

@@ -7,14 +7,14 @@
 //!
 //! * simulated time ([`SimTime`], [`SimDuration`]) with microsecond resolution,
 //! * a generic time-ordered [`EventQueue`] with deterministic FIFO tie-breaking,
-//!   one binary heap that, pre-sized, never allocates in steady state (see the
+//!   one sorted run that, pre-sized, never allocates in steady state (see the
 //!   [`event`] module docs),
 //! * a seedable, reproducible random number generator ([`SimRng`]),
 //! * a deterministic, replayable fault schedule ([`fault`]) — PR failure
 //!   outcomes, board MTTF/MTTR timers, and link flap timelines,
 //! * the typed [`ConfigError`] that configuration validation returns,
 //! * summary statistics used by the experiment harnesses ([`stats`]),
-//! * time-weighted series for utilization accounting ([`series`]), and
+//! * multi-lane time-weighted series for utilization accounting ([`series`]), and
 //! * a lightweight structured trace ([`trace`]) whose typed [`TraceDetail`]
 //!   payloads and fixed-array counters keep logging allocation-free.
 //!
