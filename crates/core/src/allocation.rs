@@ -93,7 +93,7 @@ impl<T> IdTable<T> {
     }
 
     /// Iterates the entries in ascending id order.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn iter(&self) -> impl Iterator<Item = (AppId, &T)> {
         self.entries.iter().map(|(id, value)| (*id, value))
     }
@@ -101,6 +101,12 @@ impl<T> IdTable<T> {
     /// Capacity of the backing vector (scratch-allocation accounting).
     pub(crate) fn capacity(&self) -> usize {
         self.entries.capacity()
+    }
+
+    /// Grows the backing vector, if needed, to hold `capacity` entries.
+    pub(crate) fn reserve_total(&mut self, capacity: usize) {
+        self.entries
+            .reserve_exact(capacity.saturating_sub(self.entries.len()));
     }
 }
 
@@ -171,6 +177,24 @@ impl AllocationState {
     /// Returns `true` if `app` is bound to Little slots.
     pub(crate) fn is_bound_little(&self, app: AppId) -> bool {
         self.bound_little.contains(&app)
+    }
+
+    /// Panics unless the allocation table's keys are exactly the bound
+    /// applications, each bound to one kind of slot.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_allocations_match_bindings(&self) {
+        let mut bound: Vec<AppId> = self
+            .bound_big
+            .iter()
+            .chain(&self.bound_little)
+            .copied()
+            .collect();
+        bound.sort_unstable();
+        let keys: Vec<AppId> = self.allocations.iter().map(|(id, _)| id).collect();
+        assert_eq!(
+            keys, bound,
+            "allocation table keys diverged from the bindings"
+        );
     }
 }
 

@@ -60,14 +60,22 @@
 //! changes none of them: its only effect a policy can observe is a new
 //! loaded, idle slot, and policies read loaded and reconfiguring slots only
 //! through `SharingSimulator::preemption_victim` (see the `policy` module
-//! docs), which every flush that runs no pass evaluates.
+//! docs), which every flush that runs no pass evaluates for a preempting
+//! policy.
 //!
 //! The flush calls [`Policy::schedule`] only when the pass is due and some
 //! free slot is grantable to an active application (or any slot is free and
 //! no application is active, so policies prune finished applications at the
-//! end of a run), or when `SharingSimulator::preemption_victim` finds a slot
-//! the shared quantum preemption would release.  It clears the flag just
-//! before the call.  The launch sweep runs at every instant regardless.
+//! end of a run), or when the policy preempts ([`Policy::preempts`]) and
+//! `SharingSimulator::preemption_victim` finds a slot the shared quantum
+//! preemption would release.  It clears the flag just before the call.  The
+//! launch sweep runs at every instant regardless.
+//!
+//! The victim check only hands a due preemption to a policy that acts on
+//! it.  For a policy that never preempts (FCFS) a victim would open a pass
+//! that can grant nothing new: without a grantable slot it cannot grant,
+//! and with one the pass is settled.  So FCFS skips both the victim scan
+//! and that pass.
 //!
 //! A pass that leaves the flag clear granted, released and changed nothing,
 //! so it is a fixed point: the next pass sees the same slots, applications
@@ -82,12 +90,13 @@
 //! same policy on every [`SharingSimulator::step`].
 //!
 //! Debug builds check the skip on every instant.  A pass skipped as settled
-//! still runs and must leave the flag clear; a pass skipped for want of a
-//! grantable slot asserts that none is grantable and no preemption victim
-//! exists; and VersaSlot asserts that any change of its allocation state
-//! left the next pass due.  The `behaviour_lock` test pins the outputs of
-//! every scheduler and run mode to digests recorded from the always-pass
-//! engine.
+//! still runs and must leave the flag clear (a non-preempting policy's pass
+//! included, whatever the victim check would have said); a pass skipped for
+//! want of a grantable slot asserts that none is grantable and, for a
+//! preempting policy, that no preemption victim exists; and VersaSlot
+//! asserts that any change of its allocation state left the next pass due.
+//! The `behaviour_lock` test pins the outputs of every scheduler and run
+//! mode to digests recorded from the always-pass engine.
 //!
 //! # O(1) per-event bookkeeping
 //!
@@ -107,18 +116,23 @@
 //!   three ratios.
 //! * **Starvation gate.** `idle_demand` counts the stored applications that
 //!   have unplaced units and hold no slot.  Only such an application can
-//!   starve, so `SharingSimulator::preemption_victim`, which every flush
-//!   evaluates, returns at once while the counter is 0 (debug builds then
-//!   run the ungated scan and assert it finds no victim).  One before/after
+//!   starve, so while the counter is 0 a flush asks for no preemption
+//!   victim, and `SharingSimulator::preemption_victim` returns at once
+//!   (debug builds then run the ungated scan and assert it finds no
+//!   victim).  One before/after
 //!   helper (`track_idle_demand`) moves the counter wherever an
 //!   application's unplaced units or occupied slots change: placing and
 //!   unplacing a unit (grant, release, PR abandonment, board eviction),
 //!   rebuilding its units, the slot-occupancy counters
 //!   (`index_slot_granted`, `index_slot_freed`) and admission.
 //! * **Optimal slot counts.** `AppRuntime::optimal_slots` serves each
-//!   application's ILP-optimal `(O_B, O_L)`, set at admission from a
-//!   per-simulator memo keyed by (suite index, batch), so the memo is bounded
-//!   by suite size × batch-range width however long a service run lasts.
+//!   application's ILP-optimal `(O_B, O_L)`, set at admission from the
+//!   suite application's `crate::ilp::SlotCurve`.  A curve is built at the
+//!   first admission of its suite application (never at construction, so a
+//!   run pays only for the applications it meets) and serves every later
+//!   admission at any batch size without a partition search; the table
+//!   holds at most one curve per suite application however long a service
+//!   run lasts.
 //! * **Retirement.** [`SharingSimulator::retire_completed`] folds the
 //!   applications recorded as they completed and returns at once when none
 //!   did.
@@ -134,8 +148,8 @@
 //!   slots whose unit has completed at least `PREEMPTION_QUANTUM` items
 //!   since it was loaded: an item completion sets the bit when the unit
 //!   crosses the quantum, and freeing the slot clears it.
-//!   `SharingSimulator::preemption_victim`, which every flush evaluates,
-//!   walks `loaded_idle & ripe & Little` instead of every loaded-idle Little
+//!   `SharingSimulator::preemption_victim` walks
+//!   `loaded_idle & ripe & Little` instead of every loaded-idle Little
 //!   slot, and reads each active application from the store once in its
 //!   starving scan.
 //!
@@ -145,11 +159,12 @@
 //! ripe mask covers every loaded slot past the quantum and holds only
 //! occupied slots, that the touched list is empty once the instant is
 //! flushed, the completed list against the application store and each live
-//! application's `(O_B, O_L)` against the memo; each admission debug-checks
-//! its memo entry against a fresh ILP solve.  Unit tests drive board outages (eviction,
-//! quarantine, disable/enable) and cross-board switches through that
-//! recount, and run VersaSlot and Nimblock in service mode past 5,000
-//! retirements to bound the memo and the store.
+//! application's `(O_B, O_L)` against its curve; each admission
+//! debug-checks the curve's answer against a fresh ILP solve.  Unit tests
+//! drive board outages (eviction, quarantine, disable/enable) and
+//! cross-board switches through that recount, and run VersaSlot and
+//! Nimblock in service mode past 5,000 retirements to bound the curve table
+//! and the store.
 //!
 //! # One application store
 //!
@@ -230,7 +245,7 @@ use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
 use crate::config::SystemConfig;
 use crate::dswitch::{dswitch_value, DswitchInputs, DswitchSample, SwitchLoop};
-use crate::ilp::{optimal_big_slots, optimal_little_slots};
+use crate::ilp::{optimal_big_slots, optimal_little_slots, SlotCurve};
 use crate::metrics::{AppRecord, RunReport};
 use crate::migration::{migration_overhead, MigrationRecord};
 use crate::policy::{Policy, PREEMPTION_QUANTUM};
@@ -469,10 +484,11 @@ pub struct SharingSimulator {
     /// Fault-injection state; `None` disables the fault plane entirely.
     fault: Option<Box<FaultState>>,
 
-    /// Memo of the ILP-optimal `(O_B, O_L)` slot counts per (suite index,
-    /// batch), read once per arrival into the admitted [`AppRuntime`].
-    /// Bounded by the suite size times the batch-range width.
-    optimal_memo: BTreeMap<(usize, u32), (u32, u32)>,
+    /// The ILP slot curve of each suite application, indexed by suite index
+    /// and built at its first admission; each admission reads its `O_L` off
+    /// the curve into the admitted [`AppRuntime`].  Sized at the first
+    /// admission, so constructing a simulator allocates nothing for it.
+    slot_curves: Vec<Option<SlotCurve>>,
     /// Applications completed since the last [`Self::retire_completed`].
     completed: Vec<AppId>,
 
@@ -630,7 +646,7 @@ impl SharingSimulator {
             dswitch_trace: Vec::new(),
             migrations: Vec::new(),
             fault,
-            optimal_memo: BTreeMap::new(),
+            slot_curves: Vec::new(),
             completed: Vec::new(),
             touched_scratch: Vec::new(),
             ready_scratch: Vec::new(),
@@ -1152,11 +1168,12 @@ impl SharingSimulator {
     /// of its unit vector), the store's placement
     /// and count, the active set, the utilization totals (by the full slot
     /// walk), the completed list, and each live application's `(O_B, O_L)`
-    /// against the memo.  (The memo is insert-only and each admission
-    /// debug-checks its entry against a fresh ILP solve, so the stored counts
-    /// equal a fresh solve too, without re-solving every live application
-    /// after every event.)  Debug builds call this after every event; the
-    /// index-consistency property tests call it through [`Self::step`].
+    /// against its suite application's slot curve.  (A curve never changes
+    /// once built, and each admission debug-checks the curve's answer against
+    /// a fresh ILP solve, so the stored counts equal a fresh solve too,
+    /// without re-solving every live application after every event.)  Debug
+    /// builds call this after every event; the index-consistency property
+    /// tests call it through [`Self::step`].
     ///
     /// # Panics
     ///
@@ -1272,10 +1289,16 @@ impl SharingSimulator {
             "utilization totals diverged"
         );
         for app in self.apps.iter() {
+            let curve = self.slot_curves[app.app_index]
+                .as_ref()
+                .unwrap_or_else(|| panic!("{} was admitted without a slot curve", app.id));
             assert_eq!(
-                Some(&app.optimal_slots()),
-                self.optimal_memo.get(&(app.app_index, app.batch)),
-                "optimal slot counts of {} diverged from the memo",
+                app.optimal_slots(),
+                (
+                    optimal_big_slots(&self.suite[app.app_index]),
+                    curve.optimal_little_slots(app.batch)
+                ),
+                "optimal slot counts of {} diverged from the slot curve",
                 app.id
             );
         }
@@ -1618,6 +1641,7 @@ impl SharingSimulator {
     /// pass.  Runs once per simulation instant.
     ///
     /// The pass runs only when it is due and some slot is grantable, or when
+    /// the policy preempts ([`Policy::preempts`]) and
     /// [`Self::preemption_victim`] finds a slot the shared preemption would
     /// release; the due flag is cleared just before the call.  A pass is due
     /// after any policy input changed (a slot change, an admission, a
@@ -1627,7 +1651,10 @@ impl SharingSimulator {
     /// module docs).  The launch sweep always runs.
     fn flush_pass(&mut self, policy: &mut dyn Policy) {
         let due = self.pass_due && self.any_slot_grantable();
-        if due || self.preemption_victim().is_some() {
+        // The idle-demand test comes first, so a flush without slotless
+        // demand pays neither the policy call nor the victim scan.
+        if due || (self.idle_demand > 0 && policy.preempts() && self.preemption_victim().is_some())
+        {
             self.pass_due = false;
             self.passes += 1;
             policy.schedule(self);
@@ -1668,13 +1695,14 @@ impl SharingSimulator {
 
     /// Debug cross-check of a skipped pass.  A pass skipped as settled (a
     /// slot is grantable, but no input changed since the last pass) still
-    /// runs here and must leave the pass undue — it changed nothing.  A pass
-    /// skipped for want of a grantable slot goes to
+    /// runs here and must leave the pass undue — it changed nothing.  That
+    /// covers a non-preempting policy's pass skipped while a preemption
+    /// victim exists.  A pass skipped for want of a grantable slot goes to
     /// [`Self::debug_assert_idle_pass`].
     #[cfg(debug_assertions)]
     fn debug_check_skipped_pass(&mut self, policy: &mut dyn Policy) {
         if !self.any_slot_grantable() {
-            self.debug_assert_idle_pass();
+            self.debug_assert_idle_pass(policy.preempts());
             return;
         }
         policy.schedule(self);
@@ -1686,10 +1714,11 @@ impl SharingSimulator {
     }
 
     /// Debug cross-check of a pass skipped without a grantable slot: no slot
-    /// is grantable to any active application and the shared preemption has
-    /// no victim, so the policy could not have changed anything.
+    /// is grantable to any active application and, if the policy `preempts`,
+    /// the shared preemption has no victim, so the policy could not have
+    /// changed anything.
     #[cfg(debug_assertions)]
-    fn debug_assert_idle_pass(&self) {
+    fn debug_assert_idle_pass(&self, preempts: bool) {
         for &app in &self.active {
             assert_eq!(
                 self.first_grantable_slot(app, None),
@@ -1697,11 +1726,13 @@ impl SharingSimulator {
                 "skipped a pass while a slot was grantable to {app}"
             );
         }
-        assert_eq!(
-            self.preemption_victim(),
-            None,
-            "skipped a pass while the shared preemption had a victim"
-        );
+        if preempts {
+            assert_eq!(
+                self.preemption_victim(),
+                None,
+                "skipped a pass while the shared preemption had a victim"
+            );
+        }
     }
 
     /// Debug cross-check of the targeted launch sweep: after a scheduling
@@ -1753,14 +1784,18 @@ impl SharingSimulator {
                 suite_index: arrival.app_index as u32,
             },
         );
-        let optimal = *self
-            .optimal_memo
-            .entry((arrival.app_index, arrival.batch_size))
-            .or_insert_with(|| solve_optimal_slots(spec, arrival.batch_size));
+        if self.slot_curves.is_empty() {
+            self.slot_curves.resize(self.suite.len(), None);
+        }
+        let curve = self.slot_curves[arrival.app_index].get_or_insert_with(|| SlotCurve::of(spec));
+        let optimal = (
+            optimal_big_slots(spec),
+            curve.optimal_little_slots(arrival.batch_size),
+        );
         debug_assert_eq!(
             optimal,
             solve_optimal_slots(spec, arrival.batch_size),
-            "optimal-slot memo diverged from a fresh ILP solve"
+            "the slot curve diverged from a fresh ILP solve"
         );
         self.idle_demand += u32::from(app.has_idle_demand());
         self.apps.insert(app, optimal);
@@ -3034,18 +3069,64 @@ mod tests {
         );
     }
 
+    /// FCFS behind a wrapper that keeps the default `Policy::preempts`: the
+    /// engine then runs a pass whenever a preemption victim exists, as it
+    /// did for every policy before the gate.
+    struct DefaultPreempts(crate::policy::fcfs::FcfsPolicy);
+
+    impl Policy for DefaultPreempts {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn schedule(&mut self, sim: &mut SharingSimulator) {
+            self.0.schedule(sim);
+        }
+    }
+
+    /// A policy that never preempts skips the passes a preemption victim
+    /// would open, and nothing it reports changes: on a contended
+    /// single-core Only.Little board, where the head-of-line application
+    /// holds slots past the quantum while later ones wait, FCFS run directly
+    /// and FCFS behind the default `preempts` give byte-identical reports,
+    /// and the direct run executes strictly fewer passes.
+    #[test]
+    fn a_non_preempting_policy_skips_victim_passes_and_reports_the_same() {
+        use crate::policy::fcfs::FcfsPolicy;
+
+        let run = |policy: &mut dyn Policy| {
+            let mut sim = SharingSimulator::new(
+                SystemConfig::single_board(
+                    BoardSpec::zcu216_only_little().with_cores(CoreAssignment::SingleCore),
+                ),
+                BenchmarkApp::suite(),
+                &crowded_arrivals(16),
+            );
+            let report = sim.run(policy);
+            assert_eq!(report.completed(), 16);
+            (serde_json::to_string(&report).unwrap(), sim.passes)
+        };
+        let (direct, direct_passes) = run(&mut FcfsPolicy::new());
+        let (wrapped, wrapped_passes) = run(&mut DefaultPreempts(FcfsPolicy::new()));
+        assert_eq!(direct, wrapped, "the victim gate changed an FCFS report");
+        assert!(
+            direct_passes < wrapped_passes,
+            "FCFS ran {direct_passes} passes directly and {wrapped_passes} behind the \
+             default gate: no preemption victim ever opened a pass"
+        );
+    }
+
     /// Service mode must stay O(live applications): after thousands of
     /// retirements the application store holds only live applications and the
-    /// optimal-slot memo at most one entry per (suite index, batch) pair.
+    /// slot-curve table at most one curve per suite application.
     #[test]
-    fn service_mode_keeps_optimal_slot_memo_and_app_table_bounded() {
+    fn service_mode_keeps_slot_curves_and_app_table_bounded() {
         use crate::policy::nimblock::NimblockPolicy;
         use versaslot_workload::{ArrivalDriver, ArrivalProcess};
 
         const BATCH_RANGE: (u32, u32) = (2, 5);
         const RETIRED: usize = 5_000;
         let suite = BenchmarkApp::suite();
-        let memo_bound = suite.len() * (BATCH_RANGE.1 - BATCH_RANGE.0 + 1) as usize;
         let policies: [(Box<dyn Policy>, BoardSpec); 2] = [
             (
                 Box::new(VersaSlotPolicy::new()),
@@ -3084,10 +3165,11 @@ mod tests {
                 );
             }
             assert!(
-                sim.optimal_memo.len() <= memo_bound,
-                "{}: memo holds {} entries, bound {memo_bound}",
+                sim.slot_curves.len() <= suite.len(),
+                "{}: the curve table holds {} entries for a suite of {}",
                 policy.name(),
-                sim.optimal_memo.len()
+                sim.slot_curves.len(),
+                suite.len()
             );
             assert!(
                 sim.apps.len() < 100,

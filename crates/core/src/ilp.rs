@@ -13,9 +13,20 @@
 //! largest group time — the classic linear-partition problem) and picks the
 //! smallest count whose estimated makespan is within a tolerance of the best
 //! achievable.
+//!
+//! # One curve per application, one answer per batch
+//!
+//! The estimated makespan `fill + bottleneck(k) × (batch − 1)` depends on the
+//! batch only through the factor `batch − 1`: the fill (one item's total work)
+//! and the min-bottleneck of each slot count `k` are properties of the
+//! pipeline.  A `SlotCurve` holds those once, and answers `O_L` for any batch
+//! with the same integer-µs makespans and the same `f64` comparison against
+//! `MAKESPAN_TOLERANCE` as [`optimal_little_slots`], so the two agree exactly.
+//! The engine builds one curve per suite application at its first admission;
+//! [`optimal_little_slots`] stays the definition the curve is tested against.
 
 use versaslot_sim::SimDuration;
-use versaslot_workload::ApplicationSpec;
+use versaslot_workload::{ApplicationSpec, TaskSpec};
 
 /// Tolerance used when picking the smallest "good enough" slot count: a count is
 /// accepted if its estimated makespan is within this factor of the best achievable
@@ -42,19 +53,21 @@ pub(crate) fn pipeline_makespan(stage_times: &[SimDuration], batch: u32) -> SimD
 /// Optimal contiguous partition of `task_times` into `groups` groups minimising the
 /// largest group sum (returned).  Uses binary search over the answer, which is exact
 /// and fast for the sizes involved.
-fn min_bottleneck_partition(task_times: &[SimDuration], groups: u32) -> SimDuration {
+fn min_bottleneck_partition(
+    task_times: impl Iterator<Item = SimDuration> + Clone,
+    groups: u32,
+) -> SimDuration {
     assert!(groups >= 1, "need at least one group");
     let lo = task_times
-        .iter()
-        .copied()
+        .clone()
         .fold(SimDuration::ZERO, SimDuration::max_of);
-    let hi: SimDuration = task_times.iter().copied().sum();
+    let hi: SimDuration = task_times.clone().sum();
     let mut lo_us = lo.as_micros();
     let mut hi_us = hi.as_micros();
     let feasible = |limit: u64| {
         let mut used = 1u32;
         let mut current = 0u64;
-        for t in task_times {
+        for t in task_times.clone() {
             let t = t.as_micros();
             if current + t > limit {
                 used += 1;
@@ -79,15 +92,15 @@ fn min_bottleneck_partition(task_times: &[SimDuration], groups: u32) -> SimDurat
 /// Estimated makespan of running `app` with `batch` items on `slots` Little slots,
 /// assuming the best contiguous assignment of tasks to slots.
 pub(crate) fn estimated_makespan(app: &ApplicationSpec, batch: u32, slots: u32) -> SimDuration {
-    let task_times: Vec<SimDuration> = app.tasks().iter().map(|t| t.exec_per_item()).collect();
-    if slots == 0 || task_times.is_empty() {
+    let task_times = app.tasks().iter().map(TaskSpec::exec_per_item);
+    if slots == 0 || app.tasks().is_empty() {
         return SimDuration::MAX;
     }
-    let slots = slots.min(task_times.len() as u32);
-    let bottleneck = min_bottleneck_partition(&task_times, slots);
+    let slots = slots.min(app.task_count());
+    let bottleneck = min_bottleneck_partition(task_times.clone(), slots);
     // With `slots` groups the fill is bounded by the total work of one item and the
     // steady state is governed by the bottleneck group.
-    let fill: SimDuration = task_times.iter().copied().sum();
+    let fill: SimDuration = task_times.sum();
     fill + bottleneck * (batch.max(1) as u64 - 1)
 }
 
@@ -120,6 +133,53 @@ pub fn optimal_little_slots(app: &ApplicationSpec, batch: u32) -> u32 {
     n
 }
 
+/// The batch-independent part of [`optimal_little_slots`] for one pipeline:
+/// its fill and the min-bottleneck of every slot count `k = 1..=n`.
+///
+/// [`SlotCurve::optimal_little_slots`] then costs at most `n` multiply-adds
+/// per batch, where a fresh solve runs `n` partition searches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SlotCurve {
+    /// One item's total work: the sum of every task's per-item time.
+    fill: SimDuration,
+    /// Min-bottleneck of a contiguous partition into `k` groups, at `k - 1`.
+    bottleneck: Vec<SimDuration>,
+}
+
+impl SlotCurve {
+    /// The curve of a pipeline with these per-item task times.  Allocates
+    /// the one bottleneck vector and nothing per slot count.
+    pub(crate) fn new(task_times: impl ExactSizeIterator<Item = SimDuration> + Clone) -> Self {
+        let n = task_times.len() as u32;
+        SlotCurve {
+            fill: task_times.clone().sum(),
+            bottleneck: (1..=n)
+                .map(|k| min_bottleneck_partition(task_times.clone(), k))
+                .collect(),
+        }
+    }
+
+    /// The curve of `app`'s pipeline.
+    pub(crate) fn of(app: &ApplicationSpec) -> Self {
+        Self::new(app.tasks().iter().map(TaskSpec::exec_per_item))
+    }
+
+    /// `O_L` at `batch` items: exactly [`optimal_little_slots`] of the
+    /// pipeline the curve was built from.
+    pub(crate) fn optimal_little_slots(&self, batch: u32) -> u32 {
+        let n = self.bottleneck.len() as u32;
+        if n <= 1 {
+            return n.max(1);
+        }
+        let steady = batch.max(1) as u64 - 1;
+        let makespan = |k: u32| self.fill + self.bottleneck[k as usize - 1] * steady;
+        let limit = makespan(n).as_micros() as f64 * MAKESPAN_TOLERANCE;
+        (1..n)
+            .find(|&k| makespan(k).as_micros() as f64 <= limit)
+            .unwrap_or(n)
+    }
+}
+
 /// The optimal number of Big slots `O_B` for a bundle-capable application: enough
 /// Big slots to pipeline consecutive 3-in-1 bundles (bounded by the two Big slots a
 /// `Big.Little` board offers), zero for applications without bundles.
@@ -136,7 +196,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use versaslot_workload::benchmarks::BenchmarkApp;
-    use versaslot_workload::TaskSpec;
 
     #[test]
     fn pipeline_makespan_basics() {
@@ -160,17 +219,17 @@ mod tests {
         ];
         // Two groups: best split is [10,10,10] / [30] → bottleneck 30.
         assert_eq!(
-            min_bottleneck_partition(&times, 2),
+            min_bottleneck_partition(times.iter().copied(), 2),
             SimDuration::from_millis(30)
         );
         // One group: everything together.
         assert_eq!(
-            min_bottleneck_partition(&times, 1),
+            min_bottleneck_partition(times.iter().copied(), 1),
             SimDuration::from_millis(60)
         );
         // As many groups as tasks: bottleneck is the largest task.
         assert_eq!(
-            min_bottleneck_partition(&times, 4),
+            min_bottleneck_partition(times.iter().copied(), 4),
             SimDuration::from_millis(30)
         );
     }
@@ -248,6 +307,35 @@ mod tests {
                 let m = estimated_makespan(&app, batch, slots);
                 prop_assert!(m <= last);
                 last = m;
+            }
+        }
+
+        /// A curve gives the `O_L` of a fresh solve for every pipeline and
+        /// batch.  Batch 0 is drawn because the makespan clamps it to 1 (a
+        /// curve using `batch - 1` overflows there), and the empty pipeline
+        /// because only there does the `n <= 1` case differ from the loop
+        /// (`O_L` is 1; `ApplicationSpec` itself needs one task).
+        #[test]
+        fn prop_slot_curve_matches_a_fresh_solve(
+            times_us in prop::collection::vec(1u64..200_000, 0..13),
+            batches in prop::collection::vec(0u32..65, 1..8),
+        ) {
+            let times: Vec<SimDuration> =
+                times_us.iter().map(|&us| SimDuration::from_micros(us)).collect();
+            let curve = SlotCurve::new(times.iter().copied());
+            let app = (!times.is_empty()).then(|| {
+                versaslot_workload::ApplicationSpec::new(
+                    "gen",
+                    times
+                        .iter()
+                        .enumerate()
+                        .map(|(i, t)| TaskSpec::new(format!("t{i}"), *t))
+                        .collect(),
+                )
+            });
+            for batch in batches {
+                let expected = app.as_ref().map_or(1, |app| optimal_little_slots(app, batch));
+                prop_assert_eq!(curve.optimal_little_slots(batch), expected, "batch {}", batch);
             }
         }
 

@@ -36,6 +36,11 @@ impl Policy for FcfsPolicy {
         self.meter.allocs()
     }
 
+    /// FCFS never preempts, so no preemption victim opens a pass.
+    fn preempts(&self) -> bool {
+        false
+    }
+
     fn schedule(&mut self, sim: &mut SharingSimulator) {
         // Arrival order == AppId order; the engine's active set is already sorted
         // by identifier.

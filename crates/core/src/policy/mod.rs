@@ -20,6 +20,7 @@
 //!
 //! The engine calls [`Policy::schedule`] at most once per simulation instant,
 //! and only when the pass is *due* and some free slot is grantable, or when
+//! the policy preempts ([`Policy::preempts`]) and
 //! `SharingSimulator::preemption_victim` finds a victim.  A pass is due
 //! after any change of the engine state a policy reads (see the `engine`
 //! module docs) or after the previous pass called
@@ -34,7 +35,15 @@
 //!   through `SharingSimulator::preemption_victim`.  A PR completion, which
 //!   turns a reconfiguring slot into a loaded one, therefore does not make
 //!   a pass due: its only policy-visible effect is a new loaded-idle slot,
-//!   and every flush that runs no pass still asks `preemption_victim`;
+//!   and every flush that runs no pass still asks `preemption_victim`
+//!   (for a policy that preempts);
+//! * preempts only if [`Policy::preempts`] returns `true`.  The default is
+//!   `true`, which is exact for any policy: it only lets a victim open a
+//!   pass.  A policy that never calls `preempt_for_starving_apps` may return
+//!   `false`, and the engine then neither scans for a victim nor runs a pass
+//!   for one; FCFS does.  Such a pass could grant nothing new: without a
+//!   grantable slot nothing can be granted, and with one the pass is
+//!   settled;
 //! * calls `SharingSimulator::note_policy_state_changed` whenever its pass
 //!   changed state a later pass reads.  Grants and releases need no call.
 //!   VersaSlot reports changed bindings, allocations and waiting-list
@@ -64,9 +73,9 @@
 //! work are counters the engine keeps in step with every unit change, and the
 //! ILP-optimal slot counts `(O_B, O_L)` that Nimblock and VersaSlot cap
 //! allocations with (`crate::engine::AppRuntime::optimal_slots`) are set
-//! once per admission from a per-(suite index, batch) memo, so no policy
-//! keeps a per-application cache (which would grow without bound in service
-//! mode).
+//! once per admission from the engine's per-suite-application slot curve
+//! (`crate::ilp::SlotCurve`), so no policy keeps a per-application cache
+//! (which would grow without bound in service mode).
 
 pub mod fcfs;
 pub mod nimblock;
@@ -82,7 +91,7 @@ use crate::engine::SharingSimulator;
 ///
 /// The simulator calls [`Policy::schedule`] at most once per simulation instant
 /// (after every batch of same-timestamp events), and only when the pass is due
-/// or a preemption is — see the module docs for the contract that makes
+/// or a preemption is and the policy [preempts](Policy::preempts) — see the module docs for the contract that makes
 /// skipping the other instants exact.  The policy acts only by granting free
 /// slots via `SharingSimulator::grant_slot` and by preempting through
 /// `preempt_for_starving_apps`, reports its own state changes through
@@ -97,6 +106,15 @@ pub trait Policy {
     /// `SharingSimulator::note_policy_state_changed` if it changed state a
     /// later pass reads (see the module docs).
     fn schedule(&mut self, sim: &mut SharingSimulator);
+
+    /// Whether a pass may preempt through `preempt_for_starving_apps`.  The
+    /// engine runs an otherwise skipped pass for a preemption victim only
+    /// when this is `true`, the default, which is exact for every policy; a
+    /// policy that never preempts returns `false` and saves the victim scan
+    /// and those passes (see the module docs).
+    fn preempts(&self) -> bool {
+        true
+    }
 
     /// How many times this policy's reusable scratch buffers have grown, the
     /// policy-side mirror of [`versaslot_sim::EventQueue::grow_events`].

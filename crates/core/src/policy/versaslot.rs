@@ -210,16 +210,24 @@ impl Policy for VersaSlotPolicy {
             sim.note_policy_state_changed();
         }
         #[cfg(debug_assertions)]
-        debug_assert_change_noted(&before, &self.state, sim);
+        {
+            debug_assert_change_noted(&before, &self.state, sim);
+            self.state.assert_allocations_match_bindings();
+        }
 
+        // The allocation table has one entry per bound application.  Its
+        // peak length can rise after warm-up while neither bound list grows,
+        // so it is reserved to both lists' capacity and grows only with them.
+        let bound_capacity = self.state.bound_big.capacity() + self.state.bound_little.capacity();
+        self.state.allocations.reserve_total(bound_capacity);
         self.meter.observe(
             self.active.capacity()
                 + self.candidates.capacity()
                 + self.keyed.capacity()
                 + self.info.capacity()
                 + self.state.waiting.capacity()
-                + self.state.bound_big.capacity()
-                + self.state.bound_little.capacity(),
+                + bound_capacity
+                + self.state.allocations.capacity(),
         );
     }
 }
