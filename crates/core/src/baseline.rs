@@ -11,7 +11,7 @@
 //! run is a simple sequential recurrence, which also makes it a convenient
 //! analytical cross-check for the simulator.
 
-use versaslot_sim::{SimDuration, SimTime, TimeWeightedSeries};
+use versaslot_sim::{SimDuration, SimTime, TimeWeightedRatios};
 use versaslot_workload::{AppArrival, ApplicationSpec};
 
 use crate::ilp::pipeline_makespan;
@@ -51,8 +51,10 @@ pub(crate) fn run_baseline(
     arrivals: &[AppArrival],
 ) -> RunReport {
     let fabric = board.layout.total_capacity();
-    // Occupancy, LUT and FF utilization, one lane each.
-    let mut utilization = TimeWeightedSeries::new(SimTime::ZERO, [0.0; 3]);
+    // Occupancy, LUT and FF utilization, one lane each: the whole FPGA is one
+    // slot, and the fabric's capacity the denominator of the other two.
+    let idle = [(0, 1), (0, fabric.lut), (0, fabric.ff)];
+    let mut utilization = TimeWeightedRatios::new(SimTime::ZERO, idle);
 
     let mut apps = Vec::with_capacity(arrivals.len());
     let mut fpga_free_at = SimTime::ZERO;
@@ -75,13 +77,9 @@ pub(crate) fn run_baseline(
             spec.tasks().iter().map(|t| t.little_impl()).sum();
         utilization.set(
             start,
-            [
-                1.0,
-                resident.lut as f64 / fabric.lut.max(1) as f64,
-                resident.ff as f64 / fabric.ff.max(1) as f64,
-            ],
+            [(1, 1), (resident.lut, fabric.lut), (resident.ff, fabric.ff)],
         );
-        utilization.set(completion, [0.0; 3]);
+        utilization.set(completion, idle);
 
         apps.push(AppRecord {
             id: arrival.id,
@@ -180,6 +178,68 @@ mod tests {
         }
         assert!(report.mean_lut_utilization > 0.0);
         assert!(report.mean_slot_occupancy < 1.0);
+    }
+
+    /// The reported means are within 4 ulp of the exact rationals: busy
+    /// time, and resident LUTs and FFs times busy time over the fabric's,
+    /// divided by the makespan.  The arrivals leave the FPGA idle between
+    /// some applications and queue others.
+    #[test]
+    fn utilization_is_the_exact_time_weighted_mean() {
+        let suite = BenchmarkApp::suite();
+        let arrivals: Vec<AppArrival> = [
+            (BenchmarkApp::LeNet, 0),
+            (BenchmarkApp::Rendering3D, 10),
+            (BenchmarkApp::OpticalFlow, 20_000),
+            (BenchmarkApp::AlexNet, 20_050),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (app, at_ms))| {
+            AppArrival::new(
+                AppId(id as u32),
+                app.suite_index(),
+                12,
+                SimTime::from_millis(at_ms),
+            )
+        })
+        .collect();
+        let report = run_baseline(&board(), &suite, &arrivals);
+
+        let (mut busy, mut lut, mut ff) = (0u128, 0u128, 0u128);
+        for app in &report.apps {
+            let spec = &suite[app.app_index];
+            let service =
+                u128::from(baseline_service_time(&board(), spec, app.batch_size).as_micros());
+            let resident: versaslot_fpga::ResourceVector =
+                spec.tasks().iter().map(|t| t.little_impl()).sum();
+            busy += service;
+            lut += u128::from(resident.lut) * service;
+            ff += u128::from(resident.ff) * service;
+        }
+        let total = u128::from(report.makespan.as_micros());
+        let fabric = board().layout.total_capacity();
+        // p / q rounded once: both are below 2^53, so they convert exactly.
+        let nearest = |p: u128, q: u128| {
+            assert!(p < 1 << 53 && q < 1 << 53, "{p} / {q} is not exact in f64");
+            p as f64 / q as f64
+        };
+        let exact = [
+            nearest(busy, total),
+            nearest(lut, u128::from(fabric.lut) * total),
+            nearest(ff, u128::from(fabric.ff) * total),
+        ];
+        let reported = [
+            report.mean_slot_occupancy,
+            report.mean_lut_utilization,
+            report.mean_ff_utilization,
+        ];
+        assert!(exact[0] < 1.0, "the FPGA never idles");
+        for (mean, exact) in reported.into_iter().zip(exact) {
+            // Adjacent non-negative doubles have adjacent bit patterns.
+            let ulps = mean.to_bits().abs_diff(exact.to_bits());
+            assert!(ulps <= 4, "reported {mean}, exact {exact} ({ulps} ulp)");
+        }
     }
 
     #[test]

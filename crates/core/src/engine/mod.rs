@@ -103,17 +103,18 @@
 //! Nothing an event handler or a flush does walks every slot or every live
 //! application; state the engine already knows is kept incrementally:
 //!
-//! * **Utilization totals.** The integers behind the occupancy, LUT and FF
-//!   ratios (counted slots, their capacity, occupied slots, the resources of
-//!   loaded units) change only at slot-state transitions and board
-//!   enable/disable, each through one helper (`set_slot_state`,
-//!   `set_board_enabled`).  `refresh_utilization` turns them into one
-//!   `TimeWeightedSeries::set` of a three-lane series (occupancy, LUT, FF:
-//!   one time check and one span conversion per refresh), at the same
-//!   points, with the same values and the same per-lane float operations as
-//!   the slot walk it replaces.  It divides only when the totals changed
-//!   since the last refresh: a non-final item completion reuses the last
-//!   three ratios.
+//! * **Utilization.** The integers behind the occupancy, LUT and FF ratios
+//!   (counted slots, their capacity, occupied slots, the resources of loaded
+//!   units) change only at slot-state transitions and board enable/disable,
+//!   all through one funnel, `update_slot`.  When a slot's share of them
+//!   changes, `update_slot` sets the new totals at `now` in a three-lane
+//!   [`TimeWeightedRatios`] (occupancy, LUT, FF as integer
+//!   numerator/denominator pairs): a few `u128` multiply-adds, and a
+//!   division only for a lane whose denominator moved, which happens only
+//!   when a board is enabled or disabled.  So the integral is exact between
+//!   changes, covers every change wherever it happens (a cross-board switch
+//!   included), and a non-final item completion, which leaves the totals
+//!   as they were, does no utilization work at all.
 //! * **Starvation gate.** `idle_demand` counts the stored applications that
 //!   have unplaced units and hold no slot.  Only such an application can
 //!   starve, so while the counter is 0 a flush asks for no preemption
@@ -213,9 +214,10 @@
 //!   per board and the arrivals due sooner; the arrivals of a finite run
 //!   are bulk-loaded with one stable sort, so tied arrivals are admitted in
 //!   input order;
-//! * the utilization series and the starvation gate cost O(1) per event
-//!   (see above): a non-final item completion divides nothing, and a flush
-//!   with no application waiting slotless skips the preemption scan;
+//! * the utilization integrator and the starvation gate cost O(1) per event
+//!   (see above): a non-final item completion touches no utilization state,
+//!   and a flush with no application waiting slotless skips the preemption
+//!   scan;
 //! * [`Trace::log`] takes a `Copy` [`TraceDetail`] payload and bumps a
 //!   fixed-array counter, so a counting-only trace never formats or allocates;
 //! * the touched list, the launch sweep's ready list and the
@@ -239,7 +241,7 @@ use versaslot_fpga::resources::ResourceVector;
 use versaslot_fpga::slot::{LayoutKind, SlotKind};
 use versaslot_sim::fault::{FaultSchedule, FaultStats};
 use versaslot_sim::{
-    EventQueue, SimDuration, SimTime, TimeWeightedSeries, Trace, TraceDetail, TraceKind,
+    EventQueue, SimDuration, SimTime, TimeWeightedRatios, Trace, TraceDetail, TraceKind,
 };
 use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
@@ -373,12 +375,13 @@ fn solve_optimal_slots(spec: &ApplicationSpec, batch: u32) -> (u32, u32) {
     (optimal_big_slots(spec), optimal_little_slots(spec, batch))
 }
 
-/// Integer totals behind the utilization series.  A slot is *counted* while
-/// it is enabled or occupied; an occupied slot adds to `occupied`, and a
+/// Integer totals behind the utilization integrator.  A slot is *counted*
+/// while it is enabled or occupied; an occupied slot adds to `occupied`, and a
 /// loaded one adds its occupant's resources to `used_*`.  The simulator keeps
 /// one running total, updated at every slot-state and board-enable transition
-/// ([`SharingSimulator::set_slot_state`], [`SharingSimulator::set_board_enabled`]);
-/// a single slot's share is the same struct.
+/// ([`SharingSimulator::set_slot_state`], [`SharingSimulator::set_board_enabled`],
+/// both through [`SharingSimulator::update_slot`]); a single slot's share is
+/// the same struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct UtilTotals {
     counted: u32,
@@ -406,6 +409,16 @@ impl UtilTotals {
         self.occupied -= share.occupied;
         self.used_lut -= share.used_lut;
         self.used_ff -= share.used_ff;
+    }
+
+    /// The occupancy, LUT and FF ratios as `(numerator, denominator)` lanes
+    /// of the utilization integrator.
+    fn lanes(&self) -> [(u64, u64); 3] {
+        [
+            (u64::from(self.occupied), u64::from(self.counted)),
+            (self.used_lut, self.cap_lut),
+            (self.used_ff, self.cap_ff),
+        ]
     }
 }
 
@@ -470,11 +483,9 @@ pub struct SharingSimulator {
 
     /// Running utilization totals (see [`UtilTotals`]).
     util: UtilTotals,
-    /// The totals of the last recorded refresh and the occupancy, LUT and FF
-    /// ratios computed from them, reused while the totals stand still.
-    util_ratios: (UtilTotals, [f64; 3]),
-    /// Occupancy, LUT and FF utilization over time, one lane each.
-    utilization: TimeWeightedSeries<3>,
+    /// Occupancy, LUT and FF utilization over time, one lane each, set by
+    /// [`Self::update_slot`] whenever `util` changes.
+    utilization: TimeWeightedRatios<3>,
     trace: Trace,
 
     switch_loop: Option<SwitchLoop>,
@@ -639,8 +650,7 @@ impl SharingSimulator {
             retired_apps: 0,
             retired_pr_tasks: 0,
             util: UtilTotals::default(),
-            util_ratios: (UtilTotals::default(), [0.0; 3]),
-            utilization: TimeWeightedSeries::new(SimTime::ZERO, [0.0; 3]),
+            utilization: TimeWeightedRatios::new(SimTime::ZERO, [(0, 0); 3]),
             trace,
             switch_loop,
             dswitch_trace: Vec::new(),
@@ -654,6 +664,7 @@ impl SharingSimulator {
             passes: 0,
         };
         sim.util = sim.recount_utilization();
+        sim.utilization = TimeWeightedRatios::new(SimTime::ZERO, sim.util.lanes());
         sim
     }
 
@@ -1086,10 +1097,15 @@ impl SharingSimulator {
     }
 
     /// Applies `change` to one slot, moving its share of the utilization
-    /// totals from the old slot to the new one.
-    /// Every slot-state and enabled-flag change passes here, so this is also
-    /// where a slot change marks the next scheduling pass due: one that
-    /// flips the slot's free or enabled bit does.  A PR completion
+    /// totals from the old slot to the new one.  Every slot-state and
+    /// enabled-flag change passes here, so this is the one place the
+    /// utilization integrator is fed: when the slot's share changed, the new
+    /// totals are set at `now`.  A change that leaves the share as it was
+    /// (disabling an occupied slot) does no utilization work, and a
+    /// non-final item completion flips `busy` in place and never comes here.
+    ///
+    /// It is also where a slot change marks the next scheduling pass due:
+    /// one that flips the slot's free or enabled bit does.  A PR completion
     /// (reconfiguring to loaded) flips neither; see the module docs.
     fn update_slot(&mut self, slot_idx: usize, change: impl FnOnce(&mut SlotRuntime)) {
         let bits = |slot: &SlotRuntime| (slot.is_free(), slot.enabled);
@@ -1098,8 +1114,11 @@ impl SharingSimulator {
         change(&mut self.slots[slot_idx]);
         self.pass_due |= bits(&self.slots[slot_idx]) != before_bits;
         let after = self.slot_utilization(slot_idx);
-        self.util.sub(before);
-        self.util.add(after);
+        if after != before {
+            self.util.sub(before);
+            self.util.add(after);
+            self.utilization.set(self.now, self.util.lanes());
+        }
     }
 
     /// One slot's share of the utilization totals.
@@ -1476,7 +1495,6 @@ impl SharingSimulator {
                 TraceDetail::PrContention,
             );
         }
-        self.refresh_utilization();
         true
     }
 
@@ -1509,7 +1527,6 @@ impl SharingSimulator {
             Some(self.slots[slot_idx].descriptor.id.0),
             TraceDetail::None,
         );
-        self.refresh_utilization();
         true
     }
 
@@ -1846,7 +1863,6 @@ impl SharingSimulator {
         let kind = self.slots[slot_idx].descriptor.kind;
         self.set_slot_state(slot_idx, SlotState::Free);
         self.index_slot_freed(slot_idx, app_id, kind);
-        self.refresh_utilization();
     }
 
     fn handle_pr_complete(&mut self, slot_idx: usize) -> (AppId, usize) {
@@ -1881,7 +1897,6 @@ impl SharingSimulator {
             Some(self.slots[slot_idx].descriptor.id.0),
             TraceDetail::None,
         );
-        self.refresh_utilization();
         (app, unit)
     }
 
@@ -1951,7 +1966,6 @@ impl SharingSimulator {
             self.set_slot_state(slot_idx, SlotState::Free);
             self.index_slot_freed(slot_idx, app_id, slot_kind);
             self.update_app(app_id, |app| app.unplace_unit(unit_idx));
-            self.refresh_utilization();
         }
         (app_id, unit_idx)
     }
@@ -2038,7 +2052,6 @@ impl SharingSimulator {
                 repair,
             },
         );
-        self.refresh_utilization();
     }
 
     /// The fault plane repairs `board`: its slots rejoin the enabled mask (if
@@ -2071,7 +2084,6 @@ impl SharingSimulator {
                 board: board as u32,
             },
         );
-        self.refresh_utilization();
         self.arm_board_timers();
     }
 
@@ -2174,7 +2186,6 @@ impl SharingSimulator {
             );
             self.candidate_queue_updated();
         }
-        self.refresh_utilization();
         (app_id, unit_idx)
     }
 
@@ -2437,38 +2448,8 @@ impl SharingSimulator {
     }
 
     // ------------------------------------------------------------------
-    // Utilization accounting and reporting
+    // Reporting
     // ------------------------------------------------------------------
-
-    /// Records the current utilization in the time-weighted series, from the
-    /// running totals (O(1)).  The ratios are recomputed only when the totals
-    /// changed since the last refresh (a non-final item completion changes
-    /// none), but the series is set every time, so it integrates the same
-    /// spans with the same float operations.
-    fn refresh_utilization(&mut self) {
-        let UtilTotals {
-            counted,
-            cap_lut,
-            cap_ff,
-            occupied,
-            used_lut,
-            used_ff,
-        } = self.util;
-        if counted == 0 {
-            return;
-        }
-        if self.util_ratios.0 != self.util {
-            self.util_ratios = (
-                self.util,
-                [
-                    occupied as f64 / counted as f64,
-                    used_lut as f64 / cap_lut.max(1) as f64,
-                    used_ff as f64 / cap_ff.max(1) as f64,
-                ],
-            );
-        }
-        self.utilization.set(self.now, self.util_ratios.1);
-    }
 
     fn build_report(&self, scheduler: &str) -> RunReport {
         // Sized exactly: the store's iterator gives no exact size hint, and
@@ -3297,5 +3278,80 @@ mod tests {
             switches += switching.migrations.len();
         }
         assert!(switches >= 2, "only {switches} switches");
+    }
+
+    /// The reported utilization is the exact time-weighted mean of the
+    /// totals the engine held, cross-board switches included: the totals
+    /// recounted by the full slot walk after every event, integrated in
+    /// `u128` per denominator (a denominator moves only when a board is
+    /// enabled or disabled; a span with nothing counted adds 0).  The eager
+    /// thresholds make the cluster switch both ways, disabling a board
+    /// mid-run, on arrivals as well as on completions; the faulted run adds
+    /// PR failures and link flaps, which lengthen the window in which
+    /// neither board is enabled.
+    #[test]
+    fn utilization_is_the_exact_time_weighted_mean_across_switches() {
+        use crate::config::SwitchingConfig;
+        use crate::dswitch::SwitchThresholds;
+        use versaslot_sim::fault::FaultProfile;
+        use versaslot_workload::{generate_workload, Congestion, WorkloadConfig};
+
+        let eager = SwitchingConfig {
+            thresholds: SwitchThresholds::new(0.03, 0.02),
+            ..SwitchingConfig::default()
+        };
+        let config = SystemConfig::switching_cluster(
+            BoardSpec::zcu216_only_little(),
+            BoardSpec::zcu216_big_little(),
+        )
+        .with_switching(eager);
+        let faults = FaultProfile::new(41)
+            .with_pr_failures(0.08)
+            .with_link_flaps(0.5, SimDuration::from_millis(200));
+        let workload = generate_workload(
+            &WorkloadConfig::paper_default(Congestion::Standard).with_shape(2, 30),
+        );
+        let mut switches = 0;
+        for config in [config.clone(), config.with_faults(faults)] {
+            for sequence in &workload.sequences {
+                let mut sim = SharingSimulator::new(
+                    config.clone(),
+                    workload.suite.clone(),
+                    &sequence.arrivals,
+                );
+                let mut policy = VersaSlotPolicy::new();
+                // Per lane: Σ numerator·µs for each denominator.
+                let mut integral: [BTreeMap<u64, u128>; 3] = Default::default();
+                let (mut at, mut totals) = (SimTime::ZERO, sim.recount_utilization());
+                while sim.step(&mut policy) {
+                    let span = u128::from((sim.now - at).as_micros());
+                    for (lane, (num, den)) in integral.iter_mut().zip(totals.lanes()) {
+                        *lane.entry(den).or_default() += u128::from(num) * span;
+                    }
+                    (at, totals) = (sim.now, sim.recount_utilization());
+                }
+                switches += sim.switches;
+                let total = sim.now.as_micros() as f64;
+                let report = sim.build_report("exact");
+                let reported = [
+                    report.mean_slot_occupancy,
+                    report.mean_lut_utilization,
+                    report.mean_ff_utilization,
+                ];
+                for (lane, mean) in integral.iter().zip(reported) {
+                    let exact = lane
+                        .iter()
+                        .filter(|(&den, _)| den > 0)
+                        .map(|(&den, &sum)| sum as f64 / den as f64)
+                        .sum::<f64>()
+                        / total;
+                    assert!(
+                        (mean - exact).abs() <= 1e-12 * exact,
+                        "reported {mean}, exact {exact}"
+                    );
+                }
+            }
+        }
+        assert!(switches >= 4, "only {switches} switches");
     }
 }

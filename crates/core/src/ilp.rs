@@ -24,6 +24,16 @@
 //! `MAKESPAN_TOLERANCE` as [`optimal_little_slots`], so the two agree exactly.
 //! The engine builds one curve per suite application at its first admission;
 //! [`optimal_little_slots`] stays the definition the curve is tested against.
+//!
+//! A curve is not built by `n` partition searches (one binary search over
+//! the answer per slot count, as [`optimal_little_slots`] does through
+//! `estimated_makespan`) but by one `O(n²·k)` dynamic program over the
+//! prefix sums, `best_k(i) = min_j max(best_{k−1}(j), sum(j..i))`, that
+//! reads the bottleneck of `k` slots as `best_k(n)` for every `k` at once
+//! and keeps its one row in the curve's own vector.  Both return the least
+//! integer-µs bottleneck of a contiguous partition, so the curve is
+//! unchanged; a property test checks the two against each other at every
+//! slot count.
 
 use versaslot_sim::SimDuration;
 use versaslot_workload::{ApplicationSpec, TaskSpec};
@@ -147,16 +157,61 @@ pub(crate) struct SlotCurve {
 }
 
 impl SlotCurve {
-    /// The curve of a pipeline with these per-item task times.  Allocates
-    /// the one bottleneck vector and nothing per slot count.
-    pub(crate) fn new(task_times: impl ExactSizeIterator<Item = SimDuration> + Clone) -> Self {
-        let n = task_times.len() as u32;
-        SlotCurve {
-            fill: task_times.clone().sum(),
-            bottleneck: (1..=n)
-                .map(|k| min_bottleneck_partition(task_times.clone(), k))
-                .collect(),
+    /// The curve of a pipeline with these per-item task times, by one
+    /// dynamic program over the slot counts instead of a partition search
+    /// per count.  Allocates the one bottleneck vector and nothing else.
+    ///
+    /// With `B_k(i)` the min-bottleneck of the first `i` tasks in at most `k`
+    /// groups and `P(i)` their sum, `B_1(i) = P(i)` and
+    /// `B_k(i) = min_{j<i} max(B_{k−1}(j), P(i) − P(j))`; the curve holds
+    /// `B_k(n)`.  `B_k(j)` for `j ≤ k` is the largest of the first `j` tasks
+    /// (one group each), so a row needs storing only at `j > k`, and it
+    /// shares the output vector: before round `k`, `bottleneck[k'−1]` holds
+    /// `B_{k'}(n)` for `k' < k` and `bottleneck[j−1]` holds `B_{k−1}(j)` for
+    /// `k ≤ j < n`.  Round `k` computes `B_k(n)` first, then `B_k(i)` for `i`
+    /// from `n − 1` down to `k + 1`, each over entries below its own, so
+    /// every read sees the previous row.  The bottleneck of an integer
+    /// partition is an integer number of µs, so this equals
+    /// [`min_bottleneck_partition`] exactly.
+    pub(crate) fn new(
+        task_times: impl ExactSizeIterator<Item = SimDuration> + DoubleEndedIterator + Clone,
+    ) -> Self {
+        let n = task_times.len();
+        // Row k = 1: P(j) at j - 1 for 2 <= j < n, and B_1(n) = P(n) at 0.
+        let mut fill = SimDuration::ZERO;
+        let mut bottleneck: Vec<SimDuration> = task_times
+            .clone()
+            .map(|t| {
+                fill += t;
+                fill
+            })
+            .collect();
+        if let Some(first) = bottleneck.first_mut() {
+            *first = fill;
         }
+        // B_k(i) from the previous row, with P(i) = `prefix_i`.
+        let best = |row: &[SimDuration], k: usize, i: usize, prefix_i: SimDuration| {
+            let mut best = SimDuration::MAX;
+            let (mut prefix_j, mut largest) = (SimDuration::ZERO, SimDuration::ZERO);
+            for (j, t) in task_times.clone().take(i).enumerate() {
+                let previous = if j < k { largest } else { row[j - 1] };
+                best = best.min(previous.max_of(prefix_i - prefix_j));
+                prefix_j += t;
+                largest = largest.max_of(t);
+            }
+            best
+        };
+        for k in 2..=n {
+            let whole = best(&bottleneck, k, n, fill);
+            // P(i) for i = n - 1, n - 2, …: P(n) less the tasks after i.
+            let mut prefix_i = fill;
+            for (i, t) in (k + 1..n).rev().zip(task_times.clone().rev()) {
+                prefix_i -= t;
+                bottleneck[i - 1] = best(&bottleneck, k, i, prefix_i);
+            }
+            bottleneck[k - 1] = whole;
+        }
+        SlotCurve { fill, bottleneck }
     }
 
     /// The curve of `app`'s pipeline.
@@ -336,6 +391,23 @@ mod tests {
             for batch in batches {
                 let expected = app.as_ref().map_or(1, |app| optimal_little_slots(app, batch));
                 prop_assert_eq!(curve.optimal_little_slots(batch), expected, "batch {}", batch);
+            }
+        }
+
+        /// The curve's dynamic program gives the bottleneck of the partition
+        /// search at every slot count.
+        #[test]
+        fn prop_slot_curve_bottlenecks_match_the_partition_search(
+            times_us in prop::collection::vec(1u64..200_001, 0..13),
+        ) {
+            let times: Vec<SimDuration> =
+                times_us.iter().map(|&us| SimDuration::from_micros(us)).collect();
+            let curve = SlotCurve::new(times.iter().copied());
+            prop_assert_eq!(curve.bottleneck.len(), times.len());
+            prop_assert_eq!(curve.fill, times.iter().copied().sum::<SimDuration>());
+            for (k, &bottleneck) in (1u32..).zip(&curve.bottleneck) {
+                let expected = min_bottleneck_partition(times.iter().copied(), k);
+                prop_assert_eq!(bottleneck, expected, "{} groups of {:?}", k, times_us);
             }
         }
 

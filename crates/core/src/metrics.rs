@@ -60,12 +60,21 @@ pub struct RunReport {
     pub events_processed: u64,
     /// Time at which the last application completed.
     pub makespan: SimTime,
-    /// Time-weighted mean fraction of slots that were occupied (loaded or
-    /// reconfiguring) over the run.
+    /// Time-weighted mean fraction of the counted slots (enabled or
+    /// occupied) that were occupied (loaded or reconfiguring), from time 0 to
+    /// the end of the run.
+    ///
+    /// This and the two fields below are exact time-weighted means of integer
+    /// ratios, rounded only when they are read out (see
+    /// [`versaslot_sim::TimeWeightedRatios`]).  A span with no counted slot
+    /// (both boards of a switching cluster disabled) adds 0; the Baseline
+    /// counts the whole FPGA as one slot.
     pub mean_slot_occupancy: f64,
-    /// Time-weighted mean LUT utilization across all slots.
+    /// Time-weighted mean of the loaded units' LUTs over the counted slots'
+    /// LUT capacity.
     pub mean_lut_utilization: f64,
-    /// Time-weighted mean FF utilization across all slots.
+    /// Time-weighted mean of the loaded units' FFs over the counted slots'
+    /// FF capacity.
     pub mean_ff_utilization: f64,
     /// D_switch samples recorded over the run (empty unless cross-board switching
     /// was enabled) — the data behind the left plot of Figure 8.

@@ -14,7 +14,8 @@
 //!   outcomes, board MTTF/MTTR timers, and link flap timelines,
 //! * the typed [`ConfigError`] that configuration validation returns,
 //! * summary statistics used by the experiment harnesses ([`stats`]),
-//! * multi-lane time-weighted series for utilization accounting ([`series`]), and
+//! * exact multi-lane time-weighted means of integer ratios for utilization
+//!   accounting ([`series`]), and
 //! * a lightweight structured trace ([`trace`]) whose typed [`TraceDetail`]
 //!   payloads and fixed-array counters keep logging allocation-free.
 //!
@@ -51,7 +52,7 @@ pub use error::ConfigError;
 pub use event::EventQueue;
 pub use fault::{FaultProfile, FaultSchedule, FaultStats};
 pub use rng::SimRng;
-pub use series::TimeWeightedSeries;
+pub use series::TimeWeightedRatios;
 pub use stats::{
     percentile, LogHistogram, StreamingSummary, Summary, SummaryBuilder, TumblingWindow, Welford,
     WindowSummary,

@@ -24,7 +24,7 @@ set -euo pipefail
 readonly TABLE='
 service_diurnal   56589237d7154c56         67000       3.52
 fleet_faults      0dd74936b7734773         63000       3.75
-paper_sweep       18e44330f32b44b2         60000       5.38
+paper_sweep       c55c4c1d5d468d7a         60000       5.38
 '
 readonly RUNS=4
 readonly RUN_SECONDS=2

@@ -5,17 +5,25 @@
 #     scripts/profile.sh <workload> <seed> <seconds>
 #     scripts/profile.sh paper_sweep 1 20
 #
-# It builds perfbench with line-table debug info into target/profile (its own
-# target directory, so the benchmark's build is untouched), then runs
+# It builds perfbench with line-table debug info and frame pointers
+# (`-C force-frame-pointers=yes`) into target/profile (its own target
+# directory, so the benchmark's build is untouched), then runs
 # `perfbench --workload <workload> --seed <seed> --seconds <seconds> --trace 0`
 # with a small sampler preloaded.  The sampler is a C shim built with the
 # host's `cc`: a SIGPROF interval timer (ITIMER_PROF, every 1 ms of CPU time)
-# whose handler records the interrupted program counter of the perfbench
-# process only, and which writes /proc/self/maps and the samples at exit.
-# The samples are then symbolised with `addr2line -f -i -C` and printed as two
-# tables: the top functions by self samples (the innermost frame, inlined
-# callees included) and by outermost frame (the real, non-inlined function the
-# PC was in).  Samples outside perfbench's own binary are counted per library.
+# whose handler, in the perfbench process only, records the interrupted
+# program counter and, on x86_64 and on the main thread, up to 15 return
+# addresses: the RBP chain, each frame bounded below by the sampled RSP and
+# the frame before it and above by the stack's top, led (for a PC outside
+# perfbench) by the first word above RSP that points into perfbench's code,
+# since libc keeps no frame pointers.  Its buffer reserves 16 MiB (2^17
+# samples of 128 B).  It writes /proc/self/maps and the samples at exit.
+# The samples are then symbolised with `addr2line -f -i -C` and printed as
+# three tables: the top functions by self samples (the innermost frame,
+# inlined callees included), by outermost frame (the real, non-inlined
+# function the PC was in), and the samples outside perfbench's own binary
+# (libc's memmove or malloc, say) by library and by the call site of their
+# first frame inside perfbench.
 #
 # Needs cc, addr2line, readelf and python3.  Nothing here runs in CI, and
 # neither the crates nor perfbench are changed.
@@ -35,7 +43,7 @@ mkdir -p "$out"
 raw="$PWD/$out/samples.txt"
 rm -f "$raw"
 
-CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release --offline --quiet \
+CARGO_PROFILE_RELEASE_DEBUG=line-tables-only RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --offline --quiet \
     --manifest-path perfbench/Cargo.toml --target-dir "$out"
 bin="$out/release/perfbench"
 
@@ -51,11 +59,26 @@ cat > "$out/sampler.c" <<'EOF'
 #include <ucontext.h>
 #include <unistd.h>
 
-#define MAX_SAMPLES (1u << 22)
+/* A sample is its PC and up to MAX_FRAMES return addresses: 16 words of 8
+ * bytes, so the buffer reserves MAX_SAMPLES * 128 B = 16 MiB of zeroed
+ * memory, of which only the pages of recorded samples become resident (a
+ * 20 s run records ~20k samples, ~2.5 MiB). */
+#define MAX_SAMPLES (1u << 17)
+#define MAX_FRAMES 15
+/* Words above the sampled RSP searched for a return address into perfbench
+ * when the PC is outside it. */
+#define SCAN_WORDS 64
 
-static uintptr_t samples[MAX_SAMPLES];
+static uintptr_t samples[MAX_SAMPLES][1 + MAX_FRAMES];
 static size_t count;
 static pid_t owner;
+/* perfbench's executable mapping and the top of the main thread's stack,
+ * read from /proc/self/maps at start-up. */
+static uintptr_t text_lo, text_hi, stack_top;
+
+static int in_text(uintptr_t address) {
+    return address >= text_lo && address < text_hi;
+}
 
 static void on_prof(int sig, siginfo_t *info, void *context) {
     (void)sig;
@@ -64,23 +87,91 @@ static void on_prof(int sig, siginfo_t *info, void *context) {
         return;
     }
     ucontext_t *uc = context;
+    size_t slot = __atomic_fetch_add(&count, 1, __ATOMIC_RELAXED);
+    if (slot >= MAX_SAMPLES) {
+        return;
+    }
+    uintptr_t *sample = samples[slot];
 #if defined(__x86_64__)
-    uintptr_t pc = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
+    uintptr_t sp = (uintptr_t)uc->uc_mcontext.gregs[REG_RSP];
+    uintptr_t fp = (uintptr_t)uc->uc_mcontext.gregs[REG_RBP];
+    sample[0] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
+    /* Only the main thread's stack is known to be mapped from RSP up to
+     * stack_top; a sample on another thread keeps its PC alone. */
+    if (sp >= stack_top || stack_top - sp > (64u << 20)) {
+        return;
+    }
+    size_t depth = 0;
+    /* A function outside perfbench (libc's memmove, malloc, ...) keeps no
+     * frame pointer, so its caller is the first word above RSP that points
+     * into perfbench's code. */
+    if (!in_text(sample[0])) {
+        const uintptr_t *word = (const uintptr_t *)sp;
+        for (size_t i = 0; i < SCAN_WORDS && sp + 8 * (i + 1) <= stack_top; i++) {
+            if (in_text(word[i])) {
+                sample[1 + depth++] = word[i];
+                break;
+            }
+        }
+    }
+    /* The RBP chain: each frame is [saved RBP, return address] and must lie
+     * above the sampled RSP, above the frame before it and inside the
+     * stack. */
+    uintptr_t floor = sp;
+    while (depth < MAX_FRAMES && fp >= floor && fp % 8 == 0 && fp + 16 <= stack_top) {
+        const uintptr_t *frame = (const uintptr_t *)fp;
+        if (frame[1] == 0) {
+            break;
+        }
+        sample[1 + depth++] = frame[1];
+        floor = fp + 16;
+        fp = frame[0];
+    }
 #elif defined(__aarch64__)
-    uintptr_t pc = (uintptr_t)uc->uc_mcontext.pc;
+    sample[0] = (uintptr_t)uc->uc_mcontext.pc;
 #else
 #error "unsupported architecture"
 #endif
-    size_t slot = __atomic_fetch_add(&count, 1, __ATOMIC_RELAXED);
-    if (slot < MAX_SAMPLES) {
-        samples[slot] = pc;
+}
+
+/* Reads perfbench's executable mapping and the main thread's stack top. */
+static void read_maps(void) {
+    char exe[4096];
+    ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 1);
+    if (len <= 0) {
+        return;
     }
+    exe[len] = '\0';
+    FILE *maps = fopen("/proc/self/maps", "r");
+    if (maps == NULL) {
+        return;
+    }
+    char line[4096 + 256];
+    while (fgets(line, sizeof line, maps) != NULL) {
+        unsigned long lo, hi;
+        char perms[8];
+        int path_at = 0;
+        if (sscanf(line, "%lx-%lx %7s %*s %*s %*s %n", &lo, &hi, perms, &path_at) < 3 ||
+            path_at == 0) {
+            continue;
+        }
+        char *path = line + path_at;
+        path[strcspn(path, "\n")] = '\0';
+        if (perms[2] == 'x' && strcmp(path, exe) == 0) {
+            text_lo = lo;
+            text_hi = hi;
+        } else if (strcmp(path, "[stack]") == 0) {
+            stack_top = hi;
+        }
+    }
+    fclose(maps);
 }
 
 __attribute__((constructor)) static void start(void) {
     /* Children (perfbench runs `git`) neither load nor inherit the sampler. */
     unsetenv("LD_PRELOAD");
     owner = getpid();
+    read_maps();
     struct sigaction action;
     memset(&action, 0, sizeof action);
     action.sa_sigaction = on_prof;
@@ -109,9 +200,14 @@ __attribute__((destructor)) static void stop(void) {
     if (maps >= 0) {
         close(maps);
     }
+    /* One line per sample: "PC <pc> <return address>...", innermost first. */
     size_t total = count < MAX_SAMPLES ? count : MAX_SAMPLES;
     for (size_t i = 0; i < total; i++) {
-        fprintf(out, "PC %lx\n", (unsigned long)samples[i]);
+        fprintf(out, "PC %lx", (unsigned long)samples[i][0]);
+        for (size_t f = 1; f <= MAX_FRAMES && samples[i][f] != 0; f++) {
+            fprintf(out, " %lx", (unsigned long)samples[i][f]);
+        }
+        fputc('\n', out);
     }
     fclose(out);
 }
@@ -132,11 +228,12 @@ import sys
 raw, binary, segments_path = sys.argv[1:]
 binary = os.path.realpath(binary)
 
-# Executable mappings: (start, end, file offset, path).
-maps, pcs = [], []
+# Executable mappings: (start, end, file offset, path), and each sample's PC
+# followed by its return addresses, innermost first.
+maps, stacks = [], []
 for line in open(raw):
     if line.startswith("PC "):
-        pcs.append(int(line[3:], 16))
+        stacks.append([int(word, 16) for word in line.split()[1:]])
         continue
     fields = line.split()
     if len(fields) >= 6 and "x" in fields[1]:
@@ -158,22 +255,33 @@ def vaddr_of(file_offset):
             return file_offset - offset + vaddr
     return None
 
+def locate(address):
+    """(perfbench address, None) for an address in perfbench's code, else
+    (None, the library's name)."""
+    for start, end, offset, path in maps:
+        if start <= address < end:
+            if os.path.realpath(path) == binary:
+                vaddr = vaddr_of(address - start + offset)
+                if vaddr is not None:
+                    return vaddr, None
+            return None, os.path.basename(path)
+    return None, "[unmapped]"
+
 per_pc = collections.Counter()
 other = collections.Counter()
-for pc in pcs:
-    for start, end, offset, path in maps:
-        if start <= pc < end:
-            if os.path.realpath(path) == binary:
-                vaddr = vaddr_of(pc - start + offset)
-                if vaddr is not None:
-                    per_pc[vaddr] += 1
-                    break
-            other[os.path.basename(path)] += 1
-            break
-    else:
-        other["[unmapped]"] += 1
+# Samples outside perfbench, by library and the call site of their first
+# frame inside perfbench (a return address less one is inside its call).
+callers = collections.Counter()
+for pc, *returns in stacks:
+    vaddr, library = locate(pc)
+    if vaddr is not None:
+        per_pc[vaddr] += 1
+        continue
+    other[library] += 1
+    site = next((v - 1 for v, _ in map(locate, returns) if v is not None), None)
+    callers[library, site] += 1
 
-addresses = sorted(per_pc)
+addresses = sorted(set(per_pc) | {site for _, site in callers if site is not None})
 text = subprocess.run(
     ["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
     input="".join(f"{a:x}\n" for a in addresses),
@@ -193,7 +301,7 @@ while i < len(text):
         frames[current].append(text[i])
         i += 2
 
-total = len(pcs)
+total = len(stacks)
 inner, outer = collections.Counter(), collections.Counter()
 for address, n in per_pc.items():
     chain = frames.get(address) or ["??"]
@@ -208,7 +316,19 @@ def table(title, counter, rows=30):
     for name, n in counter.most_common(rows):
         print(f"{100 * n / total:6.2f}% {n:7d}  {name[:140]}")
 
-print(f"{total} samples ({len(addresses)} distinct PCs in perfbench)")
+def call_site(site):
+    """The inlined function at a call site, and the real function it is in."""
+    if site is None:
+        return "[no frame in perfbench]"
+    chain = frames.get(site) or ["??"]
+    return chain[0] if len(chain) == 1 else f"{chain[0]} in {chain[-1]}"
+
+by_caller = collections.Counter()
+for (library, site), n in callers.items():
+    by_caller[f"[{library}] <- {call_site(site)}"] += n
+
+print(f"{total} samples ({len(per_pc)} distinct PCs in perfbench)")
 table("top functions by self samples (innermost frame)", inner)
 table("top functions by outermost frame", outer)
+table("samples outside perfbench by their first frame inside it", by_caller)
 EOF
