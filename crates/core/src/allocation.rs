@@ -16,103 +16,18 @@
 //!    (to avoid Big-slot blocking from cross-slot dependencies); preemption applies
 //!    only to Little slots.
 //!
-//! This module implements the algorithm as a pure function over a small state
-//! snapshot so it can be unit-tested independently of the simulator; the
-//! `versaslot` policy drives it every scheduling pass.  Both per-application
-//! tables, the pass's inputs and the persistent allocations `R_Ai`, are
-//! `IdTable`s: id-sorted flat vectors that iterate in id order and reuse
-//! their capacity across passes.
+//! This module implements the algorithm as a pure function over the
+//! allocator's state and a per-application lookup, so it can be unit-tested
+//! independently of the simulator; the `versaslot` policy drives it every
+//! scheduling pass, and its lookup reads each application's inputs straight
+//! from the simulator's application store
+//! (`crate::engine::SharingSimulator::alloc_info`), so a pass builds no input
+//! table.  Each allocation `R_Ai` is stored beside its application in the
+//! bound list of its slot kind: a binding and its allocation are made and
+//! dropped together, so no bound application lacks an allocation and no
+//! allocation outlives its binding.
 
 use versaslot_workload::AppId;
-
-/// A flat table keyed by application id: a vector of `(id, value)` pairs
-/// kept sorted by id, with binary-search lookup.
-///
-/// Iteration is in ascending id order, the order a `BTreeMap` would give.
-/// The VersaSlot policy reuses its tables across passes, and clearing or
-/// pruning a vector keeps its capacity, so the per-instant scheduling pass
-/// performs no allocation in steady state (a `BTreeMap` would allocate and
-/// free a node per insert and removal).  The tables hold the live
-/// applications only, so the insert's shift is over a handful of entries.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct IdTable<T> {
-    entries: Vec<(AppId, T)>,
-}
-
-impl<T> Default for IdTable<T> {
-    fn default() -> Self {
-        IdTable {
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<T> IdTable<T> {
-    /// Clears the table, keeping its capacity.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Inserts the value of `app`, replacing any previous one.
-    pub(crate) fn insert(&mut self, app: AppId, value: T) {
-        match self.entries.binary_search_by_key(&app, |(id, _)| *id) {
-            Ok(pos) => self.entries[pos].1 = value,
-            Err(pos) => self.entries.insert(pos, (app, value)),
-        }
-    }
-
-    /// Looks up the value of `app`.
-    pub(crate) fn get(&self, app: AppId) -> Option<&T> {
-        self.entries
-            .binary_search_by_key(&app, |(id, _)| *id)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
-    }
-
-    /// Removes the value of `app`, if any.
-    pub(crate) fn remove(&mut self, app: AppId) {
-        if let Ok(pos) = self.entries.binary_search_by_key(&app, |(id, _)| *id) {
-            self.entries.remove(pos);
-        }
-    }
-
-    /// Keeps only the entries whose id satisfies `keep`.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(AppId) -> bool) {
-        self.entries.retain(|(id, _)| keep(*id));
-    }
-
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates the entries in ascending id order.
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (AppId, &T)> {
-        self.entries.iter().map(|(id, value)| (*id, value))
-    }
-
-    /// Capacity of the backing vector (scratch-allocation accounting).
-    pub(crate) fn capacity(&self) -> usize {
-        self.entries.capacity()
-    }
-
-    /// Grows the backing vector, if needed, to hold `capacity` entries.
-    pub(crate) fn reserve_total(&mut self, capacity: usize) {
-        self.entries
-            .reserve_exact(capacity.saturating_sub(self.entries.len()));
-    }
-}
-
-/// The per-application input table of one [`allocate`] pass, rebuilt by the
-/// VersaSlot policy every pass.
-pub(crate) type AllocInputs = IdTable<AppAllocInfo>;
 
 /// Per-application inputs to Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,28 +44,19 @@ pub(crate) struct AppAllocInfo {
     pub started: bool,
 }
 
-/// `R_Ai`: the Big/Little slots allocated to one application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Allocation {
-    /// Number of Big slots the application may occupy.
-    pub big: u32,
-    /// Number of Little slots the application may occupy.
-    pub little: u32,
-}
-
-/// The allocator's persistent state: which applications are bound where, and their
-/// current allocations.
+/// The allocator's persistent state: which applications are bound where, each
+/// with its allocation `R_Ai`, and which wait for a binding.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct AllocationState {
-    /// `S_Big`: applications bound to Big slots, in binding order.
-    pub bound_big: Vec<AppId>,
+    /// `S_Big`: applications bound to Big slots, in binding order, each with
+    /// the number of Big slots it may occupy.
+    pub bound_big: Vec<(AppId, u32)>,
     /// `S_Little`: applications bound to Little slots, in binding order (front of
-    /// the runnable queue first).
-    pub bound_little: Vec<AppId>,
+    /// the runnable queue first), each with the number of Little slots it may
+    /// occupy.
+    pub bound_little: Vec<(AppId, u32)>,
     /// `C_wait`: applications waiting for an allocation, in arrival order.
     pub waiting: Vec<AppId>,
-    /// Current `R_Ai` for every bound application, in id order.
-    pub allocations: IdTable<Allocation>,
 }
 
 impl AllocationState {
@@ -164,37 +70,24 @@ impl AllocationState {
         inserted
     }
 
-    /// Returns the current allocation of `app` (zero if unbound).
-    pub(crate) fn allocation(&self, app: AppId) -> Allocation {
-        self.allocations.get(app).copied().unwrap_or_default()
-    }
-
     /// Returns `true` if `app` is bound to Big slots.
     pub(crate) fn is_bound_big(&self, app: AppId) -> bool {
-        self.bound_big.contains(&app)
+        self.bound_big.iter().any(|&(bound, _)| bound == app)
     }
 
     /// Returns `true` if `app` is bound to Little slots.
     pub(crate) fn is_bound_little(&self, app: AppId) -> bool {
-        self.bound_little.contains(&app)
+        self.bound_little.iter().any(|&(bound, _)| bound == app)
     }
 
-    /// Panics unless the allocation table's keys are exactly the bound
-    /// applications, each bound to one kind of slot.
-    #[cfg(debug_assertions)]
-    pub(crate) fn assert_allocations_match_bindings(&self) {
-        let mut bound: Vec<AppId> = self
-            .bound_big
+    /// Every application the state lists: bound to either kind or waiting.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn listed(&self) -> impl Iterator<Item = AppId> + '_ {
+        self.bound_big
             .iter()
             .chain(&self.bound_little)
-            .copied()
-            .collect();
-        bound.sort_unstable();
-        let keys: Vec<AppId> = self.allocations.iter().map(|(id, _)| id).collect();
-        assert_eq!(
-            keys, bound,
-            "allocation table keys diverged from the bindings"
-        );
+            .map(|&(app, _)| app)
+            .chain(self.waiting.iter().copied())
     }
 }
 
@@ -202,40 +95,43 @@ impl AllocationState {
 ///
 /// * `big_total` / `little_total` — slots of each kind on the active board.
 /// * `big_free` / `little_free` — slots of each kind that are currently idle.
-/// * `info` — per-application inputs; applications missing from `info` are treated
-///   as completed and dropped from the state.
+/// * `prune` — whether a listed application may have completed since the
+///   previous pass.  Only then are the completed applications (those `info`
+///   returns `None` for, or that have no unfinished task) dropped from the
+///   state; without it every listed application must be live.
+/// * `info` — the inputs of a live application, `None` once it completed.
 ///
-/// Updates `state.allocations` in place; callers read the result through
-/// [`AllocationState::allocation`].  Returns whether the pass changed the
-/// state: a prune, rebind, bind or redistribution raise.  The pass performs
-/// no allocation beyond occasional growth of the state's own vectors.
+/// Updates the allocations in place; callers read them beside the bindings
+/// in [`AllocationState::bound_big`] and [`AllocationState::bound_little`].
+/// Returns whether the pass changed the state: a prune, rebind, bind or
+/// redistribution raise.  The pass performs no allocation beyond occasional
+/// growth of the state's own vectors.
 pub(crate) fn allocate(
     state: &mut AllocationState,
     big_total: u32,
     little_total: u32,
     big_free: u32,
     little_free: u32,
-    info: &AllocInputs,
+    prune: bool,
+    info: impl Fn(AppId) -> Option<AppAllocInfo>,
 ) -> bool {
-    // Drop completed applications (absent from `info` or out of work).
-    let live = |a: &AppId| info.get(*a).is_some_and(|i| i.unfinished_tasks > 0);
-    let entries = |s: &AllocationState| {
-        s.bound_big.len() + s.bound_little.len() + s.waiting.len() + s.allocations.len()
-    };
-    let before = entries(state);
-    state.bound_big.retain(live);
-    state.bound_little.retain(live);
-    state.waiting.retain(live);
-    state.allocations.retain(|a| live(&a));
-    let mut changed = entries(state) != before;
+    let info_of = |app: AppId| info(app).expect("listed application is live");
+    let mut changed = false;
+    if prune {
+        // Drop completed applications (no inputs, or out of work).
+        let live = |app: AppId| info(app).is_some_and(|i| i.unfinished_tasks > 0);
+        let entries =
+            |s: &AllocationState| s.bound_big.len() + s.bound_little.len() + s.waiting.len();
+        let before = entries(state);
+        state.bound_big.retain(|&(app, _)| live(app));
+        state.bound_little.retain(|&(app, _)| live(app));
+        state.waiting.retain(|&app| live(app));
+        changed = entries(state) != before;
+    }
 
     // Line 1: Big slots still available for binding new applications (slots already
     // promised to bound applications with remaining work are not available).
-    let bound_big_active: u32 = state
-        .bound_big
-        .iter()
-        .map(|a| state.allocation(*a).big.max(1))
-        .sum();
+    let bound_big_active: u32 = state.bound_big.iter().map(|&(_, big)| big.max(1)).sum();
     let mut big_avail = big_total.saturating_sub(bound_big_active).min(big_free);
 
     // Line 2-3: nothing to hand out.
@@ -250,11 +146,10 @@ pub(crate) fn allocate(
     if big_avail > 0 {
         let mut i = 0;
         while i < state.bound_little.len() {
-            let app = state.bound_little[i];
-            let app_info = info.get(app).expect("bound application has info");
+            let (app, _) = state.bound_little[i];
+            let app_info = info_of(app);
             if !app_info.started && app_info.can_bundle {
                 state.bound_little.remove(i);
-                state.allocations.remove(app);
                 state.waiting.insert(0, app);
                 changed = true;
             } else {
@@ -267,10 +162,7 @@ pub(crate) fn allocate(
     let promised: u32 = state
         .bound_little
         .iter()
-        .map(|a| {
-            let app_info = info.get(*a).expect("bound application has info");
-            state.allocation(*a).little.min(app_info.unfinished_tasks)
-        })
+        .map(|&(app, little)| little.min(info_of(app).unfinished_tasks))
         .sum();
     let mut little_left = little_total.saturating_sub(promised);
 
@@ -279,20 +171,13 @@ pub(crate) fn allocate(
     let mut i = 0;
     while i < state.waiting.len() {
         let app = state.waiting[i];
-        let app_info = *info.get(app).expect("waiting application has info");
+        let app_info = info_of(app);
         if big_avail > 0 && app_info.can_bundle {
             // Lines 8-10: bind to Big slots, up to the application's optimal count
             // `O_B` and the slots still available.
             let grant = app_info.optimal_big.max(1).min(big_avail);
             state.waiting.remove(i);
-            state.bound_big.push(app);
-            state.allocations.insert(
-                app,
-                Allocation {
-                    big: grant,
-                    little: 0,
-                },
-            );
+            state.bound_big.push((app, grant));
             big_avail -= grant;
             changed = true;
             continue;
@@ -305,14 +190,7 @@ pub(crate) fn allocate(
                 .min(app_info.unfinished_tasks)
                 .min(little_left);
             state.waiting.remove(i);
-            state.bound_little.push(app);
-            state.allocations.insert(
-                app,
-                Allocation {
-                    big: 0,
-                    little: grant,
-                },
-            );
+            state.bound_little.push((app, grant));
             little_left -= grant;
             changed = true;
             continue;
@@ -321,30 +199,19 @@ pub(crate) fn allocate(
     }
 
     // Lines 14-18: redistribute leftover Little slots to bound applications
-    // (front of the runnable queue first).
-    if little_left > 0 {
-        for i in 0..state.bound_little.len() {
-            if little_left == 0 {
-                break;
-            }
-            let app = state.bound_little[i];
-            let app_info = info.get(app).expect("bound application has info");
-            let current = state.allocation(app);
-            let max_useful = app_info.unfinished_tasks;
-            if current.little >= max_useful {
-                continue;
-            }
-            let extra = (max_useful - current.little).min(little_left);
-            state.allocations.insert(
-                app,
-                Allocation {
-                    big: 0,
-                    little: current.little + extra,
-                },
-            );
-            little_left -= extra;
-            changed = true;
+    // (front of the runnable queue first), raising each allocation in place.
+    for (app, little) in &mut state.bound_little {
+        if little_left == 0 {
+            break;
         }
+        let max_useful = info_of(*app).unfinished_tasks;
+        if *little >= max_useful {
+            continue;
+        }
+        let extra = (max_useful - *little).min(little_left);
+        *little += extra;
+        little_left -= extra;
+        changed = true;
     }
     changed
 }
@@ -352,6 +219,7 @@ pub(crate) fn allocate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn info(can_bundle: bool, tasks: u32, o_l: u32, started: bool) -> AppAllocInfo {
         AppAllocInfo {
@@ -367,19 +235,38 @@ mod tests {
         (2, 4)
     }
 
+    /// The live applications' inputs, keyed by id.
+    type Apps = BTreeMap<AppId, AppAllocInfo>;
+
+    /// One pass with the prune, the way the first pass of a run calls it.
+    fn run(state: &mut AllocationState, totals: (u32, u32, u32, u32), apps: &Apps) -> bool {
+        let (bt, lt, bf, lf) = totals;
+        allocate(state, bt, lt, bf, lf, true, |app| apps.get(&app).copied())
+    }
+
+    /// `R_Ai` of `app` as `(big, little)`, zero if it is unbound.
+    fn allocation(state: &AllocationState, app: AppId) -> (u32, u32) {
+        let find = |list: &[(AppId, u32)]| {
+            list.iter()
+                .find(|&&(bound, _)| bound == app)
+                .map_or(0, |&(_, slots)| slots)
+        };
+        (find(&state.bound_big), find(&state.bound_little))
+    }
+
     #[test]
     fn bundleable_apps_prefer_big_slots() {
         let (bt, lt) = big_little_totals();
         let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
         state.add_waiting(AppId(1));
-        let mut apps = AllocInputs::default();
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(true, 6, 3, false));
         apps.insert(AppId(1), info(true, 3, 2, false));
 
-        allocate(&mut state, bt, lt, bt, lt, &apps);
-        assert_eq!(state.allocation(AppId(0)), Allocation { big: 1, little: 0 });
-        assert_eq!(state.allocation(AppId(1)), Allocation { big: 1, little: 0 });
+        run(&mut state, (bt, lt, bt, lt), &apps);
+        assert_eq!(allocation(&state, AppId(0)), (1, 0));
+        assert_eq!(allocation(&state, AppId(1)), (1, 0));
         assert!(state.is_bound_big(AppId(0)));
         assert!(state.is_bound_big(AppId(1)));
         assert!(state.waiting.is_empty());
@@ -389,18 +276,17 @@ mod tests {
     fn overflow_apps_fall_back_to_little_slots() {
         let (bt, lt) = big_little_totals();
         let mut state = AllocationState::default();
-        let mut apps = AllocInputs::default();
+        let mut apps = Apps::new();
         for i in 0..3 {
             state.add_waiting(AppId(i));
             apps.insert(AppId(i), info(true, 6, 3, false));
         }
 
-        allocate(&mut state, bt, lt, bt, lt, &apps);
+        run(&mut state, (bt, lt, bt, lt), &apps);
         // Only two Big slots exist: the third app gets Little slots instead — its
         // optimal 3 from the primary allocation plus the one leftover Little slot
         // from redistribution.
-        assert_eq!(state.allocation(AppId(2)).big, 0);
-        assert_eq!(state.allocation(AppId(2)).little, 4);
+        assert_eq!(allocation(&state, AppId(2)), (0, 4));
         assert!(state.is_bound_little(AppId(2)));
     }
 
@@ -410,11 +296,11 @@ mod tests {
         // 6 unfinished tasks — redistribution tops it up to 6.
         let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
-        let mut apps = AllocInputs::default();
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(true, 6, 3, false));
 
-        allocate(&mut state, 0, 8, 0, 8, &apps);
-        assert_eq!(state.allocation(AppId(0)), Allocation { big: 0, little: 6 });
+        run(&mut state, (0, 8, 0, 8), &apps);
+        assert_eq!(allocation(&state, AppId(0)), (0, 6));
     }
 
     #[test]
@@ -422,15 +308,15 @@ mod tests {
         let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
         state.add_waiting(AppId(1));
-        let mut apps = AllocInputs::default();
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(false, 6, 2, false));
         apps.insert(AppId(1), info(false, 6, 2, false));
 
-        allocate(&mut state, 0, 8, 0, 8, &apps);
+        run(&mut state, (0, 8, 0, 8), &apps);
         // Primary: 2 + 2 slots; redistribution hands the remaining 4 to the front
         // app first (up to its 6 tasks), then the second app.
-        assert_eq!(state.allocation(AppId(0)).little, 6);
-        assert_eq!(state.allocation(AppId(1)).little, 2);
+        assert_eq!(allocation(&state, AppId(0)), (0, 6));
+        assert_eq!(allocation(&state, AppId(1)), (0, 2));
     }
 
     #[test]
@@ -438,31 +324,25 @@ mod tests {
         let (bt, lt) = big_little_totals();
         let mut state = AllocationState::default();
         // App 0 was previously bound to Little slots but has not started.
-        state.bound_little.push(AppId(0));
-        state
-            .allocations
-            .insert(AppId(0), Allocation { big: 0, little: 3 });
-        let mut apps = AllocInputs::default();
+        state.bound_little.push((AppId(0), 3));
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(true, 6, 3, false));
 
-        allocate(&mut state, bt, lt, bt, lt, &apps);
+        run(&mut state, (bt, lt, bt, lt), &apps);
         assert!(state.is_bound_big(AppId(0)));
         assert!(!state.is_bound_little(AppId(0)));
-        assert_eq!(state.allocation(AppId(0)), Allocation { big: 1, little: 0 });
+        assert_eq!(allocation(&state, AppId(0)), (1, 0));
     }
 
     #[test]
     fn started_little_apps_are_not_rebound() {
         let (bt, lt) = big_little_totals();
         let mut state = AllocationState::default();
-        state.bound_little.push(AppId(0));
-        state
-            .allocations
-            .insert(AppId(0), Allocation { big: 0, little: 3 });
-        let mut apps = AllocInputs::default();
+        state.bound_little.push((AppId(0), 3));
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(true, 6, 3, true));
 
-        allocate(&mut state, bt, lt, bt, lt, &apps);
+        run(&mut state, (bt, lt, bt, lt), &apps);
         assert!(state.is_bound_little(AppId(0)));
         assert!(!state.is_bound_big(AppId(0)));
     }
@@ -470,14 +350,9 @@ mod tests {
     #[test]
     fn completed_apps_are_pruned() {
         let mut state = AllocationState::default();
-        state.bound_big.push(AppId(0));
-        state
-            .allocations
-            .insert(AppId(0), Allocation { big: 1, little: 0 });
-        // App 0 no longer appears in the info table (completed).
-        let apps = AllocInputs::default();
-        allocate(&mut state, 2, 4, 2, 4, &apps);
-        assert!(state.allocations.is_empty());
+        state.bound_big.push((AppId(0), 1));
+        // App 0 no longer has inputs (completed).
+        run(&mut state, (2, 4, 2, 4), &Apps::new());
         assert!(state.bound_big.is_empty());
     }
 
@@ -485,10 +360,10 @@ mod tests {
     fn no_free_slots_is_a_no_op() {
         let mut state = AllocationState::default();
         state.add_waiting(AppId(0));
-        let mut apps = AllocInputs::default();
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(true, 6, 3, false));
-        assert!(!allocate(&mut state, 2, 4, 0, 0, &apps));
-        assert!(state.allocations.is_empty());
+        assert!(!run(&mut state, (2, 4, 0, 0), &apps));
+        assert_eq!(state.listed().count(), 1);
         assert_eq!(state.waiting, vec![AppId(0)]);
     }
 
@@ -499,62 +374,97 @@ mod tests {
         assert!(state.add_waiting(AppId(0)));
         assert!(!state.add_waiting(AppId(0)));
         state.waiting.clear();
-        state.bound_little.push(AppId(0));
-        state
-            .allocations
-            .insert(AppId(0), Allocation { big: 0, little: 2 });
-        let mut apps = AllocInputs::default();
+        state.bound_little.push((AppId(0), 2));
+        let mut apps = Apps::new();
         apps.insert(AppId(0), info(false, 6, 2, true));
         // A lone redistribution raise (2 -> 6) is a change ...
-        assert!(allocate(&mut state, 0, 8, 0, 6, &apps));
-        assert_eq!(state.allocation(AppId(0)).little, 6);
+        assert!(run(&mut state, (0, 8, 0, 6), &apps));
+        assert_eq!(allocation(&state, AppId(0)), (0, 6));
         // ... after which the same inputs are a fixed point ...
-        assert!(!allocate(&mut state, 0, 8, 0, 6, &apps));
+        assert!(!run(&mut state, (0, 8, 0, 6), &apps));
         // ... and a prune is a change again.
-        assert!(allocate(&mut state, 0, 8, 0, 6, &AllocInputs::default()));
+        assert!(run(&mut state, (0, 8, 0, 6), &Apps::new()));
     }
 
     #[test]
-    fn flat_allocation_table_replaces_keeps_id_order_and_prunes() {
-        let mut table = IdTable::default();
-        for id in [5, 1, 9, 3] {
-            table.insert(AppId(id), Allocation { big: 0, little: id });
+    fn allocations_live_and_die_with_their_bindings() {
+        // Apps 0 and 1 bound to Little slots (0 not started yet), app 2 to a
+        // Big slot that is still busy.
+        let mut state = AllocationState::default();
+        state.bound_little.push((AppId(0), 2));
+        state.bound_little.push((AppId(1), 1));
+        state.bound_big.push((AppId(2), 1));
+        let mut apps = Apps::new();
+        apps.insert(AppId(0), info(true, 6, 2, false));
+        apps.insert(AppId(1), info(false, 4, 1, true));
+        apps.insert(AppId(2), info(true, 3, 1, true));
+
+        // A Big slot frees: app 0 is rebound with a fresh Big allocation, and
+        // its Little allocation goes with its Little binding.  The Little
+        // slots no binding holds now are redistributed to app 1, whose
+        // allocation is raised in place (1 -> 4).
+        run(&mut state, (2, 4, 1, 4), &apps);
+        assert_eq!(state.bound_big, vec![(AppId(2), 1), (AppId(0), 1)]);
+        assert_eq!(state.bound_little, vec![(AppId(1), 4)]);
+        assert!(state.waiting.is_empty());
+
+        // App 2 completes: the prune drops its binding and its allocation.
+        apps.remove(&AppId(2));
+        assert!(run(&mut state, (2, 4, 1, 0), &apps));
+        assert_eq!(state.bound_big, vec![(AppId(0), 1)]);
+        assert_eq!(allocation(&state, AppId(2)), (0, 0));
+        assert_eq!(state.listed().collect::<Vec<_>>(), vec![AppId(0), AppId(1)]);
+    }
+
+    #[test]
+    fn the_prune_is_a_no_op_while_every_listed_app_is_live() {
+        // A crowded mix of bound and waiting applications, all live: the pass
+        // without the prune leaves the same state and reports the same change
+        // as the pass with it, whatever slots are free.
+        let mut seeded = AllocationState::default();
+        let mut apps = Apps::new();
+        for i in 0..8 {
+            apps.insert(AppId(i), info(i % 3 == 0, 2 + i % 5, 1 + i % 3, i % 2 == 0));
         }
-        // An insert of a present id replaces its entry in place.
-        table.insert(AppId(9), Allocation { big: 1, little: 0 });
-        assert_eq!(table.len(), 4);
-        assert_eq!(table.get(AppId(9)), Some(&Allocation { big: 1, little: 0 }));
-        assert_eq!(table.get(AppId(2)), None);
-        let ids =
-            |table: &IdTable<Allocation>| table.iter().map(|(id, _)| id.0).collect::<Vec<_>>();
-        assert_eq!(ids(&table), vec![1, 3, 5, 9]);
-        // Pruning and removal keep the remaining entries in id order.
-        table.retain(|id| id.0 != 3);
-        table.remove(AppId(1));
-        table.remove(AppId(7));
-        assert_eq!(ids(&table), vec![5, 9]);
-        assert_eq!(table.get(AppId(5)), Some(&Allocation { big: 0, little: 5 }));
-        // The state's accessor reads through the table.
-        let state = AllocationState {
-            allocations: table,
-            ..AllocationState::default()
-        };
-        assert_eq!(state.allocation(AppId(9)), Allocation { big: 1, little: 0 });
-        assert_eq!(state.allocation(AppId(3)), Allocation::default());
+        seeded.bound_big.push((AppId(0), 1));
+        seeded.bound_little.push((AppId(1), 2));
+        seeded.bound_little.push((AppId(3), 1));
+        seeded.bound_little.push((AppId(4), 3));
+        seeded
+            .waiting
+            .extend([AppId(6), AppId(2), AppId(5), AppId(7)]);
+        for free in [(0, 0), (1, 0), (0, 2), (1, 4), (2, 8)] {
+            let with = {
+                let mut state = seeded.clone();
+                let changed = allocate(&mut state, 2, 8, free.0, free.1, true, |app| {
+                    apps.get(&app).copied()
+                });
+                (state, changed)
+            };
+            let without = {
+                let mut state = seeded.clone();
+                let changed = allocate(&mut state, 2, 8, free.0, free.1, false, |app| {
+                    apps.get(&app).copied()
+                });
+                (state, changed)
+            };
+            assert_eq!(with, without, "free slots {free:?}");
+        }
     }
 
     #[test]
     fn allocation_never_exceeds_totals() {
         // Property-style check over a crowded system.
         let mut state = AllocationState::default();
-        let mut apps = AllocInputs::default();
+        let mut apps = Apps::new();
         for i in 0..10 {
             state.add_waiting(AppId(i));
             apps.insert(AppId(i), info(i % 2 == 0, 6, 3, false));
         }
-        allocate(&mut state, 2, 4, 2, 4, &apps);
-        let total_big: u32 = state.allocations.iter().map(|(_, a)| a.big).sum();
-        let total_little: u32 = state.allocations.iter().map(|(_, a)| a.little).sum();
+        run(&mut state, (2, 4, 2, 4), &apps);
+        let total = |list: &[(AppId, u32)]| list.iter().map(|&(_, slots)| slots).sum::<u32>();
+        let total_big = total(&state.bound_big);
+        let total_little = total(&state.bound_little);
         assert!(total_big <= 2, "allocated {total_big} big slots out of 2");
         assert!(
             total_little <= 4,

@@ -71,6 +71,17 @@
 //! preemption would release.  It clears the flag just before the call.  The
 //! launch sweep runs at every instant regardless.
 //!
+//! Beside the flag the simulator keeps two narrower signals, together a
+//! `PassChanges`: whether an arrival was admitted and whether an application
+//! completed since the last pass began.  Admission and completion set them
+//! with the flag, and where the flag is cleared they move into the record
+//! the running pass reads (`SharingSimulator::pass_changes`), so a pass can
+//! skip what only they change: VersaSlot registers waiting applications only
+//! after an admission and prunes finished ones only after a completion.  A
+//! pass skipped while one is set leaves it set for the next pass that runs.
+//! Both start set, so the first pass on every simulator does the full work;
+//! that keeps a policy reused from an earlier run exact.
+//!
 //! The victim check only hands a due preemption to a policy that acts on
 //! it.  For a policy that never preempts (FCFS) a victim would open a pass
 //! that can grant nothing new: without a grantable slot it cannot grant,
@@ -245,6 +256,7 @@ use versaslot_sim::{
 };
 use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
+use crate::allocation::AppAllocInfo;
 use crate::config::SystemConfig;
 use crate::dswitch::{dswitch_value, DswitchInputs, DswitchSample, SwitchLoop};
 use crate::ilp::{optimal_big_slots, optimal_little_slots, SlotCurve};
@@ -442,6 +454,29 @@ fn track_idle_demand<R>(
     result
 }
 
+/// The two policy inputs a scheduling pass may skip re-deriving when they did
+/// not change since the previous pass: an admitted arrival (the only source
+/// of an application the policy has not seen) and an application completion
+/// (the only way an application the policy lists stops being live).
+///
+/// Both start set, so a policy's first pass on a simulator sees every
+/// application it lists and every one that waits, even a policy reused from
+/// an earlier run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PassChanges {
+    /// An arrival was admitted since the previous pass.
+    pub admitted: bool,
+    /// An application completed since the previous pass.
+    pub completed: bool,
+}
+
+impl PassChanges {
+    const ALL: PassChanges = PassChanges {
+        admitted: true,
+        completed: true,
+    };
+}
+
 /// Discrete-event simulator of fine-grained FPGA sharing on one or two boards.
 #[derive(Debug)]
 pub struct SharingSimulator {
@@ -514,6 +549,12 @@ pub struct SharingSimulator {
     /// (see the module docs): a pass that leaves it clear reached a fixed
     /// point, and the next one is skipped unless a preemption is due.
     pass_due: bool,
+    /// Admissions and completions since the last scheduling pass began; set
+    /// with `pass_due` and moved into `pass_changes` where it is cleared.
+    changes_since_pass: PassChanges,
+    /// What changed before the running (or last) pass began, read by the
+    /// policy through [`Self::pass_changes`].
+    pass_changes: PassChanges,
     /// Scheduling passes run so far.  Passes skipped as settled are not
     /// counted, although debug builds run them as a check.
     passes: u64,
@@ -661,6 +702,8 @@ impl SharingSimulator {
             touched_scratch: Vec::new(),
             ready_scratch: Vec::new(),
             pass_due: true,
+            changes_since_pass: PassChanges::ALL,
+            pass_changes: PassChanges::ALL,
             passes: 0,
         };
         sim.util = sim.recount_utilization();
@@ -938,6 +981,36 @@ impl SharingSimulator {
     /// Whether the application's specification has 3-in-1 bundles.
     pub(crate) fn can_bundle(&self, app: AppId) -> bool {
         self.spec_of(app).can_bundle()
+    }
+
+    /// Algorithm 1's inputs for `app`, read from the application store, or
+    /// `None` once it has completed or been retired (O(1)).
+    pub(crate) fn alloc_info(&self, app: AppId) -> Option<AppAllocInfo> {
+        let runtime = self
+            .apps
+            .get(app)
+            .filter(|runtime| runtime.state != AppState::Completed)?;
+        let (optimal_big, optimal_little) = runtime.optimal_slots();
+        Some(AppAllocInfo {
+            can_bundle: self.suite[runtime.app_index].can_bundle(),
+            unfinished_tasks: runtime.unfinished_units(),
+            optimal_little,
+            optimal_big,
+            started: runtime.started,
+        })
+    }
+
+    /// Whether some slot of `kind` is free on any board, enabled or not: a
+    /// necessary condition for any grant of that kind, a home-board drain
+    /// included.
+    pub(crate) fn has_free_slot(&self, kind: SlotKind) -> bool {
+        MaskQuery::and(&self.index.free, &self.index.kind[kind_bit(kind)]).any()
+    }
+
+    /// Whether an arrival was admitted or an application completed before
+    /// the running pass began, since the pass before it (see [`PassChanges`]).
+    pub(crate) fn pass_changes(&self) -> PassChanges {
+        self.pass_changes
     }
 
     /// The slot layout of the currently active board.
@@ -1672,7 +1745,7 @@ impl SharingSimulator {
         // demand pays neither the policy call nor the victim scan.
         if due || (self.idle_demand > 0 && policy.preempts() && self.preemption_victim().is_some())
         {
-            self.pass_due = false;
+            self.begin_pass();
             self.passes += 1;
             policy.schedule(self);
         } else {
@@ -1687,6 +1760,13 @@ impl SharingSimulator {
         self.touched_scratch.clear();
         #[cfg(debug_assertions)]
         self.debug_assert_no_launchable();
+    }
+
+    /// Clears the due flag and hands the admissions and completions since the
+    /// last pass to the one about to run.
+    fn begin_pass(&mut self) {
+        self.pass_due = false;
+        self.pass_changes = std::mem::take(&mut self.changes_since_pass);
     }
 
     /// Whether a free slot is grantable to some active application.  With no
@@ -1722,6 +1802,10 @@ impl SharingSimulator {
             self.debug_assert_idle_pass(policy.preempts());
             return;
         }
+        // Admissions and completions set the due flag, so a settled pass
+        // has neither to hand over.
+        assert_eq!(self.changes_since_pass, PassChanges::default());
+        self.begin_pass();
         policy.schedule(self);
         assert!(
             !self.pass_due,
@@ -1818,6 +1902,7 @@ impl SharingSimulator {
         self.apps.insert(app, optimal);
         self.index_app_arrived(id);
         self.pass_due = true;
+        self.changes_since_pass.admitted = true;
         self.arrivals_admitted += 1;
         self.candidate_queue_updated();
         self.arm_board_timers();
@@ -2176,6 +2261,7 @@ impl SharingSimulator {
             self.index_app_completed(app_id);
             self.completed.push(app_id);
             self.pass_due = true;
+            self.changes_since_pass.completed = true;
             self.trace.log(
                 self.now,
                 TraceKind::AppCompleted,
@@ -3032,22 +3118,45 @@ mod tests {
     /// A policy reused for a second run behaves like a fresh one: the pass at
     /// the last completion of a run (no active application, a free slot) is
     /// never skipped, so VersaSlot prunes every binding before the next run.
+    ///
+    /// The second pair runs three LeNets admitted at t = 0 twice, so the
+    /// second run's first pass sees the same admission count as the first
+    /// run's last pass.  It fails a policy that decides whether to register
+    /// waiting applications from counts it copied out of the previous
+    /// simulator; the simulator's own `PassChanges` start set instead.
     #[test]
     fn a_reused_policy_matches_a_fresh_one() {
         let config = SystemConfig::single_board(BoardSpec::zcu216_big_little());
-        let first = crowded_arrivals(12);
-        let second: Vec<AppArrival> = crowded_arrivals(14).into_iter().rev().take(10).collect();
+        let lenets: Vec<AppArrival> = (0..3)
+            .map(|i| {
+                AppArrival::new(
+                    AppId(i),
+                    BenchmarkApp::LeNet.suite_index(),
+                    8,
+                    SimTime::ZERO,
+                )
+            })
+            .collect();
+        let pairs = [
+            (
+                crowded_arrivals(12),
+                crowded_arrivals(14).into_iter().rev().take(10).collect(),
+            ),
+            (lenets.clone(), lenets),
+        ];
         let run = |policy: &mut VersaSlotPolicy, arrivals: &[AppArrival]| {
             let mut sim = SharingSimulator::new(config.clone(), BenchmarkApp::suite(), arrivals);
             sim.run(policy)
         };
-        let mut reused = VersaSlotPolicy::new();
-        run(&mut reused, &first);
-        assert!(reused.allocation_state().allocations.is_empty());
-        assert_eq!(
-            run(&mut reused, &second),
-            run(&mut VersaSlotPolicy::new(), &second)
-        );
+        for (first, second) in &pairs {
+            let mut reused = VersaSlotPolicy::new();
+            run(&mut reused, first);
+            assert_eq!(reused.allocation_state().listed().count(), 0);
+            assert_eq!(
+                run(&mut reused, second),
+                run(&mut VersaSlotPolicy::new(), second)
+            );
+        }
     }
 
     /// FCFS behind a wrapper that keeps the default `Policy::preempts`: the

@@ -68,7 +68,8 @@
 //! (`SharingSimulator::first_grantable_slot`,
 //! `SharingSimulator::has_grantable_slot`) instead of materialising candidate
 //! vectors, and each policy keeps reusable scratch buffers for the application
-//! lists it sorts.  Per-application inputs are O(1) reads of
+//! lists it sorts; a list of one or no application is not sorted at all.
+//! Per-application inputs are O(1) reads of
 //! [`SharingSimulator::app`]: unplaced demand, unfinished units and remaining
 //! work are counters the engine keeps in step with every unit change, and the
 //! ILP-optimal slot counts `(O_B, O_L)` that Nimblock and VersaSlot cap
@@ -76,6 +77,18 @@
 //! once per admission from the engine's per-suite-application slot curve
 //! (`crate::ilp::SlotCurve`), so no policy keeps a per-application cache
 //! (which would grow without bound in service mode).
+//!
+//! A pass also skips the work whose inputs did not change since the previous
+//! pass.  The simulator records whether an arrival was admitted or an
+//! application completed since then (`SharingSimulator::pass_changes`), and
+//! VersaSlot registers waiting applications only after an admission and
+//! prunes finished ones only after a completion.  Those records belong to the
+//! simulator, not the policy: a policy that copied counts out of one
+//! simulator would misread the next one it is reused on.  VersaSlot reads
+//! Algorithm 1's inputs straight from the application store
+//! (`SharingSimulator::alloc_info`) instead of building a table, and builds
+//! its work-conserving candidate list only while some Little slot is free.
+//! Debug builds check each skip against the work it skipped.
 
 pub mod fcfs;
 pub mod nimblock;
@@ -170,12 +183,16 @@ pub(crate) fn ageing_priority(sim: &SharingSimulator, app: AppId) -> f64 {
 /// The comparator is identical to sorting the ids directly with per-comparison
 /// priority recomputation — priorities are pure functions of pre-pass state — so
 /// the resulting permutation (and therefore every report) is unchanged; the
-/// difference is O(n) instead of O(n log n) priority evaluations.
+/// difference is O(n) instead of O(n log n) priority evaluations.  A list of
+/// one or no application is already sorted and costs nothing.
 pub(crate) fn sort_by_priority(
     sim: &SharingSimulator,
     keyed: &mut Vec<(f64, AppId)>,
     list: &mut Vec<AppId>,
 ) {
+    if list.len() <= 1 {
+        return;
+    }
     keyed.clear();
     keyed.extend(list.iter().map(|&app| (ageing_priority(sim, app), app)));
     keyed.sort_by(|a, b| {

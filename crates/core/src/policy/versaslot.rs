@@ -18,6 +18,34 @@
 //! completions because the boards this policy is intended for run the dual-core
 //! hypervisor ([`versaslot_fpga::cpu::CoreAssignment::DualCore`]).
 //!
+//! # Which steps run when
+//!
+//! A pass runs, in order:
+//!
+//! * the shared quantum preemption, every pass;
+//! * **registration** of waiting applications with the allocator, only when
+//!   an arrival was admitted since the previous pass.  Only an admission
+//!   creates a waiting application the allocator does not list yet;
+//! * the priority sort of the waiting list, every pass (a list of one or no
+//!   application is not sorted);
+//! * Algorithm 1, every pass.  It reads each application's inputs from the
+//!   simulator's store (`SharingSimulator::alloc_info`), and its **prune** of
+//!   finished applications runs only when an application completed since the
+//!   previous pass, the only way a listed application stops being live;
+//! * the grants up to each bound application's `R_Ai`, every pass;
+//! * the **work-conserving** grants of free Little slots to unbound and
+//!   Little-bound applications, only while some Little slot is free on any
+//!   board.  Otherwise none could be granted, and the candidate list is
+//!   neither built nor sorted.
+//!
+//! Whether an arrival was admitted or an application completed is the
+//! simulator's record (`SharingSimulator::pass_changes`), which starts set on
+//! every simulator, so a policy reused for a second run registers and prunes
+//! on its first pass.  Debug builds check each skip: a skipped registration
+//! leaves no active waiting application unlisted, a skipped prune leaves
+//! every listed application live, and a skipped candidate list leaves no
+//! Little slot grantable to an application with unplaced units.
+//!
 //! A pass that changes the allocator state (a binding, an allocation, a new
 //! waiting application) reports it through
 //! `SharingSimulator::note_policy_state_changed`, so the engine does not
@@ -30,17 +58,13 @@ use versaslot_fpga::slot::SlotKind;
 use versaslot_workload::AppId;
 
 use super::{sort_by_priority, Policy, ScratchMeter};
-use crate::allocation::{allocate, AllocInputs, AllocationState, AppAllocInfo};
+use crate::allocation::{allocate, AllocationState};
 use crate::engine::{AppState, SharingSimulator};
 
 /// The VersaSlot slot-allocation and scheduling policy.
 #[derive(Debug, Clone, Default)]
 pub struct VersaSlotPolicy {
     state: AllocationState,
-    /// Reusable Algorithm 1 input table (no steady-state allocation).
-    info: AllocInputs,
-    /// Reusable active-application list.
-    active: Vec<AppId>,
     /// Reusable work-conserving candidate list.
     candidates: Vec<AppId>,
     /// Reusable (priority, id) pairs so each priority is computed once per sort.
@@ -59,124 +83,14 @@ impl VersaSlotPolicy {
     pub(crate) fn allocation_state(&self) -> &AllocationState {
         &self.state
     }
-}
 
-impl Policy for VersaSlotPolicy {
-    fn name(&self) -> &'static str {
-        "versaslot"
-    }
-
-    fn scratch_allocs(&self) -> u64 {
-        self.meter.allocs()
-    }
-
-    fn schedule(&mut self, sim: &mut SharingSimulator) {
-        #[cfg(debug_assertions)]
-        let before = self.state.clone();
-        self.active.clear();
-        self.active.extend_from_slice(sim.active_apps());
-
-        // Preemption applies to Little slots only (an application cannot occupy
-        // both Big and Little slots, and Big-bound applications finish all their
-        // tasks in the Big slot); the shared helper only ever preempts Little
-        // slots, and the work-conserving pass below hands the freed slot to the
-        // starving application.
-        super::preempt_for_starving_apps(sim);
-
-        // Register new arrivals with the allocator.  `changed` tracks whether
-        // this pass changed the allocator state a later pass reads (the
-        // waiting list's order is not state: it is re-sorted before use).
-        // The bindings the grants below record need no flag: a grant marks
-        // the next pass due itself.
-        let mut changed = false;
-        for i in 0..self.active.len() {
-            let app = self.active[i];
-            if sim.app(app).state == AppState::Waiting
-                && !self.state.is_bound_big(app)
-                && !self.state.is_bound_little(app)
-            {
-                changed |= self.state.add_waiting(app);
-            }
-        }
-
-        // Process the waiting list in runnable-queue priority order (ageing).
-        // VersaSlot inherits the runnable-queue ordering and preemption mechanism
-        // of Nimblock for its candidate list, so the waiting list `C_wait` is
-        // sorted by the shared ageing priority.
-        sort_by_priority(sim, &mut self.keyed, &mut self.state.waiting);
-
-        // Build the Algorithm 1 inputs (reused table, no per-pass map).
-        self.info.clear();
-        for i in 0..self.active.len() {
-            let app = self.active[i];
-            let runtime = sim.app(app);
-            let (optimal_big, optimal_little) = runtime.optimal_slots();
-            self.info.insert(
-                app,
-                AppAllocInfo {
-                    can_bundle: sim.can_bundle(app),
-                    unfinished_tasks: runtime.unfinished_units(),
-                    optimal_little,
-                    optimal_big,
-                    started: runtime.started,
-                },
-            );
-        }
-
-        changed |= allocate(
-            &mut self.state,
-            sim.enabled_slot_total(SlotKind::Big),
-            sim.enabled_slot_total(SlotKind::Little),
-            sim.free_slot_count(SlotKind::Big),
-            sim.free_slot_count(SlotKind::Little),
-            &self.info,
-        );
-
-        // Granting pass of Algorithm 2: top every bound application up to its
-        // allocation R_Ai.  Applications bound to Big slots complete all their
-        // 3-in-1 tasks there; Little-bound applications may also keep draining on
-        // their home board after a cross-board switch.
-        for i in 0..self.state.bound_big.len() {
-            let app = self.state.bound_big[i];
-            let target = self.state.allocation(app).big;
-            loop {
-                let (used_big, _) = sim.slots_in_use_by(app);
-                if used_big >= target {
-                    break;
-                }
-                let Some(slot) = sim.first_grantable_slot(app, Some(SlotKind::Big)) else {
-                    break;
-                };
-                if !sim.grant_slot(slot, app) {
-                    break;
-                }
-            }
-        }
-
-        for i in 0..self.state.bound_little.len() {
-            let app = self.state.bound_little[i];
-            let target = self.state.allocation(app).little;
-            loop {
-                let (_, used_little) = sim.slots_in_use_by(app);
-                if used_little >= target {
-                    break;
-                }
-                let Some(slot) = sim.first_grantable_slot(app, Some(SlotKind::Little)) else {
-                    break;
-                };
-                if !sim.grant_slot(slot, app) {
-                    break;
-                }
-            }
-        }
-
-        // Work-conserving redistribution: whatever Little slots remain free after
-        // the allocation-driven grants go to candidate applications (front of the
-        // runnable queue first) rather than idling — the paper's redistribution
-        // goal of "effectively avoiding slot idling".
+    /// The work-conserving half of the granting pass: hands free Little
+    /// slots to the active applications not bound to Big slots that still
+    /// have unplaced units, front of the runnable queue first, and binds a
+    /// waiting application to the Little slots it was granted.
+    fn grant_free_little_slots(&mut self, sim: &mut SharingSimulator) {
         self.candidates.clear();
-        for i in 0..self.active.len() {
-            let app = self.active[i];
+        for &app in sim.active_apps() {
             if !self.state.is_bound_big(app) && sim.app(app).unplaced_units() > 0 {
                 self.candidates.push(app);
             }
@@ -196,38 +110,179 @@ impl Policy for VersaSlotPolicy {
                 // The application is now executing in Little slots: record the
                 // binding so rebinding and future allocation passes see it.
                 self.state.waiting.retain(|a| *a != app);
-                self.state.bound_little.push(app);
-                self.state.allocations.insert(
-                    app,
-                    crate::allocation::Allocation {
-                        big: 0,
-                        little: granted,
-                    },
-                );
+                self.state.bound_little.push((app, granted));
             }
+        }
+    }
+}
+
+impl Policy for VersaSlotPolicy {
+    fn name(&self) -> &'static str {
+        "versaslot"
+    }
+
+    fn scratch_allocs(&self) -> u64 {
+        self.meter.allocs()
+    }
+
+    fn schedule(&mut self, sim: &mut SharingSimulator) {
+        #[cfg(debug_assertions)]
+        let before = self.state.clone();
+        let changes = sim.pass_changes();
+
+        // Preemption applies to Little slots only (an application cannot occupy
+        // both Big and Little slots, and Big-bound applications finish all their
+        // tasks in the Big slot); the shared helper only ever preempts Little
+        // slots, and the work-conserving pass below hands the freed slot to the
+        // starving application.
+        super::preempt_for_starving_apps(sim);
+
+        // Register new arrivals with the allocator.  `changed` tracks whether
+        // this pass changed the allocator state a later pass reads (the
+        // waiting list's order is not state: it is re-sorted before use).
+        // The bindings the grants below record need no flag: a grant marks
+        // the next pass due itself.  Only an admission creates a waiting
+        // application the allocator does not list yet.
+        let mut changed = false;
+        if changes.admitted {
+            for &app in sim.active_apps() {
+                if sim.app(app).state == AppState::Waiting
+                    && !self.state.is_bound_big(app)
+                    && !self.state.is_bound_little(app)
+                {
+                    changed |= self.state.add_waiting(app);
+                }
+            }
+        } else {
+            #[cfg(debug_assertions)]
+            debug_assert_waiting_apps_listed(&self.state, sim);
+        }
+
+        // Process the waiting list in runnable-queue priority order (ageing).
+        // VersaSlot inherits the runnable-queue ordering and preemption mechanism
+        // of Nimblock for its candidate list, so the waiting list `C_wait` is
+        // sorted by the shared ageing priority.
+        sort_by_priority(sim, &mut self.keyed, &mut self.state.waiting);
+
+        // Algorithm 1 reads each application's inputs from the simulator's
+        // store, and prunes only when an application completed since the
+        // last pass: nothing else makes a listed application non-live.
+        #[cfg(debug_assertions)]
+        if !changes.completed {
+            debug_assert_listed_apps_live(&self.state, sim);
+        }
+        changed |= allocate(
+            &mut self.state,
+            sim.enabled_slot_total(SlotKind::Big),
+            sim.enabled_slot_total(SlotKind::Little),
+            sim.free_slot_count(SlotKind::Big),
+            sim.free_slot_count(SlotKind::Little),
+            changes.completed,
+            |app| sim.alloc_info(app),
+        );
+
+        // Granting pass of Algorithm 2: top every bound application up to its
+        // allocation R_Ai.  Applications bound to Big slots complete all their
+        // 3-in-1 tasks there; Little-bound applications may also keep draining on
+        // their home board after a cross-board switch.
+        for i in 0..self.state.bound_big.len() {
+            let (app, target) = self.state.bound_big[i];
+            loop {
+                let (used_big, _) = sim.slots_in_use_by(app);
+                if used_big >= target {
+                    break;
+                }
+                let Some(slot) = sim.first_grantable_slot(app, Some(SlotKind::Big)) else {
+                    break;
+                };
+                if !sim.grant_slot(slot, app) {
+                    break;
+                }
+            }
+        }
+
+        for i in 0..self.state.bound_little.len() {
+            let (app, target) = self.state.bound_little[i];
+            loop {
+                let (_, used_little) = sim.slots_in_use_by(app);
+                if used_little >= target {
+                    break;
+                }
+                let Some(slot) = sim.first_grantable_slot(app, Some(SlotKind::Little)) else {
+                    break;
+                };
+                if !sim.grant_slot(slot, app) {
+                    break;
+                }
+            }
+        }
+
+        // Work-conserving redistribution: whatever Little slots remain free after
+        // the allocation-driven grants go to candidate applications (front of the
+        // runnable queue first) rather than idling — the paper's redistribution
+        // goal of "effectively avoiding slot idling".  With no Little slot free
+        // on any board no candidate could be granted one, so the list is not
+        // built.
+        if sim.has_free_slot(SlotKind::Little) {
+            self.grant_free_little_slots(sim);
+        } else {
+            #[cfg(debug_assertions)]
+            debug_assert_no_little_slot_grantable(sim);
         }
         if changed {
             sim.note_policy_state_changed();
         }
         #[cfg(debug_assertions)]
-        {
-            debug_assert_change_noted(&before, &self.state, sim);
-            self.state.assert_allocations_match_bindings();
-        }
+        debug_assert_change_noted(&before, &self.state, sim);
 
-        // The allocation table has one entry per bound application.  Its
-        // peak length can rise after warm-up while neither bound list grows,
-        // so it is reserved to both lists' capacity and grows only with them.
-        let bound_capacity = self.state.bound_big.capacity() + self.state.bound_little.capacity();
-        self.state.allocations.reserve_total(bound_capacity);
         self.meter.observe(
-            self.active.capacity()
-                + self.candidates.capacity()
+            self.candidates.capacity()
                 + self.keyed.capacity()
-                + self.info.capacity()
                 + self.state.waiting.capacity()
-                + bound_capacity
-                + self.state.allocations.capacity(),
+                + self.state.bound_big.capacity()
+                + self.state.bound_little.capacity(),
+        );
+    }
+}
+
+/// Debug check of the registration skip: with no admission since the last
+/// pass, every active application that still waits is listed already.
+#[cfg(debug_assertions)]
+fn debug_assert_waiting_apps_listed(state: &AllocationState, sim: &SharingSimulator) {
+    for &app in sim.active_apps() {
+        assert!(
+            sim.app(app).state != AppState::Waiting || state.listed().any(|a| a == app),
+            "waiting {app} is missing from VersaSlot's lists at {} with no admission since \
+             the last pass",
+            sim.now()
+        );
+    }
+}
+
+/// Debug check of the prune skip: with no completion since the last pass,
+/// every application the allocator lists is live.
+#[cfg(debug_assertions)]
+fn debug_assert_listed_apps_live(state: &AllocationState, sim: &SharingSimulator) {
+    for app in state.listed() {
+        assert!(
+            sim.alloc_info(app).is_some(),
+            "VersaSlot lists {app} at {}, which is no longer live, with no completion \
+             since the last pass",
+            sim.now()
+        );
+    }
+}
+
+/// Debug check of the work-conserving skip: with no Little slot free on any
+/// board, no application with unplaced units has a grantable Little slot.
+#[cfg(debug_assertions)]
+fn debug_assert_no_little_slot_grantable(sim: &SharingSimulator) {
+    for &app in sim.active_apps() {
+        assert!(
+            sim.app(app).unplaced_units() == 0
+                || !sim.has_grantable_slot(app, Some(SlotKind::Little)),
+            "a Little slot is grantable to {app} at {} although none is free",
+            sim.now()
         );
     }
 }

@@ -19,11 +19,16 @@
 # since libc keeps no frame pointers.  Its buffer reserves 16 MiB (2^17
 # samples of 128 B).  It writes /proc/self/maps and the samples at exit.
 # The samples are then symbolised with `addr2line -f -i -C` and printed as
-# three tables: the top functions by self samples (the innermost frame,
+# four tables: the top functions by self samples (the innermost frame,
 # inlined callees included), by outermost frame (the real, non-inlined
-# function the PC was in), and the samples outside perfbench's own binary
+# function the PC was in), the samples outside perfbench's own binary
 # (libc's memmove or malloc, say) by library and by the call site of their
-# first frame inside perfbench.
+# first frame inside perfbench, and the top functions by inclusive samples:
+# every function anywhere in a sample's recorded stack (the PC's inlined
+# chain and each return address's), counted once per sample however often
+# it recurs, so a pass whose cost is spread over its callees shows whole.
+# A stack is cut at 15 return addresses, and a sample off the main thread
+# keeps its PC alone, so an inclusive share is a lower bound.
 #
 # Needs cc, addr2line, readelf and python3.  Nothing here runs in CI, and
 # neither the crates nor perfbench are changed.
@@ -221,6 +226,7 @@ LD_PRELOAD="$PWD/$out/sampler.so" "$bin" \
 readelf -lW "$bin" > "$out/segments.txt"
 python3 - "$raw" "$PWD/$bin" "$out/segments.txt" <<'EOF'
 import collections
+import functools
 import os
 import subprocess
 import sys
@@ -255,6 +261,7 @@ def vaddr_of(file_offset):
             return file_offset - offset + vaddr
     return None
 
+@functools.lru_cache(maxsize=None)
 def locate(address):
     """(perfbench address, None) for an address in perfbench's code, else
     (None, the library's name)."""
@@ -281,7 +288,16 @@ for pc, *returns in stacks:
     site = next((v - 1 for v, _ in map(locate, returns) if v is not None), None)
     callers[library, site] += 1
 
-addresses = sorted(set(per_pc) | {site for _, site in callers if site is not None})
+# Every return address inside perfbench, less one so it falls inside its call.
+return_sites = {
+    vaddr - 1
+    for _, *returns in stacks
+    for vaddr, _ in map(locate, returns)
+    if vaddr is not None
+}
+addresses = sorted(
+    set(per_pc) | {site for _, site in callers if site is not None} | return_sites
+)
 text = subprocess.run(
     ["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
     input="".join(f"{a:x}\n" for a in addresses),
@@ -311,6 +327,17 @@ for name, n in other.items():
     inner[f"[{name}]"] += n
     outer[f"[{name}]"] += n
 
+# Inclusive: each function in a sample's PC chain or return-address chains,
+# once per sample.
+inclusive = collections.Counter()
+for pc, *returns in stacks:
+    vaddr, library = locate(pc)
+    names = {f"[{library}]"} if vaddr is None else set(frames.get(vaddr) or ["??"])
+    for site, _ in map(locate, returns):
+        if site is not None:
+            names.update(frames.get(site - 1) or ["??"])
+    inclusive.update(names)
+
 def table(title, counter, rows=30):
     print(f"\n{title}")
     for name, n in counter.most_common(rows):
@@ -331,4 +358,5 @@ print(f"{total} samples ({len(per_pc)} distinct PCs in perfbench)")
 table("top functions by self samples (innermost frame)", inner)
 table("top functions by outermost frame", outer)
 table("samples outside perfbench by their first frame inside it", by_caller)
+table("top functions by inclusive samples (anywhere in the stack, once per sample)", inclusive, rows=60)
 EOF
