@@ -216,8 +216,9 @@
 //! Steady-state simulation performs **zero heap allocations per event**:
 //!
 //! * the [`EventQueue`] is one sorted run, pre-sized at construction with
-//!   `SharingSimulator::event_queue_capacity` (arrivals + slots + boards, the
-//!   tight bound on concurrently pending events), so it never grows —
+//!   `SharingSimulator::event_queue_capacity` (arrivals + slots + boards,
+//!   and boards again with the fault plane on: the tight bound on
+//!   concurrently pending events), so it never grows —
 //!   [`SharingSimulator::step`] debug-asserts
 //!   [`SharingSimulator::event_queue_grow_events`] stays `0`.  A pop is
 //!   `Vec::pop`, and a push scans back past the pending events due at or
@@ -245,7 +246,7 @@ use std::collections::BTreeMap;
 
 use versaslot_fpga::bitstream::BitstreamKind;
 use versaslot_fpga::board::BoardId;
-use versaslot_fpga::cpu::{CoreAssignment, CpuCore};
+use versaslot_fpga::cpu::CoreAssignment;
 use versaslot_fpga::interconnect::DmaModel;
 use versaslot_fpga::pcap::{SerialServer, ServiceWindow};
 use versaslot_fpga::resources::ResourceVector;
@@ -334,12 +335,14 @@ struct FaultState {
     slot_quarantined: Vec<bool>,
 }
 
-/// The scheduler and PR-server cores of one board.
+/// The scheduler and PR-server cores of one board, each a serial server: a
+/// PCAP load suspends the issuing core, and a launch runs on the scheduler
+/// core behind whatever occupies it.
 #[derive(Debug, Clone, Copy)]
 struct BoardCores {
     assignment: CoreAssignment,
-    sched: CpuCore,
-    pr: CpuCore,
+    sched: SerialServer,
+    pr: SerialServer,
 }
 
 /// Maps a slot kind to its bit in [`SlotIndex::kind`].
@@ -570,6 +573,34 @@ impl SharingSimulator {
     /// references an application outside the suite, or two arrivals share an
     /// identifier.
     pub fn new(config: SystemConfig, suite: Vec<ApplicationSpec>, arrivals: &[AppArrival]) -> Self {
+        Self::build(config, suite, arrivals, arrivals.len())
+    }
+
+    /// Creates a simulator for **service mode**: no arrivals are scheduled up
+    /// front; the caller injects them one at a time with
+    /// [`Self::inject_arrival`] and retires finished applications with
+    /// [`Self::retire_completed`], so the application tables stay O(live apps)
+    /// over an unbounded run.
+    ///
+    /// The event queue is pre-sized for at most `arrival_lookahead` pending
+    /// injected arrivals (the service runner keeps exactly one in flight), so
+    /// the allocation-free spine invariant holds in service mode too.
+    pub fn for_service(
+        config: SystemConfig,
+        suite: Vec<ApplicationSpec>,
+        arrival_lookahead: usize,
+    ) -> Self {
+        Self::build(config, suite, &[], arrival_lookahead)
+    }
+
+    /// The one constructor: schedules `arrivals` up front in a queue sized for
+    /// `arrival_capacity` pending arrival events at once.
+    fn build(
+        config: SystemConfig,
+        suite: Vec<ApplicationSpec>,
+        arrivals: &[AppArrival],
+        arrival_capacity: usize,
+    ) -> Self {
         config.validate().unwrap_or_else(|err| panic!("{err}"));
         for arrival in arrivals {
             assert!(
@@ -615,8 +646,8 @@ impl SharingSimulator {
             }
             cores.push(BoardCores {
                 assignment: board.cores,
-                sched: CpuCore::new(),
-                pr: CpuCore::new(),
+                sched: SerialServer::new(),
+                pr: SerialServer::new(),
             });
         }
         let pr_paths = vec![SerialServer::new(); config.boards.len()];
@@ -634,9 +665,9 @@ impl SharingSimulator {
             })
         });
 
-        let mut events = EventQueue::with_capacity(Self::queue_capacity_for(
+        let mut events = EventQueue::with_capacity(Self::event_queue_capacity(
             &config,
-            arrivals.len(),
+            arrival_capacity,
             slots.len(),
         ));
         let mut pending_arrivals = BTreeMap::new();
@@ -708,29 +739,6 @@ impl SharingSimulator {
         };
         sim.util = sim.recount_utilization();
         sim.utilization = TimeWeightedRatios::new(SimTime::ZERO, sim.util.lanes());
-        sim
-    }
-
-    /// Creates a simulator for **service mode**: no arrivals are scheduled up
-    /// front; the caller injects them one at a time with
-    /// [`Self::inject_arrival`] and retires finished applications with
-    /// [`Self::retire_completed`], so the application tables stay O(live apps)
-    /// over an unbounded run.
-    ///
-    /// The event queue is pre-sized for at most `arrival_lookahead` pending
-    /// injected arrivals (the service runner keeps exactly one in flight), so
-    /// the allocation-free spine invariant holds in service mode too.
-    pub fn for_service(
-        config: SystemConfig,
-        suite: Vec<ApplicationSpec>,
-        arrival_lookahead: usize,
-    ) -> Self {
-        let mut sim = Self::new(config, suite, &[]);
-        sim.events = EventQueue::with_capacity(Self::queue_capacity_for(
-            &sim.config,
-            arrival_lookahead,
-            sim.slots.len(),
-        ));
         sim
     }
 
@@ -1031,31 +1039,27 @@ impl SharingSimulator {
     /// Upper bound on the number of *concurrently pending* events of a run, used
     /// to pre-size the [`EventQueue`] so the steady state never allocates.
     ///
-    /// All arrival events are scheduled up front (`num_arrivals`); beyond those,
-    /// every slot has at most one in-flight completion (`PrComplete` while
-    /// reconfiguring *or* `ItemComplete` while busy — the states are exclusive)
-    /// and every board at most one pending `SwitchComplete`.  This bound is much
-    /// tighter than the apps × tasks worst case: pending events are limited by
-    /// the hardware (slots), not by the backlog of work.
+    /// At most `num_arrivals` arrival events are pending at once (a finite
+    /// run schedules all of them up front); beyond those, every one of the
+    /// `num_slots` slots has at most one in-flight completion (`PrComplete`
+    /// while reconfiguring *or* `ItemComplete` while busy — the states are
+    /// exclusive), every board at most one pending `SwitchComplete`, and, when
+    /// the fault plane is on, every board at most one pending `BoardDown`
+    /// *or* `BoardUp` timer — never both.  This bound is much tighter than the
+    /// apps × tasks worst case: pending events are limited by the hardware
+    /// (slots), not by the backlog of work.
     pub(crate) fn event_queue_capacity(
+        config: &SystemConfig,
         num_arrivals: usize,
         num_slots: usize,
-        num_boards: usize,
     ) -> usize {
-        num_arrivals + num_slots + num_boards
-    }
-
-    /// Queue capacity for a concrete configuration: the public bound above,
-    /// plus one slot per board when the fault plane is on (each board has at
-    /// most one pending `BoardDown` *or* `BoardUp` timer — never both).
-    fn queue_capacity_for(config: &SystemConfig, num_arrivals: usize, num_slots: usize) -> usize {
         let boards = config.boards.len();
-        let fault_events = if config.active_faults().is_some() {
+        let fault_timers = if config.active_faults().is_some() {
             boards
         } else {
             0
         };
-        Self::event_queue_capacity(num_arrivals, num_slots, boards) + fault_events
+        num_arrivals + num_slots + boards + fault_timers
     }
 
     /// Counters of the fault plane; all-zero when no fault profile is
@@ -1438,7 +1442,7 @@ impl SharingSimulator {
             CoreAssignment::SingleCore => &mut cores.sched,
             CoreAssignment::DualCore => &mut cores.pr,
         };
-        issuing_core.block(at, pcap_load);
+        issuing_core.submit(at, pcap_load);
         window
     }
 
@@ -2346,11 +2350,11 @@ impl SharingSimulator {
     /// idle slot `slot_idx`.
     fn launch(&mut self, app_id: AppId, unit_idx: usize, slot_idx: usize, duration: SimDuration) {
         let board = self.slots[slot_idx].board.0 as usize;
-        let cores = &mut self.cores[board];
-        let blocked =
-            cores.sched.earliest_start(self.now) > self.now + self.config.blocked_threshold;
-        let launch_done = cores.sched.run(self.now, self.config.launch_overhead);
-        let complete = launch_done + duration;
+        let launch = self.cores[board]
+            .sched
+            .submit(self.now, self.config.launch_overhead);
+        let blocked = launch.queueing_delay(self.now) > self.config.blocked_threshold;
+        let complete = launch.finish + duration;
 
         if blocked {
             self.blocked_events += 1;
@@ -2800,7 +2804,7 @@ mod tests {
             })
             .collect();
         let slots = config.boards.iter().map(|b| b.layout.slots().len()).sum();
-        let bound = SharingSimulator::event_queue_capacity(arrivals.len(), slots, 2);
+        let bound = SharingSimulator::event_queue_capacity(&config, arrivals.len(), slots);
         let mut sim = SharingSimulator::new(config, BenchmarkApp::suite(), &arrivals);
         let mut policy = VersaSlotPolicy::new();
         loop {

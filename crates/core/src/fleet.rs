@@ -26,18 +26,18 @@
 //!   snapshots and execution order is restored by shard index, the fleet
 //!   output is **byte-identical** across
 //!   `Parallelism::{Sequential, Threads, Auto}` and from run to run.
-//! * **Scoped shard sessions.**  [`FleetEngine::run_epochs_on`] (and so
-//!   [`FleetEngine::run`] and [`run_fleet`]) runs its epochs in one
-//!   [`std::thread::scope`]: worker `w` borrows the `w`-th contiguous chunk of
-//!   shards for every epoch of the call, so a shard spine never moves between
-//!   threads.  At each barrier the driver routes the epoch, sends every
-//!   spawned worker its chunk's arrival batches over a one-slot channel, runs
-//!   the first chunk itself, and receives the drained batches back with the
-//!   chunks' completion counters.  The same buffers shuttle back and forth, so
-//!   steady-state epochs allocate nothing.
-//!   [`FleetEngine::advance_epoch`] under `Parallelism::Sequential` runs
-//!   every shard in place on the calling thread — the reference
-//!   implementation the pooled path is property-tested against.
+//! * **Scoped shard sessions.**  One epoch loop runs every fleet:
+//!   [`FleetEngine::run_epochs_on`] (and so [`FleetEngine::run`],
+//!   [`FleetEngine::advance_epoch`] and [`run_fleet`]) runs its epochs in one
+//!   [`std::thread::scope`].  Worker `w` borrows the `w`-th contiguous chunk
+//!   of shards for every epoch of the call, so a shard spine never moves
+//!   between threads.  The calling thread is worker 0, so a one-worker
+//!   session (`Parallelism::Sequential`) spawns no thread and runs every
+//!   shard in place.  At each barrier the driver routes the epoch, lends
+//!   every worker its chunk's arrival batches (over a one-slot channel to
+//!   each spawned worker), runs the first chunk itself, and takes the drained
+//!   batches back with the chunks' completion counters.  The same buffers go
+//!   out and come back, so steady-state epochs allocate nothing.
 //! * **Mergeable metrics.**  [`FleetEngine::report`] folds the per-shard
 //!   accumulators with [`StreamingSummary::merge`] (exact Welford moments,
 //!   bin-wise histogram tails) into one fleet-wide [`Summary`], alongside the
@@ -218,9 +218,18 @@ impl FleetConfig {
                 format_args!("spillover needs a positive forwarding latency"),
             )?;
         }
-        // The per-shard service configuration re-validates process, load,
+        // The fleet-wide stream must be a valid service run's: process, load,
         // batch range and window.
-        self.shard_service_config(0).validate()?;
+        ServiceConfig {
+            process: self.process,
+            load: self.load,
+            batch_range: self.batch_range,
+            seed: self.seed,
+            warmup: self.warmup,
+            stop: StopCondition::Horizon(self.horizon),
+            window: self.window,
+        }
+        .validate()?;
         match &self.faults {
             Some(faults) => faults.validate(),
             None => Ok(()),
@@ -245,22 +254,6 @@ impl FleetConfig {
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         x ^ (x >> 31)
     }
-
-    /// The [`ServiceConfig`] shard `shard` runs under: the fleet parameters
-    /// with the shard's own seed and a [`StopCondition::Horizon`] stop at the
-    /// fleet horizon.  A shard's runner generates no arrivals, so the process,
-    /// load and seed only label its report.
-    pub(crate) fn shard_service_config(&self, shard: usize) -> ServiceConfig {
-        ServiceConfig {
-            process: self.process,
-            load: self.load,
-            batch_range: self.batch_range,
-            seed: self.shard_seed(shard),
-            warmup: self.warmup,
-            stop: StopCondition::Horizon(self.horizon),
-            window: self.window,
-        }
-    }
 }
 
 /// One shard: a full service spine plus its policy and window timeline.
@@ -280,7 +273,7 @@ impl ShardState {
     /// Runs this shard's slice of one epoch: the runner's stepping loop up to
     /// the barrier, or — on the final epoch — up to the horizon stop plus the
     /// window flush, so a segmented run is byte-identical to an unsegmented
-    /// one.  Shared verbatim by the sequential and pooled execution paths.
+    /// one.
     fn run_epoch(&mut self, barrier: SimTime, is_final: bool) {
         let ShardState {
             runner,
@@ -307,8 +300,8 @@ struct ShardAdmission {
 
 /// What travels between the driver and one session worker each epoch: the
 /// chunk's arrival batches out, and the same batches back, drained, with the
-/// chunk's completion counters.  The same parcels shuttle back and forth for
-/// a whole session, so steady-state epochs allocate nothing.
+/// chunk's completion counters.  The batches are the engine's routing
+/// buffers, lent for one epoch, so steady-state epochs allocate nothing.
 struct Parcel {
     barrier: SimTime,
     is_final: bool,
@@ -423,8 +416,8 @@ pub struct FleetEngine {
     /// What the forwarding fabric injected so far.
     fabric_stats: FaultStats,
     /// Per-shard arrival batches of the epoch being routed.  Reused across
-    /// epochs with high-water retention (cleared by `drain`, never dropped;
-    /// a session swaps them with its parcels' drained buffers), so
+    /// epochs with high-water retention (a session lends them to its parcels
+    /// for each epoch, which drain them, and takes them back), so
     /// steady-state routing allocates nothing; see
     /// `FleetEngine::arrival_scratch_capacities`.
     due: Vec<Vec<AppArrival>>,
@@ -458,7 +451,9 @@ impl FleetEngine {
             let runner = ServiceRunner::new_routed(
                 system,
                 suite.clone(),
-                config.shard_service_config(index),
+                config.warmup,
+                StopCondition::Horizon(config.horizon),
+                config.window,
             );
             shards.push(ShardState {
                 index,
@@ -567,37 +562,14 @@ impl FleetEngine {
     /// barrier snapshots.  Returns `false` once the horizon has been reached
     /// (further calls are no-ops).
     ///
-    /// Under [`Parallelism::Sequential`] the shards run in place on the
-    /// calling thread — the reference implementation of an epoch, which the
-    /// pooled path is property-tested byte-identical against.  With more than
-    /// one worker the epoch is a one-epoch session (see
-    /// [`FleetEngine::run_epochs_on`]); whole runs should use
-    /// [`FleetEngine::run`] instead, which spawns the workers once.
+    /// The epoch is a one-epoch session of `parallelism.workers(shards)`
+    /// workers (see [`FleetEngine::run_epochs_on`]); under
+    /// [`Parallelism::Sequential`] that is the calling thread alone.  Whole
+    /// runs should use [`FleetEngine::run`] instead, which spawns the workers
+    /// once.
     pub fn advance_epoch(&mut self, parallelism: Parallelism) -> bool {
-        if self.finished {
-            return false;
-        }
         let workers = parallelism.workers(self.shards.len());
-        if workers > 1 {
-            return self.run_epochs_on(&WorkerPool::new(workers), 1);
-        }
-        let (barrier, is_final) = self.next_barrier();
-
-        self.route_epoch(barrier);
-        for (shard, batch) in self.shards.iter_mut().zip(self.due.iter_mut()) {
-            shard.runner.enqueue_arrivals(batch.drain(..));
-            shard.run_epoch(barrier, is_final);
-        }
-
-        // Barrier snapshot exchange: completion counters flow back to the
-        // router for the next epoch's least-loaded / spillover decisions.
-        for shard in &self.shards {
-            self.router
-                .record_completions(shard.index, shard.runner.completions());
-        }
-        self.epochs_run += 1;
-        self.finished = is_final;
-        !self.finished
+        self.run_epochs_on(&WorkerPool::new(workers), 1)
     }
 
     /// Runs the fleet to its horizon in one session of
@@ -612,30 +584,21 @@ impl FleetEngine {
     ///
     /// One call is one **session**, a [`std::thread::scope`]: worker `w`
     /// borrows the `w`-th contiguous chunk of shards for every epoch of the
-    /// call, and worker 0 is the calling thread.  Each epoch the driver routes
-    /// the arrivals, sends every other worker its chunk's batches over a
-    /// one-slot channel, runs its own chunk, and folds the completion counters
-    /// in shard-index order, exactly as the sequential path does.  The shards
-    /// are back in the engine when the call returns, so a run resumes — in a
-    /// new session, or sequentially — byte-identically.  A shard that panics
-    /// fails the call: on a spawned worker the driver panics with "a fleet
-    /// worker panicked while running its shards", and the scope joins the
-    /// other workers before the panic leaves this call.  With at most one
-    /// worker the sequential path runs inline.
+    /// call, and worker 0 is the calling thread, so a one-worker session
+    /// spawns no thread and runs every shard in place.  Each epoch the driver
+    /// routes the arrivals, lends every worker its chunk's batches (over a
+    /// one-slot channel to each spawned one), runs its own chunk, takes the
+    /// drained batches back and folds the completion counters in shard-index
+    /// order.  The shards are back in the engine when the call returns, so a
+    /// run resumes in a session of any size byte-identically.  A shard that
+    /// panics fails the call: on a spawned worker the driver panics with "a
+    /// fleet worker panicked while running its shards", and the scope joins
+    /// the other workers before the panic leaves this call.
     pub fn run_epochs_on(&mut self, pool: &WorkerPool, max_epochs: u64) -> bool {
         if self.finished {
             return false;
         }
         let workers = pool.workers().min(self.shards.len());
-        if workers <= 1 {
-            for _ in 0..max_epochs {
-                if !self.advance_epoch(Parallelism::Sequential) {
-                    break;
-                }
-            }
-            return !self.finished;
-        }
-
         let mut shards = std::mem::take(&mut self.shards);
         std::thread::scope(|scope| {
             let chunk_len = shards.len().div_ceil(workers);
@@ -664,16 +627,14 @@ impl FleetEngine {
                 }
                 let (barrier, is_final) = self.next_barrier();
                 self.route_epoch(barrier);
-                // A swap hands the routed batches to the parcel and leaves the
-                // parcel's drained buffers for the next epoch's routing.
-                let mut due = self.due.iter_mut();
+                // A swap lends the routed batches to the parcels; the swap
+                // back below returns them drained, so `due` keeps its
+                // high-water buffers from session to session.
                 for parcel in &mut parcels {
                     parcel.barrier = barrier;
                     parcel.is_final = is_final;
-                    for (batch, routed) in parcel.batches.iter_mut().zip(due.by_ref()) {
-                        std::mem::swap(batch, routed);
-                    }
                 }
+                self.swap_batches(&mut parcels);
                 for ((orders, _), parcel) in links.iter().zip(parcels.drain(1..)) {
                     orders
                         .send(parcel)
@@ -690,8 +651,10 @@ impl FleetEngine {
                             .expect("a fleet worker panicked while running its shards"),
                     );
                 }
-                // Barrier snapshot exchange, in shard-index order — identical
-                // to the sequential path's fold.
+                self.swap_batches(&mut parcels);
+                // Barrier snapshot exchange, in shard-index order: completion
+                // counters flow back to the router for the next epoch's
+                // least-loaded / spillover decisions.
                 let completions = parcels.iter().flat_map(|parcel| &parcel.completions);
                 for (index, &done) in completions.enumerate() {
                     self.router.record_completions(index, done);
@@ -702,6 +665,15 @@ impl FleetEngine {
         });
         self.shards = shards;
         !self.finished
+    }
+
+    /// Swaps the per-shard arrival batches of `parcels`, in chunk order, with
+    /// the engine's routing buffers `due`.
+    fn swap_batches(&mut self, parcels: &mut [Parcel]) {
+        let batches = parcels.iter_mut().flat_map(|parcel| &mut parcel.batches);
+        for (batch, routed) in batches.zip(&mut self.due) {
+            std::mem::swap(batch, routed);
+        }
     }
 
     /// Current capacities of the reused per-shard arrival scratch buffers.
@@ -1069,10 +1041,10 @@ mod tests {
 
     #[test]
     fn pooled_run_interrupted_mid_run_resumes_byte_identically() {
-        // A partial pooled session must hand every shard back and leave the
-        // engine in a state that resumes — in a session of another size, or
-        // sequentially — to the exact bytes of an uninterrupted sequential
-        // run.
+        // A partial session must hand every shard back and leave the engine
+        // in a state that resumes — in a session of another size, one worker
+        // included, or sequentially — to the exact bytes of an uninterrupted
+        // sequential run.
         let kind = SchedulerKind::VersaSlotBigLittle;
         let reference = {
             let mut engine = FleetEngine::new(kind, fleet_config());
@@ -1084,15 +1056,17 @@ mod tests {
         assert_eq!(engine.epochs_run, 2);
         assert!(engine.run_epochs_on(&WorkerPool::new(2), 1));
         assert_eq!(engine.epochs_run, 3);
+        assert!(engine.run_epochs_on(&WorkerPool::new(1), 1));
+        assert_eq!(engine.epochs_run, 4);
         engine.run(Parallelism::Sequential);
         assert!(engine.finished);
         assert_eq!(reference, serde_json::to_string(&engine.report()).unwrap());
     }
 
     proptest! {
-        /// The pooled epoch-barrier protocol is byte-identical to the
-        /// sequential reference implementation across shard counts (including
-        /// more shards than workers), epoch lengths and fault seeds.
+        /// A two-worker session is byte-identical to one-worker epochs across
+        /// shard counts (including more shards than workers), epoch lengths
+        /// and fault seeds.
         #[test]
         fn pooled_fleet_matches_sequential_fleet(
             shards in prop::sample::select(vec![1usize, 2, 7]),
@@ -1175,8 +1149,8 @@ mod tests {
         let sequential = run(&[Parallelism::Sequential]);
         let reference = serde_json::to_string(&sequential.report()).unwrap();
         let stats = sequential.fault_stats();
-        // One-epoch pooled sessions, alone and alternating with in-place
-        // epochs, so shards are handed back between epochs.
+        // One-epoch three-worker sessions, alone and alternating with
+        // one-worker epochs, so shards are handed back between epochs.
         for modes in [
             &[Parallelism::Threads(3)][..],
             &[Parallelism::Threads(3), Parallelism::Sequential],

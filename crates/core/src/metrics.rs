@@ -7,7 +7,7 @@
 //! counts (the inputs to D_switch) and time-weighted slot occupancy.
 
 use serde::{Deserialize, Serialize};
-use versaslot_sim::{SimDuration, SimTime, Summary, SummaryBuilder};
+use versaslot_sim::{SimDuration, SimTime};
 use versaslot_workload::AppId;
 
 use crate::dswitch::DswitchSample;
@@ -84,26 +84,13 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Response-time summary over all applications, in milliseconds.
-    ///
-    /// Returns `None` if the run completed no applications.
-    pub(crate) fn response_summary(&self) -> Option<Summary> {
-        let mut builder = SummaryBuilder::new();
-        for app in &self.apps {
-            builder.record(app.response().as_millis_f64());
-        }
-        builder.build()
-    }
-
     /// Mean response time in milliseconds.
     ///
     /// # Panics
     ///
     /// Panics if the run completed no applications.
     pub fn mean_response_ms(&self) -> f64 {
-        self.response_summary()
-            .expect("run completed no applications")
-            .mean
+        mean_response_ms(&self.apps).expect("run completed no applications")
     }
 
     /// Number of applications completed.
@@ -151,19 +138,23 @@ pub fn relative_tail(baseline_tail_ms: f64, system_tail_ms: f64) -> f64 {
     system_tail_ms / baseline_tail_ms
 }
 
+/// Mean response time in milliseconds of `apps`: the sum of their response
+/// times, in record order, over their count.  `None` for no applications.
+fn mean_response_ms<'a>(apps: impl IntoIterator<Item = &'a AppRecord>) -> Option<f64> {
+    let mut count = 0usize;
+    let sum = apps
+        .into_iter()
+        .inspect(|_| count += 1)
+        .map(|app| app.response().as_millis_f64())
+        .sum::<f64>();
+    (count > 0).then(|| sum / count as f64)
+}
+
 /// Merges per-sequence reports of the same scheduler into a single pool of
 /// application records (the paper averages over the 10 random sequences).
 pub fn pooled_mean_response_ms(reports: &[RunReport]) -> f64 {
-    let mut builder = SummaryBuilder::new();
-    for report in reports {
-        for app in &report.apps {
-            builder.record(app.response().as_millis_f64());
-        }
-    }
-    builder
-        .build()
+    mean_response_ms(reports.iter().flat_map(|report| &report.apps))
         .expect("no applications across the pooled reports")
-        .mean
 }
 
 /// Pooled percentile (e.g. 0.95 or 0.99) across per-sequence reports.
@@ -224,9 +215,9 @@ mod tests {
         let report = report(&[100, 200, 300]);
         assert_eq!(report.completed(), 3);
         assert!((report.mean_response_ms() - 200.0).abs() < 1e-9);
-        let summary = report.response_summary().expect("three completions");
-        assert!((summary.p95 - 300.0).abs() < 1e-9);
-        assert!((summary.p99 - 300.0).abs() < 1e-9);
+        let reports = std::slice::from_ref(&report);
+        assert!((pooled_percentile_ms(reports, 0.95) - 300.0).abs() < 1e-9);
+        assert!((pooled_percentile_ms(reports, 0.99) - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -257,7 +248,7 @@ mod tests {
             apps: vec![],
             ..report(&[1])
         };
-        assert!(empty.response_summary().is_none());
+        assert_eq!(mean_response_ms(&empty.apps), None);
         assert_eq!(empty.completed(), 0);
     }
 }

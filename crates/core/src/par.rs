@@ -14,7 +14,8 @@
 //!   `core::fleet`) is one scope: worker `w` borrows the `w`-th contiguous
 //!   chunk of shards for every epoch of the call, with the calling thread as
 //!   worker 0, and the driver trades arrival batches for completion counters
-//!   with the spawned workers over one-slot channels at each barrier.
+//!   with the spawned workers over one-slot channels at each barrier.  A
+//!   one-worker session spawns nothing: it is how a fleet runs sequentially.
 //!
 //! `Parallelism::workers` sizes both, once per call.  [`WorkerPool`] is no
 //! more than a worker count for `run_epochs_on`; it holds no threads.

@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::engine::SharingSimulator;
-    use crate::metrics::RunReport;
+    use crate::metrics::{pooled_percentile_ms, RunReport};
     use crate::policy::fcfs::FcfsPolicy;
     use versaslot_fpga::board::BoardSpec;
     use versaslot_fpga::cpu::CoreAssignment;
@@ -176,7 +176,7 @@ mod tests {
             nb.mean_response_ms(),
             fcfs.mean_response_ms()
         );
-        let p99 = |report: &RunReport| report.response_summary().expect("completions").p99;
+        let p99 = |report: &RunReport| pooled_percentile_ms(std::slice::from_ref(report), 0.99);
         assert!(p99(&nb) <= p99(&fcfs) * 1.15);
     }
 

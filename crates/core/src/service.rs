@@ -190,17 +190,12 @@ pub struct AppServiceStats {
 }
 
 /// The fold result of a service run: pooled accumulators only, no per-event or
-/// per-application records.
+/// per-application records.  It reports what the run did, not its inputs:
+/// the caller holds the [`ServiceConfig`] it ran.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// Scheduler label.
     pub scheduler: String,
-    /// The arrival process (after load scaling it ran at `load` × these rates).
-    pub process: ArrivalProcess,
-    /// Load multiplier the run used.
-    pub load: f64,
-    /// Arrival seed.
-    pub seed: u64,
     /// Simulator events processed.
     pub events_processed: u64,
     /// Arrivals admitted into the simulator.
@@ -258,7 +253,9 @@ enum ArrivalSource {
 pub struct ServiceRunner {
     sim: SharingSimulator,
     source: ArrivalSource,
-    config: ServiceConfig,
+    /// Applications arriving before this instant are not measured.
+    warmup_end: SimTime,
+    stop: StopCondition,
     injected: u64,
     overall: StreamingSummary,
     per_app: Vec<StreamingSummary>,
@@ -284,45 +281,33 @@ impl ServiceRunner {
             config.batch_range,
             config.seed,
         );
-        Self::with_source(system, suite, config, ArrivalSource::Driver(driver))
+        ServiceRunner {
+            source: ArrivalSource::Driver(driver),
+            ..Self::new_routed(system, suite, config.warmup, config.stop, config.window)
+        }
     }
 
     /// Creates a runner whose arrivals are routed in from the outside (a fleet
     /// shard): no internal driver, arrivals arrive via
-    /// [`ServiceRunner::enqueue_arrivals`].  The `config` process/load/seed
-    /// are recorded in the report but generate nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`ServiceConfig::validate`].
+    /// [`ServiceRunner::enqueue_arrivals`].  It measures the applications
+    /// arriving after `warmup`, in timeline windows `window` wide, until
+    /// `stop`; the caller has validated these.
     pub(crate) fn new_routed(
         system: SystemConfig,
         suite: Vec<ApplicationSpec>,
-        config: ServiceConfig,
-    ) -> Self {
-        config.validate().unwrap_or_else(|err| panic!("{err}"));
-        Self::with_source(
-            system,
-            suite,
-            config,
-            ArrivalSource::Routed(VecDeque::new()),
-        )
-    }
-
-    fn with_source(
-        system: SystemConfig,
-        suite: Vec<ApplicationSpec>,
-        config: ServiceConfig,
-        source: ArrivalSource,
+        warmup: SimDuration,
+        stop: StopCondition,
+        window: SimDuration,
     ) -> Self {
         let suite_names: Vec<String> = suite.iter().map(|spec| spec.name().to_string()).collect();
         let per_app = vec![StreamingSummary::new(); suite.len()];
-        let window = TumblingWindow::new(config.window);
+        let window = TumblingWindow::new(window);
         let sim = SharingSimulator::for_service(system, suite, ARRIVAL_LOOKAHEAD);
         ServiceRunner {
             sim,
-            source,
-            config,
+            source: ArrivalSource::Routed(VecDeque::new()),
+            warmup_end: SimTime::ZERO + warmup,
+            stop,
             injected: 0,
             overall: StreamingSummary::new(),
             per_app,
@@ -431,9 +416,10 @@ impl ServiceRunner {
 
     /// Folds finished applications into the streaming accumulators and drops
     /// their records (disjoint field borrows around the closure).
-    fn fold_completions(&mut self, warmup_end: SimTime, on_window: &mut dyn FnMut(&WindowSummary)) {
+    fn fold_completions(&mut self, on_window: &mut dyn FnMut(&WindowSummary)) {
         let Self {
             sim,
+            warmup_end,
             overall,
             per_app,
             completions,
@@ -443,7 +429,7 @@ impl ServiceRunner {
         } = self;
         sim.retire_completed(|app| {
             *completions += 1;
-            if app.arrival < warmup_end {
+            if app.arrival < *warmup_end {
                 *warmup_completions += 1;
                 return;
             }
@@ -471,7 +457,6 @@ impl ServiceRunner {
         barrier: Option<SimTime>,
         on_window: &mut dyn FnMut(&WindowSummary),
     ) {
-        let warmup_end = SimTime::ZERO + self.config.warmup;
         while !self.stop_reached() {
             self.inject_pending();
             let Some(next) = self.sim.next_event_time() else {
@@ -486,7 +471,7 @@ impl ServiceRunner {
             }
             let stepped = self.sim.step(policy);
             debug_assert!(stepped, "a pending event was peeked");
-            self.fold_completions(warmup_end, on_window);
+            self.fold_completions(on_window);
         }
     }
 
@@ -514,7 +499,7 @@ impl ServiceRunner {
     }
 
     fn stop_reached(&self) -> bool {
-        match self.config.stop {
+        match self.stop {
             StopCondition::Events(bound) => self.sim.events_processed() >= bound,
             StopCondition::Horizon(horizon) => self.sim.now() >= SimTime::ZERO + horizon,
         }
@@ -535,9 +520,6 @@ impl ServiceRunner {
             .collect();
         ServiceReport {
             scheduler: scheduler.to_string(),
-            process: self.config.process,
-            load: self.config.load,
-            seed: self.config.seed,
             events_processed: self.sim.events_processed(),
             arrivals_admitted: self.sim.arrivals_admitted(),
             completions: self.completions,

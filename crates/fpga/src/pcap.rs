@@ -7,8 +7,9 @@
 //! sets out to solve, so they are modelled explicitly here:
 //!
 //! * [`PcapModel`] converts a bitstream size into a load duration, and
-//! * [`SerialServer`] is the single-server FIFO queue that serialises loads (it is
-//!   also reused for other serial resources such as the DMA engine).
+//! * [`SerialServer`] is the single-server FIFO queue that serialises loads.  The
+//!   PS cores a load suspends are serial servers too (see [`crate::cpu`]); the
+//!   DMA engine and the Aurora link are modelled by their transfer durations alone.
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{SimDuration, SimTime};
@@ -73,9 +74,9 @@ impl Default for PcapModel {
 /// A single-server FIFO resource.
 ///
 /// Requests occupy the server back to back: a request submitted at `now` starts at
-/// `max(now, busy_until)` and finishes `duration` later.  This is exactly the
-/// behaviour of the PCAP (one bitstream at a time) and is also used for the DMA
-/// engine and the Aurora link.
+/// `max(now, busy_until)` and finishes `duration` later.  This is the behaviour
+/// of the PCAP path (one bitstream at a time) and of a PS core (a PCAP load
+/// suspends it, and a launch waits until it is free).
 ///
 /// # Example
 ///
@@ -92,7 +93,6 @@ impl Default for PcapModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SerialServer {
     busy_until: SimTime,
-    completed: u64,
 }
 
 /// The time window a request occupies on a [`SerialServer`].
@@ -116,7 +116,6 @@ impl SerialServer {
     pub fn new() -> Self {
         SerialServer {
             busy_until: SimTime::ZERO,
-            completed: 0,
         }
     }
 
@@ -126,7 +125,6 @@ impl SerialServer {
         let start = now.max_of(self.busy_until);
         let finish = start + duration;
         self.busy_until = finish;
-        self.completed += 1;
         ServiceWindow { start, finish }
     }
 }
@@ -173,7 +171,6 @@ mod tests {
         assert_eq!(b.finish, SimTime::from_millis(15));
         // c arrives after the backlog drained, so it starts immediately.
         assert_eq!(c.start, SimTime::from_millis(30));
-        assert_eq!(server.completed, 3);
         assert_eq!(
             b.queueing_delay(SimTime::from_millis(2)),
             SimDuration::from_millis(8)

@@ -54,8 +54,7 @@ pub use fault::{FaultProfile, FaultSchedule, FaultStats};
 pub use rng::SimRng;
 pub use series::TimeWeightedRatios;
 pub use stats::{
-    percentile, LogHistogram, StreamingSummary, Summary, SummaryBuilder, TumblingWindow, Welford,
-    WindowSummary,
+    percentile, LogHistogram, StreamingSummary, Summary, TumblingWindow, Welford, WindowSummary,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceDetail, TraceKind};

@@ -4,10 +4,10 @@
 //! response time (Figure 6).  This module provides the statistics toolkit the
 //! harnesses use to compute those aggregates, in two flavours:
 //!
-//! * **Batch**: a [`SummaryBuilder`] that stores every observation and produces a
-//!   [`Summary`] with exact nearest-rank percentiles ([`percentile`] /
-//!   [`sorted_percentile`]).  Used by the finite figure runs, where the sample
-//!   fits in memory.
+//! * **Batch**: the exact nearest-rank quantile of a stored sample,
+//!   [`percentile`] (or [`sorted_percentile`] for a sample already sorted).
+//!   Used by the finite figure runs, whose reports keep every response time;
+//!   their mean is a plain sum over the same responses.
 //! * **Streaming**: constant-memory online accumulators for service mode, where
 //!   a run is open-ended and storing samples is impossible — a [`Welford`]
 //!   mean/variance accumulator, a mergeable [`LogHistogram`] for tail
@@ -85,7 +85,7 @@ pub fn sorted_percentile(sorted: &[f64], q: f64) -> Option<f64> {
 }
 
 /// A fixed summary of a sample: count, mean, min/max and the tail percentiles the
-/// paper reports.
+/// paper reports, as [`StreamingSummary::summary`] gives it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of observations.
@@ -104,114 +104,6 @@ pub struct Summary {
     pub p99: f64,
     /// Population standard deviation.
     pub std_dev: f64,
-}
-
-/// Accumulates observations and produces a [`Summary`].
-///
-/// [`SummaryBuilder::build`] sorts a scratch copy of the sample once and caches
-/// it: repeated `build` calls with no intervening [`SummaryBuilder::record`]
-/// reuse the cached order instead of re-sorting.
-///
-/// # Example
-///
-/// ```
-/// use versaslot_sim::SummaryBuilder;
-///
-/// let mut builder = SummaryBuilder::new();
-/// for v in [2.0, 4.0, 6.0] {
-///     builder.record(v);
-/// }
-/// let summary = builder.build().expect("non-empty sample");
-/// assert_eq!(summary.count, 3);
-/// assert!((summary.mean - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SummaryBuilder {
-    values: Vec<f64>,
-    /// Sorted copy of `values`, rebuilt lazily by `build`.  `values` is
-    /// append-only, so the cache is valid exactly when the lengths match.
-    sorted: Vec<f64>,
-}
-
-impl SummaryBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        SummaryBuilder {
-            values: Vec::new(),
-            sorted: Vec::new(),
-        }
-    }
-
-    /// Records one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    pub fn record(&mut self, value: f64) {
-        assert!(!value.is_nan(), "cannot record NaN");
-        self.values.push(value);
-    }
-
-    /// Records every observation from an iterator.
-    pub(crate) fn record_all<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.record(v);
-        }
-    }
-
-    /// Produces the summary, or `None` if nothing was recorded.
-    ///
-    /// The first call after new observations sorts a scratch copy; further
-    /// calls reuse it, so building the same sample repeatedly costs O(n), not
-    /// O(n log n) per call.
-    pub fn build(&mut self) -> Option<Summary> {
-        if self.values.is_empty() {
-            return None;
-        }
-        if self.sorted.len() != self.values.len() {
-            self.sorted.clear();
-            self.sorted.extend_from_slice(&self.values);
-            // `record` rejects NaN, so the comparison is total.
-            self.sorted
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
-        }
-        let count = self.values.len();
-        let sum: f64 = self.values.iter().sum();
-        let mean = sum / count as f64;
-        let variance = self
-            .values
-            .iter()
-            .map(|v| {
-                let d = v - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / count as f64;
-        Some(Summary {
-            count,
-            mean,
-            min: self.sorted[0],
-            max: self.sorted[count - 1],
-            p50: sorted_percentile(&self.sorted, 0.50).expect("non-empty"),
-            p95: sorted_percentile(&self.sorted, 0.95).expect("non-empty"),
-            p99: sorted_percentile(&self.sorted, 0.99).expect("non-empty"),
-            std_dev: variance.sqrt(),
-        })
-    }
-}
-
-impl Extend<f64> for SummaryBuilder {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        self.record_all(iter);
-    }
-}
-
-impl FromIterator<f64> for SummaryBuilder {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut builder = SummaryBuilder::new();
-        builder.record_all(iter);
-        builder
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,8 +224,8 @@ impl Welford {
     }
 }
 
-/// Constant-memory replacement for [`SummaryBuilder`], and the one streaming
-/// accumulator service mode folds every response time through: a [`Welford`]
+/// The one streaming accumulator service mode folds every response time
+/// through, in constant memory: a [`Welford`]
 /// accumulator for the exact count, mean, extremes and standard deviation,
 /// plus a [`LogHistogram`] for the P50/P95/P99 the paper reports.  Both halves
 /// merge exactly, so [`StreamingSummary::merge`] folds per-shard accumulators
@@ -718,28 +610,31 @@ mod tests {
     use proptest::prelude::*;
     use rand::Rng;
 
-    fn summary_of(values: &[f64]) -> Option<Summary> {
-        values.iter().copied().collect::<SummaryBuilder>().build()
-    }
-
     #[test]
     fn summary_of_known_sample() {
+        // Exact quantiles of the stored sample, and the streaming summary's
+        // exact moments and near quantiles of the same sample.
         let values = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let summary = summary_of(&values).unwrap();
+        assert_eq!(percentile(&values, 0.50), Some(3.0));
+        assert_eq!(percentile(&values, 0.95), Some(5.0));
+        assert_eq!(percentile(&values, 0.99), Some(5.0));
+        let mut acc = StreamingSummary::new();
+        values.iter().for_each(|&v| acc.record(v));
+        let summary = acc.summary().unwrap();
         assert_eq!(summary.count, 5);
         assert!((summary.mean - 3.0).abs() < 1e-12);
         assert_eq!(summary.min, 1.0);
         assert_eq!(summary.max, 5.0);
-        assert_eq!(summary.p50, 3.0);
-        assert_eq!(summary.p95, 5.0);
-        assert_eq!(summary.p99, 5.0);
         assert!((summary.std_dev - 2.0_f64.sqrt()).abs() < 1e-12);
+        for (q, estimate, exact, error) in quantile_errors(&summary, &values) {
+            assert!(error < HALF_BIN, "q{q}: {estimate} vs {exact}");
+        }
     }
 
     #[test]
     fn empty_sample_has_no_summary() {
-        assert!(summary_of(&[]).is_none());
-        assert!(SummaryBuilder::new().build().is_none());
+        assert_eq!(percentile(&[], 0.5), None);
+        assert!(StreamingSummary::new().summary().is_none());
     }
 
     #[test]
@@ -770,34 +665,6 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn percentile_rejects_bad_quantile() {
         percentile(&[1.0], 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn builder_rejects_nan() {
-        SummaryBuilder::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn builder_collects_from_iterator() {
-        let builder: SummaryBuilder = [1.0, 2.0, 3.0].into_iter().collect();
-        assert_eq!(builder.values, [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn repeated_builds_and_interleaved_records_agree() {
-        let mut builder = SummaryBuilder::new();
-        builder.record_all([5.0, 1.0, 3.0]);
-        let first = builder.build().unwrap();
-        // Second build with no new observations reuses the sorted cache.
-        assert_eq!(builder.build().unwrap(), first);
-        assert_eq!(builder.values, [5.0, 1.0, 3.0], "insertion order kept");
-        // New observations invalidate the cache.
-        builder.record(0.5);
-        let second = builder.build().unwrap();
-        assert_eq!(second.count, 4);
-        assert_eq!(second.min, 0.5);
-        assert_eq!(second, summary_of(&builder.values).unwrap());
     }
 
     #[test]
@@ -1001,12 +868,15 @@ mod tests {
         right.iter().for_each(|&v| other.record(v));
         merged.merge(&other);
         let merged = merged.summary().unwrap();
-        let exact = summary_of(&values).unwrap();
-        assert_eq!(merged.count, exact.count);
-        assert!((merged.mean - exact.mean).abs() < 1e-9);
-        assert_eq!(merged.min, exact.min);
-        assert_eq!(merged.max, exact.max);
-        assert!((merged.std_dev - exact.std_dev).abs() < 1e-6);
+        // Two-pass moments of the whole sample are the reference.
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let std_dev = (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt();
+        assert_eq!(merged.count, values.len());
+        assert!((merged.mean - mean).abs() < 1e-9);
+        assert_eq!(merged.min, 1.0);
+        assert_eq!(merged.max, 2_000.0);
+        assert!((merged.std_dev - std_dev).abs() < 1e-6);
         for (q, estimate, exact, error) in quantile_errors(&merged, &values) {
             assert!(error < HALF_BIN, "q{q}: {estimate} vs {exact}");
         }
@@ -1117,17 +987,21 @@ mod tests {
     }
 
     proptest! {
-        /// The mean always lies between min and max, and percentiles are monotone.
+        /// The plain mean always lies between min and max, and the exact
+        /// percentiles are monotone from the minimum (q = 0) to the maximum
+        /// (q = 1).
         #[test]
         fn prop_summary_invariants(values in prop::collection::vec(0.0f64..1e6, 1..200)) {
-            let summary = summary_of(&values).unwrap();
-            prop_assert!(summary.min <= summary.mean + 1e-9);
-            prop_assert!(summary.mean <= summary.max + 1e-9);
-            prop_assert!(summary.p50 <= summary.p95);
-            prop_assert!(summary.p95 <= summary.p99);
-            prop_assert!(summary.p99 <= summary.max);
-            prop_assert!(summary.min <= summary.p50);
-            prop_assert_eq!(summary.count, values.len());
+            let mean = values.iter().sum::<f64>() / values.len() as f64;
+            let q = |q| percentile(&values, q).unwrap();
+            let (min, max) = (q(0.0), q(1.0));
+            prop_assert!(values.iter().all(|&v| min <= v && v <= max));
+            prop_assert!(min <= mean + 1e-9);
+            prop_assert!(mean <= max + 1e-9);
+            prop_assert!(min <= q(0.50));
+            prop_assert!(q(0.50) <= q(0.95));
+            prop_assert!(q(0.95) <= q(0.99));
+            prop_assert!(q(0.99) <= max);
         }
 
         /// The reported percentile is always one of the observed values.

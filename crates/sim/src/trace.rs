@@ -31,14 +31,10 @@ use crate::time::{SimDuration, SimTime};
 pub enum TraceKind {
     /// An application entered the system.
     AppArrived,
-    /// An application received a slot allocation.
-    AppAllocated,
     /// An application finished all of its tasks.
     AppCompleted,
     /// A partial reconfiguration request was enqueued on the PCAP.
     PrRequested,
-    /// A partial reconfiguration started loading on the PCAP.
-    PrStarted,
     /// A partial reconfiguration finished.
     PrCompleted,
     /// A batch item execution was launched on a slot.
@@ -72,16 +68,14 @@ pub enum TraceKind {
 impl TraceKind {
     /// Number of trace-event categories (the size of the [`Trace`] counter
     /// array).
-    pub(crate) const COUNT: usize = 19;
+    pub(crate) const COUNT: usize = 17;
 
     /// All categories, in discriminant order.
     #[cfg(test)]
     const ALL: [TraceKind; TraceKind::COUNT] = [
         TraceKind::AppArrived,
-        TraceKind::AppAllocated,
         TraceKind::AppCompleted,
         TraceKind::PrRequested,
-        TraceKind::PrStarted,
         TraceKind::PrCompleted,
         TraceKind::BatchLaunched,
         TraceKind::BatchCompleted,
@@ -108,10 +102,8 @@ impl fmt::Display for TraceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             TraceKind::AppArrived => "app-arrived",
-            TraceKind::AppAllocated => "app-allocated",
             TraceKind::AppCompleted => "app-completed",
             TraceKind::PrRequested => "pr-requested",
-            TraceKind::PrStarted => "pr-started",
             TraceKind::PrCompleted => "pr-completed",
             TraceKind::BatchLaunched => "batch-launched",
             TraceKind::BatchCompleted => "batch-completed",

@@ -23,7 +23,7 @@ set -euo pipefail
 # workload        simulated-output digest  apps_per_s  peak_rss_mib
 readonly TABLE='
 service_diurnal   56589237d7154c56         67000       3.52
-fleet_faults      0dd74936b7734773         63000       3.75
+fleet_faults      ed1b18756d59baf1         63000       3.75
 paper_sweep       c55c4c1d5d468d7a         60000       5.38
 '
 readonly RUNS=4
