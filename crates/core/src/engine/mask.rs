@@ -120,6 +120,7 @@ impl SlotMask {
     }
 
     /// Returns `true` when no bit is set.
+    #[inline(always)]
     pub(crate) fn is_empty(&self) -> bool {
         (0..self.word_count()).all(|w| self.word(w) == 0)
     }
@@ -228,7 +229,7 @@ impl<'a> MaskQuery<'a> {
     }
 
     /// Word `w` of the combined expression.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn word(&self, w: usize) -> u64 {
         let mut word = self.base.word(w);
         if let Some(and) = self.and {

@@ -415,7 +415,11 @@ impl ServiceRunner {
     }
 
     /// Folds finished applications into the streaming accumulators and drops
-    /// their records (disjoint field borrows around the closure).
+    /// their records (disjoint field borrows around the closure).  Inlined
+    /// into the stepping loop, so an event that completed no application
+    /// pays one emptiness check; the retiring runs out of line (see
+    /// [`SharingSimulator::retire_completed`]).
+    #[inline]
     fn fold_completions(&mut self, on_window: &mut dyn FnMut(&WindowSummary)) {
         let Self {
             sim,

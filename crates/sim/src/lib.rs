@@ -24,7 +24,7 @@
 //! ```
 //! use versaslot_sim::{EventQueue, SimDuration, SimTime};
 //!
-//! #[derive(Debug, PartialEq)]
+//! #[derive(Debug, Clone, Copy, PartialEq)]
 //! enum Ev { PrDone, BatchDone }
 //!
 //! let mut queue = EventQueue::new();

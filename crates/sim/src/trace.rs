@@ -367,7 +367,9 @@ impl Trace {
     ///
     /// Bumps the kind's counter (an array write) and, only when recording is
     /// enabled, stores the event body.  `detail` is a `Copy` payload — nothing
-    /// is formatted here.
+    /// is formatted here.  Only the count and the recording test are inlined
+    /// into the caller; storing the body is a cold out-of-line call, so a
+    /// counting-only trace costs each call site an increment and a branch.
     #[inline]
     pub fn log(
         &mut self,
@@ -380,7 +382,7 @@ impl Trace {
     ) {
         self.counts[kind.index()] += 1;
         if self.record_events {
-            self.events.push(TraceEvent {
+            self.record(TraceEvent {
                 time,
                 kind,
                 app,
@@ -389,6 +391,13 @@ impl Trace {
                 detail,
             });
         }
+    }
+
+    /// Stores one event body: the out-of-line half of [`Self::log`].
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, event: TraceEvent) {
+        self.events.push(event);
     }
 
     /// Returns how many events of `kind` were recorded.

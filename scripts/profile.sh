@@ -19,19 +19,27 @@
 # since libc keeps no frame pointers.  Its buffer reserves 16 MiB (2^17
 # samples of 128 B).  It writes /proc/self/maps and the samples at exit.
 # The samples are then symbolised with `addr2line -f -i -C` and printed as
-# four tables: the top functions by self samples (the innermost frame,
+# five tables: the top functions by self samples (the innermost frame,
 # inlined callees included), by outermost frame (the real, non-inlined
 # function the PC was in), the samples outside perfbench's own binary
 # (libc's memmove or malloc, say) by library and by the call site of their
-# first frame inside perfbench, and the top functions by inclusive samples:
-# every function anywhere in a sample's recorded stack (the PC's inlined
-# chain and each return address's), counted once per sample however often
-# it recurs, so a pass whose cost is spread over its callees shows whole.
-# A stack is cut at 15 return addresses, and a sample off the main thread
-# keeps its PC alone, so an inclusive share is a lower bound.
+# first frame inside perfbench, the samples in library code -- outside
+# perfbench, or in an out-of-line alloc::, core:: or std:: function such as
+# RawVec::finish_grow, __rust_alloc or a drop -- by the first frame outside
+# alloc::, core:: and std:: (found by walking the PC's inlined chain and
+# then each return address's, innermost first), which names the engine or
+# report function that grew, cloned or dropped a vector, and the top
+# functions by inclusive samples: every function anywhere in a sample's
+# recorded stack (the PC's inlined chain and each return address's),
+# counted once per sample however often it recurs, so a pass whose cost is
+# spread over its callees shows whole.  A stack is cut at 15 return
+# addresses, and a sample off the main thread keeps its PC alone, so an
+# inclusive share is a lower bound, and such a sample in library code may
+# name no frame outside it.
 #
-# Needs cc, addr2line, readelf and python3.  Nothing here runs in CI, and
-# neither the crates nor perfbench are changed.
+# Needs cc, addr2line, readelf and python3.  CI only checks this script's
+# syntax (`bash -n`); it never runs it.  Neither the crates nor perfbench
+# are changed.
 set -euo pipefail
 
 if [[ $# -ne 3 ]]; then
@@ -306,15 +314,16 @@ text = subprocess.run(
 
 # addr2line -a prints each address, then (function, location) pairs from the
 # innermost inlined frame out to the real function.
-frames, current = {}, None
+frames, locations, current = {}, {}, None
 i = 0
 while i < len(text):
     if text[i].startswith("0x"):
         current = int(text[i], 16)
-        frames[current] = []
+        frames[current], locations[current] = [], []
         i += 1
     else:
         frames[current].append(text[i])
+        locations[current].append(text[i + 1] if i + 1 < len(text) else "")
         i += 2
 
 total = len(stacks)
@@ -354,9 +363,51 @@ by_caller = collections.Counter()
 for (library, site), n in callers.items():
     by_caller[f"[{library}] <- {call_site(site)}"] += n
 
+# Samples in library code -- outside perfbench (libc's malloc, memmove) or in
+# an out-of-line alloc::, core:: or std:: function compiled into it
+# (RawVec::finish_grow, __rust_alloc, a drop) -- by the first frame outside
+# those crates: the PC's inlined chain and then each return address's,
+# innermost first.  This names the function that grew, cloned or dropped a
+# vector, not the allocator.
+STD_PREFIXES = ("alloc::", "core::", "std::", "<alloc::", "<core::", "<std::", "__rust")
+
+def in_std(name, location):
+    return name.startswith(STD_PREFIXES) or location.startswith("/rustc/")
+
+def std_chain(vaddr):
+    """The (function, location) pairs at `vaddr`, innermost first."""
+    return zip(frames.get(vaddr) or ["??"], locations.get(vaddr) or [""])
+
+by_user_frame, first_std = collections.Counter(), {}
+for pc, *returns in stacks:
+    vaddr, library = locate(pc)
+    if vaddr is None:
+        leaf = f"[{library}]"
+    else:
+        leaf = (frames.get(vaddr) or ["??"])[-1]
+        if not in_std(leaf, (locations.get(vaddr) or [""])[-1]):
+            continue
+    chains = [] if vaddr is None else [std_chain(vaddr)]
+    chains += [std_chain(site - 1) for site, _ in map(locate, returns) if site is not None]
+    user = next(
+        (name for chain in chains for name, location in chain if not in_std(name, location)),
+        "[no frame outside alloc::, core::, std:: in the recorded stack]",
+    )
+    by_user_frame[user] += 1
+    first_std.setdefault(user, collections.Counter())[leaf] += 1
+
+def with_leaf(user):
+    leaf, _ = first_std[user].most_common(1)[0]
+    return f"{user[:100]}  <- mostly {leaf[:60]}"
+
 print(f"{total} samples ({len(per_pc)} distinct PCs in perfbench)")
 table("top functions by self samples (innermost frame)", inner)
 table("top functions by outermost frame", outer)
 table("samples outside perfbench by their first frame inside it", by_caller)
+table(
+    "samples in libc or alloc::/core::/std:: by the first frame outside alloc::, core::, std::",
+    collections.Counter({with_leaf(user): n for user, n in by_user_frame.items()}),
+)
 table("top functions by inclusive samples (anywhere in the stack, once per sample)", inclusive, rows=60)
+
 EOF
