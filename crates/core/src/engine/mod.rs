@@ -266,10 +266,12 @@ pub mod app;
 pub mod mask;
 pub mod slot;
 
+use std::cmp::Reverse;
+#[cfg(any(test, debug_assertions))]
 use std::collections::BTreeMap;
 
 use versaslot_fpga::bitstream::BitstreamKind;
-use versaslot_fpga::board::BoardId;
+use versaslot_fpga::board::{BoardId, BoardSpec};
 use versaslot_fpga::cpu::CoreAssignment;
 use versaslot_fpga::interconnect::DmaModel;
 use versaslot_fpga::pcap::{SerialServer, ServiceWindow};
@@ -367,6 +369,34 @@ struct BoardCores {
     assignment: CoreAssignment,
     sched: SerialServer,
     pr: SerialServer,
+    /// The board's PR cost per slot kind (indexed by [`kind_bit`]).
+    pr_cost: [PrCost; 2],
+}
+
+/// What one partial reconfiguration of a slot kind costs on one board.  Both
+/// durations are fixed by the board's bitstream size, SD card and PCAP, so
+/// they are computed once at construction, not per grant.
+#[derive(Debug, Clone, Copy)]
+struct PrCost {
+    /// The PR path's service time: the SD read followed by the PCAP load.
+    path: SimDuration,
+    /// The PCAP load alone, which suspends the issuing core.
+    pcap_load: SimDuration,
+}
+
+impl PrCost {
+    fn of(board: &BoardSpec, kind: SlotKind) -> Self {
+        let bitstream_kind = match kind {
+            SlotKind::Big => BitstreamKind::BigPartial,
+            SlotKind::Little => BitstreamKind::LittlePartial,
+        };
+        let size = board.bitstream_sizes.size_of(bitstream_kind);
+        let pcap_load = board.pcap.load_duration(size);
+        PrCost {
+            path: board.sd_card.read_duration(size) + pcap_load,
+            pcap_load,
+        }
+    }
 }
 
 /// Maps a slot kind to its bit in [`SlotIndex::kind`].
@@ -508,9 +538,13 @@ impl PassChanges {
 #[derive(Debug)]
 pub struct SharingSimulator {
     config: SystemConfig,
+    /// The specifications the arrivals index into; each shares its data with
+    /// the caller's copy (see [`ApplicationSpec`]).
     suite: Vec<ApplicationSpec>,
-    /// Arrivals scheduled but not yet admitted.
-    pending_arrivals: BTreeMap<AppId, AppArrival>,
+    /// Arrivals scheduled but not yet admitted, sorted by *descending*
+    /// identifier: arrivals are usually admitted in identifier order, so an
+    /// admission removes the last entry.
+    pending_arrivals: Vec<AppArrival>,
     now: SimTime,
     events: EventQueue<Event>,
     apps: AppStore,
@@ -586,7 +620,11 @@ pub struct SharingSimulator {
 
 impl SharingSimulator {
     /// Creates a simulator for `arrivals` drawn from `suite`, on the boards of
-    /// `config` (board 0 starts active).
+    /// `config` (board 0 starts active).  The simulator keeps `suite` as
+    /// given: a clone of [`BenchmarkApp::suite`]'s specifications shares their
+    /// data, so passing one costs a vector, not a copy of every application.
+    ///
+    /// [`BenchmarkApp::suite`]: versaslot_workload::BenchmarkApp::suite
     ///
     /// # Panics
     ///
@@ -669,6 +707,10 @@ impl SharingSimulator {
                 assignment: board.cores,
                 sched: SerialServer::new(),
                 pr: SerialServer::new(),
+                pr_cost: [
+                    PrCost::of(board, SlotKind::Big),
+                    PrCost::of(board, SlotKind::Little),
+                ],
             });
         }
         let pr_paths = vec![SerialServer::new(); config.boards.len()];
@@ -691,14 +733,15 @@ impl SharingSimulator {
             arrival_capacity,
             slots.len(),
         ));
-        let mut pending_arrivals = BTreeMap::new();
-        for arrival in arrivals {
-            let previous = pending_arrivals.insert(arrival.id, *arrival);
-            assert!(
-                previous.is_none(),
-                "duplicate application id {}",
-                arrival.id
-            );
+        // Reversed first: identifiers usually ascend, so the sort finds its
+        // input already in order.
+        let mut pending_arrivals: Vec<AppArrival> = arrivals.iter().rev().copied().collect();
+        pending_arrivals.sort_unstable_by_key(|arrival| Reverse(arrival.id));
+        if let Some(pair) = pending_arrivals
+            .windows(2)
+            .find(|pair| pair[0].id == pair[1].id)
+        {
+            panic!("duplicate application id {}", pair[0].id);
         }
         // One stable sort: tied arrivals are admitted in input order.
         events.extend(
@@ -782,12 +825,13 @@ impl SharingSimulator {
             arrival.arrival,
             self.now
         );
-        let previous = self.pending_arrivals.insert(arrival.id, arrival);
+        let position = self.pending_position(arrival.id);
         assert!(
-            previous.is_none() && self.apps.get(arrival.id).is_none(),
+            position.is_err() && self.apps.get(arrival.id).is_none(),
             "duplicate application id {}",
             arrival.id
         );
+        self.pending_arrivals.insert(position.unwrap_err(), arrival);
         self.events
             .push(arrival.arrival, Event::Arrival(arrival.id));
     }
@@ -877,6 +921,11 @@ impl SharingSimulator {
     /// Panics if the application has not arrived yet.
     pub fn app(&self, id: AppId) -> &AppRuntime {
         self.apps.expect(id)
+    }
+
+    /// The suite the arrivals index into, in suite order.
+    pub(crate) fn suite(&self) -> &[ApplicationSpec] {
+        &self.suite
     }
 
     /// The specification an application was instantiated from.
@@ -1482,24 +1531,18 @@ impl SharingSimulator {
     /// issuing CPU: in single-core systems that is the scheduling core, so
     /// batch launches stall for the load duration; in dual-core systems the
     /// PR-server core absorbs it.  Returns the request's window on the PR path.
+    /// Both durations come from the board's [`PrCost`] for the slot's kind.
     fn issue_pr(&mut self, slot_idx: usize, at: SimTime) -> ServiceWindow {
         let slot = &self.slots[slot_idx];
         let board = slot.board.0 as usize;
-        let board_cfg = &self.config.boards[board];
-        let bitstream_kind = match slot.descriptor.kind {
-            SlotKind::Big => BitstreamKind::BigPartial,
-            SlotKind::Little => BitstreamKind::LittlePartial,
-        };
-        let size = board_cfg.bitstream_sizes.size_of(bitstream_kind);
-        let pcap_load = board_cfg.pcap.load_duration(size);
-        let window =
-            self.pr_paths[board].submit(at, board_cfg.sd_card.read_duration(size) + pcap_load);
         let cores = &mut self.cores[board];
+        let cost = cores.pr_cost[kind_bit(slot.descriptor.kind)];
+        let window = self.pr_paths[board].submit(at, cost.path);
         let issuing_core = match cores.assignment {
             CoreAssignment::SingleCore => &mut cores.sched,
             CoreAssignment::DualCore => &mut cores.pr,
         };
-        issuing_core.submit(at, pcap_load);
+        issuing_core.submit(at, cost.pcap_load);
         window
     }
 
@@ -1934,12 +1977,19 @@ impl SharingSimulator {
         }
     }
 
+    /// Where `id` sits in `pending_arrivals` (`Ok`), or where it would be
+    /// inserted (`Err`).
+    fn pending_position(&self, id: AppId) -> Result<usize, usize> {
+        self.pending_arrivals
+            .binary_search_by(|pending| id.cmp(&pending.id))
+    }
+
     #[inline(never)]
     fn handle_arrival(&mut self, id: AppId) {
-        let arrival = self
-            .pending_arrivals
-            .remove(&id)
+        let at = self
+            .pending_position(id)
             .expect("admitted arrival was pending");
+        let arrival = self.pending_arrivals.remove(at);
         let spec = &self.suite[arrival.app_index];
         let dma_per_item = largest_item_dma(&self.config.boards[self.active_board].dma, spec);
         let app = AppRuntime::new(&arrival, spec, dma_per_item);

@@ -10,7 +10,8 @@
 //!   slot masks, and its own constant-memory streaming accumulators
 //!   ([`StreamingSummary`]: Welford moments + a mergeable log-histogram, and a
 //!   [`TumblingWindow`][versaslot_sim::TumblingWindow]).  Shards share **no
-//!   mutable state**.
+//!   mutable state**; they share only the suite's immutable application
+//!   specifications, one process-wide copy behind a reference count.
 //! * **Front-end admission.**  A [`ShardRouter`] assigns every generated
 //!   arrival to a shard with a seeded deterministic [`Placement`] policy
 //!   (hash or least-loaded-by-snapshot).  Spillover admission — the one
@@ -430,7 +431,8 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Creates a fleet of `config.shards` shards under `kind`'s policy and
-    /// board layout.
+    /// board layout.  Every shard's simulator holds clones of
+    /// [`BenchmarkApp::suite`]'s specifications, which share their data.
     ///
     /// # Panics
     ///
@@ -845,6 +847,21 @@ mod tests {
             .with_horizon(SimDuration::from_secs(400))
             .with_epoch(SimDuration::from_secs(90)) // non-divisor: partial final epoch
             .with_window(SimDuration::from_secs(120))
+    }
+
+    /// Every shard's simulator holds the process-wide suite specifications
+    /// themselves (shared data), not copies.
+    #[test]
+    fn shards_share_the_suite_specs() {
+        let suite = BenchmarkApp::suite();
+        let engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, fleet_config());
+        for shard in &engine.shards {
+            let held = shard.runner.simulator().suite();
+            assert_eq!(held.len(), suite.len());
+            for (held, spec) in held.iter().zip(&suite) {
+                assert!(std::ptr::eq(held.tasks(), spec.tasks()), "{}", spec.name());
+            }
+        }
     }
 
     #[test]

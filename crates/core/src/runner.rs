@@ -12,7 +12,9 @@
 //! count and the board's slot count
 //! (`SharingSimulator::event_queue_capacity`), so a steady-state run never
 //! allocates on the event path — see `steady_state_runs_start_pre_sized` in
-//! this module's tests.
+//! this module's tests.  Each one also shares the workload's application
+//! specifications instead of copying them: its suite is a clone of
+//! `workload.suite`, one reference-count bump per application.
 
 use serde::{Deserialize, Serialize};
 use versaslot_fpga::board::BoardSpec;
@@ -104,6 +106,17 @@ impl SchedulerKind {
     }
 }
 
+/// A simulator of `sequence` on `config`'s boards.  Its suite is a clone of
+/// `workload.suite`, so it shares every specification's data with the
+/// workload (one reference-count bump per application).
+fn sequence_simulator(
+    config: SystemConfig,
+    workload: &Workload,
+    sequence: &WorkloadSequence,
+) -> SharingSimulator {
+    SharingSimulator::new(config, workload.suite.clone(), &sequence.arrivals)
+}
+
 /// Simulates one workload sequence under one system.
 pub fn run_sequence(
     kind: SchedulerKind,
@@ -118,8 +131,7 @@ pub fn run_sequence(
             report
         }
         Some(mut policy) => {
-            let config = SystemConfig::single_board(board);
-            let mut sim = SharingSimulator::new(config, workload.suite.clone(), &sequence.arrivals);
+            let mut sim = sequence_simulator(SystemConfig::single_board(board), workload, sequence);
             let mut report = sim.run(policy.as_mut());
             report.scheduler = kind.label().to_string();
             report
@@ -196,7 +208,7 @@ pub fn run_cluster_sequence(
         )
         .with_switching(switching),
     };
-    let mut sim = SharingSimulator::new(config, workload.suite.clone(), &sequence.arrivals);
+    let mut sim = sequence_simulator(config, workload, sequence);
     let mut policy = VersaSlotPolicy::new();
     let mut report = sim.run(&mut policy);
     report.scheduler = format!("versaslot-cluster:{}", mode.label());
@@ -210,6 +222,24 @@ mod tests {
 
     fn tiny_workload(congestion: Congestion) -> Workload {
         generate_workload(&WorkloadConfig::paper_default(congestion).with_shape(1, 6))
+    }
+
+    /// A `run_sequence` simulator holds the workload's suite specifications
+    /// themselves, which share the process-wide suite's data: no copies.
+    #[test]
+    fn sequence_simulators_share_the_suite_specs() {
+        let workload = tiny_workload(Congestion::Standard);
+        let sim = sequence_simulator(
+            SystemConfig::single_board(BoardSpec::zcu216_big_little()),
+            &workload,
+            &workload.sequences[0],
+        );
+        let suite = versaslot_workload::BenchmarkApp::suite();
+        assert_eq!(sim.suite().len(), suite.len());
+        for ((held, given), spec) in sim.suite().iter().zip(&workload.suite).zip(&suite) {
+            assert!(std::ptr::eq(held.tasks(), given.tasks()), "{}", spec.name());
+            assert!(std::ptr::eq(held.tasks(), spec.tasks()), "{}", spec.name());
+        }
     }
 
     #[test]

@@ -262,17 +262,20 @@ pub struct ServiceRunner {
     completions: u64,
     warmup_completions: u64,
     window: TumblingWindow,
-    suite_names: Vec<String>,
 }
 
 impl ServiceRunner {
     /// Creates a runner for `config` arrivals drawn from `suite` on the boards
     /// of `system`.
     ///
+    /// The simulator takes `suite` as it is: its specifications share their
+    /// data with the caller's (a clone of a spec is a reference-count bump),
+    /// and the report's per-application names are read from them.
+    ///
     /// # Panics
     ///
-    /// Panics if the configuration fails `ServiceConfig::validate` or the
-    /// suite is not the benchmark suite shape the names are derived from.
+    /// Panics if the configuration fails `ServiceConfig::validate` or `suite`
+    /// is empty.
     pub fn new(system: SystemConfig, suite: Vec<ApplicationSpec>, config: ServiceConfig) -> Self {
         config.validate().unwrap_or_else(|err| panic!("{err}"));
         let driver = ArrivalDriver::new(
@@ -299,7 +302,6 @@ impl ServiceRunner {
         stop: StopCondition,
         window: SimDuration,
     ) -> Self {
-        let suite_names: Vec<String> = suite.iter().map(|spec| spec.name().to_string()).collect();
         let per_app = vec![StreamingSummary::new(); suite.len()];
         let window = TumblingWindow::new(window);
         let sim = SharingSimulator::for_service(system, suite, ARRIVAL_LOOKAHEAD);
@@ -314,7 +316,6 @@ impl ServiceRunner {
             completions: 0,
             warmup_completions: 0,
             window,
-            suite_names,
         }
     }
 
@@ -515,9 +516,9 @@ impl ServiceRunner {
         let per_app = self
             .per_app
             .iter()
-            .zip(&self.suite_names)
-            .map(|(stats, name)| AppServiceStats {
-                app: name.clone(),
+            .zip(self.sim.suite())
+            .map(|(stats, spec)| AppServiceStats {
+                app: spec.name().to_string(),
                 completions: stats.count(),
                 response: stats.summary(),
             })

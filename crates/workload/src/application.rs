@@ -2,12 +2,16 @@
 //!
 //! An *application* is an ordered pipeline of tasks plus, for bundle-capable
 //! applications, the pre-generated 3-in-1 bundle implementations that can be loaded
-//! into a Big slot.  An [`AppArrival`] is one concrete request in a workload
-//! sequence: which application, what batch size, and when it arrives.
+//! into a Big slot.  An [`ApplicationSpec`] is immutable once built and its data
+//! is shared: every clone points at the same name, tasks and bundles, so handing
+//! the suite to a simulator costs one reference-count bump per application.  An
+//! [`AppArrival`] is one concrete request in a workload sequence: which
+//! application, what batch size, and when it arrives.
 
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use versaslot_fpga::ResourceVector;
 use versaslot_sim::{SimDuration, SimTime};
 
@@ -50,6 +54,10 @@ impl BundleSpec {
 
 /// Static description of one benchmark application.
 ///
+/// Immutable and shared: the name, tasks and bundles sit behind one [`Arc`], so
+/// a clone is a reference-count bump that allocates nothing.  Its serialized
+/// and `Debug` forms are those of the plain `{ name, tasks, bundles }` struct.
+///
 /// # Example
 ///
 /// ```
@@ -60,11 +68,33 @@ impl BundleSpec {
 /// assert!(ic.can_bundle());
 /// assert_eq!(ic.bundles().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Deserialize)]
 pub struct ApplicationSpec {
+    data: Arc<SpecData>,
+}
+
+/// The shared data behind an [`ApplicationSpec`].
+#[derive(Clone, PartialEq, Serialize)]
+struct SpecData {
     name: String,
     tasks: Vec<TaskSpec>,
     bundles: Vec<BundleSpec>,
+}
+
+impl Serialize for ApplicationSpec {
+    fn serialize(&self) -> Value {
+        self.data.serialize()
+    }
+}
+
+impl fmt::Debug for ApplicationSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ApplicationSpec")
+            .field("name", &self.data.name)
+            .field("tasks", &self.data.tasks)
+            .field("bundles", &self.data.bundles)
+            .finish()
+    }
 }
 
 impl ApplicationSpec {
@@ -76,9 +106,11 @@ impl ApplicationSpec {
     pub fn new(name: impl Into<String>, tasks: Vec<TaskSpec>) -> Self {
         assert!(!tasks.is_empty(), "an application needs at least one task");
         ApplicationSpec {
-            name: name.into(),
-            tasks,
-            bundles: Vec::new(),
+            data: Arc::new(SpecData {
+                name: name.into(),
+                tasks,
+                bundles: Vec::new(),
+            }),
         }
     }
 
@@ -88,47 +120,55 @@ impl ApplicationSpec {
     ///
     /// Panics if any bundle references tasks outside the pipeline.
     pub(crate) fn with_bundles(mut self, bundles: Vec<BundleSpec>) -> Self {
+        let data = Arc::make_mut(&mut self.data);
         for bundle in &bundles {
             assert!(
-                bundle.task_range().end as usize <= self.tasks.len(),
+                bundle.task_range().end as usize <= data.tasks.len(),
                 "bundle starting at task {} exceeds the {}-task pipeline",
                 bundle.first_task,
-                self.tasks.len()
+                data.tasks.len()
             );
         }
-        self.bundles = bundles;
+        data.bundles = bundles;
         self
+    }
+
+    /// Whether `self` and `other` share one copy of their data.
+    #[cfg(test)]
+    pub(crate) fn shares_data_with(&self, other: &ApplicationSpec) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// The application's name (e.g. `"image-compression"`).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.data.name
     }
 
     /// The ordered task pipeline.
     pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
+        &self.data.tasks
     }
 
     /// Number of tasks in the pipeline.
     pub fn task_count(&self) -> u32 {
-        self.tasks.len() as u32
+        self.data.tasks.len() as u32
     }
 
     /// The pre-generated 3-in-1 bundles (empty if the app cannot be bundled).
     pub fn bundles(&self) -> &[BundleSpec] {
-        &self.bundles
+        &self.data.bundles
     }
 
     /// Whether the application has 3-in-1 bundle bitstreams and can therefore be
     /// bound to a Big slot.
     pub fn can_bundle(&self) -> bool {
-        !self.bundles.is_empty()
+        !self.data.bundles.is_empty()
     }
 
     /// The slowest pipeline stage, which bounds pipelined throughput.
     pub fn max_stage_time(&self) -> SimDuration {
-        self.tasks
+        self.data
+            .tasks
             .iter()
             .map(|t| t.exec_per_item())
             .fold(SimDuration::ZERO, SimDuration::max_of)

@@ -6,6 +6,10 @@
 //! switching experiment (Figure 8) uses 3 longer sequences of 80 applications under
 //! Standard arrivals.  [`generate_workload`] reproduces both, deterministically
 //! from a seed.
+//!
+//! A sequence is arrivals only: it indexes the suite by position, so generating
+//! one builds no application specification ([`BenchmarkApp::ALL`] gives the
+//! suite's size).
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{SimRng, SimTime};
@@ -78,6 +82,9 @@ pub struct WorkloadSequence {
 }
 
 /// A full workload: the benchmark suite plus the generated sequences.
+///
+/// The suite's specifications share the process-wide copy of their data (see
+/// [`BenchmarkApp::suite`]), so cloning it allocates only the vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Workload {
     /// The application specifications the arrivals index into.
@@ -103,7 +110,7 @@ pub struct Workload {
 /// assert_eq!(a, b);
 /// ```
 pub fn generate_sequence(config: &WorkloadConfig, index: u32) -> WorkloadSequence {
-    let suite_len = BenchmarkApp::suite().len();
+    let suite_len = BenchmarkApp::ALL.len();
     let root = SimRng::seed_from(config.seed);
     let mut rng = root.derive(index as u64 + 1);
 
@@ -148,6 +155,22 @@ mod tests {
         assert_eq!(workload.sequences.len(), 10);
         assert!(workload.sequences.iter().all(|s| s.arrivals.len() == 20));
         assert_eq!(workload.suite.len(), 5);
+    }
+
+    /// Pins the serialized form of whole workloads: suite, sequences and
+    /// config.
+    #[test]
+    fn generated_workload_is_unchanged() {
+        let config = WorkloadConfig::paper_default(Congestion::Stress).with_shape(3, 8);
+        assert_eq!(
+            crate::json_digest(&generate_workload(&config)),
+            "9caa065192149086"
+        );
+        let paper = WorkloadConfig::paper_default(Congestion::Standard);
+        assert_eq!(
+            crate::json_digest(&generate_workload(&paper)),
+            "b42fb50bd26e2dbe"
+        );
     }
 
     #[test]

@@ -48,3 +48,22 @@ pub use generator::{
 pub use partition::{partition_application, PartitionError};
 pub use routing::{Placement, ShardRouter};
 pub use task::TaskSpec;
+
+/// FNV-1a digest of `value`'s JSON, for tests that pin a serialized form.
+#[cfg(test)]
+pub(crate) fn json_digest<T: serde::Serialize>(value: &T) -> String {
+    fnv1a_hex(
+        serde_json::to_string(value)
+            .expect("value serialises")
+            .as_bytes(),
+    )
+}
+
+/// FNV-1a digest of `bytes`, as 16 hex digits.
+#[cfg(test)]
+pub(crate) fn fnv1a_hex(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
