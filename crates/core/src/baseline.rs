@@ -18,29 +18,56 @@ use crate::ilp::pipeline_makespan;
 use crate::metrics::{AppRecord, RunReport};
 use versaslot_fpga::bitstream::BitstreamKind;
 use versaslot_fpga::board::BoardSpec;
+use versaslot_fpga::ResourceVector;
 
 /// Name under which baseline runs appear in reports.
 pub(crate) const BASELINE_NAME: &str = "baseline-temporal";
 
+/// The full reconfiguration every application pays on `board`: a cold SD read
+/// plus the PCAP load of the full-fabric bitstream.
+fn full_reconfiguration(board: &BoardSpec) -> SimDuration {
+    let full = board.bitstream_sizes.size_of(BitstreamKind::Full);
+    board.sd_card.read_duration(full) + board.pcap.load_duration(full)
+}
+
+/// What one suite application costs on the whole FPGA, whatever its batch:
+/// the per-item time of each pipeline stage (execution plus its DMA
+/// transfer) and the fabric its resident pipeline occupies.
+struct ExclusiveApp {
+    stage_times: Vec<SimDuration>,
+    resident: ResourceVector,
+}
+
+impl ExclusiveApp {
+    fn of(board: &BoardSpec, spec: &ApplicationSpec) -> Self {
+        ExclusiveApp {
+            stage_times: spec
+                .tasks()
+                .iter()
+                .map(|t| t.exec_per_item() + board.dma.transfer_duration(t.data_per_item_bytes()))
+                .collect(),
+            resident: spec.tasks().iter().map(|t| t.little_impl()).sum(),
+        }
+    }
+}
+
 /// Computes the time one application occupies the whole FPGA: full reconfiguration
 /// (cold SD read plus PCAP load of the full-fabric bitstream) followed by the
 /// pipelined batch execution with every task resident.
+#[cfg(test)]
 pub(crate) fn baseline_service_time(
     board: &BoardSpec,
     spec: &ApplicationSpec,
     batch: u32,
 ) -> SimDuration {
-    let full = board.bitstream_sizes.size_of(BitstreamKind::Full);
-    let reconfig = board.sd_card.read_duration(full) + board.pcap.load_duration(full);
-    let stage_times: Vec<SimDuration> = spec
-        .tasks()
-        .iter()
-        .map(|t| t.exec_per_item() + board.dma.transfer_duration(t.data_per_item_bytes()))
-        .collect();
-    reconfig + pipeline_makespan(&stage_times, batch)
+    full_reconfiguration(board)
+        + pipeline_makespan(&ExclusiveApp::of(board, spec).stage_times, batch)
 }
 
 /// Runs the exclusive temporal-multiplexing baseline over one arrival sequence.
+///
+/// The full reconfiguration is computed once per run, and each suite
+/// application's stage times and resident fabric once, at its first arrival.
 ///
 /// # Panics
 ///
@@ -62,19 +89,22 @@ pub(crate) fn run_baseline(
     let mut sorted: Vec<&AppArrival> = arrivals.iter().collect();
     sorted.sort_by_key(|a| (a.arrival, a.id));
 
+    let reconfig = full_reconfiguration(board);
+    let mut costs: Vec<Option<ExclusiveApp>> = Vec::new();
+    costs.resize_with(suite.len(), || None);
     for arrival in sorted {
         let spec = suite
             .get(arrival.app_index)
             .unwrap_or_else(|| panic!("arrival {} has no suite entry", arrival.id));
+        let cost = costs[arrival.app_index].get_or_insert_with(|| ExclusiveApp::of(board, spec));
         let start = arrival.arrival.max_of(fpga_free_at);
-        let service = baseline_service_time(board, spec, arrival.batch_size);
+        let service = reconfig + pipeline_makespan(&cost.stage_times, arrival.batch_size);
         let completion = start + service;
         fpga_free_at = completion;
 
         // Utilization: while the app occupies the FPGA its whole pipeline is
         // resident; between apps the fabric is idle.
-        let resident: versaslot_fpga::ResourceVector =
-            spec.tasks().iter().map(|t| t.little_impl()).sum();
+        let resident = cost.resident;
         utilization.set(
             start,
             [(1, 1), (resident.lut, fabric.lut), (resident.ff, fabric.ff)],

@@ -1,9 +1,8 @@
 //! Runtime state of applications and their execution units, and the
 //! simulator's one application store.
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
+use versaslot_fpga::slot::SlotKind;
 use versaslot_sim::{SimDuration, SimTime};
 use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
@@ -268,6 +267,23 @@ impl AppRuntime {
         self.unplaced += 1;
     }
 
+    /// Counts one more occupied slot of `kind` (granted, reconfiguring or
+    /// loaded).
+    pub(crate) fn occupy(&mut self, kind: SlotKind) {
+        match kind {
+            SlotKind::Big => self.in_use_big += 1,
+            SlotKind::Little => self.in_use_little += 1,
+        }
+    }
+
+    /// Counts one occupied slot of `kind` fewer (freed).
+    pub(crate) fn vacate(&mut self, kind: SlotKind) {
+        match kind {
+            SlotKind::Big => self.in_use_big -= 1,
+            SlotKind::Little => self.in_use_little -= 1,
+        }
+    }
+
     /// Records one completed item of unit `unit` and returns whether it was
     /// the unit's last; a finished unit leaves its slot.
     pub(crate) fn complete_item(&mut self, unit: usize) -> bool {
@@ -285,19 +301,27 @@ impl AppRuntime {
 }
 
 /// The simulator's one application store: each live [`AppRuntime`] sits in a
-/// window indexed by `id - base`, so an identifier is its own index.
+/// flat window indexed by `id - base`, so an identifier is its own index and a
+/// lookup is one subtraction and one bounds check.
 ///
-/// Removal slides `base` past leading vacant entries, so the window spans the
-/// live identifier range, not every identifier ever admitted.  That keeps the
-/// infinite-stream service mode constant-memory, and a fleet shard that sees
-/// every n-th identifier spans about n times its live applications.
-/// Iteration walks the window, so it is in ascending identifier order, the
-/// order the deterministic reports rely on.
+/// The window drops its vacant ends lazily.  Removal advances `head` past the
+/// vacant entries at the front and pops those at the back; once the vacant
+/// prefix outgrows the live part, one drain moves the live part down and
+/// slides `base`.  Each drain moves at most as many entries as the removals
+/// that emptied the prefix, so removal is amortised O(1), and after any
+/// removal the window is at most 2 × the live identifier span + 1 entries.
+/// That keeps the infinite-stream service mode constant-memory, and a fleet
+/// shard that sees every n-th identifier spans about n times its live
+/// applications.  Iteration walks the window from `head`, so it is in
+/// ascending identifier order, the order the deterministic reports rely on.
 #[derive(Debug, Default)]
 pub(crate) struct AppStore {
-    window: VecDeque<Option<AppRuntime>>,
+    window: Vec<Option<AppRuntime>>,
     /// Identifier of `window[0]`.
     base: u32,
+    /// Every entry before `head` is vacant; the lowest live one is at or
+    /// after it.
+    head: usize,
     /// Number of live applications.
     len: usize,
 }
@@ -318,9 +342,10 @@ impl AppStore {
         if self.window.is_empty() {
             self.base = id;
         } else if id < self.base {
-            for _ in id..self.base {
-                self.window.push_front(None);
-            }
+            let gap = (self.base - id) as usize;
+            self.window
+                .splice(0..0, std::iter::repeat_with(|| None).take(gap));
+            self.head += gap;
             self.base = id;
         }
         let off = (id - self.base) as usize;
@@ -331,6 +356,7 @@ impl AppStore {
         assert!(entry.is_none(), "application {} inserted twice", runtime.id);
         runtime.optimal = optimal;
         *entry = Some(runtime);
+        self.head = self.head.min(off);
         self.len += 1;
     }
 
@@ -339,9 +365,21 @@ impl AppStore {
         let off = id.0.wrapping_sub(self.base) as usize;
         let runtime = self.window.get_mut(off)?.take()?;
         self.len -= 1;
-        while matches!(self.window.front(), Some(None)) {
-            self.window.pop_front();
-            self.base += 1;
+        if self.len == 0 {
+            self.window.clear();
+            self.head = 0;
+            return Some(runtime);
+        }
+        while self.window[self.head].is_none() {
+            self.head += 1;
+        }
+        while matches!(self.window.last(), Some(None)) {
+            self.window.pop();
+        }
+        if self.head > self.window.len() - self.head {
+            self.window.drain(..self.head);
+            self.base += self.head as u32;
+            self.head = 0;
         }
         Some(runtime)
     }
@@ -373,7 +411,7 @@ impl AppStore {
 
     /// Iterates live runtimes in ascending id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &AppRuntime> {
-        self.window.iter().flatten()
+        self.window[self.head..].iter().flatten()
     }
 }
 
@@ -516,6 +554,21 @@ mod tests {
         assert_eq!(store.len(), 3);
     }
 
+    /// The flat store's documented bound: the window holds at most 2 × the
+    /// live identifier span + 1 entries.
+    fn assert_window_bound(store: &AppStore) {
+        let live = ids(store);
+        let span = match (live.first(), live.last()) {
+            (Some(first), Some(last)) => (last.0 - first.0) as usize + 1,
+            _ => 0,
+        };
+        assert!(
+            store.window.len() <= 2 * span + 1,
+            "window of {} entries for a live id span of {span}",
+            store.window.len()
+        );
+    }
+
     /// Service mode's constant-memory contract: the window must track the
     /// live id span, not the total number of ids ever inserted.
     #[test]
@@ -526,18 +579,21 @@ mod tests {
         }
         for id in 0..6u32 {
             store.remove(AppId(id)).expect("app is stored");
+            assert_window_bound(&store);
         }
-        assert_eq!(store.base, 6, "window did not slide past retired ids");
-        assert_eq!(store.window.len(), 2);
+        assert!(store.base > 0, "window did not slide past retired ids");
 
         store.insert(runtime(100), (0, 0));
         assert_eq!(ids(&store), vec![AppId(6), AppId(7), AppId(100)]);
 
         store.remove(AppId(6)).expect("app is stored");
+        assert_window_bound(&store);
         store.remove(AppId(7)).expect("app is stored");
+        assert_window_bound(&store);
         assert_eq!(store.base, 100, "window kept vacant leading entries");
         assert_eq!(store.window.len(), 1);
         assert_eq!(store.len(), 1);
+        assert_eq!(store.expect(AppId(100)).id, AppId(100));
     }
 
     /// A fleet shard sees every n-th id: its window spans the live ids and
@@ -551,10 +607,51 @@ mod tests {
         assert_eq!(store.window.len(), 37);
         for id in (0..32u32).step_by(4) {
             store.remove(AppId(id)).expect("app is stored");
+            assert_window_bound(&store);
         }
-        assert_eq!((store.base, store.window.len()), (32, 5));
         assert_eq!(ids(&store), vec![AppId(32), AppId(36)]);
         assert!(store.get(AppId(34)).is_none());
+        assert!(store.get(AppId(28)).is_none());
+        assert_eq!(store.expect(AppId(36)).id, AppId(36));
+    }
+
+    /// A service-like stream: 10,000 ascending admissions retired out of
+    /// order, with about 64 applications live.  After every removal the
+    /// window keeps its bound, and iteration stays in identifier order.
+    #[test]
+    fn store_keeps_its_bound_and_order_on_a_service_stream() {
+        let mut store = AppStore::default();
+        let mut live = std::collections::BTreeSet::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |below: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % below
+        };
+        let mut retire = |store: &mut AppStore, live: &mut std::collections::BTreeSet<u32>| {
+            let id = *live.iter().nth(draw(live.len())).expect("a live id");
+            live.remove(&id);
+            assert_eq!(store.remove(AppId(id)).map(|a| a.id), Some(AppId(id)));
+            assert_window_bound(store);
+        };
+        for id in 0..10_000u32 {
+            store.insert(runtime(id), (0, 0));
+            live.insert(id);
+            while live.len() > 64 {
+                retire(&mut store, &mut live);
+            }
+            if id % 97 == 0 {
+                let expected: Vec<AppId> = live.iter().map(|&id| AppId(id)).collect();
+                assert_eq!(ids(&store), expected);
+            }
+        }
+        while !live.is_empty() {
+            retire(&mut store, &mut live);
+            let expected: Vec<AppId> = live.iter().map(|&id| AppId(id)).collect();
+            assert_eq!(ids(&store), expected);
+        }
+        assert_eq!((store.len(), store.window.len()), (0, 0));
     }
 
     #[test]

@@ -112,8 +112,19 @@
 //! # O(1) per-event bookkeeping
 //!
 //! Nothing an event handler or a flush does walks every slot or every live
-//! application; state the engine already knows is kept incrementally:
+//! application; state the engine already knows is kept incrementally, and
+//! each operation resolves its application once:
 //!
+//! * **One lookup per operation.** A grant, an item completion and a launch
+//!   sweep each look their application up in the store once and do all of
+//!   its bookkeeping in that one borrow: a grant runs every rejection check,
+//!   places the unit, moves the occupancy counters (under one
+//!   `track_idle_demand`) and counts a blocked PR there, beside disjoint
+//!   borrows of the board's PR path and cores; an item completion records
+//!   the item, frees a finished unit's occupancy and marks the application
+//!   completed there.  The slot side (masks, state, trace) follows; of it
+//!   only a slot turning loaded reads the application again (its unit's
+//!   resources), and a launch only when it is blocked.
 //! * **Utilization.** The integers behind the occupancy, LUT and FF ratios
 //!   (counted slots, their capacity, occupied slots, the resources of loaded
 //!   units) change only at slot-state transitions and board enable/disable,
@@ -125,7 +136,10 @@
 //!   when a board is enabled or disabled.  So the integral is exact between
 //!   changes, covers every change wherever it happens (a cross-board switch
 //!   included), and a non-final item completion, which leaves the totals
-//!   as they were, does no utilization work at all.
+//!   as they were, does no utilization work at all.  Each slot's current
+//!   share is cached (`slot_share`), so a change computes only the new
+//!   share: a loaded slot's share reads its occupant's resources, which
+//!   costs an application lookup, and the old share costs none.
 //! * **Starvation gate.** `idle_demand` counts the stored applications that
 //!   have unplaced units and hold no slot.  Only such an application can
 //!   starve, so while the counter is 0 a flush asks for no preemption
@@ -138,7 +152,7 @@
 //!   wherever an application's unplaced units or occupied slots change:
 //!   placing and unplacing a unit (grant, release, PR abandonment, board
 //!   eviction), rebuilding its units, the slot-occupancy counters
-//!   (`index_slot_granted`, `index_slot_freed`) and admission.
+//!   (`AppRuntime::occupy`, `AppRuntime::vacate`) and admission.
 //! * **Optimal slot counts.** `AppRuntime::optimal_slots` serves each
 //!   application's ILP-optimal `(O_B, O_L)`, set at admission from the
 //!   suite application's `crate::ilp::SlotCurve`.  A curve is built at the
@@ -154,11 +168,12 @@
 //!   of units `u` (its slot) and `u + 1` (its predecessor's progress) only.
 //!   The touched list keeps each application once, beside its *dirty unit
 //!   range*, widened to `u..=u + 1` by every completion of one of its units
-//!   at the instant.  The flush scans that range in ascending unit order and
-//!   launches each ready unit as it reaches it (a launch makes no other unit
-//!   ready or unready), so no unit outside a dirty range is ever scanned and
-//!   no ready list is kept; completion is read from the application's
-//!   unfinished-units counter.
+//!   at the instant.  The flush walks the touched list by index, looks each
+//!   application up once, scans its range in ascending unit order into a
+//!   reusable list of ready `(unit, slot, duration)` triples and then
+//!   launches them (a launch makes no other unit ready or unready), so no
+//!   unit outside a dirty range is ever scanned; completion is read from the
+//!   application's unfinished-units counter.
 //! * **Preemption candidates.** The `ripe` slot mask holds the occupied
 //!   slots whose unit has completed at least `PREEMPTION_QUANTUM` items
 //!   since it was loaded: an item completion sets the bit when the unit
@@ -169,10 +184,10 @@
 //!   starving scan.
 //!
 //! `SharingSimulator::verify_indexes` (debug builds, after every event)
-//! recounts the utilization totals with the full slot walk and the
-//! idle-demand counter from the application store, checks that the
-//! ripe mask covers every loaded slot past the quantum and holds only
-//! occupied slots, that the touched list is empty once the instant is
+//! recounts the utilization totals with the full slot walk, each cached slot
+//! share, and the idle-demand counter from the application store, checks
+//! that the ripe mask covers every loaded slot past the quantum and holds
+//! only occupied slots, that the touched list is empty once the instant is
 //! flushed, the completed list against the application store and each live
 //! application's `(O_B, O_L)` against its curve; each admission
 //! debug-checks the curve's answer against a fresh ILP solve.  Unit tests
@@ -183,11 +198,15 @@
 //!
 //! # One application store
 //!
-//! Each live [`AppRuntime`] is kept once, in a window indexed by
-//! `id - base` (a `VecDeque` of `Option<AppRuntime>`; `base` is the lowest
-//! live identifier and slides past vacant entries on retirement), so a lookup
-//! is one subtraction and memory stays proportional to the live identifier
-//! span, which keeps the infinite-stream service mode constant-memory.
+//! Each live [`AppRuntime`] is kept once, in a flat window indexed by
+//! `id - base` (a `Vec` of `Option<AppRuntime>`), so a lookup is one
+//! subtraction and one bounds check, with no ring-buffer wrap arithmetic.
+//! Retirement drops the window's vacant ends lazily: a removal skips past
+//! the vacant front and pops the vacant back, and once the vacant prefix
+//! outgrows the live part one drain slides `base` (amortised O(1)).  The
+//! window then holds at most 2 × the live identifier span + 1 entries, so
+//! memory stays proportional to the live span, which keeps the
+//! infinite-stream service mode constant-memory.
 //! Iterating the window yields ascending identifiers, the order every report
 //! relies on.  What a policy pass reads per application is O(1): the
 //! remaining work, unfinished units and unplaced units are counters inside
@@ -371,6 +390,35 @@ struct BoardCores {
     pr: SerialServer,
     /// The board's PR cost per slot kind (indexed by [`kind_bit`]).
     pr_cost: [PrCost; 2],
+}
+
+impl BoardCores {
+    /// Issues one partial reconfiguration of a `kind` slot at `at`, modelled
+    /// as the paper describes it: the PR server reads the slot kind's
+    /// pre-generated bitstream from the SD card into memory and then pushes
+    /// it through the PCAP.  The board's PR path (`pr_path`: SD read followed
+    /// by the PCAP load) serves one request at a time; concurrent requests
+    /// queue behind it (PR contention).  While the PCAP loads the bitstream
+    /// it suspends the issuing CPU: in single-core systems that is the
+    /// scheduling core, so batch launches stall for the load duration; in
+    /// dual-core systems the PR-server core absorbs it.  Returns the
+    /// request's window on the PR path.  Both durations come from the
+    /// board's [`PrCost`] for the slot's kind.
+    fn issue_pr(
+        &mut self,
+        pr_path: &mut SerialServer,
+        kind: SlotKind,
+        at: SimTime,
+    ) -> ServiceWindow {
+        let cost = self.pr_cost[kind_bit(kind)];
+        let window = pr_path.submit(at, cost.path);
+        let issuing_core = match self.assignment {
+            CoreAssignment::SingleCore => &mut self.sched,
+            CoreAssignment::DualCore => &mut self.pr,
+        };
+        issuing_core.submit(at, cost.pcap_load);
+        window
+    }
 }
 
 /// What one partial reconfiguration of a slot kind costs on one board.  Both
@@ -579,6 +627,9 @@ pub struct SharingSimulator {
 
     /// Running utilization totals (see [`UtilTotals`]).
     util: UtilTotals,
+    /// Each slot's current share of `util`, kept by [`Self::update_slot`] so
+    /// a slot change recomputes only the new share.
+    slot_share: Vec<UtilTotals>,
     /// Occupancy, LUT and FF utilization over time, one lane each, set by
     /// [`Self::update_slot`] whenever `util` changes.
     utilization: TimeWeightedRatios<3>,
@@ -603,6 +654,10 @@ pub struct SharingSimulator {
     /// each with its dirty unit range `lo..=hi` — the only candidates for
     /// the launch sweep (no steady-state allocation).
     touched_scratch: Vec<(AppId, usize, usize)>,
+    /// The ready `(unit, slot, item duration)` triples of the application
+    /// the launch sweep is on, in ascending unit order (no steady-state
+    /// allocation).
+    ready_scratch: Vec<(usize, usize, SimDuration)>,
     /// Whether a policy input changed since the last scheduling pass began
     /// (see the module docs): a pass that leaves it clear reached a fixed
     /// point, and the next one is skipped unless a preemption is due.
@@ -786,6 +841,7 @@ impl SharingSimulator {
             retired_apps: 0,
             retired_pr_tasks: 0,
             util: UtilTotals::default(),
+            slot_share: Vec::new(),
             utilization: TimeWeightedRatios::new(SimTime::ZERO, [(0, 0); 3]),
             trace,
             switch_loop,
@@ -795,12 +851,18 @@ impl SharingSimulator {
             slot_curves: Vec::new(),
             completed: Vec::new(),
             touched_scratch: Vec::new(),
+            ready_scratch: Vec::new(),
             pass_due: true,
             changes_since_pass: PassChanges::ALL,
             pass_changes: PassChanges::ALL,
             passes: 0,
         };
-        sim.util = sim.recount_utilization();
+        sim.slot_share = (0..sim.slots.len())
+            .map(|idx| sim.slot_utilization(idx))
+            .collect();
+        for &share in &sim.slot_share {
+            sim.util.add(share);
+        }
         sim.utilization = TimeWeightedRatios::new(SimTime::ZERO, sim.util.lanes());
         sim
     }
@@ -1211,22 +1273,12 @@ impl SharingSimulator {
         track_idle_demand(&mut self.idle_demand, self.apps.expect_mut(id), change)
     }
 
-    fn index_slot_granted(&mut self, slot_idx: usize, app_id: AppId, slot_kind: SlotKind) {
-        self.index.free.remove(slot_idx);
-        self.update_app(app_id, |app| match slot_kind {
-            SlotKind::Big => app.in_use_big += 1,
-            SlotKind::Little => app.in_use_little += 1,
-        });
-    }
-
-    fn index_slot_freed(&mut self, slot_idx: usize, app_id: AppId, slot_kind: SlotKind) {
+    /// Moves a freed slot's mask bits; its former occupant's counters are
+    /// the caller's, moved in the same borrow as its other changes.
+    fn index_slot_freed(&mut self, slot_idx: usize) {
         self.index.free.insert(slot_idx);
         self.index.loaded_idle.remove(slot_idx);
         self.index.ripe.remove(slot_idx);
-        self.update_app(app_id, |app| match slot_kind {
-            SlotKind::Big => app.in_use_big -= 1,
-            SlotKind::Little => app.in_use_little -= 1,
-        });
     }
 
     fn index_slot_loaded_idle(&mut self, slot_idx: usize) {
@@ -1283,8 +1335,9 @@ impl SharingSimulator {
     /// totals from the old slot to the new one.  Every slot-state and
     /// enabled-flag change passes here, so this is the one place the
     /// utilization integrator is fed: when the slot's share changed, the new
-    /// totals are set at `now`.  A change that leaves the share as it was
-    /// (disabling an occupied slot) does no utilization work, and a
+    /// totals are set at `now`.  The old share is read from `slot_share`, so
+    /// only the new one is computed.  A change that leaves the share as it
+    /// was (disabling an occupied slot) does no utilization work, and a
     /// non-final item completion flips `busy` in place and never comes here.
     ///
     /// It is also where a slot change marks the next scheduling pass due:
@@ -1293,10 +1346,10 @@ impl SharingSimulator {
     fn update_slot(&mut self, slot_idx: usize, change: impl FnOnce(&mut SlotRuntime)) {
         let bits = |slot: &SlotRuntime| (slot.is_free(), slot.enabled);
         let before_bits = bits(&self.slots[slot_idx]);
-        let before = self.slot_utilization(slot_idx);
         change(&mut self.slots[slot_idx]);
         self.pass_due |= bits(&self.slots[slot_idx]) != before_bits;
         let after = self.slot_utilization(slot_idx);
+        let before = std::mem::replace(&mut self.slot_share[slot_idx], after);
         if after != before {
             self.util.sub(before);
             self.util.add(after);
@@ -1338,6 +1391,7 @@ impl SharingSimulator {
 
     /// The utilization totals recounted by walking every slot — the
     /// reference [`Self::verify_indexes`] checks the running totals against.
+    #[cfg(any(test, debug_assertions))]
     fn recount_utilization(&self) -> UtilTotals {
         let mut totals = UtilTotals::default();
         for slot in &self.slots {
@@ -1490,6 +1544,13 @@ impl SharingSimulator {
             self.recount_utilization(),
             "utilization totals diverged"
         );
+        for idx in 0..self.slots.len() {
+            assert_eq!(
+                self.slot_share[idx],
+                self.slot_utilization(idx),
+                "cached utilization share of slot {idx} diverged"
+            );
+        }
         for app in self.apps.iter() {
             let curve = self.slot_curves[app.app_index]
                 .as_ref()
@@ -1522,30 +1583,6 @@ impl SharingSimulator {
     // Policy-facing actions
     // ------------------------------------------------------------------
 
-    /// Issues one partial reconfiguration of `slot_idx` at `at`, modelled as
-    /// the paper describes it: the PR server reads the slot kind's
-    /// pre-generated bitstream from the SD card into memory and then pushes it
-    /// through the PCAP.  The board's PR path (SD read followed by the PCAP
-    /// load) serves one request at a time; concurrent requests queue behind it
-    /// (PR contention).  While the PCAP loads the bitstream it suspends the
-    /// issuing CPU: in single-core systems that is the scheduling core, so
-    /// batch launches stall for the load duration; in dual-core systems the
-    /// PR-server core absorbs it.  Returns the request's window on the PR path.
-    /// Both durations come from the board's [`PrCost`] for the slot's kind.
-    fn issue_pr(&mut self, slot_idx: usize, at: SimTime) -> ServiceWindow {
-        let slot = &self.slots[slot_idx];
-        let board = slot.board.0 as usize;
-        let cores = &mut self.cores[board];
-        let cost = cores.pr_cost[kind_bit(slot.descriptor.kind)];
-        let window = self.pr_paths[board].submit(at, cost.path);
-        let issuing_core = match cores.assignment {
-            CoreAssignment::SingleCore => &mut cores.sched,
-            CoreAssignment::DualCore => &mut cores.pr,
-        };
-        issuing_core.submit(at, cost.pcap_load);
-        window
-    }
-
     /// Grants `slot_idx` to `app`: the application's next unfinished, unplaced unit
     /// (task or bundle, depending on the slot kind) starts partial reconfiguration
     /// into the slot.
@@ -1554,86 +1591,74 @@ impl SharingSimulator {
     /// the slot is not free, the board is disabled for this application, the
     /// application already started in the other execution mode, it cannot bundle
     /// (for Big slots), or it has no unplaced unit left.
+    ///
+    /// The application is looked up once: every rejection check, the PR and
+    /// the application's bookkeeping (placement, occupancy counters, blocked
+    /// counting) run in one borrow of it, beside disjoint borrows of the
+    /// board's PR path and cores.
     pub(crate) fn grant_slot(&mut self, slot_idx: usize, app_id: AppId) -> bool {
         let now = self.now;
-        let (slot_kind, slot_board, slot_enabled, slot_free) = {
-            let slot = &self.slots[slot_idx];
-            (
-                slot.descriptor.kind,
-                slot.board.0 as usize,
-                slot.enabled,
-                slot.is_free(),
-            )
-        };
-        if !slot_free {
+        let slot = &self.slots[slot_idx];
+        let (slot_kind, slot_board, slot_enabled) =
+            (slot.descriptor.kind, slot.board.0 as usize, slot.enabled);
+        if !slot.is_free() || self.board_fault_down(slot_board) {
             return false;
         }
-        if self.board_fault_down(slot_board) {
-            return false;
-        }
-
         let target_mode = match slot_kind {
             SlotKind::Big => ExecMode::Big,
             SlotKind::Little => ExecMode::Little,
         };
 
-        let dma = &self.config.boards[slot_board].dma;
-
-        let unit_idx = {
-            // Borrow the suite and the application store simultaneously
-            // (disjoint fields) so no per-grant specification clone is needed.
-            let suite = &self.suite;
-            let app = self.apps.expect_mut(app_id);
-            let spec = &suite[app.app_index];
-            if app.state == AppState::Completed {
+        // Borrow the suite and the application store simultaneously
+        // (disjoint fields) so no per-grant specification clone is needed.
+        let app = self.apps.expect_mut(app_id);
+        let spec = &self.suite[app.app_index];
+        if app.state == AppState::Completed {
+            return false;
+        }
+        if !slot_enabled && (!app.started || app.home_board != Some(slot_board)) {
+            return false;
+        }
+        if app.started && app.mode != target_mode {
+            return false;
+        }
+        if !app.started && app.mode != target_mode {
+            if target_mode == ExecMode::Big && !spec.can_bundle() {
                 return false;
             }
-            if !slot_enabled && (!app.started || app.home_board != Some(slot_board)) {
-                return false;
-            }
-            if app.started && app.mode != target_mode {
-                return false;
-            }
-            if !app.started && app.mode != target_mode {
-                if target_mode == ExecMode::Big && !spec.can_bundle() {
-                    return false;
-                }
-                track_idle_demand(&mut self.idle_demand, app, |app| {
-                    app.rebuild_units(spec, target_mode, largest_item_dma(dma, spec));
-                });
-            }
-            match app.next_unit_to_place() {
-                Some(idx) => idx,
-                None => return false,
-            }
+            let dma = &self.config.boards[slot_board].dma;
+            track_idle_demand(&mut self.idle_demand, app, |app| {
+                app.rebuild_units(spec, target_mode, largest_item_dma(dma, spec));
+            });
+        }
+        let Some(unit_idx) = app.next_unit_to_place() else {
+            return false;
         };
 
-        let window = self.issue_pr(slot_idx, now);
+        let window =
+            self.cores[slot_board].issue_pr(&mut self.pr_paths[slot_board], slot_kind, now);
         let queued = window.queueing_delay(now) > self.config.blocked_threshold;
-        let finish = window.finish;
-
-        {
-            let app = self.apps.expect_mut(app_id);
-            if queued {
-                self.blocked_events += 1;
-                self.window_blocked += 1;
-                if !app.units[unit_idx].blocked_counted {
-                    app.units[unit_idx].blocked_counted = true;
-                    self.blocked_tasks += 1;
-                }
-            }
-            track_idle_demand(&mut self.idle_demand, app, |app| {
-                app.place_unit(unit_idx, slot_idx);
-            });
-            app.state = AppState::Running;
-            app.started = true;
-            app.home_board.get_or_insert(slot_board);
-            app.pr_count += 1;
-            if slot_kind == SlotKind::Big {
-                app.used_big = true;
+        if queued {
+            self.blocked_events += 1;
+            self.window_blocked += 1;
+            if !app.units[unit_idx].blocked_counted {
+                app.units[unit_idx].blocked_counted = true;
+                self.blocked_tasks += 1;
             }
         }
+        track_idle_demand(&mut self.idle_demand, app, |app| {
+            app.place_unit(unit_idx, slot_idx);
+            app.occupy(slot_kind);
+        });
+        app.state = AppState::Running;
+        app.started = true;
+        app.home_board.get_or_insert(slot_board);
+        app.pr_count += 1;
+        if slot_kind == SlotKind::Big {
+            app.used_big = true;
+        }
 
+        self.index.free.remove(slot_idx);
         self.set_slot_state(
             slot_idx,
             SlotState::Reconfiguring {
@@ -1641,14 +1666,13 @@ impl SharingSimulator {
                 unit: unit_idx,
             },
         );
-        self.index_slot_granted(slot_idx, app_id, slot_kind);
         self.total_pr += 1;
         let gen = self.slot_event_gen(slot_idx);
         if let Some(fault) = self.fault.as_mut() {
             fault.pr_attempts[slot_idx] = 0;
         }
         self.events.push(
-            finish,
+            window.finish,
             Event::PrComplete {
                 slot: slot_idx,
                 gen,
@@ -1693,9 +1717,12 @@ impl SharingSimulator {
         };
         let slot_kind = self.slots[slot_idx].descriptor.kind;
         self.set_slot_state(slot_idx, SlotState::Free);
-        self.index_slot_freed(slot_idx, app_id, slot_kind);
+        self.index_slot_freed(slot_idx);
         // A loaded slot always hosts an unfinished unit.
-        self.update_app(app_id, |app| app.unplace_unit(unit_idx));
+        self.update_app(app_id, |app| {
+            app.vacate(slot_kind);
+            app.unplace_unit(unit_idx);
+        });
         self.trace.log(
             self.now,
             TraceKind::SlotPreempted,
@@ -1861,11 +1888,10 @@ impl SharingSimulator {
             #[cfg(debug_assertions)]
             self.debug_check_skipped_pass(policy);
         }
-        let touched = std::mem::take(&mut self.touched_scratch);
-        for &(app_id, lo, hi) in &touched {
+        for i in 0..self.touched_scratch.len() {
+            let (app_id, lo, hi) = self.touched_scratch[i];
             self.launch_sweep_app(app_id, lo, hi);
         }
-        self.touched_scratch = touched;
         self.touched_scratch.clear();
         #[cfg(debug_assertions)]
         self.debug_assert_no_launchable();
@@ -2069,7 +2095,8 @@ impl SharingSimulator {
         };
         let kind = self.slots[slot_idx].descriptor.kind;
         self.set_slot_state(slot_idx, SlotState::Free);
-        self.index_slot_freed(slot_idx, app_id, kind);
+        self.index_slot_freed(slot_idx);
+        self.update_app(app_id, |app| app.vacate(kind));
     }
 
     fn handle_pr_complete(&mut self, slot_idx: usize) -> (AppId, usize) {
@@ -2137,7 +2164,13 @@ impl SharingSimulator {
             TraceDetail::PrFault { attempt },
         );
         if retry {
-            let window = self.issue_pr(slot_idx, now + backoff);
+            let slot = &self.slots[slot_idx];
+            let board = slot.board.0 as usize;
+            let window = self.cores[board].issue_pr(
+                &mut self.pr_paths[board],
+                slot.descriptor.kind,
+                now + backoff,
+            );
             let gen = {
                 let fault = self.fault.as_mut().expect("fault state present");
                 fault.pr_attempts[slot_idx] = attempt;
@@ -2172,8 +2205,11 @@ impl SharingSimulator {
             }
             let slot_kind = self.slots[slot_idx].descriptor.kind;
             self.set_slot_state(slot_idx, SlotState::Free);
-            self.index_slot_freed(slot_idx, app_id, slot_kind);
-            self.update_app(app_id, |app| app.unplace_unit(unit_idx));
+            self.index_slot_freed(slot_idx);
+            self.update_app(app_id, |app| {
+                app.vacate(slot_kind);
+                app.unplace_unit(unit_idx);
+            });
         }
         (app_id, unit_idx)
     }
@@ -2225,7 +2261,13 @@ impl SharingSimulator {
                 SlotState::Loaded { app, unit, busy } => (app, unit, busy),
                 SlotState::Free => continue,
             };
-            self.update_app(app_id, |app| app.unplace_unit(unit_idx));
+            let slot_kind = self.slots[slot_idx].descriptor.kind;
+            self.update_app(app_id, |app| {
+                app.unplace_unit(unit_idx);
+                if !in_flight {
+                    app.vacate(slot_kind);
+                }
+            });
             if in_flight {
                 // Detach the occupant now, free the slot when its stale event
                 // drains (see `release_quarantined`).
@@ -2234,9 +2276,8 @@ impl SharingSimulator {
                 fault.slot_quarantined[slot_idx] = true;
                 fault.pr_attempts[slot_idx] = 0;
             } else {
-                let slot_kind = self.slots[slot_idx].descriptor.kind;
                 self.set_slot_state(slot_idx, SlotState::Free);
-                self.index_slot_freed(slot_idx, app_id, slot_kind);
+                self.index_slot_freed(slot_idx);
                 let fault = self.fault.as_mut().expect("fault state present");
                 fault.pr_attempts[slot_idx] = 0;
             }
@@ -2338,12 +2379,20 @@ impl SharingSimulator {
             other => panic!("item completion on a slot in state {other:?}"),
         };
 
-        let (unit_finished, app_finished, batch, ripe) = {
-            let app = self.apps.expect_mut(app_id);
-            let unit_finished = app.complete_item(unit_idx);
-            let ripe = app.units[unit_idx].items_since_load >= PREEMPTION_QUANTUM;
-            (unit_finished, app.is_finished(), app.batch, ripe)
-        };
+        let slot_kind = self.slots[slot_idx].descriptor.kind;
+        let app = self.apps.expect_mut(app_id);
+        let unit_finished = app.complete_item(unit_idx);
+        let ripe = app.units[unit_idx].items_since_load >= PREEMPTION_QUANTUM;
+        let batch = app.batch;
+        if unit_finished {
+            // The finished unit leaves its slot.
+            track_idle_demand(&mut self.idle_demand, app, |app| app.vacate(slot_kind));
+        }
+        let app_finished = app.is_finished();
+        if app_finished {
+            app.state = AppState::Completed;
+            app.completion = Some(self.now);
+        }
 
         self.trace.log(
             self.now,
@@ -2355,9 +2404,8 @@ impl SharingSimulator {
         );
 
         if unit_finished {
-            let slot_kind = self.slots[slot_idx].descriptor.kind;
             self.set_slot_state(slot_idx, SlotState::Free);
-            self.index_slot_freed(slot_idx, app_id, slot_kind);
+            self.index_slot_freed(slot_idx);
             self.trace.log(
                 self.now,
                 TraceKind::TaskCompleted,
@@ -2380,9 +2428,6 @@ impl SharingSimulator {
         }
 
         if app_finished {
-            let app = self.apps.expect_mut(app_id);
-            app.state = AppState::Completed;
-            app.completion = Some(self.now);
             self.index_app_completed(app_id);
             self.completed.push(app_id);
             self.pass_due = true;
@@ -2429,12 +2474,14 @@ impl SharingSimulator {
     /// each touched application — [`Self::debug_assert_no_launchable`]
     /// cross-checks the claim in debug builds.
     ///
-    /// Each ready unit launches as soon as the scan reaches it: a launch
-    /// changes neither its unit's progress nor any other unit's slot, so no
-    /// launch makes another unit ready or unready, and no ready list is
-    /// needed.  Units launch in ascending order, which fixes the order the
-    /// scheduler core runs them in and the event queue receives their
-    /// completions.
+    /// The application is looked up once: the scan collects the ready
+    /// `(unit, slot, duration)` triples in ascending unit order into
+    /// `ready_scratch`, then launches them.  A launch changes neither its
+    /// unit's progress nor any other unit's slot, so no launch makes another
+    /// unit ready or unready, and launching after the scan is the same as
+    /// launching as the scan reaches each unit.  Units launch in ascending
+    /// order, which fixes the order the scheduler core runs them in and the
+    /// event queue receives their completions.
     fn launch_sweep_app(&mut self, app_id: AppId, lo: usize, hi: usize) {
         let Some(app) = self
             .apps
@@ -2448,8 +2495,7 @@ impl SharingSimulator {
             0 => u32::MAX,
             _ => app.units[lo - 1].items_done,
         };
-        for unit_idx in lo..end {
-            let unit = &self.apps.expect(app_id).units[unit_idx];
+        for (unit_idx, unit) in app.units[..end].iter().enumerate().skip(lo) {
             let has_input = predecessor_done > unit.items_done;
             predecessor_done = unit.items_done;
             let Some(slot_idx) = unit.slot else { continue };
@@ -2460,10 +2506,15 @@ impl SharingSimulator {
                     SlotState::Loaded { busy: false, .. }
                 )
             {
-                let duration = unit.next_item_duration();
-                self.launch(app_id, unit_idx, slot_idx, duration);
+                self.ready_scratch
+                    .push((unit_idx, slot_idx, unit.next_item_duration()));
             }
         }
+        for i in 0..self.ready_scratch.len() {
+            let (unit_idx, slot_idx, duration) = self.ready_scratch[i];
+            self.launch(app_id, unit_idx, slot_idx, duration);
+        }
+        self.ready_scratch.clear();
     }
 
     /// Starts the next batch item of `app_id`'s unit `unit_idx` in its loaded,
@@ -3105,6 +3156,112 @@ mod tests {
     /// A settled policy runs once after each change of its inputs — an
     /// arrival, a unit or application finishing — and not at the instants
     /// that only complete PRs or non-final batch items.
+    /// Everything a grant may change: the PR paths and cores, the engine's
+    /// counters, the slots with their masks and utilization shares, the
+    /// queue and the application.
+    fn grant_state(sim: &SharingSimulator, app: AppId) -> String {
+        format!(
+            "{:?}",
+            (
+                (&sim.pr_paths, &sim.cores),
+                (sim.total_pr, sim.blocked_events, sim.blocked_tasks),
+                (sim.window_blocked, sim.idle_demand, sim.pass_due),
+                (&sim.slots, &sim.index, &sim.slot_share, sim.util),
+                (sim.events.len(), sim.apps.get(app)),
+            )
+        )
+    }
+
+    /// Asserts that granting `slot` to `app` is rejected (`why`) and leaves
+    /// the engine as it was.
+    fn assert_grant_rejected(sim: &mut SharingSimulator, slot: usize, app: AppId, why: &str) {
+        let before = grant_state(sim, app);
+        assert!(!sim.grant_slot(slot, app), "{why}: the grant went through");
+        assert_eq!(
+            grant_state(sim, app),
+            before,
+            "{why}: the rejection changed state"
+        );
+        sim.verify_indexes();
+    }
+
+    /// Every rejection `grant_slot` documents returns before the PR is
+    /// issued and before any counter, slot or application moves.
+    #[test]
+    fn every_grant_rejection_leaves_the_engine_untouched() {
+        let mut observer = Observer {
+            note_first: false,
+            seen: 0,
+            calls: Vec::new(),
+        };
+        let arrivals = [
+            AppArrival::new(
+                AppId(0),
+                BenchmarkApp::Rendering3D.suite_index(),
+                2,
+                SimTime::ZERO,
+            ),
+            AppArrival::new(
+                AppId(1),
+                BenchmarkApp::LeNet.suite_index(),
+                2,
+                SimTime::ZERO,
+            ),
+        ];
+
+        // Two Big slots (0, 1), then eight Little ones (2..10).
+        let board = BoardSpec::zcu216_big_little().with_layout(
+            versaslot_fpga::slot::SlotLayout::with_counts(
+                2,
+                8,
+                BoardSpec::zcu216_little_capacity(),
+            ),
+        );
+        let mut sim = SharingSimulator::new(
+            SystemConfig::single_board(board),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+        while sim.arrivals_admitted() < 2 {
+            assert!(sim.step(&mut observer));
+        }
+        let (big, little) = (0, 2);
+        // Application 0's three tasks take three Little slots.
+        for slot in little..little + 3 {
+            assert!(sim.grant_slot(slot, AppId(0)));
+        }
+        assert_grant_rejected(&mut sim, little, AppId(1), "slot not free");
+        assert_grant_rejected(&mut sim, little + 3, AppId(0), "no unplaced unit");
+        assert_grant_rejected(&mut sim, big, AppId(0), "wrong mode");
+        while sim.app(AppId(0)).state != AppState::Completed {
+            assert!(sim.step(&mut observer));
+        }
+        assert_grant_rejected(&mut sim, little, AppId(0), "application completed");
+
+        // A cluster whose second board is disabled: its slots take grants
+        // only from applications that started there.
+        let mut sim = SharingSimulator::new(
+            SystemConfig::switching_cluster(
+                BoardSpec::zcu216_only_little(),
+                BoardSpec::zcu216_big_little(),
+            ),
+            BenchmarkApp::suite(),
+            &arrivals,
+        );
+        while sim.arrivals_admitted() < 2 {
+            assert!(sim.step(&mut observer));
+        }
+        let off = sim
+            .slots
+            .iter()
+            .position(|slot| slot.board.0 == 1 && slot.descriptor.kind == SlotKind::Little)
+            .expect("the second board has Little slots");
+        assert!(!sim.slots[off].enabled);
+        assert_grant_rejected(&mut sim, off, AppId(0), "disabled board, not started");
+        assert!(sim.grant_slot(0, AppId(0)));
+        assert_grant_rejected(&mut sim, off, AppId(0), "disabled board, not home");
+    }
+
     #[test]
     fn a_settled_policy_runs_only_after_its_inputs_change() {
         let (calls, trace) = observe_two_lenets(8, false);
