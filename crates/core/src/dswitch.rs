@@ -12,10 +12,21 @@
 //! queue, and `N_batch` their total batch size.  The metric is recalculated after
 //! every *n* updates of the candidate queue.
 //!
+//! # The reading implemented today
+//!
+//! `DswitchWindow` holds the inputs between evaluations.  `N_blocked_tasks`
+//! counts blocked *events* (a PR queued on the PR path, a launch delayed by a
+//! suspended core) since the previous evaluation, so it resets every period.
+//! `N_PR` counts the tasks of every application that has started, from
+//! `t = 0`, retired ones included.  `N_apps` and `N_batch` are read at the
+//! evaluation.  A per-period numerator over a cumulative denominator decays
+//! like one over the run's length; choosing the `N_PR` window from the
+//! paper's text is a change to `DswitchWindow::close_period` alone.
+//!
 //! Inspired by a Schmitt trigger, the switch loop uses two thresholds with a buffer
 //! zone: rising through `T(OL→BL)` switches an `Only.Little` board to a
-//! `Big.Little` board, falling through `T(BL→OL)` switches back, and entering the
-//! buffer zone pre-warms the target board.
+//! `Big.Little` board, falling through `T(BL→OL)` switches back, and a value
+//! inside the buffer zone keeps the active board.
 
 use serde::{Deserialize, Serialize};
 use versaslot_fpga::slot::LayoutKind;
@@ -49,11 +60,6 @@ impl SwitchThresholds {
             "thresholds must satisfy 0 < lower < upper < 1 (got lower={lower}, upper={upper})"
         );
         SwitchThresholds { upper, lower }
-    }
-
-    /// Returns `true` if `value` lies inside the buffer zone between the thresholds.
-    pub(crate) fn in_buffer_zone(&self, value: f64) -> bool {
-        value > self.lower && value < self.upper
     }
 }
 
@@ -89,6 +95,64 @@ pub(crate) fn dswitch_value(inputs: DswitchInputs) -> f64 {
     (contention * pressure).clamp(EPSILON, 1.0 - EPSILON)
 }
 
+/// The running inputs of Eq. 1 between two evaluations, closed every
+/// `period` candidate-queue updates (see the module docs for the reading).
+#[derive(Debug)]
+pub(crate) struct DswitchWindow {
+    period: u32,
+    /// Candidate-queue updates so far.
+    updates: u32,
+    /// Tasks of every application that has started.
+    pr_tasks: u64,
+    /// The engine's blocked-event count at the last close.
+    blocked_at_close: u64,
+}
+
+impl DswitchWindow {
+    pub(crate) fn new(period: u32) -> Self {
+        DswitchWindow {
+            period,
+            updates: 0,
+            pr_tasks: 0,
+            blocked_at_close: 0,
+        }
+    }
+
+    /// Adds the `tasks` of an application granted its first slot.
+    pub(crate) fn record_started(&mut self, tasks: u64) {
+        self.pr_tasks += tasks;
+    }
+
+    /// Counts one candidate-queue update; `true` when it ends a period.
+    pub(crate) fn update_ends_period(&mut self) -> bool {
+        self.updates += 1;
+        self.updates.is_multiple_of(self.period)
+    }
+
+    /// Closes the period at the engine's running `blocked_events`, with the
+    /// candidate queue's size and total batch, and returns its inputs.
+    pub(crate) fn close_period(
+        &mut self,
+        blocked_events: u64,
+        candidate_apps: u64,
+        candidate_batch: u64,
+    ) -> DswitchInputs {
+        let blocked_tasks = blocked_events - self.blocked_at_close;
+        self.blocked_at_close = blocked_events;
+        DswitchInputs {
+            blocked_tasks,
+            pr_tasks: self.pr_tasks,
+            candidate_apps,
+            candidate_batch,
+        }
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn pr_tasks(&self) -> u64 {
+        self.pr_tasks
+    }
+}
+
 /// One recorded point of the D_switch trace (Figure 8, left plot).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DswitchSample {
@@ -112,8 +176,7 @@ pub struct DswitchSample {
 /// use versaslot_fpga::slot::LayoutKind;
 ///
 /// let mut sw = SwitchLoop::new(SwitchThresholds::paper_default(), LayoutKind::OnlyLittle);
-/// assert_eq!(sw.observe(0.05), None);          // buffer zone: pre-warm, no switch
-/// assert!(sw.prewarm_target().is_some());
+/// assert_eq!(sw.observe(0.05), None);          // buffer zone: no switch
 /// assert_eq!(sw.observe(0.15), Some(LayoutKind::BigLittle)); // crossed T1
 /// assert_eq!(sw.observe(0.05), None);          // hysteresis: stay on Big.Little
 /// assert_eq!(sw.observe(0.01), Some(LayoutKind::OnlyLittle)); // crossed T2
@@ -122,7 +185,6 @@ pub struct DswitchSample {
 pub struct SwitchLoop {
     thresholds: SwitchThresholds,
     active: LayoutKind,
-    last_value: f64,
 }
 
 impl SwitchLoop {
@@ -131,14 +193,12 @@ impl SwitchLoop {
         SwitchLoop {
             thresholds,
             active: initial,
-            last_value: thresholds.lower,
         }
     }
 
     /// Feeds a new D_switch observation.  Returns `Some(target)` when a switch to
     /// `target` should be performed now, `None` otherwise.
     pub fn observe(&mut self, value: f64) -> Option<LayoutKind> {
-        self.last_value = value;
         match self.active {
             LayoutKind::OnlyLittle if value >= self.thresholds.upper => {
                 self.active = LayoutKind::BigLittle;
@@ -149,20 +209,6 @@ impl SwitchLoop {
                 Some(LayoutKind::OnlyLittle)
             }
             _ => None,
-        }
-    }
-
-    /// While the value sits in the buffer zone the system pre-warms the board it
-    /// would switch to next; returns that layout, or `None` outside the buffer zone.
-    pub fn prewarm_target(&self) -> Option<LayoutKind> {
-        if self.thresholds.in_buffer_zone(self.last_value) {
-            Some(match self.active {
-                LayoutKind::OnlyLittle => LayoutKind::BigLittle,
-                LayoutKind::BigLittle => LayoutKind::OnlyLittle,
-                LayoutKind::Custom => LayoutKind::Custom,
-            })
-        } else {
-            None
         }
     }
 }
@@ -226,15 +272,35 @@ mod tests {
         assert_eq!(sw.active, LayoutKind::OnlyLittle);
     }
 
+    /// Two periods of two updates each, computed by hand: the blocked
+    /// numerator restarts at each close, `N_PR` accumulates.
     #[test]
-    fn prewarm_only_inside_buffer_zone() {
-        let mut sw = SwitchLoop::new(SwitchThresholds::paper_default(), LayoutKind::OnlyLittle);
-        sw.observe(0.005);
-        assert_eq!(sw.prewarm_target(), None);
-        sw.observe(0.05);
-        assert_eq!(sw.prewarm_target(), Some(LayoutKind::BigLittle));
-        sw.observe(0.2);
-        assert_eq!(sw.prewarm_target(), None); // switched and above the zone
+    fn window_resets_blocked_and_accumulates_pr_tasks() {
+        let mut window = DswitchWindow::new(2);
+        window.record_started(5);
+        assert!(!window.update_ends_period());
+        assert!(window.update_ends_period());
+        assert_eq!(
+            window.close_period(3, 2, 20),
+            DswitchInputs {
+                blocked_tasks: 3,
+                pr_tasks: 5,
+                candidate_apps: 2,
+                candidate_batch: 20,
+            }
+        );
+        window.record_started(4);
+        assert!(!window.update_ends_period());
+        assert!(window.update_ends_period());
+        assert_eq!(
+            window.close_period(7, 1, 10),
+            DswitchInputs {
+                blocked_tasks: 4,
+                pr_tasks: 9,
+                candidate_apps: 1,
+                candidate_batch: 10,
+            }
+        );
     }
 
     #[test]
@@ -270,7 +336,7 @@ mod tests {
             for v in values {
                 let before = sw.active;
                 let switched = sw.observe(v);
-                if thresholds.in_buffer_zone(v) {
+                if v > thresholds.lower && v < thresholds.upper {
                     prop_assert_eq!(switched, None);
                     prop_assert_eq!(sw.active, before);
                 }

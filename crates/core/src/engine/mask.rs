@@ -151,7 +151,6 @@ impl SlotMask {
     }
 
     /// Iterates the set bit indices, ascending.
-    #[cfg(any(test, debug_assertions))]
     pub(crate) fn iter(&self) -> SlotIndexIter<'_> {
         MaskQuery::all(self).iter()
     }
@@ -187,7 +186,6 @@ pub(crate) struct MaskQuery<'a> {
 
 impl<'a> MaskQuery<'a> {
     /// The identity query: just `base`.
-    #[cfg(any(test, debug_assertions))]
     fn all(base: &'a SlotMask) -> Self {
         MaskQuery {
             base,

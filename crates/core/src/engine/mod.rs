@@ -2,24 +2,21 @@
 //!
 //! [`SharingSimulator`] models one (or, for the switching experiment, two) FPGA
 //! boards whose slots are shared by a stream of applications, driving the hardware
-//! models of `versaslot-fpga` with a discrete-event loop:
-//!
-//! * **PR mechanics** — every partial reconfiguration occupies the issuing core
-//!   (the scheduler core in single-core systems, the PR-server core in dual-core
-//!   systems) for the SD-read plus PCAP-load duration, serialising concurrent
-//!   requests and — in single-core systems — suspending scheduling, exactly the
-//!   contention/blocking behaviour the paper analyses.
-//! * **Pipelines** — batch item *b* of a unit can only start once the predecessor
-//!   unit has produced item *b* and the hosting slot is loaded and idle; every
-//!   launch costs the scheduler core a small overhead and is therefore delayed
-//!   while that core is suspended.
-//! * **Cross-board switching** — the D_switch metric is recomputed every *n*
-//!   candidate-queue updates; crossing a Schmitt-trigger threshold migrates the
-//!   ready applications to the other board while in-flight work drains on the
-//!   source board.
+//! models of `versaslot-fpga` with a discrete-event loop.  Batch item *b* of a
+//! unit can only start once the predecessor unit has produced item *b* and the
+//! hosting slot is loaded and idle; every launch costs the scheduler core a
+//! small overhead and is therefore delayed while that core is suspended.
 //!
 //! The *policy* (which application gets which slot, and when) is pluggable — see
 //! [`crate::policy`].
+//!
+//! # The planes
+//!
+//! This module holds the stepping path: [`SharingSimulator::step`], the
+//! common instant's handlers, the pass and the launch sweep, admission and
+//! the policy-facing API.  Each plane is a module and a simulator field: `hw`
+//! (cores, PR cost, slot masks), `faults` and `switch` (their state private
+//! to them, absent when off) and `report` (utilization, the run report).
 //!
 //! # At most one scheduling pass per simulation instant
 //!
@@ -55,21 +52,16 @@
 //!
 //! A non-final item completion (busy to idle, item counters, remaining
 //! work) sets nothing, and neither does a PR completion (reconfiguring to
-//! loaded), which flips neither bit.  A policy sees free slots, enabled
-//! slots and per-application occupancy counters, and a PR completion
-//! changes none of them: its only effect a policy can observe is a new
-//! loaded, idle slot, and policies read loaded and reconfiguring slots only
-//! through `SharingSimulator::preemption_victim` (see the `policy` module
-//! docs), which every flush that runs no pass evaluates for a preempting
-//! policy.
+//! loaded), which flips neither bit: policies read loaded and reconfiguring
+//! slots only through `SharingSimulator::preemption_victim`, which every
+//! flush that runs no pass evaluates for a preempting policy.
 //!
 //! The flush calls [`Policy::schedule`] only when the pass is due and some
 //! free slot is grantable to an active application (or any slot is free and
 //! no application is active, so policies prune finished applications at the
 //! end of a run), or when the policy preempts ([`Policy::preempts`]) and
-//! `SharingSimulator::preemption_victim` finds a slot the shared quantum
-//! preemption would release.  It clears the flag just before the call.  The
-//! launch sweep runs at every instant regardless.
+//! `SharingSimulator::preemption_victim` finds a victim.  It clears the flag
+//! just before the call.  The launch sweep runs at every instant regardless.
 //!
 //! Beside the flag the simulator keeps two narrower signals, together a
 //! `PassChanges`: whether an arrival was admitted and whether an application
@@ -82,32 +74,15 @@
 //! Both start set, so the first pass on every simulator does the full work;
 //! that keeps a policy reused from an earlier run exact.
 //!
-//! The victim check only hands a due preemption to a policy that acts on
-//! it.  For a policy that never preempts (FCFS) a victim would open a pass
-//! that can grant nothing new: without a grantable slot it cannot grant,
-//! and with one the pass is settled.  So FCFS skips both the victim scan
-//! and that pass.
-//!
-//! A pass that leaves the flag clear granted, released and changed nothing,
-//! so it is a fixed point: the next pass sees the same slots, applications
-//! and policy state.  Time and item progress reach the policies only through
-//! the ageing-priority order, which cannot make a grant or binding feasible
-//! in a pass that granted nothing, and quantum crossings still reach them
-//! through the victim check.  The skip is exact because policies act on the
-//! engine only through `SharingSimulator::grant_slot` and
-//! `crate::policy::preempt_for_starving_apps`, report their own state
-//! changes, and are exhaustive within one pass; see the `policy` module docs
-//! for the contract.  The flag belongs to the simulator, so it assumes the
-//! same policy on every [`SharingSimulator::step`].
-//!
-//! Debug builds check the skip on every instant.  A pass skipped as settled
-//! still runs and must leave the flag clear (a non-preempting policy's pass
-//! included, whatever the victim check would have said); a pass skipped for
-//! want of a grantable slot asserts that none is grantable and, for a
-//! preempting policy, that no preemption victim exists; and VersaSlot
-//! asserts that any change of its allocation state left the next pass due.
-//! The `behaviour_lock` test pins the outputs of every scheduler and run
-//! mode to digests recorded from the always-pass engine.
+//! A pass that leaves the flag clear changed nothing, so it is a fixed point.
+//! Why skipping it is exact, and what a policy must do for that, is the
+//! engine contract in the `policy` module docs.  The flag belongs to the
+//! simulator, so it assumes the same policy on every
+//! [`SharingSimulator::step`].  Debug builds rerun every pass skipped as
+//! settled and assert it left the flag clear, assert that a pass skipped for
+//! want of a grantable slot had none (and, for a preempting policy, no
+//! victim), and the `behaviour_lock` test pins the outputs of every
+//! scheduler and run mode to digests recorded from the always-pass engine.
 //!
 //! # O(1) per-event bookkeeping
 //!
@@ -125,130 +100,59 @@
 //!   completed there.  The slot side (masks, state, trace) follows; of it
 //!   only a slot turning loaded reads the application again (its unit's
 //!   resources), and a launch only when it is blocked.
-//! * **Utilization.** The integers behind the occupancy, LUT and FF ratios
-//!   (counted slots, their capacity, occupied slots, the resources of loaded
-//!   units) change only at slot-state transitions and board enable/disable,
-//!   all through one funnel, `update_slot`.  When a slot's share of them
-//!   changes, `update_slot` sets the new totals at `now` in a three-lane
-//!   [`TimeWeightedRatios`] (occupancy, LUT, FF as integer
-//!   numerator/denominator pairs): a few `u128` multiply-adds, and a
-//!   division only for a lane whose denominator moved, which happens only
-//!   when a board is enabled or disabled.  So the integral is exact between
-//!   changes, covers every change wherever it happens (a cross-board switch
-//!   included), and a non-final item completion, which leaves the totals
-//!   as they were, does no utilization work at all.  Each slot's current
-//!   share is cached (`slot_share`), so a change computes only the new
-//!   share: a loaded slot's share reads its occupant's resources, which
-//!   costs an application lookup, and the old share costs none.
+//! * **Utilization.** The integers behind the utilization ratios change only
+//!   at slot-state transitions and board enable/disable, all through one
+//!   funnel, `update_slot`, which integrates them exactly (see the `report`
+//!   module).
 //! * **Starvation gate.** `idle_demand` counts the stored applications that
-//!   have unplaced units and hold no slot.  Only such an application can
-//!   starve, so while the counter is 0 a flush asks for no preemption
-//!   victim, and `SharingSimulator::preemption_victim` returns at once
-//!   (debug builds then run the ungated scan and assert it finds no
-//!   victim).  While it is not 0, an inline pre-check still skips the call
-//!   when `loaded_idle & ripe & Little` is empty, since the victim comes
-//!   from that set (debug builds again assert the ungated scan agrees).
-//!   One before/after helper (`track_idle_demand`) moves the counter
-//!   wherever an application's unplaced units or occupied slots change:
-//!   placing and unplacing a unit (grant, release, PR abandonment, board
-//!   eviction), rebuilding its units, the slot-occupancy counters
-//!   (`AppRuntime::occupy`, `AppRuntime::vacate`) and admission.
+//!   have unplaced units and hold no slot; only such an application can
+//!   starve, so while it is 0 a flush asks for no preemption victim (see
+//!   `SharingSimulator::preemption_victim`).  One before/after helper,
+//!   `track_idle_demand`, moves it wherever an application's unplaced units
+//!   or occupied slots change.
 //! * **Optimal slot counts.** `AppRuntime::optimal_slots` serves each
-//!   application's ILP-optimal `(O_B, O_L)`, set at admission from the
-//!   suite application's `crate::ilp::SlotCurve`.  A curve is built at the
-//!   first admission of its suite application (never at construction, so a
-//!   run pays only for the applications it meets) and serves every later
-//!   admission at any batch size without a partition search; the table
-//!   holds at most one curve per suite application however long a service
-//!   run lasts.
+//!   application's ILP-optimal `(O_B, O_L)`, read at admission off its suite
+//!   application's `crate::ilp::SlotCurve`, built at that application's first
+//!   admission and kept for the run.
 //! * **Retirement.** [`SharingSimulator::retire_completed`] folds the
 //!   applications recorded as they completed and returns at once when none
 //!   did.
 //! * **Launch sweep.** A completion of unit `u` changes the readiness inputs
-//!   of units `u` (its slot) and `u + 1` (its predecessor's progress) only.
-//!   The touched list keeps each application once, beside its *dirty unit
-//!   range*, widened to `u..=u + 1` by every completion of one of its units
-//!   at the instant.  The flush walks the touched list by index, looks each
-//!   application up once, scans its range in ascending unit order into a
-//!   reusable list of ready `(unit, slot, duration)` triples and then
-//!   launches them (a launch makes no other unit ready or unready), so no
-//!   unit outside a dirty range is ever scanned; completion is read from the
-//!   application's unfinished-units counter.
-//! * **Preemption candidates.** The `ripe` slot mask holds the occupied
-//!   slots whose unit has completed at least `PREEMPTION_QUANTUM` items
-//!   since it was loaded: an item completion sets the bit when the unit
-//!   crosses the quantum, and freeing the slot clears it.
-//!   `SharingSimulator::preemption_victim` walks
-//!   `loaded_idle & ripe & Little` instead of every loaded-idle Little
-//!   slot, and reads each active application from the store once in its
-//!   starving scan.
+//!   of units `u` and `u + 1` only, so the flush sweeps each touched
+//!   application's *dirty unit range* (see
+//!   `SharingSimulator::launch_sweep_app`).
+//! * **Preemption candidates.** `SharingSimulator::preemption_victim` walks
+//!   the `ripe` slot mask (units past `PREEMPTION_QUANTUM` items since their
+//!   load) instead of every loaded-idle Little slot.
 //!
 //! `SharingSimulator::verify_indexes` (debug builds, after every event)
-//! recounts the utilization totals with the full slot walk, each cached slot
-//! share, and the idle-demand counter from the application store, checks
-//! that the ripe mask covers every loaded slot past the quantum and holds
-//! only occupied slots, that the touched list is empty once the instant is
-//! flushed, the completed list against the application store and each live
-//! application's `(O_B, O_L)` against its curve; each admission
-//! debug-checks the curve's answer against a fresh ILP solve.  Unit tests
-//! drive board outages (eviction, quarantine, disable/enable) and
-//! cross-board switches through that recount, and run VersaSlot and
-//! Nimblock in service mode past 5,000 retirements to bound the curve table
-//! and the store.
+//! recounts every such index from the slots and the application store.  Unit
+//! tests drive board outages and cross-board switches through that recount,
+//! and run VersaSlot and Nimblock in service mode past 5,000 retirements to
+//! bound the curve table and the store.
 //!
 //! # One application store
 //!
 //! Each live [`AppRuntime`] is kept once, in a flat window indexed by
-//! `id - base` (a `Vec` of `Option<AppRuntime>`), so a lookup is one
-//! subtraction and one bounds check, with no ring-buffer wrap arithmetic.
-//! Retirement drops the window's vacant ends lazily: a removal skips past
-//! the vacant front and pops the vacant back, and once the vacant prefix
-//! outgrows the live part one drain slides `base` (amortised O(1)).  The
-//! window then holds at most 2 × the live identifier span + 1 entries, so
-//! memory stays proportional to the live span, which keeps the
-//! infinite-stream service mode constant-memory.
-//! Iterating the window yields ascending identifiers, the order every report
-//! relies on.  What a policy pass reads per application is O(1): the
-//! remaining work, unfinished units and unplaced units are counters inside
-//! the runtime, set by `AppRuntime::rebuild_units` and moved by the engine
-//! in the same borrow as the unit change (grant, item completion, release,
-//! PR abandonment, board-failure eviction).  In debug builds
-//! `SharingSimulator::verify_indexes` recounts them from the unit vector
-//! after every event.
-//!
-//! # Multi-word slot masks
-//!
-//! Slot sets are [`mask::SlotMask`]es — two inline `u64` words spilling to a
-//! heap vector beyond 128 slots, lifting the ceiling to `MAX_SLOTS` (4096)
-//! without allocating for ordinary boards.  The simulator maintains `free`,
-//! `enabled`, `loaded_idle`, static per-kind and static per-board masks
-//! incrementally at every slot transition (grant, release, PR completion, item
-//! completion, switch trigger/completion), and the `ripe` mask at item
-//! completions and slot releases; every policy-facing query
-//! ([`SharingSimulator::free_slot_count`],
-//! `SharingSimulator::first_grantable_slot`,
-//! `SharingSimulator::has_grantable_slot`) is popcounts and trailing-zeros
-//! over lazily-ANDed words.
-//! `SharingSimulator::verify_indexes` recomputes all masks and counters from
-//! the slot runtimes and panics on any divergence; debug builds run
-//! it after every event.
+//! identifier (`AppStore`), whose memory stays proportional to the live
+//! identifier span and whose iteration is in identifier order, the order
+//! every report relies on.  What a policy pass reads per application is
+//! O(1): the remaining work, unfinished units and unplaced units are counters
+//! inside the runtime, moved by the engine in the same borrow as the unit
+//! change, and recounted by `SharingSimulator::verify_indexes` in debug
+//! builds.
 //!
 //! # Allocation-free event spine
 //!
 //! Steady-state simulation performs **zero heap allocations per event**:
 //!
 //! * the [`EventQueue`] is one sorted run, pre-sized at construction with
-//!   `SharingSimulator::event_queue_capacity` (arrivals + slots + boards,
-//!   and boards again with the fault plane on: the tight bound on
-//!   concurrently pending events), so it never grows —
-//!   [`SharingSimulator::step`] debug-asserts
-//!   [`SharingSimulator::event_queue_grow_events`] stays `0`.  A pop is
-//!   `Vec::pop`, and a push appends the new entry and moves it back, in one
-//!   pass, past the pending events due at or before it, which here are at
-//!   most one completion per slot, one timer per board and the arrivals due
-//!   sooner;
-//!   the arrivals of a finite run are bulk-loaded with one stable sort, so
-//!   tied arrivals are admitted in input order;
+//!   `SharingSimulator::event_queue_capacity`, so it never grows
+//!   ([`SharingSimulator::step`] debug-asserts
+//!   [`SharingSimulator::event_queue_grow_events`] stays `0`); a push moves
+//!   the new entry back past the pending events due at or before it, and a
+//!   finite run's arrivals are bulk-loaded with one stable sort, so tied
+//!   arrivals are admitted in input order;
 //! * the utilization integrator and the starvation gate cost O(1) per event
 //!   (see above): a non-final item completion touches no utilization state,
 //!   and a flush with no application waiting slotless skips the preemption
@@ -278,25 +182,25 @@
 //! inlined into [`SharingSimulator::step`]: its code would sit between the
 //! common path's instructions and spread them over more cache lines, and
 //! its locals would raise the frame and register pressure of every event,
-//! for work that runs on a small share of events.  `step` shrank from
-//! 12.0 KB to 5.3 KB of x86_64 code when the handlers moved out of line.
+//! for work that runs on a small share of events.
 
 pub mod app;
+mod faults;
+mod hw;
 pub mod mask;
+mod report;
 pub mod slot;
+mod switch;
 
 use std::cmp::Reverse;
 #[cfg(any(test, debug_assertions))]
 use std::collections::BTreeMap;
 
-use versaslot_fpga::bitstream::BitstreamKind;
-use versaslot_fpga::board::{BoardId, BoardSpec};
-use versaslot_fpga::cpu::CoreAssignment;
+use versaslot_fpga::board::BoardId;
 use versaslot_fpga::interconnect::DmaModel;
-use versaslot_fpga::pcap::{SerialServer, ServiceWindow};
+use versaslot_fpga::pcap::SerialServer;
 use versaslot_fpga::resources::ResourceVector;
-use versaslot_fpga::slot::{LayoutKind, SlotKind};
-use versaslot_sim::fault::{FaultSchedule, FaultStats};
+use versaslot_fpga::slot::SlotKind;
 use versaslot_sim::{
     EventQueue, SimDuration, SimTime, TimeWeightedRatios, Trace, TraceDetail, TraceKind,
 };
@@ -304,14 +208,16 @@ use versaslot_workload::{AppArrival, AppId, ApplicationSpec};
 
 use crate::allocation::AppAllocInfo;
 use crate::config::SystemConfig;
-use crate::dswitch::{dswitch_value, DswitchInputs, DswitchSample, SwitchLoop};
 use crate::ilp::{optimal_big_slots, optimal_little_slots, SlotCurve};
-use crate::metrics::{AppRecord, RunReport};
-use crate::migration::{migration_overhead, MigrationRecord};
+use crate::metrics::RunReport;
 use crate::policy::{Policy, PREEMPTION_QUANTUM};
 
 use app::AppStore;
+use faults::FaultState;
+use hw::{kind_bit, BoardCores, SlotIndex};
 use mask::MaskQuery;
+use report::UtilTotals;
+use switch::SwitchPlane;
 
 pub use app::{AppRuntime, AppState, ExecMode, UnitRuntime};
 pub use mask::SlotMask;
@@ -330,9 +236,8 @@ pub(crate) const MAX_SLOTS: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Arrival(AppId),
-    /// `gen` is the slot's eviction generation at push time: a fault eviction
-    /// bumps the slot's counter, turning any in-flight completion for the old
-    /// occupant into a no-op.  Always `0` when the fault plane is off.
+    /// `gen` is the slot's eviction generation at push time (see the
+    /// `faults` module); always `0` when the fault plane is off.
     PrComplete {
         slot: usize,
         gen: u32,
@@ -354,127 +259,6 @@ enum Event {
     },
 }
 
-/// Runtime state of the fault plane; present only when
-/// [`SystemConfig::active_faults`] is `Some`, so the fault-free hot path (an
-/// empty schedule included) pays one `Option` check per event at most.
-#[derive(Debug)]
-struct FaultState {
-    schedule: FaultSchedule,
-    stats: FaultStats,
-    /// Per-slot eviction generation (see [`Event::PrComplete`]).
-    slot_gen: Vec<u32>,
-    /// Failed attempts of the in-flight reconfiguration per slot.
-    pr_attempts: Vec<u32>,
-    /// Boards currently failed.
-    board_down: Vec<bool>,
-    /// Whether the board accepted grants when it failed (restored on repair).
-    board_was_enabled: Vec<bool>,
-    /// Boards with a pending `BoardDown`/`BoardUp` timer in the queue (at most
-    /// one per board, which is what the queue capacity reserves).
-    board_timer_armed: Vec<bool>,
-    /// Slots evicted by a board failure whose in-flight completion event is
-    /// still in the queue.  The occupant is detached immediately, but the slot
-    /// itself is only returned to the free pool when that stale event drains —
-    /// this keeps the queue at one pending event per slot, which is what the
-    /// pre-sized queue reserves.
-    slot_quarantined: Vec<bool>,
-}
-
-/// The scheduler and PR-server cores of one board, each a serial server: a
-/// PCAP load suspends the issuing core, and a launch runs on the scheduler
-/// core behind whatever occupies it.
-#[derive(Debug, Clone, Copy)]
-struct BoardCores {
-    assignment: CoreAssignment,
-    sched: SerialServer,
-    pr: SerialServer,
-    /// The board's PR cost per slot kind (indexed by [`kind_bit`]).
-    pr_cost: [PrCost; 2],
-}
-
-impl BoardCores {
-    /// Issues one partial reconfiguration of a `kind` slot at `at`, modelled
-    /// as the paper describes it: the PR server reads the slot kind's
-    /// pre-generated bitstream from the SD card into memory and then pushes
-    /// it through the PCAP.  The board's PR path (`pr_path`: SD read followed
-    /// by the PCAP load) serves one request at a time; concurrent requests
-    /// queue behind it (PR contention).  While the PCAP loads the bitstream
-    /// it suspends the issuing CPU: in single-core systems that is the
-    /// scheduling core, so batch launches stall for the load duration; in
-    /// dual-core systems the PR-server core absorbs it.  Returns the
-    /// request's window on the PR path.  Both durations come from the
-    /// board's [`PrCost`] for the slot's kind.
-    fn issue_pr(
-        &mut self,
-        pr_path: &mut SerialServer,
-        kind: SlotKind,
-        at: SimTime,
-    ) -> ServiceWindow {
-        let cost = self.pr_cost[kind_bit(kind)];
-        let window = pr_path.submit(at, cost.path);
-        let issuing_core = match self.assignment {
-            CoreAssignment::SingleCore => &mut self.sched,
-            CoreAssignment::DualCore => &mut self.pr,
-        };
-        issuing_core.submit(at, cost.pcap_load);
-        window
-    }
-}
-
-/// What one partial reconfiguration of a slot kind costs on one board.  Both
-/// durations are fixed by the board's bitstream size, SD card and PCAP, so
-/// they are computed once at construction, not per grant.
-#[derive(Debug, Clone, Copy)]
-struct PrCost {
-    /// The PR path's service time: the SD read followed by the PCAP load.
-    path: SimDuration,
-    /// The PCAP load alone, which suspends the issuing core.
-    pcap_load: SimDuration,
-}
-
-impl PrCost {
-    fn of(board: &BoardSpec, kind: SlotKind) -> Self {
-        let bitstream_kind = match kind {
-            SlotKind::Big => BitstreamKind::BigPartial,
-            SlotKind::Little => BitstreamKind::LittlePartial,
-        };
-        let size = board.bitstream_sizes.size_of(bitstream_kind);
-        let pcap_load = board.pcap.load_duration(size);
-        PrCost {
-            path: board.sd_card.read_duration(size) + pcap_load,
-            pcap_load,
-        }
-    }
-}
-
-/// Maps a slot kind to its bit in [`SlotIndex::kind`].
-fn kind_bit(kind: SlotKind) -> usize {
-    match kind {
-        SlotKind::Big => 0,
-        SlotKind::Little => 1,
-    }
-}
-
-/// Incrementally maintained slot bitmasks (bit *i* ↔ slot index *i*), each a
-/// multi-word [`SlotMask`] sized once for the run's slot count.
-#[derive(Debug, Clone)]
-struct SlotIndex {
-    /// Slots in [`SlotState::Free`].
-    free: SlotMask,
-    /// Slots accepting new grants.
-    enabled: SlotMask,
-    /// Slots in [`SlotState::Loaded`] with `busy == false`.
-    loaded_idle: SlotMask,
-    /// Occupied slots whose unit has completed at least
-    /// [`PREEMPTION_QUANTUM`] items since it was loaded: set by item
-    /// completions, cleared when the slot is freed.
-    ripe: SlotMask,
-    /// Static: slots of each [`SlotKind`] (indexed by [`kind_bit`]).
-    kind: [SlotMask; 2],
-    /// Static: slots of each board.
-    board: Vec<SlotMask>,
-}
-
 /// DMA time of `spec`'s largest per-item transfer on `dma`: what every unit
 /// of the application pays per item to move its data.
 fn largest_item_dma(dma: &DmaModel, spec: &ApplicationSpec) -> SimDuration {
@@ -485,58 +269,6 @@ fn largest_item_dma(dma: &DmaModel, spec: &ApplicationSpec) -> SimDuration {
             .max()
             .unwrap_or(0),
     )
-}
-
-/// The ILP-optimal `(O_B, O_L)` slot counts of `spec` at `batch` items.
-fn solve_optimal_slots(spec: &ApplicationSpec, batch: u32) -> (u32, u32) {
-    (optimal_big_slots(spec), optimal_little_slots(spec, batch))
-}
-
-/// Integer totals behind the utilization integrator.  A slot is *counted*
-/// while it is enabled or occupied; an occupied slot adds to `occupied`, and a
-/// loaded one adds its occupant's resources to `used_*`.  The simulator keeps
-/// one running total, updated at every slot-state and board-enable transition
-/// ([`SharingSimulator::set_slot_state`], [`SharingSimulator::set_board_enabled`],
-/// both through [`SharingSimulator::update_slot`]); a single slot's share is
-/// the same struct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct UtilTotals {
-    counted: u32,
-    cap_lut: u64,
-    cap_ff: u64,
-    occupied: u32,
-    used_lut: u64,
-    used_ff: u64,
-}
-
-impl UtilTotals {
-    fn add(&mut self, share: UtilTotals) {
-        self.counted += share.counted;
-        self.cap_lut += share.cap_lut;
-        self.cap_ff += share.cap_ff;
-        self.occupied += share.occupied;
-        self.used_lut += share.used_lut;
-        self.used_ff += share.used_ff;
-    }
-
-    fn sub(&mut self, share: UtilTotals) {
-        self.counted -= share.counted;
-        self.cap_lut -= share.cap_lut;
-        self.cap_ff -= share.cap_ff;
-        self.occupied -= share.occupied;
-        self.used_lut -= share.used_lut;
-        self.used_ff -= share.used_ff;
-    }
-
-    /// The occupancy, LUT and FF ratios as `(numerator, denominator)` lanes
-    /// of the utilization integrator.
-    fn lanes(&self) -> [(u64, u64); 3] {
-        [
-            (u64::from(self.occupied), u64::from(self.counted)),
-            (self.used_lut, self.cap_lut),
-            (self.used_ff, self.cap_ff),
-        ]
-    }
 }
 
 /// Applies `change` to `app` and moves `idle_demand` by the change of the
@@ -607,23 +339,12 @@ pub struct SharingSimulator {
     cores: Vec<BoardCores>,
     /// One serial PR path (SD read + PCAP load) per board.
     pr_paths: Vec<SerialServer>,
-    active_board: usize,
-    pending_switch: bool,
 
     total_pr: u64,
     blocked_events: u64,
     blocked_tasks: u64,
-    switches: u64,
-    window_blocked: u64,
-    candidate_updates: u32,
     events_processed: u64,
     arrivals_admitted: u64,
-    /// Completed applications removed from the tables by
-    /// [`Self::retire_completed`] (service mode), with the PR-task total they
-    /// contributed — the D_switch inputs are compensated with these so
-    /// retirement does not change the metric.
-    retired_apps: u64,
-    retired_pr_tasks: u64,
 
     /// Running utilization totals (see [`UtilTotals`]).
     util: UtilTotals,
@@ -635,11 +356,9 @@ pub struct SharingSimulator {
     utilization: TimeWeightedRatios<3>,
     trace: Trace,
 
-    switch_loop: Option<SwitchLoop>,
-    dswitch_trace: Vec<DswitchSample>,
-    migrations: Vec<MigrationRecord>,
-
-    /// Fault-injection state; `None` disables the fault plane entirely.
+    /// The switch plane; `None` without switching.
+    switch: Option<SwitchPlane>,
+    /// The fault plane; `None` disables fault injection entirely.
     fault: Option<Box<FaultState>>,
 
     /// The ILP slot curve of each suite application, indexed by suite index
@@ -733,14 +452,7 @@ impl SharingSimulator {
 
         let mut slots = Vec::new();
         let mut cores = Vec::new();
-        let mut index = SlotIndex {
-            free: SlotMask::empty(total_slots),
-            enabled: SlotMask::empty(total_slots),
-            loaded_idle: SlotMask::empty(total_slots),
-            ripe: SlotMask::empty(total_slots),
-            kind: [SlotMask::empty(total_slots), SlotMask::empty(total_slots)],
-            board: vec![SlotMask::empty(total_slots); config.boards.len()],
-        };
+        let mut index = SlotIndex::new(total_slots, config.boards.len());
         for (board_idx, board) in config.boards.iter().enumerate() {
             for descriptor in board.layout.slots() {
                 let slot_idx = slots.len();
@@ -758,30 +470,13 @@ impl SharingSimulator {
                     state: SlotState::Free,
                 });
             }
-            cores.push(BoardCores {
-                assignment: board.cores,
-                sched: SerialServer::new(),
-                pr: SerialServer::new(),
-                pr_cost: [
-                    PrCost::of(board, SlotKind::Big),
-                    PrCost::of(board, SlotKind::Little),
-                ],
-            });
+            cores.push(BoardCores::new(board));
         }
         let pr_paths = vec![SerialServer::new(); config.boards.len()];
 
-        let fault = config.active_faults().map(|profile| {
-            Box::new(FaultState {
-                schedule: FaultSchedule::new(profile, config.boards.len()),
-                stats: FaultStats::default(),
-                slot_gen: vec![0; total_slots],
-                pr_attempts: vec![0; total_slots],
-                board_down: vec![false; config.boards.len()],
-                board_was_enabled: vec![false; config.boards.len()],
-                board_timer_armed: vec![false; config.boards.len()],
-                slot_quarantined: vec![false; total_slots],
-            })
-        });
+        let fault = config
+            .active_faults()
+            .map(|profile| Box::new(FaultState::new(profile, config.boards.len(), total_slots)));
 
         let mut events = EventQueue::with_capacity(Self::event_queue_capacity(
             &config,
@@ -805,10 +500,7 @@ impl SharingSimulator {
                 .map(|arrival| (arrival.arrival, Event::Arrival(arrival.id))),
         );
 
-        let switch_loop = config
-            .switching
-            .map(|cfg| SwitchLoop::new(cfg.thresholds, config.boards[0].layout.kind()));
-
+        let switch = SwitchPlane::new(&config);
         let trace = if config.record_trace {
             Trace::recording()
         } else {
@@ -828,25 +520,16 @@ impl SharingSimulator {
             idle_demand: 0,
             cores,
             pr_paths,
-            active_board: 0,
-            pending_switch: false,
             total_pr: 0,
             blocked_events: 0,
             blocked_tasks: 0,
-            switches: 0,
-            window_blocked: 0,
-            candidate_updates: 0,
             events_processed: 0,
             arrivals_admitted: 0,
-            retired_apps: 0,
-            retired_pr_tasks: 0,
             util: UtilTotals::default(),
             slot_share: Vec::new(),
             utilization: TimeWeightedRatios::new(SimTime::ZERO, [(0, 0); 3]),
             trace,
-            switch_loop,
-            dswitch_trace: Vec::new(),
-            migrations: Vec::new(),
+            switch,
             fault,
             slot_curves: Vec::new(),
             completed: Vec::new(),
@@ -904,7 +587,7 @@ impl SharingSimulator {
     /// This is what keeps service-mode memory O(live applications): the caller
     /// folds whatever it needs (response time, PR count, …) into its own
     /// constant-size accumulators and the records are gone.  The D_switch
-    /// inputs are compensated via retirement counters, so switching behaviour
+    /// inputs count nothing from the retired records, so switching behaviour
     /// is identical with and without retirement.
     ///
     /// Completion-driven: the engine records each application as it completes,
@@ -930,8 +613,6 @@ impl SharingSimulator {
         for &id in &completed {
             let app = self.apps.remove(id).expect("app present");
             debug_assert!(!app.has_idle_demand(), "completed {id} has idle demand");
-            self.retired_apps += 1;
-            self.retired_pr_tasks += self.suite[app.app_index].task_count() as u64;
             fold(&app);
         }
         let retired = completed.len();
@@ -1189,11 +870,6 @@ impl SharingSimulator {
         self.pass_changes
     }
 
-    /// The slot layout of the currently active board.
-    pub(crate) fn active_layout(&self) -> LayoutKind {
-        self.config.boards[self.active_board].layout.kind()
-    }
-
     /// The event trace (counters always; bodies only when tracing was enabled).
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -1230,29 +906,6 @@ impl SharingSimulator {
         num_arrivals + num_slots + boards + fault_timers
     }
 
-    /// Counters of the fault plane; all-zero when no fault profile is
-    /// attached (kept out of [`RunReport`] so fault-free reports are
-    /// byte-identical to builds without the fault plane).
-    pub(crate) fn fault_stats(&self) -> FaultStats {
-        self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Whether the fault plane was built (see [`SystemConfig::active_faults`]).
-    #[cfg(test)]
-    pub(crate) fn has_fault_plane(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Whether `board` is currently failed by the fault plane.
-    fn board_fault_down(&self, board: usize) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.board_down[board])
-    }
-
-    /// The eviction generation completion events for `slot_idx` must carry.
-    fn slot_event_gen(&self, slot_idx: usize) -> u32 {
-        self.fault.as_ref().map_or(0, |f| f.slot_gen[slot_idx])
-    }
-
     /// Number of event-queue operations that had to grow a backing store.
     ///
     /// Stays `0` for the whole run because [`Self::new`] pre-sizes the queue
@@ -1279,27 +932,6 @@ impl SharingSimulator {
         self.index.free.insert(slot_idx);
         self.index.loaded_idle.remove(slot_idx);
         self.index.ripe.remove(slot_idx);
-    }
-
-    fn index_slot_loaded_idle(&mut self, slot_idx: usize) {
-        self.index.loaded_idle.insert(slot_idx);
-    }
-
-    fn index_slot_busy(&mut self, slot_idx: usize) {
-        self.index.loaded_idle.remove(slot_idx);
-    }
-
-    fn index_app_arrived(&mut self, id: AppId) {
-        match self.active.binary_search(&id) {
-            Ok(_) => {}
-            Err(pos) => self.active.insert(pos, id),
-        }
-    }
-
-    fn index_app_completed(&mut self, id: AppId) {
-        if let Ok(pos) = self.active.binary_search(&id) {
-            self.active.remove(pos);
-        }
     }
 
     /// Enables or disables every slot of `board_idx` for new grants, keeping
@@ -1339,10 +971,8 @@ impl SharingSimulator {
     /// only the new one is computed.  A change that leaves the share as it
     /// was (disabling an occupied slot) does no utilization work, and a
     /// non-final item completion flips `busy` in place and never comes here.
-    ///
-    /// It is also where a slot change marks the next scheduling pass due:
-    /// one that flips the slot's free or enabled bit does.  A PR completion
-    /// (reconfiguring to loaded) flips neither; see the module docs.
+    /// A change that flips the slot's free or enabled bit marks the next
+    /// scheduling pass due (see the module docs).
     fn update_slot(&mut self, slot_idx: usize, change: impl FnOnce(&mut SlotRuntime)) {
         let bits = |slot: &SlotRuntime| (slot.is_free(), slot.enabled);
         let before_bits = bits(&self.slots[slot_idx]);
@@ -1389,41 +1019,15 @@ impl SharingSimulator {
         }
     }
 
-    /// The utilization totals recounted by walking every slot — the
-    /// reference [`Self::verify_indexes`] checks the running totals against.
-    #[cfg(any(test, debug_assertions))]
-    fn recount_utilization(&self) -> UtilTotals {
-        let mut totals = UtilTotals::default();
-        for slot in &self.slots {
-            if !slot.enabled && slot.is_free() {
-                continue;
-            }
-            totals.counted += 1;
-            totals.cap_lut += slot.descriptor.capacity.lut;
-            totals.cap_ff += slot.descriptor.capacity.ff;
-            match slot.state {
-                SlotState::Free => {}
-                SlotState::Reconfiguring { .. } => totals.occupied += 1,
-                SlotState::Loaded { app, unit, .. } => {
-                    totals.occupied += 1;
-                    let resources = self.unit_resources(app, unit);
-                    totals.used_lut += resources.lut;
-                    totals.used_ff += resources.ff;
-                }
-            }
-        }
-        totals
-    }
-
     /// Recomputes every incremental index naively from [`Self::slots`] and the
     /// application store, panicking on any divergence: the slot masks (the
     /// ripe mask must cover every loaded slot whose unit is past the
     /// preemption quantum and hold only occupied slots), the touched list
     /// (empty once the instant is flushed), occupancy counters, each
     /// application's remaining work, unfinished and unplaced units (by a scan
-    /// of its unit vector), the store's placement
-    /// and count, the active set, the utilization totals (by the full slot
-    /// walk), the completed list, and each live application's `(O_B, O_L)`
+    /// of its unit vector), the store's placement and count, the active set,
+    /// the utilization totals (by the full slot walk), the D_switch PR-task
+    /// counter, the completed list, and each live application's `(O_B, O_L)`
     /// against its suite application's slot curve.  (A curve never changes
     /// once built, and each admission debug-checks the curve's answer against
     /// a fresh ILP solve, so the stored counts equal a fresh solve too,
@@ -1539,18 +1143,8 @@ impl SharingSimulator {
             self.apps.iter().filter(|a| a.has_idle_demand()).count(),
             "idle-demand counter diverged"
         );
-        assert_eq!(
-            self.util,
-            self.recount_utilization(),
-            "utilization totals diverged"
-        );
-        for idx in 0..self.slots.len() {
-            assert_eq!(
-                self.slot_share[idx],
-                self.slot_utilization(idx),
-                "cached utilization share of slot {idx} diverged"
-            );
-        }
+        self.verify_utilization();
+        self.verify_switch_plane();
         for app in self.apps.iter() {
             let curve = self.slot_curves[app.app_index]
                 .as_ref()
@@ -1590,12 +1184,8 @@ impl SharingSimulator {
     /// Returns `false` — without side effects — when the grant is not possible:
     /// the slot is not free, the board is disabled for this application, the
     /// application already started in the other execution mode, it cannot bundle
-    /// (for Big slots), or it has no unplaced unit left.
-    ///
-    /// The application is looked up once: every rejection check, the PR and
-    /// the application's bookkeeping (placement, occupancy counters, blocked
-    /// counting) run in one borrow of it, beside disjoint borrows of the
-    /// board's PR path and cores.
+    /// (for Big slots), or it has no unplaced unit left.  The application is
+    /// looked up once (see the module docs).
     pub(crate) fn grant_slot(&mut self, slot_idx: usize, app_id: AppId) -> bool {
         let now = self.now;
         let slot = &self.slots[slot_idx];
@@ -1640,7 +1230,6 @@ impl SharingSimulator {
         let queued = window.queueing_delay(now) > self.config.blocked_threshold;
         if queued {
             self.blocked_events += 1;
-            self.window_blocked += 1;
             if !app.units[unit_idx].blocked_counted {
                 app.units[unit_idx].blocked_counted = true;
                 self.blocked_tasks += 1;
@@ -1650,6 +1239,7 @@ impl SharingSimulator {
             app.place_unit(unit_idx, slot_idx);
             app.occupy(slot_kind);
         });
+        let first_start = (!app.started).then(|| spec.task_count());
         app.state = AppState::Running;
         app.started = true;
         app.home_board.get_or_insert(slot_board);
@@ -1667,10 +1257,13 @@ impl SharingSimulator {
             },
         );
         self.total_pr += 1;
-        let gen = self.slot_event_gen(slot_idx);
-        if let Some(fault) = self.fault.as_mut() {
-            fault.pr_attempts[slot_idx] = 0;
+        if let Some(tasks) = first_start {
+            self.record_app_started(tasks);
         }
+        let gen = self
+            .fault
+            .as_deref_mut()
+            .map_or(0, |f| f.pr_issued(slot_idx));
         self.events.push(
             window.finish,
             Event::PrComplete {
@@ -1756,12 +1349,9 @@ impl SharingSimulator {
     /// Processes the next pending event and returns `true`, or returns `false`
     /// when the event queue is empty.
     ///
-    /// The scheduling pass and launch sweep run once per simulation *instant*:
-    /// they are deferred while further events share the current timestamp.
-    /// The pass is skipped when it is settled — no policy input changed since
-    /// the last pass, or no slot is grantable — and no preemption is due (see
-    /// `Self::preemption_victim` and the module docs).  Whether a pass is
-    /// due is simulator state, so every call must pass the same policy.
+    /// The scheduling pass and launch sweep run once per simulation *instant*,
+    /// and a settled pass is skipped (see the module docs), so every call must
+    /// pass the same policy.
     /// Tests can interleave calls with `Self::verify_indexes` to check the
     /// incremental indexes after every event.
     ///
@@ -1857,19 +1447,10 @@ impl SharingSimulator {
         }
     }
 
-    /// One scheduling pass of `policy` followed by a launch sweep over the
-    /// dirty unit range of every application touched since the previous
-    /// pass.  Runs once per simulation instant.
-    ///
-    /// The pass runs only when it is due and some slot is grantable, or when
-    /// the policy preempts ([`Policy::preempts`]) and
-    /// [`Self::preemption_victim`] finds a slot the shared preemption would
-    /// release; the due flag is cleared just before the call.  A pass is due
-    /// after any policy input changed (a slot change, an admission, a
-    /// completion, a board failure, repair or switch, or
-    /// [`Self::note_policy_state_changed`]), so a pass that leaves the flag
-    /// clear is a fixed point and the next one could change nothing (see the
-    /// module docs).  The launch sweep always runs.
+    /// One scheduling pass of `policy`, unless it is settled and no
+    /// preemption is due (see the module docs), followed by a launch sweep
+    /// over the dirty unit range of every application touched since the
+    /// previous pass.  Runs once per simulation instant.
     fn flush_pass(&mut self, policy: &mut dyn Policy) {
         let due = self.pass_due && self.any_slot_grantable();
         // The inline tests come first, so a flush without slotless demand or
@@ -2017,7 +1598,7 @@ impl SharingSimulator {
             .expect("admitted arrival was pending");
         let arrival = self.pending_arrivals.remove(at);
         let spec = &self.suite[arrival.app_index];
-        let dma_per_item = largest_item_dma(&self.config.boards[self.active_board].dma, spec);
+        let dma_per_item = largest_item_dma(&self.config.boards[self.active_board()].dma, spec);
         let app = AppRuntime::new(&arrival, spec, dma_per_item);
         self.trace.log(
             self.now,
@@ -2039,12 +1620,17 @@ impl SharingSimulator {
         );
         debug_assert_eq!(
             optimal,
-            solve_optimal_slots(spec, arrival.batch_size),
+            (
+                optimal_big_slots(spec),
+                optimal_little_slots(spec, arrival.batch_size)
+            ),
             "the slot curve diverged from a fresh ILP solve"
         );
         self.idle_demand += u32::from(app.has_idle_demand());
         self.apps.insert(app, optimal);
-        self.index_app_arrived(id);
+        if let Err(pos) = self.active.binary_search(&id) {
+            self.active.insert(pos, id);
+        }
         self.pass_due = true;
         self.changes_since_pass.admitted = true;
         self.arrivals_admitted += 1;
@@ -2052,51 +1638,17 @@ impl SharingSimulator {
         self.arm_board_timers();
     }
 
-    /// Whether a completion event for `slot` is still current.  A fault
-    /// eviction bumps the slot's generation, so a completion pushed for the
-    /// evicted occupant is dropped here (counted, never a panic) instead of
-    /// hitting the state-machine asserts below.  Without a fault plane every
-    /// completion is current, and the check is one inline `Option` test.
+    /// Whether a completion event for `slot` is still current (its
+    /// generation is the slot's), so a stale one never reaches the
+    /// state-machine asserts below.  Without a fault plane every completion
+    /// is current, and the check is one inline `Option` test.
     #[inline]
     fn accept_completion(&mut self, slot: usize, gen: u32) -> bool {
-        let Some(fault) = self.fault.as_ref() else {
-            return true;
-        };
-        if fault.slot_gen[slot] == gen {
+        if self.fault.is_none() || self.slot_event_gen(slot) == gen {
             return true;
         }
         self.release_quarantined(slot);
         false
-    }
-
-    /// Consumes the stale completion of a slot evicted by a board failure and
-    /// returns the slot to the free pool.  The release is deferred to this
-    /// point (rather than eviction time) so each slot keeps at most one event
-    /// in flight — the bound the pre-sized queue reserves.
-    #[cold]
-    #[inline(never)]
-    fn release_quarantined(&mut self, slot_idx: usize) {
-        {
-            let fault = self
-                .fault
-                .as_mut()
-                .expect("stale completion without fault state");
-            fault.stats.cancelled_events += 1;
-            debug_assert!(
-                fault.slot_quarantined[slot_idx],
-                "stale completion on a slot that was never quarantined"
-            );
-            fault.slot_quarantined[slot_idx] = false;
-        }
-        let app_id = match self.slots[slot_idx].state {
-            SlotState::Reconfiguring { app, .. } => app,
-            SlotState::Loaded { app, .. } => app,
-            SlotState::Free => unreachable!("quarantined slots stay occupied until released"),
-        };
-        let kind = self.slots[slot_idx].descriptor.kind;
-        self.set_slot_state(slot_idx, SlotState::Free);
-        self.index_slot_freed(slot_idx);
-        self.update_app(app_id, |app| app.vacate(kind));
     }
 
     fn handle_pr_complete(&mut self, slot_idx: usize) -> (AppId, usize) {
@@ -2106,13 +1658,10 @@ impl SharingSimulator {
         };
         if self
             .fault
-            .as_mut()
-            .is_some_and(|f| f.schedule.next_pr_outcome())
+            .as_deref_mut()
+            .is_some_and(|f| f.pr_load_fails(slot_idx))
         {
             return self.handle_pr_failed(slot_idx, app, unit);
-        }
-        if let Some(fault) = self.fault.as_mut() {
-            fault.pr_attempts[slot_idx] = 0;
         }
         self.set_slot_state(
             slot_idx,
@@ -2122,7 +1671,7 @@ impl SharingSimulator {
                 busy: false,
             },
         );
-        self.index_slot_loaded_idle(slot_idx);
+        self.index.loaded_idle.insert(slot_idx);
         self.trace.log(
             self.now,
             TraceKind::PrCompleted,
@@ -2132,241 +1681,6 @@ impl SharingSimulator {
             TraceDetail::None,
         );
         (app, unit)
-    }
-
-    /// A PCAP bitstream load failed.  While retries remain the same bitstream
-    /// is re-driven through the board's serial PR path after a capped
-    /// exponential backoff (occupying the issuing core again, exactly like a
-    /// fresh load); once retries are exhausted the placement is abandoned and
-    /// the unit returns to the unplaced set for the policy to re-place.
-    #[inline(never)]
-    fn handle_pr_failed(
-        &mut self,
-        slot_idx: usize,
-        app_id: AppId,
-        unit_idx: usize,
-    ) -> (AppId, usize) {
-        let now = self.now;
-        let (attempt, backoff, retry) = {
-            let fault = self.fault.as_mut().expect("PR failure without fault state");
-            fault.stats.pr_failures += 1;
-            let attempt = fault.pr_attempts[slot_idx] + 1;
-            let backoff = fault.schedule.pr_backoff(attempt);
-            let retry = attempt <= fault.schedule.profile().max_pr_retries;
-            (attempt, backoff, retry)
-        };
-        self.trace.log(
-            now,
-            TraceKind::PrFailed,
-            Some(app_id.0),
-            Some(unit_idx as u32),
-            Some(self.slots[slot_idx].descriptor.id.0),
-            TraceDetail::PrFault { attempt },
-        );
-        if retry {
-            let slot = &self.slots[slot_idx];
-            let board = slot.board.0 as usize;
-            let window = self.cores[board].issue_pr(
-                &mut self.pr_paths[board],
-                slot.descriptor.kind,
-                now + backoff,
-            );
-            let gen = {
-                let fault = self.fault.as_mut().expect("fault state present");
-                fault.pr_attempts[slot_idx] = attempt;
-                fault.stats.pr_retries += 1;
-                fault.slot_gen[slot_idx]
-            };
-            self.total_pr += 1;
-            self.apps.expect_mut(app_id).pr_count += 1;
-            self.events.push(
-                window.finish,
-                Event::PrComplete {
-                    slot: slot_idx,
-                    gen,
-                },
-            );
-            self.trace.log(
-                now,
-                TraceKind::PrRetried,
-                Some(app_id.0),
-                Some(unit_idx as u32),
-                Some(self.slots[slot_idx].descriptor.id.0),
-                TraceDetail::PrRetry { attempt, backoff },
-            );
-        } else {
-            // Out of retries: free the slot and hand the unit back to the
-            // scheduler (the next flush pass re-places it, possibly elsewhere).
-            {
-                let fault = self.fault.as_mut().expect("fault state present");
-                fault.stats.pr_gave_up += 1;
-                fault.stats.evictions += 1;
-                fault.pr_attempts[slot_idx] = 0;
-            }
-            let slot_kind = self.slots[slot_idx].descriptor.kind;
-            self.set_slot_state(slot_idx, SlotState::Free);
-            self.index_slot_freed(slot_idx);
-            self.update_app(app_id, |app| {
-                app.vacate(slot_kind);
-                app.unplace_unit(unit_idx);
-            });
-        }
-        (app_id, unit_idx)
-    }
-
-    /// The fault plane takes `board` offline: every occupant (reconfiguring or
-    /// loaded) is evicted back to the unplaced set with its in-flight
-    /// completion cancelled via the slot generation, the board's slots leave
-    /// the enabled mask, and a repair (`BoardUp`) is scheduled from the MTTR
-    /// stream.
-    #[inline(never)]
-    fn handle_board_down(&mut self, board: usize) {
-        let now = self.now;
-        {
-            let fault = self
-                .fault
-                .as_mut()
-                .expect("board fault without fault state");
-            debug_assert!(
-                !fault.board_down[board],
-                "board failed twice without repair"
-            );
-            fault.board_down[board] = true;
-            fault.stats.board_failures += 1;
-        }
-        self.pass_due = true;
-        let was_enabled = MaskQuery::and(&self.index.enabled, &self.index.board[board]).any();
-        if was_enabled {
-            self.set_board_enabled(board, false);
-        }
-        let mut evicted = 0u32;
-        for slot_idx in 0..self.slots.len() {
-            if self.slots[slot_idx].board.0 as usize != board {
-                continue;
-            }
-            if self
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.slot_quarantined[slot_idx])
-            {
-                // Already evicted by a previous failure of this board; its
-                // stale event has not drained yet.
-                continue;
-            }
-            // `in_flight` tells whether the slot has a completion event in the
-            // queue: a reconfiguring slot awaits `PrComplete`, a busy slot
-            // awaits `ItemComplete`, an idle loaded slot awaits nothing.
-            let (app_id, unit_idx, in_flight) = match self.slots[slot_idx].state {
-                SlotState::Reconfiguring { app, unit } => (app, unit, true),
-                SlotState::Loaded { app, unit, busy } => (app, unit, busy),
-                SlotState::Free => continue,
-            };
-            let slot_kind = self.slots[slot_idx].descriptor.kind;
-            self.update_app(app_id, |app| {
-                app.unplace_unit(unit_idx);
-                if !in_flight {
-                    app.vacate(slot_kind);
-                }
-            });
-            if in_flight {
-                // Detach the occupant now, free the slot when its stale event
-                // drains (see `release_quarantined`).
-                let fault = self.fault.as_mut().expect("fault state present");
-                fault.slot_gen[slot_idx] = fault.slot_gen[slot_idx].wrapping_add(1);
-                fault.slot_quarantined[slot_idx] = true;
-                fault.pr_attempts[slot_idx] = 0;
-            } else {
-                self.set_slot_state(slot_idx, SlotState::Free);
-                self.index_slot_freed(slot_idx);
-                let fault = self.fault.as_mut().expect("fault state present");
-                fault.pr_attempts[slot_idx] = 0;
-            }
-            evicted += 1;
-        }
-        let repair = {
-            let fault = self.fault.as_mut().expect("fault state present");
-            fault.board_was_enabled[board] = was_enabled;
-            fault.stats.evictions += evicted as u64;
-            fault.schedule.board_repair(board)
-        };
-        self.events.push(now + repair, Event::BoardUp { board });
-        self.trace.log(
-            now,
-            TraceKind::BoardDown,
-            None,
-            None,
-            None,
-            TraceDetail::BoardFailed {
-                board: board as u32,
-                evicted,
-                repair,
-            },
-        );
-    }
-
-    /// The fault plane repairs `board`: its slots rejoin the enabled mask (if
-    /// the board accepted grants when it failed) and the next failure timer is
-    /// armed — but only while the run still has work, so finite workloads
-    /// always drain the queue.
-    #[inline(never)]
-    fn handle_board_up(&mut self, board: usize) {
-        let restore = {
-            let fault = self
-                .fault
-                .as_mut()
-                .expect("board repair without fault state");
-            debug_assert!(fault.board_down[board], "repair of a healthy board");
-            fault.board_down[board] = false;
-            fault.board_timer_armed[board] = false;
-            fault.stats.board_repairs += 1;
-            fault.board_was_enabled[board]
-        };
-        self.pass_due = true;
-        if restore {
-            self.set_board_enabled(board, true);
-        }
-        self.trace.log(
-            self.now,
-            TraceKind::BoardUp,
-            None,
-            None,
-            None,
-            TraceDetail::BoardRepaired {
-                board: board as u32,
-            },
-        );
-        self.arm_board_timers();
-    }
-
-    /// Arms one pending failure timer per healthy board, drawing the delay
-    /// from the board's MTTF stream.  Called from arrivals and repairs only,
-    /// and only while work remains (live applications or future arrivals), so
-    /// a finite run's queue drains once its workload does.
-    fn arm_board_timers(&mut self) {
-        let Some(fault) = self.fault.as_ref() else {
-            return;
-        };
-        if fault.schedule.profile().board_mttf.is_none() {
-            return;
-        }
-        if self.active.is_empty() && self.pending_arrivals.is_empty() {
-            return;
-        }
-        let now = self.now;
-        for board in 0..self.config.boards.len() {
-            let delay = {
-                let fault = self.fault.as_mut().expect("fault state present");
-                if fault.board_timer_armed[board] || fault.board_down[board] {
-                    continue;
-                }
-                let Some(delay) = fault.schedule.next_board_failure(board) else {
-                    continue;
-                };
-                fault.board_timer_armed[board] = true;
-                delay
-            };
-            self.events.push(now + delay, Event::BoardDown { board });
-        }
     }
 
     fn handle_item_complete(&mut self, slot_idx: usize) -> (AppId, usize) {
@@ -2421,14 +1735,16 @@ impl SharingSimulator {
                 unit: unit_idx,
                 busy: false,
             };
-            self.index_slot_loaded_idle(slot_idx);
+            self.index.loaded_idle.insert(slot_idx);
             if ripe {
                 self.index.ripe.insert(slot_idx);
             }
         }
 
         if app_finished {
-            self.index_app_completed(app_id);
+            if let Ok(pos) = self.active.binary_search(&app_id) {
+                self.active.remove(pos);
+            }
             self.completed.push(app_id);
             self.pass_due = true;
             self.changes_since_pass.completed = true;
@@ -2443,24 +1759,6 @@ impl SharingSimulator {
             self.candidate_queue_updated();
         }
         (app_id, unit_idx)
-    }
-
-    #[inline(never)]
-    fn handle_switch_complete(&mut self, board: usize) {
-        self.set_board_enabled(board, true);
-        self.active_board = board;
-        self.pending_switch = false;
-        self.pass_due = true;
-        self.trace.log(
-            self.now,
-            TraceKind::Note,
-            None,
-            None,
-            None,
-            TraceDetail::SwitchComplete {
-                board: board as u32,
-            },
-        );
     }
 
     /// Launches every batch item of `app_id`'s units `lo..=hi` that is ready:
@@ -2529,7 +1827,6 @@ impl SharingSimulator {
 
         if blocked {
             self.blocked_events += 1;
-            self.window_blocked += 1;
             let app = self.apps.expect_mut(app_id);
             if !app.units[unit_idx].blocked_counted {
                 app.units[unit_idx].blocked_counted = true;
@@ -2548,7 +1845,7 @@ impl SharingSimulator {
         if let SlotState::Loaded { busy, .. } = &mut self.slots[slot_idx].state {
             *busy = true;
         }
-        self.index_slot_busy(slot_idx);
+        self.index.loaded_idle.remove(slot_idx);
         let gen = self.slot_event_gen(slot_idx);
         self.events.push(
             complete,
@@ -2566,195 +1863,6 @@ impl SharingSimulator {
             TraceDetail::None,
         );
     }
-
-    // ------------------------------------------------------------------
-    // D_switch and cross-board switching
-    // ------------------------------------------------------------------
-
-    #[inline(never)]
-    fn candidate_queue_updated(&mut self) {
-        self.candidate_updates += 1;
-        let Some(cfg) = self.config.switching else {
-            return;
-        };
-        if self.switch_loop.is_none() || !self.candidate_updates.is_multiple_of(cfg.period) {
-            return;
-        }
-
-        let pr_tasks: u64 = self.retired_pr_tasks
-            + self
-                .apps
-                .iter()
-                .filter(|a| a.started || a.state == AppState::Completed)
-                .map(|a| self.suite[a.app_index].task_count() as u64)
-                .sum::<u64>();
-        let candidate_apps = self.active.len() as u64;
-        let candidate_batch: u64 = self
-            .active
-            .iter()
-            .map(|id| self.apps.expect(*id).batch as u64)
-            .sum();
-        let inputs = DswitchInputs {
-            blocked_tasks: self.window_blocked,
-            pr_tasks,
-            candidate_apps,
-            candidate_batch,
-        };
-        let value = dswitch_value(inputs);
-        self.window_blocked = 0;
-
-        let completed_apps = (self.apps.len() - self.active.len()) as u64 + self.retired_apps;
-
-        let mut triggered = false;
-        let target = self
-            .switch_loop
-            .as_mut()
-            .expect("switch loop present")
-            .observe(value);
-        if let Some(target_layout) = target {
-            if !self.pending_switch {
-                triggered = self.perform_switch(target_layout, value);
-            }
-        }
-
-        self.dswitch_trace.push(DswitchSample {
-            completed_apps,
-            value,
-            active_layout: self.active_layout(),
-            triggered_switch: triggered,
-        });
-    }
-
-    fn perform_switch(&mut self, target: LayoutKind, dswitch: f64) -> bool {
-        let Some(target_board) = self
-            .config
-            .boards
-            .iter()
-            .position(|b| b.layout.kind() == target)
-        else {
-            return false;
-        };
-        if target_board == self.active_board {
-            return false;
-        }
-
-        let migrated_apps = self.active.len() as u32;
-        let switching_cfg = self.config.switching.expect("switching configured");
-        let mut overhead = migration_overhead(
-            migrated_apps,
-            switching_cfg.payload_per_app_bytes,
-            &self.config.boards[self.active_board].aurora,
-        );
-        // An Aurora link flap in progress on the source board stalls the
-        // migration payload for the flap's remainder.
-        let stall = match self.fault.as_mut() {
-            Some(fault) => fault.schedule.link_stall(self.active_board, self.now),
-            None => SimDuration::ZERO,
-        };
-        if !stall.is_zero() {
-            let fault = self.fault.as_mut().expect("stall implies fault state");
-            fault.stats.link_flaps += 1;
-            fault.stats.flap_stall += stall;
-            overhead += stall;
-            self.trace.log(
-                self.now,
-                TraceKind::LinkFlap,
-                None,
-                None,
-                None,
-                TraceDetail::LinkFlapped {
-                    link: self.active_board as u32,
-                    stall,
-                },
-            );
-        }
-
-        self.set_board_enabled(self.active_board, false);
-        self.pending_switch = true;
-        self.switches += 1;
-        self.events.push(
-            self.now + overhead,
-            Event::SwitchComplete {
-                board: target_board,
-            },
-        );
-        self.migrations.push(MigrationRecord {
-            triggered_at: self.now,
-            migrated_apps,
-            overhead,
-            dswitch,
-        });
-        self.trace.log(
-            self.now,
-            TraceKind::SwitchTriggered,
-            None,
-            None,
-            None,
-            TraceDetail::SwitchTriggered {
-                board: target_board as u32,
-                migrated_apps,
-                overhead,
-            },
-        );
-        self.trace.log(
-            self.now,
-            TraceKind::AppMigrated,
-            None,
-            None,
-            None,
-            TraceDetail::Migrated {
-                apps: migrated_apps,
-            },
-        );
-        true
-    }
-
-    // ------------------------------------------------------------------
-    // Reporting
-    // ------------------------------------------------------------------
-
-    fn build_report(&self, scheduler: &str) -> RunReport {
-        // Sized exactly: the store's iterator gives no exact size hint, and
-        // sweeps hold many reports at once.
-        let mut apps = Vec::with_capacity(self.apps.len());
-        apps.extend(self.apps.iter().map(|a| {
-            AppRecord {
-                id: a.id,
-                app_index: a.app_index,
-                batch_size: a.batch,
-                arrival: a.arrival,
-                completion: a
-                    .completion
-                    .expect("completed application has a completion time"),
-                pr_count: a.pr_count,
-                used_big_slot: a.used_big,
-            }
-        }));
-        apps.sort_by_key(|a| a.completion);
-        let makespan = apps
-            .iter()
-            .map(|a| a.completion)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let [mean_slot_occupancy, mean_lut_utilization, mean_ff_utilization] =
-            self.utilization.time_weighted_mean(self.now);
-
-        RunReport {
-            scheduler: scheduler.to_string(),
-            apps,
-            total_pr: self.total_pr,
-            blocked_events: self.blocked_events,
-            blocked_tasks: self.blocked_tasks,
-            switches: self.switches,
-            events_processed: self.events_processed,
-            makespan,
-            mean_slot_occupancy,
-            mean_lut_utilization,
-            mean_ff_utilization,
-            dswitch_trace: self.dswitch_trace.clone(),
-            migrations: self.migrations.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2762,6 +1870,7 @@ mod tests {
     use super::*;
     use crate::policy::versaslot::VersaSlotPolicy;
     use versaslot_fpga::board::BoardSpec;
+    use versaslot_fpga::cpu::CoreAssignment;
     use versaslot_workload::benchmarks::BenchmarkApp;
 
     fn single_arrival(app: BenchmarkApp, batch: u32) -> Vec<AppArrival> {
@@ -3157,15 +2266,15 @@ mod tests {
     /// arrival, a unit or application finishing — and not at the instants
     /// that only complete PRs or non-final batch items.
     /// Everything a grant may change: the PR paths and cores, the engine's
-    /// counters, the slots with their masks and utilization shares, the
-    /// queue and the application.
+    /// counters, the switch plane (its D_switch window), the slots with
+    /// their masks and utilization shares, the queue and the application.
     fn grant_state(sim: &SharingSimulator, app: AppId) -> String {
         format!(
             "{:?}",
             (
                 (&sim.pr_paths, &sim.cores),
                 (sim.total_pr, sim.blocked_events, sim.blocked_tasks),
-                (sim.window_blocked, sim.idle_demand, sim.pass_due),
+                (&sim.switch, sim.idle_demand, sim.pass_due),
                 (&sim.slots, &sim.index, &sim.slot_share, sim.util),
                 (sim.events.len(), sim.apps.get(app)),
             )
@@ -3721,9 +2830,54 @@ mod tests {
             let mut switching =
                 SharingSimulator::new(config.clone(), workload.suite.clone(), &sequence.arrivals);
             step_verified(&mut switching);
-            switches += switching.migrations.len();
+            switches += switching.build_report("switching").switches;
         }
         assert!(switches >= 2, "only {switches} switches");
+    }
+
+    /// D_switch reads no state that retirement drops: a switching cluster
+    /// that retires every completed application after each step records the
+    /// same D_switch samples and migrations as one that retires none.  The
+    /// eager thresholds make it switch.
+    #[test]
+    fn retirement_leaves_dswitch_and_migrations_unchanged() {
+        use crate::config::SwitchingConfig;
+        use crate::dswitch::SwitchThresholds;
+        use versaslot_workload::{generate_workload, Congestion, WorkloadConfig};
+
+        let config = SystemConfig::switching_cluster(
+            BoardSpec::zcu216_only_little(),
+            BoardSpec::zcu216_big_little(),
+        )
+        .with_switching(SwitchingConfig {
+            thresholds: SwitchThresholds::new(0.03, 0.02),
+            ..SwitchingConfig::default()
+        });
+        let workload =
+            generate_workload(&WorkloadConfig::paper_default(Congestion::Stress).with_shape(2, 30));
+        let mut switches = 0;
+        for sequence in &workload.sequences {
+            let [kept, retired] = [false, true].map(|retire| {
+                let mut sim = SharingSimulator::new(
+                    config.clone(),
+                    workload.suite.clone(),
+                    &sequence.arrivals,
+                );
+                let mut policy = VersaSlotPolicy::new();
+                let mut retired = 0;
+                while sim.step(&mut policy) {
+                    if retire {
+                        retired += sim.retire_completed(|_| {});
+                    }
+                }
+                assert_eq!(retired, if retire { sequence.arrivals.len() } else { 0 });
+                sim.build_report("retire")
+            });
+            assert_eq!(kept.dswitch_trace, retired.dswitch_trace);
+            assert_eq!(kept.migrations, retired.migrations);
+            switches += kept.switches;
+        }
+        assert!(switches >= 1, "no switch");
     }
 
     /// The reported utilization is the exact time-weighted mean of the
@@ -3776,9 +2930,9 @@ mod tests {
                     }
                     (at, totals) = (sim.now, sim.recount_utilization());
                 }
-                switches += sim.switches;
                 let total = sim.now.as_micros() as f64;
                 let report = sim.build_report("exact");
+                switches += report.switches;
                 let reported = [
                     report.mean_slot_occupancy,
                     report.mean_lut_utilization,
