@@ -163,6 +163,7 @@ impl SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use versaslot_fpga::slot::SlotLayout;
 
     #[test]
     fn single_board_defaults() {
@@ -243,13 +244,23 @@ mod tests {
 
     #[test]
     fn validate_rejects_more_than_max_slots() {
-        // 8 slots per board.
-        let boards = MAX_SLOTS / 8 + 1;
-        let config = SystemConfig {
-            boards: vec![BoardSpec::zcu216_only_little(); boards],
-            ..SystemConfig::single_board(BoardSpec::zcu216_only_little())
+        let little_board = |slots: usize| {
+            BoardSpec::zcu216_only_little().with_layout(SlotLayout::with_counts(
+                0,
+                slots as u32,
+                BoardSpec::zcu216_little_capacity(),
+            ))
         };
-        assert_rejects(config, "boards");
+        let eight = BoardSpec::zcu216_only_little();
+        assert_eq!(eight.layout.slots().len(), 8);
+
+        let single = |slots| SystemConfig::single_board(little_board(slots));
+        assert_eq!(single(MAX_SLOTS).validate(), Ok(()));
+        assert_rejects(single(MAX_SLOTS + 1), "boards");
+
+        let pair = |slots| SystemConfig::switching_cluster(little_board(slots - 8), eight.clone());
+        assert_eq!(pair(MAX_SLOTS).validate(), Ok(()));
+        assert_rejects(pair(MAX_SLOTS + 1), "boards");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use versaslot_sim::fault::{FaultProfile, FaultSchedule, FaultStats};
 use versaslot_sim::{SimDuration, TraceDetail, TraceKind};
 use versaslot_workload::AppId;
 
-use super::mask::{MaskQuery, SlotMask};
+use super::mask::SlotMask;
 use super::{Event, SharingSimulator, SlotState};
 
 /// Runtime state of the fault plane: one record per slot and per board.
@@ -202,7 +202,7 @@ impl SharingSimulator {
     #[inline(never)]
     pub(super) fn handle_board_down(&mut self, board: usize) {
         let now = self.now;
-        let was_enabled = MaskQuery::and(&self.index.enabled, &self.index.board[board]).any();
+        let was_enabled = !(self.index.enabled & self.index.board[board]).is_empty();
         let fault = self.fault.as_deref_mut().expect("fault plane present");
         let record = &mut fault.boards[board];
         debug_assert!(!record.down, "board failed twice without repair");
@@ -214,8 +214,7 @@ impl SharingSimulator {
         // busy slot awaits `ItemComplete`, an idle loaded slot awaits nothing.
         // An occupant in flight is detached now and its slot freed when its
         // stale event drains (see `release_quarantined`).
-        let mut evicted = SlotMask::empty(self.slots.len());
-        let mut evicted_count = 0u32;
+        let mut evicted = SlotMask::EMPTY;
         for slot_idx in self.index.board[board].iter() {
             let record = &mut fault.slots[slot_idx];
             let in_flight = match self.slots[slot_idx].state {
@@ -230,10 +229,9 @@ impl SharingSimulator {
                 record.quarantined = true;
             }
             evicted.insert(slot_idx);
-            evicted_count += 1;
         }
         fault.stats.board_failures += 1;
-        fault.stats.evictions += u64::from(evicted_count);
+        fault.stats.evictions += u64::from(evicted.count());
         let repair = fault.schedule.board_repair(board);
 
         self.pass_due = true;
@@ -267,7 +265,7 @@ impl SharingSimulator {
             None,
             TraceDetail::BoardFailed {
                 board: board as u32,
-                evicted: evicted_count,
+                evicted: evicted.count(),
                 repair,
             },
         );

@@ -3,11 +3,11 @@
 //!
 //! # Slot masks
 //!
-//! [`SlotIndex`] keeps the run's slot sets as multi-word [`SlotMask`]es (see
+//! [`SlotIndex`] keeps the run's slot sets, one `u64` [`SlotMask`] each (see
 //! the `mask` module), moved incrementally at every slot transition, so
-//! every policy-facing query is popcounts and trailing-zeros over
-//! lazily-ANDed words.  `SharingSimulator::verify_indexes` recomputes them
-//! from the slot runtimes after every event in debug builds.
+//! every policy-facing query is one bit expression over them, read with a
+//! popcount or a trailing-zeros scan.  `SharingSimulator::verify_indexes`
+//! recomputes them from the slot runtimes after every event in debug builds.
 
 use versaslot_fpga::bitstream::BitstreamKind;
 use versaslot_fpga::board::BoardSpec;
@@ -106,8 +106,8 @@ pub(super) fn kind_bit(kind: SlotKind) -> usize {
     }
 }
 
-/// Incrementally maintained slot bitmasks (bit *i* ↔ slot index *i*), each a
-/// multi-word [`SlotMask`] sized once for the run's slot count.
+/// Incrementally maintained slot bitmasks (bit *i* ↔ slot index *i*), each
+/// one word: a run has at most [`MAX_SLOTS`](super::MAX_SLOTS) slots.
 #[derive(Debug, Clone)]
 pub(super) struct SlotIndex {
     /// Slots in [`SlotState::Free`](super::SlotState::Free).
@@ -129,15 +129,15 @@ pub(super) struct SlotIndex {
 }
 
 impl SlotIndex {
-    /// Empty masks over `slots` slots on `boards` boards.
-    pub(super) fn new(slots: usize, boards: usize) -> Self {
+    /// Empty masks for a run on `boards` boards.
+    pub(super) fn new(boards: usize) -> Self {
         SlotIndex {
-            free: SlotMask::empty(slots),
-            enabled: SlotMask::empty(slots),
-            loaded_idle: SlotMask::empty(slots),
-            ripe: SlotMask::empty(slots),
-            kind: [SlotMask::empty(slots), SlotMask::empty(slots)],
-            board: vec![SlotMask::empty(slots); boards],
+            free: SlotMask::EMPTY,
+            enabled: SlotMask::EMPTY,
+            loaded_idle: SlotMask::EMPTY,
+            ripe: SlotMask::EMPTY,
+            kind: [SlotMask::EMPTY; 2],
+            board: vec![SlotMask::EMPTY; boards],
         }
     }
 }

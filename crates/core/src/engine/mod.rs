@@ -17,6 +17,9 @@
 //! the policy-facing API.  Each plane is a module and a simulator field: `hw`
 //! (cores, PR cost, slot masks), `faults` and `switch` (their state private
 //! to them, absent when off) and `report` (utilization, the run report).
+//! Each slot set is one `u64` mask, so a run has at most `MAX_SLOTS` = 64
+//! slots: a fleet scales out by shards, so one simulator models at most a
+//! small cluster.
 //!
 //! # At most one scheduling pass per simulation instant
 //!
@@ -170,8 +173,8 @@
 //! completing, nothing else due, and the next item of that unit launching.
 //! That instant runs its no-op checks inline, without calls: the completion
 //! acceptance (`accept_completion` is one `Option` test while the fault
-//! plane is off), the pass gate (`any_slot_grantable` over always-inlined
-//! mask words), the victim pre-check (`loaded_idle & ripe & Little` must be
+//! plane is off), the pass gate (`any_slot_grantable` over one-word
+//! masks), the victim pre-check (`loaded_idle & ripe & Little` must be
 //! non-empty before `preemption_victim` is called), the trace count
 //! ([`Trace::log`] inlines only the counter bump) and the service loop's
 //! fold ([`SharingSimulator::retire_completed`] returns inline when nothing
@@ -187,7 +190,7 @@
 pub mod app;
 mod faults;
 mod hw;
-pub mod mask;
+mod mask;
 mod report;
 pub mod slot;
 mod switch;
@@ -215,12 +218,11 @@ use crate::policy::{Policy, PREEMPTION_QUANTUM};
 use app::AppStore;
 use faults::FaultState;
 use hw::{kind_bit, BoardCores, SlotIndex};
-use mask::MaskQuery;
+use mask::SlotMask;
 use report::UtilTotals;
 use switch::SwitchPlane;
 
 pub use app::{AppRuntime, AppState, ExecMode, UnitRuntime};
-pub use mask::SlotMask;
 pub use slot::{ExecUnit, SlotRuntime, SlotState};
 
 /// Livelock bound of a finite workload's [`SharingSimulator::run`] (a run of
@@ -228,10 +230,11 @@ pub use slot::{ExecUnit, SlotRuntime, SlotState};
 /// and fleet runs step past it: their stop condition bounds them.
 const MAX_EVENTS: u64 = 50_000_000;
 
-/// Sanity bound on the number of slots per run.  The multi-word [`SlotMask`]s
-/// scale to any fleet size; this only guards against absurd configurations
-/// (the former `u64` masks capped this at 64).
-pub(crate) const MAX_SLOTS: usize = 4096;
+/// The most slots one run can have: each slot set is one `u64` [`SlotMask`].
+/// A fleet scales out by shards, one simulator each, so a simulator models
+/// at most a small cluster (the paper's two-board cluster has 14 slots).
+/// `SystemConfig::validate` rejects a larger configuration.
+pub(crate) const MAX_SLOTS: usize = u64::BITS as usize;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -452,7 +455,7 @@ impl SharingSimulator {
 
         let mut slots = Vec::new();
         let mut cores = Vec::new();
-        let mut index = SlotIndex::new(total_slots, config.boards.len());
+        let mut index = SlotIndex::new(config.boards.len());
         for (board_idx, board) in config.boards.iter().enumerate() {
             for descriptor in board.layout.slots() {
                 let slot_idx = slots.len();
@@ -678,26 +681,19 @@ impl SharingSimulator {
 
     /// Number of enabled slots of `kind` (the totals Algorithm 1 works with).
     pub(crate) fn enabled_slot_total(&self, kind: SlotKind) -> u32 {
-        MaskQuery::and(&self.index.enabled, &self.index.kind[kind_bit(kind)]).count() as u32
+        (self.index.enabled & self.index.kind[kind_bit(kind)]).count()
     }
 
     /// Number of enabled, free slots of `kind`.
     pub fn free_slot_count(&self, kind: SlotKind) -> u32 {
-        MaskQuery::grantable(
-            &self.index.free,
-            &self.index.enabled,
-            None,
-            Some(&self.index.kind[kind_bit(kind)]),
-        )
-        .count() as u32
+        (self.index.free & self.index.enabled & self.index.kind[kind_bit(kind)]).count()
     }
 
-    /// Combined-mask query for the slots grantable to `app` right now: free
-    /// slots on an enabled board, plus free slots on the application's home
-    /// board (so pipelines in flight when a cross-board switch happens can
-    /// drain).  Restricted to `kind` when given.  Evaluated lazily word by
-    /// word — no combined mask is ever materialised.
-    fn grantable_query(&self, runtime: &AppRuntime, kind: Option<SlotKind>) -> MaskQuery<'_> {
+    /// The slots grantable to `app` right now: free slots on an enabled
+    /// board, plus free slots on the application's home board (so pipelines
+    /// in flight when a cross-board switch happens can drain).  Restricted
+    /// to `kind` when given.
+    fn grantable_query(&self, runtime: &AppRuntime, kind: Option<SlotKind>) -> SlotMask {
         let home = runtime
             .started
             .then_some(runtime.home_board)
@@ -705,24 +701,20 @@ impl SharingSimulator {
             // The home-board drain exception must not resurrect grants on a
             // board the fault plane has taken down.
             .filter(|&home| !self.board_fault_down(home))
-            .map(|home| &self.index.board[home]);
-        MaskQuery::grantable(
-            &self.index.free,
-            &self.index.enabled,
-            home,
-            kind.map(|kind| &self.index.kind[kind_bit(kind)]),
-        )
+            .map_or(SlotMask::EMPTY, |home| self.index.board[home]);
+        let kind = kind.map_or(SlotMask::FULL, |kind| self.index.kind[kind_bit(kind)]);
+        self.index.free & (self.index.enabled | home) & kind
     }
 
     /// The lowest-indexed slot grantable to `app`, if any — the slot the
-    /// first-fit policies pick, via a word scan.
+    /// first-fit policies pick.
     pub(crate) fn first_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> Option<usize> {
         self.grantable_query(self.apps.expect(app), kind).first()
     }
 
-    /// Whether any slot is grantable to `app`, via a word scan.
+    /// Whether any slot is grantable to `app`.
     pub(crate) fn has_grantable_slot(&self, app: AppId, kind: Option<SlotKind>) -> bool {
-        self.grantable_query(self.apps.expect(app), kind).any()
+        !self.grantable_query(self.apps.expect(app), kind).is_empty()
     }
 
     /// The slot quantum-based preemption would release right now, if any —
@@ -760,8 +752,8 @@ impl SharingSimulator {
     fn preemption_victim_scan(&self) -> Option<usize> {
         // A free, enabled Little slot is grantable to every application, so
         // none can be starving.
-        let little = &self.index.kind[kind_bit(SlotKind::Little)];
-        if MaskQuery::grantable(&self.index.free, &self.index.enabled, None, Some(little)).any() {
+        let little = self.index.kind[kind_bit(SlotKind::Little)];
+        if !(self.index.free & self.index.enabled & little).is_empty() {
             return None;
         }
         let mut victim: Option<(usize, u32)> = None;
@@ -791,7 +783,9 @@ impl SharingSimulator {
             let runtime = self.apps.expect(app);
             runtime.unplaced_units() > 0
                 && runtime.in_use_big + runtime.in_use_little == 0
-                && !self.grantable_query(runtime, Some(SlotKind::Little)).any()
+                && self
+                    .grantable_query(runtime, Some(SlotKind::Little))
+                    .is_empty()
         });
         starving.then_some(slot)
     }
@@ -799,13 +793,8 @@ impl SharingSimulator {
     /// The slots a preemption victim is chosen from, `loaded_idle & ripe &
     /// Little`.
     #[inline]
-    fn victim_candidates(&self) -> MaskQuery<'_> {
-        MaskQuery::grantable(
-            &self.index.loaded_idle,
-            &self.index.ripe,
-            None,
-            Some(&self.index.kind[kind_bit(SlotKind::Little)]),
-        )
+    fn victim_candidates(&self) -> SlotMask {
+        self.index.loaded_idle & self.index.ripe & self.index.kind[kind_bit(SlotKind::Little)]
     }
 
     /// The victim pre-check of the pass gate: whether any slot is in
@@ -815,7 +804,7 @@ impl SharingSimulator {
     /// assert it finds no victim.
     #[inline]
     fn has_victim_candidate(&self) -> bool {
-        let any = self.victim_candidates().any();
+        let any = !self.victim_candidates().is_empty();
         #[cfg(debug_assertions)]
         if !any && self.idle_demand > 0 {
             assert_eq!(
@@ -861,7 +850,7 @@ impl SharingSimulator {
     /// necessary condition for any grant of that kind, a home-board drain
     /// included.
     pub(crate) fn has_free_slot(&self, kind: SlotKind) -> bool {
-        MaskQuery::and(&self.index.free, &self.index.kind[kind_bit(kind)]).any()
+        !(self.index.free & self.index.kind[kind_bit(kind)]).is_empty()
     }
 
     /// Whether an arrival was admitted or an application completed before
@@ -943,16 +932,8 @@ impl SharingSimulator {
                 self.update_slot(idx, |slot| slot.enabled = enabled);
             }
         }
-        let SlotIndex {
-            enabled: enabled_mask,
-            board,
-            ..
-        } = &mut self.index;
-        if enabled {
-            enabled_mask.union_with(&board[board_idx]);
-        } else {
-            enabled_mask.subtract(&board[board_idx]);
-        }
+        let (mask, board) = (self.index.enabled, self.index.board[board_idx]);
+        self.index.enabled = if enabled { mask | board } else { mask & !board };
     }
 
     /// Moves `slot_idx` to `state`, keeping the utilization totals in step.
@@ -1040,10 +1021,9 @@ impl SharingSimulator {
     /// Panics when an incremental index disagrees with the naive recount.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn verify_indexes(&self) {
-        let bits = self.slots.len();
-        let mut free = SlotMask::empty(bits);
-        let mut enabled = SlotMask::empty(bits);
-        let mut loaded_idle = SlotMask::empty(bits);
+        let mut free = SlotMask::EMPTY;
+        let mut enabled = SlotMask::EMPTY;
+        let mut loaded_idle = SlotMask::EMPTY;
         let mut in_use: BTreeMap<AppId, (u32, u32)> = BTreeMap::new();
         for (idx, slot) in self.slots.iter().enumerate() {
             if slot.is_free() {
@@ -1488,14 +1468,12 @@ impl SharingSimulator {
     /// Whether a free slot is grantable to some active application.  With no
     /// active application any free slot counts, so a policy prunes its
     /// bookkeeping of finished applications at the end of every run.  The
-    /// common case — every slot occupied — costs one mask-word scan.
+    /// common case — every slot occupied — costs one word test.
     #[inline]
     fn any_slot_grantable(&self) -> bool {
         if self.index.free.is_empty() {
             false
-        } else if self.active.is_empty()
-            || MaskQuery::and(&self.index.free, &self.index.enabled).any()
-        {
+        } else if self.active.is_empty() || !(self.index.free & self.index.enabled).is_empty() {
             true
         } else {
             // Only slots of disabled boards are free (the inactive cluster
@@ -2101,16 +2079,15 @@ mod tests {
         assert_eq!(sim.event_queue_grow_events(), 0);
     }
 
-    /// End-to-end on a board wider than one mask word: 160 Little slots span
-    /// three 64-bit words (past the 128-bit inline region into the spill
-    /// vector), and the run must complete with the incremental indexes agreeing
-    /// with a naive recount throughout.
+    /// End-to-end on the widest board a run allows, 64 Little slots: slot 63,
+    /// the masks' top bit, must be occupied, and the run must complete with
+    /// the incremental indexes agreeing with a naive recount throughout.
     #[test]
-    fn wide_board_with_more_than_64_slots_runs_to_completion() {
+    fn widest_board_occupies_its_last_slot_and_runs_to_completion() {
         let board = BoardSpec::zcu216_only_little().with_layout(
             versaslot_fpga::slot::SlotLayout::with_counts(
                 0,
-                160,
+                MAX_SLOTS as u32,
                 BoardSpec::zcu216_little_capacity(),
             ),
         );
@@ -2131,20 +2108,20 @@ mod tests {
         );
         let mut policy = VersaSlotPolicy::new();
         let mut steps = 0u32;
-        let mut saw_high_slot = false;
+        let mut saw_last_slot = false;
         while sim.step(&mut policy) {
             steps += 1;
             if steps.is_multiple_of(64) {
                 sim.verify_indexes();
             }
-            saw_high_slot |= sim.slots[64..].iter().any(|s| !s.is_free());
+            saw_last_slot |= !sim.slots[MAX_SLOTS - 1].is_free();
         }
         sim.verify_indexes();
-        let report = sim.build_report("wide-board");
+        let report = sim.build_report("widest-board");
         assert_eq!(report.completed(), 24);
         assert!(
-            saw_high_slot,
-            "no slot beyond the first mask word was ever occupied"
+            saw_last_slot,
+            "slot 63, the mask's top bit, was never occupied"
         );
     }
 

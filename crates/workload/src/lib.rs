@@ -34,7 +34,6 @@ pub mod arrival;
 pub mod benchmarks;
 pub mod congestion;
 pub mod generator;
-pub mod partition;
 pub mod routing;
 pub mod task;
 
@@ -45,7 +44,6 @@ pub use congestion::Congestion;
 pub use generator::{
     generate_sequence, generate_workload, Workload, WorkloadConfig, WorkloadSequence,
 };
-pub use partition::{partition_application, PartitionError};
 pub use routing::{Placement, ShardRouter};
 pub use task::TaskSpec;
 

@@ -33,6 +33,11 @@
 # host's speed, which on a shared host moves from hour to hour by more than
 # any bound worth gating on, so no absolute throughput is kept here.
 #
+# Before the runs it prints the machine-code size of SharingSimulator::step in
+# both binaries (from `nm`; "unknown" when nm or the symbol is missing).  What
+# the compiler inlines into step moves throughput by several percent, so the
+# size is worth a look in every log; it never fails the gate.
+#
 # There are no other options.  A change that moves a digest on purpose edits
 # the table.
 set -euo pipefail
@@ -64,6 +69,17 @@ echo "parent: $base"
 CARGO_TARGET_DIR=$parent_dir/target cargo build --release --offline --quiet \
     --manifest-path "$parent_dir/src/perfbench/Cargo.toml"
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
+# step_size BINARY: the size in bytes (hex) of SharingSimulator::step's code.
+step_size() {
+    local size
+    # awk reads all of nm's output: exiting early would fail nm on SIGPIPE.
+    size=$(nm -C -S "$1" 2>/dev/null | awk '$4 == "versaslot_core::engine::SharingSimulator::step" && !size {
+        size = $2; sub(/^0+/, "", size)
+    } END { if (size) print "0x" size }') || size=
+    echo "${size:-unknown}"
+}
+echo "SharingSimulator::step code size: parent $(step_size "$parent_bin"), change $(step_size "$change_bin")"
 
 declare -A digest apps_ratios rss_ratios
 workloads=()
