@@ -789,9 +789,11 @@ mod tests {
     fn service_matrix_is_byte_identical_between_sequential_and_parallel_runs() {
         let cells = quick_service_cells();
         let base = quick_service_base();
-        let sequential = run_service_matrix(Parallelism::Sequential, &cells, &base);
-        let threaded = run_service_matrix(Parallelism::Threads(4), &cells, &base);
-        let auto = run_service_matrix(Parallelism::Auto, &cells, &base);
+        let run =
+            |parallelism| run_service_matrix(parallelism, &cells, &base).expect("valid cells");
+        let sequential = run(Parallelism::Sequential);
+        let threaded = run(Parallelism::Threads(4));
+        let auto = run(Parallelism::Auto);
         let serialize =
             |reports: &Vec<ServiceReport>| serde_json::to_string(reports).expect("serialises");
         assert_eq!(serialize(&sequential), serialize(&threaded));
@@ -802,8 +804,10 @@ mod tests {
     fn same_seed_reproduces_an_identical_service_matrix_across_runs() {
         let cells = quick_service_cells();
         let base = quick_service_base();
-        let first = run_service_matrix(Parallelism::Threads(3), &cells, &base);
-        let second = run_service_matrix(Parallelism::Threads(3), &cells, &base);
+        let run =
+            || run_service_matrix(Parallelism::Threads(3), &cells, &base).expect("valid cells");
+        let first = run();
+        let second = run();
         assert_eq!(
             serde_json::to_string(&first).expect("serialises"),
             serde_json::to_string(&second).expect("serialises")

@@ -310,7 +310,7 @@ impl SharingSimulator {
             return;
         };
         if fault.schedule.profile().board_mttf.is_none()
-            || (self.active.is_empty() && self.pending_arrivals.is_empty())
+            || (self.active.is_empty() && self.pending_arrivals == 0)
         {
             return;
         }

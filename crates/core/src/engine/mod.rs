@@ -156,6 +156,10 @@
 //!   the new entry back past the pending events due at or before it, and a
 //!   finite run's arrivals are bulk-loaded with one stable sort, so tied
 //!   arrivals are admitted in input order;
+//! * an arrival event carries its application's record (identifier, suite
+//!   index, batch size; its time is the arrival time) within the 16-byte
+//!   event, so admission looks nothing up and the engine keeps only a count
+//!   of pending arrivals, no table of them;
 //! * the utilization integrator and the starvation gate cost O(1) per event
 //!   (see above): a non-final item completion touches no utilization state,
 //!   and a flush with no application waiting slotless skips the preemption
@@ -195,7 +199,6 @@ mod report;
 pub mod slot;
 mod switch;
 
-use std::cmp::Reverse;
 #[cfg(any(test, debug_assertions))]
 use std::collections::BTreeMap;
 
@@ -238,7 +241,13 @@ pub(crate) const MAX_SLOTS: usize = u64::BITS as usize;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Arrival(AppId),
+    /// An application arrives at the event's time; the event carries the
+    /// rest of its record.
+    Arrival {
+        id: AppId,
+        app_index: u32,
+        batch: u32,
+    },
     /// `gen` is the slot's eviction generation at push time (see the
     /// `faults` module); always `0` when the fault plane is off.
     PrComplete {
@@ -260,6 +269,19 @@ enum Event {
     BoardUp {
         board: usize,
     },
+}
+
+impl Event {
+    /// The arrival event of `arrival`, due at its arrival time.  The caller
+    /// has checked the suite index against the suite.
+    fn arrival(arrival: &AppArrival) -> (SimTime, Event) {
+        let event = Event::Arrival {
+            id: arrival.id,
+            app_index: arrival.app_index as u32,
+            batch: arrival.batch_size,
+        };
+        (arrival.arrival, event)
+    }
 }
 
 /// DMA time of `spec`'s largest per-item transfer on `dma`: what every unit
@@ -324,10 +346,6 @@ pub struct SharingSimulator {
     /// The specifications the arrivals index into; each shares its data with
     /// the caller's copy (see [`ApplicationSpec`]).
     suite: Vec<ApplicationSpec>,
-    /// Arrivals scheduled but not yet admitted, sorted by *descending*
-    /// identifier: arrivals are usually admitted in identifier order, so an
-    /// admission removes the last entry.
-    pending_arrivals: Vec<AppArrival>,
     now: SimTime,
     events: EventQueue<Event>,
     apps: AppStore,
@@ -348,6 +366,8 @@ pub struct SharingSimulator {
     blocked_tasks: u64,
     events_processed: u64,
     arrivals_admitted: u64,
+    /// Arrival events scheduled but not yet admitted.
+    pending_arrivals: u64,
 
     /// Running utilization totals (see [`UtilTotals`]).
     util: UtilTotals,
@@ -419,8 +439,9 @@ impl SharingSimulator {
     /// over an unbounded run.
     ///
     /// The event queue is pre-sized for at most `arrival_lookahead` pending
-    /// injected arrivals (the service runner keeps exactly one in flight), so
-    /// the allocation-free spine invariant holds in service mode too.
+    /// injected arrivals (the service runner injects the next one only once
+    /// none is pending, so it keeps exactly one in flight), so the
+    /// allocation-free spine invariant holds in service mode too.
     pub fn for_service(
         config: SystemConfig,
         suite: Vec<ApplicationSpec>,
@@ -486,22 +507,13 @@ impl SharingSimulator {
             arrival_capacity,
             slots.len(),
         ));
-        // Reversed first: identifiers usually ascend, so the sort finds its
-        // input already in order.
-        let mut pending_arrivals: Vec<AppArrival> = arrivals.iter().rev().copied().collect();
-        pending_arrivals.sort_unstable_by_key(|arrival| Reverse(arrival.id));
-        if let Some(pair) = pending_arrivals
-            .windows(2)
-            .find(|pair| pair[0].id == pair[1].id)
-        {
-            panic!("duplicate application id {}", pair[0].id);
+        let mut ids: Vec<AppId> = arrivals.iter().map(|arrival| arrival.id).collect();
+        ids.sort_unstable();
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("duplicate application id {}", pair[0]);
         }
         // One stable sort: tied arrivals are admitted in input order.
-        events.extend(
-            arrivals
-                .iter()
-                .map(|arrival| (arrival.arrival, Event::Arrival(arrival.id))),
-        );
+        events.extend(arrivals.iter().map(Event::arrival));
 
         let switch = SwitchPlane::new(&config);
         let trace = if config.record_trace {
@@ -513,7 +525,7 @@ impl SharingSimulator {
         let mut sim = SharingSimulator {
             config,
             suite,
-            pending_arrivals,
+            pending_arrivals: arrivals.len() as u64,
             now: SimTime::ZERO,
             events,
             apps: AppStore::default(),
@@ -558,7 +570,9 @@ impl SharingSimulator {
     /// # Panics
     ///
     /// Panics if the arrival references an application outside the suite, lies
-    /// in the past, or reuses an identifier that is still live.
+    /// in the past, or reuses the identifier of a live application.  An
+    /// identifier injected twice before its first admission panics at the
+    /// second admission.
     pub fn inject_arrival(&mut self, arrival: AppArrival) {
         assert!(
             arrival.app_index < self.suite.len(),
@@ -573,15 +587,14 @@ impl SharingSimulator {
             arrival.arrival,
             self.now
         );
-        let position = self.pending_position(arrival.id);
         assert!(
-            position.is_err() && self.apps.get(arrival.id).is_none(),
+            self.apps.get(arrival.id).is_none(),
             "duplicate application id {}",
             arrival.id
         );
-        self.pending_arrivals.insert(position.unwrap_err(), arrival);
-        self.events
-            .push(arrival.arrival, Event::Arrival(arrival.id));
+        self.pending_arrivals += 1;
+        let (time, event) = Event::arrival(&arrival);
+        self.events.push(time, event);
     }
 
     /// Removes every completed application from the runtime tables, calling
@@ -641,6 +654,11 @@ impl SharingSimulator {
     /// Arrival events admitted into the runtime tables so far.
     pub fn arrivals_admitted(&self) -> u64 {
         self.arrivals_admitted
+    }
+
+    /// Arrival events scheduled and not yet admitted.
+    pub(crate) fn pending_arrivals(&self) -> u64 {
+        self.pending_arrivals
     }
 
     /// Partial reconfigurations performed so far.
@@ -1376,7 +1394,7 @@ impl SharingSimulator {
             );
         }
         assert!(
-            self.active.is_empty() && self.pending_arrivals.is_empty(),
+            self.active.is_empty() && self.pending_arrivals == 0,
             "policy `{}` left applications unfinished: {:?}",
             policy.name(),
             self.active
@@ -1393,8 +1411,12 @@ impl SharingSimulator {
     /// entry's dirty range widens to cover `u..=u + 1`.
     fn apply_event(&mut self, event: Event) {
         let touched = match event {
-            Event::Arrival(id) => {
-                self.handle_arrival(id);
+            Event::Arrival {
+                id,
+                app_index,
+                batch,
+            } => {
+                self.handle_arrival(id, [app_index, batch]);
                 None
             }
             Event::PrComplete { slot, gen } => self
@@ -1562,20 +1584,21 @@ impl SharingSimulator {
         }
     }
 
-    /// Where `id` sits in `pending_arrivals` (`Ok`), or where it would be
-    /// inserted (`Err`).
-    fn pending_position(&self, id: AppId) -> Result<usize, usize> {
-        self.pending_arrivals
-            .binary_search_by(|pending| id.cmp(&pending.id))
-    }
-
+    /// Admits the arrival of application `id` (suite application
+    /// `app_index`, `batch` items) at the current instant, its arrival time.
+    /// The two `u32`s travel as one array, in the one register the event
+    /// word already occupies, so [`Self::step`] does not split it.
     #[inline(never)]
-    fn handle_arrival(&mut self, id: AppId) {
-        let at = self
-            .pending_position(id)
-            .expect("admitted arrival was pending");
-        let arrival = self.pending_arrivals.remove(at);
-        let spec = &self.suite[arrival.app_index];
+    fn handle_arrival(&mut self, id: AppId, [app_index, batch]: [u32; 2]) {
+        self.pending_arrivals -= 1;
+        let suite_index = app_index as usize;
+        let spec = &self.suite[suite_index];
+        let arrival = AppArrival {
+            id,
+            app_index: suite_index,
+            batch_size: batch,
+            arrival: self.now,
+        };
         let dma_per_item = largest_item_dma(&self.config.boards[self.active_board()].dma, spec);
         let app = AppRuntime::new(&arrival, spec, dma_per_item);
         self.trace.log(
@@ -1585,23 +1608,17 @@ impl SharingSimulator {
             None,
             None,
             TraceDetail::SuiteApp {
-                suite_index: arrival.app_index as u32,
+                suite_index: app_index,
             },
         );
         if self.slot_curves.is_empty() {
             self.slot_curves.resize(self.suite.len(), None);
         }
-        let curve = self.slot_curves[arrival.app_index].get_or_insert_with(|| SlotCurve::of(spec));
-        let optimal = (
-            optimal_big_slots(spec),
-            curve.optimal_little_slots(arrival.batch_size),
-        );
+        let curve = self.slot_curves[suite_index].get_or_insert_with(|| SlotCurve::of(spec));
+        let optimal = (optimal_big_slots(spec), curve.optimal_little_slots(batch));
         debug_assert_eq!(
             optimal,
-            (
-                optimal_big_slots(spec),
-                optimal_little_slots(spec, arrival.batch_size)
-            ),
+            (optimal_big_slots(spec), optimal_little_slots(spec, batch)),
             "the slot curve diverged from a fresh ILP solve"
         );
         self.idle_demand += u32::from(app.has_idle_demand());
@@ -1924,6 +1941,67 @@ mod tests {
             BenchmarkApp::suite(),
             &arrivals,
         );
+    }
+
+    fn lenet_at(id: u32, ms: u64) -> AppArrival {
+        let suite_index = BenchmarkApp::LeNet.suite_index();
+        AppArrival::new(AppId(id), suite_index, 3, SimTime::from_millis(ms))
+    }
+
+    /// A service-mode simulator with room for `lookahead` pending arrivals
+    /// that has admitted `lenet_at(0, 100)`.
+    fn service_sim_after_one_admission(lookahead: usize) -> SharingSimulator {
+        let config = SystemConfig::single_board(BoardSpec::zcu216_big_little());
+        let mut sim = SharingSimulator::for_service(config, BenchmarkApp::suite(), lookahead);
+        sim.inject_arrival(lenet_at(0, 100));
+        assert_eq!(sim.pending_arrivals(), 1);
+        assert!(sim.step(&mut VersaSlotPolicy::new()));
+        sim
+    }
+
+    /// The arrival event carries its application's record in the 16 bytes
+    /// every event takes, and admission builds the application from it.
+    #[test]
+    fn an_arrival_event_carries_its_record_in_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        let sim = service_sim_after_one_admission(1);
+        assert_eq!((sim.pending_arrivals(), sim.arrivals_admitted()), (0, 1));
+        let (app, arrival) = (sim.app(AppId(0)), lenet_at(0, 100));
+        assert_eq!(
+            (app.app_index, app.batch, app.arrival),
+            (arrival.app_index, arrival.batch_size, arrival.arrival)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the suite")]
+    fn injecting_an_arrival_outside_the_suite_panics() {
+        let mut sim = service_sim_after_one_admission(1);
+        let outside = sim.suite().len();
+        sim.inject_arrival(AppArrival::new(AppId(1), outside, 3, SimTime::from_secs(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "lies in the past")]
+    fn injecting_an_arrival_in_the_past_panics() {
+        service_sim_after_one_admission(1).inject_arrival(lenet_at(1, 50));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate application id app-0")]
+    fn injecting_a_live_id_panics() {
+        service_sim_after_one_admission(1).inject_arrival(lenet_at(0, 200));
+    }
+
+    /// The engine keeps no table of pending arrivals, so an identifier
+    /// injected twice before its first admission is caught at the second.
+    #[test]
+    #[should_panic(expected = "application app-1 inserted twice")]
+    fn an_id_injected_twice_before_admission_panics_at_admission() {
+        let mut sim = service_sim_after_one_admission(2);
+        sim.inject_arrival(lenet_at(1, 200));
+        sim.inject_arrival(lenet_at(1, 300));
+        while sim.step(&mut VersaSlotPolicy::new()) {}
     }
 
     /// The arrivals are bulk-loaded into the event queue with one stable
@@ -2604,12 +2682,10 @@ mod tests {
             );
             let mut sim =
                 SharingSimulator::for_service(SystemConfig::single_board(board), suite.clone(), 1);
-            let mut injected = 0u64;
             let mut retired = 0;
             while retired < RETIRED {
-                if injected == sim.arrivals_admitted() {
+                if sim.pending_arrivals() == 0 {
                     sim.inject_arrival(driver.next_arrival());
-                    injected += 1;
                 }
                 assert!(sim.step(policy.as_mut()), "an arrival is always pending");
                 retired += sim.retire_completed(|app| {

@@ -24,6 +24,7 @@
 
 use serde::{Deserialize, Serialize};
 use versaslot_sim::fault::{FaultProfile, FaultStats};
+use versaslot_sim::ConfigError;
 use versaslot_workload::arrival::ArrivalProcess;
 
 use crate::par::{parallel_map, Parallelism};
@@ -167,6 +168,12 @@ impl RobustnessReport {
 /// every scenario of that cell; baseline and faulty runs both ride the
 /// deterministic [`parallel_map`] fan-out, so the report is byte-identical
 /// across [`Parallelism`] modes and run-to-run.
+///
+/// # Errors
+///
+/// Returns the first [`ConfigError`] of a scenario's fault profile or of a
+/// cell (see [`run_service_matrix`]) before any run starts: `"scheduler"`
+/// for [`SchedulerKind::Baseline`].
 pub fn run_robustness_matrix(
     parallelism: Parallelism,
     schedulers: &[SchedulerKind],
@@ -174,9 +181,12 @@ pub fn run_robustness_matrix(
     loads: &[f64],
     scenarios: &[FaultScenario],
     base: &ServiceConfig,
-) -> RobustnessReport {
+) -> Result<RobustnessReport, ConfigError> {
+    for scenario in scenarios {
+        scenario.profile.validate()?;
+    }
     let cells = service_matrix(schedulers, processes, loads);
-    let baselines = run_service_matrix(parallelism, &cells, base);
+    let baselines = run_service_matrix(parallelism, &cells, base)?;
     // One faulty run per (cell × scenario), scenario-innermost.
     let jobs: Vec<(ServiceCell, FaultProfile)> = cells
         .iter()
@@ -200,7 +210,7 @@ pub fn run_robustness_matrix(
             ));
         }
     }
-    RobustnessReport { cells: out }
+    Ok(RobustnessReport { cells: out })
 }
 
 /// Renders the rankings as a fixed-width table (used by `examples/fault_storm`).
@@ -444,10 +454,29 @@ mod tests {
     }
 
     #[test]
+    fn a_grid_rejects_a_bad_cell_or_scenario_before_it_fans_out() {
+        let first_error = |scheduler, profile| {
+            let scenarios = [FaultScenario::new("storm", profile)];
+            let schedulers = [SchedulerKind::Fcfs, scheduler];
+            let run = run_robustness_matrix(
+                Parallelism::Threads(2),
+                &schedulers,
+                &[poisson()],
+                &[0.8],
+                &scenarios,
+                &base_config(),
+            );
+            run.unwrap_err().parameter()
+        };
+        let storm = FaultProfile::new(17).with_pr_failures(0.1);
+        assert_eq!(first_error(SchedulerKind::Baseline, storm), "scheduler");
+        let degenerate = FaultProfile::new(17).with_pr_failures(2.0);
+        assert_eq!(first_error(SchedulerKind::Fcfs, degenerate), "pr_fail_prob");
+    }
+
+    #[test]
     fn robustness_matrix_is_byte_identical_across_parallelism_and_runs() {
         let schedulers = [SchedulerKind::VersaSlotBigLittle, SchedulerKind::Fcfs];
-        let processes = [poisson()];
-        let loads = [0.8];
         let scenarios = [
             FaultScenario::new("pr-storm", FaultProfile::new(17).with_pr_failures(0.1)),
             FaultScenario::new(
@@ -457,42 +486,27 @@ mod tests {
             ),
         ];
         let base = base_config().with_stop(StopCondition::Events(6_000));
-        let sequential = run_robustness_matrix(
-            Parallelism::Sequential,
-            &schedulers,
-            &processes,
-            &loads,
-            &scenarios,
-            &base,
-        );
-        let threaded = run_robustness_matrix(
-            Parallelism::Threads(2),
-            &schedulers,
-            &processes,
-            &loads,
-            &scenarios,
-            &base,
-        );
-        let auto = run_robustness_matrix(
-            Parallelism::Auto,
-            &schedulers,
-            &processes,
-            &loads,
-            &scenarios,
-            &base,
-        );
+        let run = |parallelism| {
+            run_robustness_matrix(
+                parallelism,
+                &schedulers,
+                &[poisson()],
+                &[0.8],
+                &scenarios,
+                &base,
+            )
+            .expect("valid grid")
+        };
+        let sequential = run(Parallelism::Sequential);
         let reference = serde_json::to_string(&sequential).unwrap();
-        assert_eq!(reference, serde_json::to_string(&threaded).unwrap());
-        assert_eq!(reference, serde_json::to_string(&auto).unwrap());
-        let rerun = run_robustness_matrix(
+        // Threaded, automatic and a rerun.
+        for parallelism in [
+            Parallelism::Threads(2),
             Parallelism::Auto,
-            &schedulers,
-            &processes,
-            &loads,
-            &scenarios,
-            &base,
-        );
-        assert_eq!(reference, serde_json::to_string(&rerun).unwrap());
+            Parallelism::Auto,
+        ] {
+            assert_eq!(reference, serde_json::to_string(&run(parallelism)).unwrap());
+        }
 
         assert_eq!(sequential.cells.len(), 4);
         let rankings = sequential.rankings();

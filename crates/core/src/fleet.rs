@@ -1,8 +1,8 @@
 //! Fleet mode: scale-out simulation of hundreds-to-thousands of boards as
 //! K independent shards.
 //!
-//! The single-spine service mode (PR 6/7) tops out at one simulator's event
-//! rate no matter how many cores the host has.  This module shards the fleet:
+//! The single-spine service mode tops out at one simulator's event rate no
+//! matter how many cores the host has.  This module shards the fleet:
 //!
 //! * **One spine per shard.**  Each shard owns a full [`ServiceRunner`] — its
 //!   own pre-sized [`SharingSimulator`][crate::engine::SharingSimulator]
@@ -37,8 +37,10 @@
 //!   shard in place.  At each barrier the driver routes the epoch, lends
 //!   every worker its chunk's arrival batches (over a one-slot channel to
 //!   each spawned worker), runs the first chunk itself, and takes the drained
-//!   batches back with the chunks' completion counters.  The same buffers go
-//!   out and come back, so steady-state epochs allocate nothing.
+//!   batches back with the chunks' completion counters.  A shard injects
+//!   straight from its lent batch, whose arrivals all lie before the
+//!   barrier, so nothing holds an arrival across a barrier.  The same
+//!   buffers go out and come back, so steady-state epochs allocate nothing.
 //! * **Mergeable metrics.**  [`FleetEngine::report`] folds the per-shard
 //!   accumulators with [`StreamingSummary::merge`] (exact Welford moments,
 //!   bin-wise histogram tails) into one fleet-wide [`Summary`], alongside the
@@ -63,6 +65,7 @@
 //! assert!(report.completions > 0);
 //! ```
 
+use std::iter::Peekable;
 use std::sync::mpsc::sync_channel;
 
 use serde::{Deserialize, Serialize};
@@ -270,26 +273,6 @@ struct ShardState {
     windows: Vec<WindowSummary>,
 }
 
-impl ShardState {
-    /// Runs this shard's slice of one epoch: the runner's stepping loop up to
-    /// the barrier, or — on the final epoch — up to the horizon stop plus the
-    /// window flush, so a segmented run is byte-identical to an unsegmented
-    /// one.
-    fn run_epoch(&mut self, barrier: SimTime, is_final: bool) {
-        let ShardState {
-            runner,
-            policy,
-            windows,
-            ..
-        } = self;
-        let on_window = &mut |w: &WindowSummary| windows.push(*w);
-        runner.run_until(policy.as_mut(), (!is_final).then_some(barrier), on_window);
-        if is_final {
-            runner.flush_windows(on_window);
-        }
-    }
-}
-
 /// Driver-side admission counters of one shard.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardAdmission {
@@ -304,8 +287,9 @@ struct ShardAdmission {
 /// chunk's completion counters.  The batches are the engine's routing
 /// buffers, lent for one epoch, so steady-state epochs allocate nothing.
 struct Parcel {
-    barrier: SimTime,
-    is_final: bool,
+    /// The epoch's barrier; `None` on the final epoch, which runs to the
+    /// horizon stop.
+    barrier: Option<SimTime>,
     batches: Vec<Vec<AppArrival>>,
     completions: Vec<u64>,
 }
@@ -314,24 +298,40 @@ impl Parcel {
     /// An empty parcel for a chunk of `shards` shards.
     fn new(shards: usize) -> Self {
         Parcel {
-            barrier: SimTime::ZERO,
-            is_final: false,
+            barrier: None,
             batches: vec![Vec::new(); shards],
             completions: vec![0; shards],
         }
     }
 
-    /// Runs `chunk`'s slice of the epoch: admits each shard's batch, runs it
-    /// to the barrier and records its completion counter.
+    /// Runs `chunk`'s slice of the epoch, each shard injecting from its batch,
+    /// up to the barrier or, on the final epoch, to the horizon stop plus the
+    /// window flush (so a segmented run is byte-identical to an unsegmented
+    /// one), and records each shard's completion counter.  Panics if a shard
+    /// leaves part of its batch, which would drop those arrivals.
     fn run(&mut self, chunk: &mut [ShardState]) {
         for ((shard, batch), done) in chunk
             .iter_mut()
             .zip(&mut self.batches)
             .zip(&mut self.completions)
         {
-            shard.runner.enqueue_arrivals(batch.drain(..));
-            shard.run_epoch(self.barrier, self.is_final);
-            *done = shard.runner.completions();
+            let ShardState {
+                index,
+                runner,
+                policy,
+                windows,
+            } = shard;
+            let on_window = &mut |w: &WindowSummary| windows.push(*w);
+            let mut routed = batch.drain(..);
+            runner.run_until(policy.as_mut(), self.barrier, &mut routed, on_window);
+            assert!(
+                routed.next().is_none(),
+                "shard {index} ended an epoch with routed arrivals left"
+            );
+            if self.barrier.is_none() {
+                runner.flush_windows(on_window);
+            }
+            *done = runner.completions();
         }
     }
 }
@@ -401,11 +401,9 @@ pub struct FleetEngine {
     scheduler: String,
     shards: Vec<ShardState>,
     router: ShardRouter,
-    /// The fleet-wide front-end arrival stream.
-    driver: ArrivalDriver,
-    /// First generated arrival at or past the last barrier, kept for the next
-    /// epoch (the driver cannot be peeked without consuming).
-    lookahead: Option<AppArrival>,
+    /// The fleet-wide front-end arrival stream; its peeked arrival is the
+    /// first one at or past the last barrier.
+    driver: Peekable<ArrivalDriver>,
     /// Routed arrivals whose (possibly forwarding-delayed) delivery time lies
     /// beyond the epoch that routed them: in-flight cross-shard messages.
     deferred: Vec<(usize, AppArrival)>,
@@ -469,7 +467,8 @@ impl FleetEngine {
             suite.len(),
             config.batch_range,
             config.seed,
-        );
+        )
+        .peekable();
         let router = ShardRouter::new(
             config.placement,
             config.shards,
@@ -494,7 +493,6 @@ impl FleetEngine {
             shards,
             router,
             driver,
-            lookahead: None,
             deferred: Vec::new(),
             fabric,
             fabric_stats: FaultStats::default(),
@@ -633,8 +631,7 @@ impl FleetEngine {
                 // back below returns them drained, so `due` keeps its
                 // high-water buffers from session to session.
                 for parcel in &mut parcels {
-                    parcel.barrier = barrier;
-                    parcel.is_final = is_final;
+                    parcel.barrier = (!is_final).then_some(barrier);
                 }
                 self.swap_batches(&mut parcels);
                 for ((orders, _), parcel) in links.iter().zip(parcels.drain(1..)) {
@@ -698,7 +695,6 @@ impl FleetEngine {
             config,
             router,
             driver,
-            lookahead,
             deferred,
             fabric,
             fabric_stats,
@@ -720,15 +716,7 @@ impl FleetEngine {
         });
 
         // New arrivals strictly before the barrier.
-        loop {
-            let arrival = match lookahead.take() {
-                Some(pending) => pending,
-                None => driver.next_arrival(),
-            };
-            if arrival.arrival >= barrier {
-                *lookahead = Some(arrival);
-                break;
-            }
+        while let Some(arrival) = driver.next_if(|arrival| arrival.arrival < barrier) {
             *arrivals_generated += 1;
             let decision = router.route(&arrival);
             let delivered = if decision.forwarded {
@@ -773,35 +761,23 @@ impl FleetEngine {
     /// merges the per-shard accumulators into one fleet-wide summary.
     pub fn report(&self) -> FleetReport {
         let mut overall = StreamingSummary::new();
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut events_processed = 0;
-        let mut arrivals_admitted = 0;
-        let mut completions = 0;
-        let mut warmup_completions = 0;
-        let mut total_pr = 0;
-        let mut blocked_events = 0;
-        let mut end_time = SimTime::ZERO;
-        let mut undelivered = self.deferred.len() as u64;
-        for shard in &self.shards {
-            let service = shard.runner.service_report(&self.scheduler);
-            overall.merge(shard.runner.overall_stream());
-            events_processed += service.events_processed;
-            arrivals_admitted += service.arrivals_admitted;
-            completions += service.completions;
-            warmup_completions += service.warmup_completions;
-            total_pr += service.total_pr;
-            blocked_events += service.blocked_events;
-            end_time = end_time.max_of(service.end_time);
-            undelivered += shard.runner.pending_routed() as u64;
-            let admission = self.admission[shard.index];
-            shards.push(ShardReport {
-                shard: shard.index,
-                routed: admission.routed,
-                forwarded_in: admission.forwarded_in,
-                windows: shard.windows.clone(),
-                service,
-            });
-        }
+        let shards: Vec<ShardReport> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                overall.merge(shard.runner.overall_stream());
+                let admission = self.admission[shard.index];
+                ShardReport {
+                    shard: shard.index,
+                    routed: admission.routed,
+                    forwarded_in: admission.forwarded_in,
+                    windows: shard.windows.clone(),
+                    service: shard.runner.service_report(&self.scheduler),
+                }
+            })
+            .collect();
+        let services = || shards.iter().map(|shard| &shard.service);
+        let sum = |count: fn(&ServiceReport) -> u64| services().map(count).sum();
         FleetReport {
             scheduler: self.scheduler.clone(),
             placement: self.config.placement,
@@ -809,15 +785,15 @@ impl FleetEngine {
             epochs: self.epochs_run,
             arrivals_generated: self.arrivals_generated,
             forwarded: self.router.forwarded(),
-            undelivered,
-            events_processed,
-            arrivals_admitted,
-            completions,
+            undelivered: self.deferred.len() as u64,
+            events_processed: sum(|s| s.events_processed),
+            arrivals_admitted: sum(|s| s.arrivals_admitted),
+            completions: sum(|s| s.completions),
             measured_completions: overall.count(),
-            warmup_completions,
-            end_time,
-            total_pr,
-            blocked_events,
+            warmup_completions: sum(|s| s.warmup_completions),
+            end_time: services().fold(SimTime::ZERO, |end, s| end.max_of(s.end_time)),
+            total_pr: sum(|s| s.total_pr),
+            blocked_events: sum(|s| s.blocked_events),
             overall: overall.summary(),
             shards,
         }
@@ -864,6 +840,21 @@ mod tests {
         }
     }
 
+    /// The barrier invariant shards rely on to keep no routed queue: at
+    /// every barrier each shard has admitted every arrival routed to it, and
+    /// every generated arrival is routed or still in flight.
+    fn assert_barrier_accounting(report: &FleetReport) {
+        for shard in &report.shards {
+            let epoch = report.epochs;
+            assert_eq!(
+                shard.service.arrivals_admitted, shard.routed,
+                "epoch {epoch}"
+            );
+        }
+        let routed: u64 = report.shards.iter().map(|s| s.routed).sum();
+        assert_eq!(report.arrivals_generated, routed + report.undelivered);
+    }
+
     #[test]
     fn fleet_run_is_consistent_and_allocation_free() {
         for shards in [4, 1] {
@@ -872,23 +863,21 @@ mod tests {
                 ..fleet_config()
             };
             let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-            while engine.advance_epoch(Parallelism::Sequential) {}
+            while engine.advance_epoch(Parallelism::Sequential) {
+                assert_barrier_accounting(&engine.report());
+            }
             // 400 s of 90 s epochs: four full barriers plus the partial fifth.
             assert_eq!(engine.epochs_run, 5);
             let report = engine.report();
+            assert_barrier_accounting(&report);
             assert_eq!(report.shard_count, shards);
             assert_eq!(report.epochs, 5);
             assert!(report.completions > 0, "no shard completed anything");
             assert!(report.arrivals_generated > 0);
 
-            // Admission accounting: every generated arrival was either delivered
-            // to a shard or is still in flight.
-            let routed_sum: u64 = report.shards.iter().map(|s| s.routed).sum();
-            assert_eq!(report.arrivals_generated, routed_sum + report.undelivered);
             // Hash placement spreads a few hundred arrivals over every shard.
             for shard in &report.shards {
                 assert!(shard.routed > 0, "shard {} got nothing", shard.shard);
-                assert!(shard.service.arrivals_admitted <= shard.routed);
             }
 
             // Fleet totals are the shard sums.
@@ -990,8 +979,7 @@ mod tests {
         assert!(report.forwarded > 0, "threshold 1 must forward something");
         let forwarded_in: u64 = report.shards.iter().map(|s| s.forwarded_in).sum();
         assert_eq!(report.forwarded, forwarded_in);
-        let routed_sum: u64 = report.shards.iter().map(|s| s.routed).sum();
-        assert_eq!(report.arrivals_generated, routed_sum + report.undelivered);
+        assert_barrier_accounting(&report);
         // Forwarding is deterministic too.
         let again = run_fleet(
             Parallelism::Threads(3),
@@ -1040,19 +1028,33 @@ mod tests {
     #[test]
     fn pooled_fleet_run_is_consistent_and_allocation_free() {
         // The pooled path must uphold the same invariants the sequential path
-        // does: admission accounting balances and no shard's event queue ever
-        // grows, even with heavy spillover traffic through the parcels.
-        let config = fleet_config().with_spillover(2, SimDuration::from_secs(10));
+        // does, at every barrier: admission accounting balances and no
+        // shard's event queue ever grows, even with spillover traffic through
+        // the parcels, stalled forwards and failed boards.
+        let config = fleet_config()
+            .with_spillover(2, SimDuration::from_secs(10))
+            .with_faults(
+                FaultProfile::new(11)
+                    .with_pr_failures(0.05)
+                    .with_link_flaps(0.2, SimDuration::from_secs(5))
+                    .with_board_failures(SimDuration::from_secs(120), SimDuration::from_secs(10)),
+            );
         let mut engine = FleetEngine::new(SchedulerKind::VersaSlotBigLittle, config);
-        engine.run(Parallelism::Threads(4));
+        while engine.advance_epoch(Parallelism::Threads(4)) {
+            assert_barrier_accounting(&engine.report());
+        }
         assert!(engine.finished);
         let report = engine.report();
+        assert_barrier_accounting(&report);
         assert!(report.completions > 0);
         assert!(report.forwarded > 0, "threshold 2 must forward something");
-        let routed_sum: u64 = report.shards.iter().map(|s| s.routed).sum();
-        assert_eq!(report.arrivals_generated, routed_sum + report.undelivered);
         let forwarded_in: u64 = report.shards.iter().map(|s| s.forwarded_in).sum();
         assert_eq!(report.forwarded, forwarded_in);
+        let stats = engine.fault_stats();
+        assert!(
+            stats.board_failures > 0 && stats.link_flaps > 0,
+            "{stats:?}"
+        );
         assert_eq!(engine.shard_grow_events(), vec![0; 4]);
     }
 

@@ -1,16 +1,15 @@
 //! Service mode: open-ended runs with streaming metrics.
 //!
-//! The figure experiments replay finite workload sequences and materialise a
-//! full [`RunReport`][crate::metrics::RunReport] — per-application records,
-//! D_switch traces — which is exactly right for a 20-application run and
-//! exactly wrong for the ROADMAP's north star, a *service* that keeps serving
-//! arrivals indefinitely.  This module adds that second execution mode without
-//! touching the figure path:
+//! The figure experiments replay finite sequences into a full
+//! [`RunReport`][crate::metrics::RunReport] of per-application records.  A
+//! *service* keeps serving arrivals indefinitely, so this second execution
+//! mode keeps no such record and leaves the figure path untouched:
 //!
 //! * a [`ServiceRunner`] drives [`SharingSimulator`] from an unbounded
-//!   [`ArrivalDriver`] (Poisson, diurnal or flash-crowd processes), keeping
-//!   exactly **one** future arrival in the event queue at any time so the
-//!   pre-sized, allocation-free event spine carries over unchanged
+//!   [`ArrivalDriver`] (Poisson, diurnal or flash-crowd processes),
+//!   injecting the next arrival only once the engine has admitted the last
+//!   one, so exactly **one** future arrival is in the event queue at any time
+//!   and the pre-sized, allocation-free event spine carries over unchanged
 //!   (`grow_events() == 0` for the whole run);
 //! * completed applications are **retired** out of the runtime tables
 //!   ([`SharingSimulator::retire_completed`]) and folded into constant-memory
@@ -51,8 +50,6 @@
 //! assert_eq!(runner.simulator().event_queue_grow_events(), 0);
 //! ```
 
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 use versaslot_sim::{
     ConfigError, FaultProfile, FaultStats, SimDuration, SimTime, StreamingSummary, Summary,
@@ -68,9 +65,10 @@ use crate::policy::Policy;
 use crate::runner::SchedulerKind;
 
 /// Pending injected arrivals the service runner keeps in the event queue.  The
-/// loop injects the next arrival only once the previous one has been admitted,
-/// so one slot of queue capacity is enough — that is what keeps the pre-sized
-/// event queue valid for an unbounded arrival stream.
+/// loop injects the next arrival only once the engine holds no pending one
+/// (`SharingSimulator::pending_arrivals` is 0), so one slot of queue capacity
+/// is enough — that is what keeps the pre-sized event queue valid for an
+/// unbounded arrival stream.
 const ARRIVAL_LOOKAHEAD: usize = 1;
 
 /// When to end an open-ended service run.
@@ -219,20 +217,6 @@ pub struct ServiceReport {
     pub per_app: Vec<AppServiceStats>,
 }
 
-/// Where a [`ServiceRunner`] gets its arrivals from.
-///
-/// The classic service mode owns an unbounded [`ArrivalDriver`]; a fleet shard
-/// instead receives arrivals routed to it by the admission layer
-/// ([`ServiceRunner::enqueue_arrivals`]) and holds them in a time-ordered
-/// queue until the one-at-a-time injection protocol drains them.
-#[derive(Debug)]
-enum ArrivalSource {
-    /// Self-generated arrivals from a seeded process.
-    Driver(ArrivalDriver),
-    /// Externally routed arrivals (fleet shard mode), front is next to inject.
-    Routed(VecDeque<AppArrival>),
-}
-
 /// Drives a [`SharingSimulator`] from an unbounded arrival process and folds
 /// completions into constant-memory streaming accumulators.
 ///
@@ -240,26 +224,27 @@ enum ArrivalSource {
 /// arrival at a time, retire completions into [`StreamingSummary`] /
 /// [`TumblingWindow`] accumulators, stop on the configured condition.
 ///
-/// Fleet shards reuse the same runner with two differences: arrivals come from
-/// `ServiceRunner::enqueue_arrivals` instead of an internal driver
-/// (`ServiceRunner::new_routed`), and execution is segmented into epochs by
-/// [`ServiceRunner::run_to_barrier`].  Segmenting is transparent: a run split
-/// at any sequence of barriers processes the byte-identical event sequence as
-/// an unsegmented [`ServiceRunner::run_with`], because both go through the one
-/// stepping loop (`ServiceRunner::run_until`), injection is a pure function of
-/// the simulator state, and completions are folded after every step either
-/// way.
+/// Fleet shards reuse the same runner with two differences: a shard has no
+/// driver (`ServiceRunner::new_routed`) but hands each epoch's routed batch,
+/// which lies before the epoch's barrier, straight to the stepping loop, and
+/// execution is segmented into epochs by [`ServiceRunner::run_to_barrier`].
+/// Segmenting is transparent: a run split at any sequence of barriers
+/// processes the byte-identical event sequence as an unsegmented
+/// [`ServiceRunner::run_with`], because both go through the one stepping loop
+/// (`ServiceRunner::run_until`), injection is a pure function of the
+/// simulator state, and completions are folded after every step either way.
 #[derive(Debug)]
 pub struct ServiceRunner {
     sim: SharingSimulator,
-    source: ArrivalSource,
+    /// The arrival process of a standalone run; `None` for a fleet shard,
+    /// whose arrivals are routed in.
+    driver: Option<ArrivalDriver>,
     /// Applications arriving before this instant are not measured.
     warmup_end: SimTime,
     stop: StopCondition,
-    injected: u64,
+    /// Measured completions.
     overall: StreamingSummary,
     per_app: Vec<StreamingSummary>,
-    completions: u64,
     warmup_completions: u64,
     window: TumblingWindow,
 }
@@ -285,16 +270,15 @@ impl ServiceRunner {
             config.seed,
         );
         ServiceRunner {
-            source: ArrivalSource::Driver(driver),
+            driver: Some(driver),
             ..Self::new_routed(system, suite, config.warmup, config.stop, config.window)
         }
     }
 
     /// Creates a runner whose arrivals are routed in from the outside (a fleet
-    /// shard): no internal driver, arrivals arrive via
-    /// [`ServiceRunner::enqueue_arrivals`].  It measures the applications
-    /// arriving after `warmup`, in timeline windows `window` wide, until
-    /// `stop`; the caller has validated these.
+    /// shard) through `ServiceRunner::run_until`.  It measures the
+    /// applications arriving after `warmup`, in timeline windows `window`
+    /// wide, until `stop`; the caller has validated these.
     pub(crate) fn new_routed(
         system: SystemConfig,
         suite: Vec<ApplicationSpec>,
@@ -307,13 +291,11 @@ impl ServiceRunner {
         let sim = SharingSimulator::for_service(system, suite, ARRIVAL_LOOKAHEAD);
         ServiceRunner {
             sim,
-            source: ArrivalSource::Routed(VecDeque::new()),
+            driver: None,
             warmup_end: SimTime::ZERO + warmup,
             stop,
-            injected: 0,
             overall: StreamingSummary::new(),
             per_app,
-            completions: 0,
             warmup_completions: 0,
             window,
         }
@@ -333,7 +315,7 @@ impl ServiceRunner {
 
     /// Applications completed so far (measured or not).
     pub(crate) fn completions(&self) -> u64 {
-        self.completions
+        self.overall.count() + self.warmup_completions
     }
 
     /// The pooled streaming accumulator over the measured completions so
@@ -341,38 +323,6 @@ impl ServiceRunner {
     /// ([`StreamingSummary::merge`]).
     pub(crate) fn overall_stream(&self) -> &StreamingSummary {
         &self.overall
-    }
-
-    /// Routed arrivals queued but not yet injected (always `0` for a
-    /// driver-backed runner).
-    pub(crate) fn pending_routed(&self) -> usize {
-        match &self.source {
-            ArrivalSource::Driver(_) => 0,
-            ArrivalSource::Routed(queue) => queue.len(),
-        }
-    }
-
-    /// Hands a batch of routed arrivals to a [`ServiceRunner::new_routed`]
-    /// runner.  Batches must be sorted by arrival time and must not predate
-    /// previously enqueued or already-processed arrivals — the fleet engine's
-    /// epoch barriers guarantee this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this runner owns an arrival driver.
-    pub(crate) fn enqueue_arrivals<I: IntoIterator<Item = AppArrival>>(&mut self, arrivals: I) {
-        let ArrivalSource::Routed(queue) = &mut self.source else {
-            panic!("enqueue_arrivals on a driver-backed service runner");
-        };
-        for arrival in arrivals {
-            debug_assert!(
-                queue
-                    .back()
-                    .is_none_or(|last| last.arrival <= arrival.arrival),
-                "routed arrivals must be enqueued in time order"
-            );
-            queue.push_back(arrival);
-        }
     }
 
     /// Runs until the stop condition holds and returns the report.
@@ -388,31 +338,9 @@ impl ServiceRunner {
         policy: &mut dyn Policy,
         on_window: &mut dyn FnMut(&WindowSummary),
     ) -> ServiceReport {
-        self.run_until(policy, None, on_window);
+        self.run_until(policy, None, &mut std::iter::empty(), on_window);
         self.flush_windows(on_window);
         self.service_report(policy.name())
-    }
-
-    /// Keeps exactly one future arrival pending: injects the next one only
-    /// once the previous one has been admitted, so the queue never holds more
-    /// than [`ARRIVAL_LOOKAHEAD`] arrival events and (in driver mode) never
-    /// drains.  Routed mode injects nothing when its queue is empty.
-    fn inject_pending(&mut self) {
-        if self.injected != self.sim.arrivals_admitted() {
-            return;
-        }
-        match &mut self.source {
-            ArrivalSource::Driver(driver) => {
-                self.sim.inject_arrival(driver.next_arrival());
-                self.injected += 1;
-            }
-            ArrivalSource::Routed(queue) => {
-                if let Some(arrival) = queue.pop_front() {
-                    self.sim.inject_arrival(arrival);
-                    self.injected += 1;
-                }
-            }
-        }
     }
 
     /// Folds finished applications into the streaming accumulators and drops
@@ -427,13 +355,11 @@ impl ServiceRunner {
             warmup_end,
             overall,
             per_app,
-            completions,
             warmup_completions,
             window,
             ..
         } = self;
         sim.retire_completed(|app| {
-            *completions += 1;
             if app.arrival < *warmup_end {
                 *warmup_completions += 1;
                 return;
@@ -449,25 +375,38 @@ impl ServiceRunner {
     }
 
     /// The one stepping loop: until the stop condition holds, inject → peek
-    /// → step → fold.  With a `barrier` it returns before the first event at
+    /// → step → fold.  It injects the next arrival, from the driver or for a
+    /// shard from `routed` (its epoch batch, in time order, each arrival
+    /// before `barrier`), only once the engine holds no pending one, so the
+    /// queue never holds more than [`ARRIVAL_LOOKAHEAD`] arrival events and
+    /// (with a driver) never drains.  With a `barrier` it returns before the first event at
     /// or past it (an event at exactly the barrier belongs to the next
     /// segment, and a barrier never splits a same-instant event group because
     /// the whole group shares one timestamp); without one it runs until the
-    /// stop condition holds or, in routed mode, the event queue runs dry.
+    /// stop condition holds or, for a shard, the event queue runs dry.
     /// Does **not** flush the final tumbling window or build a report —
     /// [`ServiceRunner::run_with`] and the fleet engine's final epoch do that.
     pub(crate) fn run_until(
         &mut self,
         policy: &mut dyn Policy,
         barrier: Option<SimTime>,
+        routed: &mut dyn Iterator<Item = AppArrival>,
         on_window: &mut dyn FnMut(&WindowSummary),
     ) {
         while !self.stop_reached() {
-            self.inject_pending();
+            if self.sim.pending_arrivals() == 0 {
+                let next = match &mut self.driver {
+                    Some(driver) => Some(driver.next_arrival()),
+                    None => routed.next(),
+                };
+                if let Some(arrival) = next {
+                    self.sim.inject_arrival(arrival);
+                }
+            }
             let Some(next) = self.sim.next_event_time() else {
                 debug_assert!(
-                    matches!(self.source, ArrivalSource::Routed(_)),
-                    "an arrival is always pending in driver mode"
+                    self.driver.is_none(),
+                    "an arrival is always pending with a driver"
                 );
                 break;
             };
@@ -491,7 +430,7 @@ impl ServiceRunner {
         barrier: SimTime,
         on_window: &mut dyn FnMut(&WindowSummary),
     ) {
-        self.run_until(policy, Some(barrier), on_window);
+        self.run_until(policy, Some(barrier), &mut std::iter::empty(), on_window);
     }
 
     /// Flushes the final (partial) tumbling window into `on_window`.  Call
@@ -527,7 +466,7 @@ impl ServiceRunner {
             scheduler: scheduler.to_string(),
             events_processed: self.sim.events_processed(),
             arrivals_admitted: self.sim.arrivals_admitted(),
-            completions: self.completions,
+            completions: self.completions(),
             measured_completions: self.overall.count(),
             warmup_completions: self.warmup_completions,
             end_time: self.sim.now(),
@@ -572,6 +511,18 @@ pub fn service_matrix(
     cells
 }
 
+impl ServiceCell {
+    /// The service configuration of this cell: its process and load, with
+    /// `base` providing the rest.
+    fn config(&self, base: &ServiceConfig) -> ServiceConfig {
+        ServiceConfig {
+            process: self.process,
+            load: self.load,
+            ..*base
+        }
+    }
+}
+
 /// Runs one service cell on the benchmark suite on a single board with
 /// `faults` attached (`None` builds a fault-free board), with `base`
 /// providing the non-cell parameters (seed, warm-up, stop condition, window
@@ -580,9 +531,8 @@ pub fn service_matrix(
 ///
 /// # Panics
 ///
-/// Panics for [`SchedulerKind::Baseline`]: exclusive temporal multiplexing
-/// bypasses the sharing engine and has no service-mode equivalent.  Panics
-/// for an invalid fault profile.
+/// Panics for a cell [`run_service_matrix`] rejects (the matrix runners
+/// check their cells before they fan out) or an invalid fault profile.
 pub(crate) fn run_cell(
     cell: &ServiceCell,
     base: &ServiceConfig,
@@ -592,11 +542,7 @@ pub(crate) fn run_cell(
         .scheduler
         .policy()
         .expect("the Baseline comparator is not supported in service mode");
-    let config = ServiceConfig {
-        process: cell.process,
-        load: cell.load,
-        ..*base
-    };
+    let config = cell.config(base);
     let system = SystemConfig {
         faults,
         ..SystemConfig::single_board(cell.scheduler.board())
@@ -609,15 +555,30 @@ pub(crate) fn run_cell(
 
 /// Runs a service matrix through the deterministic parallel fan-out: results
 /// come back in input order and are byte-identical to a sequential run.
+///
+/// # Errors
+///
+/// Checks every cell before any runs and returns the first one's
+/// [`ConfigError`]: `"scheduler"` for [`SchedulerKind::Baseline`] (exclusive
+/// temporal multiplexing bypasses the sharing engine and has no service-mode
+/// equivalent), or what `ServiceConfig::validate` finds in its configuration.
 pub fn run_service_matrix(
     parallelism: Parallelism,
     cells: &[ServiceCell],
     base: &ServiceConfig,
-) -> Vec<ServiceReport> {
+) -> Result<Vec<ServiceReport>, ConfigError> {
+    for cell in cells {
+        ConfigError::ensure(
+            cell.scheduler != SchedulerKind::Baseline,
+            "scheduler",
+            format_args!("the Baseline comparator is not supported in service mode"),
+        )?;
+        cell.config(base).validate()?;
+    }
     let base = *base;
-    parallel_map(parallelism, cells, move |cell| {
+    Ok(parallel_map(parallelism, cells, move |cell| {
         run_cell(cell, &base, None).0
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -856,15 +817,23 @@ mod tests {
         assert_eq!(cells[5].load, 2.0);
     }
 
+    /// A matrix returns a typed error for a bad cell before any cell runs,
+    /// instead of panicking on a worker thread.
     #[test]
-    #[should_panic(expected = "not supported in service mode")]
     fn baseline_cells_are_rejected() {
-        let cell = ServiceCell {
-            scheduler: SchedulerKind::Baseline,
-            process: poisson(),
-            load: 1.0,
+        let first_error = |scheduler, load| {
+            let cells =
+                service_matrix(&[SchedulerKind::Nimblock, scheduler], &[poisson()], &[load]);
+            let base = ServiceConfig::new(poisson());
+            run_service_matrix(Parallelism::Threads(2), &cells, &base).unwrap_err()
         };
-        run_cell(&cell, &ServiceConfig::new(poisson()), None);
+        let err = first_error(SchedulerKind::Baseline, 1.0);
+        assert_eq!(err.parameter(), "scheduler");
+        assert_eq!(
+            err.to_string(),
+            "the Baseline comparator is not supported in service mode"
+        );
+        assert_eq!(first_error(SchedulerKind::Fcfs, 0.0).parameter(), "load");
     }
 
     /// The acceptance-criteria run: 10M events under sustained load with O(1)

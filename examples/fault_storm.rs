@@ -59,7 +59,8 @@ fn main() {
         &loads,
         &scenarios,
         &base,
-    );
+    )
+    .expect("the storm's cells and scenarios are valid");
 
     println!("== policy robustness under fault storms ==");
     println!(
@@ -81,7 +82,8 @@ fn main() {
         &loads,
         &scenarios,
         &base,
-    );
+    )
+    .expect("the storm's cells and scenarios are valid");
     assert_eq!(report, again, "fault storm must be replayable");
     println!();
     println!("replay check: sequential re-run reproduced the grid exactly");
