@@ -60,9 +60,10 @@
 //! let config = FleetConfig::new(4, ArrivalProcess::Poisson { rate_per_sec: 1.2 })
 //!     .with_horizon(SimDuration::from_secs(300))
 //!     .with_epoch(SimDuration::from_secs(60));
-//! let report = run_fleet(Parallelism::Auto, SchedulerKind::VersaSlotBigLittle, config);
+//! let report = run_fleet(Parallelism::Auto, SchedulerKind::VersaSlotBigLittle, config)?;
 //! assert_eq!(report.shards.len(), 4);
 //! assert!(report.completions > 0);
+//! # Ok::<(), versaslot_sim::ConfigError>(())
 //! ```
 
 use std::iter::Peekable;
@@ -803,14 +804,27 @@ impl FleetEngine {
 /// Runs a whole fleet to its horizon and returns the report.  Convenience
 /// wrapper: create the engine, run it in one session of
 /// `Parallelism::workers` workers, and fold the report.
+///
+/// # Errors
+///
+/// Checks the fleet before it runs and returns the [`ConfigError`] that
+/// [`FleetEngine::new`] would panic on: `"scheduler"` for
+/// [`SchedulerKind::Baseline`] (no service-mode equivalent), or what
+/// `FleetConfig::validate` finds in `config`.
 pub fn run_fleet(
     parallelism: Parallelism,
     kind: SchedulerKind,
     config: FleetConfig,
-) -> FleetReport {
+) -> Result<FleetReport, ConfigError> {
+    ConfigError::ensure(
+        kind != SchedulerKind::Baseline,
+        "scheduler",
+        format_args!("the Baseline comparator is not supported in fleet mode"),
+    )?;
+    config.validate()?;
     let mut engine = FleetEngine::new(kind, config);
     engine.run(parallelism);
-    engine.report()
+    Ok(engine.report())
 }
 
 #[cfg(test)]
@@ -916,7 +930,8 @@ mod tests {
     #[test]
     fn fleet_reports_are_byte_identical_across_parallelism_and_runs() {
         let run = |parallelism, config| {
-            let report = run_fleet(parallelism, SchedulerKind::VersaSlotBigLittle, config);
+            let report = run_fleet(parallelism, SchedulerKind::VersaSlotBigLittle, config)
+                .expect("the fleet is valid");
             (
                 report.epochs,
                 serde_json::to_string(&report).expect("report serializes"),
@@ -953,7 +968,8 @@ mod tests {
             Parallelism::Sequential,
             SchedulerKind::VersaSlotBigLittle,
             config,
-        );
+        )
+        .expect("the fleet is valid");
         let routed: Vec<u64> = report.shards.iter().map(|s| s.routed).collect();
         let min = *routed.iter().min().unwrap();
         let max = *routed.iter().max().unwrap();
@@ -975,7 +991,8 @@ mod tests {
             Parallelism::Sequential,
             SchedulerKind::VersaSlotBigLittle,
             config,
-        );
+        )
+        .expect("the fleet is valid");
         assert!(report.forwarded > 0, "threshold 1 must forward something");
         let forwarded_in: u64 = report.shards.iter().map(|s| s.forwarded_in).sum();
         assert_eq!(report.forwarded, forwarded_in);
@@ -985,7 +1002,8 @@ mod tests {
             Parallelism::Threads(3),
             SchedulerKind::VersaSlotBigLittle,
             config,
-        );
+        )
+        .expect("the fleet is valid");
         assert_eq!(
             serde_json::to_string(&report).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -1121,7 +1139,8 @@ mod tests {
             Parallelism::Sequential,
             SchedulerKind::VersaSlotBigLittle,
             fleet_config(),
-        );
+        )
+        .expect("the fleet is valid");
         let mut engine = FleetEngine::new(
             SchedulerKind::VersaSlotBigLittle,
             fleet_config().with_faults(FaultProfile::new(5)),
@@ -1220,6 +1239,37 @@ mod tests {
     #[should_panic(expected = "not supported in fleet mode")]
     fn baseline_fleets_are_rejected() {
         FleetEngine::new(SchedulerKind::Baseline, fleet_config());
+    }
+
+    /// `run_fleet` returns the Baseline kind as a typed error, where
+    /// `FleetEngine::new` panics.
+    #[test]
+    fn run_fleet_rejects_baseline_with_a_typed_error() {
+        let err = run_fleet(
+            Parallelism::Sequential,
+            SchedulerKind::Baseline,
+            fleet_config(),
+        )
+        .unwrap_err();
+        assert_eq!(err.parameter(), "scheduler");
+        assert_eq!(
+            err.to_string(),
+            "the Baseline comparator is not supported in fleet mode"
+        );
+    }
+
+    /// `run_fleet` returns a `FleetConfig::validate` failure as a typed
+    /// error, where `FleetEngine::new` panics.
+    #[test]
+    fn run_fleet_rejects_an_invalid_config_with_a_typed_error() {
+        let err = run_fleet(
+            Parallelism::Sequential,
+            SchedulerKind::VersaSlotBigLittle,
+            FleetConfig::new(0, ArrivalProcess::Poisson { rate_per_sec: 1.0 }),
+        )
+        .unwrap_err();
+        assert_eq!(err.parameter(), "shards");
+        assert_eq!(err.to_string(), "a fleet needs at least one shard");
     }
 
     #[test]

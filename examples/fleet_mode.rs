@@ -35,6 +35,7 @@ fn fleet(placement: Placement, spillover: bool) -> FleetReport {
     // Within each run every shard stays on one worker across all epoch
     // barriers; the report is byte-identical to a sequential run.
     run_fleet(Parallelism::Auto, SchedulerKind::VersaSlotBigLittle, config)
+        .expect("the example's fleet configuration is valid")
 }
 
 fn print_fleet(label: &str, report: &FleetReport) {

@@ -38,9 +38,12 @@
 # any bound worth gating on, so no absolute throughput is kept here.
 #
 # Before the runs it prints the machine-code size of SharingSimulator::step in
-# both binaries (from `nm`; "unknown" when nm or the symbol is missing).  What
-# the compiler inlines into step moves throughput by several percent, so the
-# size is worth a look in every log; it never fails the gate.
+# both binaries (from `nm`; "unknown" when nm or the symbol is missing), and
+# every SharingSimulator:: function whose size differs between them or that
+# exists in only one (a function the compiler outlined from step, or inlined
+# into it).  What the compiler inlines into step moves throughput by several
+# percent, so the sizes are worth a look in every log; they never fail the
+# gate.
 #
 # There are no other options.  A change that moves a digest on purpose edits
 # the table.
@@ -85,6 +88,24 @@ step_size() {
     echo "${size:-unknown}"
 }
 echo "SharingSimulator::step code size: parent $(step_size "$parent_bin"), change $(step_size "$change_bin")"
+
+# engine_sizes BINARY: one "name<TAB>sizes" line per SharingSimulator::
+# function, sorted by name, with the sizes (hex) of its copies joined by
+# commas in ascending order.
+engine_sizes() {
+    nm -C -S "$1" 2>/dev/null | awk '$3 ~ /^[tTwW]$/ && index($0, "SharingSimulator::") {
+        name = $0; sub(/^[^ ]+ [^ ]+ [^ ]+ /, "", name)
+        size = $2; sub(/^0+/, "", size)
+        print name "\t" length(size) "\t0x" size
+    }' | LC_ALL=C sort -t $'\t' -k1,1 -k2,2n -k3,3 | awk -F '\t' '
+        $1 != name { if (name != "") print name "\t" sizes; name = $1; sizes = $3; next }
+        { sizes = sizes "," $3 }
+        END { if (name != "") print name "\t" sizes }'
+}
+echo "SharingSimulator:: functions whose code size differs (parent -> change):"
+LC_ALL=C join -t $'\t' -a 1 -a 2 -e absent -o 0,1.2,2.2 \
+    <(engine_sizes "$parent_bin") <(engine_sizes "$change_bin") |
+    awk -F '\t' '$2 != $3 { printf "  %s: %s -> %s\n", $1, $2, $3; n++ } END { if (!n) print "  none" }' || true
 
 declare -A digest apps_ratios rss_ratios
 workloads=()

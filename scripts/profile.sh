@@ -35,7 +35,14 @@
 # spread over its callees shows whole.  A stack is cut at 15 return
 # addresses, and a sample off the main thread keeps its PC alone, so an
 # inclusive share is a lower bound, and such a sample in library code may
-# name no frame outside it.
+# name no frame outside it.  A sixth table splits the samples of
+# SharingSimulator::step, and of the engine functions outlined from it
+# (every real function between the PC and step is a
+# versaslot_core::engine:: function, or library code at the PC), by their
+# inlined call path below step, outermost first, such as
+# "flush_pass > launch_sweep_app > launch > push": alloc::, core:: and std::
+# frames and closures are left out of a path except as its innermost frame,
+# and a sample on step's own lines reads "(step's own lines)".
 #
 # Needs cc, addr2line, readelf and python3.  CI only checks this script's
 # syntax (`bash -n`); it never runs it.  Neither the crates nor perfbench
@@ -409,5 +416,65 @@ table(
     collections.Counter({with_leaf(user): n for user, n in by_user_frame.items()}),
 )
 table("top functions by inclusive samples (anywhere in the stack, once per sample)", inclusive, rows=60)
+
+# Samples of SharingSimulator::step and of the engine functions outlined from
+# it, by inlined call path below step.
+STEP = "versaslot_core::engine::SharingSimulator::step"
+
+def segments(name):
+    """A frame's path segments, without generic arguments."""
+    depth, kept = 0, []
+    for i, ch in enumerate(name):
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and name[i - 1 : i] != "-":
+            depth -= 1
+        elif depth == 0:
+            kept.append(ch)
+    return [s for s in "".join(kept).split("::") if s] or [name]
+
+def short(name):
+    """A frame's last path segment that names no closure."""
+    parts = segments(name)
+    return next((s for s in reversed(parts) if not is_closure(s)), parts[-1])
+
+def is_closure(segment):
+    """Whether a path segment names a closure: {closure#0} or {{closure}}."""
+    return segment.startswith("{closure#") or segment == "{{closure}}"
+
+def step_path(pc, returns):
+    """The call path below step, outermost first, or None for a sample
+    outside step and the engine functions outlined from it."""
+    vaddr, library = locate(pc)
+    levels = [[(f"[{library}]", "")]] if vaddr is None else [list(std_chain(vaddr))]
+    levels += [list(std_chain(site - 1)) for site, _ in map(locate, returns) if site is not None]
+    path = []
+    for depth, level in enumerate(levels):
+        names = [name for name, _ in level]
+        if STEP in names:
+            path += level[: names.index(STEP)]
+            break
+        if not (names[-1].startswith("versaslot_core::engine::") or (depth == 0 and vaddr is None)):
+            return None
+        path += level
+    else:
+        return None
+    kept = []
+    for i, (name, location) in enumerate(path):
+        if i > 0 and (in_std(name, location) or is_closure(segments(name)[-1])):
+            continue
+        label = short(name)
+        if not kept or kept[-1] != label:
+            kept.append(label)
+    return " > ".join(reversed(kept)) or "(step's own lines)"
+
+by_step_path = collections.Counter()
+for pc, *returns in stacks:
+    path = step_path(pc, returns)
+    if path is not None:
+        by_step_path[path] += 1
+print(f"\nSharingSimulator::step and the engine functions outlined from it: "
+      f"{100 * sum(by_step_path.values()) / total:.2f}% of samples")
+table("samples of step by inlined call path below it (outermost first)", by_step_path, rows=40)
 
 EOF
